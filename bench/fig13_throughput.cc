@@ -62,6 +62,8 @@ main(int argc, char **argv)
     double gain_13b = 0.0, gain_32b = 0.0, gain_all = 0.0;
     int n_13b = 0, n_32b = 0, n_all = 0;
     std::uint64_t cache_hits = 0, cache_misses = 0;
+    // KV admission attempts over every figure run (exact counts).
+    std::uint64_t probes = 0, probe_failures = 0, probes_skipped = 0;
 
     for (const ModelConfig &model : decoderModels()) {
         const auto sys = buildOuroboros(model);
@@ -90,6 +92,9 @@ main(int argc, char **argv)
 
             cache_hits += ours.pipeline.timingCacheHits;
             cache_misses += ours.pipeline.timingCacheMisses;
+            probes += ours.kvAdmissionProbes;
+            probe_failures += ours.kvProbeFailures;
+            probes_skipped += ours.kvProbesSkipped;
 
             const double gain = norm(ours_tps);
             gain_all += gain;
@@ -189,6 +194,11 @@ main(int argc, char **argv)
                 fast_stats.stormEvictions)
         .metric("serving_storm_reprefilled_tokens",
                 fast_stats.stormReprefilledTokens)
+        // Figure runs: admissions that walked the KV rings, the failed
+        // ones, and failed ones answered from the capacity epoch.
+        .metric("admission_probes", probes)
+        .metric("admission_probe_failures", probe_failures)
+        .metric("admission_probes_skipped", probes_skipped)
         .percentiles("serving_ttft_seconds", fast_stats.ttftSamples)
         .percentiles("serving_inter_token_seconds",
                      fast_stats.interTokenSamples)

@@ -85,6 +85,10 @@ assertSameFleet(const FleetResult &a, const FleetResult &b,
     for (std::size_t w = 0; w < a.wafers.size(); ++w)
         assertSameStats(a.wafers[w], b.wafers[w], what);
     assertSameStats(a.fleet, b.fleet, what);
+    ouroAssert(a.kvAdmissionProbes == b.kvAdmissionProbes &&
+               a.kvProbeFailures == b.kvProbeFailures &&
+               a.kvProbesSkipped == b.kvProbesSkipped,
+               "fleet_serving: ", what, " (KV admission counters)");
     ouroAssert(a.failuresInjected == b.failuresInjected &&
                a.failuresHandled == b.failuresHandled &&
                a.kvCoresLost == b.kvCoresLost &&
@@ -338,6 +342,11 @@ main(int argc, char **argv)
         .metric("storm_borrows", storm.borrows)
         .metric("storm_evicted_requests",
                 storm.fleet.stormEvictions)
+        // Storm run, all wafers: admissions that walked the KV rings,
+        // the failed ones, and failed ones answered from the epoch.
+        .metric("storm_admission_probes", storm.kvAdmissionProbes)
+        .metric("storm_admission_probe_failures", storm.kvProbeFailures)
+        .metric("storm_admission_probes_skipped", storm.kvProbesSkipped)
         .metric("throughput_bin_seconds", bin_w)
         .percentiles("fleet_ttft_seconds", fleet.fleet.ttftSamples)
         .percentiles("fleet_inter_token_seconds",

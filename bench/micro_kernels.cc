@@ -410,6 +410,52 @@ BM_KvGrow(benchmark::State &state)
 BENCHMARK(BM_KvGrow);
 
 void
+BM_KvAdmitBlocked(benchmark::State &state)
+{
+    // An admission the full pool cannot take - what the engine retries
+    // after every event while its queue head waits. Arg(0) walks the
+    // rings each time: a one-token resident is released and re-admitted
+    // untimed first, which moves the capacity epoch. Arg(1) is the
+    // retry at an unchanged epoch, answered without a walk.
+    const bool same_epoch = state.range(0) == 1;
+    const ModelConfig cfg = llama13b();
+    std::vector<KvCoreInfo> score, context;
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        score.push_back({{0, i}, 32, 8});
+        context.push_back({{1, i}, 32, 8});
+    }
+    BlockKvManager mgr(cfg, score, context);
+    // Fill with 512-token sequences, then top up with one-token ones:
+    // a released one-token resident always fits again.
+    std::uint64_t id = 0;
+    while (mgr.admitNoEvict(id, 512))
+        ++id;
+    const std::uint64_t blocked = id++;
+    while (mgr.admitNoEvict(id, 1))
+        ++id;
+    const std::uint64_t tiny = id - 1;
+    for (auto _ : state) {
+        if (!same_epoch) {
+            state.PauseTiming();
+            mgr.release(tiny);
+            const bool refit = mgr.admitNoEvict(tiny, 1);
+            state.ResumeTiming();
+            if (!refit) {
+                state.SkipWithError("the one-token resident did not refit");
+                break;
+            }
+        }
+        if (mgr.admitNoEvict(blocked, 512)) {
+            state.SkipWithError("the blocked admission fit");
+            break;
+        }
+    }
+    state.counters["walks"] = static_cast<double>(mgr.admissionProbes());
+    state.counters["skips"] = static_cast<double>(mgr.probesSkipped());
+}
+BENCHMARK(BM_KvAdmitBlocked)->Arg(0)->Arg(1);
+
+void
 BM_MidRunPoolShrink(benchmark::State &state)
 {
     // Mid-run KV pool shrink (the PR 9 storm-eviction path). Arg(1)

@@ -37,6 +37,17 @@
  * falls back to the id-keyed calls on rare paths (external eviction,
  * failure handling). Handles die with release(); using a stale one is
  * a checked error.
+ *
+ * Bookkeeping cost: every core keeps its free-block total current, so
+ * admission and growth checks are O(1) per core visited. An admission
+ * first decides feasibility with a counting pass that mutates nothing,
+ * and only then allocates, so a failed admission leaves the pool
+ * untouched. A failure is also remembered against the capacity epoch
+ * (see capacityEpoch()): retrying an admission that needs at least as
+ * many blocks before the epoch moves is answered in O(1). Released
+ * slots keep their per-head storage for the next resident, so growth
+ * and failed admissions allocate no memory, and a steady admission
+ * only its seq-id index entry.
  */
 
 #ifndef OURO_KVCACHE_MANAGER_HH
@@ -206,10 +217,43 @@ class BlockKvManager
     std::uint64_t admissionCount() const { return admissions_; }
 
     /**
+     * Admission attempts that walked the rings (admissionProbes), the
+     * failed ones among them (probeFailures), and failed attempts
+     * answered from the capacity epoch without a walk (probesSkipped).
+     * Every attempt is exactly one of: an admission, a probe failure
+     * or a skip.
+     */
+    std::uint64_t admissionProbes() const { return probes_; }
+    std::uint64_t probeFailures() const { return probeFailures_; }
+    std::uint64_t probesSkipped() const { return probesSkipped_; }
+
+    /**
+     * Capacity epoch: bumped by every operation that can turn a failed
+     * admission into a successful one - a release (including eviction
+     * and the residents dropCore() releases), a successful admission
+     * (it moves the ring cursors) and adoptCore(). Growth, fencing and
+     * failed admissions only ever take capacity away, so they leave it
+     * alone. An admission that failed at epoch E fails again, with the
+     * same or a larger block demand, for as long as the epoch stays E.
+     */
+    std::uint64_t capacityEpoch() const { return epoch_; }
+
+    /**
      * V-spill count: V growth that could not stay in its preferred
      * crossbar and pays the extra partial-sum hop (Section 4.4.3).
+     * Counts committed allocations only.
      */
     std::uint64_t vSpills() const { return vSpills_; }
+
+    /**
+     * Check the pool's bookkeeping and panic on the first violation:
+     * per-core free totals match their crossbars, every crossbar's
+     * free and allocated blocks add up to its capacity, used + free
+     * == total, fenced cores hold nothing, and the MRU list, the live
+     * slots, the free-slot list and the seq-id index agree. O(pool);
+     * for tests and debugging.
+     */
+    void checkInvariants() const;
 
     /** Remove a failed KV core from the pool (Section 4.3.3);
      *  returns the sequences that lost data and were released. This
@@ -238,31 +282,69 @@ class BlockKvManager
     {
         KvCoreInfo info;
         std::vector<std::uint32_t> freePerXbar; ///< blocks free
+        /** Crossbars bucketed by free blocks: bit b of word w of level
+         *  f (levelBits[f * words + w]) is set iff crossbar 64w + b
+         *  has f free blocks. */
+        std::vector<std::uint64_t> levelBits;
+        std::uint32_t words = 0;    ///< 64-bit words per level
+        std::uint32_t topLevel = 0; ///< highest level with a crossbar
+        std::uint32_t free = 0; ///< sum of freePerXbar, kept current
+        /** Admission residue: ceil(threshold * capacity) blocks. */
+        std::uint32_t reserve = 0;
+        /** threshold * capacity: below this many free blocks the
+         *  core is marked full (the anti-thrashing rule). */
+        double fullBelow = 0.0;
         bool markedFull = false;
+        bool fenced = false; ///< dropCore()d: never allocates again
 
-        std::uint32_t totalFree() const;
+        /** The crossbar with the most free blocks, lowest index on
+         *  ties; info.crossbars when none is free. */
+        std::uint32_t emptiestXbar() const;
+        /** The lowest-index crossbar with a free block, or
+         *  info.crossbars. */
+        std::uint32_t firstFreeXbar() const;
+        /** Move crossbar @p x's free count to @p to blocks. */
+        void setFree(std::uint32_t x, std::uint32_t to);
     };
 
-    /** Blocks one (sequence, head) holds on its K or V core. */
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+    static constexpr std::uint32_t kNilSlot = kNil;
+
+    /** Blocks one (sequence, head) holds on one crossbar of its core:
+     *  a node of the head's list in SequenceState::runs. The lists
+     *  are the crossbar ownership behind release accounting (the
+     *  Fig. 12c block registers). */
+    struct XbarRun
+    {
+        std::uint32_t xbar;
+        std::uint32_t blocks;
+        std::uint32_t next; ///< next node of the same head, or kNil
+    };
+
+    /** Where one (sequence, head) keeps its K or V blocks. */
     struct HeadAlloc
     {
-        std::uint32_t core;          ///< ring index
-        std::uint32_t blocks = 0;    ///< logical blocks held
-        std::uint32_t lastBlockFill = 0; ///< tokens in newest block
-        std::uint32_t homeXbar = 0;  ///< V's preferred crossbar
-        /** Crossbar ownership, (crossbar, blocks) pairs, for release
-         *  accounting (the Fig. 12c block registers). */
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> perXbar;
+        std::uint32_t core;            ///< ring index
+        std::uint32_t firstRun = kNil; ///< head of its XbarRun list
     };
-
-    static constexpr std::uint32_t kNilSlot = 0xffffffffu;
 
     struct SequenceState
     {
         std::uint64_t seqId = 0;
         std::uint64_t tokens = 0;
-        std::vector<HeadAlloc> k;    ///< per head, on score cores
-        std::vector<HeadAlloc> v;    ///< per head, on context cores
+        /** Every head, K and V alike, is admitted with the same
+         *  blocks and grows by the same tokens, so block count and
+         *  newest-block fill are per sequence:
+         *  tokens == (blocksPerHead - 1) * tokensPerBlock
+         *            + lastBlockFill. */
+        std::uint32_t blocksPerHead = 0;
+        std::uint32_t lastBlockFill = 0;
+        /** Per head, on score (k) and context (v) cores, and the
+         *  crossbar runs of all of them. A released slot keeps this
+         *  storage for its next resident. */
+        std::vector<HeadAlloc> k;
+        std::vector<HeadAlloc> v;
+        std::vector<XbarRun> runs;
         /** Intrusive admission-order list (head = LRU, tail = MRU). */
         std::uint32_t mruPrev = kNilSlot;
         std::uint32_t mruNext = kNilSlot;
@@ -285,6 +367,15 @@ class BlockKvManager
     std::uint64_t evictions_ = 0;
     std::uint64_t admissions_ = 0;
     std::uint64_t vSpills_ = 0;
+    std::uint64_t probes_ = 0;
+    std::uint64_t probeFailures_ = 0;
+    std::uint64_t probesSkipped_ = 0;
+
+    std::uint64_t epoch_ = 0;
+    /** The smallest per-head block demand that failed at epoch
+     *  failedEpoch_ (no failure recorded while the epochs differ). */
+    std::uint64_t failedEpoch_ = ~std::uint64_t{0};
+    std::uint32_t failedNeed_ = 0;
 
     /** Slot storage: stable while resident, recycled after release. */
     std::vector<SequenceState> slots_;
@@ -295,8 +386,15 @@ class BlockKvManager
     /** seq id -> slot, for the id-keyed API and duplicate checks. */
     std::unordered_map<std::uint64_t, std::uint32_t> index_;
 
+    /** Scratch per ring index, all zero between calls: heads of one
+     *  sequence per core (see fitsOneMoreBlock()). */
+    std::vector<std::uint32_t> headsOnCore_;
+
     SequenceState &slotRef(KvHandle handle);
     const SequenceState &slotRef(KvHandle handle) const;
+
+    /** A fresh, empty ring core; adds its capacity to totalBlocks_. */
+    CoreState makeCore(const KvCoreInfo &info);
 
     /** Blocks needed to hold @p tokens of one head. */
     std::uint32_t blocksFor(std::uint64_t tokens) const;
@@ -314,12 +412,33 @@ class BlockKvManager
     std::uint32_t tryAdmitOnce(std::uint64_t seq_id,
                                std::uint64_t initial_tokens);
 
-    /** Allocate @p blocks on a ring core; kind selects K/V policy. */
-    bool allocBlocks(CoreState &core, HeadAlloc &alloc,
+    /** Whether the ring walk from @p cursor places every head at
+     *  @p need blocks each; reads the ring only. */
+    bool ringFits(const std::vector<CoreState> &ring,
+                  std::uint32_t cursor, std::uint32_t need) const;
+
+    /** The same walk, allocating: one HeadAlloc per head, in walk
+     *  order. Only called once ringFits() said yes. */
+    void placeHeads(std::vector<CoreState> &ring,
+                    std::vector<HeadAlloc> &allocs,
+                    std::vector<XbarRun> &runs, std::uint32_t &cursor,
+                    std::uint32_t need, bool is_v);
+
+    /** Whether every core holding heads of @p allocs has one free
+     *  block per such head (several heads may share a core). */
+    bool fitsOneMoreBlock(const std::vector<CoreState> &ring,
+                          const std::vector<HeadAlloc> &allocs);
+
+    /** Allocate @p blocks more on a ring core to a head that holds
+     *  @p held; kind selects K/V policy. The core must hold at least
+     *  @p blocks free blocks. */
+    void allocBlocks(CoreState &core, HeadAlloc &alloc,
+                     std::vector<XbarRun> &runs, std::uint32_t held,
                      std::uint32_t blocks, bool is_v);
 
     void releaseAlloc(std::vector<CoreState> &ring,
-                      const HeadAlloc &alloc);
+                      const HeadAlloc &alloc,
+                      const std::vector<XbarRun> &runs);
 
     /** Apply the anti-thrashing threshold rule to a cursor core. */
     void applyThreshold(CoreState &core);

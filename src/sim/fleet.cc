@@ -1,6 +1,7 @@
 #include "fleet.hh"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -231,6 +232,7 @@ runFleetServing(const OuroborosSystem &sys, const Workload &workload,
     // so parallel == serial bit-identical and the result is
     // invariant under any wafer completion order).
     result.wafers.resize(opts.numWafers);
+    std::vector<std::array<std::uint64_t, 3>> probes(opts.numWafers);
     const auto simulate = [&](std::size_t w) {
         BlockKvManager kv(sys.model(), sys.scorePool(),
                           sys.contextPool(), 128,
@@ -244,6 +246,8 @@ runFleetServing(const OuroborosSystem &sys, const Workload &workload,
             popts.stormSchedule = &result.events;
         result.wafers[w] = runPipeline(shards[w], sys.model(),
                                        sys.stageTiming(), kv, popts);
+        probes[w] = {kv.admissionProbes(), kv.probeFailures(),
+                     kv.probesSkipped()};
     };
     if (opts.serialExecution) {
         if (opts.serialOrder.empty()) {
@@ -273,6 +277,11 @@ runFleetServing(const OuroborosSystem &sys, const Workload &workload,
     result.fleet = result.wafers[0];
     for (std::uint32_t w = 1; w < opts.numWafers; ++w)
         result.fleet.mergeConcurrent(result.wafers[w]);
+    for (const auto &[walks, failures, skips] : probes) {
+        result.kvAdmissionProbes += walks;
+        result.kvProbeFailures += failures;
+        result.kvProbesSkipped += skips;
+    }
     return result;
 }
 

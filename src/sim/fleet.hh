@@ -178,6 +178,12 @@ struct FleetResult
      *  tokens/sec = fleet.outputTokensPerSecond(). */
     PipelineStats fleet;
 
+    /** KV admission attempts summed over the wafers' pools (see
+     *  BlockKvManager::admissionProbes and friends). */
+    std::uint64_t kvAdmissionProbes = 0;
+    std::uint64_t kvProbeFailures = 0;
+    std::uint64_t kvProbesSkipped = 0;
+
     /** Storm resolution (all zero / empty without a storm). */
     std::vector<KvPoolEvent> events;
     std::uint64_t failuresInjected = 0;

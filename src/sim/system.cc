@@ -237,6 +237,9 @@ OuroborosSystem::run(const Workload &workload) const
     }
     report.pipeline = runPipeline(shard, model_, timing_, kv, popts);
     report.kvEvictions = kv.evictionCount();
+    report.kvAdmissionProbes = kv.admissionProbes();
+    report.kvProbeFailures = kv.probeFailures();
+    report.kvProbesSkipped = kv.probesSkipped();
     report.kvUtilization = kv.utilization();
     report.defects = defects_;
     report.mappingByteHops = totalMappingByteHops();

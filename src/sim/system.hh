@@ -70,6 +70,11 @@ struct OuroborosReport
     PipelineStats pipeline;
     double kvUtilization = 0.0;
     std::uint64_t kvEvictions = 0;
+    /** Admission attempts of the run's KV pool (see
+     *  BlockKvManager::admissionProbes and friends). */
+    std::uint64_t kvAdmissionProbes = 0;
+    std::uint64_t kvProbeFailures = 0;
+    std::uint64_t kvProbesSkipped = 0;
     std::uint64_t defects = 0;
     double mappingByteHops = 0.0;
     double avgContext = 0.0;

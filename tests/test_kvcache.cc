@@ -2,13 +2,22 @@
  * @file
  * Unit + property tests for the distributed dynamic KV-cache manager:
  * admission/growth/release accounting, ring placement, the K/V growth
- * policies, MRU eviction, thresholds, and failed-core handling.
+ * policies, MRU eviction, thresholds, and failed-core handling; and a
+ * randomized op-sequence fuzzer that runs the manager against a naive
+ * reference pool (place-then-rollback admission, linear scans, no
+ * capacity epoch) and checks its invariants after every step.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
+#include <tuple>
+#include <utility>
 
+#include "common/rng.hh"
 #include "kvcache/manager.hh"
 #include "model/llm.hh"
 
@@ -441,6 +450,538 @@ TEST(KvManager, AdoptCoreRejectsLiveDuplicate)
     EXPECT_DEATH({ mgr.adoptCore({{1, 2}, 4, 8}, false); },
                  "already live in the pool");
 }
+
+TEST(KvManager, FailedAdmissionLeavesPoolUntouched)
+{
+    // Two managers see the same admissions; `probed` also takes
+    // admissions that fail - some at K, some only at V (its context
+    // ring is smaller). If a failed trial left anything behind (a
+    // cursor, a full mark, a crossbar count), later placements would
+    // diverge.
+    auto make = [] {
+        return BlockKvManager(kvModel(), pool(6, 2, 4),
+                              pool(5, 2, 4, 1), 128, 0.25);
+    };
+    BlockKvManager plain = make();
+    BlockKvManager probed = make();
+    std::uint64_t id = 0;
+    std::uint64_t failures = 0;
+    auto admit_both = [&](std::uint64_t tokens) {
+        const bool ok = probed.admitNoEvict(id, tokens);
+        if (ok) {
+            EXPECT_TRUE(plain.admitNoEvict(id, tokens));
+        }
+        ++id;
+        return ok;
+    };
+    for (const std::uint64_t tokens : {300, 129, 500, 64, 256, 700, 1}) {
+        for (const std::uint64_t large : {900, 1000, 600}) {
+            const auto epoch = probed.capacityEpoch();
+            const auto used = probed.usedBlocks();
+            const auto spills = probed.vSpills();
+            if (!admit_both(large)) {
+                ++failures;
+                EXPECT_EQ(probed.capacityEpoch(), epoch);
+                EXPECT_EQ(probed.usedBlocks(), used);
+                EXPECT_EQ(probed.vSpills(), spills);
+            }
+            probed.checkInvariants();
+        }
+        const std::uint64_t this_id = id++;
+        const bool ok = plain.admitNoEvict(this_id, tokens);
+        ASSERT_EQ(probed.admitNoEvict(this_id, tokens), ok);
+        if (ok) {
+            for (std::uint32_t h = 0; h < 4; ++h) {
+                EXPECT_EQ(probed.headPlacement(this_id, h).scoreCore,
+                          plain.headPlacement(this_id, h).scoreCore);
+                EXPECT_EQ(probed.headPlacement(this_id, h).contextCore,
+                          plain.headPlacement(this_id, h).contextCore);
+            }
+        }
+        EXPECT_EQ(probed.usedBlocks(), plain.usedBlocks());
+        EXPECT_EQ(probed.vSpills(), plain.vSpills());
+    }
+    EXPECT_GT(failures, 0u);
+    EXPECT_EQ(probed.admissionCount(), plain.admissionCount());
+}
+
+TEST(KvManager, CapacityEpochSkipsOnlyDoomedProbes)
+{
+    // 4 cores x 1 crossbar x 2 blocks per ring, 4 heads, no reserve:
+    // two one-block sequences fill the pool.
+    BlockKvManager mgr(kvModel(), pool(4, 1, 2), pool(4, 1, 2, 1), 128,
+                       0.0);
+    ASSERT_TRUE(mgr.admitNoEvict(1, 64));
+    ASSERT_TRUE(mgr.admitNoEvict(2, 128));
+    const auto epoch = mgr.capacityEpoch();
+
+    EXPECT_FALSE(mgr.admitNoEvict(3, 64));
+    EXPECT_EQ(mgr.admissionProbes(), 3u);
+    EXPECT_EQ(mgr.probeFailures(), 1u);
+    // Same epoch, same or larger demand: answered without a walk.
+    EXPECT_FALSE(mgr.admitNoEvict(3, 64));
+    EXPECT_FALSE(mgr.admitNoEvict(4, 300));
+    EXPECT_EQ(mgr.probesSkipped(), 2u);
+    EXPECT_EQ(mgr.admissionProbes(), 3u);
+    // In-block growth takes nothing from the pool: the epoch stays.
+    ASSERT_TRUE(mgr.grow(1).ok);
+    EXPECT_EQ(mgr.capacityEpoch(), epoch);
+    EXPECT_FALSE(mgr.admitNoEvict(3, 64));
+    EXPECT_EQ(mgr.probesSkipped(), 3u);
+
+    // A release may make room: the next attempt walks again.
+    mgr.release(2);
+    EXPECT_GT(mgr.capacityEpoch(), epoch);
+    EXPECT_TRUE(mgr.admitNoEvict(3, 64));
+    EXPECT_EQ(mgr.admissionProbes(), 4u);
+    EXPECT_EQ(mgr.admissionProbes(),
+              mgr.admissionCount() + mgr.probeFailures());
+
+    // adoptCore bumps the epoch too.
+    EXPECT_FALSE(mgr.admitNoEvict(5, 64));
+    const auto before = mgr.capacityEpoch();
+    for (std::uint32_t i = 0; i < 4; ++i)
+        mgr.adoptCore({{0, 50 + i}, 1, 2}, true);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        mgr.adoptCore({{1, 50 + i}, 1, 2}, false);
+    EXPECT_GT(mgr.capacityEpoch(), before);
+    EXPECT_TRUE(mgr.admitNoEvict(5, 64));
+    mgr.checkInvariants();
+}
+
+/**
+ * Naive reference pool: the KV-mapping rules of manager.hh written the
+ * plain way - per-crossbar free arrays summed on demand, admission
+ * placing head by head and rolling back on failure, MRU eviction from
+ * an admission-ordered vector, no capacity epoch. The fuzzer below
+ * holds BlockKvManager to it op for op.
+ */
+class RefPool
+{
+  public:
+    RefPool(std::uint32_t heads, const std::vector<KvCoreInfo> &score,
+            const std::vector<KvCoreInfo> &context, double threshold)
+        : heads_(heads), threshold_(threshold)
+    {
+        for (const auto &info : score)
+            adopt(info, true);
+        for (const auto &info : context)
+            adopt(info, false);
+    }
+
+    std::uint64_t used = 0;
+    std::uint64_t total = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t admissions = 0;
+    std::uint64_t vSpills = 0;
+
+    bool resident(std::uint64_t id) const { return find(id) != nullptr; }
+
+    std::vector<std::uint64_t> residents() const
+    {
+        std::vector<std::uint64_t> ids;
+        for (const Seq &s : seqs_)
+            ids.push_back(s.id);
+        std::sort(ids.begin(), ids.end());
+        return ids;
+    }
+
+    HeadPlacement placement(std::uint64_t id, std::uint32_t h) const
+    {
+        const Seq &s = *find(id);
+        return {s.k[h].core, s.v[h].core};
+    }
+
+    std::uint64_t room(std::uint64_t id) const
+    {
+        return kTokensPerBlock - find(id)->fill;
+    }
+
+    bool admitNoEvict(std::uint64_t id, std::uint64_t tokens)
+    {
+        const std::uint32_t need =
+            tokens == 0 ? 1 : static_cast<std::uint32_t>(
+                                      (tokens + kTokensPerBlock - 1) /
+                                      kTokensPerBlock);
+        Seq s;
+        s.id = id;
+        s.blocks = need;
+        s.fill = tokens == 0 ? 0
+                             : static_cast<std::uint32_t>(
+                                       tokens - (need - 1) *
+                                                    kTokensPerBlock);
+        const auto saved = std::make_pair(scoreCursor_, contextCursor_);
+        const std::uint64_t saved_spills = vSpills;
+        const bool ok =
+            place(score_, s.k, scoreCursor_, need, false) &&
+            place(context_, s.v, contextCursor_, need, true);
+        if (!ok) {
+            for (const Head &h : s.k)
+                free(score_, h);
+            for (const Head &h : s.v)
+                free(context_, h);
+            std::tie(scoreCursor_, contextCursor_) = saved;
+            vSpills = saved_spills;
+            return false;
+        }
+        seqs_.push_back(std::move(s));
+        ++admissions;
+        return true;
+    }
+
+    std::pair<bool, std::vector<std::uint64_t>>
+    admit(std::uint64_t id, std::uint64_t tokens)
+    {
+        std::vector<std::uint64_t> evicted;
+        while (!admitNoEvict(id, tokens)) {
+            if (seqs_.empty())
+                return {false, evicted};
+            evicted.push_back(seqs_.back().id);
+            release(seqs_.back().id);
+            ++evictions;
+        }
+        return {true, evicted};
+    }
+
+    std::pair<bool, std::vector<std::uint64_t>> grow(std::uint64_t id)
+    {
+        std::vector<std::uint64_t> evicted;
+        if (find(id)->fill < kTokensPerBlock) {
+            ++find(id)->fill;
+            return {true, evicted};
+        }
+        auto fits = [&] {
+            const Seq &s = *find(id);
+            std::map<std::uint32_t, std::uint32_t> k_need, v_need;
+            for (const Head &h : s.k)
+                ++k_need[h.core];
+            for (const Head &h : s.v)
+                ++v_need[h.core];
+            for (const auto &[c, n] : k_need) {
+                if (totalFree(score_[c]) < n)
+                    return false;
+            }
+            for (const auto &[c, n] : v_need) {
+                if (totalFree(context_[c]) < n)
+                    return false;
+            }
+            return true;
+        };
+        while (!fits()) {
+            std::uint64_t victim = 0;
+            bool any = false;
+            for (auto it = seqs_.rbegin(); it != seqs_.rend(); ++it) {
+                if (it->id != id) {
+                    victim = it->id;
+                    any = true;
+                    break;
+                }
+            }
+            if (!any)
+                return {false, evicted};
+            release(victim);
+            evicted.push_back(victim);
+            ++evictions;
+        }
+        Seq &s = *find(id);
+        for (Head &h : s.k) {
+            alloc(score_[h.core], h, s.blocks, 1, false);
+            markIfFull(score_[h.core]);
+        }
+        for (Head &h : s.v) {
+            alloc(context_[h.core], h, s.blocks, 1, true);
+            markIfFull(context_[h.core]);
+        }
+        ++s.blocks;
+        s.fill = 1;
+        return {true, evicted};
+    }
+
+    void growFast(std::uint64_t id, std::uint64_t n)
+    {
+        find(id)->fill += static_cast<std::uint32_t>(n);
+    }
+
+    void release(std::uint64_t id)
+    {
+        const auto it =
+            std::find_if(seqs_.begin(), seqs_.end(),
+                         [&](const Seq &s) { return s.id == id; });
+        for (const Head &h : it->k)
+            free(score_, h);
+        for (const Head &h : it->v)
+            free(context_, h);
+        seqs_.erase(it);
+    }
+
+    std::vector<std::uint64_t> dropCore(CoreCoord coord)
+    {
+        std::vector<std::uint64_t> lost;
+        for (const Seq &s : seqs_) {
+            bool hit = false;
+            for (const Head &h : s.k)
+                hit |= score_[h.core].coord == coord;
+            for (const Head &h : s.v)
+                hit |= context_[h.core].coord == coord;
+            if (hit)
+                lost.push_back(s.id);
+        }
+        std::sort(lost.begin(), lost.end());
+        for (const auto id : lost)
+            release(id);
+        for (auto *ring : {&score_, &context_}) {
+            for (Core &c : *ring) {
+                if (!(c.coord == coord))
+                    continue;
+                total -= totalFree(c);
+                std::fill(c.free.begin(), c.free.end(), 0);
+                c.full = true;
+            }
+        }
+        return lost;
+    }
+
+    std::uint32_t adopt(const KvCoreInfo &info, bool score_duty)
+    {
+        auto &ring = score_duty ? score_ : context_;
+        Core c;
+        c.coord = info.coord;
+        c.free.assign(info.crossbars, info.blocksPerCrossbar);
+        c.cap = info.crossbars * info.blocksPerCrossbar;
+        total += c.cap;
+        ring.push_back(c);
+        return static_cast<std::uint32_t>(ring.size() - 1);
+    }
+
+  private:
+    static constexpr std::uint32_t kTokensPerBlock = 128;
+
+    struct Core
+    {
+        CoreCoord coord;
+        std::vector<std::uint32_t> free;
+        std::uint32_t cap = 0;
+        bool full = false;
+    };
+    struct Head
+    {
+        std::uint32_t core = 0;
+        std::vector<std::uint32_t> perXbar; ///< blocks per crossbar
+    };
+    struct Seq
+    {
+        std::uint64_t id = 0;
+        std::uint32_t blocks = 0;
+        std::uint32_t fill = 0;
+        std::vector<Head> k, v;
+    };
+
+    std::uint32_t heads_;
+    double threshold_;
+    std::vector<Core> score_, context_;
+    std::uint32_t scoreCursor_ = 0, contextCursor_ = 0;
+    std::vector<Seq> seqs_; ///< admission order: back is the MRU
+
+    const Seq *find(std::uint64_t id) const
+    {
+        for (const Seq &s : seqs_) {
+            if (s.id == id)
+                return &s;
+        }
+        return nullptr;
+    }
+    Seq *find(std::uint64_t id)
+    {
+        return const_cast<Seq *>(std::as_const(*this).find(id));
+    }
+
+    static std::uint32_t totalFree(const Core &c)
+    {
+        std::uint32_t n = 0;
+        for (const auto f : c.free)
+            n += f;
+        return n;
+    }
+
+    void markIfFull(Core &c) const
+    {
+        if (static_cast<double>(totalFree(c)) < threshold_ * c.cap)
+            c.full = true;
+    }
+
+    void alloc(Core &c, Head &h, std::uint32_t held, std::uint32_t n,
+               bool is_v)
+    {
+        h.perXbar.resize(c.free.size(), 0);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            std::uint32_t x = 0;
+            if (is_v) {
+                while (c.free[x] == 0)
+                    ++x;
+                if (x > 0 && held + i > 0)
+                    ++vSpills;
+            } else {
+                for (std::uint32_t y = 1; y < c.free.size(); ++y) {
+                    if (c.free[y] > c.free[x])
+                        x = y;
+                }
+            }
+            --c.free[x];
+            ++h.perXbar[x];
+            ++used;
+        }
+    }
+
+    void free(std::vector<Core> &ring, const Head &h)
+    {
+        Core &c = ring[h.core];
+        for (std::size_t x = 0; x < h.perXbar.size(); ++x) {
+            c.free[x] += h.perXbar[x];
+            used -= h.perXbar[x];
+        }
+        if (totalFree(c) > threshold_ * c.cap)
+            c.full = false;
+    }
+
+    bool place(std::vector<Core> &ring, std::vector<Head> &heads,
+               std::uint32_t &cursor, std::uint32_t need, bool is_v)
+    {
+        const auto n = static_cast<std::uint32_t>(ring.size());
+        std::uint32_t probe = cursor;
+        std::uint32_t probes = 0;
+        while (heads.size() < heads_ && probes < 2 * n + heads_) {
+            Core &c = ring[probe % n];
+            ++probes;
+            const auto reserve = static_cast<std::uint32_t>(
+                    std::ceil(threshold_ * c.cap));
+            if (!c.full && totalFree(c) >= need + reserve) {
+                Head h;
+                h.core = probe % n;
+                alloc(c, h, 0, need, is_v);
+                markIfFull(c);
+                heads.push_back(std::move(h));
+            }
+            ++probe;
+        }
+        cursor = probe % n;
+        return heads.size() == heads_;
+    }
+};
+
+class KvFuzzTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(KvFuzzTest, MatchesReferencePoolStepByStep)
+{
+    const std::uint64_t seed = GetParam();
+    SCOPED_TRACE("replay with seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Ring sizes around the head count, so heads sometimes share a
+    // core; few crossbars and blocks, so the pool fills and thrashes.
+    const auto score_cores =
+        static_cast<std::uint32_t>(rng.uniformInt(2, 7));
+    const auto context_cores =
+        static_cast<std::uint32_t>(rng.uniformInt(2, 7));
+    const auto xbars = static_cast<std::uint32_t>(rng.uniformInt(1, 4));
+    const auto blocks = static_cast<std::uint32_t>(rng.uniformInt(1, 8));
+    const double threshold = std::vector<double>{0.0, 0.1, 0.3}
+            [rng.uniformInt(0, 2)];
+    const auto score = pool(score_cores, xbars, blocks, 0);
+    const auto context = pool(context_cores, xbars, blocks, 1);
+    BlockKvManager mgr(kvModel(), score, context, 128, threshold);
+    RefPool ref(4, score, context, threshold);
+    std::uint32_t next_col = 100;
+    std::uint64_t last_failed_tokens = 0;
+
+    for (int step = 0; step < 400; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const std::vector<std::uint64_t> ids = ref.residents();
+        const auto any_resident = [&] {
+            return ids[rng.uniformInt(0, ids.size() - 1)];
+        };
+        const std::uint64_t op = rng.uniformInt(0, 99);
+        if (op < 30 || ids.empty()) {
+            // Admission without eviction; sometimes the exact retry
+            // of the last failure (the capacity-epoch skip).
+            std::uint64_t id = rng.uniformInt(0, 39);
+            while (ref.resident(id))
+                id = rng.uniformInt(0, 39);
+            const std::uint64_t tokens =
+                op < 10 && last_failed_tokens ? last_failed_tokens
+                                              : rng.uniformInt(0, 600);
+            const bool ok = ref.admitNoEvict(id, tokens);
+            ASSERT_EQ(mgr.admitNoEvictHandle(id, tokens).valid(), ok);
+            last_failed_tokens = ok ? 0 : tokens;
+        } else if (op < 40) {
+            std::uint64_t id = rng.uniformInt(0, 39);
+            while (ref.resident(id))
+                id = rng.uniformInt(0, 39);
+            const std::uint64_t tokens = rng.uniformInt(0, 400);
+            const auto [ok, evicted] = ref.admit(id, tokens);
+            const KvResult got = mgr.admit(id, tokens);
+            ASSERT_EQ(got.ok, ok);
+            ASSERT_EQ(got.evicted, evicted);
+        } else if (op < 70) {
+            const std::uint64_t id = any_resident();
+            const auto [ok, evicted] = ref.grow(id);
+            const KvResult got = mgr.grow(mgr.handleOf(id));
+            ASSERT_EQ(got.ok, ok);
+            ASSERT_EQ(got.evicted, evicted);
+            if (!ok) { // the engine's evict-self path
+                ref.release(id);
+                mgr.release(id);
+            }
+        } else if (op < 80) {
+            const std::uint64_t id = any_resident();
+            ASSERT_EQ(mgr.growRoom(id), ref.room(id));
+            const std::uint64_t n = rng.uniformInt(0, ref.room(id));
+            ref.growFast(id, n);
+            mgr.growFast(mgr.handleOf(id), n);
+        } else if (op < 92) {
+            const std::uint64_t id = any_resident();
+            ref.release(id);
+            mgr.release(mgr.handleOf(id));
+        } else if (op < 97) {
+            const bool in_score = rng.bernoulli(0.5);
+            const auto c = static_cast<std::uint32_t>(
+                    rng.uniformInt(0, (in_score ? score_cores
+                                                : context_cores) - 1));
+            const CoreCoord coord =
+                in_score ? mgr.scoreCoord(c) : mgr.contextCoord(c);
+            ASSERT_EQ(mgr.dropCore(coord), ref.dropCore(coord));
+        } else {
+            const bool duty = rng.bernoulli(0.5);
+            const KvCoreInfo info{{duty ? 0u : 1u, next_col++}, xbars,
+                                  blocks};
+            ASSERT_EQ(mgr.adoptCore(info, duty), ref.adopt(info, duty));
+        }
+
+        mgr.checkInvariants();
+        ASSERT_EQ(mgr.usedBlocks(), ref.used);
+        ASSERT_EQ(mgr.totalBlocks(), ref.total);
+        ASSERT_EQ(mgr.evictionCount(), ref.evictions);
+        ASSERT_EQ(mgr.admissionCount(), ref.admissions);
+        ASSERT_EQ(mgr.vSpills(), ref.vSpills);
+        ASSERT_EQ(mgr.admissionProbes(),
+                  mgr.admissionCount() + mgr.probeFailures());
+        const std::vector<std::uint64_t> now = ref.residents();
+        ASSERT_EQ(mgr.numResident(), now.size());
+        for (const auto id : now) {
+            ASSERT_TRUE(mgr.resident(id));
+            ASSERT_EQ(mgr.growRoom(id), ref.room(id));
+            for (std::uint32_t h = 0; h < 4; ++h) {
+                ASSERT_EQ(mgr.headPlacement(id, h).scoreCore,
+                          ref.placement(id, h).scoreCore);
+                ASSERT_EQ(mgr.headPlacement(id, h).contextCore,
+                          ref.placement(id, h).contextCore);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KvFuzzTest,
+                         ::testing::Range<std::uint64_t>(1, 41));
 
 /** Property: admit/release round-trips leave zero residue. */
 class KvRoundTripTest
