@@ -38,27 +38,15 @@ using namespace ouro::bench;
 namespace
 {
 
-/** Every field of two PipelineStats must agree exactly. */
-void
-assertStatsIdentical(const PipelineStats &a, const PipelineStats &b,
-                     const char *what)
+/** Warmup windows prime each chain's TimingCache by design, so a
+ *  warmup-neutrality check clears the cache counters (and nothing
+ *  else) before comparing. */
+PipelineStats
+withoutCacheCounters(PipelineStats s)
 {
-    ouroAssert(a.makespanSeconds == b.makespanSeconds &&
-               a.tokensProcessed == b.tokensProcessed &&
-               a.outputTokens == b.outputTokens &&
-               a.bottleneckBusySeconds == b.bottleneckBusySeconds &&
-               a.utilization == b.utilization &&
-               a.evictions == b.evictions &&
-               a.recomputedTokens == b.recomputedTokens &&
-               a.skippedRequests == b.skippedRequests &&
-               a.peakConcurrency == b.peakConcurrency &&
-               a.avgContext == b.avgContext &&
-               a.itemsProcessed == b.itemsProcessed &&
-               a.contextTokensSum == b.contextTokensSum &&
-               a.stageBusySumSeconds == b.stageBusySumSeconds &&
-               a.ttftSamples == b.ttftSamples &&
-               a.interTokenSamples == b.interTokenSamples,
-               "day_trace: stats diverged: ", what);
+    s.timingCacheHits = 0;
+    s.timingCacheMisses = 0;
+    return s;
 }
 
 SampledSimulator
@@ -101,8 +89,8 @@ main(int argc, char **argv)
                                        collapse);
         const PipelineStats full = sim.fullRun();
         const SampledEstimate est = sim.run();
-        assertStatsIdentical(est.measured, full,
-                             "fraction-1.0 collapse");
+        ouroAssert(est.measured == full,
+                   "day_trace: stats diverged: fraction-1.0 collapse");
         ouroAssert(est.estOutputTokens ==
                        static_cast<double>(full.outputTokens) &&
                    est.estMakespanSeconds == full.makespanSeconds &&
@@ -131,14 +119,16 @@ main(int argc, char **argv)
                                          serial);
         const SampledEstimate ep = sim_p.run();
         const SampledEstimate es = sim_s.run();
-        assertStatsIdentical(ep.measured, es.measured,
-                             "run() parallel vs serial fan-out");
+        ouroAssert(ep.measured == es.measured,
+                   "day_trace: stats diverged: run() parallel vs "
+                   "serial fan-out");
         ouroAssert(ep.estTokensPerSecond == es.estTokensPerSecond &&
                    ep.ciTokensPerSecond == es.ciTokensPerSecond &&
                    ep.estOutputTokens == es.estOutputTokens,
                    "day_trace: parallel estimate diverged");
-        assertStatsIdentical(sim_p.fullRun(), sim_s.fullRun(),
-                             "fullRun() parallel vs serial fan-out");
+        ouroAssert(sim_p.fullRun() == sim_s.fullRun(),
+                   "day_trace: stats diverged: fullRun() parallel vs "
+                   "serial fan-out");
 
         // Warmup neutrality at ctxBucketShift 0: warmup windows only
         // touch the chain's TimingCache, and a cache hit is
@@ -151,10 +141,12 @@ main(int argc, char **argv)
             makeSimulator(sys, model, small_trace, no_warm).run();
         const auto est_dw =
             makeSimulator(sys, model, small_trace, deep_warm).run();
-        assertStatsIdentical(ep.measured, est_nw.measured,
-                             "warmup 1 vs warmup 0");
-        assertStatsIdentical(ep.measured, est_dw.measured,
-                             "warmup 1 vs warmup 2");
+        ouroAssert(withoutCacheCounters(ep.measured) ==
+                           withoutCacheCounters(est_nw.measured),
+                   "day_trace: stats diverged: warmup 1 vs warmup 0");
+        ouroAssert(withoutCacheCounters(ep.measured) ==
+                           withoutCacheCounters(est_dw.measured),
+                   "day_trace: stats diverged: warmup 1 vs warmup 2");
     }
     std::cout << "contract tier passed (collapse, parallel==serial, "
                  "warmup-neutral)\n";
@@ -191,8 +183,9 @@ main(int argc, char **argv)
     const SampledEstimate est_par =
         makeSimulator(sys, model, day, par_opts).run();
     const double sampled_par_wall = par_timer.seconds();
-    assertStatsIdentical(est.measured, est_par.measured,
-                         "day-scale parallel vs serial");
+    ouroAssert(est.measured == est_par.measured,
+               "day_trace: stats diverged: day-scale parallel vs "
+               "serial");
 
     const double full_tps = full.outputTokensPerSecond();
     const double rel_error =

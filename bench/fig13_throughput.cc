@@ -20,33 +20,6 @@
 using namespace ouro;
 using namespace ouro::bench;
 
-namespace
-{
-
-/** Every field of two PipelineStats must agree exactly. */
-void
-assertBitIdentical(const PipelineStats &a, const PipelineStats &b)
-{
-    ouroAssert(a.makespanSeconds == b.makespanSeconds &&
-               a.tokensProcessed == b.tokensProcessed &&
-               a.outputTokens == b.outputTokens &&
-               a.bottleneckBusySeconds == b.bottleneckBusySeconds &&
-               a.utilization == b.utilization &&
-               a.evictions == b.evictions &&
-               a.recomputedTokens == b.recomputedTokens &&
-               a.stormEvictions == b.stormEvictions &&
-               a.stormReprefilledTokens == b.stormReprefilledTokens &&
-               a.skippedRequests == b.skippedRequests &&
-               a.outputTokenBins == b.outputTokenBins &&
-               a.peakConcurrency == b.peakConcurrency &&
-               a.avgContext == b.avgContext &&
-               a.ttftSamples == b.ttftSamples &&
-               a.interTokenSamples == b.interTokenSamples,
-               "fig13: cohort fast path diverged from slow path");
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -149,7 +122,8 @@ main(int argc, char **argv)
                             serve_sys.stageTiming(), kv, popts);
             best_wall = std::min(best_wall, timer.seconds());
             if (rep > 0)
-                assertBitIdentical(stats, rep_stats);
+                ouroAssert(stats == rep_stats,
+                           "fig13: repeated serving run diverged");
             stats = rep_stats;
         }
         return stats;
@@ -158,7 +132,8 @@ main(int argc, char **argv)
     double fast_wall = 0.0;
     const PipelineStats slow_stats = engine_run(false, slow_wall);
     const PipelineStats fast_stats = engine_run(true, fast_wall);
-    assertBitIdentical(slow_stats, fast_stats);
+    ouroAssert(slow_stats == fast_stats,
+               "fig13: cohort fast path diverged from slow path");
     ouroAssert(fast_stats.peakConcurrency >= 64.0,
                "fig13: serving cohort below 64 concurrent streams");
     ouroAssert(fast_stats.evictions == 0 &&

@@ -9,7 +9,6 @@
  *  - the parallel fleet run is bit-identical to the serial one
  *    (per-wafer stats, fleet fold AND the dispatch assignment) - the
  *    PR 1 sweep contract extended to serving;
- *  - the fast ordered-set dispatch equals the linear-scan oracle;
  *  - an N=1 fleet is bit-identical to a direct runPipeline over the
  *    same pool and options - the plain-serving collapse oracle;
  *  - replaying the fleet run is bitwise deterministic (stats,
@@ -41,35 +40,6 @@ using namespace ouro::bench;
 namespace
 {
 
-/** Every field of two PipelineStats must agree exactly (bin width,
- *  histogram, storm fields and latency samples included). */
-void
-assertSameStats(const PipelineStats &a, const PipelineStats &b,
-                const char *what)
-{
-    ouroAssert(a.makespanSeconds == b.makespanSeconds &&
-               a.tokensProcessed == b.tokensProcessed &&
-               a.outputTokens == b.outputTokens &&
-               a.bottleneckBusySeconds == b.bottleneckBusySeconds &&
-               a.utilization == b.utilization &&
-               a.bubbleFraction == b.bubbleFraction &&
-               a.evictions == b.evictions &&
-               a.recomputedTokens == b.recomputedTokens &&
-               a.stormEvictions == b.stormEvictions &&
-               a.stormReprefilledTokens == b.stormReprefilledTokens &&
-               a.skippedRequests == b.skippedRequests &&
-               a.peakConcurrency == b.peakConcurrency &&
-               a.avgContext == b.avgContext &&
-               a.itemsProcessed == b.itemsProcessed &&
-               a.contextTokensSum == b.contextTokensSum &&
-               a.stageBusySumSeconds == b.stageBusySumSeconds &&
-               a.ttftSamples == b.ttftSamples &&
-               a.interTokenSamples == b.interTokenSamples &&
-               a.outputTokenBins == b.outputTokenBins &&
-               a.throughputBinSeconds == b.throughputBinSeconds,
-               "fleet_serving: ", what);
-}
-
 void
 assertSameFleet(const FleetResult &a, const FleetResult &b,
                 const char *what)
@@ -80,11 +50,8 @@ assertSameFleet(const FleetResult &a, const FleetResult &b,
                a.tokensCommitted == b.tokensCommitted &&
                a.dispatchWeight == b.dispatchWeight,
                "fleet_serving: ", what, " (dispatch counters)");
-    ouroAssert(a.wafers.size() == b.wafers.size(),
-               "fleet_serving: ", what, " (wafer count)");
-    for (std::size_t w = 0; w < a.wafers.size(); ++w)
-        assertSameStats(a.wafers[w], b.wafers[w], what);
-    assertSameStats(a.fleet, b.fleet, what);
+    ouroAssert(a.wafers == b.wafers && a.fleet == b.fleet,
+               "fleet_serving: ", what, " (stats)");
     ouroAssert(a.kvAdmissionProbes == b.kvAdmissionProbes &&
                a.kvProbeFailures == b.kvProbeFailures &&
                a.kvProbesSkipped == b.kvProbesSkipped,
@@ -148,20 +115,11 @@ main(int argc, char **argv)
     assertSameFleet(serial, fleet,
                     "parallel fleet diverged from serial");
 
-    // --- Oracle (b): the fast dispatch equals the scan oracle. ---
-    {
-        FleetDispatchConfig cfg;
-        cfg.numWafers = wafers;
-        ouroAssert(fleetDispatchScan(day, cfg) == fleet.assignment,
-                   "fleet_serving: set-based dispatch diverged from "
-                   "the scan oracle");
-    }
-
-    // --- Oracle (c): replay determinism. ---
+    // --- Oracle (b): replay determinism. ---
     assertSameFleet(fleet, runFleetServing(sys, day, fopts),
                     "fleet replay diverged");
 
-    // --- Oracle (d): N=1 collapses to the plain serving path. ---
+    // --- Oracle (c): N=1 collapses to the plain serving path. ---
     {
         FleetOptions one = fopts;
         one.numWafers = 1;
@@ -173,12 +131,9 @@ main(int argc, char **argv)
         popts.attentionParallelism = fopts.attentionParallelism;
         const PipelineStats plain = runPipeline(
                 day, model, sys.stageTiming(), kv, popts);
-        assertSameStats(single.fleet, plain,
-                        "N=1 fleet diverged from the plain serving "
-                        "path");
-        assertSameStats(single.wafers[0], plain,
-                        "N=1 wafer slot diverged from the plain "
-                        "serving path");
+        ouroAssert(single.fleet == plain && single.wafers[0] == plain,
+                   "fleet_serving: N=1 fleet diverged from the plain "
+                   "serving path");
     }
 
     // --- Storm tier: wafer 1 (or 0 when N=1) takes a failure storm;
@@ -192,7 +147,7 @@ main(int argc, char **argv)
     binned.throughputBinSeconds = bin_w;
     const FleetResult nostorm = runFleetServing(sys, day, binned);
 
-    // Oracle (e): a zero-failure schedule is bit-identical to the
+    // Oracle (d): a zero-failure schedule is bit-identical to the
     // no-storm fleet.
     FleetOptions zero = binned;
     zero.stormWafer = storm_wafer;

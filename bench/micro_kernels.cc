@@ -735,31 +735,23 @@ BENCHMARK(BM_SampledVsFullSmallTrace)->Arg(0)->Arg(1);
 void
 BM_FleetDispatch(benchmark::State &state)
 {
-    // Arg(0) = the per-request linear-scan oracle (O(W) per
-    // request), Arg(1) = the ordered-set fast path (O(log W)) - the
-    // two are bit-identical (asserted here and fuzzed in
-    // test_fleet.cc), so the ratio is pure routing cost. 32 wafers,
-    // one derated weight so the weighted key path is exercised.
+    // The fleet router: one weighted least-outstanding-work scan per
+    // request over 32 wafers, one derated weight so the weighted key
+    // path is exercised.
     const Workload w = wikiText2Like(4096, 2048, 17);
     FleetDispatchConfig cfg;
     cfg.numWafers = 32;
     cfg.capacityWeight.assign(cfg.numWafers, 1.0);
     cfg.capacityWeight[7] = 0.35;
-    ouroAssert(fleetDispatch(w, cfg) == fleetDispatchScan(w, cfg),
-               "BM_FleetDispatch: fast path diverged from the scan "
-               "oracle");
-    const bool fast = state.range(0) != 0;
     std::int64_t routed = 0;
     for (auto _ : state) {
-        const std::vector<std::uint32_t> a =
-            fast ? fleetDispatch(w, cfg)
-                 : fleetDispatchScan(w, cfg);
+        const std::vector<std::uint32_t> a = fleetDispatch(w, cfg);
         benchmark::DoNotOptimize(a.data());
         routed += static_cast<std::int64_t>(a.size());
     }
     state.SetItemsProcessed(routed);
 }
-BENCHMARK(BM_FleetDispatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_FleetDispatch);
 
 } // namespace
 

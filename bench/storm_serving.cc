@@ -41,30 +41,6 @@ using namespace ouro::bench;
 namespace
 {
 
-/** Every field of two PipelineStats must agree exactly (the storm
- *  fields and the throughput histogram included). */
-void
-assertBitIdentical(const PipelineStats &a, const PipelineStats &b,
-                   const char *what)
-{
-    ouroAssert(a.makespanSeconds == b.makespanSeconds &&
-               a.tokensProcessed == b.tokensProcessed &&
-               a.outputTokens == b.outputTokens &&
-               a.bottleneckBusySeconds == b.bottleneckBusySeconds &&
-               a.utilization == b.utilization &&
-               a.evictions == b.evictions &&
-               a.recomputedTokens == b.recomputedTokens &&
-               a.stormEvictions == b.stormEvictions &&
-               a.stormReprefilledTokens == b.stormReprefilledTokens &&
-               a.skippedRequests == b.skippedRequests &&
-               a.peakConcurrency == b.peakConcurrency &&
-               a.avgContext == b.avgContext &&
-               a.ttftSamples == b.ttftSamples &&
-               a.interTokenSamples == b.interTokenSamples &&
-               a.outputTokenBins == b.outputTokenBins,
-               "storm_serving: ", what);
-}
-
 bool
 sameEvents(const std::vector<KvPoolEvent> &a,
            const std::vector<KvPoolEvent> &b)
@@ -164,14 +140,13 @@ main(int argc, char **argv)
     zopts.throughputBinSeconds = bin_w;
     const StormServingResult zero = runStormServing(sys, cohort,
                                                     zopts);
-    assertBitIdentical(zero.stats, clean,
-                       "zero-failure storm diverged from the plain "
-                       "serving path");
+    ouroAssert(zero.stats == clean,
+               "storm_serving: zero-failure storm diverged from the "
+               "plain serving path");
     zopts.cohortFastPath = false;
-    assertBitIdentical(runStormServing(sys, cohort, zopts).stats,
-                       clean,
-                       "zero-failure storm (slow path) diverged "
-                       "from the plain serving path");
+    ouroAssert(runStormServing(sys, cohort, zopts).stats == clean,
+               "storm_serving: zero-failure storm (slow path) "
+               "diverged from the plain serving path");
 
     // --- The storm: 24 failures across [30%, 50%] of the clean
     // run's makespan, weight-core failures mixed in (their
@@ -193,8 +168,8 @@ main(int argc, char **argv)
     // --- Oracle (b): replay determinism, stats and events bitwise.
     const StormServingResult replay = runStormServing(sys, cohort,
                                                       sopts);
-    assertBitIdentical(storm.stats, replay.stats,
-                       "storm replay diverged (stats)");
+    ouroAssert(storm.stats == replay.stats,
+               "storm_serving: storm replay diverged (stats)");
     ouroAssert(sameEvents(storm.events, replay.events),
                "storm_serving: storm replay diverged (events)");
 
@@ -203,10 +178,10 @@ main(int argc, char **argv)
     // existing fast-path contract). ---
     StormServingOptions slow_opts = sopts;
     slow_opts.cohortFastPath = false;
-    assertBitIdentical(runStormServing(sys, cohort, slow_opts).stats,
+    ouroAssert(runStormServing(sys, cohort, slow_opts).stats ==
                        storm.stats,
-                       "storm run diverged between cohort and slow "
-                       "paths");
+               "storm_serving: storm run diverged between cohort "
+               "and slow paths");
 
     ouroAssert(storm.stats.stormEvictions > 0,
                "storm_serving: storm never evicted a resident");

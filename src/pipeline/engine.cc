@@ -91,46 +91,69 @@ ringBefore(double a_ready, std::uint64_t a_seq, double b_ready,
     return a_seq < b_seq;
 }
 
+/** Why a resident lost its KV: capacity pressure (MRU eviction on a
+ *  grow) or a storm event dropping the core its cache lived on. */
+enum class EvictCause
+{
+    Capacity,
+    Storm,
+};
+
+/** Derived means from the raw aggregates: one formula for a run and
+ *  both folds, so a fold reports exactly what one run over the
+ *  combined busy intervals would. Utilization saturates at 1.0. */
+void
+deriveMeans(PipelineStats &s)
+{
+    s.utilization =
+        s.makespanSeconds > 0.0
+            ? std::min(s.stageBusySumSeconds /
+                           (kStagesPerBlock * s.makespanSeconds),
+                       1.0)
+            : 0.0;
+    s.bubbleFraction = 1.0 - s.utilization;
+    s.avgContext = s.itemsProcessed
+                       ? s.contextTokensSum /
+                             static_cast<double>(s.itemsProcessed)
+                       : 0.0;
+}
+
+/** The adds both folds share: counters, raw aggregates and latency
+ *  samples (concatenated in fold order). */
+void
+addCounters(PipelineStats &into, const PipelineStats &from)
+{
+    into.tokensProcessed += from.tokensProcessed;
+    into.outputTokens += from.outputTokens;
+    into.evictions += from.evictions;
+    into.recomputedTokens += from.recomputedTokens;
+    into.stormEvictions += from.stormEvictions;
+    into.stormReprefilledTokens += from.stormReprefilledTokens;
+    into.skippedRequests += from.skippedRequests;
+    into.timingCacheHits += from.timingCacheHits;
+    into.timingCacheMisses += from.timingCacheMisses;
+    into.itemsProcessed += from.itemsProcessed;
+    into.contextTokensSum += from.contextTokensSum;
+    into.stageBusySumSeconds += from.stageBusySumSeconds;
+    into.ttftSamples.insert(into.ttftSamples.end(),
+                            from.ttftSamples.begin(),
+                            from.ttftSamples.end());
+    into.interTokenSamples.insert(into.interTokenSamples.end(),
+                                  from.interTokenSamples.begin(),
+                                  from.interTokenSamples.end());
+}
+
 } // namespace
 
 PipelineStats &
 PipelineStats::merge(const PipelineStats &other)
 {
+    addCounters(*this, other);
     makespanSeconds += other.makespanSeconds;
-    tokensProcessed += other.tokensProcessed;
-    outputTokens += other.outputTokens;
     bottleneckBusySeconds += other.bottleneckBusySeconds;
-    evictions += other.evictions;
-    recomputedTokens += other.recomputedTokens;
-    stormEvictions += other.stormEvictions;
-    stormReprefilledTokens += other.stormReprefilledTokens;
-    skippedRequests += other.skippedRequests;
     peakConcurrency = std::max(peakConcurrency,
                                other.peakConcurrency);
-    timingCacheHits += other.timingCacheHits;
-    timingCacheMisses += other.timingCacheMisses;
-    itemsProcessed += other.itemsProcessed;
-    contextTokensSum += other.contextTokensSum;
-    stageBusySumSeconds += other.stageBusySumSeconds;
-    // Derived means: recomputed from the merged raw aggregates with
-    // the engine's own formulas, so a merge of runs reports exactly
-    // what one run over the concatenated busy intervals would.
-    utilization =
-        makespanSeconds > 0.0
-            ? std::min(stageBusySumSeconds /
-                           (kStagesPerBlock * makespanSeconds),
-                       1.0)
-            : 0.0;
-    bubbleFraction = 1.0 - utilization;
-    avgContext = itemsProcessed
-                     ? contextTokensSum /
-                           static_cast<double>(itemsProcessed)
-                     : 0.0;
-    ttftSamples.insert(ttftSamples.end(), other.ttftSamples.begin(),
-                       other.ttftSamples.end());
-    interTokenSamples.insert(interTokenSamples.end(),
-                             other.interTokenSamples.begin(),
-                             other.interTokenSamples.end());
+    deriveMeans(*this);
     // Back-to-back semantics: the other run's clock starts where this
     // one's makespan ended, so its bins append after ours.
     outputTokenBins.insert(outputTokenBins.end(),
@@ -166,46 +189,18 @@ PipelineStats::mergeConcurrent(const PipelineStats &other)
     for (std::size_t b = 0; b < other.outputTokenBins.size(); ++b)
         outputTokenBins[b] += other.outputTokenBins[b];
 
+    addCounters(*this, other);
     // The fleet is done when its slowest member drains.
     makespanSeconds = std::max(makespanSeconds,
                                other.makespanSeconds);
-    tokensProcessed += other.tokensProcessed;
-    outputTokens += other.outputTokens;
     // Separate conveyors: the fleet's bottleneck occupancy is its
     // busiest member's, not a sum across independent pipelines.
     bottleneckBusySeconds = std::max(bottleneckBusySeconds,
                                      other.bottleneckBusySeconds);
-    evictions += other.evictions;
-    recomputedTokens += other.recomputedTokens;
-    stormEvictions += other.stormEvictions;
-    stormReprefilledTokens += other.stormReprefilledTokens;
-    skippedRequests += other.skippedRequests;
     // Concurrent residents: every member holds its peak cohort at
     // the same wall time in the worst case.
     peakConcurrency += other.peakConcurrency;
-    timingCacheHits += other.timingCacheHits;
-    timingCacheMisses += other.timingCacheMisses;
-    itemsProcessed += other.itemsProcessed;
-    contextTokensSum += other.contextTokensSum;
-    stageBusySumSeconds += other.stageBusySumSeconds;
-    // Same derived-mean expressions as merge(); fleet utilization
-    // saturates at 1.0 by construction (documented in the header).
-    utilization =
-        makespanSeconds > 0.0
-            ? std::min(stageBusySumSeconds /
-                           (kStagesPerBlock * makespanSeconds),
-                       1.0)
-            : 0.0;
-    bubbleFraction = 1.0 - utilization;
-    avgContext = itemsProcessed
-                     ? contextTokensSum /
-                           static_cast<double>(itemsProcessed)
-                     : 0.0;
-    ttftSamples.insert(ttftSamples.end(), other.ttftSamples.begin(),
-                       other.ttftSamples.end());
-    interTokenSamples.insert(interTokenSamples.end(),
-                             other.interTokenSamples.begin(),
-                             other.interTokenSamples.end());
+    deriveMeans(*this);
     return *this;
 }
 
@@ -345,28 +340,35 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 static_cast<double>(active.size()));
     };
 
-    // Eviction handler: kill the resident sequence and put it back at
-    // the FRONT of the wait queue with its grown prefill (recompute).
-    // entries_in_heap says whether each victim's live heap entry is
-    // still enqueued (true on the slow path; false when the victim's
-    // entry lives in the cohort ring or was already popped).
-    auto handle_evictions =
-            [&](const std::vector<std::uint64_t> &evicted,
-                bool entries_in_heap) {
-        for (const auto id : evicted) {
+    // Eviction handler (Section 4.4.4): put each victim back at the
+    // FRONT of the wait queue with everything computed so far folded
+    // into its re-prefill, under a fresh generation so a stale heap
+    // entry can never resurrect the dead residency, and suspend
+    // admissions (storm losses included). The pool side is the
+    // caller's: a capacity grow already released its victims, and a
+    // storm's dropCore destroyed theirs. entries_in_heap says whether
+    // each victim's live heap entry is still enqueued (false when it
+    // lives in the cohort ring or was just popped).
+    auto evict = [&](const std::vector<std::uint64_t> &ids,
+                     EvictCause cause, bool entries_in_heap) {
+        for (const auto id : ids) {
             const auto it = active.find(id);
             if (it == active.end())
                 continue; // already finished/released
             ActiveSeq &seq = it->second;
             Pending back;
             back.id = id;
-            // Everything computed so far must be re-prefilled.
             back.prefillLen = seq.prefillLen + seq.decoded;
             back.decodeRemaining = seq.decodeRemaining;
             back.generation = seq.generation + 1;
             queue.push_front(back);
-            stats.evictions += 1;
             stats.recomputedTokens += back.prefillLen;
+            if (cause == EvictCause::Storm) {
+                stats.stormEvictions += 1;
+                stats.stormReprefilledTokens += back.prefillLen;
+            } else {
+                stats.evictions += 1;
+            }
             if (seq.prefillEntered < seq.prefillLen)
                 --prefill_count;
             if (entries_in_heap)
@@ -414,15 +416,11 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         ++ctx_samples;
         return completion;
     };
-    auto traverse = [&](ActiveSeq &seq,
-                        const ItemTiming &item) -> double {
-        return advance_item(seq.nextReady, seq.attnFree, item);
-    };
 
-    // Serving-latency samples, pushed when a request COMPLETES (all
-    // three decode paths - slow, single-stream batch, cohort ring -
-    // process completions in the same deterministic event order, so
-    // the sample vectors are part of their bit-identity contract).
+    // Serving-latency samples, pushed when a request COMPLETES (both
+    // decode paths - per-event and cohort ring - process completions
+    // in the same deterministic event order, so the sample vectors
+    // are part of their bit-identity contract).
     auto record_completion = [&](double first_done, double last_done,
                                  std::uint64_t decoded) {
         if (decoded == 0)
@@ -436,8 +434,8 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     };
 
     // A decode token left the pipeline at `completion`: count it and,
-    // when binning is on, histogram it (all three decode paths call
-    // this, so the curve shares their bit-identity contract).
+    // when binning is on, histogram it (both decode paths call this,
+    // so the curve shares their bit-identity contract).
     const double bin_w = opts.throughputBinSeconds;
     auto note_output = [&](double completion) {
         stats.outputTokens += 1;
@@ -452,8 +450,8 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 
     // --- Failure-storm schedule (PR 9) ---
     // Null/empty leaves every code path below bit-identical to a
-    // plain run: storm_pending() is constant-false, so neither fast
-    // path gains a new bail-out and no event ever applies.
+    // plain run: storm_pending() is constant-false, so the cohort
+    // ring gains no bail-out and no event ever applies.
     const std::vector<KvPoolEvent> *storm =
         (opts.stormSchedule && !opts.stormSchedule->empty())
             ? opts.stormSchedule
@@ -469,40 +467,9 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         return storm != nullptr && storm_next < storm->size();
     };
 
-    // Storm eviction: the victims' KV was already destroyed by
-    // dropCore (released, blocks returned, handles invalidated), so
-    // unlike handle_evictions there is no pool state to unwind -
-    // only the scheduler side: back to the FRONT of the wait queue
-    // with everything decoded so far folded into the re-prefill, a
-    // fresh generation so the stale heap entry can never resurrect
-    // the dead residency, and admissions suspended (the Section
-    // 4.4.4 backpressure rule applies to storm losses too).
-    auto storm_evict = [&](const std::vector<std::uint64_t> &lost) {
-        for (const auto id : lost) {
-            const auto it = active.find(id);
-            if (it == active.end())
-                continue;
-            ActiveSeq &seq = it->second;
-            Pending back;
-            back.id = id;
-            back.prefillLen = seq.prefillLen + seq.decoded;
-            back.decodeRemaining = seq.decodeRemaining;
-            back.generation = seq.generation + 1;
-            queue.push_front(back);
-            stats.stormEvictions += 1;
-            stats.recomputedTokens += back.prefillLen;
-            stats.stormReprefilledTokens += back.prefillLen;
-            if (seq.prefillEntered < seq.prefillLen)
-                --prefill_count;
-            ++stale_entries; // victim's heap entry is still enqueued
-            active.erase(it);
-            admissions_suspended = true;
-        }
-    };
-
     auto apply_storm_event = [&](const KvPoolEvent &ev) {
         for (const CoreCoord &c : ev.dropCores)
-            storm_evict(kv.dropCore(c));
+            evict(kv.dropCore(c), EvictCause::Storm, true);
         for (const auto &a : ev.adopts)
             kv.adoptCore(a.info, a.scoreDuty);
         compact_heap();
@@ -519,7 +486,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     // growFast per in-block run. Block-boundary allocations happen
     // in ring order via the handle-based grow, so results stay
     // bit-identical to the slow path; the ring is abandoned the
-    // moment anything contends (eviction, admission, cohort of one).
+    // moment anything contends (eviction, admission).
     auto cohort_pass = [&]() {
         const bool static_kv = opts.staticKvAllocation;
 
@@ -570,7 +537,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         };
 
         bool bail = false;
-        while (!bail && count > 1) {
+        while (!bail && count > 0) {
             RingMember m = at(0);
             head = (head + 1) % cap;
             --count;
@@ -592,13 +559,14 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                         sync_member(at(k));
                     const KvResult grown = kv.grow(m.as->kv);
                     if (!grown.evicted.empty()) {
-                        handle_evictions(grown.evicted, false);
+                        evict(grown.evicted, EvictCause::Capacity,
+                              false);
                         contended = true; // queue is non-empty now
                     }
                     if (!grown.ok) {
                         // Pool too small even after evicting everyone
                         // else: evict self (slow-path semantics).
-                        handle_evictions({m.seq}, false);
+                        evict({m.seq}, EvictCause::Capacity, false);
                         if (kv.resident(m.seq))
                             kv.release(m.seq);
                         pump_admissions(makespan);
@@ -704,24 +672,20 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             // Nothing runnable but requests remain: every resident
             // sequence finished yet the queue head still does not
             // fit, so the request genuinely exceeds pool capacity.
-            const Pending p = queue.front();
             queue.pop_front();
-            warn("pipeline: request ", p.id,
-                 " exceeds KV pool capacity; skipped");
             stats.skippedRequests += 1;
             pump_admissions(makespan);
             continue;
         }
 
-        // Cohort fast path entry: every resident sequence decoding,
-        // nobody waiting for admission, and >1 resident (a cohort of
-        // one is the single-stream batch below). O(1) eligibility
-        // thanks to the running prefill_count. A pending storm event
-        // bails out BEFORE entry: the ring advances members past the
-        // event time with no event check in its token loop.
+        // Cohort fast path entry: every resident sequence decoding
+        // (a lone stream is a cohort of one) and nobody waiting for
+        // admission. O(1) eligibility thanks to the running
+        // prefill_count. A pending storm event bails out BEFORE
+        // entry: the ring advances members past the event time with
+        // no event check in its token loop.
         if (opts.cohortFastPath && prefill_count == 0 &&
-            queue.empty() && active.size() > 1 &&
-            !storm_pending()) {
+            queue.empty() && !active.empty() && !storm_pending()) {
             cohort_pass();
             continue;
         }
@@ -738,63 +702,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         }
         ActiveSeq &seq = it->second;
 
-        bool is_prefill = seq.prefillEntered < seq.prefillLen;
-
-        // Decode fast path: with a single resident sequence and an
-        // empty admission queue nothing contends for the stage
-        // servers or the KV pool, so consecutive autoregressive
-        // steps collapse into ONE heap event - the event queue then
-        // scales with contention, not token count. Growth stays on
-        // the in-block fast path (no allocation, no eviction), so
-        // the batch is bounded by the room left in the newest KV
-        // blocks.
-        // (Bails out while a storm event is pending for the same
-        // reason as the cohort ring: the batch would decode past the
-        // event against KV the storm is about to destroy.)
-        if (!is_prefill && active.size() == 1 && queue.empty() &&
-            !storm_pending()) {
-            const std::uint64_t room =
-                opts.staticKvAllocation ? seq.decodeRemaining
-                                        : kv.growRoom(seq.kv);
-            const std::uint64_t batch =
-                std::min(seq.decodeRemaining, room);
-            if (batch > 0) {
-                if (!opts.staticKvAllocation)
-                    kv.growFast(seq.kv, batch);
-                for (std::uint64_t i = 0; i < batch; ++i) {
-                    const std::uint64_t pos =
-                        seq.prefillLen + seq.decoded;
-                    // Contexts inside a batch are monotone and never
-                    // revisited (one resident sequence): compute
-                    // directly instead of filling the cache with
-                    // single-use entries.
-                    const ItemTiming item =
-                        freshTokenItem(timing, pos + 1);
-                    const double completion = traverse(seq, item);
-                    if (seq.decoded == 0)
-                        seq.firstTokenDone = completion;
-                    seq.decoded += 1;
-                    seq.decodeRemaining -= 1;
-                    note_output(completion);
-                    seq.nextReady = completion; // autoregressive
-                }
-                if (seq.decodeRemaining == 0) {
-                    const double finished = seq.nextReady;
-                    record_completion(seq.firstTokenDone, finished,
-                                      seq.decoded);
-                    kv.release(seq.kv);
-                    active.erase(it); // invalidates seq
-                    admissions_suspended = false;
-                    pump_admissions(finished);
-                    continue;
-                }
-                seq.generation += 1;
-                heap_push({seq.nextReady, seq.id, seq.generation});
-                continue;
-            }
-            // No in-block room: fall through to the slow path, which
-            // allocates the next KV block.
-        }
+        const bool is_prefill = seq.prefillEntered < seq.prefillLen;
 
         // Build the next item for this sequence.
         ItemTiming scratch;
@@ -837,14 +745,16 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         if (!opts.staticKvAllocation) {
             if (!is_prefill) {
                 const KvResult grow = kv.grow(seq.kv);
-                handle_evictions(grow.evicted, true);
+                evict(grow.evicted, EvictCause::Capacity, true);
                 compact_heap();
                 if (!grow.ok) {
                     // The grower itself could not fit (pool too small
                     // even after evicting everyone else): evict self.
-                    handle_evictions({seq.id}, false);
-                    if (kv.resident(seq.id))
-                        kv.release(seq.id);
+                    // Copy the id first: evict() erases `seq`.
+                    const std::uint64_t id = seq.id;
+                    evict({id}, EvictCause::Capacity, false);
+                    if (kv.resident(id))
+                        kv.release(id);
                     pump_admissions(makespan);
                     continue;
                 }
@@ -853,7 +763,8 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         }
 
         const double entry = std::max(seq.nextReady, stage_free[0]);
-        const double completion = traverse(seq, *item);
+        const double completion =
+            advance_item(seq.nextReady, seq.attnFree, *item);
 
         // Advance the sequence and enqueue its next item.
         if (is_prefill) {
@@ -912,23 +823,20 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         stats.bottleneckBusySeconds =
             std::max(stats.bottleneckBusySeconds, b);
     }
-    stats.utilization =
-        makespan > 0.0
-            ? busy_sum / (kStagesPerBlock * makespan)
-            : 0.0;
-    stats.utilization = std::min(stats.utilization, 1.0);
-    stats.bubbleFraction = 1.0 - stats.utilization;
-    stats.avgContext =
-        ctx_samples ? ctx_sum / static_cast<double>(ctx_samples) : 0.0;
-    // Raw aggregates behind the derived means: what merge() needs to
-    // recompute utilization/avgContext exactly after folding runs.
+    // Raw aggregates behind the derived means, kept so the folds can
+    // recompute utilization/avgContext exactly.
     stats.itemsProcessed = ctx_samples;
     stats.contextTokensSum = ctx_sum;
     stats.stageBusySumSeconds = busy_sum;
+    deriveMeans(stats);
     // Deltas, not lifetime counters: a shared cache accumulates
     // across runs but each run reports only its own traffic.
     stats.timingCacheHits = cache.hits() - cache_hits0;
     stats.timingCacheMisses = cache.misses() - cache_misses0;
+    if (stats.skippedRequests > 0) {
+        warn("pipeline: ", stats.skippedRequests,
+             " request(s) exceed KV pool capacity; skipped");
+    }
     return stats;
 }
 

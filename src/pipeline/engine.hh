@@ -151,6 +151,11 @@ struct PipelineStats
      *  an elementwise bin sum is meaningless across widths. */
     double throughputBinSeconds = 0.0;
 
+    /** Field-by-field equality, bit for bit on every double: THE
+     *  comparator of every stats bit-identity oracle, so a new field
+     *  is compared everywhere the day it is added. */
+    bool operator==(const PipelineStats &) const = default;
+
     double outputTokensPerSecond() const
     {
         return makespanSeconds > 0.0
@@ -232,12 +237,13 @@ struct PipelineOptions
 
     /**
      * Cohort decode fast path (PR 2): when every resident sequence
-     * is in steady decode and the admission queue is empty, the
-     * deterministic heap-pop order is replayed in an insertion-
-     * sorted ring - no heap traffic, no per-token hash probes, KV
-     * growth batched through the handle-based growFast. Results are
-     * bit-identical to the per-event slow path (tests assert this);
-     * disable only to measure the slow path or to bisect.
+     * (one or more) is in steady decode and the admission queue is
+     * empty, the deterministic heap-pop order is replayed in an
+     * insertion-sorted ring - no heap traffic, no per-token hash
+     * probes, KV growth batched through the handle-based growFast.
+     * Results are bit-identical to the per-event slow path (tests
+     * assert this); off, every token is its own heap event - disable
+     * only to measure that path or to bisect.
      */
     bool cohortFastPath = true;
 
@@ -245,11 +251,11 @@ struct PipelineOptions
      * Failure-storm schedule (PR 9), sorted by nondecreasing time;
      * null or empty leaves the engine BIT-IDENTICAL to today. While
      * any event is still pending the engine stays on the per-event
-     * slow path (the cohort ring and the single-stream decode batch
-     * both bail out): batched paths can jump the run clock past a
-     * pending event, which would let tokens decode against KV the
-     * storm already destroyed. Once the schedule drains, the fast
-     * paths resume - that resumption is the measured recovery.
+     * slow path (the cohort ring is not entered): the ring can jump
+     * the run clock past a pending event, which would let tokens
+     * decode against KV the storm already destroyed. Once the
+     * schedule drains, the ring resumes - that resumption is the
+     * measured recovery.
      */
     const std::vector<KvPoolEvent> *stormSchedule = nullptr;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <set>
 #include <unordered_set>
 #include <utility>
 
@@ -12,90 +11,51 @@
 namespace ouro
 {
 
-namespace
-{
-
-/**
- * Shared dispatch state: committed-work counters and the weight
- * table, with the ONE key expression both dispatch paths use. The
- * key is committed / weight computed identically in the scan and the
- * set path, so every comparison sees the same double and the two
- * paths route bit-identically (fuzzed by tests).
- */
-struct DispatchState
-{
-    std::vector<std::uint64_t> committed;
-    std::vector<double> weight;
-
-    explicit DispatchState(const FleetDispatchConfig &config)
-        : committed(config.numWafers, 0)
-    {
-        ouroAssert(config.numWafers > 0,
-                   "fleetDispatch: zero wafers");
-        if (config.capacityWeight.empty()) {
-            weight.assign(config.numWafers, 1.0);
-        } else {
-            ouroAssert(config.capacityWeight.size() ==
-                               config.numWafers,
-                       "fleetDispatch: ",
-                       config.capacityWeight.size(),
-                       " capacity weights for ", config.numWafers,
-                       " wafers");
-            weight = config.capacityWeight;
-            for (const double w : weight)
-                ouroAssert(w > 0.0,
-                           "fleetDispatch: capacity weights must be "
-                           "positive, got ", w);
-        }
-    }
-
-    /** The policy's ordering key for wafer w. Outstanding work
-     *  normalised by capacity: a half-weight wafer looks twice as
-     *  loaded. weight 1.0 divides exactly, so the unweighted policy
-     *  compares integer-valued doubles. */
-    double key(std::uint32_t w) const
-    {
-        return static_cast<double>(committed[w]) / weight[w];
-    }
-
-    /** Affinity pin of request r, or -1. */
-    static std::int64_t pinOf(const FleetDispatchConfig &config,
-                              const Request &r)
-    {
-        if (!config.affinity)
-            return -1;
-        const std::int64_t pin = config.affinity(r);
-        if (pin < 0)
-            return -1;
-        ouroAssert(static_cast<std::uint64_t>(pin) <
-                           config.numWafers,
-                   "fleetDispatch: affinity hook returned wafer ",
-                   pin, " of ", config.numWafers);
-        return pin;
-    }
-};
-
-} // namespace
-
 std::vector<std::uint32_t>
-fleetDispatchScan(const Workload &workload,
-                  const FleetDispatchConfig &config)
+fleetDispatch(const Workload &workload,
+              const FleetDispatchConfig &config)
 {
-    DispatchState state(config);
+    ouroAssert(config.numWafers > 0, "fleetDispatch: zero wafers");
+    std::vector<double> weight(config.numWafers, 1.0);
+    if (!config.capacityWeight.empty()) {
+        ouroAssert(config.capacityWeight.size() == config.numWafers,
+                   "fleetDispatch: ", config.capacityWeight.size(),
+                   " capacity weights for ", config.numWafers,
+                   " wafers");
+        weight = config.capacityWeight;
+        for (const double w : weight)
+            ouroAssert(w > 0.0,
+                       "fleetDispatch: capacity weights must be "
+                       "positive, got ", w);
+    }
+    std::vector<std::uint64_t> committed(config.numWafers, 0);
+    // The policy's ordering key: outstanding work normalised by
+    // capacity, so a half-weight wafer looks twice as loaded. Weight
+    // 1.0 divides exactly, so the unweighted policy compares
+    // integer-valued doubles.
+    auto key = [&](std::uint32_t w) {
+        return static_cast<double>(committed[w]) / weight[w];
+    };
+
     std::vector<std::uint32_t> assignment;
     assignment.reserve(workload.requests.size());
     for (const Request &r : workload.requests) {
-        const std::int64_t pin = DispatchState::pinOf(config, r);
+        const std::int64_t pin =
+            config.affinity ? config.affinity(r) : -1;
         std::uint32_t best = 0;
         if (pin >= 0) {
+            ouroAssert(static_cast<std::uint64_t>(pin) <
+                               config.numWafers,
+                       "fleetDispatch: affinity hook returned wafer ",
+                       pin, " of ", config.numWafers);
             best = static_cast<std::uint32_t>(pin);
         } else {
             // Strict < keeps the lowest-index tie-break: a later
             // wafer replaces the incumbent only when strictly less
             // loaded.
-            double best_key = state.key(0);
+            double best_key = key(0);
             for (std::uint32_t w = 1; w < config.numWafers; ++w) {
-                const double k = state.key(w);
+                const double k = key(w);
                 if (k < best_key) {
                     best_key = k;
                     best = w;
@@ -103,35 +63,7 @@ fleetDispatchScan(const Workload &workload,
             }
         }
         assignment.push_back(best);
-        state.committed[best] += r.totalTokens();
-    }
-    return assignment;
-}
-
-std::vector<std::uint32_t>
-fleetDispatch(const Workload &workload,
-              const FleetDispatchConfig &config)
-{
-    DispatchState state(config);
-    // Ordered-set argmin keyed (key, wafer): begin() is the least-
-    // loaded wafer with the lowest index on key ties - exactly the
-    // scan oracle's pick, because both paths compare the identical
-    // key doubles. Only the assigned wafer's key changes per
-    // request, so one erase+insert maintains the order.
-    std::set<std::pair<double, std::uint32_t>> order;
-    for (std::uint32_t w = 0; w < config.numWafers; ++w)
-        order.emplace(state.key(w), w);
-    std::vector<std::uint32_t> assignment;
-    assignment.reserve(workload.requests.size());
-    for (const Request &r : workload.requests) {
-        const std::int64_t pin = DispatchState::pinOf(config, r);
-        const std::uint32_t best =
-            pin >= 0 ? static_cast<std::uint32_t>(pin)
-                     : order.begin()->second;
-        assignment.push_back(best);
-        order.erase({state.key(best), best});
-        state.committed[best] += r.totalTokens();
-        order.emplace(state.key(best), best);
+        committed[best] += r.totalTokens();
     }
     return assignment;
 }

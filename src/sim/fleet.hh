@@ -92,20 +92,13 @@ struct FleetDispatchConfig
  * The dispatch policy as a pure function: assignment[i] is the wafer
  * of request i. Weighted join-least-outstanding-work over committed-
  * work counters updated in request order; ties go to the lowest
- * wafer index. Fast path: an ordered-set argmin (O(log N) per
- * request) - bit-identical to fleetDispatchScan (the retained
- * per-request linear-scan oracle; both compare the identical
- * committed/weight doubles, so every routing decision agrees).
+ * wafer index. Each request scans the wafers' committed/weight keys
+ * (O(N) per request; at fleet sizes the flat scan measured faster
+ * than an ordered-set argmin).
  */
 std::vector<std::uint32_t>
 fleetDispatch(const Workload &workload,
               const FleetDispatchConfig &config);
-
-/** The per-request linear-scan dispatch oracle (same policy, O(N)
- *  per request). Kept to fuzz the fast path against. */
-std::vector<std::uint32_t>
-fleetDispatchScan(const Workload &workload,
-                  const FleetDispatchConfig &config);
 
 /** Configuration of one fleet run. */
 struct FleetOptions

@@ -286,8 +286,7 @@ TEST(Pipeline, DeterministicAcrossRuns)
     auto kv2 = bigKv(cfg);
     const auto a = runPipeline(w, cfg, uniformTiming(), kv1);
     const auto b = runPipeline(w, cfg, uniformTiming(), kv2);
-    EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
-    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a, b);
 }
 
 void
@@ -411,52 +410,10 @@ TEST(TimingCache, EngineReportsReuse)
     EXPECT_GT(stats.timingCacheHits, stats.timingCacheMisses);
 }
 
-TEST(Pipeline, SingleStreamDecodeBatchingPreservesCounts)
-{
-    // One resident sequence with a long decode exercises the
-    // batched (single-heap-event) fast path, including KV block
-    // boundaries every tokens_per_block steps.
-    const ModelConfig cfg = pipeModel();
-    auto kv = bigKv(cfg);
-    const Workload w = fixedWorkload(32, 5000, 1);
-    const auto stats = runPipeline(w, cfg, uniformTiming(), kv);
-    EXPECT_EQ(stats.outputTokens, 5000u);
-    EXPECT_EQ(stats.tokensProcessed, 32u + 5000u);
-    EXPECT_EQ(stats.evictions, 0u);
-    EXPECT_EQ(kv.numResident(), 0u);
-    EXPECT_EQ(kv.usedBlocks(), 0u);
-}
-
-void
-expectStatsIdentical(const PipelineStats &a, const PipelineStats &b)
-{
-    EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
-    EXPECT_EQ(a.tokensProcessed, b.tokensProcessed);
-    EXPECT_EQ(a.outputTokens, b.outputTokens);
-    EXPECT_DOUBLE_EQ(a.bottleneckBusySeconds,
-                     b.bottleneckBusySeconds);
-    EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
-    EXPECT_DOUBLE_EQ(a.bubbleFraction, b.bubbleFraction);
-    EXPECT_EQ(a.evictions, b.evictions);
-    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
-    EXPECT_EQ(a.skippedRequests, b.skippedRequests);
-    EXPECT_DOUBLE_EQ(a.peakConcurrency, b.peakConcurrency);
-    EXPECT_DOUBLE_EQ(a.avgContext, b.avgContext);
-    EXPECT_EQ(a.timingCacheHits, b.timingCacheHits);
-    EXPECT_EQ(a.timingCacheMisses, b.timingCacheMisses);
-    EXPECT_EQ(a.itemsProcessed, b.itemsProcessed);
-    EXPECT_DOUBLE_EQ(a.contextTokensSum, b.contextTokensSum);
-    EXPECT_DOUBLE_EQ(a.stageBusySumSeconds, b.stageBusySumSeconds);
-    // Latency samples must agree element for element, ORDER
-    // included: completion-processing order is part of the
-    // fast-path/slow-path bit-identity contract.
-    EXPECT_EQ(a.ttftSamples, b.ttftSamples);
-    EXPECT_EQ(a.interTokenSamples, b.interTokenSamples);
-}
-
 /** Run a workload with the cohort fast path force-disabled and
- *  enabled; every PipelineStats field must agree exactly. */
-void
+ *  enabled; every PipelineStats field must agree exactly, latency
+ *  sample ORDER included. Returns the cohort-path stats. */
+PipelineStats
 expectCohortBitIdentical(const ModelConfig &cfg, const Workload &w,
                          const StageTiming &timing,
                          std::vector<KvCoreInfo> score,
@@ -473,9 +430,10 @@ expectCohortBitIdentical(const ModelConfig &cfg, const Workload &w,
     fast.cohortFastPath = true;
     const PipelineStats b = runPipeline(w, cfg, timing, kv_fast, fast);
 
-    expectStatsIdentical(a, b);
+    EXPECT_EQ(a, b);
     EXPECT_EQ(kv_slow.usedBlocks(), kv_fast.usedBlocks());
     EXPECT_EQ(kv_slow.numResident(), kv_fast.numResident());
+    return b;
 }
 
 TEST(CohortFastPath, BitIdenticalDecodeHeavy)
@@ -537,6 +495,39 @@ TEST(CohortFastPath, BitIdenticalSequenceGrained)
     expectCohortBitIdentical(cfg, wikiText2Like(32, 384, 9),
                              uniformTiming(), bigPool(64, 0),
                              bigPool(64, 1), base);
+}
+
+TEST(CohortFastPath, BitIdenticalSingleLongDecode)
+{
+    // A cohort of one: a lone long decode in a big pool crosses KV
+    // block boundaries every tokens_per_block steps inside the ring.
+    const ModelConfig cfg = pipeModel();
+    const PipelineStats stats = expectCohortBitIdentical(
+            cfg, fixedWorkload(32, 5000, 1), uniformTiming(),
+            bigPool(64, 0), bigPool(64, 1));
+    EXPECT_EQ(stats.outputTokens, 5000u);
+    EXPECT_EQ(stats.tokensProcessed, 32u + 5000u);
+    EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(CohortFastPath, BitIdenticalLoneSequenceOutgrowsPool)
+{
+    // A lone sequence outgrows a tiny pool: its block-boundary grow
+    // fails with nobody else to evict, so it evicts itself (the
+    // ring's failed-grow branch at a cohort of one), and its grown
+    // re-prefill no longer fits, so it is skipped.
+    const ModelConfig cfg = pipeModel();
+    std::vector<KvCoreInfo> tiny_score, tiny_context;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        tiny_score.push_back({{0, i}, 1, 2});
+        tiny_context.push_back({{1, i}, 1, 2});
+    }
+    const PipelineStats stats = expectCohortBitIdentical(
+            cfg, fixedWorkload(64, 1000, 1), uniformTiming(),
+            tiny_score, tiny_context);
+    EXPECT_EQ(stats.skippedRequests, 1u);
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.outputTokens, 192u);
 }
 
 TEST(Pipeline, SkippedRequestsCounted)
@@ -772,7 +763,7 @@ TEST(StatsMerge, MergeWithEmptyRunIsIdentityOnCounters)
                     kv);
     PipelineStats merged = a;
     merged.merge(PipelineStats{});
-    expectStatsIdentical(merged, a);
+    EXPECT_EQ(merged, a);
 }
 
 TEST(StatsMerge, ConcurrentAlignedBinsSumPreserved)

@@ -75,27 +75,6 @@ makeSim(SampledSimOptions opts, std::uint64_t requests = 1000,
                             pool(0), pool(1), opts);
 }
 
-void
-expectStatsIdentical(const PipelineStats &a, const PipelineStats &b)
-{
-    EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
-    EXPECT_EQ(a.tokensProcessed, b.tokensProcessed);
-    EXPECT_EQ(a.outputTokens, b.outputTokens);
-    EXPECT_DOUBLE_EQ(a.bottleneckBusySeconds,
-                     b.bottleneckBusySeconds);
-    EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.evictions, b.evictions);
-    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
-    EXPECT_EQ(a.skippedRequests, b.skippedRequests);
-    EXPECT_DOUBLE_EQ(a.peakConcurrency, b.peakConcurrency);
-    EXPECT_DOUBLE_EQ(a.avgContext, b.avgContext);
-    EXPECT_EQ(a.itemsProcessed, b.itemsProcessed);
-    EXPECT_DOUBLE_EQ(a.contextTokensSum, b.contextTokensSum);
-    EXPECT_DOUBLE_EQ(a.stageBusySumSeconds, b.stageBusySumSeconds);
-    EXPECT_EQ(a.ttftSamples, b.ttftSamples);
-    EXPECT_EQ(a.interTokenSamples, b.interTokenSamples);
-}
-
 TEST(SampledRun, FractionOneZeroWarmupCollapsesToFullRun)
 {
     SampledSimOptions opts;
@@ -111,7 +90,7 @@ TEST(SampledRun, FractionOneZeroWarmupCollapsesToFullRun)
     EXPECT_EQ(est.measuredWindows, 16u);
     EXPECT_EQ(est.warmupWindowsSimulated, 0u);
     EXPECT_EQ(est.coverage, 1.0);
-    expectStatsIdentical(est.measured, full);
+    EXPECT_EQ(est.measured, full);
 
     // The expansions are exactly 1.0, so the estimate IS the full
     // total, bit for bit - including the throughput ratio.
@@ -139,14 +118,13 @@ TEST(SampledRun, ParallelEqualsSerialBitIdentically)
 
     const SampledEstimate ep = makeSim(opts).run();
     const SampledEstimate es = makeSim(serial).run();
-    expectStatsIdentical(ep.measured, es.measured);
+    EXPECT_EQ(ep.measured, es.measured);
     EXPECT_EQ(ep.estTokensPerSecond, es.estTokensPerSecond);
     EXPECT_EQ(ep.estOutputTokens, es.estOutputTokens);
     EXPECT_EQ(ep.ciTokensPerSecond, es.ciTokensPerSecond);
     EXPECT_EQ(ep.ciOutputTokens, es.ciOutputTokens);
 
-    expectStatsIdentical(makeSim(opts).fullRun(),
-                         makeSim(serial).fullRun());
+    EXPECT_EQ(makeSim(opts).fullRun(), makeSim(serial).fullRun());
 }
 
 TEST(SampledRun, WarmupIsMeasurementNeutralAtExactContexts)
@@ -175,7 +153,7 @@ TEST(SampledRun, WarmupIsMeasurementNeutralAtExactContexts)
     EXPECT_GT(b.timingCacheHits, a.timingCacheHits);
     a.timingCacheHits = b.timingCacheHits = 0;
     a.timingCacheMisses = b.timingCacheMisses = 0;
-    expectStatsIdentical(a, b);
+    EXPECT_EQ(a, b);
     EXPECT_EQ(cold.estTokensPerSecond, warmed.estTokensPerSecond);
 }
 
@@ -309,7 +287,7 @@ TEST(SampledRun, MergedAggregateMatchesManualMerge)
             manual.merge(stratum);
         }
     }
-    expectStatsIdentical(sim.run().measured, manual);
+    EXPECT_EQ(sim.run().measured, manual);
 }
 
 } // namespace
