@@ -3,23 +3,15 @@
  * Fault-tolerance sweep + failure-storm harness (paper Section
  * 4.3.3): N random core failures over a mapped LLaMA-13B wafer,
  * recovered with the replacement-chain remapper, across several
- * defect-map sweep points that all share one clean-route table - and
- * a whole-wafer failure storm driven through the wafer-level
- * RecoveryService.
+ * defect-map sweep points - and a whole-wafer failure storm driven
+ * through the wafer-level RecoveryService.
  *
- * Sweep section: two full recovery pipelines run over the exact same
- * failure schedule:
- *   - fast path: MeshNoc instances started from the shared
- *     CleanRouteTable (the mechanism that amortises identical clean
- *     routes across the sweep's meshes);
- *   - oracle path: cold meshes.
- * Every RemapResult must be BIT-identical between the two (moves,
- * absorbed cores, latency bits) - the harness asserts it on every
- * run, the same way fig18 pins its engines. The sweep points fan out
- * on parallelFor with per-point meshes and result slots (the PR 1
- * sweep contract; the clean-route table is the one shareable NoC
- * object), and the parallel sweep is asserted bit-identical to the
- * serial loop on every run.
+ * Sweep section: every sweep point owns its mesh (with its own route
+ * cache) and mutable placements. The points fan out on parallelFor
+ * with per-point meshes and result slots (the PR 1 sweep contract),
+ * and the parallel sweep is asserted bit-identical to the serial loop
+ * on every run: every RemapResult (moves, absorbed cores, latency
+ * bits) and every post-recovery traffic price.
  *
  * Storm section: a replicated mapping's replica-0/1 chains take a
  * whole-wafer failure sequence through RecoveryService - KV pools
@@ -28,12 +20,13 @@
  * per-placement recoverCoreFailure oracle for the whole no-borrow
  * prefix, and the index-mode service is asserted bit-identical to
  * the scan-mode service across the ENTIRE storm, borrows included.
- * The recorded schedule is then replayed through an eager-re-pricing
- * service and a deferred one (dirty-edge set, one flushRepricing()
- * at quiescence); recoveries and re-priced totals are asserted
- * bit-identical on every run. BENCH_fault_tolerance.json records
- * storm recoveries/sec, the borrow rate, reprice_edges_per_storm,
- * deferred_reprice_speedup and route_meta_hit_rate.
+ * The recorded schedule is then replayed through two services that
+ * differ only in when they call flushRepricing(): after every failure
+ * (eager_* records) or once at quiescence (deferred_* records);
+ * recoveries and re-priced totals are asserted bit-identical on every
+ * run. BENCH_fault_tolerance.json records storm recoveries/sec, the
+ * borrow rate, reprice_edges_per_storm, deferred_reprice_speedup and
+ * route_meta_hit_rate.
  *
  * The RecoveryIndex is additionally benchmarked on a wafer-sized
  * region (also against its scan oracle, also bit-identical): a
@@ -98,11 +91,10 @@ aliveCores(const BlockPlacement &p)
 /**
  * Re-price the wafer's steady-state inter-block activation traffic
  * over the (post-recovery) placements on one sweep point's mesh -
- * the long-haul flows a defect sweep re-evaluates per point, and
- * where the shared clean-route table amortises real route work.
- * Uses the same accumulateInterBlockFlows definition
- * WaferMapping::build prices, so the bench can never drift from the
- * product flow model. Returns the bottleneck-link time.
+ * the long-haul flows a defect sweep re-evaluates per point. Uses
+ * the same accumulateInterBlockFlows definition WaferMapping::build
+ * prices, so the bench can never drift from the product flow model.
+ * Returns the bottleneck-link time.
  */
 double
 interBlockTraffic(const std::vector<BlockPlacement> &blocks,
@@ -125,8 +117,6 @@ interBlockTraffic(const std::vector<BlockPlacement> &blocks,
 struct PointResult
 {
     std::uint64_t recoveries = 0;
-    std::uint64_t sharedHits = 0;
-    std::uint64_t routeMisses = 0;
     std::vector<RemapResult> results;
     /** Post-recovery bottleneck time of this point. */
     double bottleneck = 0.0;
@@ -144,20 +134,6 @@ struct PathResult
             n += p.recoveries;
         return n;
     }
-    std::uint64_t sharedHits() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &p : points)
-            n += p.sharedHits;
-        return n;
-    }
-    std::uint64_t routeMisses() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &p : points)
-            n += p.routeMisses;
-        return n;
-    }
 };
 
 bool
@@ -173,23 +149,20 @@ sameResult(const RemapResult &a, const RemapResult &b)
 /**
  * Run ONE defect-map sweep point: its own mesh and mutable state
  * (per-index slots only - the parallel contract), recoveries plus
- * the post-recovery traffic re-pricing. @p table is null on the
- * oracle path (cold meshes).
+ * the post-recovery traffic re-pricing.
  */
 PointResult
 runPoint(std::size_t point, const WaferMapping &mapping,
-         const WaferGeometry &geom, std::size_t injections,
-         const std::shared_ptr<const CleanRouteTable> &table)
+         const WaferGeometry &geom, std::size_t injections)
 {
     const Bytes tile_bytes = CoreParams{}.sramBytes();
     PointResult out;
-    // Per-point defect map: routes must detour differently at every
-    // sweep point, which is exactly the situation the shared
-    // clean-route table amortises.
+    // Per-point defect map: routes detour differently at every sweep
+    // point.
     YieldParams yield;
     Rng defect_rng(1000 + point);
     const DefectMap defects(geom, yield, defect_rng);
-    const MeshNoc noc(geom, NocParams{}, &defects, table);
+    const MeshNoc noc(geom, NocParams{}, &defects);
 
     SweepState state(mapping);
     Rng rng(77 + point);
@@ -216,31 +189,24 @@ runPoint(std::size_t point, const WaferMapping &mapping,
     out.bottleneck = interBlockTraffic(state.blocks,
                                        mapping.layerSpecs(),
                                        mapping.tilesPerBlock(), noc);
-    out.sharedHits = noc.sharedTableHits();
-    out.routeMisses = noc.routeCacheMisses();
     return out;
 }
 
 /** Run all sweep points, serially or fanned out on parallelFor. */
 PathResult
 runSweep(const WaferMapping &mapping, const WaferGeometry &geom,
-         std::size_t injections,
-         const std::shared_ptr<const CleanRouteTable> &table,
-         bool parallel)
+         std::size_t injections, bool parallel)
 {
     PathResult out;
     out.points.resize(kSweepPoints);
     const WallTimer timer;
     if (parallel) {
         parallelFor(kSweepPoints, [&](std::size_t i) {
-            out.points[i] =
-                runPoint(i, mapping, geom, injections, table);
+            out.points[i] = runPoint(i, mapping, geom, injections);
         });
     } else {
-        for (std::size_t i = 0; i < kSweepPoints; ++i) {
-            out.points[i] =
-                runPoint(i, mapping, geom, injections, table);
-        }
+        for (std::size_t i = 0; i < kSweepPoints; ++i)
+            out.points[i] = runPoint(i, mapping, geom, injections);
     }
     out.seconds = timer.seconds();
     return out;
@@ -345,15 +311,15 @@ struct StormResult
     std::uint64_t recoveries = 0;
     std::uint64_t borrows = 0;
 
-    /** Eager-vs-deferred re-pricing replay over the recorded
-     *  schedule (totals asserted bit-identical on every run). */
+    /** Re-pricing replay over the recorded schedule: a flush after
+     *  every failure (eager) against one flush at quiescence
+     *  (deferred); totals asserted bit-identical on every run. */
     double eagerSeconds = 0.0;
     double deferredSeconds = 0.0;
     std::uint64_t eagerRepricedEdges = 0;
     std::uint64_t deferredRepricedEdges = 0;
     /** Pricing lookups that found an already-built RouteMeta on the
-     *  deferred replay's mesh (cache + shared-table serves over all
-     *  lookups). */
+     *  deferred replay's mesh (route-cache hits over all lookups). */
     double routeMetaHitRate = 0.0;
 };
 
@@ -480,18 +446,15 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
         }
     }
 
-    // Re-pricing replay: the recorded schedule through an eager
-    // service (flush inside every failure - the retained oracle) and
-    // a deferred one (marks accumulate, one flush at quiescence).
-    // Recoveries must be bit-identical throughout, and the deferred
-    // flush must price its distinct dirty edges to the exact total
-    // the eager service computes over the same edge list.
+    // Re-pricing replay: the recorded schedule through a service
+    // that flushes after every failure and one that flushes once at
+    // quiescence. Recoveries must be bit-identical throughout, and the
+    // one flush must price its distinct dirty edges to the exact total
+    // the per-failure service computes over the same edge list.
     RecoveryService eager(*mapping, NocParams{}, tile_bytes,
                           nullptr);
-    RecoveryServiceOptions defer_opts;
-    defer_opts.deferRepricing = true;
     RecoveryService deferred(*mapping, NocParams{}, tile_bytes,
-                             nullptr, defer_opts);
+                             nullptr);
 
     const WallTimer eager_timer;
     std::vector<RemapResult> eager_remaps;
@@ -500,6 +463,7 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
         const auto got = eager.handleCoreFailure(schedule[i]);
         ouroAssert(got.has_value(),
                    "fault_tolerance: eager replay failed at ", i);
+        eager.flushRepricing();
         eager_remaps.push_back(got->remap);
     }
     out.eagerSeconds = eager_timer.seconds();
@@ -509,8 +473,7 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
     for (std::size_t i = 0; i < schedule.size(); ++i) {
         const auto got = deferred.handleCoreFailure(schedule[i]);
         ouroAssert(got.has_value() &&
-                           sameResult(got->remap, eager_remaps[i]) &&
-                           got->interBlockByteHops == 0.0,
+                           sameResult(got->remap, eager_remaps[i]),
                    "fault_tolerance: deferred replay diverged at ",
                    i);
     }
@@ -524,20 +487,18 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
                        flush.flowsRoutable == want.flowsRoutable &&
                        flush.edges == dirty.size(),
                "fault_tolerance: deferred flush diverged from the "
-               "eager re-pricing of the same dirty edges");
+               "per-failure re-pricing of the same dirty edges");
     ouroAssert(out.deferredRepricedEdges < out.eagerRepricedEdges,
                "fault_tolerance: storm deduplicated nothing - the "
-               "deferred path has no batching win to measure");
+               "one flush has no batching win to measure");
 
     const MeshNoc &dnoc = deferred.noc();
-    const std::uint64_t served =
-        dnoc.routeCacheHits() + dnoc.sharedTableHits();
+    const std::uint64_t lookups =
+        dnoc.routeCacheHits() + dnoc.routeCacheMisses();
     out.routeMetaHitRate =
-        served + dnoc.routeCacheMisses() > 0
-            ? static_cast<double>(served) /
-                  static_cast<double>(served +
-                                      dnoc.routeCacheMisses())
-            : 0.0;
+        lookups > 0 ? static_cast<double>(dnoc.routeCacheHits()) /
+                              static_cast<double>(lookups)
+                    : 0.0;
     return out;
 }
 
@@ -562,63 +523,35 @@ main(int argc, char **argv)
             opts);
     ouroAssert(mapping.has_value(), "fault_tolerance: mapping failed");
 
-    // Fast path: meshes started from the shared clean-route table,
-    // sweep points fanned out on parallelFor (per-point meshes and
-    // result slots; the table is the one shareable NoC object). The
-    // serial loop runs too and the two must be bit-identical - the
-    // sweep-runtime contract.
-    const auto table =
-        std::make_shared<const CleanRouteTable>(geom, NocParams{});
-    const PathResult fast =
-        runSweep(*mapping, geom, injections, table, false);
-    const PathResult fast_parallel =
-        runSweep(*mapping, geom, injections, table, true);
-    assertSweepsIdentical(fast, fast_parallel,
+    // Sweep points fanned out on parallelFor (per-point meshes and
+    // result slots). The serial loop runs too and the two must be
+    // bit-identical - the sweep-runtime contract.
+    const PathResult serial =
+        runSweep(*mapping, geom, injections, false);
+    const PathResult parallel =
+        runSweep(*mapping, geom, injections, true);
+    assertSweepsIdentical(serial, parallel,
                           "parallel sweep vs serial");
-    // Oracle path: cold meshes + full scans.
-    const PathResult oracle =
-        runSweep(*mapping, geom, injections, nullptr, false);
-    assertSweepsIdentical(fast, oracle,
-                          "shared-table fast path vs cold oracle");
 
-    const double fast_rate =
-        static_cast<double>(fast.recoveries()) / fast.seconds;
-    const double oracle_rate =
-        static_cast<double>(oracle.recoveries()) / oracle.seconds;
-    const double parallel_speedup =
-        fast.seconds / fast_parallel.seconds;
-    const double hit_rate =
-        fast.sharedHits() + fast.routeMisses() > 0
-            ? static_cast<double>(fast.sharedHits()) /
-                  static_cast<double>(fast.sharedHits() +
-                                      fast.routeMisses())
-            : 0.0;
+    const double serial_rate =
+        static_cast<double>(serial.recoveries()) / serial.seconds;
+    const double parallel_speedup = serial.seconds / parallel.seconds;
 
     Table table_out({"path", "recoveries", "wall [ms]",
                      "recoveries/sec"});
     table_out.row()
-        .cell("shared route table")
-        .cell(fast.recoveries())
-        .cell(fast.seconds * 1e3, 1)
-        .cell(fast_rate, 0);
+        .cell("serial")
+        .cell(serial.recoveries())
+        .cell(serial.seconds * 1e3, 1)
+        .cell(serial_rate, 0);
     table_out.row()
-        .cell("shared table, parallel")
-        .cell(fast_parallel.recoveries())
-        .cell(fast_parallel.seconds * 1e3, 1)
-        .cell(static_cast<double>(fast_parallel.recoveries()) /
-                      fast_parallel.seconds, 0);
-    table_out.row()
-        .cell("cold + scan (oracle)")
-        .cell(oracle.recoveries())
-        .cell(oracle.seconds * 1e3, 1)
-        .cell(oracle_rate, 0);
+        .cell("parallel")
+        .cell(parallel.recoveries())
+        .cell(parallel.seconds * 1e3, 1)
+        .cell(static_cast<double>(parallel.recoveries()) /
+                      parallel.seconds, 0);
     table_out.print(std::cout);
-    std::cout << "\nShared clean-route table: "
-              << fast.sharedHits() << " hits / " << fast.routeMisses()
-              << " local misses (hit rate "
-              << formatDouble(hit_rate * 100.0, 1)
-              << "%); all recoveries bit-identical to the oracle, "
-                 "parallel sweep bit-identical to serial ("
+    std::cout << "\nParallel sweep bit-identical to serial ("
               << formatDouble(parallel_speedup, 2) << "x, "
               << defaultThreadCount() << " threads).\n";
 
@@ -659,32 +592,27 @@ main(int argc, char **argv)
 
     const double reprice_speedup =
         storm.eagerSeconds / storm.deferredSeconds;
-    std::cout << "  re-pricing replay: eager "
+    std::cout << "  re-pricing replay: flush per failure "
               << formatDouble(storm.eagerSeconds * 1e3, 1)
               << " ms (" << storm.eagerRepricedEdges
-              << " edge visits) vs deferred "
+              << " edge visits) vs one flush "
               << formatDouble(storm.deferredSeconds * 1e3, 1)
               << " ms (" << storm.deferredRepricedEdges
-              << " distinct edges, one flush) - "
+              << " distinct edges) - "
               << formatDouble(reprice_speedup, 2)
               << "x, totals bit-identical; route-meta hit rate "
               << formatDouble(storm.routeMetaHitRate * 100.0, 1)
               << "%.\n";
 
     BenchReport("fault_tolerance")
-        .metric("wall_seconds", fast.seconds)
-        .metric("events_per_sec", fast_rate)
-        .metric("recoveries", fast.recoveries())
-        .metric("recoveries_per_sec", fast_rate)
-        .metric("oracle_recoveries_per_sec", oracle_rate)
-        .metric("recovery_speedup", fast_rate / oracle_rate)
-        .metric("shared_route_table_hits", fast.sharedHits())
-        .metric("shared_route_table_misses", fast.routeMisses())
-        .metric("shared_route_table_hit_rate", hit_rate)
+        .metric("wall_seconds", serial.seconds)
+        .metric("events_per_sec", serial_rate)
+        .metric("recoveries", serial.recoveries())
+        .metric("recoveries_per_sec", serial_rate)
         .metric("sweep_points", std::uint64_t{kSweepPoints})
         .metric("failures_injected",
                 std::uint64_t{kSweepPoints} * injections)
-        .metric("sweep_parallel_seconds", fast_parallel.seconds)
+        .metric("sweep_parallel_seconds", parallel.seconds)
         .metric("sweep_parallel_speedup", parallel_speedup)
         .metric("large_region_scan_seconds", scan_s)
         .metric("large_region_index_seconds", index_s)

@@ -606,22 +606,17 @@ BM_KvBorrow(benchmark::State &state)
 BENCHMARK(BM_KvBorrow);
 
 void
-BM_StormDeferredReprice(benchmark::State &state)
+BM_StormReprice(benchmark::State &state)
 {
-    // A weight-core failure storm across both blocks: Arg(0)
-    // re-prices eagerly inside every failure (the retained oracle),
-    // Arg(1) defers the marks and prices each distinct dirty edge
-    // once at quiescence. Totals are bit-identical (tests and
-    // bench_fault_tolerance pin it); this measures the batching win.
+    // A weight-core failure storm across both blocks, then one
+    // flushRepricing() that prices each distinct dirty edge once.
     const RecoveryFixture fix;
     const Bytes tile_bytes = CoreParams{}.sramBytes();
     constexpr int kFailures = 16;
-    RecoveryServiceOptions opts;
-    opts.deferRepricing = state.range(0) != 0;
     for (auto _ : state) {
         state.PauseTiming();
         RecoveryService service(*fix.mapping, NocParams{},
-                                tile_bytes, nullptr, opts);
+                                tile_bytes, nullptr);
         const std::uint32_t tiles = fix.mapping->tilesPerBlock();
         state.ResumeTiming();
         for (int k = 0; k < kFailures; ++k) {
@@ -636,7 +631,7 @@ BM_StormDeferredReprice(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * kFailures);
 }
-BENCHMARK(BM_StormDeferredReprice)->Arg(0)->Arg(1);
+BENCHMARK(BM_StormReprice);
 
 void
 BM_TraceWindowMaterialize(benchmark::State &state)

@@ -11,7 +11,7 @@
  *
  * Failures are driven through the wafer-level RecoveryService - the
  * single runtime entry point that owns the recovery indices, the
- * shared clean-route table and the defect state - including a
+ * mesh with its route cache and the defect state - including a
  * drained-pool scenario where the service borrows KV capacity from
  * the adjacent block instead of failing.
  */
@@ -77,11 +77,9 @@ main()
                        "moved MB", "latency [us]"});
     const Bytes tile_bytes = CoreParams{}.sramBytes();
     // The service owns the whole fault path: one recovery index per
-    // replica-chain region, the shared clean-route table (the
-    // per-geometry table a sweep would reuse across many meshes),
-    // and the defect map - every chain shift is priced over its
-    // actual (cached) detour route, bit-identical to the
-    // cold-mesh/scan oracles.
+    // replica-chain region, the mesh with its route cache, and the
+    // defect map - every chain shift is priced over its actual
+    // (cached) detour route, bit-identical to the scan oracle.
     RecoveryService service(*mapping, NocParams{}, tile_bytes,
                             &defects);
 
@@ -124,10 +122,9 @@ main()
     std::cout << "\nAll weight-core recoveries completed within "
                  "sub-millisecond latency; KV-core\nfailures cost "
                  "only the resident sequences' recompute.\n"
-              << "Shared clean-route table served "
-              << service.noc().sharedTableHits() << " routes ("
-              << service.noc().routeCacheMisses()
-              << " needed a local detour around the defects).\n";
+              << "Route cache: " << service.noc().routeCacheHits()
+              << " hits, " << service.noc().routeCacheMisses()
+              << " misses (routes computed around the defects).\n";
 
     // --- Cross-block KV borrowing ---
     // Drain block 0's dedicated KV pool dry, then fail one more
@@ -162,7 +159,14 @@ main()
               << " us).\n"
               << "Recoveries handled: " << service.recoveries()
               << " (" << service.borrowCount()
-              << " cross-block borrows); block 0's inter-block "
-                 "flows re-priced each time.\n";
+              << " cross-block borrows).\n";
+
+    // The weight moves marked block 0's inter-block flows dirty; one
+    // flush prices each distinct dirty edge once.
+    const RepriceResult reprice = service.flushRepricing();
+    std::cout << "Re-priced " << reprice.edges
+              << " dirty inter-block edge(s) in one flush: "
+              << formatDouble(reprice.interBlockByteHops / 1e6, 1)
+              << " M effective byte-hops.\n";
     return 0;
 }

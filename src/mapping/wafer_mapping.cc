@@ -337,7 +337,7 @@ WaferMapping::build(const ModelConfig &model,
     // infeasibility.
     NocParams noc_params;
     noc_params.interDiePenalty = opts.costInter;
-    const MeshNoc noc(geom, noc_params, defects, opts.cleanRoutes);
+    const MeshNoc noc(geom, noc_params, defects);
     TrafficAccumulator traffic(noc);
     for (std::uint32_t rep = 0; rep < replicas; ++rep) {
         for (std::uint64_t b = 0; b + 1 < num_blocks; ++b) {

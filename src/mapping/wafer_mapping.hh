@@ -46,7 +46,6 @@
 #define OURO_MAPPING_WAFER_MAPPING_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -60,7 +59,6 @@
 namespace ouro
 {
 
-class CleanRouteTable;     // noc/mesh.hh
 class MeshNoc;             // noc/mesh.hh
 class TrafficAccumulator;  // noc/mesh.hh
 
@@ -135,14 +133,6 @@ struct WaferMappingOptions
      * and fig18_mapping compare the two on every run).
      */
     bool congruentReuse = true;
-
-    /**
-     * Shared clean-geometry route table for the inter-block flow
-     * routing (see CleanRouteTable in noc/mesh.hh). Null builds the
-     * internal mesh cold; sweeps that construct many mappings over
-     * one geometry pass a shared table to amortise clean routes.
-     */
-    std::shared_ptr<const CleanRouteTable> cleanRoutes;
 
     /**
      * Opt into the epsilon-exact fused dist*pen cost engine for the

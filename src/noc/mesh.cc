@@ -8,41 +8,10 @@
 namespace ouro
 {
 
-namespace
-{
-
-/** Table entries carry RouteMeta priced with the table's NocParams;
- *  a mesh may only share a table whose pricing parameters agree. */
-bool
-samePricingParams(const NocParams &a, const NocParams &b)
-{
-    return a.linkBitsPerCycle == b.linkBitsPerCycle &&
-           a.clockHz == b.clockHz &&
-           a.routerLatency == b.routerLatency &&
-           a.hopEnergyPerBit == b.hopEnergyPerBit &&
-           a.interDiePenalty == b.interDiePenalty &&
-           a.dieCrossingEnergyPerBit == b.dieCrossingEnergyPerBit;
-}
-
-} // namespace
-
 MeshNoc::MeshNoc(const WaferGeometry &geom, const NocParams &params,
-                 const DefectMap *defects,
-                 std::shared_ptr<const CleanRouteTable> clean_routes)
-    : geom_(geom), params_(params), defects_(defects),
-      cleanRoutes_(std::move(clean_routes))
+                 const DefectMap *defects)
+    : geom_(geom), params_(params), defects_(defects)
 {
-    if (cleanRoutes_) {
-        const WaferGeometry &tg = cleanRoutes_->geometry();
-        ouroAssert(tg.rows() == geom_.rows() &&
-                           tg.cols() == geom_.cols(),
-                   "MeshNoc: shared route table built for a ",
-                   tg.rows(), "x", tg.cols(),
-                   " mesh, not this geometry");
-        ouroAssert(samePricingParams(cleanRoutes_->params(), params_),
-                   "MeshNoc: shared route table priced with "
-                   "different NocParams than this mesh");
-    }
 }
 
 void
@@ -56,11 +25,7 @@ MeshNoc::failLink(CoreCoord from, LinkDir dir)
 void
 MeshNoc::invalidateRoutes() const
 {
-    // Shared clean routes are immutable and stay; only this mesh's
-    // overlay and its validation memo are stale (clean routes get
-    // revalidated lazily against the new fault state).
     routeCache_.clear();
-    sharedOk_.clear();
 }
 
 bool
@@ -196,22 +161,6 @@ MeshNoc::routeUncached(CoreCoord src, CoreCoord dst) const
     return path;
 }
 
-bool
-MeshNoc::cleanRouteValid(const std::vector<CoreCoord> &path) const
-{
-    if (!defects_ && failedLinks_.empty())
-        return true;
-    for (std::size_t i = 1; i < path.size(); ++i) {
-        if (linkFailed(path[i - 1], stepDir(path[i - 1], path[i])))
-            return false;
-        // Intermediate hops only: routes may end at a defective core
-        // (the router's rule), so the last hop skips the core check.
-        if (i + 1 < path.size() && blocked(path[i]))
-            return false;
-    }
-    return true;
-}
-
 RouteMeta
 MeshNoc::buildMeta(const std::vector<CoreCoord> &path) const
 {
@@ -259,25 +208,6 @@ MeshNoc::pricedRoute(CoreCoord src, CoreCoord dst) const
         ++cacheHits_;
         return it->second;
     }
-    if (cleanRoutes_) {
-        const auto ok = sharedOk_.find(key);
-        if (ok != sharedOk_.end()) {
-            ++sharedHits_;
-            return *ok->second;
-        }
-        // A clean XY route that survives this mesh's defects and
-        // failed links is exactly what the cold router would compute
-        // (dimension-ordered steps, none blocked), so serving it is
-        // bit-identical to routing from scratch. The table entry
-        // (route AND metadata) is immutable and address-stable, so
-        // the pointer memo is safe.
-        const PricedRoute &clean = cleanRoutes_->priced(src, dst);
-        if (cleanRouteValid(clean.path)) {
-            sharedOk_.emplace(key, &clean);
-            ++sharedHits_;
-            return clean;
-        }
-    }
     ++cacheMisses_;
     PricedRoute fresh;
     fresh.path = routeUncached(src, dst);
@@ -289,46 +219,6 @@ const std::vector<CoreCoord> &
 MeshNoc::routeCached(CoreCoord src, CoreCoord dst) const
 {
     return pricedRoute(src, dst).path;
-}
-
-CleanRouteTable::CleanRouteTable(const WaferGeometry &geom,
-                                 const NocParams &params)
-    : clean_(geom, params)
-{
-}
-
-const PricedRoute &
-CleanRouteTable::priced(CoreCoord src, CoreCoord dst) const
-{
-    // The returned reference outlives the lock: entries are never
-    // erased or overwritten (this class exposes no mutation and the
-    // backing map is node-based), so only the lookup/insert races
-    // need the mutex.
-    std::lock_guard<std::mutex> lock(mutex_);
-    return clean_.pricedRoute(src, dst);
-}
-
-const std::vector<CoreCoord> &
-CleanRouteTable::route(CoreCoord src, CoreCoord dst) const
-{
-    return priced(src, dst).path;
-}
-
-std::size_t
-CleanRouteTable::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return clean_.routeCacheSize();
-}
-
-std::uint64_t
-CleanRouteTable::computedRoutes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Every miss of the backing mesh's per-instance cache is one
-    // route computation; the mutex makes the check-then-compute
-    // sequence atomic, so this equals size() by construction.
-    return clean_.routeCacheMisses();
 }
 
 std::vector<CoreCoord>

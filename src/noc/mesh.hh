@@ -22,8 +22,6 @@
 #define OURO_NOC_MESH_HH
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -119,8 +117,6 @@ struct PricedRoute
     RouteMeta meta;
 };
 
-class CleanRouteTable;
-
 /**
  * The wafer mesh. Holds the defect map (defective cores cannot be
  * routed *through*) and a set of failed links (interconnect failures,
@@ -132,27 +128,16 @@ class CleanRouteTable;
  * immutable RouteMeta pricing summary, so repeat pricing never
  * re-walks the path - and failLink() (or an explicit
  * invalidateRoutes() after mutating the external DefectMap) flushes
- * the cache (route and summary together, always). The cache mutates under const, so a MeshNoc
- * instance must not be shared across threads without external
- * synchronisation (per-index sweep state, the PR 1 parallel
- * contract, already guarantees this everywhere in-tree).
- *
- * Optionally a mesh starts from a shared CleanRouteTable: a lookup
- * first consults the shared clean-geometry route and serves it
- * directly when this mesh's defects/failed links do not invalidate
- * it (a clean XY route that survives validation is exactly what the
- * cold router would produce, so the result is bit-identical); only
- * the invalidated pairs are computed and kept in the per-instance
- * overlay (copy-on-fault). failLink()/invalidateRoutes() flush the
- * overlay and the validation memo, never the shared table.
+ * the cache (route and summary together, always). The cache mutates
+ * under const, so a MeshNoc instance must not be shared across threads
+ * without external synchronisation (per-index sweep state, the PR 1
+ * parallel contract, already guarantees this everywhere in-tree).
  */
 class MeshNoc
 {
   public:
     MeshNoc(const WaferGeometry &geom, const NocParams &params,
-            const DefectMap *defects = nullptr,
-            std::shared_ptr<const CleanRouteTable> clean_routes =
-                    nullptr);
+            const DefectMap *defects = nullptr);
 
     const WaferGeometry &geometry() const { return geom_; }
     const NocParams &params() const { return params_; }
@@ -209,24 +194,10 @@ class MeshNoc
      */
     void invalidateRoutes() const;
 
-    /** Cached-route statistics (hits/misses since construction).
-     *  Hits count the per-instance overlay; sharedTableHits() counts
-     *  lookups served straight from the shared clean-route table. A
-     *  shared-table serve is neither a hit nor a miss here. */
+    /** Cached-route statistics (hits/misses since construction). */
     std::uint64_t routeCacheHits() const { return cacheHits_; }
     std::uint64_t routeCacheMisses() const { return cacheMisses_; }
     std::size_t routeCacheSize() const { return routeCache_.size(); }
-
-    /** Lookups served from the shared clean-route table (0 when the
-     *  mesh was built without one). */
-    std::uint64_t sharedTableHits() const { return sharedHits_; }
-
-    /** The shared clean-route table this mesh starts from (null when
-     *  cold-constructed). */
-    const std::shared_ptr<const CleanRouteTable> &cleanRoutes() const
-    {
-        return cleanRoutes_;
-    }
 
     /** Latency + energy of an isolated @p bytes transfer. */
     TransferCost transferCost(CoreCoord src, CoreCoord dst,
@@ -250,23 +221,13 @@ class MeshNoc
     NocParams params_;
     const DefectMap *defects_;
     std::unordered_set<LinkId, LinkIdHash> failedLinks_;
-    std::shared_ptr<const CleanRouteTable> cleanRoutes_;
 
     /** (src index * numCores + dst index) -> route + pricing
-     *  summary. Mutable: filled lazily from const routing calls.
-     *  Holds only the pairs the shared table cannot serve (all pairs
-     *  when cold). */
+     *  summary. Mutable: filled lazily from const routing calls. */
     mutable std::unordered_map<std::uint64_t, PricedRoute>
             routeCache_;
-    /** Pairs whose shared clean route has been validated against
-     *  this mesh's defects/failed links, mapped to the table's
-     *  (immutable, stable) entry so repeat lookups skip the table
-     *  mutex and the O(path) re-check. Flushed with the overlay. */
-    mutable std::unordered_map<std::uint64_t, const PricedRoute *>
-            sharedOk_;
     mutable std::uint64_t cacheHits_ = 0;
     mutable std::uint64_t cacheMisses_ = 0;
-    mutable std::uint64_t sharedHits_ = 0;
 
     bool priceFromMeta_ = true;
     mutable std::uint64_t metaPriced_ = 0;
@@ -280,80 +241,12 @@ class MeshNoc
      *  arithmetic expression-identical to the retained walks). */
     RouteMeta buildMeta(const std::vector<CoreCoord> &path) const;
 
-    /** True when a clean-geometry route survives this mesh's defect
-     *  map and failed links (intermediate hops only; the destination
-     *  may be defective, mirroring the router). */
-    bool cleanRouteValid(const std::vector<CoreCoord> &path) const;
-
     /** Single-path router used by route(); may fail (empty). */
     std::vector<CoreCoord> routeDimOrder(CoreCoord src, CoreCoord dst,
                                          bool x_first) const;
     std::vector<CoreCoord> routeBfs(CoreCoord src, CoreCoord dst) const;
     std::vector<CoreCoord> routeUncached(CoreCoord src,
                                          CoreCoord dst) const;
-};
-
-/**
- * Shared clean-geometry route table: the routes of a defect-free,
- * no-failed-link mesh over one WaferGeometry, filled lazily and held
- * behind a shared_ptr so every MeshNoc a sweep builds over that
- * geometry starts from the same table instead of recomputing
- * identical clean routes.
- *
- * Entries are IMMUTABLE once computed - the table exposes no
- * mutation, never erases, and the backing map is node-based - so the
- * references route() returns stay valid for the table's lifetime and
- * can be served concurrently. Lookups are mutex-guarded, which makes
- * this the one NoC object that MAY be shared across sweep threads
- * (each thread still owns its MeshNoc instances, per the PR 3
- * contract). The concurrent-fill guarantee is exact, not just
- * data-race-free: the mutex serialises first computations, so each
- * pair is computed exactly once and N threads hammering one pair set
- * leave the table in the same state a serial fill would (tests pin
- * this, and computedRoutes() exposes the fill count to assert it).
- *
- * Ownership: long-lived fault-handling state holds the table behind
- * the wafer-level RecoveryService (runtime/recovery_service.hh),
- * which constructs one per geometry and hands it to every mesh it
- * builds; sweeps that bypass the service may still share a table
- * directly.
- */
-class CleanRouteTable
-{
-  public:
-    explicit CleanRouteTable(const WaferGeometry &geom,
-                             const NocParams &params = {});
-
-    /** The clean route src -> dst (computed on first request). */
-    const std::vector<CoreCoord> &route(CoreCoord src,
-                                        CoreCoord dst) const;
-
-    /** The clean route plus its RouteMeta summary. Entries carry the
-     *  summary from first computation, so a mesh serving a table
-     *  route also reuses the table's metadata (the summary is priced
-     *  with this table's NocParams - the MeshNoc constructor asserts
-     *  pricing-parameter agreement). */
-    const PricedRoute &priced(CoreCoord src, CoreCoord dst) const;
-
-    const NocParams &params() const { return clean_.params(); }
-
-    /** Distinct (src, dst) pairs resident. */
-    std::size_t size() const;
-
-    /** Routes actually computed (== size(): the mutex serialises
-     *  first computations, so no pair is ever computed twice, even
-     *  under concurrent fill). */
-    std::uint64_t computedRoutes() const;
-
-    const WaferGeometry &geometry() const
-    {
-        return clean_.geometry();
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    /** Defect-free mesh whose per-instance cache IS the table. */
-    MeshNoc clean_;
 };
 
 /**

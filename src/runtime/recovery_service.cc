@@ -11,8 +11,7 @@ namespace ouro
 RecoveryService::RecoveryService(
         const WaferMapping &mapping, const NocParams &noc_params,
         Bytes tile_bytes, const DefectMap *defects,
-        const RecoveryServiceOptions &opts,
-        std::shared_ptr<const CleanRouteTable> clean_routes)
+        const RecoveryServiceOptions &opts)
     : geom_(mapping.geometry()), specs_(mapping.layerSpecs()),
       tilesPerBlock_(mapping.tilesPerBlock()),
       firstBlock_(mapping.firstBlock()),
@@ -21,13 +20,8 @@ RecoveryService::RecoveryService(
       opts_(opts),
       defects_(defects ? std::optional<DefectMap>(*defects)
                        : std::nullopt),
-      cleanRoutes_(clean_routes
-                           ? std::move(clean_routes)
-                           : std::make_shared<const CleanRouteTable>(
-                                     geom_, noc_params)),
       noc_(std::make_unique<MeshNoc>(geom_, noc_params,
-                                     defects_ ? &*defects_ : nullptr,
-                                     cleanRoutes_)),
+                                     defects_ ? &*defects_ : nullptr)),
       traffic_(*noc_)
 {
     regions_.reserve(static_cast<std::size_t>(numReplicas_) *
@@ -182,12 +176,12 @@ RecoveryService::priceEdge(std::uint32_t replica,
                            std::uint64_t from_block) const
 {
     // Flow from_block -> from_block + 1 of this chain.
-    const auto &cur =
-        regions_[replica * numBlocks_ + (from_block - firstBlock_)]
-                .placement.weightCores;
-    const auto &nxt = regions_[replica * numBlocks_ +
-                               (from_block + 1 - firstBlock_)]
-                              .placement.weightCores;
+    ouroAssert(from_block + 1 < firstBlock_ + numBlocks_,
+               "RecoveryService: edge (", replica, ", ", from_block,
+               ") has no successor block");
+    const auto &cur = region(from_block, replica).placement.weightCores;
+    const auto &nxt =
+        region(from_block + 1, replica).placement.weightCores;
     return accumulateInterBlockFlows(specs_, tilesPerBlock_, cur,
                                      nxt, *noc_, traffic_);
 }
@@ -219,9 +213,8 @@ RecoveryService::priceEdges(
 {
     RepriceResult out;
     out.edges = edges.size();
-    // One continuous accumulation over all edges - the same
-    // association the eager per-failure path uses, so deferred and
-    // eager totals are bit-identical over the same edge list.
+    // One continuous accumulation over all edges, so any two runs
+    // over the same edge list and state are bit-identical.
     traffic_.clear();
     for (const auto &[replica, from_block] : edges)
         out.flowsRoutable =
@@ -233,9 +226,9 @@ RecoveryService::priceEdges(
 RepriceResult
 RecoveryService::flushRepricing()
 {
-    // std::set iterates ascending, so the edge order is the one the
-    // eager path uses within a single failure (predecessor edge
-    // first) extended deterministically across the storm.
+    // std::set iterates ascending: within one failure the
+    // predecessor edge comes first, and the order is deterministic
+    // across a storm.
     const std::vector<InterBlockEdge> edges(dirty_.begin(),
                                             dirty_.end());
     dirty_.clear();
@@ -288,17 +281,9 @@ RecoveryService::handleCoreFailure(CoreCoord failed)
     // weight tiles actually moved. A KV drop (no moves) leaves every
     // flow endpoint in place, and failure storms are dominated by KV
     // drops, so skipping the unchanged re-pricing is the storm hot
-    // path. Eager mode flushes immediately (bit-identical to the
-    // historical per-failure re-pricing); deferred mode leaves the
-    // marks for one flushRepricing() at storm quiescence.
-    if (!out.remap.moves.empty()) {
+    // path. The marks wait for the caller's flushRepricing().
+    if (!out.remap.moves.empty())
         markDirtyEdges(reg.replica, reg.block);
-        if (!opts_.deferRepricing) {
-            const RepriceResult r = flushRepricing();
-            out.flowsRoutable = r.flowsRoutable;
-            out.interBlockByteHops = r.interBlockByteHops;
-        }
-    }
     if (observer_)
         observer_(failed, out);
     return out;

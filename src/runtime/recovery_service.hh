@@ -14,21 +14,20 @@
  *  - one RecoveryIndex per region (the spatial fast path; the flat
  *    scan oracle is retained behind
  *    RecoveryServiceOptions::useSpatialIndex = false),
- *  - the shared CleanRouteTable and the MeshNoc carrying the wafer's
- *    defect map and failed-link state (failLink() is delegated here),
+ *  - the MeshNoc (with its route cache) carrying the wafer's defect
+ *    map and failed-link state (failLink() is delegated here),
  *  - a core -> region ownership map covering every weight and KV
  *    core of every chain.
  *
  * handleCoreFailure(core) is the single entry point: it routes the
  * failure to the owning region's index, runs the replacement-chain
  * recovery there, and marks the affected inter-block activation
- * flows of that chain dirty. By default the dirty set is flushed
- * (re-priced through the cached mesh) inside the same call - bit-
- * identical to the historical eager behaviour. With
- * RecoveryServiceOptions::deferRepricing the marks accumulate across
- * a whole failure storm and flushRepricing() prices each distinct
- * edge exactly once at quiescence, cutting storm re-pricing from
- * O(failures x adjacent edges) to O(distinct dirty edges). When a weight-core
+ * flows of that chain dirty. The marks accumulate across a whole
+ * failure storm and flushRepricing() prices each distinct edge exactly
+ * once (through the cached mesh) when a caller wants the figure; a
+ * caller that wants per-failure prices flushes after every failure.
+ * Storm re-pricing therefore costs O(distinct dirty edges), not
+ * O(failures x adjacent edges). When a weight-core
  * failure finds the block's KV pool dry, the service borrows a KV
  * core from an adjacent block of the SAME replica chain before
  * retrying - chains never lend across replicas, preserving the
@@ -85,14 +84,6 @@ struct RecoveryServiceOptions
      *  failure in a block whose KV pool is dry fails (nullopt)
      *  instead of borrowing from adjacent blocks. */
     bool allowKvBorrow = true;
-
-    /** true batches inter-block re-pricing across a failure storm:
-     *  handleCoreFailure only marks the affected edges dirty (its
-     *  outcome reports interBlockByteHops = 0) and flushRepricing()
-     *  prices each distinct dirty edge exactly once at quiescence.
-     *  false (the eager oracle) flushes inside every failure -
-     *  bit-identical to the pre-dirty-set behaviour. */
-    bool deferRepricing = false;
 };
 
 /** One inter-block activation flow, named by its tail: edge
@@ -103,8 +94,8 @@ using InterBlockEdge = std::pair<std::uint32_t, std::uint64_t>;
 struct RepriceResult
 {
     /** Effective byte-hops over all edges priced in this run (one
-     *  continuous accumulation, same association as the eager
-     *  per-failure path). */
+     *  continuous accumulation in edge order; die crossings weighted
+     *  by the inter-die penalty). */
     double interBlockByteHops = 0.0;
 
     /** Distinct edges priced. */
@@ -136,22 +127,6 @@ struct FailureOutcome
     /** KV cores grafted into the block before the chain could
      *  complete (empty when the pool was healthy). */
     std::vector<KvBorrow> borrows;
-
-    /** The affected inter-block activation flows (block-1 -> block,
-     *  block -> block+1 of this chain), re-priced over the cached
-     *  mesh after the recovery (effective byte-hops, die crossings
-     *  weighted by the inter-die penalty). 0 when no weight tile
-     *  moved (a KV drop leaves every flow endpoint in place, so
-     *  nothing is re-priced) and for single-block chains. Under
-     *  deferRepricing this stays 0 - the pricing happens at the
-     *  next flushRepricing() instead. */
-    double interBlockByteHops = 0.0;
-
-    /** False when a re-priced flow became unroutable (an endpoint
-     *  fenced in) - the chain needs remapping, not recovery. Always
-     *  true under deferRepricing (routability is reported by
-     *  flushRepricing()). */
-    bool flowsRoutable = true;
 };
 
 class RecoveryService
@@ -159,25 +134,23 @@ class RecoveryService
   public:
     /**
      * Build the service over @p mapping. @p defects is copied (the
-     * service owns its fault state); @p clean_routes may be shared
-     * with other services/sweeps over the same geometry, or null to
-     * have the service create its own table. @p tile_bytes prices
-     * the replacement-chain moves (one weight tile per hop).
+     * service owns its fault state). @p tile_bytes prices the
+     * replacement-chain moves (one weight tile per hop).
      */
     RecoveryService(const WaferMapping &mapping,
                     const NocParams &noc_params, Bytes tile_bytes,
                     const DefectMap *defects = nullptr,
-                    const RecoveryServiceOptions &opts = {},
-                    std::shared_ptr<const CleanRouteTable>
-                            clean_routes = nullptr);
+                    const RecoveryServiceOptions &opts = {});
 
     /**
      * Handle the failure of @p failed: route it to the owning
      * region, recover (borrowing KV capacity from adjacent blocks of
-     * the same chain if the pool is dry), and re-price the affected
-     * inter-block flows. Returns std::nullopt when the core is not
-     * (or no longer) owned by any region, or when recovery is
-     * impossible (the whole chain's KV capacity is exhausted).
+     * the same chain if the pool is dry), and mark the affected
+     * inter-block flows dirty (only when weight tiles moved: the
+     * predecessor edge and the block's own edge). Returns
+     * std::nullopt when the core is not (or no longer) owned by any
+     * region, or when recovery is impossible (the whole chain's KV
+     * capacity is exhausted).
      */
     std::optional<FailureOutcome> handleCoreFailure(CoreCoord failed);
 
@@ -187,11 +160,6 @@ class RecoveryService
 
     /** The owned mesh (defect map + failed links + route caches). */
     const MeshNoc &noc() const { return *noc_; }
-
-    const std::shared_ptr<const CleanRouteTable> &cleanRoutes() const
-    {
-        return cleanRoutes_;
-    }
 
     std::uint32_t numReplicas() const { return numReplicas_; }
     std::uint64_t numBlocks() const { return numBlocks_; }
@@ -215,23 +183,21 @@ class RecoveryService
 
     /**
      * Price every currently-dirty inter-block edge exactly once (in
-     * ascending (replica, block) order - the same order the eager
-     * path visits a single failure's edges) and clear the dirty
-     * set. Called internally per failure unless deferRepricing; call
-     * it at storm quiescence otherwise. No-op result when the dirty
-     * set is empty.
+     * ascending (replica, block) order) and clear the dirty set.
+     * Call it after each failure for per-failure prices, or once at
+     * storm quiescence. No-op result when the dirty set is empty.
      */
     RepriceResult flushRepricing();
 
     /** Price exactly @p edges (in the given order) over the current
-     *  placements and fault state, without touching the dirty set.
-     *  The eager-side comparator for deferred-vs-eager tests and
-     *  benches. */
+     *  placements and fault state, without touching the dirty set
+     *  (the comparator for bit-identity tests and benches). Every
+     *  edge's tail block must have a successor in its chain. */
     RepriceResult
     priceEdges(const std::vector<InterBlockEdge> &edges) const;
 
     /** Edges currently awaiting flushRepricing(), in ascending
-     *  order. Always empty outside deferRepricing mode. */
+     *  order. */
     std::vector<InterBlockEdge> dirtyEdges() const;
 
     /** Total edges priced by flushRepricing() so far. */
@@ -293,7 +259,8 @@ class RecoveryService
     bool accumulateChainFlows(std::uint32_t replica) const;
 
     /** Accumulate edge {replica, from_block} onto traffic_. False =
-     *  unroutable. */
+     *  unroutable. Panics when from_block has no successor in the
+     *  chain or the region is not on this wafer. */
     bool priceEdge(std::uint32_t replica,
                    std::uint64_t from_block) const;
 
@@ -310,12 +277,11 @@ class RecoveryService
     Bytes tileBytes_ = 0;
     RecoveryServiceOptions opts_;
 
-    /** The service owns its fault state: the defect map copy, the
-     *  shared clean-route table and the mesh overlaying both. */
+    /** The service owns its fault state: the defect map copy and
+     *  the mesh overlaying it. */
     std::optional<DefectMap> defects_;
-    std::shared_ptr<const CleanRouteTable> cleanRoutes_;
     /** unique_ptr: MeshNoc is not movable-assignable and must be
-     *  constructed after defects_/cleanRoutes_. */
+     *  constructed after defects_. */
     std::unique_ptr<MeshNoc> noc_;
 
     /** Replica-major, like WaferMapping: regions_[rep * numBlocks_ +
@@ -327,7 +293,7 @@ class RecoveryService
      *  (dead cores are erased, borrowed cores re-homed). */
     std::unordered_map<std::uint64_t, std::size_t> owner_;
 
-    /** Reused per-failure accumulator (clear() is O(touched), so one
+    /** Reused pricing accumulator (clear() is O(touched), so one
      *  instance serves a whole failure storm without reallocating
      *  the per-link arrays). */
     mutable TrafficAccumulator traffic_;

@@ -161,13 +161,11 @@ OuroborosSystem::chainKvCores(std::uint32_t replica,
 
 RecoveryService
 OuroborosSystem::makeRecoveryService(
-        std::uint32_t wafer, const RecoveryServiceOptions &opts,
-        std::shared_ptr<const CleanRouteTable> clean_routes) const
+        std::uint32_t wafer, const RecoveryServiceOptions &opts) const
 {
     return RecoveryService(mapping(wafer), params_.noc,
                            params_.core.sramBytes(),
-                           defectMap(wafer), opts,
-                           std::move(clean_routes));
+                           defectMap(wafer), opts);
 }
 
 RecoveryService &
@@ -177,8 +175,7 @@ OuroborosSystem::recovery(std::uint32_t wafer)
                "recovery: bad wafer index");
     if (!services_.slots[wafer]) {
         services_.slots[wafer] = std::make_unique<RecoveryService>(
-                mapping(wafer), params_.noc,
-                params_.core.sramBytes(), defectMap(wafer));
+                makeRecoveryService(wafer));
     }
     return *services_.slots[wafer];
 }

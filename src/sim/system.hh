@@ -129,13 +129,12 @@ class OuroborosSystem
     std::optional<FailureOutcome>
     handleCoreFailure(CoreCoord failed, std::uint32_t wafer = 0);
 
-    /** Build a standalone service over wafer @p w (callers that
-     *  want their own options or a shared clean-route table). */
+    /** Build a standalone service over wafer @p w (recovery() builds
+     *  its slot here with the default options; callers that want
+     *  their own options or a private service call it directly). */
     RecoveryService
     makeRecoveryService(std::uint32_t wafer = 0,
-                        const RecoveryServiceOptions &opts = {},
-                        std::shared_ptr<const CleanRouteTable>
-                                clean_routes = nullptr) const;
+                        const RecoveryServiceOptions &opts = {}) const;
 
     /** Data-parallel pipeline replicas sharing the wafer. */
     std::uint32_t replicas() const { return replicas_; }

@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -359,193 +357,6 @@ TEST(Traffic, ClearIsReusable)
     EXPECT_DOUBLE_EQ(traffic.totalEnergyJ(), energy1);
 }
 
-TEST(SharedRouteTable, RoutesBitIdenticalToColdMesh)
-{
-    // A mesh started from the shared clean table must answer every
-    // route exactly as a cold mesh over the same defect map would.
-    const WaferGeometry geom;
-    DefectMap defects(geom);
-    Rng seed_rng(71);
-    for (int d = 0; d < 25; ++d) {
-        defects.inject({static_cast<std::uint32_t>(
-                                seed_rng.uniformInt(0, 40)),
-                        static_cast<std::uint32_t>(
-                                seed_rng.uniformInt(0, 40))});
-    }
-    const auto table =
-        std::make_shared<const CleanRouteTable>(geom, NocParams{});
-    const MeshNoc shared(geom, NocParams{}, &defects, table);
-    const MeshNoc cold(geom, NocParams{}, &defects);
-
-    Rng rng(72);
-    for (int f = 0; f < 300; ++f) {
-        const CoreCoord src{
-            static_cast<std::uint32_t>(rng.uniformInt(0, 40)),
-            static_cast<std::uint32_t>(rng.uniformInt(0, 40))};
-        const CoreCoord dst{
-            static_cast<std::uint32_t>(rng.uniformInt(0, 40)),
-            static_cast<std::uint32_t>(rng.uniformInt(0, 40))};
-        EXPECT_EQ(shared.route(src, dst), cold.route(src, dst));
-    }
-    // Most pairs miss the sprinkled defects, so the shared table must
-    // have served real traffic (that is its whole point).
-    EXPECT_GT(shared.sharedTableHits(), 0u);
-    EXPECT_LT(shared.routeCacheMisses(), cold.routeCacheMisses());
-    EXPECT_GT(table->size(), 0u);
-}
-
-TEST(SharedRouteTable, CleanMeshServesEverythingFromTable)
-{
-    const WaferGeometry geom;
-    const auto table =
-        std::make_shared<const CleanRouteTable>(geom, NocParams{});
-    const MeshNoc mesh(geom, NocParams{}, nullptr, table);
-    const auto &a = mesh.routeCached({0, 0}, {5, 7});
-    const auto &b = mesh.routeCached({0, 0}, {5, 7});
-    EXPECT_EQ(&a, &b); // stable reference into the shared table
-    EXPECT_EQ(mesh.routeCacheMisses(), 0u);
-    EXPECT_EQ(mesh.routeCacheSize(), 0u); // no private overlay used
-    EXPECT_GE(mesh.sharedTableHits(), 2u);
-
-    // A second mesh over the same table reuses the entry outright.
-    const MeshNoc other(geom, NocParams{}, nullptr, table);
-    EXPECT_EQ(&other.routeCached({0, 0}, {5, 7}), &a);
-    EXPECT_EQ(other.routeCacheMisses(), 0u);
-}
-
-TEST(SharedRouteTable, FailLinkCopiesOnFaultAndStaysBitIdentical)
-{
-    const WaferGeometry geom;
-    const auto table =
-        std::make_shared<const CleanRouteTable>(geom, NocParams{});
-    MeshNoc shared(geom, NocParams{}, nullptr, table);
-    MeshNoc cold(geom, NocParams{});
-
-    const auto before = shared.route({0, 0}, {0, 5});
-    ASSERT_EQ(before.size(), 6u);
-
-    // failLink keeps the auto-invalidation contract: the overlay and
-    // the validation memo flush; the shared table is untouched.
-    shared.failLink({0, 2}, LinkDir::East);
-    cold.failLink({0, 2}, LinkDir::East);
-    EXPECT_EQ(shared.routeCacheSize(), 0u);
-
-    // The faulted pair detours identically to the cold mesh and now
-    // lives in the private overlay (copy-on-fault)...
-    const auto after = shared.route({0, 0}, {0, 5});
-    EXPECT_EQ(after, cold.route({0, 0}, {0, 5}));
-    EXPECT_GT(after.size(), before.size());
-    EXPECT_EQ(shared.routeCacheSize(), 1u);
-
-    // ... while pairs the failed link cannot touch are still served
-    // from the shared table after revalidation.
-    const std::uint64_t misses_before = shared.routeCacheMisses();
-    const auto &clean_pair = shared.routeCached({5, 5}, {8, 9});
-    EXPECT_EQ(clean_pair, cold.route({5, 5}, {8, 9}));
-    EXPECT_EQ(shared.routeCacheMisses(), misses_before);
-    EXPECT_GT(shared.sharedTableHits(), 0u);
-}
-
-TEST(SharedRouteTable, ExternalDefectMutationNeedsExplicitFlush)
-{
-    // The PR 3 invalidation contract holds verbatim with a shared
-    // table: mutating the external DefectMap requires
-    // invalidateRoutes(); afterwards shared entries revalidate
-    // against the new defects and invalid ones are rerouted locally.
-    const WaferGeometry geom;
-    DefectMap defects(geom);
-    const auto table =
-        std::make_shared<const CleanRouteTable>(geom, NocParams{});
-    const MeshNoc shared(geom, NocParams{}, &defects, table);
-    const MeshNoc cold(geom, NocParams{}, &defects);
-
-    const auto clean = shared.route({0, 0}, {0, 4});
-    ASSERT_EQ(clean.size(), 5u);
-
-    defects.inject({0, 2});
-    shared.invalidateRoutes();
-    cold.invalidateRoutes();
-    const auto detour = shared.route({0, 0}, {0, 4});
-    EXPECT_EQ(detour, cold.route({0, 0}, {0, 4}));
-    EXPECT_GT(detour.size(), clean.size());
-    for (const auto &c : detour)
-        EXPECT_FALSE(defects.defective(c));
-}
-
-TEST(SharedRouteTable, DefectiveDestinationServedFromTable)
-{
-    // Routes may END at a defective core; the clean route to it is
-    // still valid (only intermediate hops matter), so the shared
-    // table serves it.
-    const WaferGeometry geom;
-    DefectMap defects(geom);
-    defects.inject({0, 4});
-    const auto table =
-        std::make_shared<const CleanRouteTable>(geom, NocParams{});
-    const MeshNoc shared(geom, NocParams{}, &defects, table);
-    const auto path = shared.route({0, 0}, {0, 4});
-    ASSERT_EQ(path.size(), 5u);
-    EXPECT_EQ(shared.routeCacheMisses(), 0u);
-    EXPECT_GE(shared.sharedTableHits(), 1u);
-}
-
-TEST(SharedRouteTable, ConcurrentFillMatchesSerialFill)
-{
-    // N threads hammering one pair set must leave the table in the
-    // state a serial fill produces: identical routes for every pair,
-    // each pair computed exactly once (the lookup mutex serialises
-    // first computations), and no extra entries.
-    const WaferGeometry geom(2, 2, 8, 8);
-    std::vector<std::pair<CoreCoord, CoreCoord>> pairs;
-    Rng rng(404);
-    std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
-    while (pairs.size() < 200) {
-        const CoreCoord src{static_cast<std::uint32_t>(
-                                    rng.uniformInt(0, geom.rows() - 1)),
-                            static_cast<std::uint32_t>(rng.uniformInt(
-                                    0, geom.cols() - 1))};
-        const CoreCoord dst{static_cast<std::uint32_t>(
-                                    rng.uniformInt(0, geom.rows() - 1)),
-                            static_cast<std::uint32_t>(rng.uniformInt(
-                                    0, geom.cols() - 1))};
-        if (seen.insert({geom.coreIndex(src), geom.coreIndex(dst)})
-                    .second)
-            pairs.emplace_back(src, dst);
-    }
-
-    const CleanRouteTable serial(geom, NocParams{});
-    std::vector<std::vector<CoreCoord>> want;
-    for (const auto &[src, dst] : pairs)
-        want.push_back(serial.route(src, dst));
-
-    const CleanRouteTable concurrent(geom, NocParams{});
-    constexpr unsigned kThreads = 8;
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&concurrent, &pairs, t] {
-            // Every thread walks the whole set from a different
-            // offset, maximising same-pair contention.
-            for (std::size_t i = 0; i < pairs.size(); ++i) {
-                const auto &[src, dst] =
-                    pairs[(i + t * 31) % pairs.size()];
-                const auto &path = concurrent.route(src, dst);
-                if (src != dst && path.empty())
-                    std::abort(); // clean mesh: always routable
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-
-    EXPECT_EQ(concurrent.size(), pairs.size());
-    EXPECT_EQ(concurrent.computedRoutes(), pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        EXPECT_EQ(concurrent.route(pairs[i].first, pairs[i].second),
-                  want[i])
-            << "pair " << i;
-    }
-}
-
 TEST(RouteMeta, SummaryMatchesPathDerivation)
 {
     // The cached RouteMeta must agree with a by-hand derivation from
@@ -594,8 +405,8 @@ TEST(RouteMeta, SummaryMatchesPathDerivation)
 TEST(RouteMeta, TransferCostMetaMatchesWalkFuzz)
 {
     // Metadata-priced transferCost must be BIT-identical to the
-    // retained walk oracle: clean routes, defect detours, failed-link
-    // detours, and shared-table-served routes alike.
+    // retained walk oracle: clean routes, defect detours and
+    // failed-link detours alike.
     const WaferGeometry geom;
     const NocParams params;
     DefectMap defects(geom);
@@ -606,27 +417,21 @@ TEST(RouteMeta, TransferCostMetaMatchesWalkFuzz)
                         static_cast<std::uint32_t>(
                                 seed_rng.uniformInt(0, 40))});
     }
-    const auto table =
-        std::make_shared<const CleanRouteTable>(geom, params);
-
     struct Scenario
     {
         const char *name;
         const DefectMap *defects;
-        std::shared_ptr<const CleanRouteTable> table;
         bool fail_link;
     };
     const Scenario scenarios[] = {
-        {"clean", nullptr, nullptr, false},
-        {"defected", &defects, nullptr, false},
-        {"defected+failLink", &defects, nullptr, true},
-        {"shared-table", &defects, table, false},
-        {"shared-table+failLink", &defects, table, true},
+        {"clean", nullptr, false},
+        {"defected", &defects, false},
+        {"defected+failLink", &defects, true},
     };
 
     for (const auto &sc : scenarios) {
-        MeshNoc meta(geom, params, sc.defects, sc.table);
-        MeshNoc walk(geom, params, sc.defects, sc.table);
+        MeshNoc meta(geom, params, sc.defects);
+        MeshNoc walk(geom, params, sc.defects);
         walk.setPriceFromMeta(false);
         if (sc.fail_link) {
             meta.failLink({12, 20}, LinkDir::East);

@@ -126,9 +126,8 @@ TEST(RecoveryService, MatchesPerPlacementOracleFuzz)
             RecoveryService service(mapping, NocParams{}, tile_bytes,
                                     dmap, sopts);
 
-            // Mirror oracle: raw per-placement recoveries on a cold
-            // mesh (shared-table serves are pinned bit-identical to
-            // cold routing, so pricing agrees too).
+            // Mirror oracle: raw per-placement recoveries on a
+            // separate mesh over the same defect map.
             const MeshNoc cold(geom, NocParams{}, dmap);
             std::vector<BlockPlacement> mirror;
             for (std::uint32_t rep = 0; rep < 2; ++rep) {
@@ -221,7 +220,11 @@ TEST(RecoveryService, IndexAndScanModesIdenticalWithBorrowing)
         ++handled;
         EXPECT_TRUE(sameResult(ra->remap, rb->remap));
         EXPECT_EQ(ra->borrows, rb->borrows);
-        EXPECT_EQ(ra->interBlockByteHops, rb->interBlockByteHops);
+        const RepriceResult pa = a.flushRepricing();
+        const RepriceResult pb = b.flushRepricing();
+        EXPECT_EQ(pa.interBlockByteHops, pb.interBlockByteHops);
+        EXPECT_EQ(pa.edges, pb.edges);
+        EXPECT_EQ(pa.flowsRoutable, pb.flowsRoutable);
     }
     EXPECT_GT(handled, 0u);
     EXPECT_GT(a.borrowCount(), 0u)
@@ -445,10 +448,13 @@ TEST(RecoveryService, RepricesAffectedInterBlockFlows)
     const auto out = service.handleCoreFailure(
             service.placement(0).weightCores[0]);
     ASSERT_TRUE(out.has_value());
-    EXPECT_TRUE(out->flowsRoutable);
-    EXPECT_GT(out->interBlockByteHops, 0.0);
+    ASSERT_FALSE(out->remap.moves.empty());
+    const RepriceResult priced = service.flushRepricing();
+    EXPECT_TRUE(priced.flowsRoutable);
+    EXPECT_EQ(priced.edges, 1u); // block 0 -> 1, the chain's only edge
+    EXPECT_GT(priced.interBlockByteHops, 0.0);
 
-    // The outcome's figure is exactly the product flow definition
+    // The flushed figure is exactly the product flow definition
     // re-accumulated over the post-recovery placements.
     TrafficAccumulator traffic(service.noc());
     ASSERT_TRUE(accumulateInterBlockFlows(
@@ -456,7 +462,7 @@ TEST(RecoveryService, RepricesAffectedInterBlockFlows)
             service.placement(0).weightCores,
             service.placement(1).weightCores, service.noc(),
             traffic));
-    EXPECT_EQ(out->interBlockByteHops,
+    EXPECT_EQ(priced.interBlockByteHops,
               traffic.totalEffectiveByteHops());
 
     const auto seconds = service.chainInterBlockSeconds(0);
@@ -464,13 +470,36 @@ TEST(RecoveryService, RepricesAffectedInterBlockFlows)
     EXPECT_GT(*seconds, 0.0);
 }
 
-TEST(RecoveryService, DeferredRepricingMatchesEagerFuzz)
+/** The edges a weight move in (replica, block) marks dirty: the
+ *  predecessor flow in and the block's own flow out. */
+std::set<InterBlockEdge>
+movedBlockEdges(const RecoveryService &service, std::uint32_t replica,
+                std::uint64_t block)
 {
-    // Whole failure sequences, eager vs deferred: recoveries and
-    // borrows must be bit-identical throughout (re-pricing never
-    // feeds back into recovery), deferred outcomes report no pricing,
-    // and one flushRepricing() at quiescence prices exactly the
-    // distinct dirty edges - bit-identical to the eager service
+    std::set<InterBlockEdge> edges;
+    if (block > service.firstBlock())
+        edges.emplace(replica, block - 1);
+    if (block + 1 < service.firstBlock() + service.numBlocks())
+        edges.emplace(replica, block);
+    return edges;
+}
+
+std::set<InterBlockEdge>
+dirtySet(const RecoveryService &service)
+{
+    const auto edges = service.dirtyEdges();
+    return {edges.begin(), edges.end()};
+}
+
+TEST(RecoveryService, FlushPerFailureMatchesOneFlushFuzz)
+{
+    // Whole failure sequences through two services that differ only
+    // in when they call flushRepricing(): after every failure, or
+    // once at quiescence. Recoveries and borrows must be
+    // bit-identical throughout (re-pricing never feeds back into
+    // recovery), every failure must mark exactly the edges its
+    // weight moves touch, and the one flush must price exactly the
+    // distinct dirty edges - bit-identical to the per-failure service
     // pricing the same edge list.
     const WaferGeometry geom(3, 3, 8, 8);
     const ModelConfig model = tinyModel();
@@ -485,85 +514,122 @@ TEST(RecoveryService, DeferredRepricingMatchesEagerFuzz)
         const WaferMapping mapping =
             buildMapping(geom, model, 2, dmap);
 
-        RecoveryServiceOptions eager_opts;
-        RecoveryServiceOptions deferred_opts;
-        deferred_opts.deferRepricing = true;
-        RecoveryService eager(mapping, NocParams{}, tile_bytes, dmap,
-                              eager_opts);
-        RecoveryService deferred(mapping, NocParams{}, tile_bytes,
-                                 dmap, deferred_opts);
+        RecoveryService per_failure(mapping, NocParams{}, tile_bytes,
+                                    dmap);
+        RecoveryService batched(mapping, NocParams{}, tile_bytes,
+                                dmap);
 
         Rng rng(131 + defect_seed);
-        std::uint64_t eager_edge_visits = 0;
+        std::uint64_t per_failure_edge_visits = 0;
         std::uint64_t handled = 0;
+        std::uint64_t kv_drops = 0;
         for (int k = 0; k < 150; ++k) {
             const std::uint32_t rep = rng.uniformInt(0, 1);
             const std::uint64_t block =
                 rng.uniformInt(0, model.numBlocks - 1);
-            const auto &p = deferred.placement(block, rep);
+            const auto &p = batched.placement(block, rep);
             const std::size_t alive = aliveCores(p);
             if (alive == 0)
                 continue;
             const CoreCoord failed = resolveFailure(
                     p, static_cast<std::size_t>(
                                rng.uniformInt(0, alive - 1)));
-            const auto de = deferred.handleCoreFailure(failed);
-            const auto ea = eager.handleCoreFailure(failed);
-            ASSERT_EQ(de.has_value(), ea.has_value())
+            const auto batched_before = dirtySet(batched);
+            const auto ba = batched.handleCoreFailure(failed);
+            const auto pf = per_failure.handleCoreFailure(failed);
+            ASSERT_EQ(ba.has_value(), pf.has_value())
                 << "failure " << k;
-            if (!de)
+            if (!ba)
                 continue;
             ++handled;
-            EXPECT_TRUE(sameResult(de->remap, ea->remap));
-            EXPECT_EQ(de->borrows, ea->borrows);
-            // Deferred outcomes carry no pricing...
-            EXPECT_EQ(de->interBlockByteHops, 0.0);
-            EXPECT_TRUE(de->flowsRoutable);
-            // ... and the eager service flushed inside the call.
-            EXPECT_TRUE(eager.dirtyEdges().empty());
-            if (!ea->remap.moves.empty())
-                eager_edge_visits +=
-                    (ea->block > eager.firstBlock() ? 1u : 0u) +
-                    (ea->block + 1 < eager.firstBlock() +
-                                             eager.numBlocks()
-                             ? 1u
-                             : 0u);
+            EXPECT_TRUE(sameResult(ba->remap, pf->remap));
+            EXPECT_EQ(ba->borrows, pf->borrows);
+
+            // A KV drop moves no weight tile and marks nothing; a
+            // weight move marks exactly its predecessor and own
+            // edges.
+            std::set<InterBlockEdge> marked;
+            if (pf->remap.moves.empty())
+                ++kv_drops;
+            else
+                marked = movedBlockEdges(per_failure, pf->replica,
+                                         pf->block);
+            EXPECT_EQ(dirtySet(per_failure), marked) << "failure " << k;
+            auto batched_want = batched_before;
+            batched_want.insert(marked.begin(), marked.end());
+            EXPECT_EQ(dirtySet(batched), batched_want)
+                << "failure " << k;
+
+            const RepriceResult r = per_failure.flushRepricing();
+            EXPECT_EQ(r.edges, marked.size());
+            EXPECT_TRUE(per_failure.dirtyEdges().empty());
+            per_failure_edge_visits += r.edges;
         }
         ASSERT_GT(handled, 0u);
-        EXPECT_EQ(deferred.repricedEdges(), 0u);
+        EXPECT_GT(kv_drops, 0u);
+        EXPECT_LT(kv_drops, handled);
+        EXPECT_EQ(batched.repricedEdges(), 0u);
+        EXPECT_EQ(per_failure.repricedEdges(), per_failure_edge_visits);
 
         // Quiescence: one flush prices the distinct dirty edges,
-        // bit-identical to the eager service pricing that edge list
-        // over its (identical) placements and mesh.
-        const auto dirty = deferred.dirtyEdges();
+        // bit-identical to the per-failure service pricing that edge
+        // list over its (identical) placements and mesh.
+        const auto dirty = batched.dirtyEdges();
         ASSERT_FALSE(dirty.empty());
         // Storms revisit chains, so deduplication must have won.
-        EXPECT_LT(dirty.size(), eager_edge_visits);
-        const RepriceResult flush = deferred.flushRepricing();
-        const RepriceResult want = eager.priceEdges(dirty);
+        EXPECT_LT(dirty.size(), per_failure_edge_visits);
+        const RepriceResult flush = batched.flushRepricing();
+        const RepriceResult want = per_failure.priceEdges(dirty);
         EXPECT_EQ(flush.interBlockByteHops, want.interBlockByteHops);
         EXPECT_EQ(flush.flowsRoutable, want.flowsRoutable);
         EXPECT_EQ(flush.edges, dirty.size());
-        EXPECT_EQ(deferred.repricedEdges(), flush.edges);
+        EXPECT_EQ(batched.repricedEdges(), flush.edges);
 
         // The dirty set drained: nothing left, a second flush is a
         // no-op.
-        EXPECT_TRUE(deferred.dirtyEdges().empty());
-        const RepriceResult again = deferred.flushRepricing();
+        EXPECT_TRUE(batched.dirtyEdges().empty());
+        const RepriceResult again = batched.flushRepricing();
         EXPECT_EQ(again.edges, 0u);
         EXPECT_EQ(again.interBlockByteHops, 0.0);
 
-        // Final placements identical across modes.
+        // Final placements identical across calling patterns.
         for (std::uint32_t rep = 0; rep < 2; ++rep) {
             for (std::uint64_t b = 0; b < model.numBlocks; ++b) {
                 EXPECT_TRUE(
-                        samePlacement(deferred.placement(b, rep),
-                                      eager.placement(b, rep)));
+                        samePlacement(batched.placement(b, rep),
+                                      per_failure.placement(b, rep)));
             }
         }
-        EXPECT_EQ(deferred.recoveries(), eager.recoveries());
-        EXPECT_EQ(deferred.borrowCount(), eager.borrowCount());
+        EXPECT_EQ(batched.recoveries(), per_failure.recoveries());
+        EXPECT_EQ(batched.borrowCount(), per_failure.borrowCount());
     }
+}
+
+TEST(RecoveryService, PriceEdgesRejectsEdgesOffTheChain)
+{
+    // An edge is named by its tail block, so the chain's last block
+    // has no edge: pricing one is a checked error on a one-replica
+    // wafer (no region past the end) and with replicas (where the
+    // next region belongs to another chain). So is a replica the
+    // wafer does not carry.
+    const WaferGeometry geom(3, 3, 8, 8);
+    const ModelConfig model = tinyModel();
+    const Bytes tile_bytes = CoreParams{}.sramBytes();
+    const std::uint64_t last = model.numBlocks - 1;
+
+    const RecoveryService single(buildMapping(geom, model, 1, nullptr),
+                                 NocParams{}, tile_bytes, nullptr);
+    EXPECT_EQ(single.priceEdges({{0, last - 1}}).edges, 1u);
+    EXPECT_DEATH({ single.priceEdges({{0, last}}); },
+                 "has no successor block");
+
+    const RecoveryService replicated(
+            buildMapping(geom, model, 2, nullptr), NocParams{},
+            tile_bytes, nullptr);
+    EXPECT_DEATH({ replicated.priceEdges({{0, last}}); },
+                 "has no successor block");
+    EXPECT_DEATH({ replicated.priceEdges({{2, 0}}); },
+                 "not on this wafer");
 }
 
 TEST(RecoveryService, SystemDelegatesFailureEntryPoint)
