@@ -22,9 +22,10 @@
  * the scan-mode service across the ENTIRE storm, borrows included.
  * The recorded schedule is then replayed through two services that
  * differ only in when they call flushRepricing(): after every failure
- * (eager_* records) or once at quiescence (deferred_* records);
- * recoveries and re-priced totals are asserted bit-identical on every
- * run. BENCH_fault_tolerance.json records storm recoveries/sec, the
+ * or once at quiescence; recoveries and re-priced totals are asserted
+ * bit-identical on every run (the JSON keeps the historical
+ * eager_reprice_edges and deferred_reprice_speedup names for the
+ * per-failure edge visits and the one-flush speedup). BENCH_fault_tolerance.json records storm recoveries/sec, the
  * borrow rate, reprice_edges_per_storm, deferred_reprice_speedup and
  * route_meta_hit_rate.
  *
@@ -312,14 +313,14 @@ struct StormResult
     std::uint64_t borrows = 0;
 
     /** Re-pricing replay over the recorded schedule: a flush after
-     *  every failure (eager) against one flush at quiescence
-     *  (deferred); totals asserted bit-identical on every run. */
-    double eagerSeconds = 0.0;
-    double deferredSeconds = 0.0;
-    std::uint64_t eagerRepricedEdges = 0;
-    std::uint64_t deferredRepricedEdges = 0;
+     *  every failure against one flush at quiescence; totals
+     *  asserted bit-identical on every run. */
+    double perFailureSeconds = 0.0;
+    double oneFlushSeconds = 0.0;
+    std::uint64_t perFailureRepricedEdges = 0;
+    std::uint64_t oneFlushRepricedEdges = 0;
     /** Pricing lookups that found an already-built RouteMeta on the
-     *  deferred replay's mesh (route-cache hits over all lookups). */
+     *  one-flush replay's mesh (route-cache hits over all lookups). */
     double routeMetaHitRate = 0.0;
 };
 
@@ -451,52 +452,53 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
     // quiescence. Recoveries must be bit-identical throughout, and the
     // one flush must price its distinct dirty edges to the exact total
     // the per-failure service computes over the same edge list.
-    RecoveryService eager(*mapping, NocParams{}, tile_bytes,
-                          nullptr);
-    RecoveryService deferred(*mapping, NocParams{}, tile_bytes,
-                             nullptr);
+    RecoveryService per_failure(*mapping, NocParams{}, tile_bytes,
+                                nullptr);
+    RecoveryService batched(*mapping, NocParams{}, tile_bytes,
+                            nullptr);
 
-    const WallTimer eager_timer;
-    std::vector<RemapResult> eager_remaps;
-    eager_remaps.reserve(schedule.size());
+    const WallTimer per_failure_timer;
+    std::vector<RemapResult> per_failure_remaps;
+    per_failure_remaps.reserve(schedule.size());
     for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const auto got = eager.handleCoreFailure(schedule[i]);
+        const auto got = per_failure.handleCoreFailure(schedule[i]);
         ouroAssert(got.has_value(),
-                   "fault_tolerance: eager replay failed at ", i);
-        eager.flushRepricing();
-        eager_remaps.push_back(got->remap);
+                   "fault_tolerance: per-failure replay failed at ", i);
+        per_failure.flushRepricing();
+        per_failure_remaps.push_back(got->remap);
     }
-    out.eagerSeconds = eager_timer.seconds();
-    out.eagerRepricedEdges = eager.repricedEdges();
+    out.perFailureSeconds = per_failure_timer.seconds();
+    out.perFailureRepricedEdges = per_failure.repricedEdges();
 
-    const WallTimer deferred_timer;
+    const WallTimer batched_timer;
     for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const auto got = deferred.handleCoreFailure(schedule[i]);
+        const auto got = batched.handleCoreFailure(schedule[i]);
         ouroAssert(got.has_value() &&
-                           sameResult(got->remap, eager_remaps[i]),
-                   "fault_tolerance: deferred replay diverged at ",
+                           sameResult(got->remap,
+                                      per_failure_remaps[i]),
+                   "fault_tolerance: one-flush replay diverged at ",
                    i);
     }
-    const auto dirty = deferred.dirtyEdges();
-    const RepriceResult flush = deferred.flushRepricing();
-    out.deferredSeconds = deferred_timer.seconds();
-    out.deferredRepricedEdges = flush.edges;
+    const auto dirty = batched.dirtyEdges();
+    const RepriceResult flush = batched.flushRepricing();
+    out.oneFlushSeconds = batched_timer.seconds();
+    out.oneFlushRepricedEdges = flush.edges;
 
-    const RepriceResult want = eager.priceEdges(dirty);
+    const RepriceResult want = per_failure.priceEdges(dirty);
     ouroAssert(flush.interBlockByteHops == want.interBlockByteHops &&
                        flush.flowsRoutable == want.flowsRoutable &&
                        flush.edges == dirty.size(),
-               "fault_tolerance: deferred flush diverged from the "
+               "fault_tolerance: one flush diverged from the "
                "per-failure re-pricing of the same dirty edges");
-    ouroAssert(out.deferredRepricedEdges < out.eagerRepricedEdges,
+    ouroAssert(out.oneFlushRepricedEdges < out.perFailureRepricedEdges,
                "fault_tolerance: storm deduplicated nothing - the "
                "one flush has no batching win to measure");
 
-    const MeshNoc &dnoc = deferred.noc();
+    const MeshNoc &bnoc = batched.noc();
     const std::uint64_t lookups =
-        dnoc.routeCacheHits() + dnoc.routeCacheMisses();
+        bnoc.routeCacheHits() + bnoc.routeCacheMisses();
     out.routeMetaHitRate =
-        lookups > 0 ? static_cast<double>(dnoc.routeCacheHits()) /
+        lookups > 0 ? static_cast<double>(bnoc.routeCacheHits()) /
                               static_cast<double>(lookups)
                     : 0.0;
     return out;
@@ -591,13 +593,13 @@ main(int argc, char **argv)
                  "modes bit-identical across the whole storm.\n";
 
     const double reprice_speedup =
-        storm.eagerSeconds / storm.deferredSeconds;
+        storm.perFailureSeconds / storm.oneFlushSeconds;
     std::cout << "  re-pricing replay: flush per failure "
-              << formatDouble(storm.eagerSeconds * 1e3, 1)
-              << " ms (" << storm.eagerRepricedEdges
+              << formatDouble(storm.perFailureSeconds * 1e3, 1)
+              << " ms (" << storm.perFailureRepricedEdges
               << " edge visits) vs one flush "
-              << formatDouble(storm.deferredSeconds * 1e3, 1)
-              << " ms (" << storm.deferredRepricedEdges
+              << formatDouble(storm.oneFlushSeconds * 1e3, 1)
+              << " ms (" << storm.oneFlushRepricedEdges
               << " distinct edges) - "
               << formatDouble(reprice_speedup, 2)
               << "x, totals bit-identical; route-meta hit rate "
@@ -623,8 +625,8 @@ main(int argc, char **argv)
         .metric("borrow_rate", borrow_rate)
         .metric("storm_recoveries_per_sec", storm_rate)
         .metric("reprice_edges_per_storm",
-                storm.deferredRepricedEdges)
-        .metric("eager_reprice_edges", storm.eagerRepricedEdges)
+                storm.oneFlushRepricedEdges)
+        .metric("eager_reprice_edges", storm.perFailureRepricedEdges)
         .metric("deferred_reprice_speedup", reprice_speedup)
         .metric("route_meta_hit_rate", storm.routeMetaHitRate)
         .write();

@@ -18,10 +18,10 @@ RecoveryService::RecoveryService(
       numBlocks_(mapping.numBlocks()),
       numReplicas_(mapping.numReplicas()), tileBytes_(tile_bytes),
       opts_(opts),
-      defects_(defects ? std::optional<DefectMap>(*defects)
-                       : std::nullopt),
+      defects_(defects ? std::make_unique<const DefectMap>(*defects)
+                       : nullptr),
       noc_(std::make_unique<MeshNoc>(geom_, noc_params,
-                                     defects_ ? &*defects_ : nullptr)),
+                                     defects_.get())),
       traffic_(*noc_)
 {
     regions_.reserve(static_cast<std::size_t>(numReplicas_) *

@@ -278,10 +278,11 @@ class RecoveryService
     RecoveryServiceOptions opts_;
 
     /** The service owns its fault state: the defect map copy and
-     *  the mesh overlaying it. */
-    std::optional<DefectMap> defects_;
-    /** unique_ptr: MeshNoc is not movable-assignable and must be
-     *  constructed after defects_. */
+     *  the mesh overlaying it. Both live on the heap so a moved
+     *  service (makeRecoveryService() returns by value) keeps the
+     *  mesh's DefectMap pointer and the accumulator's MeshNoc
+     *  reference valid; noc_ must be constructed after defects_. */
+    std::unique_ptr<const DefectMap> defects_;
     std::unique_ptr<MeshNoc> noc_;
 
     /** Replica-major, like WaferMapping: regions_[rep * numBlocks_ +

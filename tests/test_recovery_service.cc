@@ -666,5 +666,57 @@ TEST(RecoveryService, SystemDelegatesFailureEntryPoint)
     EXPECT_FALSE(sys->handleCoreFailure(failed).has_value());
 }
 
+TEST(RecoveryService, SystemServiceMatchesStandaloneOnDefectiveWafer)
+{
+    // recovery() moves a service built by makeRecoveryService() into
+    // its slot; the moved service must still route over its own copy
+    // of the defect map. Drive it and a standalone service through
+    // the same failures: recoveries, per-failure re-pricing and the
+    // full chain price must agree bit for bit.
+    OuroborosOptions opts;
+    opts.smartMapping = false;
+    auto sys = OuroborosSystem::build(llama13b(), {}, opts);
+    ASSERT_TRUE(sys.has_value());
+    ASSERT_NE(sys->defectMap(), nullptr);
+
+    RecoveryService standalone = sys->makeRecoveryService();
+    RecoveryService &owned = sys->recovery();
+    Rng rng(17);
+    std::uint64_t moves = 0;
+    std::uint64_t edges = 0;
+    for (int k = 0; k < 40; ++k) {
+        const auto rep = static_cast<std::uint32_t>(
+                rng.uniformInt(0, sys->replicas() - 1));
+        const std::uint64_t block =
+            owned.firstBlock() +
+            rng.uniformInt(0, owned.numBlocks() - 1);
+        const auto &p = standalone.placement(block, rep);
+        if (p.weightCores.empty())
+            continue;
+        const CoreCoord failed = p.weightCores[static_cast<std::size_t>(
+                rng.uniformInt(0, p.weightCores.size() - 1))];
+        const auto got = sys->handleCoreFailure(failed);
+        const auto want = standalone.handleCoreFailure(failed);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "failure " << k;
+        if (!got)
+            continue;
+        EXPECT_TRUE(sameResult(got->remap, want->remap));
+        moves += got->remap.moves.size();
+
+        const RepriceResult a = owned.flushRepricing();
+        const RepriceResult b = standalone.flushRepricing();
+        EXPECT_EQ(a.interBlockByteHops, b.interBlockByteHops);
+        EXPECT_EQ(a.flowsRoutable, b.flowsRoutable);
+        EXPECT_EQ(a.edges, b.edges);
+        edges += a.edges;
+    }
+    EXPECT_GT(moves, 0u);
+    EXPECT_GT(edges, 0u);
+    for (std::uint32_t rep = 0; rep < sys->replicas(); ++rep) {
+        EXPECT_EQ(owned.chainInterBlockSeconds(rep),
+                  standalone.chainInterBlockSeconds(rep));
+    }
+}
+
 } // namespace
 } // namespace ouro
