@@ -9,19 +9,16 @@
  * The harness also cross-checks and times the sparse flow-graph cost
  * engine against the retained dense reference on a production-sized
  * LLaMA-13B block region: every sampled moveDelta / swapDelta must be
- * BIT-identical (checksummed), an annealing run must pick the exact
- * same mapping on either engine, and BENCH_fig18_mapping.json records
- * both engines' cost-evaluations/sec plus the speedup. A second
- * showdown runs the epsilon-exact fused dist*pen engine with batched
- * SoA move pricing against the scalar exact engine - conformance to
- * the kFusedRelBound contract, batch bit-identity, batched-trajectory
- * engine invariance and a 5% anneal-quality bound asserted every run,
- * fused_engine_speedup recorded alongside cost_engine_speedup.
+ * BIT-identical (checksummed), and an annealing run must pick the
+ * exact same mapping on either engine. A second check builds the
+ * whole LLaMA-13B wafer twice, with the region-congruence fast path
+ * and with the per-block rebuild, and asserts identical placements.
+ * BENCH_fig18_mapping.json records both engines' cost-evaluations/sec
+ * with cost_engine_speedup, and both build times with
+ * wafer_build_speedup.
  */
 
 #include "bench_util.hh"
-
-#include <cmath>
 
 #include "common/rng.hh"
 #include "mapping/mappers.hh"
@@ -220,158 +217,6 @@ costEngineShowdown()
     return {dense, sparse};
 }
 
-/** Rates and quality of the fused-engine showdown. */
-struct FusedShowdown
-{
-    double exactScalarEvalsPerSec = 0.0; ///< PR 3 sparse engine
-    double fusedBatchEvalsPerSec = 0.0;  ///< fused table + K=64 batch
-    double speedup = 0.0;
-    double qualityRatio = 0.0; ///< fused-anneal / exact-anneal cost
-};
-
-/**
- * Fused-engine showdown on the LLaMA-13B block region: the epsilon-
- * exact fused product table + batched SoA move pricing against the
- * PR 3 scalar exact engine. Asserts, on every run:
- *   - batched deltas are BIT-identical to scalar deltas per engine;
- *   - every fused delta is within kFusedRelBound * (1 + S) of the
- *     exact engine (S = exact assignmentCost magnitude);
- *   - the batched annealer walks the same trajectory on the sparse
- *     and dense engines (moveBatch = 8);
- *   - the mapping the fused engine anneals is within 5% of the exact
- *     engine's on the EXACT objective.
- * costInter = 1.7 (not a power of two) so the fused reassociation
- * genuinely rounds differently - with the default 2.0 the two tiers
- * collapse to bit-identity and the contract would go unexercised.
- */
-FusedShowdown
-fusedEngineShowdown()
-{
-    const WaferGeometry geom;
-    const auto order = geom.sShapedOrder();
-    const std::vector<CoreCoord> region(order.begin(),
-                                        order.begin() + 192);
-    const MappingProblem exact(
-            llama13b(), CoreParams{}, geom, region, 1.7, nullptr,
-            MappingEngineOptions{true, 1024, false});
-    const MappingProblem fused(
-            llama13b(), CoreParams{}, geom, region, 1.7, nullptr,
-            MappingEngineOptions{true, 1024, true});
-    const Assignment assignment = GreedyMapper{}.solve(exact);
-
-    const double s_exact = exact.assignmentCost(assignment);
-    const double tol =
-        MappingProblem::kFusedRelBound * (1.0 + s_exact);
-    ouroAssert(std::abs(fused.assignmentCost(assignment) - s_exact) <=
-                       tol,
-               "fig18: fused assignmentCost outside the epsilon "
-               "contract");
-
-    const std::size_t tiles = exact.tiles().size();
-    constexpr std::size_t kBatch = 64;
-    constexpr std::size_t kRounds = 3000;
-    Rng rng(777);
-    std::vector<std::uint32_t> cand(kRounds * kBatch);
-    for (auto &slot : cand) {
-        slot = static_cast<std::uint32_t>(rng.next() %
-                                          region.size());
-    }
-
-    // Untimed conformance pass over a sample of rounds: batch ==
-    // scalar bitwise per engine, fused within tol of exact per eval.
-    MappingProblem::MoveScratch scratch;
-    std::vector<double> exact_b(kBatch), fused_b(kBatch);
-    for (std::size_t r = 0; r < 64; ++r) {
-        const std::size_t t = r % tiles;
-        const std::uint32_t *slots = cand.data() + r * kBatch;
-        exact.moveDeltaBatch(assignment, t, slots, kBatch, scratch,
-                             exact_b.data());
-        fused.moveDeltaBatch(assignment, t, slots, kBatch, scratch,
-                             fused_b.data());
-        for (std::size_t i = 0; i < kBatch; ++i) {
-            ouroAssert(exact_b[i] == exact.moveDelta(assignment, t,
-                                                     slots[i]),
-                       "fig18: exact batched delta diverged from the "
-                       "scalar moveDelta");
-            ouroAssert(fused_b[i] == fused.moveDelta(assignment, t,
-                                                     slots[i]),
-                       "fig18: fused batched delta diverged from the "
-                       "scalar fused moveDelta");
-            ouroAssert(std::abs(fused_b[i] - exact_b[i]) <= tol,
-                       "fig18: fused move delta outside the epsilon "
-                       "contract");
-        }
-    }
-
-    // Timed: the PR 3 engine (scalar exact moveDelta) vs the batched
-    // fused kernel, same tiles, same candidate stream.
-    FusedShowdown result;
-    double checksum_scalar = 0.0;
-    {
-        const WallTimer timer;
-        for (std::size_t r = 0; r < kRounds; ++r) {
-            const std::size_t t = r % tiles;
-            const std::uint32_t *slots = cand.data() + r * kBatch;
-            for (std::size_t i = 0; i < kBatch; ++i) {
-                checksum_scalar +=
-                    exact.moveDelta(assignment, t, slots[i]);
-            }
-        }
-        result.exactScalarEvalsPerSec =
-            static_cast<double>(kRounds * kBatch) / timer.seconds();
-    }
-    double checksum_fused = 0.0;
-    {
-        std::vector<double> deltas(kBatch);
-        const WallTimer timer;
-        for (std::size_t r = 0; r < kRounds; ++r) {
-            const std::size_t t = r % tiles;
-            fused.moveDeltaBatch(assignment, t,
-                                 cand.data() + r * kBatch, kBatch,
-                                 scratch, deltas.data());
-            for (std::size_t i = 0; i < kBatch; ++i)
-                checksum_fused += deltas[i];
-        }
-        result.fusedBatchEvalsPerSec =
-            static_cast<double>(kRounds * kBatch) / timer.seconds();
-    }
-    // Per-eval conformance bounds the checksum drift by evals * tol.
-    ouroAssert(std::abs(checksum_fused - checksum_scalar) <=
-                       static_cast<double>(kRounds * kBatch) * tol,
-               "fig18: fused checksum outside the accumulated epsilon "
-               "contract");
-    result.speedup =
-        result.fusedBatchEvalsPerSec / result.exactScalarEvalsPerSec;
-
-    // Batched proposals keep the PR 3 engine-invariance guarantee.
-    AnnealingMapper::Options batch_opts;
-    batch_opts.iterations = 3000;
-    batch_opts.seed = 18;
-    batch_opts.moveBatch = 8;
-    AnnealingMapper::Options batch_dense = batch_opts;
-    batch_dense.useDenseEngine = true;
-    ouroAssert(AnnealingMapper(batch_opts).solve(exact) ==
-                       AnnealingMapper(batch_dense).solve(exact),
-               "fig18: batched annealing trajectory depends on the "
-               "cost engine");
-
-    // Fused-engine annealing quality, judged on the EXACT objective.
-    AnnealingMapper::Options q_opts;
-    q_opts.iterations = 30000;
-    q_opts.seed = 18;
-    q_opts.moveBatch = 8;
-    const double q_exact = exact.assignmentCost(
-            AnnealingMapper(q_opts).solve(exact));
-    const double q_fused = exact.assignmentCost(
-            AnnealingMapper(q_opts).solve(fused));
-    result.qualityRatio = q_fused / q_exact;
-    ouroAssert(q_fused <= q_exact * 1.05 &&
-                       q_exact <= q_fused * 1.05,
-               "fig18: fused-engine mapping quality outside the 5% "
-               "bound (ratio ", result.qualityRatio, ")");
-    return result;
-}
-
 } // namespace
 
 int
@@ -448,12 +293,6 @@ main()
     const double engine_speedup =
         sparse.evalsPerSec / dense.evalsPerSec;
 
-    // Fused product table + batched SoA move pricing vs the PR 3
-    // scalar exact engine (epsilon conformance, batch bit-identity,
-    // batched-trajectory invariance and the 5% quality bound all
-    // asserted inside).
-    const FusedShowdown fusedsd = fusedEngineShowdown();
-
     // Whole-wafer build: congruence translation vs the per-block
     // MappingProblem rebuild (bit-identity asserted inside).
     const auto [rebuild_s, congruent_s] = waferBuildShowdown();
@@ -473,17 +312,6 @@ main()
               << formatDouble(sparse.evalsPerSec / 1e6, 2)
               << " M evals/s\n  speedup:         "
               << formatDouble(engine_speedup, 1) << "x\n";
-    std::cout << "\nFused engine + batched move pricing "
-                 "(LLaMA-13B block region, epsilon-exact):\n"
-              << "  exact scalar:    "
-              << formatDouble(fusedsd.exactScalarEvalsPerSec / 1e6, 2)
-              << " M evals/s\n  fused batched:   "
-              << formatDouble(fusedsd.fusedBatchEvalsPerSec / 1e6, 2)
-              << " M evals/s\n  speedup:         "
-              << formatDouble(fusedsd.speedup, 1)
-              << "x\n  anneal quality:  "
-              << formatDouble(fusedsd.qualityRatio, 4)
-              << " (fused/exact, bound 1.05)\n";
 
     BenchReport("fig18_mapping")
         .metric("wall_seconds", sweep_seconds)
@@ -495,12 +323,6 @@ main()
         .metric("dense_evals_per_sec", dense.evalsPerSec)
         .metric("sparse_evals_per_sec", sparse.evalsPerSec)
         .metric("cost_engine_speedup", engine_speedup)
-        .metric("exact_scalar_evals_per_sec",
-                fusedsd.exactScalarEvalsPerSec)
-        .metric("fused_batch_evals_per_sec",
-                fusedsd.fusedBatchEvalsPerSec)
-        .metric("fused_engine_speedup", fusedsd.speedup)
-        .metric("fused_anneal_quality_ratio", fusedsd.qualityRatio)
         .metric("wafer_build_rebuild_seconds", rebuild_s)
         .metric("wafer_build_congruent_seconds", congruent_s)
         .metric("wafer_build_speedup", build_speedup)

@@ -261,9 +261,9 @@ main(int argc, char **argv)
               << " (fleet " << formatDouble(fleet_goodput_ratio, 3)
               << "), degradation depth "
               << formatDouble(degradation_depth, 3) << "\n"
-              << "parallel==serial, dispatch fast==scan, N=1 "
-                 "collapse, replay and zero-failure==no-storm all "
-                 "bit-identical (asserted).\n";
+              << "parallel==serial, N=1 collapse, replay and "
+                 "zero-failure==no-storm all bit-identical "
+                 "(asserted).\n";
 
     BenchReport report("fleet_serving");
     report.metric("wall_seconds", total_timer.seconds())
@@ -319,9 +319,8 @@ main(int argc, char **argv)
     }
     report
         .text("determinism",
-              "parallel==serial; dispatch fast==scan; N=1 collapse; "
-              "replay bitwise; zero-failure storm==no-storm (all "
-              "asserted)")
+              "parallel==serial; N=1 collapse; replay bitwise; "
+              "zero-failure storm==no-storm (all asserted)")
         .write();
     return 0;
 }

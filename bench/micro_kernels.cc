@@ -269,82 +269,6 @@ BM_SwapDeltaDense(benchmark::State &state)
 }
 BENCHMARK(BM_SwapDeltaDense);
 
-/** Twin-engine fixture: the exact instance and the fused opt-in. */
-struct FusedFixture
-{
-    WaferGeometry geom;
-    std::vector<CoreCoord> region;
-    MappingProblem exact;
-    MappingProblem fused;
-    Assignment assignment;
-
-    FusedFixture()
-        : region([this] {
-              const auto order = geom.sShapedOrder();
-              return std::vector<CoreCoord>(order.begin(),
-                                            order.begin() + 128);
-          }()),
-          exact(llama13b(), CoreParams{}, geom, region, 2.0, nullptr,
-                MappingEngineOptions{true, 1024, false}),
-          fused(llama13b(), CoreParams{}, geom, region, 2.0, nullptr,
-                MappingEngineOptions{true, 1024, true}),
-          assignment(GreedyMapper{}.solve(exact))
-    {
-    }
-};
-
-void
-BM_AssignmentCostFused(benchmark::State &state)
-{
-    // Arg(0): the exact two-gather engine (the oracle). Arg(1): the
-    // fused single-gather product table (epsilon-exact tier).
-    const FusedFixture fx;
-    const MappingProblem &problem =
-        state.range(0) != 0 ? fx.fused : fx.exact;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-                problem.assignmentCost(fx.assignment));
-    }
-}
-BENCHMARK(BM_AssignmentCostFused)->Arg(0)->Arg(1);
-
-void
-BM_MoveDeltaBatch(benchmark::State &state)
-{
-    // Args({K, engine}): price K candidate slots per call through the
-    // SoA batch kernel. engine 0 = exact oracle tables, 1 = fused
-    // product table. K=1 isolates the batch plumbing overhead; K=64
-    // is the amortized steady state the annealer's proposal rounds
-    // hit.
-    const FusedFixture fx;
-    const MappingProblem &problem =
-        state.range(1) != 0 ? fx.fused : fx.exact;
-    const auto k = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint32_t> cand(k);
-    for (std::size_t i = 0; i < k; ++i) {
-        cand[i] = static_cast<std::uint32_t>(
-                (fx.region.size() - 1 - i) % fx.region.size());
-    }
-    MappingProblem::MoveScratch scratch;
-    std::vector<double> deltas(k);
-    std::size_t t = 0;
-    for (auto _ : state) {
-        t = (t + 1) % problem.tiles().size();
-        problem.moveDeltaBatch(fx.assignment, t, cand.data(), k,
-                               scratch, deltas.data());
-        benchmark::DoNotOptimize(deltas.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(k));
-}
-BENCHMARK(BM_MoveDeltaBatch)
-        ->Args({1, 0})
-        ->Args({1, 1})
-        ->Args({8, 0})
-        ->Args({8, 1})
-        ->Args({64, 0})
-        ->Args({64, 1});
-
 void
 BM_AddFlowBlocked(benchmark::State &state)
 {

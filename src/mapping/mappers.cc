@@ -130,99 +130,50 @@ AnnealingMapper::annealOnce(const MappingProblem &problem,
         temperature = std::max(1.0, sum_abs / probes);
     }
 
-    // Proposal rounds: ONE tile draw + `moveBatch` slot draws per
-    // round, then the round's still-pending free-slot candidates are
-    // priced in one moveDeltaBatch SoA pass (lazily, and re-priced if
-    // an accepted move invalidates them). With moveBatch=1 the RNG
-    // word sequence and every accept/reject decision reproduce the
-    // historical one-draw-per-iteration loop bit for bit; for any
-    // fixed batch the trajectory is engine-invariant because batched
-    // deltas are bit-identical to the scalar moveDelta.
-    const std::uint32_t batch =
-        std::max<std::uint32_t>(1, opts_.moveBatch);
-    std::vector<std::uint32_t> cand(batch), free_slots(batch);
-    std::vector<std::size_t> free_pos(batch);
-    std::vector<double> cand_delta(batch), free_delta(batch);
-    MappingProblem::MoveScratch scratch;
-
-    for (std::uint64_t iter = 0; iter < opts_.iterations;) {
+    // One proposal per iteration: draw a tile, then a slot. A free
+    // slot relocates the tile, an occupied one swaps the two tiles.
+    for (std::uint64_t iter = 0; iter < opts_.iterations; ++iter) {
         const auto t1 =
             static_cast<std::size_t>(rng.uniformInt(0,
                                                     tiles.size() - 1));
-        const auto round = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(batch,
-                                        opts_.iterations - iter));
-        for (std::uint32_t i = 0; i < round; ++i)
-            cand[i] = slots[rng.uniformInt(0, slots.size() - 1)];
+        const std::uint32_t slot =
+            slots[rng.uniformInt(0, slots.size() - 1)];
+        if (slot == current[t1])
+            continue;
 
-        bool priced = false;
-        for (std::uint32_t i = 0; i < round; ++i, ++iter) {
-            const std::uint32_t slot = cand[i];
-            if (slot == current[t1])
-                continue;
-
-            double delta = 0.0;
-            const std::int64_t other = occupant[slot];
-            if (other < 0) {
-                // Relocate t1 to a free slot.
-                if (dense) {
-                    delta = problem.moveDeltaDense(current, t1, slot);
-                } else {
-                    if (!priced) {
-                        // Price every still-pending free candidate of
-                        // the round in one pass; any accepted move
-                        // (relocate or swap) clears `priced` because
-                        // it changes the deltas.
-                        std::size_t nf = 0;
-                        for (std::uint32_t j = i; j < round; ++j) {
-                            const std::uint32_t s = cand[j];
-                            if (s != current[t1] && occupant[s] < 0) {
-                                free_pos[nf] = j;
-                                free_slots[nf++] = s;
-                            }
-                        }
-                        problem.moveDeltaBatch(current, t1,
-                                               free_slots.data(), nf,
-                                               scratch,
-                                               free_delta.data());
-                        for (std::size_t j = 0; j < nf; ++j)
-                            cand_delta[free_pos[j]] = free_delta[j];
-                        priced = true;
-                    }
-                    delta = cand_delta[i];
-                }
-                if (delta <= 0.0 ||
-                    rng.uniform() < std::exp(-delta / temperature)) {
-                    occupant[current[t1]] = -1;
-                    current[t1] = slot;
-                    occupant[slot] = static_cast<std::int64_t>(t1);
-                    cost += delta;
-                    priced = false;
-                }
-            } else {
-                // Swap t1 and the occupant t2.
-                const auto t2 = static_cast<std::size_t>(other);
-                const std::uint32_t s1 = current[t1];
-                const std::uint32_t s2 = slot;
-                delta = swap_delta(t1, t2);
-                if (delta <= 0.0 ||
-                    rng.uniform() < std::exp(-delta / temperature)) {
-                    std::swap(current[t1], current[t2]);
-                    occupant[s1] = static_cast<std::int64_t>(t2);
-                    occupant[s2] = static_cast<std::int64_t>(t1);
-                    cost += delta;
-                    priced = false;
-                }
+        const std::int64_t other = occupant[slot];
+        if (other < 0) {
+            // Relocate t1 to a free slot.
+            const double delta = move_delta(t1, slot);
+            if (delta <= 0.0 ||
+                rng.uniform() < std::exp(-delta / temperature)) {
+                occupant[current[t1]] = -1;
+                current[t1] = slot;
+                occupant[slot] = static_cast<std::int64_t>(t1);
+                cost += delta;
             }
-
-            if (cost < best_cost) {
-                best_cost = cost;
-                best = current;
+        } else {
+            // Swap t1 and the occupant t2.
+            const auto t2 = static_cast<std::size_t>(other);
+            const std::uint32_t s1 = current[t1];
+            const std::uint32_t s2 = slot;
+            const double delta = swap_delta(t1, t2);
+            if (delta <= 0.0 ||
+                rng.uniform() < std::exp(-delta / temperature)) {
+                std::swap(current[t1], current[t2]);
+                occupant[s1] = static_cast<std::int64_t>(t2);
+                occupant[s2] = static_cast<std::int64_t>(t1);
+                cost += delta;
             }
-            temperature *= opts_.coolingFactor;
-            if (temperature < 1e-9)
-                temperature = 1e-9;
         }
+
+        if (cost < best_cost) {
+            best_cost = cost;
+            best = current;
+        }
+        temperature *= opts_.coolingFactor;
+        if (temperature < 1e-9)
+            temperature = 1e-9;
     }
 
     ouroAssert(problem.feasible(best), "AnnealingMapper: infeasible");

@@ -73,21 +73,6 @@ class AnnealingMapper
          * exists so harnesses can time and cross-check the engines.
          */
         bool useDenseEngine = false;
-
-        /**
-         * Candidate slots drawn per proposal round. Each round draws
-         * ONE tile and `moveBatch` candidate slots (consuming RNG
-         * words in that fixed order), then prices the round's free
-         * slots with MappingProblem::moveDeltaBatch in one SoA pass.
-         * Because batched deltas are bit-identical to the scalar
-         * moveDelta, the trajectory for a given moveBatch value is
-         * the same whichever engine prices it and however many
-         * threads run. moveBatch=1 (default) reproduces the
-         * historical PR 3 trajectory bit for bit; larger batches are
-         * a different (equally deterministic) proposal schedule that
-         * amortizes the partner gather across K candidates.
-         */
-        std::uint32_t moveBatch = 1;
     };
 
     AnnealingMapper() : AnnealingMapper(Options{}) {}

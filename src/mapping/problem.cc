@@ -107,23 +107,9 @@ MappingProblem::MappingProblem(const ModelConfig &model,
                                double cost_inter,
                                const DefectMap *defects,
                                bool precompute_distance_table)
-    : MappingProblem(model, core_params, geom,
-                     std::move(candidate_cores), cost_inter, defects,
-                     MappingEngineOptions{precompute_distance_table,
-                                          1024, false})
-{
-}
-
-MappingProblem::MappingProblem(const ModelConfig &model,
-                               const CoreParams &core_params,
-                               const WaferGeometry &geom,
-                               std::vector<CoreCoord> candidate_cores,
-                               double cost_inter,
-                               const DefectMap *defects,
-                               const MappingEngineOptions &engine)
     : layers_(tileBlockLayers(model, core_params)),
       candidates_(std::move(candidate_cores)), geom_(geom),
-      costInter_(cost_inter), defects_(defects), engine_(engine)
+      costInter_(cost_inter), defects_(defects)
 {
     for (std::uint32_t l = 0; l < layers_.size(); ++l) {
         for (std::uint32_t o = 0; o < layers_[l].outSplits; ++o) {
@@ -139,8 +125,7 @@ MappingProblem::MappingProblem(const ModelConfig &model,
                " usable cores but the block needs ", tiles_.size());
 
     buildFlowGraph();
-    if (engine_.precomputeDistanceTable &&
-        candidates_.size() <= engine_.distanceTableMaxCandidates)
+    if (precompute_distance_table)
         buildDistanceTable();
 }
 
@@ -172,14 +157,7 @@ MappingProblem::congruentTranslate(
     // regions share by definition - so the immutable CSR is shared
     // behind its shared_ptr, making the translate O(1) in flow size.
     translated.flow_ = flow_;
-    // The engine contract (fused vs exact, table cutoff) travels with
-    // the translation; only table residency is per-instance.
-    translated.engine_ = engine_;
-    translated.engine_.precomputeDistanceTable =
-        precompute_distance_table;
-    if (precompute_distance_table &&
-        translated.candidates_.size() <=
-                engine_.distanceTableMaxCandidates)
+    if (precompute_distance_table)
         translated.buildDistanceTable();
     return translated;
 }
@@ -285,23 +263,8 @@ void
 MappingProblem::buildDistanceTable()
 {
     const std::size_t c = candidates_.size();
-    if (engine_.fusedCost) {
-        // Fused engine: ONE row-major dist*pen product table - half
-        // the table bytes the exact engine streams per term. Each
-        // entry is the same (dist * pen) product slotFused()'s
-        // on-the-fly branch computes, so table and on-the-fly fused
-        // paths are bit-identical.
-        fusedTable_.resize(c * c);
-        for (std::size_t a = 0; a < c; ++a) {
-            for (std::size_t b = 0; b < c; ++b) {
-                fusedTable_[a * c + b] =
-                    geom_.manhattan(candidates_[a], candidates_[b]) *
-                    penalty(candidates_[a], candidates_[b]);
-            }
-        }
-        hasFusedTable_ = true;
-        return;
-    }
+    if (c > kMaxTableCandidates)
+        return; // too large for C^2 doubles: price on the fly
     distTable_.resize(c * c);
     penTable_.resize(c * c);
     for (std::size_t a = 0; a < c; ++a) {
@@ -404,22 +367,6 @@ MappingProblem::assignmentCost(
     double total = 0.0;
     const std::uint32_t *partner = flow_->partner.data();
     const double *bytes = flow_->bytes.data();
-    if (engine_.fusedCost) {
-        // Epsilon-exact tier: one fused (dist*pen) gather per term,
-        // reassociating ((dist*bytes)*pen) -> ((dist*pen)*bytes).
-        // Summation order is unchanged (same ascending walk), so the
-        // result stays deterministic and within kFusedRelBound of the
-        // exact engine per the contract in problem.hh.
-        for (std::size_t a = 0; a < tiles_.size(); ++a) {
-            const std::uint32_t sa = assignment[a];
-            for (std::uint32_t k = flow_->upper[a];
-                 k < flow_->offsets[a + 1]; ++k) {
-                const std::uint32_t sb = assignment[partner[k]];
-                total += slotFused(sa, sb) * bytes[k];
-            }
-        }
-        return total;
-    }
     for (std::size_t a = 0; a < tiles_.size(); ++a) {
         const std::uint32_t sa = assignment[a];
         for (std::uint32_t k = flow_->upper[a];
@@ -457,15 +404,6 @@ MappingProblem::moveDelta(const std::vector<std::uint32_t> &assignment,
     double delta = 0.0;
     const std::uint32_t *partner = flow_->partner.data();
     const double *bytes = flow_->bytes.data();
-    if (engine_.fusedCost) {
-        for (std::uint32_t k = flow_->offsets[t];
-             k < flow_->offsets[t + 1]; ++k) {
-            const std::uint32_t sb = assignment[partner[k]];
-            delta += slotFused(new_slot, sb) * bytes[k] -
-                     slotFused(old_slot, sb) * bytes[k];
-        }
-        return delta;
-    }
     for (std::uint32_t k = flow_->offsets[t];
          k < flow_->offsets[t + 1]; ++k) {
         const std::uint32_t sb = assignment[partner[k]];
@@ -496,110 +434,6 @@ MappingProblem::moveDeltaDense(
     return delta;
 }
 
-void
-MappingProblem::moveDeltaBatch(
-        const std::vector<std::uint32_t> &assignment, std::size_t t,
-        const std::uint32_t *slots, std::size_t count,
-        MoveScratch &scratch, double *deltas) const
-{
-    ouroAssert(t < tiles_.size(), "moveDeltaBatch: bad tile index");
-    const std::uint32_t old_slot = assignment[t];
-    const std::uint32_t *partner = flow_->partner.data();
-    const double *bytes = flow_->bytes.data();
-    const std::uint32_t k0 = flow_->offsets[t];
-    const std::size_t deg = flow_->offsets[t + 1] - k0;
-    const std::size_t c = candidates_.size();
-
-    // Gather the tile's partner slots and per-flow bytes into SoA
-    // scratch ONCE, and price the old-slot terms once - they are
-    // shared by every candidate. Hoisting the old term changes no
-    // rounding: each candidate pass still evaluates
-    //     delta += (new term) - (old term)
-    // with exactly the operand values and accumulation order of the
-    // scalar moveDelta, so deltas[i] is bit-identical to
-    // moveDelta(assignment, t, slots[i]) on both engines.
-    scratch.partnerSlot.resize(deg);
-    scratch.bytes.resize(deg);
-    scratch.oldTerm.resize(deg);
-    std::uint32_t *psl = scratch.partnerSlot.data();
-    double *byt = scratch.bytes.data();
-    double *old_term = scratch.oldTerm.data();
-    if (engine_.fusedCost) {
-        for (std::size_t j = 0; j < deg; ++j) {
-            const std::uint32_t sb = assignment[partner[k0 + j]];
-            psl[j] = sb;
-            byt[j] = bytes[k0 + j];
-            old_term[j] = slotFused(old_slot, sb) * byt[j];
-        }
-        if (hasFusedTable_) {
-            // Hot path: one contiguous table row per candidate,
-            // streamed against the SoA scratch in a single pass the
-            // compiler can vectorize.
-            for (std::size_t i = 0; i < count; ++i) {
-                const double *row =
-                    fusedTable_.data() +
-                    static_cast<std::size_t>(slots[i]) * c;
-                double d = 0.0;
-                for (std::size_t j = 0; j < deg; ++j)
-                    d += row[psl[j]] * byt[j] - old_term[j];
-                deltas[i] = d;
-            }
-        } else {
-            for (std::size_t i = 0; i < count; ++i) {
-                const std::uint32_t ns = slots[i];
-                double d = 0.0;
-                for (std::size_t j = 0; j < deg; ++j)
-                    d += slotFused(ns, psl[j]) * byt[j] -
-                         old_term[j];
-                deltas[i] = d;
-            }
-        }
-        return;
-    }
-    for (std::size_t j = 0; j < deg; ++j) {
-        const std::uint32_t sb = assignment[partner[k0 + j]];
-        psl[j] = sb;
-        byt[j] = bytes[k0 + j];
-        old_term[j] =
-            slotDist(old_slot, sb) * byt[j] * slotPen(old_slot, sb);
-    }
-    if (hasTable_) {
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::size_t base =
-                static_cast<std::size_t>(slots[i]) * c;
-            const double *drow = distTable_.data() + base;
-            const double *prow = penTable_.data() + base;
-            double d = 0.0;
-            for (std::size_t j = 0; j < deg; ++j)
-                d += drow[psl[j]] * byt[j] * prow[psl[j]] -
-                     old_term[j];
-            deltas[i] = d;
-        }
-    } else {
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uint32_t ns = slots[i];
-            double d = 0.0;
-            for (std::size_t j = 0; j < deg; ++j)
-                d += slotDist(ns, psl[j]) * byt[j] *
-                             slotPen(ns, psl[j]) -
-                     old_term[j];
-            deltas[i] = d;
-        }
-    }
-}
-
-std::vector<double>
-MappingProblem::moveDeltaBatch(
-        const std::vector<std::uint32_t> &assignment, std::size_t t,
-        const std::vector<std::uint32_t> &slots) const
-{
-    MoveScratch scratch;
-    std::vector<double> deltas(slots.size());
-    moveDeltaBatch(assignment, t, slots.data(), slots.size(), scratch,
-                   deltas.data());
-    return deltas;
-}
-
 double
 MappingProblem::swapDelta(const std::vector<std::uint32_t> &assignment,
                           std::size_t t1, std::size_t t2) const
@@ -626,45 +460,6 @@ MappingProblem::swapDelta(const std::vector<std::uint32_t> &assignment,
     const std::uint32_t u2 = static_cast<std::uint32_t>(t2);
 
     double delta = 0.0;
-    if (engine_.fusedCost) {
-        // Same merge walk, fused (dist*pen) gathers - identical term
-        // visit order, so the epsilon contract's fixed summation
-        // order holds here too.
-        while (i < i_end || j < j_end) {
-            const std::uint32_t b1 =
-                i < i_end ? partner[i] : UINT32_MAX;
-            const std::uint32_t b2 =
-                j < j_end ? partner[j] : UINT32_MAX;
-            if (b1 < b2) {
-                if (b1 != u2) {
-                    const std::uint32_t sb = assignment[b1];
-                    const double f1 = bytes[i];
-                    delta += slotFused(s2, sb) * f1 -
-                             slotFused(s1, sb) * f1;
-                }
-                ++i;
-            } else if (b2 < b1) {
-                if (b2 != u1) {
-                    const std::uint32_t sb = assignment[b2];
-                    const double f2 = bytes[j];
-                    delta += slotFused(s1, sb) * f2 -
-                             slotFused(s2, sb) * f2;
-                }
-                ++j;
-            } else {
-                const std::uint32_t sb = assignment[b1];
-                const double f1 = bytes[i];
-                const double f2 = bytes[j];
-                delta += slotFused(s2, sb) * f1 -
-                         slotFused(s1, sb) * f1 +
-                         slotFused(s1, sb) * f2 -
-                         slotFused(s2, sb) * f2;
-                ++i;
-                ++j;
-            }
-        }
-        return delta;
-    }
     while (i < i_end || j < j_end) {
         const std::uint32_t b1 =
             i < i_end ? partner[i] : UINT32_MAX;
@@ -737,14 +532,6 @@ MappingProblem::partialCost(
     double add = 0.0;
     const std::uint32_t *partner = flow_->partner.data();
     const double *bytes = flow_->bytes.data();
-    if (engine_.fusedCost) {
-        for (std::uint32_t k = flow_->offsets[t];
-             k < flow_->upper[t]; ++k) {
-            const std::uint32_t sb = assignment[partner[k]];
-            add += slotFused(slot, sb) * bytes[k];
-        }
-        return add;
-    }
     for (std::uint32_t k = flow_->offsets[t]; k < flow_->upper[t];
          ++k) {
         const std::uint32_t sb = assignment[partner[k]];

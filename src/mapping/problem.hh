@@ -35,27 +35,12 @@
  * (assignmentCostDense / moveDeltaDense / swapDeltaDense) - tests and
  * the fig18 harness assert this.
  *
- * Accuracy-contract tiers:
- *  - DEFAULT (exact engine): bit-identical to the dense reference,
- *    as above. This includes moveDeltaBatch, which prices K candidate
- *    slots from one SoA gather of the tile's partners - each batched
- *    delta is computed with the scalar moveDelta's exact expressions
- *    in the same partner order, so batch results equal K independent
- *    moveDelta calls bit for bit.
- *  - OPT-IN (MappingEngineOptions::fusedCost): distance and penalty
- *    are fused into one row-major dist*pen product table (half the
- *    table traffic; each flow term is one multiply over the
- *    contiguous bytes[] array). Fusing reassociates the term from
- *    ((dist * bytes) * penalty) to ((dist * penalty) * bytes), so
- *    fused results are EPSILON-EXACT instead of bit-identical:
- *    every evaluation satisfies
- *        |fused - exact| <= kFusedRelBound * (1 + S)
- *    where S is the exact objective magnitude of the assignment
- *    (fuzz-tested and asserted by fig18 against the retained exact
- *    engine). The summation order is unchanged (ascending partner /
- *    merge order), so fused results are still deterministic and
- *    thread-count invariant, and the fused table path is
- *    bit-identical to the fused on-the-fly path.
+ * The sparse engine is the only cost engine: the annealer, the
+ * branch-and-bound ExactMapper and the wafer build all price through
+ * it, and the dense references exist only to check it. The table and
+ * on-the-fly slot lookups compute the same values, so table residency
+ * (the precompute flag, the kMaxTableCandidates cutoff) never changes
+ * a result.
  */
 
 #ifndef OURO_MAPPING_PROBLEM_HH
@@ -114,39 +99,6 @@ struct Tile
 };
 
 /**
- * Cost-engine build options of a MappingProblem (see the file header
- * for the accuracy-contract tiers).
- */
-struct MappingEngineOptions
-{
-    /**
-     * Materialise the candidate x candidate slot tables (skipped for
-     * throwaway problems that evaluate the cost only once); results
-     * are bit-identical either way.
-     */
-    bool precomputeDistanceTable = true;
-
-    /**
-     * Largest region (in candidate cores) for which the O(C^2) slot
-     * tables are materialised; larger regions fall back to the
-     * on-the-fly geometry path, which computes the exact same values
-     * (test-pinned above this cutoff). The default is the historical
-     * hard-coded constant; wafer-sized sweeps can raise it to trade
-     * memory for table hits.
-     */
-    std::size_t distanceTableMaxCandidates = 1024;
-
-    /**
-     * Opt into the fused dist*pen engine: one row-major product table
-     * instead of the two unfused tables, epsilon-exact against the
-     * dense oracle under kFusedRelBound (the default exact engine is
-     * bit-identical). The unfused exact engine is always retained -
-     * build a second problem without this flag as the oracle.
-     */
-    bool fusedCost = false;
-};
-
-/**
  * The full placement instance: layers + tiles, the candidate core
  * region, and the cost constants.
  */
@@ -154,16 +106,11 @@ class MappingProblem
 {
   public:
     /**
-     * Relative error bound of the fused engine: every fused
-     * evaluation (assignmentCost / moveDelta / swapDelta /
-     * partialCost / moveDeltaBatch) is within
-     * kFusedRelBound * (1 + S) of the exact engine, S being the
-     * exact assignmentCost magnitude of the evaluated assignment.
-     * The bound is generous against the true drift (one 2-ulp
-     * reassociation per term, summed over a tile's partners) so it
-     * holds on any host; fuzz tests and fig18 assert it.
+     * Largest region (in candidate cores) for which the O(C^2) slot
+     * tables are materialised; larger regions price on the fly, which
+     * computes the exact same values (test-pinned above the cutoff).
      */
-    static constexpr double kFusedRelBound = 1e-11;
+    static constexpr std::size_t kMaxTableCandidates = 1024;
 
     /**
      * Build the problem for one transformer block of @p model on cores
@@ -174,8 +121,9 @@ class MappingProblem
      * @p precompute_distance_table controls whether the candidate x
      * candidate distance/penalty table is materialised (skipped for
      * throwaway problems that evaluate the cost only once, e.g. the
-     * replicated-region instances of WaferMapping); results are
-     * bit-identical either way.
+     * replicated-region instances of WaferMapping, and for regions
+     * above kMaxTableCandidates); results are bit-identical either
+     * way.
      */
     MappingProblem(const ModelConfig &model,
                    const CoreParams &core_params,
@@ -184,14 +132,6 @@ class MappingProblem
                    double cost_inter = 2.0,
                    const DefectMap *defects = nullptr,
                    bool precompute_distance_table = true);
-
-    /** Full engine-option overload (table cutoff, fused engine). */
-    MappingProblem(const ModelConfig &model,
-                   const CoreParams &core_params,
-                   const WaferGeometry &geom,
-                   std::vector<CoreCoord> candidate_cores,
-                   double cost_inter, const DefectMap *defects,
-                   const MappingEngineOptions &engine);
 
     /**
      * Clone this problem onto a *congruent* candidate region: same
@@ -210,7 +150,8 @@ class MappingProblem
      *
      * @p precompute_distance_table defaults to off because translated
      * regions (WaferMapping's replicated blocks) evaluate the
-     * objective once.
+     * objective once; when on, the kMaxTableCandidates cutoff applies
+     * as in the constructor.
      */
     MappingProblem
     congruentTranslate(std::vector<CoreCoord> candidate_cores,
@@ -258,46 +199,6 @@ class MappingProblem
     /** Dense O(T) reference implementation of moveDelta(). */
     double moveDeltaDense(const std::vector<std::uint32_t> &assignment,
                           std::size_t t, std::uint32_t new_slot) const;
-
-    /**
-     * Reusable SoA scratch of moveDeltaBatch: tile t's partner slots,
-     * flow bytes and old-slot terms, gathered once per batch and
-     * streamed contiguously while the K candidates are priced.
-     * Callers keep one instance per annealing chain (it is not
-     * thread-safe) so the buffers stop reallocating after warmup.
-     */
-    struct MoveScratch
-    {
-        std::vector<std::uint32_t> partnerSlot;
-        std::vector<double> bytes;
-        std::vector<double> oldTerm;
-    };
-
-    /**
-     * Batched sibling of moveDelta(): price moving tile @p t to each
-     * of @p count candidate @p slots in one cache-blocked pass. The
-     * tile's partner slots / bytes / old-slot terms are gathered into
-     * @p scratch once, then every candidate streams those flat arrays
-     * (the partner panel stays cache-resident across the K
-     * candidates instead of being re-gathered per call).
-     *
-     * deltas[i] is BIT-IDENTICAL to moveDelta(assignment, t,
-     * slots[i]) on both engines - same per-partner expressions, same
-     * ascending-partner summation order - so using the batch cannot
-     * change an annealing trajectory (fuzz-tested). Candidate slots
-     * may repeat, be occupied, or equal the current slot; occupancy
-     * is the caller's concern.
-     */
-    void moveDeltaBatch(const std::vector<std::uint32_t> &assignment,
-                        std::size_t t, const std::uint32_t *slots,
-                        std::size_t count, MoveScratch &scratch,
-                        double *deltas) const;
-
-    /** Convenience overload with internal scratch (tests/benches). */
-    std::vector<double>
-    moveDeltaBatch(const std::vector<std::uint32_t> &assignment,
-                   std::size_t t,
-                   const std::vector<std::uint32_t> &slots) const;
 
     /**
      * Cost delta of swapping the cores of tiles @p t1 and @p t2.
@@ -355,21 +256,8 @@ class MappingProblem
         return flow_ == other.flow_;
     }
 
-    /** True when the active engine's slot table is resident (the
-     *  unfused dist/pen pair, or the fused product table). */
-    bool hasDistanceTable() const
-    {
-        return engine_.fusedCost ? hasFusedTable_ : hasTable_;
-    }
-
-    /** True when this instance runs the epsilon-exact fused engine. */
-    bool fusedCost() const { return engine_.fusedCost; }
-
-    /** The engine options this instance was built with. */
-    const MappingEngineOptions &engineOptions() const
-    {
-        return engine_;
-    }
+    /** True when the candidate x candidate slot tables are resident. */
+    bool hasDistanceTable() const { return hasTable_; }
 
     /** Verify constraints (Eq. 2/3): a legal one-to-one placement. */
     bool feasible(const std::vector<std::uint32_t> &assignment) const;
@@ -412,17 +300,14 @@ class MappingProblem
     // Candidate x candidate Manhattan distance and die penalty,
     // row-major (only when the region is small enough to afford C^2
     // doubles; otherwise recomputed from the geometry on the fly,
-    // which yields the exact same values). The exact engine keeps
-    // the two unfused tables; the fused engine keeps one dist*pen
-    // product table instead (half the table traffic).
+    // which yields the exact same values).
     std::vector<double> distTable_;
     std::vector<double> penTable_;
-    std::vector<double> fusedTable_;
     bool hasTable_ = false;
-    bool hasFusedTable_ = false;
-    MappingEngineOptions engine_;
 
     void buildFlowGraph();
+    /** Materialise the slot tables unless the region exceeds
+     *  kMaxTableCandidates. */
     void buildDistanceTable();
 
     double slotDist(std::uint32_t a, std::uint32_t b) const
@@ -441,20 +326,6 @@ class MappingProblem
                                      candidates_.size() +
                              b];
         return penalty(candidates_[a], candidates_[b]);
-    }
-
-    /** Fused dist*pen of a slot pair. The on-the-fly expression is
-     *  the same (dist * pen) product the table is filled with, so
-     *  the two fused paths are bit-identical (test-pinned). */
-    double slotFused(std::uint32_t a, std::uint32_t b) const
-    {
-        if (hasFusedTable_)
-            return fusedTable_[static_cast<std::size_t>(a) *
-                                       candidates_.size() +
-                               b];
-        const CoreCoord ca = candidates_[a];
-        const CoreCoord cb = candidates_[b];
-        return geom_.manhattan(ca, cb) * penalty(ca, cb);
     }
 
     double penalty(CoreCoord a, CoreCoord b) const;

@@ -248,14 +248,9 @@ WaferMapping::build(const ModelConfig &model,
         if (region == 0 || !opts.congruentReuse) {
             // Full construction: block 0 (the template) or the
             // retained per-region rebuild oracle.
-            MappingEngineOptions engine;
-            engine.precomputeDistanceTable = anneals;
-            engine.distanceTableMaxCandidates =
-                opts.distanceTableMaxCandidates;
-            engine.fusedCost = opts.fusedCostEngine;
             rebuilt.emplace(model, core_params, geom,
                             std::move(region_cores), opts.costInter,
-                            nullptr, engine);
+                            nullptr, anneals);
         }
         const MappingProblem problem =
             rebuilt ? std::move(*rebuilt)
@@ -284,7 +279,6 @@ WaferMapping::build(const ModelConfig &model,
                 sa.iterations = opts.annealIterations;
                 sa.restarts = std::max(1u, opts.annealRestarts);
                 sa.seed = opts.seed;
-                sa.moveBatch = std::max(1u, opts.annealMoveBatch);
                 assignment = AnnealingMapper(sa).solve(problem);
                 break;
               }

@@ -133,28 +133,6 @@ struct WaferMappingOptions
      * and fig18_mapping compare the two on every run).
      */
     bool congruentReuse = true;
-
-    /**
-     * Opt into the epsilon-exact fused dist*pen cost engine for the
-     * per-region MappingProblems (MappingEngineOptions::fusedCost).
-     * Default false keeps the bit-identical exact engine.
-     */
-    bool fusedCostEngine = false;
-
-    /**
-     * Candidate-count cutoff above which per-region problems skip the
-     * O(C^2) distance table and price on the fly
-     * (MappingEngineOptions::distanceTableMaxCandidates). Raise it
-     * for wafer-sized sweeps that can afford the table memory.
-     */
-    std::size_t distanceTableMaxCandidates = 1024;
-
-    /**
-     * AnnealingMapper::Options::moveBatch for the per-region
-     * annealer: candidate slots drawn (and batch-priced) per
-     * proposal round. 1 reproduces the historical trajectory.
-     */
-    std::uint32_t annealMoveBatch = 1;
 };
 
 /**
