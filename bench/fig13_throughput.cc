@@ -97,10 +97,11 @@ main(int argc, char **argv)
     // The pool admits the whole cohort at t=0 and decode stays in
     // steady state (no thrashing - the operating point a production
     // admission controller targets), which is exactly the regime the
-    // cohort fast path accelerates. The slow-path run is the PR 1
-    // engine (per-event heap pops, per-token KV grow); both runs
-    // must produce bit-identical PipelineStats. Best-of-3 timing on
-    // each side keeps the record stable on noisy shared runners.
+    // cohort fast path accelerates. The slow-path run pops every
+    // decode token from the engine's decode lane and grows its KV
+    // per token (cohortFastPath off); both runs must produce
+    // bit-identical PipelineStats. Best-of-3 timing on each side
+    // keeps the record stable on noisy shared runners.
     const ModelConfig serve_model = llama13b();
     const auto serve_sys = buildOuroboros(serve_model);
     Workload serving = fixedWorkload(16, 112, 384);

@@ -8,8 +8,9 @@
  * both the sparse flow-graph engine and the dense reference, the
  * wafer-level recovery service's failure handling and dry-pool KV
  * borrowing, day-trace window materialization, the sampled-window
- * simulator, and the RNG. These guard the simulator's own
- * performance (the figure harnesses run millions of these calls).
+ * simulator, one KV-thrashing pipeline run, and the RNG. These guard
+ * the simulator's own performance (the figure harnesses run millions
+ * of these calls).
  */
 
 #include <benchmark/benchmark.h>
@@ -26,6 +27,7 @@
 #include "mapping/wafer_mapping.hh"
 #include "model/llm.hh"
 #include "noc/mesh.hh"
+#include "pipeline/engine.hh"
 #include "runtime/recovery_service.hh"
 #include "sim/fleet.hh"
 #include "sim/sampled_run.hh"
@@ -671,6 +673,44 @@ BM_FleetDispatch(benchmark::State &state)
     state.SetItemsProcessed(routed);
 }
 BENCHMARK(BM_FleetDispatch);
+
+void
+BM_RunPipelineThrash(benchmark::State &state)
+{
+    // One runPipeline shaped like fleet-storm's storm wafer: a quarter
+    // of a 1024-request day-trace batch (maxLen 512) on a 4-core KV
+    // pool that holds about a dozen residents, so the event loop sees
+    // token-grained prefill, capacity evictions, stale lane entries
+    // and re-prefill churn. Items are pipeline tokens.
+    const ModelConfig cfg = llama13b();
+    StageTiming timing;
+    for (unsigned s = 0; s < kStagesPerBlock; ++s) {
+        timing.fixedSeconds[s] = 1e-6;
+        timing.perContextSeconds[s] = 1e-9;
+    }
+    DayTraceParams params;
+    params.requests = 256;
+    params.maxLen = 512;
+    params.seed = 23;
+    const Workload w = DayTrace(params).wholeDay();
+    std::vector<KvCoreInfo> score, context;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        score.push_back({{0, i}, 32, 8});
+        context.push_back({{1, i}, 32, 8});
+    }
+    std::int64_t tokens = 0;
+    std::uint64_t evictions = 0;
+    for (auto _ : state) {
+        BlockKvManager kv(cfg, score, context);
+        const PipelineStats stats = runPipeline(w, cfg, timing, kv);
+        benchmark::DoNotOptimize(stats.makespanSeconds);
+        tokens += static_cast<std::int64_t>(stats.tokensProcessed);
+        evictions = stats.evictions;
+    }
+    state.SetItemsProcessed(tokens);
+    state.counters["evictions"] = static_cast<double>(evictions);
+}
+BENCHMARK(BM_RunPipelineThrash);
 
 } // namespace
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -29,52 +30,94 @@ struct ActiveSeq
     /** Completion time of this residency's first decode token (the
      *  TTFT sample if the residency completes). */
     double firstTokenDone = 0.0;
-    std::uint64_t generation = 0; ///< invalidates stale heap entries
+    std::uint64_t generation = 0; ///< invalidates stale lane entries
     KvHandle kv;                  ///< slot ticket into the KV manager
+    bool live = false;            ///< resident (admitted, not retired)
 };
 
 /** Pending (not yet admitted) request. */
 struct Pending
 {
     std::uint64_t id;
+    std::uint32_t slot; ///< index into Workload::requests
     std::uint64_t prefillLen;
     std::uint64_t decodeRemaining;
     /** Re-admission after eviction resumes past the old generation so
-     *  stale heap entries of the previous residency can never match
+     *  stale lane entries of the previous residency can never match
      *  (they would resurrect already-retired events otherwise). */
     std::uint64_t generation = 0;
 };
 
-struct HeapEntry
+struct LaneEntry
 {
     double ready;
     std::uint64_t seq;
     std::uint64_t generation;
+    std::uint32_t slot;
 
     /** Strict total order: ready, then seq, then generation. The seq
      *  tie-break pins the pop order of simultaneous events, which is
      *  what lets the cohort fast path replay it exactly. */
-    bool operator>(const HeapEntry &other) const
+    bool operator<(const LaneEntry &o) const
     {
-        if (ready != other.ready)
-            return ready > other.ready;
-        if (seq != other.seq)
-            return seq > other.seq;
-        return generation > other.generation;
+        return std::tie(ready, seq, generation) <
+               std::tie(o.ready, o.seq, o.generation);
+    }
+};
+
+/** A circular buffer kept sorted by stepping each push back from the
+ *  tail: O(1) while ready times rarely decrease, O(live) storage. */
+struct Lane
+{
+    std::vector<LaneEntry> buf; ///< power-of-two capacity
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    LaneEntry &at(std::size_t k)
+    {
+        return buf[(head + k) & (buf.size() - 1)];
+    }
+
+    LaneEntry pop()
+    {
+        const LaneEntry front = at(0);
+        head = (head + 1) & (buf.size() - 1);
+        --count;
+        return front;
+    }
+
+    void push(const LaneEntry &entry)
+    {
+        if (count == buf.size()) {
+            std::vector<LaneEntry> grown(std::max<std::size_t>(
+                    16, 2 * count));
+            for (std::size_t k = 0; k < count; ++k)
+                grown[k] = at(k);
+            buf.swap(grown);
+            head = 0;
+        }
+        std::size_t j = count++;
+        for (; j > 0 && entry < at(j - 1); --j)
+            at(j) = at(j - 1);
+        at(j) = entry;
+#ifndef NDEBUG
+        ouroAssert(j == 0 || !(at(j) < at(j - 1)),
+                   "lane: entry ordered before its predecessor");
+#endif
     }
 };
 
 /** One cohort member in the insertion-sorted decode ring. The hot
  *  per-token state is copied OUT of the ActiveSeq at ring build and
  *  written back lazily (completion, eviction, or cohort exit), so
- *  the token loop touches only this flat slot - never the hash-map
- *  node. */
+ *  the token loop touches only this flat slot - never the resident
+ *  table. */
 struct RingMember
 {
     double ready;             ///< this member's next event time
     std::uint64_t seq;
     std::uint64_t generation; ///< residency stamp at ring build
-    ActiveSeq *as;            ///< stable: rehash never moves nodes
+    ActiveSeq *as;            ///< stable: the table never reallocates
     std::uint64_t allowance;  ///< in-block tokens before a slow grow
     std::uint64_t consumed;   ///< deferred tokens for one growFast
     double attnFree;          ///< ring-local copy of as->attnFree
@@ -218,7 +261,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         token_grained && masksAllowPureTgp(model.attention);
 
     // Memoized item timings: identical (phase, context, length)
-    // items are built once instead of per heap event - the win is on
+    // items are built once instead of per event - the win is on
     // the O(prefill_len) shapes (whole-sequence and blocked-prefill
     // items, plus repeated prefill contexts across sequences); plain
     // decode-token items are cheaper to recompute than to look up.
@@ -231,59 +274,48 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     const std::uint64_t cache_hits0 = cache.hits();
     const std::uint64_t cache_misses0 = cache.misses();
 
+    // Dense resident table: request i lives in slot i. The id -> slot
+    // index (sorted, so duplicate ids sit side by side) serves only
+    // the victim ids the KV manager returns on an eviction.
+    const auto n = static_cast<std::uint32_t>(workload.requests.size());
     std::deque<Pending> queue;
-    for (const auto &r : workload.requests)
-        queue.push_back({r.id, r.prefillLen, r.decodeLen, 0});
-
-    std::unordered_map<std::uint64_t, ActiveSeq> active;
-    active.reserve(workload.requests.size());
-
-    // Min-heap of (ready, seq, generation) owned directly (not a
-    // priority_queue) so stale entries can be compacted in place.
-    std::vector<HeapEntry> ready_heap;
-    ready_heap.reserve(workload.requests.size() + 16);
-    std::size_t stale_entries = 0;
-
-    auto heap_push = [&](const HeapEntry &entry) {
-        ready_heap.push_back(entry);
-        std::push_heap(ready_heap.begin(), ready_heap.end(),
-                       std::greater<>{});
-    };
-    auto heap_pop = [&]() -> HeapEntry {
-        std::pop_heap(ready_heap.begin(), ready_heap.end(),
-                      std::greater<>{});
-        const HeapEntry top = ready_heap.back();
-        ready_heap.pop_back();
-        return top;
-    };
-
-    /** The live ActiveSeq a heap entry refers to, or null if stale. */
-    auto live_entry = [&](const HeapEntry &entry) -> ActiveSeq * {
-        const auto it = active.find(entry.seq);
-        if (it == active.end() ||
-            it->second.generation != entry.generation) {
-            return nullptr;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> by_id;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const Request &r = workload.requests[i];
+        queue.push_back({r.id, i, r.prefillLen, r.decodeLen, 0});
+        by_id.emplace_back(r.id, i);
+    }
+    std::sort(by_id.begin(), by_id.end());
+    for (std::size_t k = 1; k < by_id.size(); ++k) {
+        if (by_id[k].first == by_id[k - 1].first) {
+            fatal("runPipeline: Workload::requests[", by_id[k].second,
+                  "].id = ", by_id[k].first, " duplicates requests[",
+                  by_id[k - 1].second, "].id (ids must be unique)");
         }
-        return &it->second;
+    }
+    std::vector<ActiveSeq> table(n);
+    std::size_t residents = 0;
+
+    // Ready items in two lanes sorted by (ready, seq, generation):
+    // admissions and prefill re-entries (stage-0 entry times, which
+    // almost never decrease) in one, first-decode and decode
+    // completions in the other. The next event is the earlier front
+    // (an empty decode lane when both are empty). Evictions leave
+    // stale entries behind, dropped when popped.
+    Lane prefill_lane;
+    Lane decode_lane;
+    auto first_lane = [&]() -> Lane & {
+        const bool decode_first = prefill_lane.count == 0 ||
+                (decode_lane.count > 0 &&
+                 decode_lane.at(0) < prefill_lane.at(0));
+        return decode_first ? decode_lane : prefill_lane;
     };
 
-    // Heap hygiene: evictions leave stale generation entries behind;
-    // once they outnumber the live ones, compact in place so the heap
-    // stays O(live) instead of O(lifetime evictions).
-    auto compact_heap = [&]() {
-        if (ready_heap.size() < 32 ||
-            stale_entries * 2 <= ready_heap.size()) {
-            return;
-        }
-        ready_heap.erase(
-                std::remove_if(ready_heap.begin(), ready_heap.end(),
-                               [&](const HeapEntry &entry) {
-                                   return live_entry(entry) == nullptr;
-                               }),
-                ready_heap.end());
-        std::make_heap(ready_heap.begin(), ready_heap.end(),
-                       std::greater<>{});
-        stale_entries = 0;
+    /** The live ActiveSeq a lane entry refers to, or null if stale. */
+    auto live_entry = [&](const LaneEntry &entry) -> ActiveSeq * {
+        ActiveSeq &as = table[entry.slot];
+        return as.live && as.generation == entry.generation ? &as
+                                                            : nullptr;
     };
 
     // One server per stage kind (the representative block's tandem
@@ -313,7 +345,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     // Admit from the FCFS queue head while the KV pool accepts
     // without evicting (Section 4.4.4: new scheduling never evicts).
     auto pump_admissions = [&](double now) {
-        if (admissions_suspended && !active.empty())
+        if (admissions_suspended && residents > 0)
             return;
         admissions_suspended = false; // nothing left running: resume
         while (!queue.empty()) {
@@ -322,45 +354,49 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 kv.admitNoEvictHandle(p.id, admission_tokens(p));
             if (!handle.valid())
                 break;
-            ActiveSeq seq;
-            seq.id = p.id;
-            seq.prefillLen = p.prefillLen;
-            seq.decodeRemaining = p.decodeRemaining;
-            seq.nextReady = now;
-            seq.generation = p.generation;
-            seq.kv = handle;
-            if (seq.prefillLen > 0)
+            table[p.slot] = {.id = p.id, .prefillLen = p.prefillLen,
+                             .decodeRemaining = p.decodeRemaining,
+                             .nextReady = now, .generation = p.generation,
+                             .kv = handle, .live = true};
+            ++residents;
+            if (p.prefillLen > 0)
                 ++prefill_count;
-            active.emplace(p.id, seq);
-            heap_push({now, p.id, p.generation});
+            prefill_lane.push({now, p.id, p.generation, p.slot});
             queue.pop_front();
         }
         stats.peakConcurrency = std::max(
-                stats.peakConcurrency,
-                static_cast<double>(active.size()));
+                stats.peakConcurrency, static_cast<double>(residents));
+    };
+
+    // A request completed: free its KV, retire it, resume admissions.
+    auto complete = [&](ActiveSeq &seq, double now) {
+        kv.release(seq.kv);
+        seq.live = false;
+        --residents;
+        admissions_suspended = false;
+        pump_admissions(now);
     };
 
     // Eviction handler (Section 4.4.4): put each victim back at the
     // FRONT of the wait queue with everything computed so far folded
-    // into its re-prefill, under a fresh generation so a stale heap
+    // into its re-prefill, under a fresh generation so a stale lane
     // entry can never resurrect the dead residency, and suspend
     // admissions (storm losses included). The pool side is the
     // caller's: a capacity grow already released its victims, and a
-    // storm's dropCore destroyed theirs. entries_in_heap says whether
-    // each victim's live heap entry is still enqueued (false when it
-    // lives in the cohort ring or was just popped).
+    // storm's dropCore destroyed theirs.
     auto evict = [&](const std::vector<std::uint64_t> &ids,
-                     EvictCause cause, bool entries_in_heap) {
+                     EvictCause cause) {
         for (const auto id : ids) {
-            const auto it = active.find(id);
-            if (it == active.end())
+            const auto it = std::lower_bound(
+                    by_id.begin(), by_id.end(), std::pair{id, 0u});
+            if (it == by_id.end() || it->first != id ||
+                !table[it->second].live) {
                 continue; // already finished/released
-            ActiveSeq &seq = it->second;
-            Pending back;
-            back.id = id;
-            back.prefillLen = seq.prefillLen + seq.decoded;
-            back.decodeRemaining = seq.decodeRemaining;
-            back.generation = seq.generation + 1;
+            }
+            ActiveSeq &seq = table[it->second];
+            const Pending back{id, it->second,
+                               seq.prefillLen + seq.decoded,
+                               seq.decodeRemaining, seq.generation + 1};
             queue.push_front(back);
             stats.recomputedTokens += back.prefillLen;
             if (cause == EvictCause::Storm) {
@@ -371,9 +407,8 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             }
             if (seq.prefillEntered < seq.prefillLen)
                 --prefill_count;
-            if (entries_in_heap)
-                ++stale_entries;
-            active.erase(it);
+            seq.live = false;
+            --residents;
             admissions_suspended = true;
         }
     };
@@ -469,20 +504,19 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 
     auto apply_storm_event = [&](const KvPoolEvent &ev) {
         for (const CoreCoord &c : ev.dropCores)
-            evict(kv.dropCore(c), EvictCause::Storm, true);
+            evict(kv.dropCore(c), EvictCause::Storm);
         for (const auto &a : ev.adopts)
             kv.adoptCore(a.info, a.scoreDuty);
-        compact_heap();
         // Adopted capacity may rescue waiting (or just-evicted)
         // requests immediately - subject to the suspension rule.
         pump_admissions(ev.time);
     };
 
     // Cohort decode fast path: with every resident sequence in steady
-    // decode and nothing waiting to be admitted, the heap's pop order
+    // decode and nothing waiting to be admitted, the lanes' pop order
     // is a pure (ready, seq) merge of autoregressive chains. Replay
-    // it in an insertion-sorted ring: no heap push/pop, no `active`
-    // hash probe, and per-sequence KV growth batched into one
+    // it in an insertion-sorted ring: no lane traffic, no stale
+    // entries to skip, and per-sequence KV growth batched into one
     // growFast per in-block run. Block-boundary allocations happen
     // in ring order via the handle-based grow, so results stay
     // bit-identical to the slow path; the ring is abandoned the
@@ -490,24 +524,25 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     auto cohort_pass = [&]() {
         const bool static_kv = opts.staticKvAllocation;
 
-        // Gather the one live heap entry of every resident sequence,
+        // Gather the one live lane entry of every resident sequence,
         // copying the hot per-token state into the flat ring slots.
         std::vector<RingMember> ring;
-        ring.reserve(active.size());
-        for (const HeapEntry &entry : ready_heap) {
-            ActiveSeq *as = live_entry(entry);
-            if (as) {
-                ring.push_back({entry.ready, entry.seq,
-                                entry.generation, as, 0, 0,
-                                as->attnFree,
-                                as->prefillLen + as->decoded,
-                                as->decodeRemaining});
+        ring.reserve(residents);
+        for (Lane *lane : {&prefill_lane, &decode_lane}) {
+            for (std::size_t k = 0; k < lane->count; ++k) {
+                const LaneEntry &entry = lane->at(k);
+                if (ActiveSeq *as = live_entry(entry)) {
+                    ring.push_back({entry.ready, entry.seq,
+                                    entry.generation, as, 0, 0,
+                                    as->attnFree,
+                                    as->prefillLen + as->decoded,
+                                    as->decodeRemaining});
+                }
             }
+            lane->count = 0;
         }
-        ouroAssert(ring.size() == active.size(),
-                   "cohort: live heap entries != resident sequences");
-        ready_heap.clear();
-        stale_entries = 0;
+        ouroAssert(ring.size() == residents,
+                   "cohort: live lane entries != resident sequences");
         std::sort(ring.begin(), ring.end(),
                   [](const RingMember &a, const RingMember &b) {
                       return ringBefore(a.ready, a.seq, b.ready,
@@ -559,14 +594,13 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                         sync_member(at(k));
                     const KvResult grown = kv.grow(m.as->kv);
                     if (!grown.evicted.empty()) {
-                        evict(grown.evicted, EvictCause::Capacity,
-                              false);
+                        evict(grown.evicted, EvictCause::Capacity);
                         contended = true; // queue is non-empty now
                     }
                     if (!grown.ok) {
                         // Pool too small even after evicting everyone
                         // else: evict self (slow-path semantics).
-                        evict({m.seq}, EvictCause::Capacity, false);
+                        evict({m.seq}, EvictCause::Capacity);
                         if (kv.resident(m.seq))
                             kv.release(m.seq);
                         pump_admissions(makespan);
@@ -602,10 +636,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                                   m.position - m.as->prefillLen);
                 if (!static_kv && m.consumed > 0)
                     kv.growFast(m.as->kv, m.consumed);
-                kv.release(m.as->kv);
-                active.erase(m.seq);
-                admissions_suspended = false; // a request completed
-                pump_admissions(entry);
+                complete(*m.as, entry);
                 if (contended)
                     bail = true;
                 continue; // member dropped
@@ -627,48 +658,46 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 bail = true; // evictions re-queued work: fall back
         }
 
-        // Survivors sync back and return to the heap with their
+        // Survivors sync back and return to the decode lane with their
         // deferred KV growth committed. Evicted members are skipped:
-        // either gone from `active`, or already re-admitted under a
-        // NEW generation (their fresh heap entry was pushed by
-        // pump_admissions, so re-pushing this stale membership would
-        // duplicate them).
+        // either no longer live, or re-admitted under a NEW generation
+        // (pump_admissions pushed their fresh lane entry, so re-pushing
+        // this stale membership would duplicate them).
         for (std::size_t k = 0; k < count; ++k) {
             const RingMember &m = at(k);
-            const auto it = active.find(m.seq);
-            if (it == active.end() ||
-                it->second.generation != m.generation) {
+            if (!m.as->live || m.as->generation != m.generation)
                 continue;
-            }
             sync_member(m);
             if (!static_kv && m.consumed > 0)
-                kv.growFast(it->second.kv, m.consumed);
-            heap_push({m.ready, m.seq, m.generation});
+                kv.growFast(m.as->kv, m.consumed);
+            decode_lane.push({m.ready, m.seq, m.generation,
+                              static_cast<std::uint32_t>(
+                                      m.as - table.data())});
         }
     };
 
     pump_admissions(0.0);
 
-    while (!ready_heap.empty() || !queue.empty()) {
-        // Storm events interleave with heap events on the run clock:
+    while (first_lane().count > 0 || !queue.empty()) {
+        // Storm events interleave with lane events on the run clock:
         // pop order is nondecreasing in `ready`, so applying an event
-        // once its time is <= the heap front means no item whose
-        // ready time FOLLOWS the event can have been processed before
-        // it (stale fronts only delay application, never reorder it).
-        // With the heap empty the event is the only state change left
-        // - apply it before the skip path so adopted capacity can
-        // still rescue the queue head.
+        // once its time is <= the earlier lane front means no item
+        // whose ready time FOLLOWS the event can have been processed
+        // before it (stale fronts only delay application, never
+        // reorder it). With both lanes empty the event is the only
+        // state change left - apply it before the skip path so
+        // adopted capacity can still rescue the queue head.
         if (storm_pending()) {
             const KvPoolEvent &ev = (*storm)[storm_next];
-            if (ready_heap.empty() ||
-                ev.time <= ready_heap.front().ready) {
+            Lane &lane = first_lane();
+            if (lane.count == 0 || ev.time <= lane.at(0).ready) {
                 ++storm_next;
                 apply_storm_event(ev);
                 continue;
             }
         }
 
-        if (ready_heap.empty()) {
+        if (first_lane().count == 0) {
             // Nothing runnable but requests remain: every resident
             // sequence finished yet the queue head still does not
             // fit, so the request genuinely exceeds pool capacity.
@@ -685,22 +714,16 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         // entry: the ring advances members past the event time with
         // no event check in its token loop.
         if (opts.cohortFastPath && prefill_count == 0 &&
-            queue.empty() && !active.empty() && !storm_pending()) {
+            queue.empty() && residents > 0 && !storm_pending()) {
             cohort_pass();
             continue;
         }
 
-        const HeapEntry top = heap_pop();
-        const auto it = active.find(top.seq);
-        if (it == active.end() ||
-            it->second.generation != top.generation) {
-            // Stale entry drained naturally: keep the hygiene counter
-            // honest or compact_heap fires on an already-clean heap.
-            if (stale_entries > 0)
-                --stale_entries;
-            continue;
-        }
-        ActiveSeq &seq = it->second;
+        const LaneEntry top = first_lane().pop();
+        ActiveSeq *const live = live_entry(top);
+        if (!live)
+            continue; // stale: its residency was evicted
+        ActiveSeq &seq = *live;
 
         const bool is_prefill = seq.prefillEntered < seq.prefillLen;
 
@@ -745,16 +768,13 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         if (!opts.staticKvAllocation) {
             if (!is_prefill) {
                 const KvResult grow = kv.grow(seq.kv);
-                evict(grow.evicted, EvictCause::Capacity, true);
-                compact_heap();
+                evict(grow.evicted, EvictCause::Capacity);
                 if (!grow.ok) {
                     // The grower itself could not fit (pool too small
                     // even after evicting everyone else): evict self.
-                    // Copy the id first: evict() erases `seq`.
-                    const std::uint64_t id = seq.id;
-                    evict({id}, EvictCause::Capacity, false);
-                    if (kv.resident(id))
-                        kv.release(id);
+                    evict({seq.id}, EvictCause::Capacity);
+                    if (kv.resident(seq.id))
+                        kv.release(seq.id);
                     pump_admissions(makespan);
                     continue;
                 }
@@ -767,6 +787,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             advance_item(seq.nextReady, seq.attnFree, *item);
 
         // Advance the sequence and enqueue its next item.
+        Lane *next_lane = &decode_lane;
         if (is_prefill) {
             seq.prefillEntered += item->tokens;
             const bool done_prefill =
@@ -779,16 +800,12 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             } else {
                 // Prefill tokens stream: next is ready at this entry.
                 seq.nextReady = entry;
+                next_lane = &prefill_lane;
             }
             if (seq.decodeRemaining == 0 && done_prefill) {
-                kv.release(seq.kv);
-                active.erase(it);
-                admissions_suspended = false; // a request completed
-                pump_admissions(entry);
+                complete(seq, entry);
                 continue;
             }
-            seq.generation += 1;
-            heap_push({seq.nextReady, seq.id, seq.generation});
         } else {
             if (seq.decoded == 0)
                 seq.firstTokenDone = completion;
@@ -799,16 +816,13 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 // Finished: release KV when the token drains.
                 record_completion(seq.firstTokenDone, completion,
                                   seq.decoded);
-                kv.release(seq.kv);
-                active.erase(it);
-                admissions_suspended = false; // a request completed
-                pump_admissions(entry);
+                complete(seq, entry);
                 continue;
             }
             seq.nextReady = completion; // autoregressive gating
-            seq.generation += 1;
-            heap_push({seq.nextReady, seq.id, seq.generation});
         }
+        seq.generation += 1;
+        next_lane->push({seq.nextReady, seq.id, seq.generation, top.slot});
         pump_admissions(entry);
     }
 

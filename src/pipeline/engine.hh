@@ -122,7 +122,7 @@ struct PipelineStats
     /**
      * Per-completed-request serving latencies (seconds), pushed in
      * completion-processing order - identical on the cohort fast
-     * path and the per-event slow path (part of their bit-identity
+     * path and the lane loop (part of their bit-identity
      * contract). TTFT is the completion time of the request's first
      * decode token in its final (completing) residency, measured
      * from run start (queueing delay included); the inter-token
@@ -238,24 +238,27 @@ struct PipelineOptions
     /**
      * Cohort decode fast path (PR 2): when every resident sequence
      * (one or more) is in steady decode and the admission queue is
-     * empty, the deterministic heap-pop order is replayed in an
-     * insertion-sorted ring - no heap traffic, no per-token hash
-     * probes, KV growth batched through the handle-based growFast.
-     * Results are bit-identical to the per-event slow path (tests
-     * assert this); off, every token is its own heap event - disable
-     * only to measure that path or to bisect.
+     * empty, the engine's deterministic event order - (ready, id,
+     * generation) across its prefill and decode lanes - is replayed
+     * in an insertion-sorted ring: no lane pushes or pops, no stale
+     * entries to skip, KV growth batched through the handle-based
+     * growFast. Results are bit-identical to the lane loop (tests
+     * assert this); off, every decode token is popped from the
+     * decode lane as its own event - disable only to measure that
+     * path or to bisect.
      */
     bool cohortFastPath = true;
 
     /**
      * Failure-storm schedule (PR 9), sorted by nondecreasing time;
-     * null or empty leaves the engine BIT-IDENTICAL to today. While
-     * any event is still pending the engine stays on the per-event
-     * slow path (the cohort ring is not entered): the ring can jump
-     * the run clock past a pending event, which would let tokens
-     * decode against KV the storm already destroyed. Once the
-     * schedule drains, the ring resumes - that resumption is the
-     * measured recovery.
+     * null or empty leaves the engine BIT-IDENTICAL to today. An
+     * event applies once its time is <= the earlier lane front.
+     * While any event is still pending the engine stays on the lane
+     * loop (the cohort ring is not entered): the ring can jump the
+     * run clock past a pending event, which would let tokens decode
+     * against KV the storm already destroyed. Once the schedule
+     * drains, the ring resumes - that resumption is the measured
+     * recovery.
      */
     const std::vector<KvPoolEvent> *stormSchedule = nullptr;
 
@@ -268,6 +271,7 @@ struct PipelineOptions
  * Run @p workload through the pipeline of @p model with stage times
  * @p timing, using @p kv as the representative-block KV manager (all
  * N blocks see identical KV load, so one manager stands for all).
+ * Request ids must be unique within @p workload (fatal otherwise).
  */
 PipelineStats runPipeline(const Workload &workload,
                           const ModelConfig &model,

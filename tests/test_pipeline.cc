@@ -7,6 +7,9 @@
  * 15, 16 and 17.
  */
 
+#include <cstring>
+#include <ios>
+
 #include <gtest/gtest.h>
 
 #include "kvcache/manager.hh"
@@ -556,7 +559,7 @@ TEST(Pipeline, SkippedRequestsCounted)
 
 TEST(Pipeline, EvictionAccountingExact)
 {
-    // Regression for the eviction-requeue path: a stale heap entry
+    // Regression for the eviction-requeue path: a stale lane entry
     // resurrected after re-admission would double-process events and
     // break the exact token balance
     //   tokensProcessed == sum(prefill + decode) + recomputedTokens
@@ -572,6 +575,132 @@ TEST(Pipeline, EvictionAccountingExact)
               16u * (512 + 1024) + stats.recomputedTokens);
     EXPECT_EQ(kv.numResident(), 0u);
     EXPECT_EQ(kv.usedBlocks(), 0u);
+}
+
+/** 64-bit FNV-1a over the bit patterns of @p samples, in order. */
+std::uint64_t
+fnv1aBits(const std::vector<double> &samples)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const double x : samples) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &x, sizeof bits);
+        for (unsigned b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/** Pinned outcome of one fixed-seed run (see EventOrderGolden). */
+struct OrderGolden
+{
+    const char *name;
+    double makespanSeconds;
+    std::uint64_t tokensProcessed;
+    std::uint64_t evictions;
+    std::uint64_t stormEvictions;
+    std::uint64_t ttftHash;
+    std::uint64_t interTokenHash;
+};
+
+void
+expectGolden(const OrderGolden &want, const PipelineStats &got)
+{
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(got.makespanSeconds, want.makespanSeconds)
+            << std::hexfloat << got.makespanSeconds;
+    EXPECT_EQ(got.tokensProcessed, want.tokensProcessed);
+    EXPECT_EQ(got.evictions, want.evictions);
+    EXPECT_EQ(got.stormEvictions, want.stormEvictions);
+    EXPECT_EQ(fnv1aBits(got.ttftSamples), want.ttftHash)
+            << std::hex << "0x" << fnv1aBits(got.ttftSamples);
+    EXPECT_EQ(fnv1aBits(got.interTokenSamples), want.interTokenHash)
+            << std::hex << "0x" << fnv1aBits(got.interTokenSamples);
+}
+
+TEST(Pipeline, EventOrderGolden)
+{
+    // Pins the engine's event order itself, not just agreement
+    // between its two decode paths: a tie-break change (simultaneous
+    // events popped out of (ready, seq, generation) order) moves the
+    // latency samples and the makespan, and fails here even though
+    // every cohort-on == cohort-off oracle still agrees. Uniform
+    // stage times make equal ready times common; the tight pool
+    // (4 crossbars x 8 blocks per core) evicts, so stale entries and
+    // re-admissions are exercised.
+    const Workload w = wikiText2Like(48, 1024, 11);
+    const StageTiming timing = uniformTiming();
+    auto pool = [](std::uint32_t cores, std::uint32_t base) {
+        std::vector<KvCoreInfo> infos;
+        for (std::uint32_t i = 0; i < cores; ++i)
+            infos.push_back({{base, i}, 4, 8});
+        return infos;
+    };
+    auto run = [&](AttentionKind mask, PipelineOptions opts,
+                   std::uint32_t cores) {
+        const ModelConfig cfg = pipeModel(mask);
+        PipelineStats out[2];
+        for (const bool cohort : {false, true}) {
+            BlockKvManager kv(cfg, pool(cores, 0), pool(cores, 1));
+            opts.cohortFastPath = cohort;
+            out[cohort ? 1 : 0] = runPipeline(w, cfg, timing, kv, opts);
+        }
+        EXPECT_EQ(out[0], out[1]);
+        return out[1];
+    };
+
+    const OrderGolden tgp{"tgp", 0x1.fda323053dbeep-3, 26541, 6, 0,
+                          0x3c53fc2c1182edaa, 0x72f6cfa7505ca19f};
+    const OrderGolden sgp{"sgp", 0x1.2b8a890e0ea37p-1, 25674, 5, 0,
+                          0x0318306650748b93, 0x2c31584c8965a80c};
+    const OrderGolden blocked{"blocked", 0x1.5e06f14fa6d17p-2, 26132,
+                              6, 0, 0x1438b8bbdb176b0b,
+                              0x68c1723d5452ce47};
+    const OrderGolden static_kv{"static", 0x1.3f1f2adff49b4p-1, 24008,
+                                0, 0, 0x93e3f97c5965ae8d,
+                                0x56f2fc4626237014};
+    const OrderGolden storm{"storm", 0x1.83540b788cc52p-3, 27282, 1, 7,
+                            0xe14269cb5461dd99, 0x9972cd3604ba08d7};
+
+    expectGolden(tgp, run(AttentionKind::Causal, {}, 2));
+
+    PipelineOptions sgp_opts;
+    sgp_opts.kind = PipelineKind::SequenceGrained;
+    expectGolden(sgp, run(AttentionKind::Causal, sgp_opts, 2));
+
+    expectGolden(blocked, run(AttentionKind::Bidirectional, {}, 2));
+
+    PipelineOptions static_opts;
+    static_opts.staticKvAllocation = true;
+    static_opts.maxContext = 1024;
+    expectGolden(static_kv, run(AttentionKind::Causal, static_opts, 2));
+
+    std::vector<KvPoolEvent> schedule(2);
+    schedule[0].time = 0.25 * tgp.makespanSeconds;
+    for (std::uint32_t i = 0; i < 2; ++i)
+        schedule[0].dropCores.push_back({0, i});
+    schedule[1].time = 0.5 * tgp.makespanSeconds;
+    schedule[1].adopts.push_back({{{7, 0}, 32, 8}, true});
+    PipelineOptions storm_opts;
+    storm_opts.stormSchedule = &schedule;
+    expectGolden(storm, run(AttentionKind::Causal, storm_opts, 4));
+}
+
+TEST(Pipeline, DuplicateRequestIdDies)
+{
+    // Request ids key the engine's eviction bookkeeping, so they must
+    // be unique within a workload. A duplicate is a caller error and
+    // is reported up front, naming both requests - not later, deep
+    // in the KV manager, when the two copies happen to be resident.
+    const ModelConfig cfg = pipeModel();
+    Workload w = fixedWorkload(16, 16, 4);
+    w.requests[3].id = 1;
+    auto kv = bigKv(cfg);
+    EXPECT_EXIT({ runPipeline(w, cfg, uniformTiming(), kv); },
+                ::testing::ExitedWithCode(1),
+                "requests\\[3\\]\\.id = 1 duplicates requests\\[1\\]");
 }
 
 TEST(WorkloadGen, FixedWorkloadShape)
