@@ -75,18 +75,6 @@ class BenchReport
                        std::thread::hardware_concurrency()));
     }
 
-    /** Record the run's timing-memoization effectiveness. */
-    BenchReport &timingCache(std::uint64_t hits,
-                             std::uint64_t misses)
-    {
-        const double total = static_cast<double>(hits + misses);
-        metric("timing_cache_hits", hits);
-        metric("timing_cache_misses", misses);
-        metric("timing_cache_hit_rate",
-               total > 0.0 ? static_cast<double>(hits) / total : 0.0);
-        return *this;
-    }
-
     /**
      * Record p50/p99 of a sample vector as <key>_p50 / <key>_p99
      * (plus <key>_samples with the count). No-op fields are still

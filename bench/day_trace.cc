@@ -5,12 +5,10 @@
  *
  * Two tiers, both asserted on every run:
  *
- *  1. CONTRACT (small validation trace): sampling fraction 1.0 with
- *     zero warmup collapses BIT-IDENTICALLY to the retained full
- *     event-stepped run; the window fan-out (both run() and
- *     fullRun()) is bit-identical parallel vs serial; warmup windows
- *     are measurement-neutral at ctxBucketShift 0 (timing-cache hits
- *     are bit-identical to fresh computation).
+ *  1. CONTRACT (small validation trace): sampling fraction 1.0
+ *     collapses BIT-IDENTICALLY to the retained full event-stepped
+ *     run; the window fan-out (both run() and fullRun()) is
+ *     bit-identical parallel vs serial.
  *
  *  2. HEADLINE (day-scale trace): the sampled estimate of full-trace
  *     decode tokens/sec must fall within its own reported 95%
@@ -37,17 +35,6 @@ using namespace ouro::bench;
 
 namespace
 {
-
-/** Warmup windows prime each chain's TimingCache by design, so a
- *  warmup-neutrality check clears the cache counters (and nothing
- *  else) before comparing. */
-PipelineStats
-withoutCacheCounters(PipelineStats s)
-{
-    s.timingCacheHits = 0;
-    s.timingCacheMisses = 0;
-    return s;
-}
 
 SampledSimulator
 makeSimulator(const OuroborosSystem &sys, const ModelConfig &model,
@@ -79,12 +66,11 @@ main(int argc, char **argv)
     small_trace.requests = 4000;
 
     {
-        // Fraction 1.0 + zero warmup IS the full run, bit for bit.
+        // Fraction 1.0 IS the full run, bit for bit.
         SampledSimOptions collapse;
         collapse.numWindows = 48;
         collapse.strata = 4;
         collapse.fraction = 1.0;
-        collapse.warmupWindows = 0;
         const auto sim = makeSimulator(sys, model, small_trace,
                                        collapse);
         const PipelineStats full = sim.fullRun();
@@ -110,7 +96,6 @@ main(int argc, char **argv)
         contract.numWindows = 48;
         contract.strata = 4;
         contract.fraction = 0.25;
-        contract.warmupWindows = 1;
         auto serial = contract;
         serial.serialExecution = true;
         const auto sim_p = makeSimulator(sys, model, small_trace,
@@ -129,34 +114,15 @@ main(int argc, char **argv)
         ouroAssert(sim_p.fullRun() == sim_s.fullRun(),
                    "day_trace: stats diverged: fullRun() parallel vs "
                    "serial fan-out");
-
-        // Warmup neutrality at ctxBucketShift 0: warmup windows only
-        // touch the chain's TimingCache, and a cache hit is
-        // bit-identical to a fresh computation.
-        auto no_warm = contract;
-        no_warm.warmupWindows = 0;
-        auto deep_warm = contract;
-        deep_warm.warmupWindows = 2;
-        const auto est_nw =
-            makeSimulator(sys, model, small_trace, no_warm).run();
-        const auto est_dw =
-            makeSimulator(sys, model, small_trace, deep_warm).run();
-        ouroAssert(withoutCacheCounters(ep.measured) ==
-                           withoutCacheCounters(est_nw.measured),
-                   "day_trace: stats diverged: warmup 1 vs warmup 0");
-        ouroAssert(withoutCacheCounters(ep.measured) ==
-                           withoutCacheCounters(est_dw.measured),
-                   "day_trace: stats diverged: warmup 1 vs warmup 2");
     }
-    std::cout << "contract tier passed (collapse, parallel==serial, "
-                 "warmup-neutral)\n";
+    std::cout << "contract tier passed (collapse, parallel==serial)\n";
 
     // ---- Tier 2: day-scale headline -----------------------------
     // ~n requests over a diurnal day, 480 windows in 6 strata; the
-    // sampled run measures 2 windows per stratum (plus 1 warmup
-    // each) = 24 of 480 windows simulated, a 20x event-count
-    // reduction. Serial-vs-serial walls keep the speedup a property
-    // of the algorithm, not of the runner's core count.
+    // sampled run measures 2 windows per stratum = 12 of 480
+    // windows simulated, a 40x event-count reduction. Serial-vs-
+    // serial walls keep the speedup a property of the algorithm, not
+    // of the runner's core count.
     DayTraceParams day;
     day.requests = n;
 
@@ -164,7 +130,6 @@ main(int argc, char **argv)
     day_opts.numWindows = 480;
     day_opts.strata = 6;
     day_opts.fraction = 0.03; // floor(0.03 * 80) = 2 per stratum
-    day_opts.warmupWindows = 1;
     day_opts.serialExecution = true;
 
     const auto sim = makeSimulator(sys, model, day, day_opts);
@@ -235,7 +200,6 @@ main(int argc, char **argv)
         .metric("trace_requests", day.requests)
         .metric("total_windows", est.totalWindows)
         .metric("measured_windows", est.measuredWindows)
-        .metric("warmup_windows", est.warmupWindowsSimulated)
         .metric("full_wall_seconds", full_wall)
         .metric("sampled_wall_seconds", sampled_wall)
         .metric("sampled_parallel_wall_seconds", sampled_par_wall)
@@ -250,11 +214,8 @@ main(int argc, char **argv)
         .metric("ttft_seconds_p99", est.p99TtftSeconds)
         .metric("inter_token_seconds_p50", est.p50InterTokenSeconds)
         .metric("inter_token_seconds_p99", est.p99InterTokenSeconds)
-        .timingCache(est.measured.timingCacheHits,
-                     est.measured.timingCacheMisses)
         .text("determinism",
-              "f=1.0 == fullRun, parallel == serial, warmup-neutral "
-              "(all asserted)")
+              "f=1.0 == fullRun, parallel == serial (all asserted)")
         .write();
     return 0;
 }

@@ -34,7 +34,6 @@ main(int argc, char **argv)
 
     double gain_13b = 0.0, gain_32b = 0.0, gain_all = 0.0;
     int n_13b = 0, n_32b = 0, n_all = 0;
-    std::uint64_t cache_hits = 0, cache_misses = 0;
     // KV admission attempts over every figure run (exact counts).
     std::uint64_t probes = 0, probe_failures = 0, probes_skipped = 0;
 
@@ -63,8 +62,6 @@ main(int argc, char **argv)
                 .cell(norm(ours_tps), 2)
                 .cell(norm(ours_tps), 2);
 
-            cache_hits += ours.pipeline.timingCacheHits;
-            cache_misses += ours.pipeline.timingCacheMisses;
             probes += ours.kvAdmissionProbes;
             probe_failures += ours.kvProbeFailures;
             probes_skipped += ours.kvProbesSkipped;
@@ -178,7 +175,6 @@ main(int argc, char **argv)
         .percentiles("serving_ttft_seconds", fast_stats.ttftSamples)
         .percentiles("serving_inter_token_seconds",
                      fast_stats.interTokenSamples)
-        .timingCache(cache_hits, cache_misses)
         .text("determinism", "cohort == slow path (asserted)")
         .write();
     return 0;

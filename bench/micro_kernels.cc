@@ -629,7 +629,7 @@ BM_SampledVsFullSmallTrace(benchmark::State &state)
 {
     // Arg(0) event-steps every window of a small day trace (the
     // full-run oracle), Arg(1) runs the sampled estimator (1 of 4
-    // windows measured per stratum, no warmup: 3 of 12 windows, a
+    // windows measured per stratum: 3 of 12 windows, a
     // 4x event-count reduction). Serial on both sides so the ratio
     // is that reduction, not thread scaling.
     const SampledFixture fx;
@@ -637,7 +637,6 @@ BM_SampledVsFullSmallTrace(benchmark::State &state)
     opts.numWindows = 12;
     opts.strata = 3;
     opts.fraction = 0.25; // 1 of 4 windows per stratum
-    opts.warmupWindows = 0;
     opts.serialExecution = true;
     const SampledSimulator sim = fx.simulator(opts);
     const bool sampled = state.range(0) != 0;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "pipeline/timing_cache.hh"
+#include "pipeline/item_timing.hh"
 
 namespace ouro
 {
@@ -173,8 +173,6 @@ addCounters(PipelineStats &into, const PipelineStats &from)
     into.stormEvictions += from.stormEvictions;
     into.stormReprefilledTokens += from.stormReprefilledTokens;
     into.skippedRequests += from.skippedRequests;
-    into.timingCacheHits += from.timingCacheHits;
-    into.timingCacheMisses += from.timingCacheMisses;
     into.itemsProcessed += from.itemsProcessed;
     into.contextTokensSum += from.contextTokensSum;
     into.stageBusySumSeconds += from.stageBusySumSeconds;
@@ -260,19 +258,11 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     const bool pure_tgp =
         token_grained && masksAllowPureTgp(model.attention);
 
-    // Memoized item timings: identical (phase, context, length)
-    // items are built once instead of per event - the win is on
-    // the O(prefill_len) shapes (whole-sequence and blocked-prefill
-    // items, plus repeated prefill contexts across sequences); plain
-    // decode-token items are cheaper to recompute than to look up.
-    // Callers may share a cache across runs; its coefficient check
-    // flushes it whenever the StageTiming was rederived (e.g. after
-    // a remap).
-    TimingCache local_cache(opts.ctxBucketShift);
-    TimingCache &cache =
-        opts.timingCache ? *opts.timingCache : local_cache;
-    const std::uint64_t cache_hits0 = cache.hits();
-    const std::uint64_t cache_misses0 = cache.misses();
+    // Every item is built fresh from the StageTiming coefficients;
+    // only the TGP-with-block deferred token, which carries no
+    // attention work, has one shape for every sequence.
+    const ItemTiming blocked_deferred =
+        freshBlockedTokenItem(timing, 0.0);
 
     // Dense resident table: request i lives in slot i. The id -> slot
     // index (sorted, so duplicate ids sit side by side) serves only
@@ -729,39 +719,35 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 
         // Build the next item for this sequence.
         ItemTiming scratch;
-        const ItemTiming *item = nullptr;
-        bool last_prefill_token = false;
+        const ItemTiming *item = &scratch;
         if (is_prefill) {
-            if (token_grained) {
-                if (pure_tgp) {
-                    item = &cache.token(
-                            timing,
-                            attendedContext(model.attention,
-                                            seq.prefillEntered,
-                                            seq.prefillLen));
-                } else {
-                    // TGP with block: defer attention to the final
-                    // prefill token (Fig. 5c).
-                    last_prefill_token =
-                        seq.prefillEntered + 1 == seq.prefillLen;
-                    item = &cache.blockedToken(
-                            timing, model.attention, seq.prefillLen,
-                            last_prefill_token,
-                            opts.attentionParallelism);
-                }
+            if (!token_grained) {
+                scratch = freshSequenceItem(timing, model.attention,
+                                            seq.prefillLen,
+                                            opts.attentionParallelism);
+            } else if (pure_tgp) {
+                scratch = freshTokenItem(
+                        timing, attendedContext(model.attention,
+                                                seq.prefillEntered,
+                                                seq.prefillLen));
+            } else if (seq.prefillEntered + 1 < seq.prefillLen) {
+                // TGP with block: defer attention to the final
+                // prefill token (Fig. 5c).
+                item = &blocked_deferred;
             } else {
-                item = &cache.sequence(timing, model.attention,
-                                       seq.prefillLen,
-                                       opts.attentionParallelism);
+                // The final token carries the whole prefix's
+                // attention, spread over the KV crossbars.
+                scratch = freshBlockedTokenItem(
+                        timing,
+                        deferredAttentionPositions(model.attention,
+                                                   seq.prefillLen) /
+                                std::max(1.0,
+                                         opts.attentionParallelism));
             }
         } else {
             // Decode token: causal attention over everything so far.
-            // A token item is six fused multiply-adds; computing it
-            // inline beats a hash lookup, so the cache memoizes only
-            // the O(prefill_len) item shapes above.
             const std::uint64_t pos = seq.prefillLen + seq.decoded;
             scratch = freshTokenItem(timing, pos + 1);
-            item = &scratch;
         }
 
         // KV growth for the entering tokens (dynamic mode only).
@@ -843,10 +829,6 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     stats.contextTokensSum = ctx_sum;
     stats.stageBusySumSeconds = busy_sum;
     deriveMeans(stats);
-    // Deltas, not lifetime counters: a shared cache accumulates
-    // across runs but each run reports only its own traffic.
-    stats.timingCacheHits = cache.hits() - cache_hits0;
-    stats.timingCacheMisses = cache.misses() - cache_misses0;
     if (stats.skippedRequests > 0) {
         warn("pipeline: ", stats.skippedRequests,
              " request(s) exceed KV pool capacity; skipped");

@@ -53,8 +53,6 @@
 namespace ouro
 {
 
-class TimingCache;
-
 /** Pipeline granularity (Fig. 5). */
 enum class PipelineKind
 {
@@ -110,8 +108,13 @@ struct PipelineStats
     std::uint64_t skippedRequests = 0;
     double peakConcurrency = 0.0;        ///< resident sequences (max)
     double avgContext = 0.0;             ///< mean attended context
-    std::uint64_t timingCacheHits = 0;   ///< memoized item reuses
-    std::uint64_t timingCacheMisses = 0; ///< items built fresh
+    /** Always 0: the engine builds every item fresh. Kept only
+     *  because the repo benchmark still reads them (its
+     *  `pipeline.timing_cache_hit_rate` metric and its stats
+     *  comparator); a benchmark change removes them together with
+     *  that metric. */
+    std::uint64_t timingCacheHits = 0;
+    std::uint64_t timingCacheMisses = 0;
 
     /** Raw aggregates behind the derived means above, kept so that
      *  merge() can recompute the derived fields exactly. */
@@ -218,22 +221,6 @@ struct PipelineOptions
      * concurrently. 1 = fully serial (conservative default).
      */
     double attentionParallelism = 1.0;
-
-    /**
-     * Shared timing-memoization cache. When null the engine uses a
-     * private cache for the run. A shared cache self-invalidates
-     * when the StageTiming coefficients change (fingerprint check),
-     * so remapped deployments never see stale timings.
-     */
-    TimingCache *timingCache = nullptr;
-
-    /**
-     * Context bucket width (log2) of the timing cache. 0 = exact
-     * contexts (cache hits bit-identical to fresh computation);
-     * larger shifts trade timing resolution for cache size on
-     * huge-context scans.
-     */
-    unsigned ctxBucketShift = 0;
 
     /**
      * Cohort decode fast path (PR 2): when every resident sequence

@@ -8,7 +8,6 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "pipeline/timing_cache.hh"
 
 namespace ouro
 {
@@ -68,14 +67,14 @@ SampledSimulator::SampledSimulator(DayTrace trace, ModelConfig model,
       timing_(timing), scorePool_(std::move(score_pool)),
       contextPool_(std::move(context_pool)), opts_(std::move(opts))
 {
-    ouroAssert(opts_.numWindows > 0,
-               "SampledSimulator: numWindows must be positive");
-    ouroAssert(opts_.fraction > 0.0 && opts_.fraction <= 1.0,
-               "SampledSimulator: fraction must be in (0, 1], got ",
-               opts_.fraction);
-    ouroAssert(opts_.pipeline.timingCache == nullptr,
-               "SampledSimulator: pipeline.timingCache must be null; "
-               "each window chain owns a private cache");
+    if (opts_.numWindows == 0) {
+        fatal("SampledSimulator: SampledSimOptions::numWindows = ",
+              opts_.numWindows, " (must be positive)");
+    }
+    if (!(opts_.fraction > 0.0 && opts_.fraction <= 1.0)) {
+        fatal("SampledSimulator: SampledSimOptions::fraction = ",
+              opts_.fraction, " (must be in (0, 1])");
+    }
     if (opts_.strata == 0)
         opts_.strata = 1;
     if (opts_.strata > opts_.numWindows)
@@ -147,8 +146,7 @@ SampledSimulator::measuredWindowIndices() const
 }
 
 PipelineStats
-SampledSimulator::runWindow(std::uint64_t window,
-                            TimingCache *cache) const
+SampledSimulator::runWindow(std::uint64_t window) const
 {
     const auto [t0, t1] = windowBounds(window);
     const Workload wl = trace_.window(t0, t1);
@@ -157,9 +155,7 @@ SampledSimulator::runWindow(std::uint64_t window,
     // idle-boundary premise of PipelineStats::merge).
     BlockKvManager kv(model_, scorePool_, contextPool_,
                       opts_.kvTokensPerBlock, opts_.kvThreshold);
-    PipelineOptions po = opts_.pipeline;
-    po.timingCache = cache;
-    return runPipeline(wl, model_, timing_, kv, po);
+    return runPipeline(wl, model_, timing_, kv, opts_.pipeline);
 }
 
 PipelineStats
@@ -167,13 +163,7 @@ SampledSimulator::fullRun() const
 {
     const std::uint64_t w = opts_.numWindows;
     std::vector<PipelineStats> slots(w);
-    const auto body = [&](std::size_t i) {
-        // Fresh chain cache per window, exactly like a zero-warmup
-        // measured chain - the fraction-1.0 collapse compares runs
-        // that are identical call for call.
-        TimingCache cache(opts_.pipeline.ctxBucketShift);
-        slots[i] = runWindow(i, &cache);
-    };
+    const auto body = [&](std::size_t i) { slots[i] = runWindow(i); };
     if (opts_.serialExecution) {
         for (std::size_t i = 0; i < w; ++i)
             body(i);
@@ -199,16 +189,8 @@ SampledSimulator::run() const
 {
     const std::vector<std::uint64_t> sel = measuredWindowIndices();
     std::vector<PipelineStats> slots(sel.size());
-    std::vector<std::uint64_t> warmed(sel.size(), 0);
     const auto body = [&](std::size_t i) {
-        const std::uint64_t j = sel[i];
-        TimingCache cache(opts_.pipeline.ctxBucketShift);
-        const std::uint64_t w0 =
-            j >= opts_.warmupWindows ? j - opts_.warmupWindows : 0;
-        for (std::uint64_t wnd = w0; wnd < j; ++wnd)
-            runWindow(wnd, &cache); // stats discarded: cache warmup
-        warmed[i] = j - w0;
-        slots[i] = runWindow(j, &cache);
+        slots[i] = runWindow(sel[i]);
     };
     if (opts_.serialExecution) {
         for (std::size_t i = 0; i < sel.size(); ++i)
@@ -220,8 +202,6 @@ SampledSimulator::run() const
     SampledEstimate est;
     est.totalWindows = opts_.numWindows;
     est.measuredWindows = sel.size();
-    for (std::uint64_t n : warmed)
-        est.warmupWindowsSimulated += n;
     est.coverage = static_cast<double>(sel.size()) /
                    static_cast<double>(opts_.numWindows);
 

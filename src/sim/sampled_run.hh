@@ -5,7 +5,7 @@
  *
  * A diurnal day of fleet traffic is ~10^9 pipeline events; nobody
  * event-steps that. Borrowing the sampled-measurement discipline of
- * the gem5 world (checkpoint / warmup / measured-window workflows)
+ * the gem5 world (checkpoint / measured-window workflows)
  * and the longitudinal rigor of the SPEC CPU suites, the simulator
  *
  *   1. splits a DayTrace into equal-width windows, grouped into
@@ -15,7 +15,7 @@
  *   2. deterministically picks measured windows per stratum
  *      (systematic sampling with a counter-seeded offset - the same
  *      selection on every run and thread count);
- *   3. event-steps warmup + measured windows through the existing
+ *   3. event-steps the measured windows through the existing
  *      PipelineEngine (cohort fast path untouched), fanning chains
  *      out over parallelFor with per-index result slots, so the
  *      parallel run is bit-identical to the serial one (the PR 1
@@ -34,23 +34,13 @@
  * strata.
  *
  * Accuracy-contract tier (the PR 7 discipline, relaxed from
- * bit-identity to bounded error): at sampling fraction 1.0 with zero
- * warmup the sampled run degenerates to the full run and its totals
+ * bit-identity to bounded error): at sampling fraction 1.0 the
+ * sampled run degenerates to the full run and its totals
  * and throughput estimate are BIT-IDENTICAL to fullRun() (every
  * expansion factor is exactly 1.0 and the merge association is
  * shared); at real fractions the estimate must fall within its own
  * reported confidence interval of the full-run value on mid-size
  * validation traces (bench_day_trace asserts this on every run).
- *
- * Warmup: windows drain completely, so the only simulator state that
- * can carry across a chain is the timing-memoization cache. Warmup
- * windows run through the chain's shared TimingCache (their stats
- * are discarded) purely to warm it; at the default ctxBucketShift of
- * 0 a cache hit is bit-identical to a fresh computation, so warmup
- * is measurement-NEUTRAL - estimates with and without warmup agree
- * bit for bit (pinned by tests). The knob exists for methodological
- * fidelity with the checkpoint/warmup workflow and for future
- * open-boundary window models that do carry pipeline state.
  */
 
 #ifndef OURO_SIM_SAMPLED_RUN_HH
@@ -81,15 +71,11 @@ struct SampledSimOptions
     /**
      * Fraction of each stratum's windows to measure. At least one
      * window per stratum is always measured; 1.0 measures all of
-     * them (and, with warmupWindows = 0, collapses bit-identically
-     * to fullRun()). Confidence intervals need >= 2 measured
-     * windows in at least one stratum.
+     * them (and collapses bit-identically to fullRun()).
+     * Confidence intervals need >= 2 measured windows in at least
+     * one stratum.
      */
     double fraction = 0.0625;
-
-    /** Windows simulated (not measured) before each measured window
-     *  to warm the timing-memoization cache. */
-    std::uint32_t warmupWindows = 1;
 
     /** Counter-based seed of the per-stratum systematic-sampling
      *  offset (selection is a pure function of (seed, stratum)). */
@@ -100,8 +86,7 @@ struct SampledSimOptions
      *  exactly that). */
     bool serialExecution = false;
 
-    /** Engine options for every window run. timingCache must be
-     *  null: each chain owns a private cache (parallel safety). */
+    /** Engine options for every window run. */
     PipelineOptions pipeline;
 
     /** Representative-block KV pool geometry (per-window managers
@@ -119,7 +104,6 @@ struct SampledEstimate
 
     std::uint64_t totalWindows = 0;
     std::uint64_t measuredWindows = 0;
-    std::uint64_t warmupWindowsSimulated = 0;
     /** measuredWindows / totalWindows. */
     double coverage = 0.0;
 
@@ -165,7 +149,7 @@ class SampledSimulator
                      std::vector<KvCoreInfo> context_pool,
                      SampledSimOptions opts = {});
 
-    /** The sampled run: warmup + measured windows only. */
+    /** The sampled run: measured windows only. */
     SampledEstimate run() const;
 
     /**
@@ -175,10 +159,8 @@ class SampledSimulator
      */
     PipelineStats fullRun() const;
 
-    /** One window's run on a fresh KV manager and timing cache
-     *  (@p cache optional: a warm chain cache). */
-    PipelineStats runWindow(std::uint64_t window,
-                            TimingCache *cache = nullptr) const;
+    /** One window's run on a fresh KV manager. */
+    PipelineStats runWindow(std::uint64_t window) const;
 
     std::uint64_t numWindows() const { return opts_.numWindows; }
 

@@ -16,7 +16,6 @@
 #include "model/llm.hh"
 #include "pipeline/engine.hh"
 #include "pipeline/timing.hh"
-#include "pipeline/timing_cache.hh"
 #include "workload/requests.hh"
 
 namespace ouro
@@ -292,127 +291,6 @@ TEST(Pipeline, DeterministicAcrossRuns)
     EXPECT_EQ(a, b);
 }
 
-void
-expectItemsIdentical(const ItemTiming &a, const ItemTiming &b)
-{
-    for (unsigned s = 0; s < kStagesPerBlock; ++s)
-        EXPECT_DOUBLE_EQ(a.stage[s], b.stage[s]) << "stage " << s;
-    EXPECT_DOUBLE_EQ(a.total, b.total);
-    EXPECT_EQ(a.context, b.context);
-    EXPECT_EQ(a.tokens, b.tokens);
-}
-
-TEST(TimingCache, TokenHitEqualsFreshComputation)
-{
-    const StageTiming t = uniformTiming(2e-6, 3e-9);
-    TimingCache cache;
-    const ItemTiming first = cache.token(t, 777); // miss: built fresh
-    EXPECT_EQ(cache.misses(), 1u);
-    expectItemsIdentical(first, freshTokenItem(t, 777));
-
-    const ItemTiming &again = cache.token(t, 777); // hit
-    EXPECT_EQ(cache.hits(), 1u);
-    expectItemsIdentical(again, freshTokenItem(t, 777));
-}
-
-TEST(TimingCache, SequenceHitEqualsFreshComputation)
-{
-    const StageTiming t = uniformTiming(1e-6, 5e-9);
-    TimingCache cache;
-    const auto mask = AttentionKind::Causal;
-    const ItemTiming &item = cache.sequence(t, mask, 333, 16.0);
-    expectItemsIdentical(item,
-                         freshSequenceItem(t, mask, 333, 16.0));
-    cache.sequence(t, mask, 333, 16.0);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(TimingCache, BlockedHitEqualsFreshComputation)
-{
-    const StageTiming t = uniformTiming(1e-6, 5e-9);
-    TimingCache cache;
-    const auto mask = AttentionKind::Bidirectional;
-    // Deferred tokens carry zero attention positions.
-    expectItemsIdentical(cache.blockedToken(t, mask, 100, false, 4.0),
-                         freshBlockedTokenItem(t, 0.0));
-    // The final token accumulates the whole prefix's positions.
-    const double positions =
-        deferredAttentionPositions(mask, 100) / 4.0;
-    expectItemsIdentical(cache.blockedToken(t, mask, 100, true, 4.0),
-                         freshBlockedTokenItem(t, positions));
-}
-
-TEST(TimingCache, ExplicitInvalidateFlushes)
-{
-    const StageTiming t = uniformTiming();
-    TimingCache cache;
-    cache.token(t, 1);
-    cache.token(t, 2);
-    EXPECT_EQ(cache.size(), 2u);
-    cache.invalidate();
-    EXPECT_EQ(cache.size(), 0u);
-    cache.token(t, 1); // miss again after the flush
-    EXPECT_EQ(cache.misses(), 3u);
-}
-
-TEST(TimingCache, InvalidatesWhenTimingRederived)
-{
-    // A remap rederives StageTiming with new coefficients; a shared
-    // cache must flush itself (fingerprint check) rather than serve
-    // pre-remap entries.
-    const StageTiming before = uniformTiming(1e-6, 1e-9);
-    const StageTiming after = uniformTiming(3e-6, 2e-9);
-    ASSERT_NE(stageTimingFingerprint(before),
-              stageTimingFingerprint(after));
-
-    TimingCache cache;
-    cache.token(before, 64);
-    const ItemTiming &remapped = cache.token(after, 64);
-    expectItemsIdentical(remapped, freshTokenItem(after, 64));
-    EXPECT_EQ(cache.hits(), 0u); // the stale entry was dropped
-}
-
-TEST(TimingCache, EngineSharedCacheMatchesPrivateCache)
-{
-    const ModelConfig cfg = pipeModel();
-    const Workload w = wikiText2Like(40, 512, 5);
-    const StageTiming timing = uniformTiming();
-
-    auto kv1 = bigKv(cfg);
-    const PipelineStats plain =
-        runPipeline(w, cfg, timing, kv1, {});
-
-    TimingCache shared;
-    PipelineOptions opts;
-    opts.timingCache = &shared;
-    auto kv2 = bigKv(cfg);
-    const PipelineStats cached =
-        runPipeline(w, cfg, timing, kv2, opts);
-    // Second run on the warmed cache: all items served from memo.
-    auto kv3 = bigKv(cfg);
-    const PipelineStats warm =
-        runPipeline(w, cfg, timing, kv3, opts);
-
-    EXPECT_DOUBLE_EQ(plain.makespanSeconds, cached.makespanSeconds);
-    EXPECT_DOUBLE_EQ(plain.makespanSeconds, warm.makespanSeconds);
-    EXPECT_EQ(plain.outputTokens, warm.outputTokens);
-    EXPECT_DOUBLE_EQ(plain.utilization, warm.utilization);
-    EXPECT_EQ(warm.timingCacheMisses, 0u); // fully warm
-    EXPECT_GT(cached.timingCacheHits, 0u);
-}
-
-TEST(TimingCache, EngineReportsReuse)
-{
-    // Concurrent same-length decodes revisit the same contexts: the
-    // run must be dominated by cache hits, not rebuilds.
-    const ModelConfig cfg = pipeModel();
-    auto kv = bigKv(cfg);
-    const auto stats = runPipeline(fixedWorkload(16, 256, 64), cfg,
-                                   uniformTiming(), kv);
-    EXPECT_GT(stats.timingCacheHits, stats.timingCacheMisses);
-}
-
 /** Run a workload with the cohort fast path force-disabled and
  *  enabled; every PipelineStats field must agree exactly, latency
  *  sample ORDER included. Returns the cohort-path stats. */
@@ -658,6 +536,11 @@ TEST(Pipeline, EventOrderGolden)
     const OrderGolden blocked{"blocked", 0x1.5e06f14fa6d17p-2, 26132,
                               6, 0, 0x1438b8bbdb176b0b,
                               0x68c1723d5452ce47};
+    const OrderGolden sgp16{"sgp16", 0x1.03fc50b625c9ep-1, 25415, 4, 0,
+                            0x74a8159ce45eacf4, 0x578688c1bc5a255e};
+    const OrderGolden blocked16{"blocked16", 0x1.edc61ef55b604p-3,
+                                26471, 6, 0, 0x06f400a48d2db4f3,
+                                0xed14d65b6e663bd0};
     const OrderGolden static_kv{"static", 0x1.3f1f2adff49b4p-1, 24008,
                                 0, 0, 0x93e3f97c5965ae8d,
                                 0x56f2fc4626237014};
@@ -671,6 +554,18 @@ TEST(Pipeline, EventOrderGolden)
     expectGolden(sgp, run(AttentionKind::Causal, sgp_opts, 2));
 
     expectGolden(blocked, run(AttentionKind::Bidirectional, {}, 2));
+
+    // At parallelism 1 the bulk-attention divides (whole-sequence
+    // item, blocked final token) are no-ops; 16 is the value
+    // OuroborosSystem::run uses, so these two pin them.
+    PipelineOptions sgp16_opts = sgp_opts;
+    sgp16_opts.attentionParallelism = 16.0;
+    expectGolden(sgp16, run(AttentionKind::Causal, sgp16_opts, 2));
+
+    PipelineOptions blocked16_opts;
+    blocked16_opts.attentionParallelism = 16.0;
+    expectGolden(blocked16,
+                 run(AttentionKind::Bidirectional, blocked16_opts, 2));
 
     PipelineOptions static_opts;
     static_opts.staticKvAllocation = true;
@@ -841,10 +736,6 @@ TEST(StatsMerge, IdleBoundaryEqualsSequentialRuns)
     EXPECT_DOUBLE_EQ(merged.peakConcurrency,
                      std::max(a.peakConcurrency,
                               b.peakConcurrency));
-    EXPECT_EQ(merged.timingCacheHits,
-              a.timingCacheHits + b.timingCacheHits);
-    EXPECT_EQ(merged.timingCacheMisses,
-              a.timingCacheMisses + b.timingCacheMisses);
 
     // Derived means are recomputed from the pooled raw aggregates,
     // not averaged: avgContext weights each run by its item count.

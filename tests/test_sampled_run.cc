@@ -1,12 +1,11 @@
 /**
  * @file
  * Tests for the sampled-window day-trace simulator, pinning its
- * accuracy contract: fraction 1.0 with zero warmup collapses
- * BIT-IDENTICALLY to the retained full event-stepped run, the
- * parallel window fan-out equals the serial loop exactly, warmup
- * windows are measurement-neutral at ctxBucketShift 0, and at real
- * fractions the estimate lands inside its own reported confidence
- * interval of the full-run value.
+ * accuracy contract: fraction 1.0 collapses BIT-IDENTICALLY to the
+ * retained full event-stepped run, the parallel window fan-out
+ * equals the serial loop exactly, and at real fractions the
+ * estimate lands inside its own reported confidence interval of the
+ * full-run value.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "pipeline/timing_cache.hh"
 #include "sim/sampled_run.hh"
 #include "workload/trace.hh"
 
@@ -75,20 +73,18 @@ makeSim(SampledSimOptions opts, std::uint64_t requests = 1000,
                             pool(0), pool(1), opts);
 }
 
-TEST(SampledRun, FractionOneZeroWarmupCollapsesToFullRun)
+TEST(SampledRun, FractionOneCollapsesToFullRun)
 {
     SampledSimOptions opts;
     opts.numWindows = 16;
     opts.strata = 4;
     opts.fraction = 1.0;
-    opts.warmupWindows = 0;
     const SampledSimulator sim = makeSim(opts);
 
     const PipelineStats full = sim.fullRun();
     const SampledEstimate est = sim.run();
 
     EXPECT_EQ(est.measuredWindows, 16u);
-    EXPECT_EQ(est.warmupWindowsSimulated, 0u);
     EXPECT_EQ(est.coverage, 1.0);
     EXPECT_EQ(est.measured, full);
 
@@ -112,7 +108,6 @@ TEST(SampledRun, ParallelEqualsSerialBitIdentically)
     opts.numWindows = 12;
     opts.strata = 3;
     opts.fraction = 0.5;
-    opts.warmupWindows = 1;
     auto serial = opts;
     serial.serialExecution = true;
 
@@ -127,36 +122,6 @@ TEST(SampledRun, ParallelEqualsSerialBitIdentically)
     EXPECT_EQ(makeSim(opts).fullRun(), makeSim(serial).fullRun());
 }
 
-TEST(SampledRun, WarmupIsMeasurementNeutralAtExactContexts)
-{
-    // Warmup windows only touch the chain's TimingCache; at
-    // ctxBucketShift 0 a cache hit is bit-identical to a fresh
-    // computation, so the measured stats cannot depend on warmup
-    // depth (only the cache hit/miss counters do).
-    SampledSimOptions opts;
-    opts.numWindows = 12;
-    opts.strata = 3;
-    opts.fraction = 0.5;
-    opts.warmupWindows = 0;
-    auto warm = opts;
-    warm.warmupWindows = 2;
-
-    const SampledEstimate cold = makeSim(opts).run();
-    const SampledEstimate warmed = makeSim(warm).run();
-    EXPECT_EQ(cold.warmupWindowsSimulated, 0u);
-    EXPECT_GT(warmed.warmupWindowsSimulated, 0u);
-
-    PipelineStats a = cold.measured;
-    PipelineStats b = warmed.measured;
-    // Warmup legitimately shifts traffic from misses to hits; the
-    // MEASUREMENTS must be untouched.
-    EXPECT_GT(b.timingCacheHits, a.timingCacheHits);
-    a.timingCacheHits = b.timingCacheHits = 0;
-    a.timingCacheMisses = b.timingCacheMisses = 0;
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(cold.estTokensPerSecond, warmed.estTokensPerSecond);
-}
-
 TEST(SampledRun, EstimateWithinItsOwnConfidenceInterval)
 {
     // Deterministic accuracy regression (everything is seeded): on a
@@ -166,7 +131,6 @@ TEST(SampledRun, EstimateWithinItsOwnConfidenceInterval)
     opts.numWindows = 60;
     opts.strata = 5;
     opts.fraction = 0.25; // 3 of 12 windows per stratum
-    opts.warmupWindows = 1;
     const SampledSimulator sim = makeSim(opts, 4000);
 
     const PipelineStats full = sim.fullRun();
@@ -183,6 +147,30 @@ TEST(SampledRun, EstimateWithinItsOwnConfidenceInterval)
     EXPECT_LE(std::fabs(est.estOutputTokens -
                         static_cast<double>(full.outputTokens)),
               est.ciOutputTokens);
+}
+
+TEST(SampledRun, BadOptionsDieNamingTheField)
+{
+    // A bad configuration fails up front with the option's name and
+    // value, not with an assert deep inside the window loop. Earlier
+    // tests start the worker pool, and fatal()'s exit in a forked
+    // child would wait on workers the fork did not copy, so each
+    // death check re-runs this test alone in a fresh process.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SampledSimOptions no_windows;
+    no_windows.numWindows = 0;
+    EXPECT_DEATH({ makeSim(no_windows, 10); },
+                 "SampledSimOptions::numWindows = 0");
+
+    SampledSimOptions zero_fraction;
+    zero_fraction.fraction = 0.0;
+    EXPECT_DEATH({ makeSim(zero_fraction, 10); },
+                 "SampledSimOptions::fraction = 0");
+
+    SampledSimOptions big_fraction;
+    big_fraction.fraction = 1.5;
+    EXPECT_DEATH({ makeSim(big_fraction, 10); },
+                 "SampledSimOptions::fraction = 1\\.5");
 }
 
 TEST(SampledRun, MeasuredSelectionIsStratifiedAndDeterministic)
@@ -254,17 +242,14 @@ TEST(SampledRun, MergedAggregateMatchesManualMerge)
     opts.numWindows = 8;
     opts.strata = 2;
     opts.fraction = 0.5;
-    opts.warmupWindows = 0;
     opts.serialExecution = true;
     const SampledSimulator sim = makeSim(opts, 400);
 
     const auto sel = sim.measuredWindowIndices();
     ASSERT_EQ(sel.size(), 4u);
     std::vector<PipelineStats> runs;
-    for (const std::uint64_t j : sel) {
-        TimingCache cache(0);
-        runs.push_back(sim.runWindow(j, &cache));
-    }
+    for (const std::uint64_t j : sel)
+        runs.push_back(sim.runWindow(j));
     PipelineStats manual;
     bool started = false;
     std::size_t i = 0;
