@@ -12,6 +12,7 @@
 #ifndef OURO_BENCH_BENCH_UTIL_HH
 #define OURO_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -168,6 +169,60 @@ energyCells(Table &table, const EnergyLedger &ledger, double denom)
     table.cell(ledger.get(EnergyCategory::OnChipMemory) / denom, 3);
     table.cell(ledger.get(EnergyCategory::OffChipMemory) / denom, 3);
     table.cell(ledger.total() / denom, 3);
+}
+
+/** Degradation and recovery of a storm run, read off its output-token
+ *  histogram. */
+struct StormTrajectory
+{
+    /** Mean bin over the steady half of the pre-storm window (the
+     *  first half is the prefill ramp); 0 when the window is empty. */
+    double preRate = 0.0;
+    /** Worst bin while the storm is live over preRate (1 when preRate
+     *  is 0). */
+    double depth = 1.0;
+    /** Seconds from the last storm event to the first later bin back
+     *  at >= 90% of preRate; -1 when none recovers. The last two bins
+     *  are excluded: that is the drain tail, where throughput falls
+     *  because requests RUN OUT, not because the storm hurt. */
+    double recoverySeconds = -1.0;
+};
+
+/** The trajectory of @p bins (width @p bin_w) under a storm that
+ *  starts at @p storm_start and ends with an event at @p storm_end. */
+inline StormTrajectory
+stormTrajectory(const std::vector<std::uint64_t> &bins, double bin_w,
+                double storm_start, double storm_end)
+{
+    const auto bin_of = [&](double t) {
+        return static_cast<std::size_t>(t / bin_w);
+    };
+    StormTrajectory out;
+    const std::size_t pre_hi =
+        std::min(bin_of(storm_start), bins.size());
+    const std::size_t pre_lo = pre_hi / 2;
+    if (pre_hi > pre_lo) {
+        for (std::size_t b = pre_lo; b < pre_hi; ++b)
+            out.preRate += static_cast<double>(bins[b]);
+        out.preRate /= static_cast<double>(pre_hi - pre_lo);
+    }
+    double depth_rate = out.preRate;
+    for (std::size_t b = bin_of(storm_start);
+         b <= bin_of(storm_end) && b < bins.size(); ++b)
+        depth_rate = std::min(depth_rate,
+                              static_cast<double>(bins[b]));
+    if (out.preRate > 0.0)
+        out.depth = depth_rate / out.preRate;
+    const std::size_t tail =
+        bins.size() >= 2 ? bins.size() - 2 : bins.size();
+    for (std::size_t b = bin_of(storm_end) + 1; b < tail; ++b) {
+        if (static_cast<double>(bins[b]) >= 0.9 * out.preRate) {
+            out.recoverySeconds = std::max(
+                    0.0, static_cast<double>(b) * bin_w - storm_end);
+            break;
+        }
+    }
+    return out;
 }
 
 } // namespace ouro::bench

@@ -40,7 +40,7 @@ SampledSimulator
 makeSimulator(const OuroborosSystem &sys, const ModelConfig &model,
               const DayTraceParams &trace, SampledSimOptions opts)
 {
-    opts.pipeline.attentionParallelism = 16.0;
+    opts.pipeline = sys.servingOptions();
     opts.kvThreshold = sys.options().kvThreshold;
     return SampledSimulator(DayTrace(trace), model,
                             sys.stageTiming(), sys.scorePool(),

@@ -108,11 +108,8 @@ main(int argc, char **argv)
         PipelineStats stats;
         best_wall = 1e300;
         for (int rep = 0; rep < 3; ++rep) {
-            BlockKvManager kv(serve_model, serve_sys.scorePool(),
-                              serve_sys.contextPool(), 128,
-                              serve_sys.options().kvThreshold);
-            PipelineOptions popts;
-            popts.attentionParallelism = 16.0;
+            BlockKvManager kv = serve_sys.makeKvManager();
+            PipelineOptions popts = serve_sys.servingOptions();
             popts.cohortFastPath = cohort;
             const WallTimer timer;
             const PipelineStats rep_stats =

@@ -10,9 +10,11 @@
  *    (per-wafer stats, fleet fold AND the dispatch assignment) - the
  *    PR 1 sweep contract extended to serving;
  *  - an N=1 fleet is bit-identical to a direct runPipeline over the
- *    same pool and options - the plain-serving collapse oracle;
- *  - replaying the fleet run is bitwise deterministic (stats,
- *    assignment AND resolved storm events);
+ *    system's KV manager and serving options - the plain-serving
+ *    collapse oracle;
+ *  - replaying the fleet run is bitwise deterministic (the whole
+ *    FleetResult: stats, assignment, KV probe counters AND resolved
+ *    storm events);
  *  - a storm configuration with a ZERO-failure schedule is
  *    bit-identical to the no-storm fleet.
  *
@@ -36,36 +38,6 @@
 
 using namespace ouro;
 using namespace ouro::bench;
-
-namespace
-{
-
-void
-assertSameFleet(const FleetResult &a, const FleetResult &b,
-                const char *what)
-{
-    ouroAssert(a.assignment == b.assignment,
-               "fleet_serving: ", what, " (assignment)");
-    ouroAssert(a.requestsPerWafer == b.requestsPerWafer &&
-               a.tokensCommitted == b.tokensCommitted &&
-               a.dispatchWeight == b.dispatchWeight,
-               "fleet_serving: ", what, " (dispatch counters)");
-    ouroAssert(a.wafers == b.wafers && a.fleet == b.fleet,
-               "fleet_serving: ", what, " (stats)");
-    ouroAssert(a.kvAdmissionProbes == b.kvAdmissionProbes &&
-               a.kvProbeFailures == b.kvProbeFailures &&
-               a.kvProbesSkipped == b.kvProbesSkipped,
-               "fleet_serving: ", what, " (KV admission counters)");
-    ouroAssert(a.failuresInjected == b.failuresInjected &&
-               a.failuresHandled == b.failuresHandled &&
-               a.kvCoresLost == b.kvCoresLost &&
-               a.kvCoresAdopted == b.kvCoresAdopted &&
-               a.borrows == b.borrows &&
-               a.events.size() == b.events.size(),
-               "fleet_serving: ", what, " (storm resolution)");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -112,25 +84,21 @@ main(int argc, char **argv)
                                               trace.daySeconds(),
                                               fopts);
     const double parallel_wall = parallel_timer.seconds();
-    assertSameFleet(serial, fleet,
-                    "parallel fleet diverged from serial");
+    ouroAssert(serial == fleet,
+               "fleet_serving: parallel fleet diverged from serial");
 
     // --- Oracle (b): replay determinism. ---
-    assertSameFleet(fleet, runFleetServing(sys, day, fopts),
-                    "fleet replay diverged");
+    ouroAssert(runFleetServing(sys, day, fopts) == fleet,
+               "fleet_serving: fleet replay diverged");
 
     // --- Oracle (c): N=1 collapses to the plain serving path. ---
     {
         FleetOptions one = fopts;
         one.numWafers = 1;
         const FleetResult single = runFleetServing(sys, day, one);
-        BlockKvManager kv(model, sys.scorePool(), sys.contextPool(),
-                          128, sys.options().kvThreshold);
-        PipelineOptions popts;
-        popts.kind = PipelineKind::TokenGrained;
-        popts.attentionParallelism = fopts.attentionParallelism;
+        BlockKvManager kv = sys.makeKvManager();
         const PipelineStats plain = runPipeline(
-                day, model, sys.stageTiming(), kv, popts);
+                day, model, sys.stageTiming(), kv, sys.servingOptions());
         ouroAssert(single.fleet == plain && single.wafers[0] == plain,
                    "fleet_serving: N=1 fleet diverged from the plain "
                    "serving path");
@@ -152,9 +120,9 @@ main(int argc, char **argv)
     FleetOptions zero = binned;
     zero.stormWafer = storm_wafer;
     zero.injector.failures = 0;
-    assertSameFleet(runFleetServing(sys, day, zero), nostorm,
-                    "zero-failure storm fleet diverged from the "
-                    "no-storm fleet");
+    ouroAssert(runFleetServing(sys, day, zero) == nostorm,
+               "fleet_serving: zero-failure storm fleet diverged "
+               "from the no-storm fleet");
 
     // The real storm: failures across [30%, 50%] of the storm
     // wafer's clean makespan.
@@ -168,8 +136,8 @@ main(int argc, char **argv)
     storm_opts.injector.seed = 20260808;
     storm_opts.injector.weightFailureFraction = 0.25;
     const FleetResult storm = runFleetServing(sys, day, storm_opts);
-    assertSameFleet(storm, runFleetServing(sys, day, storm_opts),
-                    "storm fleet replay diverged");
+    ouroAssert(runFleetServing(sys, day, storm_opts) == storm,
+               "fleet_serving: storm fleet replay diverged");
     ouroAssert(storm.failuresHandled > 0 && !storm.events.empty(),
                "fleet_serving: storm resolved no failures");
     ouroAssert(storm.dispatchWeight[storm_wafer] <= 1.0,
@@ -180,42 +148,13 @@ main(int argc, char **argv)
                "wafer");
 
     // Degradation / recovery off the fleet-wide aligned histogram.
-    const auto &bins = storm.fleet.outputTokenBins;
-    const double storm_start = storm_opts.injector.stormStart;
-    const double storm_end = storm.events.back().time;
-    const auto bin_of = [&](double t) {
-        return static_cast<std::size_t>(t / bin_w);
-    };
-    const std::size_t pre_hi =
-        std::min(bin_of(storm_start), bins.size());
-    const std::size_t pre_lo = pre_hi / 2;
-    double pre_rate = 0.0;
-    if (pre_hi > pre_lo) {
-        for (std::size_t b = pre_lo; b < pre_hi; ++b)
-            pre_rate += static_cast<double>(bins[b]);
-        pre_rate /= static_cast<double>(pre_hi - pre_lo);
-    }
-    double depth_rate = pre_rate;
-    for (std::size_t b = bin_of(storm_start);
-         b <= bin_of(storm_end) && b < bins.size(); ++b)
-        depth_rate = std::min(depth_rate,
-                              static_cast<double>(bins[b]));
-    const double degradation_depth =
-        pre_rate > 0.0 ? depth_rate / pre_rate : 1.0;
-    // First bin after the schedule drains that recovers to 90% of
-    // the pre-storm fleet rate (drain tail excluded); -1 when the
-    // run ends first. Recorded, not asserted: the router's load
-    // shift makes the storm wafer drain early by design.
-    double recovery_seconds = -1.0;
-    const std::size_t tail =
-        bins.size() >= 2 ? bins.size() - 2 : bins.size();
-    for (std::size_t b = bin_of(storm_end) + 1; b < tail; ++b) {
-        if (static_cast<double>(bins[b]) >= 0.9 * pre_rate) {
-            recovery_seconds = std::max(
-                    0.0, static_cast<double>(b) * bin_w - storm_end);
-            break;
-        }
-    }
+    // Recovery is recorded, not asserted (-1 when the run ends
+    // first): the router's load shift makes the storm wafer drain
+    // early by design.
+    const StormTrajectory traj =
+        stormTrajectory(storm.fleet.outputTokenBins, bin_w,
+                        storm_opts.injector.stormStart,
+                        storm.events.back().time);
 
     const double storm_goodput_ratio =
         nostorm.wafers[storm_wafer].outputTokensPerSecond() > 0.0
@@ -260,7 +199,7 @@ main(int argc, char **argv)
               << formatDouble(storm_goodput_ratio, 3)
               << " (fleet " << formatDouble(fleet_goodput_ratio, 3)
               << "), degradation depth "
-              << formatDouble(degradation_depth, 3) << "\n"
+              << formatDouble(traj.depth, 3) << "\n"
               << "parallel==serial, N=1 collapse, replay and "
                  "zero-failure==no-storm all bit-identical "
                  "(asserted).\n";
@@ -287,8 +226,8 @@ main(int argc, char **argv)
                 static_cast<std::uint64_t>(storm_wafer))
         .metric("storm_wafer_goodput_ratio", storm_goodput_ratio)
         .metric("storm_fleet_goodput_ratio", fleet_goodput_ratio)
-        .metric("storm_degradation_depth", degradation_depth)
-        .metric("storm_recovery_seconds", recovery_seconds)
+        .metric("storm_degradation_depth", traj.depth)
+        .metric("storm_recovery_seconds", traj.recoverySeconds)
         .metric("storm_wafer_weight",
                 storm.dispatchWeight[storm_wafer])
         .metric("storm_failures_handled", storm.failuresHandled)

@@ -72,6 +72,8 @@ struct KvCoreInfo
     CoreCoord coord;
     std::uint32_t crossbars;  ///< attention-capable crossbars
     std::uint32_t blocksPerCrossbar;
+
+    bool operator==(const KvCoreInfo &) const = default;
 };
 
 /** Where one head of one sequence lives. */

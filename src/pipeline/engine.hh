@@ -80,8 +80,12 @@ struct KvPoolEvent
     {
         KvCoreInfo info;
         bool scoreDuty = false;
+
+        bool operator==(const Adopt &) const = default;
     };
     std::vector<Adopt> adopts;
+
+    bool operator==(const KvPoolEvent &) const = default;
 };
 
 /** Aggregate results of one pipeline run. */
@@ -252,6 +256,8 @@ struct PipelineOptions
     /** Width of the outputTokenBins histogram; 0 disables binning
      *  (no other stat is affected either way). */
     double throughputBinSeconds = 0.0;
+
+    bool operator==(const PipelineOptions &) const = default;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -99,24 +100,50 @@ stormCapacityFraction(const OuroborosSystem &sys,
     return static_cast<double>(pool.size()) / initial;
 }
 
+/** Bad configurations are user errors: fatal(), naming the field
+ *  and its value, before any phase runs. */
+void
+checkFleetOptions(const OuroborosSystem &sys, const FleetOptions &opts)
+{
+    if (opts.numWafers == 0)
+        fatal("runFleetServing: FleetOptions::numWafers = 0");
+    if (!sys.options().dynamicKv)
+        fatal("runFleetServing: OuroborosOptions::dynamicKv = false; "
+              "fleet serving needs the dynamic KV pool");
+    if (opts.stormWafer != FleetOptions::kNoStormWafer &&
+        opts.stormWafer >= opts.numWafers)
+        fatal("runFleetServing: FleetOptions::stormWafer = ",
+              opts.stormWafer, " with FleetOptions::numWafers = ",
+              opts.numWafers);
+    if (opts.serialOrder.empty())
+        return;
+    std::vector<bool> seen(opts.numWafers, false);
+    bool permutation = opts.serialOrder.size() == opts.numWafers;
+    for (const std::uint32_t w : opts.serialOrder) {
+        if (w >= opts.numWafers || seen[w]) {
+            permutation = false;
+            break;
+        }
+        seen[w] = true;
+    }
+    if (!permutation) {
+        std::string order;
+        for (const std::uint32_t w : opts.serialOrder)
+            order += (order.empty() ? "" : ", ") + std::to_string(w);
+        fatal("runFleetServing: FleetOptions::serialOrder = {", order,
+              "} is not a permutation of [0, ", opts.numWafers, ")");
+    }
+}
+
 } // namespace
 
 FleetResult
 runFleetServing(const OuroborosSystem &sys, const Workload &workload,
                 const FleetOptions &opts)
 {
-    ouroAssert(opts.numWafers >= 1,
-               "runFleetServing: need at least one wafer");
-    ouroAssert(sys.options().dynamicKv,
-               "runFleetServing: fleet serving requires the dynamic "
-               "KV pool");
+    checkFleetOptions(sys, opts);
     const bool has_storm_wafer =
         opts.stormWafer != FleetOptions::kNoStormWafer;
-    if (has_storm_wafer) {
-        ouroAssert(opts.stormWafer < opts.numWafers,
-                   "runFleetServing: storm wafer ", opts.stormWafer,
-                   " of ", opts.numWafers);
-    }
     FleetResult result;
 
     // Phase 0: resolve the storm schedule (pure in the schedule
@@ -166,11 +193,8 @@ runFleetServing(const OuroborosSystem &sys, const Workload &workload,
     result.wafers.resize(opts.numWafers);
     std::vector<std::array<std::uint64_t, 3>> probes(opts.numWafers);
     const auto simulate = [&](std::size_t w) {
-        BlockKvManager kv(sys.model(), sys.scorePool(),
-                          sys.contextPool(), 128,
-                          sys.options().kvThreshold);
-        PipelineOptions popts;
-        popts.kind = PipelineKind::TokenGrained;
+        BlockKvManager kv = sys.makeKvManager();
+        PipelineOptions popts = sys.servingOptions();
         popts.attentionParallelism = opts.attentionParallelism;
         popts.cohortFastPath = opts.cohortFastPath;
         popts.throughputBinSeconds = opts.throughputBinSeconds;
@@ -186,17 +210,8 @@ runFleetServing(const OuroborosSystem &sys, const Workload &workload,
             for (std::uint32_t w = 0; w < opts.numWafers; ++w)
                 simulate(w);
         } else {
-            ouroAssert(opts.serialOrder.size() == opts.numWafers,
-                       "runFleetServing: serialOrder must visit "
-                       "every wafer exactly once");
-            std::vector<bool> seen(opts.numWafers, false);
-            for (const std::uint32_t w : opts.serialOrder) {
-                ouroAssert(w < opts.numWafers && !seen[w],
-                           "runFleetServing: serialOrder is not a "
-                           "permutation of [0, numWafers)");
-                seen[w] = true;
+            for (const std::uint32_t w : opts.serialOrder)
                 simulate(w);
-            }
         }
     } else {
         parallelFor(opts.numWafers, simulate);

@@ -27,9 +27,10 @@
  *
  * N=1 COLLAPSE ORACLE: with one wafer and no storm, every request
  * lands on wafer 0 in order, so the fleet stats are bit-identical to
- * a direct runPipeline over the same pool and options - the plain
- * serving path is the retained oracle (bench_fleet_serving asserts
- * it on every run).
+ * a direct runPipeline over sys.makeKvManager() and
+ * sys.servingOptions() - the plain serving path is the retained
+ * oracle (bench_fleet_serving asserts it on every run). A storm run
+ * is the one-wafer fleet with stormWafer = 0.
  *
  * STORM INTEGRATION (PR 9 machinery, per wafer): one wafer may take
  * a FailureInjector schedule mid-run. The schedule is resolved FIRST
@@ -106,7 +107,8 @@ struct FleetOptions
     static constexpr std::uint32_t kNoStormWafer = 0xffffffffu;
 
     /** Wafers behind the router (>= 1). Every wafer serves the same
-     *  deployment (model, mapping, pools, timing). */
+     *  deployment (model, mapping, pools, timing) with the system's
+     *  servingOptions(), overridden only by the fields below. */
     std::uint32_t numWafers = 4;
 
     /** Optional locality/affinity hook (see FleetDispatchConfig). */
@@ -127,13 +129,15 @@ struct FleetOptions
      *  serves what it can). */
     double minDispatchWeight = 0.05;
 
+    /** Forwarded to PipelineOptions::cohortFastPath. */
     bool cohortFastPath = true;
 
     /** Forwarded to PipelineOptions::throughputBinSeconds on EVERY
      *  wafer (one width fleet-wide - mergeConcurrent asserts it). */
     double throughputBinSeconds = 0.0;
 
-    /** Matches the system run()/fig13 serving operating point. */
+    /** Forwarded to PipelineOptions::attentionParallelism; the
+     *  default is servingOptions()'s. */
     double attentionParallelism = 16.0;
 
     /** Force the plain serial wafer loop instead of parallelFor (the
@@ -185,13 +189,16 @@ struct FleetResult
     std::uint64_t kvCoresLost = 0;
     std::uint64_t kvCoresAdopted = 0;
     std::uint64_t borrows = 0;
+
+    bool operator==(const FleetResult &) const = default;
 };
 
 /**
  * Serve @p workload through a fleet of @p opts.numWafers copies of
  * @p sys behind the deterministic router. Requires dynamic KV (the
  * pool-based serving mode). Pure in (workload, opts): calling twice
- * is bit-identical, whatever the thread count.
+ * is bit-identical, whatever the thread count. A bad configuration
+ * is a fatal() user error naming the field.
  */
 FleetResult runFleetServing(const OuroborosSystem &sys,
                             const Workload &workload,

@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "common/logging.hh"
-
 namespace ouro
 {
 
@@ -130,46 +128,6 @@ resolveStormSchedule(const OuroborosSystem &sys,
             result.events.push_back(std::move(ev));
         }
     }
-    return result;
-}
-
-StormServingResult
-runStormServing(const OuroborosSystem &sys, const Workload &workload,
-                const StormServingOptions &opts)
-{
-    ouroAssert(sys.options().dynamicKv,
-               "runStormServing: storm serving requires the dynamic "
-               "KV pool");
-    StormServingResult result;
-
-    // Phase 1: resolve the schedule (pure in schedule seed/options).
-    {
-        ResolvedStorm resolved =
-            resolveStormSchedule(sys, opts.injector, opts.recovery);
-        result.events = std::move(resolved.events);
-        result.failuresInjected = resolved.failuresInjected;
-        result.failuresHandled = resolved.failuresHandled;
-        result.failuresSkipped = resolved.failuresSkipped;
-        result.kvCoresLost = resolved.kvCoresLost;
-        result.kvCoresAdopted = resolved.kvCoresAdopted;
-        result.borrows = resolved.borrows;
-    }
-
-    // Phase 2: serve the workload with the mirrored schedule driving
-    // mid-run pool mutations. An empty schedule leaves stormSchedule
-    // null - the engine's unmodified (bit-identical) path.
-    BlockKvManager kv(sys.model(), sys.scorePool(),
-                      sys.contextPool(), 128,
-                      sys.options().kvThreshold);
-    PipelineOptions popts;
-    popts.kind = PipelineKind::TokenGrained;
-    popts.attentionParallelism = opts.attentionParallelism;
-    popts.cohortFastPath = opts.cohortFastPath;
-    popts.throughputBinSeconds = opts.throughputBinSeconds;
-    if (!result.events.empty())
-        popts.stormSchedule = &result.events;
-    result.stats = runPipeline(workload, sys.model(),
-                               sys.stageTiming(), kv, popts);
     return result;
 }
 

@@ -1,30 +1,27 @@
 /**
  * @file
- * Serving through a failure storm (PR 9): the scenario that finally
- * closes the loop between the two headline harnesses. A
- * deterministic FailureInjector schedule drives
- * RecoveryService::handleCoreFailure against the placement the
- * pipeline engine is actually serving on (the representative block
- * of replica 0); every placement change the service makes is
- * mirrored into the live BlockKvManager pool as a KvPoolEvent on the
- * engine's run clock:
+ * Resolving a failure storm against the serving region: the one path
+ * from a FailureInjector schedule to the KvPoolEvents the pipeline
+ * engine replays. Each failure goes through
+ * RecoveryService::handleCoreFailure against the placement the engine
+ * serves on (representative block, replica 0), and the service's
+ * placement change is mirrored into a pool event on the run clock:
+ * lost KV cores (the failed core, a replacement chain's absorbed KV
+ * core) become dropCore()s, whose residents are storm-evicted and
+ * re-prefilled under the Section 4.4.4 admission backpressure;
+ * gained cores (cross-block borrows) become adoptCore()s.
  *
- *  - KV cores the region lost (the failed core, a replacement
- *    chain's absorbed KV core) become dropCore()s - residents whose
- *    KV lived there are storm-evicted and re-enter the wait queue
- *    with their full re-prefill as real pipeline work under the
- *    Section 4.4.4 admission backpressure;
- *  - KV cores the region gained (cross-block borrows) become
- *    adoptCore()s, growing the pool back mid-run.
+ * Serving through a storm is a fleet run (sim/fleet.hh): one wafer,
+ * stormWafer = 0, the schedule in FleetOptions::injector. The fleet
+ * resolves it here first and hands the events to the wafer's
+ * PipelineOptions::stormSchedule.
  *
- * Determinism contract: the whole storm run is a pure function of
- * (workload, schedule seed, options). The service is rebuilt from
- * the system's immutable mapping on every call and the injector is
- * counter-seeded, so calling runStormServing twice with the same
- * inputs yields bit-identical stats AND bit-identical events (tests
- * and the storm bench assert this). A zero-failure schedule leaves
- * the engine on its unmodified path - bit-identical to a plain
- * runPipeline over the same pool (the retained oracle).
+ * Determinism: resolution is a pure function of (system mapping,
+ * injector params, recovery options) - the service is rebuilt from
+ * the immutable mapping on every call and the injector is
+ * counter-seeded - so a storm run replays bit-identically, stats AND
+ * events. A zero-failure schedule resolves to no events, leaving the
+ * engine bit-identical to a plain runPipeline over the same pool.
  */
 
 #ifndef OURO_SIM_STORM_RUN_HH
@@ -39,22 +36,6 @@
 
 namespace ouro
 {
-
-struct StormServingOptions
-{
-    FailureInjectorParams injector;
-
-    /** Options for the rebuilt-per-run recovery service. */
-    RecoveryServiceOptions recovery;
-
-    bool cohortFastPath = true;
-
-    /** Forwarded to PipelineOptions::throughputBinSeconds. */
-    double throughputBinSeconds = 0.0;
-
-    /** Matches the system run()/fig13 serving operating point. */
-    double attentionParallelism = 16.0;
-};
 
 /**
  * A counter-seeded failure schedule resolved against the serving
@@ -76,45 +57,22 @@ struct ResolvedStorm
     std::uint64_t kvCoresLost = 0;      ///< dropCore events issued
     std::uint64_t kvCoresAdopted = 0;   ///< adoptCore events issued
     std::uint64_t borrows = 0;          ///< cross-block KV borrows
+
+    bool operator==(const ResolvedStorm &) const = default;
 };
 
 /**
  * Resolve @p injector's schedule against @p sys's serving region
  * (representative block, replica 0) through a recovery service
  * rebuilt from the immutable mapping, mirroring every placement
- * change into a KvPoolEvent. Shared by runStormServing and the
- * fleet layer (sim/fleet.hh), which also prices a storm-degraded
- * wafer's dispatch weight off the resolved pool delta.
+ * change into a KvPoolEvent. The fleet layer (sim/fleet.hh) serves
+ * the events and also prices the storm wafer's dispatch weight off
+ * the resolved pool delta.
  */
 ResolvedStorm
 resolveStormSchedule(const OuroborosSystem &sys,
                      const FailureInjectorParams &injector,
                      const RecoveryServiceOptions &recovery = {});
-
-struct StormServingResult
-{
-    PipelineStats stats;
-
-    /** The mirrored pool schedule the engine executed (sorted by
-     *  time; replay input for determinism checks). */
-    std::vector<KvPoolEvent> events;
-
-    std::uint64_t failuresInjected = 0; ///< schedule entries resolved
-    std::uint64_t failuresHandled = 0;  ///< service recoveries
-    std::uint64_t failuresSkipped = 0;  ///< empty pool / unrecoverable
-    std::uint64_t kvCoresLost = 0;      ///< dropCore events issued
-    std::uint64_t kvCoresAdopted = 0;   ///< adoptCore events issued
-    std::uint64_t borrows = 0;          ///< cross-block KV borrows
-};
-
-/**
- * Run @p workload through @p sys's serving pipeline while the
- * injector's failure schedule plays out against the serving region.
- * Requires dynamic KV (the pool-based serving mode).
- */
-StormServingResult runStormServing(const OuroborosSystem &sys,
-                                   const Workload &workload,
-                                   const StormServingOptions &opts);
 
 } // namespace ouro
 

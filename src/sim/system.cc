@@ -203,14 +203,9 @@ OuroborosSystem::totalMappingByteHops() const
     return total;
 }
 
-OuroborosReport
-OuroborosSystem::run(const Workload &workload) const
+PipelineOptions
+OuroborosSystem::servingOptions() const
 {
-    OuroborosReport report;
-
-    BlockKvManager kv(model_, scorePool_, contextPool_, 128,
-                      opts_.kvThreshold);
-
     PipelineOptions popts;
     popts.kind = opts_.tokenGrained ? PipelineKind::TokenGrained
                                     : PipelineKind::SequenceGrained;
@@ -219,6 +214,21 @@ OuroborosSystem::run(const Workload &workload) const
     // Bulk (sequence-granular) attention parallelises across the
     // block's KV crossbars: ~16-way per head ring in practice.
     popts.attentionParallelism = 16.0;
+    return popts;
+}
+
+BlockKvManager
+OuroborosSystem::makeKvManager() const
+{
+    return BlockKvManager(model_, scorePool_, contextPool_, 128,
+                          opts_.kvThreshold);
+}
+
+OuroborosReport
+OuroborosSystem::run(const Workload &workload) const
+{
+    OuroborosReport report;
+    BlockKvManager kv = makeKvManager();
 
     // Data-parallel replicas: run one replica's shard; the others
     // are congruent and finish simultaneously.
@@ -232,7 +242,8 @@ OuroborosSystem::run(const Workload &workload) const
         if (shard.requests.empty())
             shard.requests.push_back(workload.requests.front());
     }
-    report.pipeline = runPipeline(shard, model_, timing_, kv, popts);
+    report.pipeline =
+        runPipeline(shard, model_, timing_, kv, servingOptions());
     report.kvEvictions = kv.evictionCount();
     report.kvAdmissionProbes = kv.admissionProbes();
     report.kvProbeFailures = kv.probeFailures();

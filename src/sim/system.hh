@@ -96,6 +96,16 @@ class OuroborosSystem
     /** Execute a workload. */
     OuroborosReport run(const Workload &workload) const;
 
+    /** The deployment's serving configuration, the one place the
+     *  options become PipelineOptions: kind from tokenGrained, static
+     *  KV from !dynamicKv, the model's max context and the bulk-
+     *  attention parallelism. run() and every fleet wafer use it. */
+    PipelineOptions servingOptions() const;
+
+    /** A fresh representative-block KV manager over this system's
+     *  pools: 128-token blocks and the kvThreshold option. */
+    BlockKvManager makeKvManager() const;
+
     /** Mapping of wafer @p w (for inspection / Fig. 18). */
     const WaferMapping &mapping(std::uint32_t wafer = 0) const;
 

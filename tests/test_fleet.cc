@@ -12,42 +12,19 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "sim/fleet.hh"
 #include "sim/system.hh"
 #include "workload/requests.hh"
 #include "workload/trace.hh"
 
+#include "fixtures.hh"
+
 namespace ouro
 {
 namespace
 {
-
-bool
-sameFleet(const FleetResult &a, const FleetResult &b)
-{
-    return a.assignment == b.assignment &&
-           a.requestsPerWafer == b.requestsPerWafer &&
-           a.tokensCommitted == b.tokensCommitted &&
-           a.dispatchWeight == b.dispatchWeight &&
-           a.wafers == b.wafers && a.fleet == b.fleet &&
-           a.failuresInjected == b.failuresInjected &&
-           a.failuresHandled == b.failuresHandled &&
-           a.kvCoresLost == b.kvCoresLost &&
-           a.kvCoresAdopted == b.kvCoresAdopted &&
-           a.borrows == b.borrows &&
-           a.events.size() == b.events.size();
-}
-
-/** System-level fixtures (mirrors test_storm.cc). */
-OuroborosOptions
-fastOpts(std::uint64_t seed = 11)
-{
-    OuroborosOptions opts;
-    opts.smartMapping = false;
-    opts.seed = seed;
-    return opts;
-}
 
 TEST(FleetDispatch, LeastOutstandingReference)
 {
@@ -143,50 +120,148 @@ TEST(FleetServing, ParallelEqualsSerialUnderAnyVisitOrder)
 
     FleetOptions serial = opts;
     serial.serialExecution = true;
-    EXPECT_TRUE(sameFleet(parallel, runFleetServing(*sys, w,
-                                                    serial)));
+    EXPECT_EQ(parallel, runFleetServing(*sys, w, serial));
     for (const std::vector<std::uint32_t> &order :
          {std::vector<std::uint32_t>{2, 0, 1},
           std::vector<std::uint32_t>{1, 2, 0},
           std::vector<std::uint32_t>{2, 1, 0}}) {
         serial.serialOrder = order;
-        EXPECT_TRUE(sameFleet(parallel,
-                              runFleetServing(*sys, w, serial)));
+        EXPECT_EQ(parallel, runFleetServing(*sys, w, serial));
     }
 
     // Replay determinism: same inputs, bit-identical result.
-    EXPECT_TRUE(sameFleet(parallel, runFleetServing(*sys, w,
-                                                    opts)));
+    EXPECT_EQ(parallel, runFleetServing(*sys, w, opts));
 }
 
 TEST(FleetServing, SingleWaferCollapsesToPlainServing)
 {
     // N=1 collapse oracle: the whole fleet layer must vanish - one
-    // wafer, no storm, is bit-identical to a direct runPipeline over
-    // the same pool and options.
+    // wafer is bit-identical to a direct runPipeline over the
+    // system's pool and serving options, cohort ring on AND off, and
+    // with or without an armed zero-failure storm on the wafer (a
+    // zero-failure storm run is the plain serving path).
     const ModelConfig model = llama13b();
     const auto sys = OuroborosSystem::build(model, {}, fastOpts());
     ASSERT_TRUE(sys.has_value());
-    const Workload w = wikiText2Like(64, 512, 9);
+    const std::pair<Workload, double> cases[] = {
+        {wikiText2Like(64, 512, 9), 0.01},
+        {fixedWorkload(16, 48, 96), 0.0},
+    };
 
+    for (const auto &[w, bin_w] : cases) {
+        for (const bool cohort : {true, false}) {
+            for (const bool armed : {false, true}) {
+                FleetOptions opts;
+                opts.numWafers = 1;
+                opts.throughputBinSeconds = bin_w;
+                opts.cohortFastPath = cohort;
+                if (armed) {
+                    opts.stormWafer = 0;
+                    opts.injector.failures = 0;
+                }
+                const FleetResult fleet =
+                    runFleetServing(*sys, w, opts);
+                EXPECT_TRUE(std::all_of(
+                        fleet.assignment.begin(),
+                        fleet.assignment.end(),
+                        [](std::uint32_t a) { return a == 0; }));
+                EXPECT_TRUE(fleet.events.empty());
+                EXPECT_EQ(fleet.failuresInjected, 0u);
+
+                BlockKvManager kv = sys->makeKvManager();
+                PipelineOptions popts = sys->servingOptions();
+                popts.cohortFastPath = cohort;
+                popts.throughputBinSeconds = bin_w;
+                const PipelineStats plain = runPipeline(
+                        w, model, sys->stageTiming(), kv, popts);
+                EXPECT_EQ(fleet.fleet, plain);
+                EXPECT_EQ(fleet.wafers[0], plain);
+            }
+        }
+    }
+}
+
+TEST(FleetServing, SequenceGrainedSystemServesSgp)
+{
+    // The system owns the serving configuration: servingOptions()
+    // follows the deployment's options field by field, and a fleet
+    // of a sequence-grained system serves SGP, not TGP.
+    const ModelConfig model = llama13b();
+    const auto tgp = OuroborosSystem::build(model, {}, fastOpts());
+    OuroborosOptions sgp_opts = fastOpts();
+    sgp_opts.tokenGrained = false;
+    const auto sgp = OuroborosSystem::build(model, {}, sgp_opts);
+    OuroborosOptions static_opts = sgp_opts;
+    static_opts.dynamicKv = false;
+    const auto sgp_static =
+        OuroborosSystem::build(model, {}, static_opts);
+    ASSERT_TRUE(tgp && sgp && sgp_static);
+
+    PipelineOptions expect;
+    expect.maxContext = model.maxContext;
+    expect.attentionParallelism = 16.0;
+    EXPECT_EQ(tgp->servingOptions(), expect);
+    expect.kind = PipelineKind::SequenceGrained;
+    expect.staticKvAllocation = true;
+    EXPECT_EQ(sgp_static->servingOptions(), expect);
+
+    // The references take the pinned fields, not servingOptions(),
+    // so a fleet that ignored the system's kind could not pass.
+    const Workload w = wikiText2Like(64, 512, 17);
+    expect.staticKvAllocation = false;
+    const auto direct = [&](PipelineKind kind) {
+        BlockKvManager kv = sgp->makeKvManager();
+        PipelineOptions popts = expect;
+        popts.kind = kind;
+        return runPipeline(w, model, sgp->stageTiming(), kv, popts);
+    };
     FleetOptions opts;
     opts.numWafers = 1;
-    opts.throughputBinSeconds = 0.01;
-    const FleetResult fleet = runFleetServing(*sys, w, opts);
-    EXPECT_TRUE(std::all_of(fleet.assignment.begin(),
-                            fleet.assignment.end(),
-                            [](std::uint32_t a) { return a == 0; }));
+    const FleetResult fleet = runFleetServing(*sgp, w, opts);
+    EXPECT_EQ(fleet.fleet, direct(PipelineKind::SequenceGrained));
+    EXPECT_NE(fleet.fleet, direct(PipelineKind::TokenGrained));
+}
 
-    BlockKvManager kv(model, sys->scorePool(), sys->contextPool(),
-                      128, sys->options().kvThreshold);
-    PipelineOptions popts;
-    popts.kind = PipelineKind::TokenGrained;
-    popts.attentionParallelism = opts.attentionParallelism;
-    popts.throughputBinSeconds = opts.throughputBinSeconds;
-    const PipelineStats plain =
-        runPipeline(w, model, sys->stageTiming(), kv, popts);
-    EXPECT_EQ(fleet.fleet, plain);
-    EXPECT_EQ(fleet.wafers[0], plain);
+TEST(FleetServing, BadOptionsDieNamingTheField)
+{
+    // A bad configuration is a user error: fatal() with the field's
+    // name and value, not an assert. Earlier tests start the worker
+    // pool, and fatal()'s exit in a forked child would wait on
+    // workers the fork did not copy, so each death check re-runs
+    // this test alone in a fresh process.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const ModelConfig model = llama13b();
+    const auto sys = OuroborosSystem::build(model, {}, fastOpts());
+    ASSERT_TRUE(sys.has_value());
+    const Workload w = fixedWorkload(16, 16, 8);
+
+    FleetOptions bad;
+    bad.numWafers = 0;
+    EXPECT_DEATH(runFleetServing(*sys, w, bad),
+                 "FleetOptions::numWafers = 0");
+    bad.numWafers = 2;
+    bad.stormWafer = 2;
+    EXPECT_DEATH(runFleetServing(*sys, w, bad),
+                 "FleetOptions::stormWafer = 2 with "
+                 "FleetOptions::numWafers = 2");
+    bad.numWafers = 3;
+    bad.stormWafer = FleetOptions::kNoStormWafer;
+    bad.serialOrder = {0, 2, 0};
+    EXPECT_DEATH(runFleetServing(*sys, w, bad),
+                 "FleetOptions::serialOrder = \\{0, 2, 0\\} is not a "
+                 "permutation");
+    bad.serialOrder = {1, 0};
+    EXPECT_DEATH(runFleetServing(*sys, w, bad),
+                 "FleetOptions::serialOrder = \\{1, 0\\} is not a "
+                 "permutation");
+
+    OuroborosOptions static_opts = fastOpts();
+    static_opts.dynamicKv = false;
+    const auto static_sys =
+        OuroborosSystem::build(model, {}, static_opts);
+    ASSERT_TRUE(static_sys.has_value());
+    EXPECT_DEATH(runFleetServing(*static_sys, w, FleetOptions{}),
+                 "OuroborosOptions::dynamicKv = false");
 }
 
 TEST(FleetServing, DayTraceWindowOverloadMatchesWorkload)
@@ -206,7 +281,7 @@ TEST(FleetServing, DayTraceWindowOverloadMatchesWorkload)
             *sys, trace, 0.0, trace.daySeconds(), opts);
     const FleetResult via_workload = runFleetServing(
             *sys, trace.window(0.0, trace.daySeconds()), opts);
-    EXPECT_TRUE(sameFleet(via_trace, via_workload));
+    EXPECT_EQ(via_trace, via_workload);
 }
 
 TEST(FleetServing, ZeroFailureStormEqualsNoStormFleet)
@@ -228,7 +303,7 @@ TEST(FleetServing, ZeroFailureStormEqualsNoStormFleet)
     zero.stormWafer = 1;
     zero.injector.failures = 0;
     const FleetResult armed = runFleetServing(*sys, w, zero);
-    EXPECT_TRUE(sameFleet(nostorm, armed));
+    EXPECT_EQ(nostorm, armed);
     EXPECT_TRUE(armed.events.empty());
     EXPECT_EQ(armed.dispatchWeight[1], 1.0);
 }
@@ -273,14 +348,13 @@ TEST(FleetServing, StormDeratesWeightAndReplaysBitwise)
     EXPECT_EQ(storm.wafers[0].stormEvictions, 0u);
 
     // Whole-run replay determinism (stats, assignment AND events).
-    EXPECT_TRUE(sameFleet(storm, runFleetServing(*sys, w,
-                                                 storm_opts)));
+    EXPECT_EQ(storm, runFleetServing(*sys, w, storm_opts));
 
     // Parallel == serial holds under a storm too.
     FleetOptions serial = storm_opts;
     serial.serialExecution = true;
     serial.serialOrder = {1, 0};
-    EXPECT_TRUE(sameFleet(storm, runFleetServing(*sys, w, serial)));
+    EXPECT_EQ(storm, runFleetServing(*sys, w, serial));
 }
 
 } // namespace

@@ -19,19 +19,12 @@
 #include "sim/system.hh"
 #include "workload/requests.hh"
 
+#include "fixtures.hh"
+
 namespace ouro
 {
 namespace
 {
-
-OuroborosOptions
-fastOpts(std::uint64_t seed = 11)
-{
-    OuroborosOptions opts;
-    opts.smartMapping = false;
-    opts.seed = seed;
-    return opts;
-}
 
 TEST(Integration, PlacementsAreRoutable)
 {

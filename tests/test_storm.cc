@@ -2,100 +2,26 @@
  * @file
  * PR 9 serving-through-failures tests: FailureInjector purity and
  * monotonicity, engine-level KvPoolEvent handling (storm evictions,
- * mid-run adopts, the throughput histogram), the zero-failure
- * bit-identity oracle (cohort fast path on AND off), and whole-run
- * storm replay determinism through runStormServing.
+ * mid-run adopts, the throughput histogram), and whole-run storm
+ * replay determinism through a one-wafer fleet (the zero-failure
+ * oracle is FleetServing.SingleWaferCollapsesToPlainServing).
  */
 
 #include <gtest/gtest.h>
 
 #include "pipeline/engine.hh"
 #include "sim/failure_injector.hh"
+#include "sim/fleet.hh"
 #include "sim/storm_run.hh"
 #include "sim/system.hh"
 #include "workload/requests.hh"
+
+#include "fixtures.hh"
 
 namespace ouro
 {
 namespace
 {
-
-/** Mirrors the test_pipeline.cc fixtures (anonymous there). */
-ModelConfig
-pipeModel()
-{
-    ModelConfig cfg;
-    cfg.name = "storm-test";
-    cfg.numBlocks = 8;
-    cfg.hiddenDim = 512;
-    cfg.numHeads = 4;
-    cfg.numKvHeads = 4;
-    cfg.headDim = 128;
-    cfg.ffnDim = 1024;
-    cfg.ffnMatrices = 2;
-    cfg.vocabSize = 100;
-    cfg.bytesPerParam = 1;
-    cfg.attention = AttentionKind::Causal;
-    cfg.maxContext = 4096;
-    return cfg;
-}
-
-StageTiming
-uniformTiming(double fixed = 1e-6, double per_ctx = 1e-9)
-{
-    StageTiming timing;
-    for (unsigned s = 0; s < kStagesPerBlock; ++s) {
-        timing.fixedSeconds[s] = fixed;
-        const auto kind = static_cast<StageKind>(s);
-        timing.perContextSeconds[s] =
-            stageIsAttention(kind) ? per_ctx : 0.0;
-    }
-    return timing;
-}
-
-std::vector<KvCoreInfo>
-bigPool(std::uint32_t cores = 64, std::uint32_t base = 0)
-{
-    std::vector<KvCoreInfo> infos;
-    for (std::uint32_t i = 0; i < cores; ++i)
-        infos.push_back({{base, i}, 32, 8});
-    return infos;
-}
-
-BlockKvManager
-bigKv(const ModelConfig &cfg)
-{
-    return BlockKvManager(cfg, bigPool(64, 0), bigPool(64, 1));
-}
-
-bool
-sameEvents(const std::vector<KvPoolEvent> &a,
-           const std::vector<KvPoolEvent> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].time != b[i].time ||
-            a[i].dropCores.size() != b[i].dropCores.size() ||
-            a[i].adopts.size() != b[i].adopts.size())
-            return false;
-        for (std::size_t j = 0; j < a[i].dropCores.size(); ++j) {
-            if (!(a[i].dropCores[j] == b[i].dropCores[j]))
-                return false;
-        }
-        for (std::size_t j = 0; j < a[i].adopts.size(); ++j) {
-            const auto &x = a[i].adopts[j];
-            const auto &y = b[i].adopts[j];
-            if (!(x.info.coord == y.info.coord) ||
-                x.info.crossbars != y.info.crossbars ||
-                x.info.blocksPerCrossbar !=
-                        y.info.blocksPerCrossbar ||
-                x.scoreDuty != y.scoreDuty)
-                return false;
-        }
-    }
-    return true;
-}
 
 TEST(FailureInjector, TimesStrictlyIncreasingWithinWindow)
 {
@@ -342,64 +268,31 @@ TEST(StormEngine, MergeAccumulatesStormFields)
               (std::vector<std::uint64_t>{1, 2, 9}));
 }
 
-/** System-level fixtures (mirrors test_integration.cc). */
-OuroborosOptions
-fastOpts(std::uint64_t seed = 11)
-{
-    OuroborosOptions opts;
-    opts.smartMapping = false;
-    opts.seed = seed;
-    return opts;
-}
-
-TEST(StormRun, ZeroFailureBitIdenticalToPlainServing)
-{
-    // Acceptance oracle (a): a storm run with zero failures is
-    // bit-identical to the plain serving path - cohort on AND off.
-    const ModelConfig model = llama13b();
-    const auto sys = OuroborosSystem::build(model, {}, fastOpts());
-    ASSERT_TRUE(sys.has_value());
-    const Workload w = fixedWorkload(16, 48, 96);
-
-    for (const bool cohort : {true, false}) {
-        BlockKvManager kv(model, sys->scorePool(),
-                          sys->contextPool(), 128,
-                          sys->options().kvThreshold);
-        PipelineOptions popts;
-        popts.kind = PipelineKind::TokenGrained;
-        popts.attentionParallelism = 16.0;
-        popts.cohortFastPath = cohort;
-        const auto plain = runPipeline(w, model, sys->stageTiming(),
-                                       kv, popts);
-
-        StormServingOptions sopts;
-        sopts.cohortFastPath = cohort;
-        const auto storm = runStormServing(*sys, w, sopts);
-        EXPECT_EQ(plain, storm.stats);
-        EXPECT_TRUE(storm.events.empty());
-        EXPECT_EQ(storm.failuresInjected, 0u);
-    }
-}
-
 TEST(StormRun, ReplayIsBitwiseDeterministic)
 {
     // Acceptance oracle (b): same (workload, schedule seed, options)
-    // -> bit-identical stats AND bit-identical resolved events.
+    // -> bit-identical stats AND bit-identical resolved events. A
+    // storm run is a one-wafer fleet with the storm on wafer 0; its
+    // zero-failure oracle (a) lives in
+    // FleetServing.SingleWaferCollapsesToPlainServing.
     const ModelConfig model = llama13b();
     const auto sys = OuroborosSystem::build(model, {}, fastOpts());
     ASSERT_TRUE(sys.has_value());
     const Workload w = fixedWorkload(16, 48, 96);
 
-    // Pin the storm window inside the run with a zero-failure probe.
-    const auto probe = runStormServing(*sys, w, {});
-    StormServingOptions sopts;
+    // Pin the storm window inside the run with a no-storm probe.
+    FleetOptions opts;
+    opts.numWafers = 1;
+    const FleetResult probe = runFleetServing(*sys, w, opts);
+    FleetOptions sopts = opts;
+    sopts.stormWafer = 0;
     sopts.injector.failures = 6;
-    sopts.injector.stormStart = probe.stats.makespanSeconds * 0.3;
-    sopts.injector.stormDuration = probe.stats.makespanSeconds * 0.2;
+    sopts.injector.stormStart = probe.fleet.makespanSeconds * 0.3;
+    sopts.injector.stormDuration = probe.fleet.makespanSeconds * 0.2;
     sopts.injector.seed = 42;
 
-    const auto first = runStormServing(*sys, w, sopts);
-    const auto second = runStormServing(*sys, w, sopts);
+    const FleetResult first = runFleetServing(*sys, w, sopts);
+    const FleetResult second = runFleetServing(*sys, w, sopts);
     EXPECT_EQ(first.failuresInjected, 6u);
     EXPECT_EQ(first.failuresInjected, second.failuresInjected);
     EXPECT_EQ(first.failuresHandled, second.failuresHandled);
@@ -407,13 +300,20 @@ TEST(StormRun, ReplayIsBitwiseDeterministic)
     EXPECT_EQ(first.kvCoresLost, second.kvCoresLost);
     EXPECT_EQ(first.kvCoresAdopted, second.kvCoresAdopted);
     EXPECT_EQ(first.borrows, second.borrows);
-    EXPECT_TRUE(sameEvents(first.events, second.events));
-    EXPECT_EQ(first.stats, second.stats);
+    EXPECT_EQ(first.events, second.events);
+    EXPECT_EQ(first.fleet, second.fleet);
+    EXPECT_EQ(first, second);
+    // Resolution alone is pure too, and is what the run served.
+    const ResolvedStorm resolved =
+        resolveStormSchedule(*sys, sopts.injector, sopts.recovery);
+    EXPECT_EQ(resolved, resolveStormSchedule(*sys, sopts.injector,
+                                             sopts.recovery));
+    EXPECT_EQ(resolved.events, first.events);
     // The schedule actually resolved into pool events on the clock.
     EXPECT_GT(first.failuresHandled, 0u);
     EXPECT_FALSE(first.events.empty());
     // All admitted work still completes through the storm.
-    EXPECT_EQ(first.stats.outputTokens, w.totalOutputTokens());
+    EXPECT_EQ(first.fleet.outputTokens, w.totalOutputTokens());
 }
 
 } // namespace
