@@ -1,16 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
- * crossbar GEMV pricing, NoC routing (clean, faulted and cached),
- * route pricing (RouteMeta summary vs the retained path walk),
- * traffic accumulation (flat per-link loads), the intra-core DP, KV
- * admission/growth, the MIQP objective / moveDelta / swapDelta on
- * both the sparse flow-graph engine and the dense reference, the
- * wafer-level recovery service's failure handling and dry-pool KV
- * borrowing, day-trace window materialization, the sampled-window
- * simulator, one KV-thrashing pipeline run, and the RNG. These guard
- * the simulator's own performance (the figure harnesses run millions
- * of these calls).
+ * NoC routing (clean, faulted and cached), route pricing (RouteMeta
+ * summary vs the retained path walk), traffic accumulation (flat
+ * per-link loads), KV admission/growth, the MIQP objective /
+ * moveDelta / swapDelta on both the sparse flow-graph engine and the
+ * dense reference, the wafer-level recovery service's failure
+ * handling and dry-pool KV borrowing, day-trace window
+ * materialization, the sampled-window simulator, one KV-thrashing
+ * pipeline run, and the RNG. These guard the simulator's own
+ * performance (the figure harnesses run millions of these calls).
  */
 
 #include <benchmark/benchmark.h>
@@ -18,10 +17,8 @@
 #include "common/logging.hh"
 
 #include "common/rng.hh"
-#include "hw/crossbar.hh"
 #include "hw/yield.hh"
 #include "kvcache/manager.hh"
-#include "mapping/dp.hh"
 #include "mapping/mappers.hh"
 #include "mapping/problem.hh"
 #include "mapping/wafer_mapping.hh"
@@ -46,16 +43,6 @@ BM_RngNext(benchmark::State &state)
         benchmark::DoNotOptimize(rng.next());
 }
 BENCHMARK(BM_RngNext);
-
-void
-BM_CrossbarGemv(benchmark::State &state)
-{
-    Crossbar xbar{CrossbarParams{}};
-    xbar.assignWeights(1024, 128);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(xbar.gemv());
-}
-BENCHMARK(BM_CrossbarGemv);
 
 void
 BM_MeshRouteClean(benchmark::State &state)
@@ -162,16 +149,6 @@ BM_AddFlowPriced(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AddFlowPriced)->Arg(0)->Arg(1);
-
-void
-BM_DpLeafAssignment(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-                dpLeafAssignment({9, 7, 5, 3, 2}, 32));
-    }
-}
-BENCHMARK(BM_DpLeafAssignment);
 
 /** Shared fixture for the MIQP cost-engine benchmarks. */
 struct MiqpFixture

@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "logging.hh"
 
@@ -64,46 +63,6 @@ EnergyLedger::scaled(double factor) const
     return out;
 }
 
-void
-RunningStat::add(double x)
-{
-    if (n_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStat::min() const
-{
-    return n_ ? min_ : 0.0;
-}
-
-double
-RunningStat::max() const
-{
-    return n_ ? max_ : 0.0;
-}
-
-double
-RunningStat::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 double
 percentileOf(std::vector<double> samples, double pct)
 {
@@ -119,37 +78,6 @@ percentileOf(std::vector<double> samples, double pct)
         return samples.back();
     const double frac = rank - static_cast<double>(lo);
     return samples[lo] + (samples[lo + 1] - samples[lo]) * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    ouroAssert(hi > lo && bins > 0, "Histogram: bad range/bins");
-}
-
-void
-Histogram::add(double x)
-{
-    const double frac = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<long>(frac * static_cast<double>(counts_.size()));
-    idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++samples_;
-}
-
-std::size_t
-Histogram::binCount(std::size_t i) const
-{
-    ouroAssert(i < counts_.size(), "Histogram::binCount: index ", i,
-               " out of range");
-    return counts_[i];
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-           static_cast<double>(counts_.size());
 }
 
 } // namespace ouro

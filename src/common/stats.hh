@@ -66,31 +66,6 @@ class EnergyLedger
 };
 
 /**
- * A simple running-statistics accumulator (count / mean / min / max /
- * variance via Welford). Used for utilisation, bubble fractions, queue
- * depths, hop counts, etc.
- */
-class RunningStat
-{
-  public:
-    void add(double x);
-
-    std::size_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double min() const;
-    double max() const;
-    double variance() const;
-    double stddev() const;
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/**
  * Percentile of a sample vector (pct in [0, 100]), computed on a
  * sorted copy with linear interpolation between order statistics
  * (the common "inclusive" definition: pct 0 = min, 100 = max, 50 =
@@ -99,31 +74,6 @@ class RunningStat
  * doubles is a total order here; callers never feed NaNs).
  */
 double percentileOf(std::vector<double> samples, double pct);
-
-/**
- * Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
- * edge bins so nothing is silently dropped.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::size_t binCount(std::size_t i) const;
-    std::size_t bins() const { return counts_.size(); }
-    std::size_t samples() const { return samples_; }
-
-    /** Lower edge of bin @p i. */
-    double binLow(std::size_t i) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t samples_ = 0;
-};
 
 } // namespace ouro
 

@@ -121,6 +121,10 @@ class KvHandle
     std::uint32_t stamp_ = 0;
 };
 
+/** Tokens one logical KV block holds: its 128 rows, one token each
+ *  (head_dim <= 128). */
+inline constexpr std::uint32_t kKvBlockTokens = 128;
+
 /**
  * Per-block KV manager. Thread-compatible, deterministic; the
  * multi-level translation (page table -> bitmap -> block registers,
@@ -140,7 +144,7 @@ class BlockKvManager
     BlockKvManager(const ModelConfig &model,
                    std::vector<KvCoreInfo> score_cores,
                    std::vector<KvCoreInfo> context_cores,
-                   std::uint32_t tokens_per_block = 128,
+                   std::uint32_t tokens_per_block = kKvBlockTokens,
                    double threshold = 0.1);
 
     /**

@@ -113,22 +113,19 @@ AnnealingMapper::annealOnce(const MappingProblem &problem,
                      : problem.swapDelta(current, t1, t2);
     };
 
-    // Auto-calibrate the starting temperature from a random-move
-    // sample so acceptance starts near 80%.
-    double temperature = opts_.initialTemperature;
-    if (temperature <= 0.0) {
-        double sum_abs = 0.0;
-        const int probes = 64;
-        for (int p = 0; p < probes; ++p) {
-            const auto t = rng.uniformInt(0, tiles.size() - 1);
-            const auto s = slots[rng.uniformInt(0, slots.size() - 1)];
-            if (s == current[t])
-                continue;
-            if (occupant[s] < 0)
-                sum_abs += std::abs(move_delta(t, s));
-        }
-        temperature = std::max(1.0, sum_abs / probes);
+    // Calibrate the starting temperature from a random-move sample
+    // so acceptance starts near 80%.
+    double sum_abs = 0.0;
+    const int probes = 64;
+    for (int p = 0; p < probes; ++p) {
+        const auto t = rng.uniformInt(0, tiles.size() - 1);
+        const auto s = slots[rng.uniformInt(0, slots.size() - 1)];
+        if (s == current[t])
+            continue;
+        if (occupant[s] < 0)
+            sum_abs += std::abs(move_delta(t, s));
     }
+    double temperature = std::max(1.0, sum_abs / probes);
 
     // One proposal per iteration: draw a tile, then a slot. A free
     // slot relocates the tile, an occupied one swaps the two tiles.

@@ -49,7 +49,6 @@ class AnnealingMapper
     struct Options
     {
         std::uint64_t iterations = 20000;
-        double initialTemperature = -1.0; ///< <0: auto-calibrate
         double coolingFactor = 0.999;
         std::uint64_t seed = 1;
 

@@ -100,13 +100,6 @@ struct WaferMappingOptions
     double costInter = 2.0;
 
     /**
-     * Fraction of each region's cores reserved for dedicated KV duty
-     * (the rest hold weights). Regions are sized as
-     * tilesPerBlock / (1 - kvFraction).
-     */
-    double kvFraction = 0.0; ///< 0 = derive from leftover capacity
-
-    /**
      * Data-parallel replicas of the whole pipeline sharing the wafer
      * (small models leave most cores idle otherwise). Every replica
      * is laid out on its own congruent region chain.

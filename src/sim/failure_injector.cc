@@ -34,16 +34,22 @@ failureSeed(std::uint64_t seed, std::uint64_t k)
 FailureInjector::FailureInjector(const FailureInjectorParams &params)
     : params_(params)
 {
-    ouroAssert(params_.stormDuration > 0.0,
-               "FailureInjector: non-positive storm duration");
-    ouroAssert(params_.weightFailureFraction >= 0.0 &&
-                       params_.weightFailureFraction <= 1.0,
-               "FailureInjector: weight fraction out of [0,1]");
+    // Bad parameters are user errors: fatal(), naming the field and
+    // its value. NaNs fail every comparison, so they are caught too.
+    if (!(params_.stormDuration > 0.0))
+        fatal("FailureInjector: FailureInjectorParams::stormDuration = ",
+              params_.stormDuration, " is not positive");
+    if (!(params_.weightFailureFraction >= 0.0 &&
+          params_.weightFailureFraction <= 1.0))
+        fatal("FailureInjector: "
+              "FailureInjectorParams::weightFailureFraction = ",
+              params_.weightFailureFraction, " is outside [0, 1]");
     // Strict monotonicity needs k + u_k exact in double (the
     // DayTrace bound).
-    ouroAssert(params_.failures < (1ULL << 52),
-               "FailureInjector: failure count too large for exact "
-               "schedule arithmetic");
+    if (params_.failures >= (1ULL << 52))
+        fatal("FailureInjector: FailureInjectorParams::failures = ",
+              params_.failures,
+              " is not below 2^52 (exact schedule arithmetic)");
 }
 
 double

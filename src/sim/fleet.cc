@@ -173,7 +173,7 @@ runFleetServing(const OuroborosSystem &sys, const Workload &workload,
     if (!result.events.empty()) {
         dispatch.capacityWeight[opts.stormWafer] =
             std::max(stormCapacityFraction(sys, result.events),
-                     opts.minDispatchWeight);
+                     FleetOptions::kMinDispatchWeight);
     }
     result.dispatchWeight = dispatch.capacityWeight;
     result.assignment = fleetDispatch(workload, dispatch);

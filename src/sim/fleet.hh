@@ -106,6 +106,11 @@ struct FleetOptions
 {
     static constexpr std::uint32_t kNoStormWafer = 0xffffffffu;
 
+    /** Floor on the storm wafer's derated dispatch weight (a fully
+     *  drained pool must not zero the weight - the wafer still
+     *  serves what it can). */
+    static constexpr double kMinDispatchWeight = 0.05;
+
     /** Wafers behind the router (>= 1). Every wafer serves the same
      *  deployment (model, mapping, pools, timing) with the system's
      *  servingOptions(), overridden only by the fields below. */
@@ -123,11 +128,6 @@ struct FleetOptions
 
     /** Options for the rebuilt-per-run recovery service. */
     RecoveryServiceOptions recovery;
-
-    /** Floor on the storm wafer's derated dispatch weight (a fully
-     *  drained pool must not zero the weight - the wafer still
-     *  serves what it can). */
-    double minDispatchWeight = 0.05;
 
     /** Forwarded to PipelineOptions::cohortFastPath. */
     bool cohortFastPath = true;

@@ -154,7 +154,7 @@ SampledSimulator::runWindow(std::uint64_t window) const
     // to empty, so no KV state may carry across the boundary (the
     // idle-boundary premise of PipelineStats::merge).
     BlockKvManager kv(model_, scorePool_, contextPool_,
-                      opts_.kvTokensPerBlock, opts_.kvThreshold);
+                      kKvBlockTokens, opts_.kvThreshold);
     return runPipeline(wl, model_, timing_, kv, opts_.pipeline);
 }
 

@@ -89,9 +89,9 @@ struct SampledSimOptions
     /** Engine options for every window run. */
     PipelineOptions pipeline;
 
-    /** Representative-block KV pool geometry (per-window managers
-     *  are constructed fresh; windows drain, nothing carries). */
-    std::uint32_t kvTokensPerBlock = 128;
+    /** Anti-thrashing threshold of the per-window KV managers
+     *  (constructed fresh over kKvBlockTokens-token blocks; windows
+     *  drain, nothing carries). */
     double kvThreshold = 0.1;
 };
 

@@ -50,12 +50,9 @@ OuroborosSystem::build(const ModelConfig &model,
         if (count == 0)
             continue;
 
-        std::optional<DefectMap> defects;
-        if (opts.injectDefects) {
-            Rng rng(opts.seed * 1000003ULL + w);
-            defects.emplace(sys.geom_, params.yield, rng);
-            sys.defects_ += defects->numDefects();
-        }
+        Rng rng(opts.seed * 1000003ULL + w);
+        DefectMap defects(sys.geom_, params.yield, rng);
+        sys.defects_ += defects.numDefects();
 
         WaferMappingOptions mopts;
         mopts.mapper = opts.smartMapping ? MapperKind::Annealing
@@ -64,9 +61,8 @@ OuroborosSystem::build(const ModelConfig &model,
         mopts.annealRestarts = opts.annealRestarts;
         mopts.seed = opts.seed + w;
         mopts.replicas = sys.replicas_;
-        auto mapping = WaferMapping::build(
-                model, params.core, sys.geom_,
-                defects ? &*defects : nullptr, first, count, mopts);
+        auto mapping = WaferMapping::build(model, params.core, sys.geom_,
+                                           &defects, first, count, mopts);
         if (!mapping)
             return std::nullopt;
         sys.wafers_.push_back(std::move(*mapping));
@@ -149,7 +145,7 @@ OuroborosSystem::defectMap(std::uint32_t wafer) const
 {
     ouroAssert(wafer < defectMaps_.size(),
                "defectMap: bad wafer index");
-    return defectMaps_[wafer] ? &*defectMaps_[wafer] : nullptr;
+    return &defectMaps_[wafer];
 }
 
 std::uint64_t
@@ -220,8 +216,8 @@ OuroborosSystem::servingOptions() const
 BlockKvManager
 OuroborosSystem::makeKvManager() const
 {
-    return BlockKvManager(model_, scorePool_, contextPool_, 128,
-                          opts_.kvThreshold);
+    return BlockKvManager(model_, scorePool_, contextPool_,
+                          kKvBlockTokens, opts_.kvThreshold);
 }
 
 OuroborosReport

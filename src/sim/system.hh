@@ -53,9 +53,6 @@ struct OuroborosOptions
     /** Wafers ganged over optical Ethernet (Section 6.8). */
     std::uint32_t numWafers = 1;
 
-    /** Inject Murphy-model fabrication defects. */
-    bool injectDefects = true;
-
     std::uint64_t seed = 1;
     std::uint64_t annealIterations = 1200;
 
@@ -103,7 +100,8 @@ class OuroborosSystem
     PipelineOptions servingOptions() const;
 
     /** A fresh representative-block KV manager over this system's
-     *  pools: 128-token blocks and the kvThreshold option. */
+     *  pools: kKvBlockTokens-token blocks and the kvThreshold
+     *  option. */
     BlockKvManager makeKvManager() const;
 
     /** Mapping of wafer @p w (for inspection / Fig. 18). */
@@ -111,9 +109,9 @@ class OuroborosSystem
 
     std::uint64_t numDefects() const { return defects_; }
 
-    /** The defect map injected on wafer @p w (nullptr when defect
-     *  injection is off). Retained so the recovery service can own
-     *  the wafer's full fault state. */
+    /** The Murphy-model defect map injected on wafer @p w. Retained
+     *  so the recovery service can own the wafer's full fault
+     *  state. */
     const DefectMap *defectMap(std::uint32_t wafer = 0) const;
 
     /** Active (leakage-burning) cores across wafers, every replica
@@ -174,8 +172,8 @@ class OuroborosSystem
     OuroborosOptions opts_;
     WaferGeometry geom_;
     std::vector<WaferMapping> wafers_;
-    /** Aligned with wafers_; disengaged when injection is off. */
-    std::vector<std::optional<DefectMap>> defectMaps_;
+    /** Aligned with wafers_. */
+    std::vector<DefectMap> defectMaps_;
     /**
      * Lazily built recovery services, aligned with wafers_. A
      * service is MUTABLE fault state, not a pure cache, so a copied

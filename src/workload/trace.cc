@@ -38,21 +38,27 @@ requestSeed(std::uint64_t seed, std::uint64_t k)
 
 DayTrace::DayTrace(const DayTraceParams &params) : params_(params)
 {
-    ouroAssert(params_.requests > 0, "DayTrace: zero requests");
-    ouroAssert(params_.daySeconds > 0.0,
-               "DayTrace: non-positive daySeconds");
-    ouroAssert(params_.maxLen >= 32,
-               "DayTrace: maxLen must be at least 32");
+    // Bad parameters are user errors: fatal(), naming the field and
+    // its value. NaNs fail every comparison, so they are caught too.
+    if (params_.requests == 0)
+        fatal("DayTrace: DayTraceParams::requests = 0");
+    if (!(params_.daySeconds > 0.0))
+        fatal("DayTrace: DayTraceParams::daySeconds = ",
+              params_.daySeconds, " is not positive");
+    if (params_.maxLen < 32)
+        fatal("DayTrace: DayTraceParams::maxLen = ", params_.maxLen,
+              " is below 32");
     // The request count must stay in the integer-exact double range:
     // window membership compares k + u_k (u_k in [0,1)) against the
     // cumulative targets, which needs k + u_k < k + 1 after rounding.
-    ouroAssert(params_.requests < (1ULL << 52),
-               "DayTrace: request count too large for exact "
-               "quantile arithmetic");
+    if (params_.requests >= (1ULL << 52))
+        fatal("DayTrace: DayTraceParams::requests = ", params_.requests,
+              " is not below 2^52 (exact quantile arithmetic)");
     prefix_[0] = 0.0;
     for (std::size_t h = 0; h < 24; ++h) {
-        ouroAssert(params_.hourlyWeight[h] > 0.0,
-                   "DayTrace: hourly weights must be positive");
+        if (!(params_.hourlyWeight[h] > 0.0))
+            fatal("DayTrace: DayTraceParams::hourlyWeight[", h, "] = ",
+                  params_.hourlyWeight[h], " is not positive");
         prefix_[h + 1] = prefix_[h] + params_.hourlyWeight[h];
     }
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the common infrastructure: RNG determinism and
- * distribution sanity, energy ledger arithmetic, running statistics,
- * histograms, unit helpers and the table printer.
+ * distribution sanity, energy ledger arithmetic, unit helpers and the
+ * table printer.
  */
 
 #include <gtest/gtest.h>
@@ -172,53 +172,6 @@ TEST(EnergyLedger, CategoryNames)
                  "compute");
     EXPECT_STREQ(energyCategoryName(EnergyCategory::OffChipMemory),
                  "off-chip-memory");
-}
-
-TEST(RunningStat, BasicMoments)
-{
-    RunningStat stat;
-    for (double x : {1.0, 2.0, 3.0, 4.0, 5.0})
-        stat.add(x);
-    EXPECT_EQ(stat.count(), 5u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(stat.min(), 1.0);
-    EXPECT_DOUBLE_EQ(stat.max(), 5.0);
-    EXPECT_DOUBLE_EQ(stat.variance(), 2.5);
-}
-
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat stat;
-    EXPECT_EQ(stat.count(), 0u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(stat.variance(), 0.0);
-}
-
-TEST(RunningStat, SingleSampleNoVariance)
-{
-    RunningStat stat;
-    stat.add(7.0);
-    EXPECT_DOUBLE_EQ(stat.mean(), 7.0);
-    EXPECT_DOUBLE_EQ(stat.variance(), 0.0);
-}
-
-TEST(Histogram, BinsAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bin 0
-    h.add(9.5);   // bin 9
-    h.add(-5.0);  // clamps to bin 0
-    h.add(50.0);  // clamps to bin 9
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.samples(), 4u);
-}
-
-TEST(Histogram, BinLowEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLow(5), 5.0);
 }
 
 TEST(Units, CeilDiv)

@@ -335,7 +335,7 @@ TEST(FleetServing, StormDeratesWeightAndReplaysBitwise)
     EXPECT_FALSE(storm.events.empty());
     EXPECT_GT(storm.kvCoresLost, 0u);
     EXPECT_LT(storm.dispatchWeight[1], 1.0);
-    EXPECT_GE(storm.dispatchWeight[1], storm_opts.minDispatchWeight);
+    EXPECT_GE(storm.dispatchWeight[1], FleetOptions::kMinDispatchWeight);
     EXPECT_EQ(storm.dispatchWeight[0], 1.0);
     EXPECT_LT(storm.requestsPerWafer[1],
               nostorm.requestsPerWafer[1]);

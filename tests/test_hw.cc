@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests for the hardware module: wafer geometry arithmetic,
- * parameter derivations against the paper's stated numbers, crossbar
- * mode/occupancy behaviour, core tile/KV capacity, and the Murphy
- * yield model.
+ * parameter derivations against the paper's stated numbers, and the
+ * Murphy yield model.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +10,6 @@
 #include <set>
 
 #include "common/rng.hh"
-#include "hw/core.hh"
-#include "hw/crossbar.hh"
 #include "hw/geometry.hh"
 #include "hw/params.hh"
 #include "hw/yield.hh"
@@ -163,190 +160,6 @@ TEST(Params, CorePeakTops)
     const CoreParams cp;
     // 32 xbars x 512 MACs/cycle x 300 MHz x 2 ops ~ 9.8 TOPS.
     EXPECT_NEAR(cp.peakTops(), 9.83, 0.2);
-}
-
-TEST(Crossbar, FfnAssignment)
-{
-    Crossbar xbar{CrossbarParams{}};
-    EXPECT_EQ(xbar.mode(), CrossbarMode::Unassigned);
-    EXPECT_TRUE(xbar.assignWeights(1024, 128));
-    EXPECT_EQ(xbar.mode(), CrossbarMode::Ffn);
-    // Already assigned: refuse.
-    EXPECT_FALSE(xbar.assignWeights(10, 10));
-    EXPECT_FALSE(xbar.assignAttention());
-}
-
-TEST(Crossbar, RejectsOversizeTile)
-{
-    Crossbar xbar{CrossbarParams{}};
-    EXPECT_FALSE(xbar.assignWeights(2000, 128));
-    EXPECT_FALSE(xbar.assignWeights(1024, 200));
-    EXPECT_EQ(xbar.mode(), CrossbarMode::Unassigned);
-}
-
-TEST(Crossbar, GemvCostScalesWithOccupancy)
-{
-    Crossbar full{CrossbarParams{}};
-    ASSERT_TRUE(full.assignWeights(1024, 128));
-    Crossbar half{CrossbarParams{}};
-    ASSERT_TRUE(half.assignWeights(512, 64));
-
-    const ComputeCost cf = full.gemv();
-    const ComputeCost ch = half.gemv();
-    EXPECT_EQ(cf.cycles, 256u);
-    EXPECT_EQ(ch.cycles, 128u);
-    EXPECT_LT(ch.energyJ, cf.energyJ);
-    EXPECT_DOUBLE_EQ(cf.macs, 1024.0 * 128.0);
-    EXPECT_DOUBLE_EQ(ch.macs, 512.0 * 64.0);
-}
-
-TEST(Crossbar, AttentionBlockLifecycle)
-{
-    Crossbar xbar{CrossbarParams{}};
-    ASSERT_TRUE(xbar.assignAttention());
-    EXPECT_EQ(xbar.numLogicalBlocks(), 8u);
-    EXPECT_EQ(xbar.blockRows(), 128u);
-    EXPECT_EQ(xbar.freeBlocks(), 8u);
-
-    const int b0 = xbar.allocBlock();
-    ASSERT_GE(b0, 0);
-    EXPECT_EQ(xbar.freeBlocks(), 7u);
-    EXPECT_TRUE(xbar.blockInUse(b0));
-    EXPECT_EQ(xbar.blockUsedRows(b0), 0u);
-
-    EXPECT_TRUE(xbar.growBlock(b0, 100));
-    EXPECT_EQ(xbar.blockUsedRows(b0), 100u);
-    EXPECT_TRUE(xbar.growBlock(b0, 28));
-    // Now full (128 rows): further growth fails.
-    EXPECT_FALSE(xbar.growBlock(b0, 1));
-
-    xbar.freeBlock(b0);
-    EXPECT_EQ(xbar.freeBlocks(), 8u);
-}
-
-TEST(Crossbar, AllBlocksExhaust)
-{
-    Crossbar xbar{CrossbarParams{}};
-    ASSERT_TRUE(xbar.assignAttention());
-    for (int i = 0; i < 8; ++i)
-        EXPECT_GE(xbar.allocBlock(), 0);
-    EXPECT_EQ(xbar.allocBlock(), -1);
-}
-
-TEST(Crossbar, AttentionGemvCost)
-{
-    Crossbar xbar{CrossbarParams{}};
-    ASSERT_TRUE(xbar.assignAttention());
-    const ComputeCost c = xbar.attentionGemv(256);
-    EXPECT_EQ(c.cycles, 8u * 8u); // ceil(256/32) x 8 bits
-    EXPECT_GT(c.energyJ, 0.0);
-}
-
-TEST(Crossbar, KvWriteEnergyScales)
-{
-    Crossbar xbar{CrossbarParams{}};
-    EXPECT_GT(xbar.kvWriteEnergy(1024), xbar.kvWriteEnergy(128));
-    EXPECT_DOUBLE_EQ(xbar.kvWriteEnergy(0), 0.0);
-}
-
-TEST(Crossbar, ResetClearsState)
-{
-    Crossbar xbar{CrossbarParams{}};
-    ASSERT_TRUE(xbar.assignWeights(100, 100));
-    xbar.reset();
-    EXPECT_EQ(xbar.mode(), CrossbarMode::Unassigned);
-    EXPECT_TRUE(xbar.assignAttention());
-}
-
-TEST(Core, TileAssignmentSpreadsCrossbars)
-{
-    CimCore core{CoreParams{}};
-    // 1024 x 640 tile: 640 / 128 = 5 crossbars.
-    TileAssignment tile{"ffn_up", 0, 0, 0, 1024, 640};
-    ASSERT_TRUE(core.assignTile(tile));
-    EXPECT_EQ(core.role(), CoreRole::Weights);
-    EXPECT_EQ(core.weightCrossbars(), 5u);
-    // Spare crossbars flip to attention duty for the KV manager.
-    EXPECT_EQ(core.freeAttentionCrossbars(), 32u - 5u);
-    EXPECT_EQ(core.freeKvBlocks(), (32u - 5u) * 8u);
-}
-
-TEST(Core, TileTooLargeRejected)
-{
-    CimCore core{CoreParams{}};
-    // 32 crossbars x 128 cols = 4096 columns max.
-    TileAssignment tile{"huge", 0, 0, 0, 1024, 5000};
-    EXPECT_FALSE(core.assignTile(tile));
-    EXPECT_EQ(core.role(), CoreRole::Unassigned);
-}
-
-TEST(Core, RowOverflowRejected)
-{
-    CimCore core{CoreParams{}};
-    TileAssignment tile{"tall", 0, 0, 0, 1500, 128};
-    EXPECT_FALSE(core.assignTile(tile));
-}
-
-TEST(Core, DefectiveCoreRefusesWork)
-{
-    CimCore core{CoreParams{}};
-    core.markDefective();
-    EXPECT_FALSE(core.usable());
-    TileAssignment tile{"qkv", 0, 0, 0, 1024, 128};
-    EXPECT_FALSE(core.assignTile(tile));
-    EXPECT_FALSE(core.assignKvRole());
-    EXPECT_EQ(core.freeKvBlocks(), 0u);
-}
-
-TEST(Core, KvRoleOpensAllCrossbars)
-{
-    CimCore core{CoreParams{}};
-    ASSERT_TRUE(core.assignKvRole());
-    EXPECT_EQ(core.role(), CoreRole::KvCache);
-    EXPECT_EQ(core.freeAttentionCrossbars(), 32u);
-    EXPECT_EQ(core.freeKvBlocks(), 32u * 8u);
-}
-
-TEST(Core, WeightGemvAggregates)
-{
-    CimCore core{CoreParams{}};
-    TileAssignment tile{"proj", 0, 0, 0, 1024, 256};
-    ASSERT_TRUE(core.assignTile(tile));
-    const ComputeCost c = core.weightGemv();
-    // Two crossbars fire in parallel: latency of one, energy of two.
-    EXPECT_EQ(c.cycles, 256u);
-    Crossbar lone{CrossbarParams{}};
-    ASSERT_TRUE(lone.assignWeights(1024, 128));
-    EXPECT_NEAR(c.energyJ, 2.0 * lone.gemv().energyJ, 1e-15);
-    EXPECT_DOUBLE_EQ(c.macs, 1024.0 * 256.0);
-}
-
-TEST(Core, SfuComputeCost)
-{
-    CimCore core{CoreParams{}};
-    const ComputeCost c = core.sfuCompute(64 * 1000);
-    EXPECT_GT(c.cycles, 0u);
-    EXPECT_GT(c.energyJ, 0.0);
-    // More ops, more cycles.
-    EXPECT_GT(core.sfuCompute(64 * 2000).cycles, c.cycles);
-}
-
-TEST(Core, ResetPreservesDefect)
-{
-    CimCore core{CoreParams{}};
-    core.markDefective();
-    core.reset();
-    EXPECT_EQ(core.role(), CoreRole::Defective);
-}
-
-TEST(Core, ResetReleasesTile)
-{
-    CimCore core{CoreParams{}};
-    TileAssignment tile{"qkv", 0, 0, 0, 512, 512};
-    ASSERT_TRUE(core.assignTile(tile));
-    core.reset();
-    EXPECT_EQ(core.role(), CoreRole::Unassigned);
-    EXPECT_TRUE(core.assignTile(tile));
 }
 
 TEST(Yield, MurphyMatchesClosedForm)

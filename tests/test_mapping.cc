@@ -2,9 +2,8 @@
  * @file
  * Unit + property tests for the mapping engine: tiling arithmetic,
  * MIQP objective behaviour, solver quality (SA vs exact optimum on
- * small instances; ours vs SUMMA/WaferLLM baselines), the intra-core
- * DP against its brute-force oracle, wafer-level placement, and the
- * replacement-chain fault recovery.
+ * small instances; ours vs SUMMA/WaferLLM baselines), wafer-level
+ * placement, and the replacement-chain fault recovery.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <set>
 
 #include "hw/yield.hh"
-#include "mapping/dp.hh"
 #include "mapping/mappers.hh"
 #include "mapping/problem.hh"
 #include "mapping/remap.hh"
@@ -334,99 +332,6 @@ TEST(Mappers, BaselinesFeasible)
                            regionOf(geom, 64));
     EXPECT_TRUE(problem.feasible(SummaMapper{}.solve(problem)));
     EXPECT_TRUE(problem.feasible(WaferLlmMapper{}.solve(problem)));
-}
-
-TEST(Dp, SingleGroupZeroCost)
-{
-    const auto a = dpLeafAssignment({8}, 8);
-    EXPECT_EQ(leafAssignmentCost(a), 0u);
-}
-
-TEST(Dp, TwoEqualGroupsRootConcat)
-{
-    const auto a = dpLeafAssignment({4, 4}, 8);
-    EXPECT_EQ(leafAssignmentCost(a), 0u); // concat at depth-0 root
-}
-
-TEST(Dp, AssignsAllSlices)
-{
-    const auto a = dpLeafAssignment({3, 2, 1}, 8);
-    int counts[3] = {0, 0, 0};
-    int unused = 0;
-    for (const int g : a) {
-        if (g < 0)
-            ++unused;
-        else
-            ++counts[g];
-    }
-    EXPECT_EQ(counts[0], 3);
-    EXPECT_EQ(counts[1], 2);
-    EXPECT_EQ(counts[2], 1);
-    EXPECT_EQ(unused, 2);
-}
-
-TEST(Dp, MatchesBruteForceOracle)
-{
-    const std::vector<std::vector<std::uint32_t>> instances{
-        {4, 4}, {3, 2, 1}, {5, 3}, {2, 2, 2, 2}, {6, 1}, {1, 1, 1},
-        {7, 1}, {3, 3, 2}, {5, 2, 1}, {6, 2}, {3, 1}, {3, 3, 1},
-        {2, 1}, {4, 2, 1},
-    };
-    for (const auto &counts : instances) {
-        const auto dp = dpLeafAssignment(counts, 8);
-        const auto brute = bruteForceLeafAssignment(counts, 8);
-        EXPECT_EQ(leafAssignmentCost(dp), leafAssignmentCost(brute))
-            << "instance size " << counts.size();
-    }
-}
-
-TEST(Dp, ThirtyTwoLeafProduction)
-{
-    // A realistic intra-core split: 4 output groups of 8 crossbars.
-    const auto a = dpLeafAssignment({8, 8, 8, 8}, 32);
-    EXPECT_EQ(leafAssignmentCost(a), 0u + 1u + 1u);
-    // groups pair at depth 1 (2 concats) and root (free). Cost = 2.
-}
-
-TEST(Dp, BuddyNextPow2Basics)
-{
-    EXPECT_EQ(buddyNextPow2(0), 1u);
-    EXPECT_EQ(buddyNextPow2(1), 1u);
-    EXPECT_EQ(buddyNextPow2(2), 2u);
-    EXPECT_EQ(buddyNextPow2(3), 4u);
-    EXPECT_EQ(buddyNextPow2(17), 32u);
-    EXPECT_EQ(buddyNextPow2(1u << 31), std::uint64_t{1} << 31);
-}
-
-TEST(Dp, BuddyNextPow2SurvivesHugeLeafCounts)
-{
-    // Regression: the former 32-bit shift loop wrapped to zero and
-    // hung for any input above 2^31. The hardened path widens to 64
-    // bits and rounds up correctly.
-    EXPECT_EQ(buddyNextPow2((1u << 31) + 1u), std::uint64_t{1} << 32);
-    EXPECT_EQ(buddyNextPow2(0xFFFFFFFFull), std::uint64_t{1} << 32);
-    EXPECT_EQ(buddyNextPow2((std::uint64_t{1} << 40) + 1),
-              std::uint64_t{1} << 41);
-    EXPECT_EQ(buddyNextPow2(std::uint64_t{1} << 63),
-              std::uint64_t{1} << 63);
-}
-
-TEST(Dp, LargeLeafInstanceCompletes)
-{
-    // Flat per-order free lists keep big instances cheap; the old
-    // map-backed lists made this allocation-bound. Also exercises
-    // the binary-decomposition path (no power-of-two slack left).
-    const std::uint32_t leaves = 1u << 16;
-    std::vector<std::uint32_t> counts{40000, 20000, 5000, 536};
-    const auto a = dpLeafAssignment(counts, leaves);
-    ASSERT_EQ(a.size(), leaves);
-    std::array<std::uint32_t, 4> seen{};
-    for (const int g : a) {
-        if (g >= 0)
-            ++seen[static_cast<std::size_t>(g)];
-    }
-    for (std::size_t g = 0; g < counts.size(); ++g)
-        EXPECT_EQ(seen[g], counts[g]) << "group " << g;
 }
 
 TEST(WaferMappingTest, BuildsForLlama13b)

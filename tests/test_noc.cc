@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the network-on-wafer: XY routing, fault detours,
- * transfer pricing, traffic accumulation/bottleneck analysis, and the
- * intra-core H-tree cost model.
+ * transfer pricing, route caching and metadata, and traffic
+ * accumulation/bottleneck analysis.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "common/rng.hh"
 #include "hw/geometry.hh"
 #include "hw/yield.hh"
-#include "noc/htree.hh"
 #include "noc/mesh.hh"
 
 namespace ouro
@@ -528,67 +527,6 @@ TEST(RouteMeta, AddFlowMetaMatchesWalkFuzz)
     EXPECT_EQ(meta_noc.walkPricedCalls(), 0u);
     EXPECT_GT(walk_noc.walkPricedCalls(), 0u);
     EXPECT_EQ(walk_noc.metaPricedCalls(), 0u);
-}
-
-TEST(HTree, SingleGroupIsFree)
-{
-    const HTree tree(8);
-    // All leaves one group: every merge is a reduction.
-    EXPECT_EQ(tree.assignmentCost({0, 0, 0, 0, 0, 0, 0, 0}), 0u);
-    EXPECT_EQ(tree.concatNodes({0, 0, 0, 0, 0, 0, 0, 0}), 0u);
-}
-
-TEST(HTree, TwoAlignedGroupsConcatAtRoot)
-{
-    const HTree tree(8);
-    // Groups occupy the two root subtrees: one concat at depth... the
-    // root is depth 0, so cost 0 but one concat node.
-    const std::vector<int> a{0, 0, 0, 0, 1, 1, 1, 1};
-    EXPECT_EQ(tree.concatNodes(a), 1u);
-    EXPECT_EQ(tree.assignmentCost(a), 0u);
-}
-
-TEST(HTree, InterleavedGroupsCostMore)
-{
-    const HTree tree(8);
-    const std::vector<int> aligned{0, 0, 0, 0, 1, 1, 1, 1};
-    const std::vector<int> interleaved{0, 1, 0, 1, 0, 1, 0, 1};
-    EXPECT_GT(tree.assignmentCost(interleaved),
-              tree.assignmentCost(aligned));
-    // Fully interleaved: concat at every internal node.
-    EXPECT_EQ(tree.concatNodes(interleaved), 7u);
-}
-
-TEST(HTree, UnusedLeavesTransparent)
-{
-    const HTree tree(8);
-    const std::vector<int> sparse{0, -1, -1, -1, 1, -1, -1, -1};
-    EXPECT_EQ(tree.assignmentCost(sparse), 0u);
-    EXPECT_EQ(tree.concatNodes(sparse), 1u);
-}
-
-TEST(HTree, DepthWeightsNearLeaves)
-{
-    const HTree tree(8);
-    // Concat forced at depth 2 (leaf pair level = depth 2 for 8
-    // leaves): groups 0/1 adjacent in one pair.
-    const std::vector<int> near_leaf{0, 1, -1, -1, -1, -1, -1, -1};
-    EXPECT_EQ(tree.assignmentCost(near_leaf), 2u);
-    const std::vector<int> near_root{0, -1, -1, -1, 1, -1, -1, -1};
-    EXPECT_EQ(tree.assignmentCost(near_root), 0u);
-}
-
-TEST(HTree, RejectsNonPowerOfTwo)
-{
-    EXPECT_DEATH({ HTree tree(6); }, "power of two");
-}
-
-TEST(HTree, ThirtyTwoLeavesMatchesCore)
-{
-    const HTree tree(32);
-    EXPECT_EQ(tree.levels(), 5u);
-    std::vector<int> all_one(32, 0);
-    EXPECT_EQ(tree.assignmentCost(all_one), 0u);
 }
 
 } // namespace

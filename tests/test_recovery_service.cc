@@ -4,8 +4,8 @@
  * retained per-placement recoverCoreFailure oracle (whole failure
  * sequences, across replicas and defect maps, index and scan modes),
  * deterministic cross-block KV borrowing, replica-chain fault-domain
- * isolation, inter-block flow re-pricing, and the OuroborosSystem
- * delegation of the failure entry point.
+ * isolation, inter-block flow re-pricing (link failures included),
+ * and the OuroborosSystem delegation of the failure entry point.
  */
 
 #include <gtest/gtest.h>
@@ -716,6 +716,65 @@ TEST(RecoveryService, SystemServiceMatchesStandaloneOnDefectiveWafer)
         EXPECT_EQ(owned.chainInterBlockSeconds(rep),
                   standalone.chainInterBlockSeconds(rep));
     }
+}
+
+TEST(RecoveryService, FailLinkDetoursCachedRouteAndRepricing)
+{
+    // failLink() on a system's service: a cached inter-block route
+    // through the failed link detours around it, and re-pricing a
+    // weight failure's dirty edges over the detour costs no fewer
+    // byte-hops than the same flush on an intact mesh.
+    OuroborosOptions opts;
+    opts.smartMapping = false;
+    auto sys = OuroborosSystem::build(llama13b(), {}, opts);
+    ASSERT_TRUE(sys.has_value());
+    RecoveryService intact = sys->makeRecoveryService();
+    RecoveryService &svc = sys->recovery();
+
+    // The same weight failure on both services (same placements
+    // after), marking the block's own edge block -> block + 1.
+    const std::uint64_t block = svc.firstBlock();
+    const CoreCoord failed = svc.placement(block).weightCores.front();
+    ASSERT_TRUE(svc.handleCoreFailure(failed).has_value());
+    ASSERT_TRUE(intact.handleCoreFailure(failed).has_value());
+    const auto dirty = svc.dirtyEdges();
+    ASSERT_NE(std::find(dirty.begin(), dirty.end(),
+                        InterBlockEdge{0, block}),
+              dirty.end());
+    ASSERT_EQ(dirty, intact.dirtyEdges());
+
+    // One flow of that edge (accumulateInterBlockFlows): the first
+    // output part of the block's last layer to the first input part
+    // of the next block's first layer.
+    const auto &specs = sys->mapping().layerSpecs();
+    const auto &cur = svc.placement(block).weightCores;
+    const auto &nxt = svc.placement(block + 1).weightCores;
+    const CoreCoord src =
+        cur[cur.size() - specs.back().numTiles() +
+            specs.back().inSplits - 1];
+    const CoreCoord dst = nxt.front();
+    const std::vector<CoreCoord> before =
+        svc.noc().routeCached(src, dst);
+    ASSERT_GE(before.size(), 2u);
+
+    const LinkDir dir = MeshNoc::stepDir(before[0], before[1]);
+    svc.failLink(before[0], dir);
+    EXPECT_TRUE(svc.noc().linkFailed(before[0], dir));
+
+    const std::vector<CoreCoord> &after = svc.noc().routeCached(src, dst);
+    ASSERT_FALSE(after.empty());
+    EXPECT_EQ(after.front(), src);
+    EXPECT_EQ(after.back(), dst);
+    for (std::size_t k = 0; k + 1 < after.size(); ++k)
+        EXPECT_FALSE(after[k] == before[0] && after[k + 1] == before[1])
+                << "hop " << k << " crosses the failed link";
+
+    const RepriceResult detoured = svc.flushRepricing();
+    const RepriceResult clean = intact.flushRepricing();
+    EXPECT_EQ(detoured.edges, clean.edges);
+    EXPECT_TRUE(detoured.flowsRoutable);
+    EXPECT_TRUE(clean.flowsRoutable);
+    EXPECT_GE(detoured.interBlockByteHops, clean.interBlockByteHops);
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "pipeline/engine.hh"
 #include "sim/failure_injector.hh"
 #include "sim/fleet.hh"
@@ -102,6 +104,44 @@ TEST(FailureInjector, SeedChangesSchedule)
     for (std::uint64_t k = 0; k < p.failures; ++k)
         any_diff = any_diff || a.failureTime(k) != b.failureTime(k);
     EXPECT_TRUE(any_diff);
+}
+
+TEST(FailureInjector, BadParamsDieNamingTheField)
+{
+    // Bad parameters are user errors: fatal() with the field's name
+    // and value, not an assert. Threadsafe death tests re-run this
+    // test alone in a fresh process, as the fleet and sampled-run
+    // suites do.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    FailureInjectorParams p;
+    p.stormDuration = 0.0;
+    EXPECT_DEATH({ FailureInjector inj(p); },
+                 "FailureInjectorParams::stormDuration = 0 is not "
+                 "positive");
+    p.stormDuration = -2.0;
+    EXPECT_DEATH({ FailureInjector inj(p); },
+                 "FailureInjectorParams::stormDuration = -2 is not "
+                 "positive");
+
+    p = FailureInjectorParams{};
+    p.weightFailureFraction = -0.25;
+    EXPECT_DEATH({ FailureInjector inj(p); },
+                 "FailureInjectorParams::weightFailureFraction = "
+                 "-0\\.25 is outside \\[0, 1\\]");
+    p.weightFailureFraction = 1.5;
+    EXPECT_DEATH({ FailureInjector inj(p); },
+                 "FailureInjectorParams::weightFailureFraction = "
+                 "1\\.5 is outside \\[0, 1\\]");
+    p.weightFailureFraction = std::nan("");
+    EXPECT_DEATH({ FailureInjector inj(p); },
+                 "FailureInjectorParams::weightFailureFraction = "
+                 "-?nan is outside \\[0, 1\\]");
+
+    p = FailureInjectorParams{};
+    p.failures = 1ULL << 52;
+    EXPECT_DEATH({ FailureInjector inj(p); },
+                 "FailureInjectorParams::failures = 4503599627370496 "
+                 "is not below 2\\^52");
 }
 
 TEST(StormEngine, NullAndEmptyScheduleBitIdentical)

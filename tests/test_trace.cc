@@ -234,5 +234,44 @@ TEST(DayTrace, DiurnalCurveShapesTheDay)
     EXPECT_GT(peak.count(), 3 * trough.count());
 }
 
+TEST(DayTrace, BadParamsDieNamingTheField)
+{
+    // Bad parameters are user errors: fatal() with the field's name
+    // and value, not an assert. Threadsafe death tests re-run this
+    // test alone in a fresh process, as the fleet and sampled-run
+    // suites do.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    DayTraceParams p = smallParams();
+    p.requests = 0;
+    EXPECT_DEATH({ DayTrace t(p); }, "DayTraceParams::requests = 0");
+    p.requests = 1ULL << 52;
+    EXPECT_DEATH({ DayTrace t(p); },
+                 "DayTraceParams::requests = 4503599627370496 is not "
+                 "below 2\\^52");
+
+    p = smallParams();
+    p.daySeconds = 0.0;
+    EXPECT_DEATH({ DayTrace t(p); },
+                 "DayTraceParams::daySeconds = 0 is not positive");
+    p.daySeconds = -5.0;
+    EXPECT_DEATH({ DayTrace t(p); },
+                 "DayTraceParams::daySeconds = -5 is not positive");
+
+    p = smallParams();
+    p.maxLen = 31;
+    EXPECT_DEATH({ DayTrace t(p); },
+                 "DayTraceParams::maxLen = 31 is below 32");
+
+    p = smallParams();
+    p.hourlyWeight[7] = 0.0;
+    EXPECT_DEATH({ DayTrace t(p); },
+                 "DayTraceParams::hourlyWeight\\[7\\] = 0 is not "
+                 "positive");
+    p.hourlyWeight[7] = -1.5;
+    EXPECT_DEATH({ DayTrace t(p); },
+                 "DayTraceParams::hourlyWeight\\[7\\] = -1\\.5 is not "
+                 "positive");
+}
+
 } // namespace
 } // namespace ouro
