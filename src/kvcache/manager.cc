@@ -1,7 +1,6 @@
 #include "manager.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -29,71 +28,13 @@ BlockKvManager::BlockKvManager(const ModelConfig &model,
     headsOnCore_.assign(std::max(score_.size(), context_.size()), 0);
 }
 
-std::uint32_t
-BlockKvManager::CoreState::emptiestXbar() const
-{
-    if (topLevel == 0)
-        return info.crossbars;
-    const std::uint64_t *level = &levelBits[topLevel * words];
-    for (std::uint32_t w = 0; w < words; ++w) {
-        if (level[w])
-            return 64 * w + std::countr_zero(level[w]);
-    }
-    return info.crossbars;
-}
-
-std::uint32_t
-BlockKvManager::CoreState::firstFreeXbar() const
-{
-    for (std::uint32_t w = 0; w < words; ++w) {
-        // Level 0 holds the crossbars with no free block.
-        std::uint64_t has_free = ~levelBits[w];
-        const std::uint32_t in_word = info.crossbars - 64 * w;
-        if (in_word < 64)
-            has_free &= (std::uint64_t{1} << in_word) - 1;
-        if (has_free)
-            return 64 * w + std::countr_zero(has_free);
-    }
-    return info.crossbars;
-}
-
-void
-BlockKvManager::CoreState::setFree(std::uint32_t x, std::uint32_t to)
-{
-    const std::uint32_t from = freePerXbar[x];
-    const std::uint64_t bit = std::uint64_t{1} << (x % 64);
-    levelBits[from * words + x / 64] &= ~bit;
-    levelBits[to * words + x / 64] |= bit;
-    freePerXbar[x] = to;
-    free = free - from + to;
-    if (to > topLevel) {
-        topLevel = to;
-        return;
-    }
-    auto level_empty = [&](std::uint32_t level) {
-        const auto first = levelBits.begin() + level * words;
-        return std::all_of(first, first + words,
-                           [](std::uint64_t w) { return w == 0; });
-    };
-    while (topLevel > 0 && level_empty(topLevel))
-        --topLevel;
-}
-
 BlockKvManager::CoreState
 BlockKvManager::makeCore(const KvCoreInfo &info)
 {
     CoreState state;
     state.info = info;
-    state.words = (info.crossbars + 63) / 64;
-    state.levelBits.assign(
-            static_cast<std::size_t>(info.blocksPerCrossbar + 1) *
-                    state.words,
-            0);
-    state.freePerXbar.assign(info.crossbars, 0);
-    for (std::uint32_t x = 0; x < info.crossbars; ++x) {
-        state.levelBits[x / 64] |= std::uint64_t{1} << (x % 64);
-        state.setFree(x, info.blocksPerCrossbar);
-    }
+    state.free = info.crossbars * info.blocksPerCrossbar;
+    state.homeFree = info.crossbars > 0 ? info.blocksPerCrossbar : 0;
     const double capacity = static_cast<double>(info.crossbars) *
                             info.blocksPerCrossbar;
     state.fullBelow = threshold_ * capacity;
@@ -115,71 +56,46 @@ BlockKvManager::blocksFor(std::uint64_t tokens) const
 
 void
 BlockKvManager::allocBlocks(CoreState &core, HeadAlloc &alloc,
-                            std::vector<XbarRun> &runs,
                             std::uint32_t held, std::uint32_t blocks,
                             bool is_v)
 {
     ouroAssert(core.free >= blocks, "allocBlocks: ", blocks,
                " blocks wanted, ", core.free, " free");
-    for (std::uint32_t n = 0; n < blocks; ++n) {
-        std::uint32_t chosen;
-        if (is_v) {
-            // V prefers its home crossbar, crossbar 0 (single-pass
-            // accumulation); spilling to another crossbar costs an
-            // extra partial-sum merge, which we count.
-            if (core.freePerXbar[0] > 0) {
-                chosen = 0;
-            } else {
-                chosen = core.firstFreeXbar();
-                if (held + n > 0)
-                    ++vSpills_;
-            }
-        } else {
-            // K grows along output channels: any crossbar works; take
-            // the emptiest to keep write pressure spread.
-            chosen = core.emptiestXbar();
-        }
-        ouroAssert(chosen < core.info.crossbars,
-                   "allocBlocks: no free crossbar despite free count");
-        core.setFree(chosen, core.freePerXbar[chosen] - 1);
-        ++usedBlocks_;
-        // Record ownership for release accounting.
-        std::uint32_t r = alloc.firstRun;
-        while (r != kNil && runs[r].xbar != chosen)
-            r = runs[r].next;
-        if (r != kNil) {
-            ++runs[r].blocks;
-        } else {
-            runs.push_back({chosen, 1, alloc.firstRun});
-            alloc.firstRun = static_cast<std::uint32_t>(runs.size() - 1);
-        }
-    }
+    core.free -= blocks;
+    usedBlocks_ += blocks;
+    // The anti-thrashing rule: below the threshold the core is full.
+    if (static_cast<double>(core.free) < core.fullBelow)
+        core.markedFull = true;
+    // K grows along output channels: any crossbar works, and no later
+    // decision reads which one it took.
+    if (!is_v)
+        return;
+    // V prefers its home crossbar, crossbar 0 (single-pass
+    // accumulation). Every block past it costs an extra partial-sum
+    // merge, which we count - except a head's very first block, which
+    // has no partial sum to merge with.
+    const std::uint32_t home = std::min(core.homeFree, blocks);
+    core.homeFree -= home;
+    alloc.homeBlocks += home;
+    const std::uint32_t spilled = blocks - home;
+    vSpills_ += spilled - (spilled > 0 && home == 0 && held == 0);
 }
 
 void
 BlockKvManager::releaseAlloc(std::vector<CoreState> &ring,
                              const HeadAlloc &alloc,
-                             const std::vector<XbarRun> &runs)
+                             std::uint32_t blocks)
 {
     CoreState &core = ring[alloc.core];
-    for (std::uint32_t r = alloc.firstRun; r != kNil; r = runs[r].next) {
-        const XbarRun &run = runs[r];
-        const std::uint32_t to = core.freePerXbar[run.xbar] + run.blocks;
-        ouroAssert(to <= core.info.blocksPerCrossbar,
-                   "releaseAlloc: double free");
-        core.setFree(run.xbar, to);
-        usedBlocks_ -= run.blocks;
-    }
+    core.free += blocks;
+    core.homeFree += alloc.homeBlocks;
+    ouroAssert(core.free <= core.info.crossbars *
+                                    core.info.blocksPerCrossbar,
+               "releaseAlloc: double free");
+    usedBlocks_ -= blocks;
     // Freed space may clear the full mark.
     if (core.free > core.fullBelow)
         core.markedFull = false;
-}
-
-void
-BlockKvManager::applyThreshold(CoreState &core)
-{
-    if (static_cast<double>(core.free) < core.fullBelow)
-        core.markedFull = true;
 }
 
 BlockKvManager::SequenceState &
@@ -261,7 +177,6 @@ BlockKvManager::ringFits(const std::vector<CoreState> &ring,
 void
 BlockKvManager::placeHeads(std::vector<CoreState> &ring,
                            std::vector<HeadAlloc> &allocs,
-                           std::vector<XbarRun> &runs,
                            std::uint32_t &cursor, std::uint32_t need,
                            bool is_v)
 {
@@ -281,9 +196,8 @@ BlockKvManager::placeHeads(std::vector<CoreState> &ring,
         }
         CoreState &core = ring[probe % n];
         alloc.core = probe % n;
-        alloc.firstRun = kNil;
-        allocBlocks(core, alloc, runs, 0, need, is_v);
-        applyThreshold(core);
+        alloc.homeBlocks = 0;
+        allocBlocks(core, alloc, 0, need, is_v);
         ++probe;
     }
     cursor = probe % n;
@@ -325,7 +239,6 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
     seq.tokens = initial_tokens;
     seq.k.resize(heads);
     seq.v.resize(heads);
-    seq.runs.clear();
     seq.blocksPerHead = need;
     seq.lastBlockFill = static_cast<std::uint32_t>(
             initial_tokens == 0
@@ -333,8 +246,8 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
                 : initial_tokens -
                       (static_cast<std::uint64_t>(need) - 1) *
                           tokensPerBlock_);
-    placeHeads(score_, seq.k, seq.runs, scoreCursor_, need, false);
-    placeHeads(context_, seq.v, seq.runs, contextCursor_, need, true);
+    placeHeads(score_, seq.k, scoreCursor_, need, false);
+    placeHeads(context_, seq.v, contextCursor_, need, true);
     seq.live = true;
     linkMru(slot);
     index_.emplace(seq_id, slot);
@@ -344,11 +257,15 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
 }
 
 bool
-BlockKvManager::evictMru(std::vector<std::uint64_t> &evicted)
+BlockKvManager::evictMru(std::vector<std::uint64_t> &evicted,
+                         std::uint32_t spare)
 {
-    if (mruTail_ == kNilSlot)
+    // The list tail, or its predecessor when that is the spared slot.
+    std::uint32_t victim = mruTail_;
+    if (victim != kNilSlot && victim == spare)
+        victim = slots_[victim].mruPrev;
+    if (victim == kNilSlot)
         return false;
-    const std::uint32_t victim = mruTail_;
     const std::uint64_t id = slots_[victim].seqId;
     releaseSlot(victim);
     evicted.push_back(id);
@@ -467,29 +384,16 @@ BlockKvManager::grow(KvHandle handle)
     // (most recent first) until it fits; never evict the grower.
     while (!fitsOneMoreBlock(score_, seq.k) ||
            !fitsOneMoreBlock(context_, seq.v)) {
-        // MRU victim other than ourselves: the list tail, or its
-        // predecessor when we ARE the tail.
-        std::uint32_t victim = mruTail_;
-        if (victim == handle.slot_)
-            victim = slots_[victim].mruPrev;
-        if (victim == kNilSlot)
+        if (!evictMru(result.evicted, handle.slot_))
             return result; // only us left and still no room
-        const std::uint64_t vid = slots_[victim].seqId;
-        releaseSlot(victim);
-        result.evicted.push_back(vid);
-        ++evictions_;
     }
 
-    for (auto &alloc : seq.k) {
-        allocBlocks(score_[alloc.core], alloc, seq.runs,
-                    seq.blocksPerHead, 1, false);
-        applyThreshold(score_[alloc.core]);
-    }
-    for (auto &alloc : seq.v) {
-        allocBlocks(context_[alloc.core], alloc, seq.runs,
-                    seq.blocksPerHead, 1, true);
-        applyThreshold(context_[alloc.core]);
-    }
+    for (auto &alloc : seq.k)
+        allocBlocks(score_[alloc.core], alloc, seq.blocksPerHead, 1,
+                    false);
+    for (auto &alloc : seq.v)
+        allocBlocks(context_[alloc.core], alloc, seq.blocksPerHead, 1,
+                    true);
     ++seq.blocksPerHead;
     seq.lastBlockFill = 1;
     ++seq.tokens;
@@ -515,9 +419,9 @@ BlockKvManager::releaseSlot(std::uint32_t slot)
 {
     SequenceState &seq = slots_[slot];
     for (const auto &alloc : seq.k)
-        releaseAlloc(score_, alloc, seq.runs);
+        releaseAlloc(score_, alloc, seq.blocksPerHead);
     for (const auto &alloc : seq.v)
-        releaseAlloc(context_, alloc, seq.runs);
+        releaseAlloc(context_, alloc, seq.blocksPerHead);
     unlinkMru(slot);
     index_.erase(seq.seqId);
     // The head storage stays with the slot for its next resident.
@@ -570,39 +474,39 @@ BlockKvManager::utilization() const
 std::vector<std::uint64_t>
 BlockKvManager::dropCore(CoreCoord coord)
 {
-    std::vector<std::uint64_t> lost;
-    auto collect = [&](const std::vector<CoreState> &ring,
-                       bool is_score) {
-        for (std::uint32_t r = 0; r < ring.size(); ++r) {
-            if (!(ring[r].info.coord == coord))
-                continue;
-            for (const auto &[id, slot] : index_) {
-                const SequenceState &seq = slots_[slot];
-                const auto &allocs = is_score ? seq.k : seq.v;
-                for (const auto &alloc : allocs) {
-                    if (alloc.core == r) {
-                        lost.push_back(id);
-                        break;
-                    }
-                }
-            }
-        }
+    // (id, slot) of every resident with a head on the core, from one
+    // pass over the slots; released in ascending id order.
+    auto on_core = [&](const std::vector<CoreState> &ring,
+                       const std::vector<HeadAlloc> &heads) {
+        return std::any_of(heads.begin(), heads.end(),
+                           [&](const HeadAlloc &alloc) {
+                               return ring[alloc.core].info.coord ==
+                                      coord;
+                           });
     };
-    collect(score_, true);
-    collect(context_, false);
-    std::sort(lost.begin(), lost.end());
-    lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
-    // Release first (their blocks return to the free lists), THEN
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> victims;
+    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+        const SequenceState &seq = slots_[s];
+        if (seq.live &&
+            (on_core(score_, seq.k) || on_core(context_, seq.v)))
+            victims.emplace_back(seq.seqId, s);
+    }
+    std::sort(victims.begin(), victims.end());
+    // Release first (their blocks return to the free counts), THEN
     // fence the core so no future allocation lands on it.
-    for (const auto id : lost)
-        release(id);
+    std::vector<std::uint64_t> lost;
+    lost.reserve(victims.size());
+    for (const auto &[id, slot] : victims) {
+        releaseSlot(slot);
+        lost.push_back(id);
+    }
     auto fence = [&](std::vector<CoreState> &ring) {
         for (auto &core : ring) {
             if (!(core.info.coord == coord))
                 continue;
             totalBlocks_ -= core.free;
-            for (std::uint32_t x = 0; x < core.info.crossbars; ++x)
-                core.setFree(x, 0);
+            core.free = 0;
+            core.homeFree = 0;
             core.markedFull = true;
             core.fenced = true;
         }
@@ -635,46 +539,35 @@ BlockKvManager::adoptCore(const KvCoreInfo &info, bool score_duty)
 void
 BlockKvManager::checkInvariants() const
 {
-    // Blocks held by live heads, per ring core and crossbar.
-    using Held = std::vector<std::vector<std::uint64_t>>;
-    auto empty_held = [](const std::vector<CoreState> &ring) {
-        Held held(ring.size());
-        for (std::size_t r = 0; r < ring.size(); ++r)
-            held[r].assign(ring[r].info.crossbars, 0);
-        return held;
+    // Blocks held by live heads per ring core: in all, and on the
+    // core's home crossbar (V heads only; K never touches it).
+    struct Held
+    {
+        std::vector<std::uint64_t> all, home;
     };
-    Held score_held = empty_held(score_);
-    Held context_held = empty_held(context_);
-    // Returns the number of runs the heads' lists hold.
+    Held score_held{std::vector<std::uint64_t>(score_.size()),
+                    std::vector<std::uint64_t>(score_.size())};
+    Held context_held{std::vector<std::uint64_t>(context_.size()),
+                      std::vector<std::uint64_t>(context_.size())};
     auto count_allocs = [&](const SequenceState &seq,
                             const std::vector<HeadAlloc> &allocs,
                             const std::vector<CoreState> &ring,
                             Held &held) {
-        const std::vector<XbarRun> &runs = seq.runs;
         ouroAssert(allocs.size() ==
                            static_cast<std::size_t>(model_.numKvHeads),
                    "checkInvariants: head count");
-        std::size_t listed = 0;
         for (const HeadAlloc &alloc : allocs) {
             ouroAssert(alloc.core < ring.size(),
                        "checkInvariants: head on a bad ring index");
             ouroAssert(!ring[alloc.core].fenced,
                        "checkInvariants: live head on a fenced core");
-            std::uint64_t blocks = 0;
-            for (std::uint32_t r = alloc.firstRun; r != kNil;
-                 r = runs[r].next) {
-                ouroAssert(r < runs.size() && ++listed <= runs.size(),
-                           "checkInvariants: broken crossbar run list");
-                ouroAssert(runs[r].xbar < ring[alloc.core].info.crossbars,
-                           "checkInvariants: bad crossbar");
-                held[alloc.core][runs[r].xbar] += runs[r].blocks;
-                blocks += runs[r].blocks;
-            }
-            ouroAssert(blocks == seq.blocksPerHead,
-                       "checkInvariants: a head holds ", blocks,
-                       " blocks, its sequence ", seq.blocksPerHead);
+            ouroAssert(alloc.homeBlocks <= seq.blocksPerHead,
+                       "checkInvariants: a head holds ",
+                       alloc.homeBlocks, " home-crossbar blocks of ",
+                       seq.blocksPerHead);
+            held.all[alloc.core] += seq.blocksPerHead;
+            held.home[alloc.core] += alloc.homeBlocks;
         }
-        return listed;
     };
 
     std::size_t live = 0;
@@ -687,12 +580,8 @@ BlockKvManager::checkInvariants() const
         ouroAssert(it != index_.end() && it->second == s,
                    "checkInvariants: live slot ", s,
                    " missing from the seq-id index");
-        const std::size_t listed =
-            count_allocs(seq, seq.k, score_, score_held) +
-            count_allocs(seq, seq.v, context_, context_held);
-        ouroAssert(listed == seq.runs.size(),
-                   "checkInvariants: slot ", s, " lists ", listed,
-                   " of its ", seq.runs.size(), " crossbar runs");
+        count_allocs(seq, seq.k, score_, score_held);
+        count_allocs(seq, seq.v, context_, context_held);
         ouroAssert(seq.blocksPerHead >= 1 &&
                        seq.lastBlockFill <= tokensPerBlock_ &&
                        seq.tokens ==
@@ -716,48 +605,28 @@ BlockKvManager::checkInvariants() const
         ouroAssert(cursor < ring.size(), "checkInvariants: cursor");
         for (std::size_t r = 0; r < ring.size(); ++r) {
             const CoreState &core = ring[r];
-            std::uint64_t free = 0;
-            std::uint32_t top = 0;
-            std::uint64_t bucketed = 0;
-            for (const std::uint64_t w : core.levelBits)
-                bucketed += std::popcount(w);
-            ouroAssert(bucketed == core.info.crossbars,
-                       "checkInvariants: core ", r, " buckets ",
-                       bucketed, " crossbars");
-            for (std::uint32_t x = 0; x < core.info.crossbars; ++x) {
-                const std::uint32_t f = core.freePerXbar[x];
-                ouroAssert(f <= core.info.blocksPerCrossbar &&
-                               (core.levelBits[f * core.words + x / 64] >>
-                                (x % 64)) & 1,
-                           "checkInvariants: core ", r, " crossbar ", x,
-                           " missing from its free-count bucket");
-                top = std::max(top, f);
-                free += f;
-                used += held[r][x];
-                if (core.fenced) {
-                    ouroAssert(f == 0 && held[r][x] == 0,
-                               "checkInvariants: fenced core ", r,
-                               " holds blocks");
-                } else {
-                    ouroAssert(f + held[r][x] ==
-                                   core.info.blocksPerCrossbar,
-                               "checkInvariants: core ", r,
-                               " crossbar ", x, " has ", f,
-                               " free + ", held[r][x],
-                               " held blocks");
-                }
+            used += held.all[r];
+            if (core.fenced) {
+                ouroAssert(core.free == 0 && core.homeFree == 0 &&
+                                   held.all[r] == 0 && core.markedFull,
+                           "checkInvariants: fenced core ", r,
+                           " holds blocks or takes heads");
+                continue;
             }
-            ouroAssert(free == core.free, "checkInvariants: core ", r,
-                       " free total ", core.free, " != ", free);
-            ouroAssert(top == core.topLevel, "checkInvariants: core ", r,
-                       " top level ", core.topLevel, " != ", top);
-            ouroAssert(!core.fenced || core.markedFull,
-                       "checkInvariants: fenced core not marked full");
-            if (!core.fenced) {
-                total += static_cast<std::uint64_t>(
-                                 core.info.crossbars) *
-                         core.info.blocksPerCrossbar;
-            }
+            const std::uint64_t capacity =
+                static_cast<std::uint64_t>(core.info.crossbars) *
+                core.info.blocksPerCrossbar;
+            total += capacity;
+            // Block conservation on the core and on its home crossbar.
+            ouroAssert(core.free + held.all[r] == capacity &&
+                               core.homeFree + held.home[r] ==
+                                   (core.info.crossbars > 0
+                                        ? core.info.blocksPerCrossbar
+                                        : 0),
+                       "checkInvariants: core ", r, " has ", core.free,
+                       " free + ", held.all[r], " held blocks, ",
+                       core.homeFree, " + ", held.home[r],
+                       " on its home crossbar");
         }
     };
     check_ring(score_, score_held, scoreCursor_);

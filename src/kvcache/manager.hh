@@ -38,16 +38,22 @@
  * failure handling). Handles die with release(); using a stale one is
  * a checked error.
  *
- * Bookkeeping cost: every core keeps its free-block total current, so
- * admission and growth checks are O(1) per core visited. An admission
- * first decides feasibility with a counting pass that mutates nothing,
- * and only then allocates, so a failed admission leaves the pool
- * untouched. A failure is also remembered against the capacity epoch
- * (see capacityEpoch()): retrying an admission that needs at least as
- * many blocks before the epoch moves is answered in O(1). Released
- * slots keep their per-head storage for the next resident, so growth
- * and failed admissions allocate no memory, and a steady admission
- * only its seq-id index entry.
+ * Bookkeeping: the pool is counts, not block maps. A core keeps its
+ * free blocks, a context core also those of crossbar 0 (V's home
+ * crossbar), and a V head how many of its blocks sit there. That is
+ * all any decision reads: admission, growth and eviction test a
+ * core's total, and the V-spill count depends on the home crossbar
+ * alone. Which crossbar holds a K block feeds no later decision (the
+ * score ring shares no core state with the context ring), so it is
+ * not tracked, and allocation and release are O(1) per head. An
+ * admission first decides feasibility with a counting pass that
+ * mutates nothing, and only then allocates, so a failed admission
+ * leaves the pool untouched. A failure is also remembered against the
+ * capacity epoch (see capacityEpoch()): retrying an admission that
+ * needs at least as many blocks before the epoch moves is answered in
+ * O(1). Released slots keep their per-head storage for the next
+ * resident, so growth and failed admissions allocate no memory, and a
+ * steady admission only its seq-id index entry.
  */
 
 #ifndef OURO_KVCACHE_MANAGER_HH
@@ -128,8 +134,10 @@ inline constexpr std::uint32_t kKvBlockTokens = 128;
 /**
  * Per-block KV manager. Thread-compatible, deterministic; the
  * multi-level translation (page table -> bitmap -> block registers,
- * Fig. 12) is modelled by the seq -> head placement map, per-core
- * free-block counters, and per-(seq, head, core) block lists.
+ * Fig. 12) is modelled by the seq -> head placement map and per-core
+ * free-block counters. Of the crossbars inside a core only V's home
+ * crossbar is tracked, because no decision reads where K's blocks
+ * sit.
  */
 class BlockKvManager
 {
@@ -253,8 +261,8 @@ class BlockKvManager
 
     /**
      * Check the pool's bookkeeping and panic on the first violation:
-     * per-core free totals match their crossbars, every crossbar's
-     * free and allocated blocks add up to its capacity, used + free
+     * every core's free and allocated blocks add up to its capacity,
+     * and so do its home crossbar's, used + free
      * == total, fenced cores hold nothing, and the MRU list, the live
      * slots, the free-slot list and the seq-id index agree. O(pool);
      * for tests and debugging.
@@ -287,14 +295,10 @@ class BlockKvManager
     struct CoreState
     {
         KvCoreInfo info;
-        std::vector<std::uint32_t> freePerXbar; ///< blocks free
-        /** Crossbars bucketed by free blocks: bit b of word w of level
-         *  f (levelBits[f * words + w]) is set iff crossbar 64w + b
-         *  has f free blocks. */
-        std::vector<std::uint64_t> levelBits;
-        std::uint32_t words = 0;    ///< 64-bit words per level
-        std::uint32_t topLevel = 0; ///< highest level with a crossbar
-        std::uint32_t free = 0; ///< sum of freePerXbar, kept current
+        std::uint32_t free = 0; ///< free blocks over all crossbars
+        /** Free blocks on crossbar 0, V's home crossbar; read on the
+         *  context ring only. */
+        std::uint32_t homeFree = 0;
         /** Admission residue: ceil(threshold * capacity) blocks. */
         std::uint32_t reserve = 0;
         /** threshold * capacity: below this many free blocks the
@@ -302,36 +306,17 @@ class BlockKvManager
         double fullBelow = 0.0;
         bool markedFull = false;
         bool fenced = false; ///< dropCore()d: never allocates again
-
-        /** The crossbar with the most free blocks, lowest index on
-         *  ties; info.crossbars when none is free. */
-        std::uint32_t emptiestXbar() const;
-        /** The lowest-index crossbar with a free block, or
-         *  info.crossbars. */
-        std::uint32_t firstFreeXbar() const;
-        /** Move crossbar @p x's free count to @p to blocks. */
-        void setFree(std::uint32_t x, std::uint32_t to);
     };
 
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr std::uint32_t kNilSlot = kNil;
-
-    /** Blocks one (sequence, head) holds on one crossbar of its core:
-     *  a node of the head's list in SequenceState::runs. The lists
-     *  are the crossbar ownership behind release accounting (the
-     *  Fig. 12c block registers). */
-    struct XbarRun
-    {
-        std::uint32_t xbar;
-        std::uint32_t blocks;
-        std::uint32_t next; ///< next node of the same head, or kNil
-    };
+    static constexpr std::uint32_t kNilSlot = 0xffffffffu;
 
     /** Where one (sequence, head) keeps its K or V blocks. */
     struct HeadAlloc
     {
-        std::uint32_t core;            ///< ring index
-        std::uint32_t firstRun = kNil; ///< head of its XbarRun list
+        std::uint32_t core; ///< ring index
+        /** Of its blocks, those on the core's home crossbar (V heads;
+         *  always 0 for K). */
+        std::uint32_t homeBlocks = 0;
     };
 
     struct SequenceState
@@ -345,12 +330,10 @@ class BlockKvManager
          *            + lastBlockFill. */
         std::uint32_t blocksPerHead = 0;
         std::uint32_t lastBlockFill = 0;
-        /** Per head, on score (k) and context (v) cores, and the
-         *  crossbar runs of all of them. A released slot keeps this
-         *  storage for its next resident. */
+        /** Per head, on score (k) and context (v) cores. A released
+         *  slot keeps this storage for its next resident. */
         std::vector<HeadAlloc> k;
         std::vector<HeadAlloc> v;
-        std::vector<XbarRun> runs;
         /** Intrusive admission-order list (head = LRU, tail = MRU). */
         std::uint32_t mruPrev = kNilSlot;
         std::uint32_t mruNext = kNilSlot;
@@ -405,8 +388,10 @@ class BlockKvManager
     /** Blocks needed to hold @p tokens of one head. */
     std::uint32_t blocksFor(std::uint64_t tokens) const;
 
-    /** Evict the most recently scheduled resident; false if none. */
-    bool evictMru(std::vector<std::uint64_t> &evicted);
+    /** Evict the most recently scheduled resident other than slot
+     *  @p spare; false if there is none. */
+    bool evictMru(std::vector<std::uint64_t> &evicted,
+                  std::uint32_t spare = kNilSlot);
 
     /** Release by slot (shared by handle/id release and eviction). */
     void releaseSlot(std::uint32_t slot);
@@ -427,8 +412,8 @@ class BlockKvManager
      *  order. Only called once ringFits() said yes. */
     void placeHeads(std::vector<CoreState> &ring,
                     std::vector<HeadAlloc> &allocs,
-                    std::vector<XbarRun> &runs, std::uint32_t &cursor,
-                    std::uint32_t need, bool is_v);
+                    std::uint32_t &cursor, std::uint32_t need,
+                    bool is_v);
 
     /** Whether every core holding heads of @p allocs has one free
      *  block per such head (several heads may share a core). */
@@ -436,27 +421,15 @@ class BlockKvManager
                           const std::vector<HeadAlloc> &allocs);
 
     /** Allocate @p blocks more on a ring core to a head that holds
-     *  @p held; kind selects K/V policy. The core must hold at least
-     *  @p blocks free blocks. */
+     *  @p held, and apply the full mark; kind selects K/V policy. The
+     *  core must hold at least @p blocks free blocks. */
     void allocBlocks(CoreState &core, HeadAlloc &alloc,
-                     std::vector<XbarRun> &runs, std::uint32_t held,
-                     std::uint32_t blocks, bool is_v);
+                     std::uint32_t held, std::uint32_t blocks,
+                     bool is_v);
 
+    /** Return a head's @p blocks to its ring core. */
     void releaseAlloc(std::vector<CoreState> &ring,
-                      const HeadAlloc &alloc,
-                      const std::vector<XbarRun> &runs);
-
-    /** Apply the anti-thrashing threshold rule to a cursor core. */
-    void applyThreshold(CoreState &core);
-};
-
-/** Aggregate view over all blocks' managers (model-level stats). */
-struct KvPoolStats
-{
-    double utilization = 0.0;
-    std::uint64_t evictions = 0;
-    std::uint64_t vSpills = 0;
-    std::uint64_t residentSequences = 0;
+                      const HeadAlloc &alloc, std::uint32_t blocks);
 };
 
 } // namespace ouro

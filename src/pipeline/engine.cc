@@ -500,6 +500,9 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         // Adopted capacity may rescue waiting (or just-evicted)
         // requests immediately - subject to the suspension rule.
         pump_admissions(ev.time);
+#ifndef NDEBUG
+        kv.checkInvariants(); // O(pool): events only, never per token
+#endif
     };
 
     // Cohort decode fast path: with every resident sequence in steady
@@ -829,6 +832,9 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     stats.contextTokensSum = ctx_sum;
     stats.stageBusySumSeconds = busy_sum;
     deriveMeans(stats);
+#ifndef NDEBUG
+    kv.checkInvariants();
+#endif
     if (stats.skippedRequests > 0) {
         warn("pipeline: ", stats.skippedRequests,
              " request(s) exceed KV pool capacity; skipped");

@@ -241,6 +241,45 @@ TEST(KvManager, VSpillCountsWhenHomeXbarFull)
     EXPECT_GT(mgr.vSpills(), 0u);
 }
 
+TEST(KvManager, VSpillClosedForm)
+{
+    // A V allocation of b blocks by a head holding h takes
+    // home = min(home free, b) on crossbar 0 and spills the rest; every
+    // spilled block counts except a new head's first (h == 0, home == 0).
+    // Four heads on four context cores, one head per core.
+    {
+        // Home crossbar left with 1 free block: a 3-block admission
+        // keeps 1 home and spills 2 per head.
+        BlockKvManager mgr(kvModel(), pool(4), pool(4, 2, 4, 1), 128,
+                           0.0);
+        ASSERT_TRUE(mgr.admit(1, 384).ok);
+        EXPECT_EQ(mgr.vSpills(), 0u);
+        ASSERT_TRUE(mgr.admit(2, 384).ok);
+        EXPECT_EQ(mgr.vSpills(), 4u * 2);
+        mgr.checkInvariants();
+    }
+    {
+        // Full home crossbar: a 2-block admission spills both blocks
+        // per head, but the first is exempt.
+        BlockKvManager mgr(kvModel(), pool(4), pool(4, 2, 2, 1), 128,
+                           0.0);
+        ASSERT_TRUE(mgr.admit(1, 256).ok);
+        ASSERT_TRUE(mgr.admit(2, 256).ok);
+        EXPECT_EQ(mgr.vSpills(), 4u * 1);
+        mgr.checkInvariants();
+    }
+    {
+        // Growing past a block boundary with the home crossbar full
+        // spills one block per head.
+        BlockKvManager mgr(kvModel(), pool(4), pool(4, 2, 2, 1), 128,
+                           0.0);
+        ASSERT_TRUE(mgr.admit(1, 256).ok);
+        ASSERT_TRUE(mgr.grow(1).ok);
+        EXPECT_EQ(mgr.vSpills(), 4u * 1);
+        mgr.checkInvariants();
+    }
+}
+
 TEST(KvManager, ThresholdReservesSpace)
 {
     // threshold 0.25 -> one block of each 4-block core is held in
