@@ -6,7 +6,8 @@
  * per-link loads), KV admission/growth, the MIQP objective /
  * moveDelta / swapDelta on both the sparse flow-graph engine and the
  * dense reference, the wafer-level recovery service's failure
- * handling and dry-pool KV borrowing, day-trace window
+ * handling and dry-pool KV borrowing, storm-schedule resolution on
+ * the LLaMA-13B system, day-trace window
  * materialization, the sampled-window simulator, one KV-thrashing
  * pipeline run, and the RNG. These guard the simulator's own
  * performance (the figure harnesses run millions of these calls).
@@ -28,6 +29,8 @@
 #include "runtime/recovery_service.hh"
 #include "sim/fleet.hh"
 #include "sim/sampled_run.hh"
+#include "sim/storm_run.hh"
+#include "sim/system.hh"
 #include "workload/trace.hh"
 
 namespace
@@ -535,6 +538,37 @@ BM_StormReprice(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kFailures);
 }
 BENCHMARK(BM_StormReprice);
+
+void
+BM_ResolveStormSchedule(benchmark::State &state)
+{
+    // What runFleetServing pays before a storm wafer serves: one
+    // resolveStormSchedule of a 16-failure schedule on the LLaMA-13B
+    // system, recovery-service construction included. Regions build
+    // their recovery index on first use, so the 40 blocks a storm of
+    // the representative block never touches cost only their
+    // placement copies.
+    const auto sys = OuroborosSystem::build(llama13b(), OuroborosParams{});
+    if (!sys) {
+        state.SkipWithError("LLaMA-13B does not fit the wafer");
+        return;
+    }
+    FailureInjectorParams injector;
+    injector.failures = 16;
+    injector.stormStart = 0.3;
+    injector.stormDuration = 0.2;
+    injector.weightFailureFraction = 0.25;
+    std::uint64_t lost = 0;
+    for (auto _ : state) {
+        const ResolvedStorm storm = resolveStormSchedule(*sys, injector);
+        benchmark::DoNotOptimize(storm.events.data());
+        lost = storm.kvCoresLost;
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(injector.failures));
+    state.counters["kv_cores_lost"] = static_cast<double>(lost);
+}
+BENCHMARK(BM_ResolveStormSchedule);
 
 void
 BM_TraceWindowMaterialize(benchmark::State &state)

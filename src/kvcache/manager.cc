@@ -203,17 +203,24 @@ BlockKvManager::placeHeads(std::vector<CoreState> &ring,
     cursor = probe % n;
 }
 
+bool
+BlockKvManager::admitSkips(std::uint64_t initial_tokens) const
+{
+    // Nothing that could make room happened since an admission needing
+    // no more than this failed (capacityEpoch()).
+    return epoch_ == failedEpoch_ &&
+           blocksFor(initial_tokens) >= failedNeed_;
+}
+
 std::uint32_t
 BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
                              std::uint64_t initial_tokens)
 {
-    const std::uint32_t need = blocksFor(initial_tokens);
-    // Nothing that could make room happened since an admission needing
-    // no more than this failed (capacityEpoch()).
-    if (epoch_ == failedEpoch_ && need >= failedNeed_) {
+    if (admitSkips(initial_tokens)) {
         ++probesSkipped_;
         return kNilSlot;
     }
+    const std::uint32_t need = blocksFor(initial_tokens);
     ++probes_;
     if (!ringFits(score_, scoreCursor_, need) ||
         !ringFits(context_, contextCursor_, need)) {

@@ -179,6 +179,16 @@ class BlockKvManager
     KvHandle admitNoEvictHandle(std::uint64_t seq_id,
                                 std::uint64_t initial_tokens);
 
+    /**
+     * Whether an admission of @p initial_tokens fails now without a
+     * walk, answered from the capacity epoch (probesSkipped). A caller
+     * that changes nothing in the pool may answer @p n such attempts
+     * itself and count them with countSkippedProbes(n); the counters
+     * then read exactly as after n admitNoEvict calls.
+     */
+    bool admitSkips(std::uint64_t initial_tokens) const;
+    void countSkippedProbes(std::uint64_t n) { probesSkipped_ += n; }
+
     /** Handle of a resident sequence (one hash probe). */
     KvHandle handleOf(std::uint64_t seq_id) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -132,6 +133,58 @@ ringBefore(double a_ready, std::uint64_t a_seq, double b_ready,
     if (a_ready != b_ready)
         return a_ready < b_ready;
     return a_seq < b_seq;
+}
+
+/** One server per stage kind (the representative block's tandem
+ *  queue) plus the run's work aggregates. */
+struct StageClocks
+{
+    std::array<double, kStagesPerBlock> free{};
+    std::array<double, kStagesPerBlock> busy{};
+    double makespan = 0.0;
+    double ctxSum = 0.0;
+    std::uint64_t ctxSamples = 0;
+    std::uint64_t tokens = 0;
+};
+
+/** Stages S.. of the tandem walk, unrolled at compile time. Dense
+ *  stages are shared servers; attention stages run on the sequence's
+ *  OWN KV-ring cores (Section 4.4.3), so only they overlap across
+ *  sequences. */
+template <unsigned S = 0>
+double
+walkStages(StageClocks &c, double cursor, double &attn_free,
+           const ItemTiming &item)
+{
+    if constexpr (S == kStagesPerBlock) {
+        return cursor;
+    } else {
+        double &server = stageIsAttention(static_cast<StageKind>(S))
+                                 ? attn_free
+                                 : c.free[S];
+        const double done = std::max(cursor, server) + item.stage[S];
+        server = done;
+        c.busy[S] += item.stage[S];
+        return walkStages<S + 1>(c, done, attn_free, item);
+    }
+}
+
+/** THE stage walk of every item on every path (lane loop, prompt
+ *  run, cohort ring), so their op order cannot drift apart. Blocks
+ *  2..N add latency (@p tail_blocks x one block), not contention.
+ *  @p attn_free is wherever the caller keeps the sequence's attention
+ *  clock. Returns the item's completion time. */
+inline double
+advanceItem(StageClocks &c, double tail_blocks, double ready,
+            double &attn_free, const ItemTiming &item)
+{
+    const double completion =
+        walkStages(c, ready, attn_free, item) + tail_blocks * item.total;
+    c.makespan = std::max(c.makespan, completion);
+    c.tokens += item.tokens;
+    c.ctxSum += static_cast<double>(item.context);
+    ++c.ctxSamples;
+    return completion;
 }
 
 /** Why a resident lost its KV: capacity pressure (MRU eviction on a
@@ -308,15 +361,8 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                                                             : nullptr;
     };
 
-    // One server per stage kind (the representative block's tandem
-    // queue); blocks 2..N add pure latency, not contention - inter-
-    // item blocking is already captured at block 1.
-    std::array<double, kStagesPerBlock> stage_free{};
-    std::array<double, kStagesPerBlock> stage_busy{};
-    double makespan = 0.0;
-
-    double ctx_sum = 0.0;
-    std::uint64_t ctx_samples = 0;
+    StageClocks clocks;
+    const double tail_blocks = blocks - 1.0;
 
     /** Resident sequences still streaming prefill tokens; the cohort
      *  fast path is legal only when this is zero. */
@@ -401,45 +447,6 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             --residents;
             admissions_suspended = true;
         }
-    };
-
-    // Tandem traversal of the representative block's six stage
-    // servers; the remaining N-1 blocks add latency only. Dense
-    // stages are shared servers (one set of weight cores); the
-    // attention stages run on the sequence's OWN KV-ring cores
-    // (Section 4.4.3 spreads sequences across distinct cores),
-    // so they serialise within a sequence but overlap across
-    // sequences. Returns the item's completion time. @p attn_free
-    // is wherever the caller keeps the sequence's attention-server
-    // clock (ActiveSeq on the slow path, the ring slot on the
-    // cohort path) - ONE implementation, so the two paths cannot
-    // drift apart and break their asserted bit-identity.
-    auto advance_item = [&](double ready, double &attn_free,
-                            const ItemTiming &item) -> double {
-        double cursor = ready;
-        for (unsigned s = 0; s < kStagesPerBlock; ++s) {
-            const auto kind = static_cast<StageKind>(s);
-            double start;
-            if (stageIsAttention(kind)) {
-                start = std::max(cursor, attn_free);
-            } else {
-                start = std::max(cursor, stage_free[s]);
-            }
-            const double done = start + item.stage[s];
-            if (stageIsAttention(kind))
-                attn_free = done;
-            else
-                stage_free[s] = done;
-            stage_busy[s] += item.stage[s];
-            cursor = done;
-        }
-        const double completion =
-            cursor + (blocks - 1.0) * item.total;
-        makespan = std::max(makespan, completion);
-        stats.tokensProcessed += item.tokens;
-        ctx_sum += static_cast<double>(item.context);
-        ++ctx_samples;
-        return completion;
     };
 
     // Serving-latency samples, pushed when a request COMPLETES (both
@@ -596,7 +603,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                         evict({m.seq}, EvictCause::Capacity);
                         if (kv.resident(m.seq))
                             kv.release(m.seq);
-                        pump_admissions(makespan);
+                        pump_admissions(clocks.makespan);
                         bail = true;
                         break; // member dropped, not reinserted
                     }
@@ -608,14 +615,14 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             }
 
             // Decode step on ring-local state: same builder and the
-            // SAME advance_item as the slow path (bit-identity by
+            // SAME advanceItem as the lane loop (bit-identity by
             // construction), only the attention clock lives in the
             // ring slot instead of the ActiveSeq.
             const ItemTiming item =
                 freshTokenItem(timing, m.position + 1);
-            const double entry = std::max(m.ready, stage_free[0]);
-            const double completion =
-                advance_item(m.ready, m.attnFree, item);
+            const double entry = std::max(m.ready, clocks.free[0]);
+            const double completion = advanceItem(
+                    clocks, tail_blocks, m.ready, m.attnFree, item);
 
             if (m.position == m.as->prefillLen)
                 m.as->firstTokenDone = completion; // first decode
@@ -669,6 +676,88 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         }
     };
 
+    // Token-grained prompt runs (Section 4.2.1 streams a sequence's
+    // prompt tokens back to back): while the prefill lane's front is
+    // the next event, stream its non-final prompt tokens with the lane
+    // cursor and the stage clocks in locals. A run stops before the
+    // decode front, a due storm event, a stale entry or a final prompt
+    // token; the lane loop takes those. A run touches neither the
+    // pool, the queue nor the suspension flag, so whether
+    // pump_admissions() is idle is decided once: it is when the queue
+    // is empty, admissions are suspended, or the capacity epoch
+    // answers the queue head (the run then counts each token's skipped
+    // probe). Otherwise the run is one token and one pump, as in the
+    // lane loop. Returns whether a token was processed.
+    auto prompt_run = [&]() -> bool {
+        constexpr double kNever = std::numeric_limits<double>::infinity();
+        const LaneEntry decode_front = decode_lane.count > 0
+                                           ? decode_lane.at(0)
+                                           : LaneEntry{kNever, 0, 0, 0};
+        const double storm_due =
+            storm_pending() ? (*storm)[storm_next].time : kNever;
+        const bool suspended = admissions_suspended && residents > 0;
+        const bool skips =
+            !queue.empty() && !suspended &&
+            kv.admitSkips(admission_tokens(queue.front()));
+        const bool pump_idle = queue.empty() || suspended || skips;
+
+        // Each token pops the front and inserts its successor, so the
+        // count never changes and the buffer never grows.
+        LaneEntry *const buf = prefill_lane.buf.data();
+        const std::size_t mask = prefill_lane.buf.size() - 1;
+        const std::size_t count = prefill_lane.count;
+        std::size_t head = prefill_lane.head;
+        StageClocks clk = clocks;
+        std::uint64_t ran = 0;
+        double entry = 0.0;
+        for (;;) {
+            const LaneEntry top = buf[head];
+            if (decode_front < top || storm_due <= top.ready)
+                break;
+            ActiveSeq *const seq = live_entry(top);
+            if (!seq || seq->prefillEntered + 1 >= seq->prefillLen)
+                break;
+            // Causal: the token's own attention. With a block mask the
+            // attention is deferred to the final token (Fig. 5c).
+            const ItemTiming item =
+                pure_tgp ? freshTokenItem(
+                                   timing,
+                                   attendedContext(model.attention,
+                                                   seq->prefillEntered,
+                                                   seq->prefillLen))
+                         : blocked_deferred;
+            entry = std::max(seq->nextReady, clk.free[0]);
+            advanceItem(clk, tail_blocks, seq->nextReady, seq->attnFree,
+                        item);
+            seq->prefillEntered += 1;
+            seq->nextReady = entry; // the next prompt token streams
+            seq->generation += 1;
+            head = (head + 1) & mask;
+            const LaneEntry next{entry, top.seq, seq->generation, top.slot};
+            std::size_t j = count - 1;
+            for (; j > 0 && next < buf[(head + j - 1) & mask]; --j)
+                buf[(head + j) & mask] = buf[(head + j - 1) & mask];
+            buf[(head + j) & mask] = next;
+#ifndef NDEBUG
+            ouroAssert(j == 0 || !(next < buf[(head + j - 1) & mask]),
+                       "lane: entry ordered before its predecessor");
+            ouroAssert(top < decode_front && top.ready < storm_due,
+                       "prompt run: processed an entry at or after "
+                       "the decode front or a due storm event");
+#endif
+            ++ran;
+            if (!pump_idle)
+                break;
+        }
+        prefill_lane.head = head;
+        clocks = clk;
+        if (skips)
+            kv.countSkippedProbes(ran);
+        else if (ran > 0 && !pump_idle)
+            pump_admissions(entry);
+        return ran > 0;
+    };
+
     pump_admissions(0.0);
 
     while (first_lane().count > 0 || !queue.empty()) {
@@ -696,7 +785,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             // fit, so the request genuinely exceeds pool capacity.
             queue.pop_front();
             stats.skippedRequests += 1;
-            pump_admissions(makespan);
+            pump_admissions(clocks.makespan);
             continue;
         }
 
@@ -712,86 +801,74 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             continue;
         }
 
+        if (token_grained && &first_lane() == &prefill_lane &&
+            prompt_run())
+            continue;
+
         const LaneEntry top = first_lane().pop();
         ActiveSeq *const live = live_entry(top);
         if (!live)
             continue; // stale: its residency was evicted
         ActiveSeq &seq = *live;
 
+        // What is left for this loop: a whole SGP prefill, a final
+        // TGP prompt token, or a decode token.
         const bool is_prefill = seq.prefillEntered < seq.prefillLen;
-
-        // Build the next item for this sequence.
-        ItemTiming scratch;
-        const ItemTiming *item = &scratch;
-        if (is_prefill) {
-            if (!token_grained) {
-                scratch = freshSequenceItem(timing, model.attention,
-                                            seq.prefillLen,
-                                            opts.attentionParallelism);
-            } else if (pure_tgp) {
-                scratch = freshTokenItem(
-                        timing, attendedContext(model.attention,
-                                                seq.prefillEntered,
-                                                seq.prefillLen));
-            } else if (seq.prefillEntered + 1 < seq.prefillLen) {
-                // TGP with block: defer attention to the final
-                // prefill token (Fig. 5c).
-                item = &blocked_deferred;
-            } else {
-                // The final token carries the whole prefix's
-                // attention, spread over the KV crossbars.
-                scratch = freshBlockedTokenItem(
-                        timing,
-                        deferredAttentionPositions(model.attention,
-                                                   seq.prefillLen) /
-                                std::max(1.0,
-                                         opts.attentionParallelism));
-            }
-        } else {
+        ouroAssert(!is_prefill || !token_grained ||
+                           seq.prefillEntered + 1 == seq.prefillLen,
+                   "pipeline: a non-final prompt token left its run");
+        ItemTiming item;
+        if (!is_prefill) {
             // Decode token: causal attention over everything so far.
             const std::uint64_t pos = seq.prefillLen + seq.decoded;
-            scratch = freshTokenItem(timing, pos + 1);
+            item = freshTokenItem(timing, pos + 1);
+        } else if (!token_grained) {
+            item = freshSequenceItem(timing, model.attention,
+                                     seq.prefillLen,
+                                     opts.attentionParallelism);
+        } else if (pure_tgp) {
+            item = freshTokenItem(
+                    timing, attendedContext(model.attention,
+                                            seq.prefillEntered,
+                                            seq.prefillLen));
+        } else {
+            // TGP with block: the final token carries the whole
+            // prefix's attention, spread over the KV crossbars.
+            item = freshBlockedTokenItem(
+                    timing,
+                    deferredAttentionPositions(model.attention,
+                                               seq.prefillLen) /
+                            std::max(1.0, opts.attentionParallelism));
         }
 
-        // KV growth for the entering tokens (dynamic mode only).
-        if (!opts.staticKvAllocation) {
-            if (!is_prefill) {
-                const KvResult grow = kv.grow(seq.kv);
-                evict(grow.evicted, EvictCause::Capacity);
-                if (!grow.ok) {
-                    // The grower itself could not fit (pool too small
-                    // even after evicting everyone else): evict self.
-                    evict({seq.id}, EvictCause::Capacity);
-                    if (kv.resident(seq.id))
-                        kv.release(seq.id);
-                    pump_admissions(makespan);
-                    continue;
-                }
+        // KV growth for a decode token (dynamic mode only; prompt KV
+        // was reserved at admission).
+        if (!is_prefill && !opts.staticKvAllocation) {
+            const KvResult grow = kv.grow(seq.kv);
+            evict(grow.evicted, EvictCause::Capacity);
+            if (!grow.ok) {
+                // The grower itself could not fit (pool too small
+                // even after evicting everyone else): evict self.
+                evict({seq.id}, EvictCause::Capacity);
+                if (kv.resident(seq.id))
+                    kv.release(seq.id);
+                pump_admissions(clocks.makespan);
+                continue;
             }
-            // Prefill KV was reserved at admission.
         }
 
-        const double entry = std::max(seq.nextReady, stage_free[0]);
-        const double completion =
-            advance_item(seq.nextReady, seq.attnFree, *item);
+        const double entry = std::max(seq.nextReady, clocks.free[0]);
+        const double completion = advanceItem(
+                clocks, tail_blocks, seq.nextReady, seq.attnFree, item);
 
-        // Advance the sequence and enqueue its next item.
-        Lane *next_lane = &decode_lane;
+        // Advance the sequence and enqueue its next item, a decode
+        // token: the first one depends on the prompt's full traversal
+        // of the pipeline.
         if (is_prefill) {
-            seq.prefillEntered += item->tokens;
-            const bool done_prefill =
-                seq.prefillEntered >= seq.prefillLen;
-            if (done_prefill) {
-                // First decode token depends on the prompt's full
-                // traversal of the pipeline.
-                --prefill_count;
-                seq.nextReady = completion;
-            } else {
-                // Prefill tokens stream: next is ready at this entry.
-                seq.nextReady = entry;
-                next_lane = &prefill_lane;
-            }
-            if (seq.decodeRemaining == 0 && done_prefill) {
+            seq.prefillEntered = seq.prefillLen;
+            --prefill_count;
+            seq.nextReady = completion;
+            if (seq.decodeRemaining == 0) {
                 complete(seq, entry);
                 continue;
             }
@@ -811,25 +888,26 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             seq.nextReady = completion; // autoregressive gating
         }
         seq.generation += 1;
-        next_lane->push({seq.nextReady, seq.id, seq.generation, top.slot});
+        decode_lane.push({seq.nextReady, seq.id, seq.generation, top.slot});
         pump_admissions(entry);
     }
 
-    stats.makespanSeconds = makespan;
+    stats.makespanSeconds = clocks.makespan;
+    stats.tokensProcessed = clocks.tokens;
     // Stamp the bin width so mergeConcurrent can check alignment.
     stats.throughputBinSeconds =
         opts.throughputBinSeconds > 0.0 ? opts.throughputBinSeconds
                                         : 0.0;
     double busy_sum = 0.0;
-    for (const double b : stage_busy) {
+    for (const double b : clocks.busy) {
         busy_sum += b;
         stats.bottleneckBusySeconds =
             std::max(stats.bottleneckBusySeconds, b);
     }
     // Raw aggregates behind the derived means, kept so the folds can
     // recompute utilization/avgContext exactly.
-    stats.itemsProcessed = ctx_samples;
-    stats.contextTokensSum = ctx_sum;
+    stats.itemsProcessed = clocks.ctxSamples;
+    stats.contextTokensSum = clocks.ctxSum;
     stats.stageBusySumSeconds = busy_sum;
     deriveMeans(stats);
 #ifndef NDEBUG

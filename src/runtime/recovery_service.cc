@@ -26,25 +26,24 @@ RecoveryService::RecoveryService(
 {
     regions_.reserve(static_cast<std::size_t>(numReplicas_) *
                      numBlocks_);
+    owner_.assign(geom_.numCores(), kUnowned);
     for (std::uint32_t rep = 0; rep < numReplicas_; ++rep) {
         for (std::uint64_t b = 0; b < numBlocks_; ++b) {
             Region region;
             region.replica = rep;
             region.block = firstBlock_ + b;
             region.placement = mapping.placement(region.block, rep);
-            if (opts_.useSpatialIndex)
-                region.index.emplace(region.placement);
-            const std::size_t slot = regions_.size();
+            const auto slot =
+                static_cast<std::uint32_t>(regions_.size());
             for (const auto *pool : {&region.placement.weightCores,
                                      &region.placement.scoreCores,
                                      &region.placement.contextCores}) {
                 for (const CoreCoord &c : *pool) {
-                    const bool fresh =
-                        owner_.emplace(geom_.coreIndex(c), slot)
-                                .second;
-                    ouroAssert(fresh, "RecoveryService: core (",
-                               c.row, ",", c.col,
-                               ") owned by two regions");
+                    std::uint32_t &owner = owner_[geom_.coreIndex(c)];
+                    ouroAssert(owner == kUnowned,
+                               "RecoveryService: core (", c.row, ",",
+                               c.col, ") owned by two regions");
+                    owner = slot;
                 }
             }
             regions_.push_back(std::move(region));
@@ -71,6 +70,16 @@ RecoveryService::region(std::uint64_t block,
                                                        replica);
 }
 
+RecoveryIndex *
+RecoveryService::indexOf(Region &reg)
+{
+    if (!opts_.useSpatialIndex)
+        return nullptr;
+    if (!reg.index)
+        reg.index.emplace(reg.placement);
+    return &*reg.index;
+}
+
 const BlockPlacement &
 RecoveryService::placement(std::uint64_t block,
                            std::uint32_t replica) const
@@ -92,10 +101,10 @@ RecoveryService::chainKvCores(std::uint32_t replica) const
 }
 
 std::optional<std::pair<CoreCoord, bool>>
-RecoveryService::pickDonorCore(const Region &donor,
-                               CoreCoord near) const
+RecoveryService::pickDonorCore(Region &donor, CoreCoord near)
 {
-    if (!opts_.useSpatialIndex) {
+    const RecoveryIndex *index = indexOf(donor);
+    if (!index) {
         // The retained scan oracle (shared with recoverCoreFailure's
         // no-index path, so both service modes lend the identical
         // core).
@@ -104,7 +113,7 @@ RecoveryService::pickDonorCore(const Region &donor,
             return std::nullopt;
         return std::make_pair(hit->core, hit->scoreDuty);
     }
-    const auto hit = donor.index->nearestKv(near);
+    const auto hit = index->nearestKv(near);
     if (!hit)
         return std::nullopt;
     const auto &score = donor.placement.scoreCores;
@@ -118,7 +127,7 @@ bool
 RecoveryService::borrowKvCore(Region &dry, CoreCoord near,
                               std::vector<KvBorrow> &borrows)
 {
-    const std::size_t dry_slot = static_cast<std::size_t>(
+    const auto dry_slot = static_cast<std::uint32_t>(
             dry.replica * numBlocks_ + (dry.block - firstBlock_));
     // Deterministic nearest-block order within the chain: distance
     // 1, 2, ... from the dry block, the lower-numbered block first
@@ -151,12 +160,11 @@ RecoveryService::borrowKvCore(Region &dry, CoreCoord near,
                         : dry.placement.contextCores)
                     .push_back(core);
             // The dry region's placement gained a core its index was
-            // not built over; a rebuild re-derives scan-order
-            // sequence numbers from the post-graft pools, keeping
-            // the index bit-identical to the scan oracle from here
-            // on.
-            if (opts_.useSpatialIndex)
-                dry.index.emplace(dry.placement);
+            // not built over. Drop the index: its next use rebuilds
+            // it, re-deriving scan-order sequence numbers from the
+            // post-graft pools, so it stays bit-identical to the scan
+            // oracle from here on.
+            dry.index.reset();
             owner_[geom_.coreIndex(core)] = dry_slot;
 
             ++borrowCount_;
@@ -247,10 +255,9 @@ std::optional<FailureOutcome>
 RecoveryService::handleCoreFailure(CoreCoord failed)
 {
     const std::uint64_t key = geom_.coreIndex(failed);
-    const auto it = owner_.find(key);
-    if (it == owner_.end())
+    if (owner_[key] == kUnowned)
         return std::nullopt; // embedding core, dead core, or unmapped
-    Region &reg = regions_[it->second];
+    Region &reg = regions_[owner_[key]];
 
     FailureOutcome out;
     out.replica = reg.replica;
@@ -266,14 +273,12 @@ RecoveryService::handleCoreFailure(CoreCoord failed)
             return std::nullopt; // whole chain exhausted
     }
 
-    RecoveryIndex *index =
-        opts_.useSpatialIndex ? &*reg.index : nullptr;
-    const auto result = recoverCoreFailure(reg.placement, failed,
-                                           *noc_, tileBytes_, index);
+    const auto result = recoverCoreFailure(
+            reg.placement, failed, *noc_, tileBytes_, indexOf(reg));
     if (!result)
         return std::nullopt;
     out.remap = *result;
-    owner_.erase(key); // the failed core is dead
+    owner_[key] = kUnowned; // the failed core is dead
     ++recoveries_;
 
     // Mark the inter-block activation flows this region feeds (its

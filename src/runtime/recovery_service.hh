@@ -11,8 +11,9 @@
  *  - one mutable BlockPlacement per (replica, block) region, copied
  *    from the WaferMapping at construction (the mapping itself stays
  *    immutable),
- *  - one RecoveryIndex per region (the spatial fast path; the flat
- *    scan oracle is retained behind
+ *  - one RecoveryIndex per region, built on the region's first
+ *    failure or donor pick (the spatial fast path; the flat scan
+ *    oracle is retained behind
  *    RecoveryServiceOptions::useSpatialIndex = false),
  *  - the MeshNoc (with its route cache) carrying the wafer's defect
  *    map and failed-link state (failLink() is delegated here),
@@ -38,9 +39,9 @@
  * lower-numbered block first on ties), the donor's lent core is its
  * nearest KV core to the failed core (the same scan-order tie-break
  * recoverCoreFailure uses), and the core keeps its score/context duty
- * in the borrower's pool. The borrower's index is rebuilt after the
- * graft (a placement gained a core the index was not built over -
- * rebuild is the sanctioned resync), so index and scan stay
+ * in the borrower's pool. The graft drops the borrower's index (a
+ * placement gained a core the index was not built over), and its next
+ * use rebuilds it - the sanctioned resync - so index and scan stay
  * bit-identical afterwards too.
  *
  * Bit-identity contract: as long as borrowing never triggers, the
@@ -59,7 +60,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -236,9 +236,16 @@ class RecoveryService
         std::uint32_t replica = 0;
         std::uint64_t block = 0; ///< absolute block id
         BlockPlacement placement;
-        /** Engaged iff opts_.useSpatialIndex. */
+        /** Built by indexOf() on first use; never engaged when
+         *  !opts_.useSpatialIndex. Every placement mutation of an
+         *  indexed region goes through it, except a graft, which drops
+         *  it instead. */
         std::optional<RecoveryIndex> index;
     };
+
+    /** The region's index (built on first use), or null in scan
+     *  mode. */
+    RecoveryIndex *indexOf(Region &reg);
 
     Region &region(std::uint64_t block, std::uint32_t replica);
     const Region &region(std::uint64_t block,
@@ -252,7 +259,7 @@ class RecoveryService
     /** Donor's lent core: nearest KV core to @p near with the
      *  scan-order tie-break (index and scan agree bit for bit). */
     std::optional<std::pair<CoreCoord, bool>>
-    pickDonorCore(const Region &donor, CoreCoord near) const;
+    pickDonorCore(Region &donor, CoreCoord near);
 
     /** Accumulate all of chain @p replica's inter-block flows onto
      *  traffic_. False = unroutable. */
@@ -289,10 +296,12 @@ class RecoveryService
      *  (block - firstBlock_)]. */
     std::vector<Region> regions_;
 
-    /** Core index -> region slot, covering every weight and KV core
-     *  of every chain; maintained across recoveries and borrows
-     *  (dead cores are erased, borrowed cores re-homed). */
-    std::unordered_map<std::uint64_t, std::size_t> owner_;
+    /** Core index -> region slot (kUnowned for embedding, dead and
+     *  unmapped cores), covering every weight and KV core of every
+     *  chain; maintained across recoveries and borrows (dead cores
+     *  are unowned, borrowed cores re-homed). */
+    static constexpr std::uint32_t kUnowned = ~std::uint32_t{0};
+    std::vector<std::uint32_t> owner_;
 
     /** Reused pricing accumulator (clear() is O(touched), so one
      *  instance serves a whole failure storm without reallocating

@@ -17,6 +17,7 @@
 #include "pipeline/engine.hh"
 #include "pipeline/timing.hh"
 #include "workload/requests.hh"
+#include "workload/trace.hh"
 
 #include "fixtures.hh"
 
@@ -463,8 +464,8 @@ TEST(Pipeline, EventOrderGolden)
     // stage times make equal ready times common; the tight pool
     // (4 crossbars x 8 blocks per core) evicts, so stale entries and
     // re-admissions are exercised.
-    const Workload w = wikiText2Like(48, 1024, 11);
-    const StageTiming timing = uniformTiming();
+    const Workload wiki = wikiText2Like(48, 1024, 11);
+    StageTiming timing = uniformTiming();
     auto pool = [](std::uint32_t cores, std::uint32_t base) {
         std::vector<KvCoreInfo> infos;
         for (std::uint32_t i = 0; i < cores; ++i)
@@ -472,7 +473,7 @@ TEST(Pipeline, EventOrderGolden)
         return infos;
     };
     auto run = [&](AttentionKind mask, PipelineOptions opts,
-                   std::uint32_t cores) {
+                   std::uint32_t cores, const Workload &w) {
         const ModelConfig cfg = pipeModel(mask);
         PipelineStats out[2];
         for (const bool cohort : {false, true}) {
@@ -502,30 +503,33 @@ TEST(Pipeline, EventOrderGolden)
     const OrderGolden storm{"storm", 0x1.83540b788cc52p-3, 27282, 1, 7,
                             0xe14269cb5461dd99, 0x9972cd3604ba08d7};
 
-    expectGolden(tgp, run(AttentionKind::Causal, {}, 2));
+    expectGolden(tgp, run(AttentionKind::Causal, {}, 2, wiki));
 
     PipelineOptions sgp_opts;
     sgp_opts.kind = PipelineKind::SequenceGrained;
-    expectGolden(sgp, run(AttentionKind::Causal, sgp_opts, 2));
+    expectGolden(sgp, run(AttentionKind::Causal, sgp_opts, 2, wiki));
 
-    expectGolden(blocked, run(AttentionKind::Bidirectional, {}, 2));
+    expectGolden(blocked,
+                 run(AttentionKind::Bidirectional, {}, 2, wiki));
 
     // At parallelism 1 the bulk-attention divides (whole-sequence
     // item, blocked final token) are no-ops; 16 is the value
     // OuroborosSystem::run uses, so these two pin them.
     PipelineOptions sgp16_opts = sgp_opts;
     sgp16_opts.attentionParallelism = 16.0;
-    expectGolden(sgp16, run(AttentionKind::Causal, sgp16_opts, 2));
+    expectGolden(sgp16,
+                 run(AttentionKind::Causal, sgp16_opts, 2, wiki));
 
     PipelineOptions blocked16_opts;
     blocked16_opts.attentionParallelism = 16.0;
-    expectGolden(blocked16,
-                 run(AttentionKind::Bidirectional, blocked16_opts, 2));
+    expectGolden(blocked16, run(AttentionKind::Bidirectional,
+                                blocked16_opts, 2, wiki));
 
     PipelineOptions static_opts;
     static_opts.staticKvAllocation = true;
     static_opts.maxContext = 1024;
-    expectGolden(static_kv, run(AttentionKind::Causal, static_opts, 2));
+    expectGolden(static_kv,
+                 run(AttentionKind::Causal, static_opts, 2, wiki));
 
     std::vector<KvPoolEvent> schedule(2);
     schedule[0].time = 0.25 * tgp.makespanSeconds;
@@ -535,7 +539,85 @@ TEST(Pipeline, EventOrderGolden)
     schedule[1].adopts.push_back({{{7, 0}, 32, 8}, true});
     PipelineOptions storm_opts;
     storm_opts.stormSchedule = &schedule;
-    expectGolden(storm, run(AttentionKind::Causal, storm_opts, 4));
+    expectGolden(storm, run(AttentionKind::Causal, storm_opts, 4, wiki));
+
+    // Prompt-heavy thrash, shaped like BM_RunPipelineThrash's day
+    // trace: 60% of the work is token-grained prompt tokens, and
+    // capacity and storm evictions re-prefill more. The engine
+    // streams those tokens in runs, and both cases stop runs at the
+    // decode front, a due storm event, a final prompt token and a
+    // stale entry. (No run meets a pump that could admit: each pump
+    // leaves the queue empty, admissions suspended or the head
+    // answered by the capacity epoch, and nothing changes that before
+    // the next pump.) Causal covers pure TGP, bidirectional the
+    // TGP-with-block deferral. The pools are the 4-crossbar ones
+    // above: with the bench's LLaMA-13B, 40 KV heads no longer fit a
+    // 4-core ring walk once one core is fenced, and every request
+    // after the first drop would be skipped.
+    DayTraceParams day;
+    day.requests = 256;
+    day.maxLen = 512;
+    day.seed = 23;
+    const Workload thrash_w = DayTrace(day).wholeDay();
+    std::vector<KvPoolEvent> drops(3);
+    drops[0].time = 0.1;
+    drops[0].dropCores.push_back({0, 3});
+    drops[1].time = 0.16;
+    drops[1].dropCores.push_back({1, 3});
+    drops[2].time = 0.24;
+    drops[2].dropCores.push_back({0, 2});
+    drops[2].adopts.push_back({{{7, 0}, 4, 8}, true});
+    PipelineOptions thrash_opts;
+    thrash_opts.attentionParallelism = 16.0;
+    thrash_opts.stormSchedule = &drops;
+
+    const OrderGolden thrash{"thrash", 0x1.942a68ce0dc9cp-2, 102691, 23,
+                             24, 0x7f4ddb166e14c6f0,
+                             0xff0cabbe16a0ed96};
+    const OrderGolden thrash_blocked{"thrash_blocked",
+                                     0x1.81d026a2c06ecp-2, 101679, 24,
+                                     26, 0xf716fab02b9ae40d,
+                                     0xb62c3e2259f6aed8};
+    expectGolden(thrash, run(AttentionKind::Causal, thrash_opts, 4,
+                             thrash_w));
+    expectGolden(thrash_blocked, run(AttentionKind::Bidirectional,
+                                     thrash_opts, 4, thrash_w));
+
+    // Dyadic stage times keep every sum exact, so the two lanes' fronts
+    // often tie on ready time and only the (seq, generation) tie-break
+    // orders them: a run that stopped at the decode front by ready
+    // time alone fails here.
+    timing = uniformTiming(0x1p-20, 0.0);
+    const OrderGolden thrash_ties{"thrash_ties", 0x1.3d34266666666p-2,
+                                  102764, 24, 18, 0x71e2e9686c145a45,
+                                  0xa3b94280a109d564};
+    expectGolden(thrash_ties, run(AttentionKind::Causal, thrash_opts, 4,
+                                  thrash_w));
+}
+
+TEST(Pipeline, PromptRunsCountEveryAdmissionProbe)
+{
+    // A prompt run elides the per-token pump when the capacity epoch
+    // already answers the queue head, and counts the skipped probes
+    // itself. The probe counters reach the serving reports, so they
+    // are pinned to what one pump per token counted: a run that
+    // forgot them, or counted one per run, fails here.
+    DayTraceParams day;
+    day.requests = 256;
+    day.maxLen = 512;
+    day.seed = 23;
+    const Workload w = DayTrace(day).wholeDay();
+    const ModelConfig cfg = pipeModel();
+    std::vector<KvCoreInfo> score, context;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        score.push_back({{0, i}, 4, 8});
+        context.push_back({{1, i}, 4, 8});
+    }
+    BlockKvManager kv(cfg, score, context);
+    runPipeline(w, cfg, uniformTiming(), kv);
+    EXPECT_EQ(kv.admissionProbes(), 505u);
+    EXPECT_EQ(kv.probeFailures(), 245u);
+    EXPECT_EQ(kv.probesSkipped(), 90266u);
 }
 
 TEST(Pipeline, DuplicateRequestIdDies)
