@@ -284,11 +284,13 @@ BM_KvAdmitRelease(benchmark::State &state)
         context.push_back({{1, i}, 32, 8});
     }
     BlockKvManager mgr(cfg, score, context);
-    std::uint64_t id = 0;
+    // One key, cycled: the pool keeps a slot per key ever admitted.
     for (auto _ : state) {
-        mgr.admit(id, 512);
-        mgr.release(id);
-        ++id;
+        if (!mgr.admit(0, 512)) {
+            state.SkipWithError("the empty pool refused an admission");
+            break;
+        }
+        mgr.release(0);
     }
 }
 BENCHMARK(BM_KvAdmitRelease);
@@ -333,25 +335,25 @@ BM_KvAdmitBlocked(benchmark::State &state)
     BlockKvManager mgr(cfg, score, context);
     // Fill with 512-token sequences, then top up with one-token ones:
     // a released one-token resident always fits again.
-    std::uint64_t id = 0;
-    while (mgr.admitNoEvict(id, 512))
-        ++id;
-    const std::uint64_t blocked = id++;
-    while (mgr.admitNoEvict(id, 1))
-        ++id;
-    const std::uint64_t tiny = id - 1;
+    std::uint32_t key = 0;
+    while (mgr.admit(key, 512))
+        ++key;
+    const std::uint32_t blocked = key++;
+    while (mgr.admit(key, 1))
+        ++key;
+    const std::uint32_t tiny = key - 1;
     for (auto _ : state) {
         if (!same_epoch) {
             state.PauseTiming();
             mgr.release(tiny);
-            const bool refit = mgr.admitNoEvict(tiny, 1);
+            const bool refit = mgr.admit(tiny, 1);
             state.ResumeTiming();
             if (!refit) {
                 state.SkipWithError("the one-token resident did not refit");
                 break;
             }
         }
-        if (mgr.admitNoEvict(blocked, 512)) {
+        if (mgr.admit(blocked, 512)) {
             state.SkipWithError("the blocked admission fit");
             break;
         }
@@ -366,7 +368,7 @@ BM_MidRunPoolShrink(benchmark::State &state)
 {
     // Mid-run KV pool shrink (the PR 9 storm-eviction path). Arg(1)
     // is the in-place dropCore fast path: release the residents on
-    // the dead core, fence it, leave everyone else's handles alive.
+    // the dead core, fence it, leave everyone else resident.
     // Arg(0) is the rebuild oracle: scan every resident's head
     // placements for the dead coordinate, construct a fresh manager
     // over the surviving cores and re-admit every survivor - the
@@ -383,37 +385,42 @@ BM_MidRunPoolShrink(benchmark::State &state)
         }
         return p;
     };
-    constexpr std::uint64_t kResidents = 64;
+    constexpr std::uint32_t kResidents = 64;
     const auto heads = static_cast<std::uint32_t>(cfg.numKvHeads);
     std::uint64_t shrinks = 0;
     for (auto _ : state) {
         state.PauseTiming();
         auto [score, context] = make_pools();
         BlockKvManager mgr(cfg, score, context);
-        for (std::uint64_t id = 0; id < kResidents; ++id)
-            mgr.admit(id, 256);
+        for (std::uint32_t key = 0; key < kResidents; ++key)
+            mgr.admit(key, 256);
         state.ResumeTiming();
         if (fast) {
             benchmark::DoNotOptimize(mgr.dropCore(dead));
         } else {
-            std::vector<std::uint64_t> survivors;
-            for (std::uint64_t id = 0; id < kResidents; ++id) {
-                if (!mgr.resident(id))
+            std::vector<std::uint32_t> survivors;
+            for (std::uint32_t key = 0; key < kResidents; ++key) {
+                if (!mgr.resident(key))
                     continue;
                 bool hit = false;
                 for (std::uint32_t h = 0; h < heads && !hit; ++h) {
-                    const auto hp = mgr.headPlacement(id, h);
+                    const auto hp = mgr.headPlacement(key, h);
                     hit = mgr.scoreCoord(hp.scoreCore) == dead ||
                           mgr.contextCoord(hp.contextCore) == dead;
                 }
                 if (!hit)
-                    survivors.push_back(id);
+                    survivors.push_back(key);
             }
             auto [s2, c2] = make_pools();
             s2.erase(s2.begin()); // {0,0} is score ring slot 0
             BlockKvManager rebuilt(cfg, s2, c2);
-            for (const auto id : survivors)
-                rebuilt.admit(id, 256);
+            bool refit = true;
+            for (const auto key : survivors)
+                refit &= rebuilt.admit(key, 256);
+            if (!refit) {
+                state.SkipWithError("a survivor did not refit");
+                break;
+            }
             benchmark::DoNotOptimize(rebuilt.numResident());
         }
         ++shrinks;

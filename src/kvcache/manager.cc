@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -99,42 +100,37 @@ BlockKvManager::releaseAlloc(std::vector<CoreState> &ring,
 }
 
 BlockKvManager::SequenceState &
-BlockKvManager::slotRef(KvHandle handle)
+BlockKvManager::residentSlot(std::uint32_t key)
 {
-    ouroAssert(handle.valid() && handle.slot_ < slots_.size() &&
-               slots_[handle.slot_].live &&
-               slots_[handle.slot_].stamp == handle.stamp_,
-               "BlockKvManager: stale or invalid KvHandle");
-    return slots_[handle.slot_];
+    return const_cast<SequenceState &>(
+            std::as_const(*this).residentSlot(key));
 }
 
 const BlockKvManager::SequenceState &
-BlockKvManager::slotRef(KvHandle handle) const
+BlockKvManager::residentSlot(std::uint32_t key) const
 {
-    ouroAssert(handle.valid() && handle.slot_ < slots_.size() &&
-               slots_[handle.slot_].live &&
-               slots_[handle.slot_].stamp == handle.stamp_,
-               "BlockKvManager: stale or invalid KvHandle");
-    return slots_[handle.slot_];
+    ouroAssert(resident(key), "BlockKvManager: sequence ", key,
+               " is not resident");
+    return slots_[key];
 }
 
 void
-BlockKvManager::linkMru(std::uint32_t slot)
+BlockKvManager::linkMru(std::uint32_t key)
 {
-    SequenceState &seq = slots_[slot];
+    SequenceState &seq = slots_[key];
     seq.mruPrev = mruTail_;
     seq.mruNext = kNilSlot;
     if (mruTail_ != kNilSlot)
-        slots_[mruTail_].mruNext = slot;
+        slots_[mruTail_].mruNext = key;
     else
-        mruHead_ = slot;
-    mruTail_ = slot;
+        mruHead_ = key;
+    mruTail_ = key;
 }
 
 void
-BlockKvManager::unlinkMru(std::uint32_t slot)
+BlockKvManager::unlinkMru(std::uint32_t key)
 {
-    SequenceState &seq = slots_[slot];
+    SequenceState &seq = slots_[key];
     if (seq.mruPrev != kNilSlot)
         slots_[seq.mruPrev].mruNext = seq.mruNext;
     else
@@ -212,13 +208,14 @@ BlockKvManager::admitSkips(std::uint64_t initial_tokens) const
            blocksFor(initial_tokens) >= failedNeed_;
 }
 
-std::uint32_t
-BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
-                             std::uint64_t initial_tokens)
+bool
+BlockKvManager::admit(std::uint32_t key, std::uint64_t initial_tokens)
 {
+    ouroAssert(!resident(key), "admit: sequence ", key,
+               " already resident");
     if (admitSkips(initial_tokens)) {
         ++probesSkipped_;
-        return kNilSlot;
+        return false;
     }
     const std::uint32_t need = blocksFor(initial_tokens);
     ++probes_;
@@ -229,20 +226,13 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
             failedEpoch_ = epoch_;
             failedNeed_ = need;
         }
-        return kNilSlot;
+        return false;
     }
 
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    SequenceState &seq = slots_[slot];
+    if (key >= slots_.size())
+        slots_.resize(std::size_t{key} + 1);
+    SequenceState &seq = slots_[key];
     const auto heads = static_cast<std::size_t>(model_.numKvHeads);
-    seq.seqId = seq_id;
     seq.tokens = initial_tokens;
     seq.k.resize(heads);
     seq.v.resize(heads);
@@ -256,97 +246,39 @@ BlockKvManager::tryAdmitOnce(std::uint64_t seq_id,
     placeHeads(score_, seq.k, scoreCursor_, need, false);
     placeHeads(context_, seq.v, contextCursor_, need, true);
     seq.live = true;
-    linkMru(slot);
-    index_.emplace(seq_id, slot);
+    linkMru(key);
+    ++residents_;
     ++admissions_;
     ++epoch_; // the cursors moved
-    return slot;
+    return true;
 }
 
 bool
-BlockKvManager::evictMru(std::vector<std::uint64_t> &evicted,
+BlockKvManager::evictMru(std::vector<std::uint32_t> &evicted,
                          std::uint32_t spare)
 {
-    // The list tail, or its predecessor when that is the spared slot.
+    // The list tail, or its predecessor when that is the spared key.
     std::uint32_t victim = mruTail_;
     if (victim != kNilSlot && victim == spare)
         victim = slots_[victim].mruPrev;
     if (victim == kNilSlot)
         return false;
-    const std::uint64_t id = slots_[victim].seqId;
     releaseSlot(victim);
-    evicted.push_back(id);
+    evicted.push_back(victim);
     ++evictions_;
     return true;
 }
 
-KvResult
-BlockKvManager::admit(std::uint64_t seq_id,
-                      std::uint64_t initial_tokens)
-{
-    ouroAssert(!resident(seq_id), "admit: sequence ", seq_id,
-               " already resident");
-    KvResult result;
-    while (true) {
-        if (tryAdmitOnce(seq_id, initial_tokens) != kNilSlot) {
-            result.ok = true;
-            return result;
-        }
-        if (!evictMru(result.evicted))
-            return result; // pool empty yet still no fit
-    }
-}
-
-bool
-BlockKvManager::admitNoEvict(std::uint64_t seq_id,
-                             std::uint64_t initial_tokens)
-{
-    return admitNoEvictHandle(seq_id, initial_tokens).valid();
-}
-
-KvHandle
-BlockKvManager::admitNoEvictHandle(std::uint64_t seq_id,
-                                   std::uint64_t initial_tokens)
-{
-    ouroAssert(!resident(seq_id), "admitNoEvict: sequence ", seq_id,
-               " already resident");
-    const std::uint32_t slot = tryAdmitOnce(seq_id, initial_tokens);
-    return slot == kNilSlot ? KvHandle{}
-                            : KvHandle{slot, slots_[slot].stamp};
-}
-
-KvHandle
-BlockKvManager::handleOf(std::uint64_t seq_id) const
-{
-    const auto it = index_.find(seq_id);
-    ouroAssert(it != index_.end(), "handleOf: sequence ", seq_id,
-               " not resident");
-    return KvHandle{it->second, slots_[it->second].stamp};
-}
-
 std::uint64_t
-BlockKvManager::growRoom(std::uint64_t seq_id) const
+BlockKvManager::growRoom(std::uint32_t key) const
 {
-    return growRoom(handleOf(seq_id));
-}
-
-std::uint64_t
-BlockKvManager::growRoom(KvHandle handle) const
-{
-    const SequenceState &seq = slotRef(handle);
-    return tokensPerBlock_ - seq.lastBlockFill;
+    return tokensPerBlock_ - residentSlot(key).lastBlockFill;
 }
 
 void
-BlockKvManager::growFast(std::uint64_t seq_id, std::uint64_t n)
+BlockKvManager::growFast(std::uint32_t key, std::uint64_t n)
 {
-    growFast(handleOf(seq_id), n);
-}
-
-void
-BlockKvManager::growFast(KvHandle handle, std::uint64_t n)
-{
-    SequenceState &seq = slotRef(handle);
+    SequenceState &seq = residentSlot(key);
     ouroAssert(n <= tokensPerBlock_ - seq.lastBlockFill,
                "growFast: batch exceeds in-block room");
     seq.lastBlockFill += static_cast<std::uint32_t>(n);
@@ -368,16 +300,10 @@ BlockKvManager::fitsOneMoreBlock(const std::vector<CoreState> &ring,
 }
 
 KvResult
-BlockKvManager::grow(std::uint64_t seq_id)
-{
-    return grow(handleOf(seq_id));
-}
-
-KvResult
-BlockKvManager::grow(KvHandle handle)
+BlockKvManager::grow(std::uint32_t key)
 {
     KvResult result;
-    SequenceState &seq = slotRef(handle);
+    SequenceState &seq = residentSlot(key);
 
     // Fast path: the newest block of every head still has room.
     if (seq.lastBlockFill < tokensPerBlock_) {
@@ -391,7 +317,7 @@ BlockKvManager::grow(KvHandle handle)
     // (most recent first) until it fits; never evict the grower.
     while (!fitsOneMoreBlock(score_, seq.k) ||
            !fitsOneMoreBlock(context_, seq.v)) {
-        if (!evictMru(result.evicted, handle.slot_))
+        if (!evictMru(result.evicted, key))
             return result; // only us left and still no room
     }
 
@@ -409,46 +335,33 @@ BlockKvManager::grow(KvHandle handle)
 }
 
 void
-BlockKvManager::release(std::uint64_t seq_id)
+BlockKvManager::release(std::uint32_t key)
 {
-    release(handleOf(seq_id));
+    residentSlot(key); // a checked error unless resident
+    releaseSlot(key);
 }
 
 void
-BlockKvManager::release(KvHandle handle)
+BlockKvManager::releaseSlot(std::uint32_t key)
 {
-    slotRef(handle); // validates
-    releaseSlot(handle.slot_);
-}
-
-void
-BlockKvManager::releaseSlot(std::uint32_t slot)
-{
-    SequenceState &seq = slots_[slot];
+    SequenceState &seq = slots_[key];
     for (const auto &alloc : seq.k)
         releaseAlloc(score_, alloc, seq.blocksPerHead);
     for (const auto &alloc : seq.v)
         releaseAlloc(context_, alloc, seq.blocksPerHead);
-    unlinkMru(slot);
-    index_.erase(seq.seqId);
-    // The head storage stays with the slot for its next resident.
+    unlinkMru(key);
+    // The head storage stays with the slot for the key's next
+    // residency.
     seq.live = false;
-    ++seq.stamp; // invalidate outstanding handles (ABA guard)
-    freeSlots_.push_back(slot);
+    --residents_;
     ++epoch_;
 }
 
-bool
-BlockKvManager::resident(std::uint64_t seq_id) const
-{
-    return index_.count(seq_id) > 0;
-}
-
 HeadPlacement
-BlockKvManager::headPlacement(std::uint64_t seq_id,
+BlockKvManager::headPlacement(std::uint32_t key,
                               std::uint32_t head) const
 {
-    const SequenceState &seq = slotRef(handleOf(seq_id));
+    const SequenceState &seq = residentSlot(key);
     ouroAssert(head < seq.k.size(),
                "headPlacement: head out of range");
     return {seq.k[head].core, seq.v[head].core};
@@ -478,11 +391,13 @@ BlockKvManager::utilization() const
                      static_cast<double>(totalBlocks_);
 }
 
-std::vector<std::uint64_t>
+std::vector<std::uint32_t>
 BlockKvManager::dropCore(CoreCoord coord)
 {
-    // (id, slot) of every resident with a head on the core, from one
-    // pass over the slots; released in ascending id order.
+    // Every resident with a head on the core, released in one pass
+    // over the slots, hence in ascending key order. Release first
+    // (their blocks return to the free counts), THEN fence the core
+    // so no future allocation lands on it.
     auto on_core = [&](const std::vector<CoreState> &ring,
                        const std::vector<HeadAlloc> &heads) {
         return std::any_of(heads.begin(), heads.end(),
@@ -491,21 +406,14 @@ BlockKvManager::dropCore(CoreCoord coord)
                                       coord;
                            });
     };
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> victims;
-    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-        const SequenceState &seq = slots_[s];
+    std::vector<std::uint32_t> lost;
+    for (std::uint32_t key = 0; key < slots_.size(); ++key) {
+        const SequenceState &seq = slots_[key];
         if (seq.live &&
-            (on_core(score_, seq.k) || on_core(context_, seq.v)))
-            victims.emplace_back(seq.seqId, s);
-    }
-    std::sort(victims.begin(), victims.end());
-    // Release first (their blocks return to the free counts), THEN
-    // fence the core so no future allocation lands on it.
-    std::vector<std::uint64_t> lost;
-    lost.reserve(victims.size());
-    for (const auto &[id, slot] : victims) {
-        releaseSlot(slot);
-        lost.push_back(id);
+            (on_core(score_, seq.k) || on_core(context_, seq.v))) {
+            releaseSlot(key);
+            lost.push_back(key);
+        }
     }
     auto fence = [&](std::vector<CoreState> &ring) {
         for (auto &core : ring) {
@@ -583,10 +491,6 @@ BlockKvManager::checkInvariants() const
         if (!seq.live)
             continue;
         ++live;
-        const auto it = index_.find(seq.seqId);
-        ouroAssert(it != index_.end() && it->second == s,
-                   "checkInvariants: live slot ", s,
-                   " missing from the seq-id index");
         count_allocs(seq, seq.k, score_, score_held);
         count_allocs(seq, seq.v, context_, context_held);
         ouroAssert(seq.blocksPerHead >= 1 &&
@@ -601,9 +505,8 @@ BlockKvManager::checkInvariants() const
                    " blocks per head, newest filled to ",
                    seq.lastBlockFill);
     }
-    ouroAssert(live == index_.size(),
-               "checkInvariants: ", index_.size(),
-               " indexed sequences, ", live, " live slots");
+    ouroAssert(live == residents_, "checkInvariants: ", residents_,
+               " residents counted, ", live, " live slots");
 
     std::uint64_t used = 0;
     std::uint64_t total = 0;
@@ -658,14 +561,6 @@ BlockKvManager::checkInvariants() const
                "checkInvariants: MRU list holds ", listed, " of ",
                live, " residents");
 
-    std::vector<bool> seen(slots_.size(), false);
-    for (const std::uint32_t s : freeSlots_) {
-        ouroAssert(s < slots_.size() && !slots_[s].live && !seen[s],
-                   "checkInvariants: bad free slot ", s);
-        seen[s] = true;
-    }
-    ouroAssert(live + freeSlots_.size() == slots_.size(),
-               "checkInvariants: slots leaked");
     ouroAssert(headsOnCore_.size() >=
                            std::max(score_.size(), context_.size()) &&
                    std::all_of(headsOnCore_.begin(), headsOnCore_.end(),

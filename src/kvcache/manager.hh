@@ -24,19 +24,18 @@
  *    decode-phase growth of already-resident sequences (the
  *    anti-thrashing rule of Section 4.4.4).
  *
- * Eviction (Section 4.4.4): when admission fails, the MOST RECENTLY
- * scheduled resident sequence is evicted and must be re-prefetched by
- * the scheduler (it re-enters the wait queue at the front). Residents
- * are kept on an intrusive admission-order list, so the MRU victim is
- * the list tail - O(1) instead of a scan of every resident.
+ * Eviction (Section 4.4.4): when a resident's growth finds no room,
+ * the MOST RECENTLY admitted other resident is evicted and must be
+ * re-prefetched by the scheduler (it re-enters the wait queue at the
+ * front). Admission never evicts: new scheduling waits instead.
+ * Residents are kept on an intrusive admission-order list, so the MRU
+ * victim is the list tail - O(1) instead of a scan of every resident.
  *
- * Hot-path API (PR 2): admission hands back an opaque KvHandle that
- * addresses the sequence's slot directly. grow/growRoom/growFast/
- * release on the handle skip the seq-id hash probe entirely - the
- * pipeline engine holds one handle per resident sequence and only
- * falls back to the id-keyed calls on rare paths (external eviction,
- * failure handling). Handles die with release(); using a stale one is
- * a checked error.
+ * Keys: the caller names a sequence by a dense key - the pipeline
+ * engine passes the request's position in its workload - and every
+ * call, victim lists included, speaks in keys. The key indexes the
+ * pool's slot storage directly. A call on a key that is not resident
+ * is a checked error.
  *
  * Bookkeeping: the pool is counts, not block maps. A core keeps its
  * free blocks, a context core also those of crossbar 0 (V's home
@@ -51,17 +50,15 @@
  * leaves the pool untouched. A failure is also remembered against the
  * capacity epoch (see capacityEpoch()): retrying an admission that
  * needs at least as many blocks before the epoch moves is answered in
- * O(1). Released slots keep their per-head storage for the next
- * resident, so growth and failed admissions allocate no memory, and a
- * steady admission only its seq-id index entry.
+ * O(1). A slot is created on its key's first admission and keeps its
+ * per-head storage after release for that key's next residency, so
+ * growth, failed admissions and re-admissions allocate no memory.
  */
 
 #ifndef OURO_KVCACHE_MANAGER_HH
 #define OURO_KVCACHE_MANAGER_HH
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hh"
@@ -89,42 +86,13 @@ struct HeadPlacement
     std::uint32_t contextCore; ///< index into the context ring
 };
 
-/** Result of an admission/growth attempt. */
+/** Result of a growth attempt. */
 struct KvResult
 {
     bool ok = false;
-    /** Sequences evicted to make room (most-recent-first). */
-    std::vector<std::uint64_t> evicted;
-};
-
-class BlockKvManager;
-
-/**
- * Opaque ticket for a resident sequence. Obtained from admission (or
- * handleOf()); lets the per-token KV calls index the sequence's slot
- * directly instead of re-probing the seq-id hash. Valid until the
- * sequence is released or evicted.
- */
-class KvHandle
-{
-  public:
-    KvHandle() = default;
-
-    bool valid() const { return slot_ != kInvalid; }
-
-  private:
-    friend class BlockKvManager;
-    static constexpr std::uint32_t kInvalid = 0xffffffffu;
-
-    KvHandle(std::uint32_t slot, std::uint32_t stamp)
-        : slot_(slot), stamp_(stamp)
-    {
-    }
-
-    std::uint32_t slot_ = kInvalid;
-    /** Slot reuse stamp: detects a stale handle whose slot was
-     *  recycled by a later admission (ABA), not just a dead slot. */
-    std::uint32_t stamp_ = 0;
+    /** Keys of the sequences evicted to make room (most recent
+     *  first). */
+    std::vector<std::uint32_t> evicted;
 };
 
 /** Tokens one logical KV block holds: its 128 rows, one token each
@@ -156,73 +124,59 @@ class BlockKvManager
                    double threshold = 0.1);
 
     /**
-     * Admit a sequence with @p initial_tokens of KV (its prefill).
-     * On capacity shortage evicts most-recently-scheduled residents
-     * (never the new sequence's own allocation) until it fits or the
-     * pool is empty. ok=false means the sequence cannot fit even in
-     * an empty pool slot - caller must defer it.
+     * Admit sequence @p key with @p initial_tokens of KV (its
+     * prefill). Never evicts (Section 4.4.4: scheduling new requests
+     * suspends when the cache is full): returns false when the
+     * sequence does not fit as-is. @p key must not be resident.
      */
-    KvResult admit(std::uint64_t seq_id, std::uint64_t initial_tokens);
-
-    /**
-     * Admission without eviction (Section 4.4.4: scheduling new
-     * requests suspends when the cache is full rather than evicting).
-     * Returns false when the sequence does not fit as-is.
-     */
-    bool admitNoEvict(std::uint64_t seq_id,
-                      std::uint64_t initial_tokens);
-
-    /**
-     * Handle-returning admitNoEvict: the engine's hot path. The
-     * returned handle is invalid when the sequence does not fit.
-     */
-    KvHandle admitNoEvictHandle(std::uint64_t seq_id,
-                                std::uint64_t initial_tokens);
+    bool admit(std::uint32_t key, std::uint64_t initial_tokens);
 
     /**
      * Whether an admission of @p initial_tokens fails now without a
      * walk, answered from the capacity epoch (probesSkipped). A caller
      * that changes nothing in the pool may answer @p n such attempts
      * itself and count them with countSkippedProbes(n); the counters
-     * then read exactly as after n admitNoEvict calls.
+     * then read exactly as after n failed admit() calls.
      */
     bool admitSkips(std::uint64_t initial_tokens) const;
     void countSkippedProbes(std::uint64_t n) { probesSkipped_ += n; }
 
-    /** Handle of a resident sequence (one hash probe). */
-    KvHandle handleOf(std::uint64_t seq_id) const;
-
-    /** Append one decode token's K/V for a resident sequence. */
-    KvResult grow(std::uint64_t seq_id);
-    KvResult grow(KvHandle handle);
+    /**
+     * Append one decode token's K/V to resident @p key. At a block
+     * boundary, evicts the most recently admitted other residents
+     * until one more block per head fits; never the grower itself.
+     * ok=false means it does not fit even alone, and @p key stays
+     * resident.
+     */
+    KvResult grow(std::uint32_t key);
 
     /**
-     * Tokens appendable to a resident sequence through the in-block
-     * fast path alone (no block allocation, hence no eviction): the
-     * minimum room left in the newest K/V block over all heads. The
+     * Tokens appendable to resident @p key through the in-block fast
+     * path alone (no block allocation, hence no eviction): the room
+     * left in the newest K/V block, the same for every head. The
      * pipeline engine uses this to batch unconstrained decode steps.
      */
-    std::uint64_t growRoom(std::uint64_t seq_id) const;
-    std::uint64_t growRoom(KvHandle handle) const;
+    std::uint64_t growRoom(std::uint32_t key) const;
 
     /**
      * Append @p n tokens through the fast path; @p n must not exceed
-     * growRoom(seq_id). Equivalent to n fast-path grow() calls.
+     * growRoom(key). Equivalent to n fast-path grow() calls.
      */
-    void growFast(std::uint64_t seq_id, std::uint64_t n);
-    void growFast(KvHandle handle, std::uint64_t n);
+    void growFast(std::uint32_t key, std::uint64_t n);
 
     /** Release a finished (or externally evicted) sequence. */
-    void release(std::uint64_t seq_id);
-    void release(KvHandle handle);
+    void release(std::uint32_t key);
 
-    bool resident(std::uint64_t seq_id) const;
+    bool resident(std::uint32_t key) const
+    {
+        return key < slots_.size() && slots_[key].live;
+    }
 
     /** Number of resident sequences. */
-    std::size_t numResident() const { return index_.size(); }
+    std::size_t numResident() const { return residents_; }
 
-    /** Placement of head @p h of a resident sequence. */
-    HeadPlacement headPlacement(std::uint64_t seq_id,
+    /** Placement of head @p head of resident @p key. */
+    HeadPlacement headPlacement(std::uint32_t key,
                                 std::uint32_t head) const;
 
     /** Coordinates for NoC traffic accounting. */
@@ -273,19 +227,20 @@ class BlockKvManager
      * Check the pool's bookkeeping and panic on the first violation:
      * every core's free and allocated blocks add up to its capacity,
      * and so do its home crossbar's, used + free
-     * == total, fenced cores hold nothing, and the MRU list, the live
-     * slots, the free-slot list and the seq-id index agree. O(pool);
-     * for tests and debugging.
+     * == total, fenced cores hold nothing, and the MRU list holds
+     * exactly the live slots, as many as numResident(). O(pool); for
+     * tests and debugging.
      */
     void checkInvariants() const;
 
     /** Remove a failed KV core from the pool (Section 4.3.3);
-     *  returns the sequences that lost data and were released. This
-     *  IS the mid-run shrinkCapacity path: residents on the core are
-     *  released (their handles go stale - using one afterwards is a
-     *  checked error), the core's free blocks leave totalBlocks(),
-     *  and the fenced entry never takes another allocation. */
-    std::vector<std::uint64_t> dropCore(CoreCoord coord);
+     *  returns the keys that lost data and were released, in
+     *  ascending order. This IS the mid-run shrinkCapacity path:
+     *  residents on the core are released (a later call on their keys
+     *  is a checked error until they are admitted again), the core's
+     *  free blocks leave totalBlocks(), and the fenced entry never
+     *  takes another allocation. */
+    std::vector<std::uint32_t> dropCore(CoreCoord coord);
 
     /**
      * Graft a core into the pool mid-run (PR 9: KV capacity borrowed
@@ -293,7 +248,7 @@ class BlockKvManager
      * score or context ring per @p score_duty - the duty it kept
      * across the recovery service's graft - empty, behind the ring
      * cursor (the cursor reaches it on its next wrap; existing
-     * allocations and handles are untouched). Adopting a coordinate
+     * allocations are untouched). Adopting a coordinate
      * that still holds live capacity in either ring is a checked
      * error; re-adopting a previously dropCore()d coordinate is fine
      * (the fenced entry stays inert). Returns the new ring index.
@@ -329,9 +284,9 @@ class BlockKvManager
         std::uint32_t homeBlocks = 0;
     };
 
+    /** One key's slot; kept, storage and all, while not resident. */
     struct SequenceState
     {
-        std::uint64_t seqId = 0;
         std::uint64_t tokens = 0;
         /** Every head, K and V alike, is admitted with the same
          *  blocks and grows by the same tokens, so block count and
@@ -341,15 +296,12 @@ class BlockKvManager
         std::uint32_t blocksPerHead = 0;
         std::uint32_t lastBlockFill = 0;
         /** Per head, on score (k) and context (v) cores. A released
-         *  slot keeps this storage for its next resident. */
+         *  slot keeps this storage for its key's next residency. */
         std::vector<HeadAlloc> k;
         std::vector<HeadAlloc> v;
         /** Intrusive admission-order list (head = LRU, tail = MRU). */
         std::uint32_t mruPrev = kNilSlot;
         std::uint32_t mruNext = kNilSlot;
-        /** Bumped on every release so recycled slots refuse handles
-         *  from the previous residency. */
-        std::uint32_t stamp = 0;
         bool live = false;
     };
 
@@ -376,21 +328,19 @@ class BlockKvManager
     std::uint64_t failedEpoch_ = ~std::uint64_t{0};
     std::uint32_t failedNeed_ = 0;
 
-    /** Slot storage: stable while resident, recycled after release. */
+    /** Slot storage, indexed by key. */
     std::vector<SequenceState> slots_;
-    std::vector<std::uint32_t> freeSlots_;
+    std::size_t residents_ = 0;
     std::uint32_t mruHead_ = kNilSlot; ///< least recently admitted
     std::uint32_t mruTail_ = kNilSlot; ///< most recently admitted
-
-    /** seq id -> slot, for the id-keyed API and duplicate checks. */
-    std::unordered_map<std::uint64_t, std::uint32_t> index_;
 
     /** Scratch per ring index, all zero between calls: heads of one
      *  sequence per core (see fitsOneMoreBlock()). */
     std::vector<std::uint32_t> headsOnCore_;
 
-    SequenceState &slotRef(KvHandle handle);
-    const SequenceState &slotRef(KvHandle handle) const;
+    /** The slot of resident @p key; a checked error otherwise. */
+    SequenceState &residentSlot(std::uint32_t key);
+    const SequenceState &residentSlot(std::uint32_t key) const;
 
     /** A fresh, empty ring core; adds its capacity to totalBlocks_. */
     CoreState makeCore(const KvCoreInfo &info);
@@ -398,20 +348,17 @@ class BlockKvManager
     /** Blocks needed to hold @p tokens of one head. */
     std::uint32_t blocksFor(std::uint64_t tokens) const;
 
-    /** Evict the most recently scheduled resident other than slot
+    /** Evict the most recently admitted resident other than
      *  @p spare; false if there is none. */
-    bool evictMru(std::vector<std::uint64_t> &evicted,
-                  std::uint32_t spare = kNilSlot);
+    bool evictMru(std::vector<std::uint32_t> &evicted,
+                  std::uint32_t spare);
 
-    /** Release by slot (shared by handle/id release and eviction). */
-    void releaseSlot(std::uint32_t slot);
+    /** Release resident @p key (shared by release, eviction and
+     *  dropCore). */
+    void releaseSlot(std::uint32_t key);
 
-    void linkMru(std::uint32_t slot);
-    void unlinkMru(std::uint32_t slot);
-
-    /** Returns the new slot on success, kNilSlot when it won't fit. */
-    std::uint32_t tryAdmitOnce(std::uint64_t seq_id,
-                               std::uint64_t initial_tokens);
+    void linkMru(std::uint32_t key);
+    void unlinkMru(std::uint32_t key);
 
     /** Whether the ring walk from @p cursor places every head at
      *  @p need blocks each; reads the ring only. */

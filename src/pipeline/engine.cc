@@ -19,7 +19,6 @@ namespace
 /** A request's live progress. */
 struct ActiveSeq
 {
-    std::uint64_t id;
     std::uint64_t prefillLen;     ///< tokens to (re)compute as prompt
     std::uint64_t decodeRemaining;
     std::uint64_t prefillEntered = 0;
@@ -32,15 +31,13 @@ struct ActiveSeq
      *  TTFT sample if the residency completes). */
     double firstTokenDone = 0.0;
     std::uint64_t generation = 0; ///< invalidates stale lane entries
-    KvHandle kv;                  ///< slot ticket into the KV manager
     bool live = false;            ///< resident (admitted, not retired)
 };
 
 /** Pending (not yet admitted) request. */
 struct Pending
 {
-    std::uint64_t id;
-    std::uint32_t slot; ///< index into Workload::requests
+    std::uint32_t slot; ///< index into Workload::requests; the KV key
     std::uint64_t prefillLen;
     std::uint64_t decodeRemaining;
     /** Re-admission after eviction resumes past the old generation so
@@ -52,17 +49,16 @@ struct Pending
 struct LaneEntry
 {
     double ready;
-    std::uint64_t seq;
-    std::uint64_t generation;
     std::uint32_t slot;
+    std::uint64_t generation;
 
-    /** Strict total order: ready, then seq, then generation. The seq
+    /** Strict total order: ready, then slot, then generation. The slot
      *  tie-break pins the pop order of simultaneous events, which is
      *  what lets the cohort fast path replay it exactly. */
     bool operator<(const LaneEntry &o) const
     {
-        return std::tie(ready, seq, generation) <
-               std::tie(o.ready, o.seq, o.generation);
+        return std::tie(ready, slot, generation) <
+               std::tie(o.ready, o.slot, o.generation);
     }
 };
 
@@ -116,7 +112,6 @@ struct Lane
 struct RingMember
 {
     double ready;             ///< this member's next event time
-    std::uint64_t seq;
     std::uint64_t generation; ///< residency stamp at ring build
     ActiveSeq *as;            ///< stable: the table never reallocates
     std::uint64_t allowance;  ///< in-block tokens before a slow grow
@@ -126,13 +121,14 @@ struct RingMember
     std::uint64_t decodeRemaining;
 };
 
+/** Ring order: ready, then slot. The members live in one table in
+ *  slot order, so their addresses order them as their slots do. */
 bool
-ringBefore(double a_ready, std::uint64_t a_seq, double b_ready,
-           std::uint64_t b_seq)
+ringBefore(const RingMember &a, const RingMember &b)
 {
-    if (a_ready != b_ready)
-        return a_ready < b_ready;
-    return a_seq < b_seq;
+    if (a.ready != b.ready)
+        return a.ready < b.ready;
+    return a.as < b.as;
 }
 
 /** One server per stage kind (the representative block's tandem
@@ -317,15 +313,15 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     const ItemTiming blocked_deferred =
         freshBlockedTokenItem(timing, 0.0);
 
-    // Dense resident table: request i lives in slot i. The id -> slot
-    // index (sorted, so duplicate ids sit side by side) serves only
-    // the victim ids the KV manager returns on an eviction.
+    // Dense resident table: request i lives in slot i, which is also
+    // its KV key. Request ids are labels only; they must still be
+    // unique, checked once on a sorted copy.
     const auto n = static_cast<std::uint32_t>(workload.requests.size());
     std::deque<Pending> queue;
     std::vector<std::pair<std::uint64_t, std::uint32_t>> by_id;
     for (std::uint32_t i = 0; i < n; ++i) {
         const Request &r = workload.requests[i];
-        queue.push_back({r.id, i, r.prefillLen, r.decodeLen, 0});
+        queue.push_back({i, r.prefillLen, r.decodeLen, 0});
         by_id.emplace_back(r.id, i);
     }
     std::sort(by_id.begin(), by_id.end());
@@ -339,7 +335,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     std::vector<ActiveSeq> table(n);
     std::size_t residents = 0;
 
-    // Ready items in two lanes sorted by (ready, seq, generation):
+    // Ready items in two lanes sorted by (ready, slot, generation):
     // admissions and prefill re-entries (stage-0 entry times, which
     // almost never decrease) in one, first-decode and decode
     // completions in the other. The next event is the earlier front
@@ -386,18 +382,16 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         admissions_suspended = false; // nothing left running: resume
         while (!queue.empty()) {
             const Pending &p = queue.front();
-            const KvHandle handle =
-                kv.admitNoEvictHandle(p.id, admission_tokens(p));
-            if (!handle.valid())
+            if (!kv.admit(p.slot, admission_tokens(p)))
                 break;
-            table[p.slot] = {.id = p.id, .prefillLen = p.prefillLen,
+            table[p.slot] = {.prefillLen = p.prefillLen,
                              .decodeRemaining = p.decodeRemaining,
                              .nextReady = now, .generation = p.generation,
-                             .kv = handle, .live = true};
+                             .live = true};
             ++residents;
             if (p.prefillLen > 0)
                 ++prefill_count;
-            prefill_lane.push({now, p.id, p.generation, p.slot});
+            prefill_lane.push({now, p.slot, p.generation});
             queue.pop_front();
         }
         stats.peakConcurrency = std::max(
@@ -405,9 +399,9 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     };
 
     // A request completed: free its KV, retire it, resume admissions.
-    auto complete = [&](ActiveSeq &seq, double now) {
-        kv.release(seq.kv);
-        seq.live = false;
+    auto complete = [&](std::uint32_t slot, double now) {
+        kv.release(slot);
+        table[slot].live = false;
         --residents;
         admissions_suspended = false;
         pump_admissions(now);
@@ -420,18 +414,13 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     // admissions (storm losses included). The pool side is the
     // caller's: a capacity grow already released its victims, and a
     // storm's dropCore destroyed theirs.
-    auto evict = [&](const std::vector<std::uint64_t> &ids,
+    auto evict = [&](const std::vector<std::uint32_t> &slots,
                      EvictCause cause) {
-        for (const auto id : ids) {
-            const auto it = std::lower_bound(
-                    by_id.begin(), by_id.end(), std::pair{id, 0u});
-            if (it == by_id.end() || it->first != id ||
-                !table[it->second].live) {
-                continue; // already finished/released
-            }
-            ActiveSeq &seq = table[it->second];
-            const Pending back{id, it->second,
-                               seq.prefillLen + seq.decoded,
+        for (const std::uint32_t slot : slots) {
+            ActiveSeq &seq = table[slot];
+            ouroAssert(seq.live, "pipeline: evicted slot ", slot,
+                       " is not resident");
+            const Pending back{slot, seq.prefillLen + seq.decoded,
                                seq.decodeRemaining, seq.generation + 1};
             queue.push_front(back);
             stats.recomputedTokens += back.prefillLen;
@@ -514,15 +503,18 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 
     // Cohort decode fast path: with every resident sequence in steady
     // decode and nothing waiting to be admitted, the lanes' pop order
-    // is a pure (ready, seq) merge of autoregressive chains. Replay
+    // is a pure (ready, slot) merge of autoregressive chains. Replay
     // it in an insertion-sorted ring: no lane traffic, no stale
     // entries to skip, and per-sequence KV growth batched into one
     // growFast per in-block run. Block-boundary allocations happen
-    // in ring order via the handle-based grow, so results stay
-    // bit-identical to the slow path; the ring is abandoned the
-    // moment anything contends (eviction, admission).
+    // in ring order, so results stay bit-identical to the slow path;
+    // the ring is abandoned the moment anything contends (eviction,
+    // admission).
     auto cohort_pass = [&]() {
         const bool static_kv = opts.staticKvAllocation;
+        auto slot_of = [&](const RingMember &m) {
+            return static_cast<std::uint32_t>(m.as - table.data());
+        };
 
         // Gather the one live lane entry of every resident sequence,
         // copying the hot per-token state into the flat ring slots.
@@ -532,9 +524,8 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             for (std::size_t k = 0; k < lane->count; ++k) {
                 const LaneEntry &entry = lane->at(k);
                 if (ActiveSeq *as = live_entry(entry)) {
-                    ring.push_back({entry.ready, entry.seq,
-                                    entry.generation, as, 0, 0,
-                                    as->attnFree,
+                    ring.push_back({entry.ready, entry.generation, as,
+                                    0, 0, as->attnFree,
                                     as->prefillLen + as->decoded,
                                     as->decodeRemaining});
                 }
@@ -543,14 +534,10 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         }
         ouroAssert(ring.size() == residents,
                    "cohort: live lane entries != resident sequences");
-        std::sort(ring.begin(), ring.end(),
-                  [](const RingMember &a, const RingMember &b) {
-                      return ringBefore(a.ready, a.seq, b.ready,
-                                        b.seq);
-                  });
+        std::sort(ring.begin(), ring.end(), ringBefore);
         for (auto &m : ring) {
             m.allowance = static_kv ? m.decodeRemaining
-                                    : kv.growRoom(m.as->kv);
+                                    : kv.growRoom(slot_of(m));
         }
 
         // Write a member's ring-local progress back to its ActiveSeq
@@ -585,29 +572,31 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                     // would for this token. Eviction bookkeeping
                     // reads ActiveSeq progress, so sync everyone
                     // before a grow that may evict.
+                    const std::uint32_t slot = slot_of(m);
                     if (m.consumed > 0) {
-                        kv.growFast(m.as->kv, m.consumed);
+                        kv.growFast(slot, m.consumed);
                         m.consumed = 0;
                     }
                     sync_member(m);
                     for (std::size_t k = 0; k < count; ++k)
                         sync_member(at(k));
-                    const KvResult grown = kv.grow(m.as->kv);
+                    const KvResult grown = kv.grow(slot);
                     if (!grown.evicted.empty()) {
                         evict(grown.evicted, EvictCause::Capacity);
                         contended = true; // queue is non-empty now
                     }
                     if (!grown.ok) {
                         // Pool too small even after evicting everyone
-                        // else: evict self (slow-path semantics).
-                        evict({m.seq}, EvictCause::Capacity);
-                        if (kv.resident(m.seq))
-                            kv.release(m.seq);
+                        // else: evict self (slow-path semantics). A
+                        // grow never evicts the grower, so it is
+                        // still resident.
+                        evict({slot}, EvictCause::Capacity);
+                        kv.release(slot);
                         pump_admissions(clocks.makespan);
                         bail = true;
                         break; // member dropped, not reinserted
                     }
-                    m.allowance = kv.growRoom(m.as->kv);
+                    m.allowance = kv.growRoom(slot);
                 } else {
                     --m.allowance;
                     ++m.consumed;
@@ -634,9 +623,10 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             if (m.decodeRemaining == 0) {
                 record_completion(m.as->firstTokenDone, completion,
                                   m.position - m.as->prefillLen);
+                const std::uint32_t slot = slot_of(m);
                 if (!static_kv && m.consumed > 0)
-                    kv.growFast(m.as->kv, m.consumed);
-                complete(*m.as, entry);
+                    kv.growFast(slot, m.consumed);
+                complete(slot, entry);
                 if (contended)
                     bail = true;
                 continue; // member dropped
@@ -646,9 +636,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             // completions almost always land at the back, so scan
             // from the tail; the freed front slot absorbs the shift.
             std::size_t j = count;
-            while (j > 0 && ringBefore(m.ready, m.seq,
-                                       at(j - 1).ready,
-                                       at(j - 1).seq)) {
+            while (j > 0 && ringBefore(m, at(j - 1))) {
                 at(j) = at(j - 1);
                 --j;
             }
@@ -669,10 +657,8 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 continue;
             sync_member(m);
             if (!static_kv && m.consumed > 0)
-                kv.growFast(m.as->kv, m.consumed);
-            decode_lane.push({m.ready, m.seq, m.generation,
-                              static_cast<std::uint32_t>(
-                                      m.as - table.data())});
+                kv.growFast(slot_of(m), m.consumed);
+            decode_lane.push({m.ready, slot_of(m), m.generation});
         }
     };
 
@@ -692,7 +678,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         constexpr double kNever = std::numeric_limits<double>::infinity();
         const LaneEntry decode_front = decode_lane.count > 0
                                            ? decode_lane.at(0)
-                                           : LaneEntry{kNever, 0, 0, 0};
+                                           : LaneEntry{kNever, 0, 0};
         const double storm_due =
             storm_pending() ? (*storm)[storm_next].time : kNever;
         const bool suspended = admissions_suspended && residents > 0;
@@ -733,7 +719,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             seq->nextReady = entry; // the next prompt token streams
             seq->generation += 1;
             head = (head + 1) & mask;
-            const LaneEntry next{entry, top.seq, seq->generation, top.slot};
+            const LaneEntry next{entry, top.slot, seq->generation};
             std::size_t j = count - 1;
             for (; j > 0 && next < buf[(head + j - 1) & mask]; --j)
                 buf[(head + j) & mask] = buf[(head + j - 1) & mask];
@@ -844,14 +830,15 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         // KV growth for a decode token (dynamic mode only; prompt KV
         // was reserved at admission).
         if (!is_prefill && !opts.staticKvAllocation) {
-            const KvResult grow = kv.grow(seq.kv);
+            const KvResult grow = kv.grow(top.slot);
             evict(grow.evicted, EvictCause::Capacity);
             if (!grow.ok) {
                 // The grower itself could not fit (pool too small
-                // even after evicting everyone else): evict self.
-                evict({seq.id}, EvictCause::Capacity);
-                if (kv.resident(seq.id))
-                    kv.release(seq.id);
+                // even after evicting everyone else): evict self. A
+                // grow never evicts the grower, so it is still
+                // resident.
+                evict({top.slot}, EvictCause::Capacity);
+                kv.release(top.slot);
                 pump_admissions(clocks.makespan);
                 continue;
             }
@@ -869,7 +856,7 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             --prefill_count;
             seq.nextReady = completion;
             if (seq.decodeRemaining == 0) {
-                complete(seq, entry);
+                complete(top.slot, entry);
                 continue;
             }
         } else {
@@ -882,13 +869,13 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                 // Finished: release KV when the token drains.
                 record_completion(seq.firstTokenDone, completion,
                                   seq.decoded);
-                complete(seq, entry);
+                complete(top.slot, entry);
                 continue;
             }
             seq.nextReady = completion; // autoregressive gating
         }
         seq.generation += 1;
-        decode_lane.push({seq.nextReady, seq.id, seq.generation, top.slot});
+        decode_lane.push({seq.nextReady, top.slot, seq.generation});
         pump_admissions(entry);
     }
 

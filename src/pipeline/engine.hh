@@ -229,10 +229,10 @@ struct PipelineOptions
     /**
      * Cohort decode fast path (PR 2): when every resident sequence
      * (one or more) is in steady decode and the admission queue is
-     * empty, the engine's deterministic event order - (ready, id,
-     * generation) across its prefill and decode lanes - is replayed
-     * in an insertion-sorted ring: no lane pushes or pops, no stale
-     * entries to skip, KV growth batched through the handle-based
+     * empty, the engine's deterministic event order - (ready,
+     * request position, generation) across its prefill and decode
+     * lanes - is replayed in an insertion-sorted ring: no lane pushes
+     * or pops, no stale entries to skip, KV growth batched through
      * growFast. Results are bit-identical to the lane loop (tests
      * assert this); off, every decode token is popped from the
      * decode lane as its own event - disable only to measure that

@@ -122,7 +122,7 @@ TEST(Integration, RemapThenKvDropConsistent)
     ASSERT_TRUE(sys.has_value());
     BlockPlacement placement = sys->mapping(0).placement(0);
     BlockKvManager kv(model, sys->scorePool(), sys->contextPool());
-    ASSERT_TRUE(kv.admit(1, 512).ok);
+    ASSERT_TRUE(kv.admit(1, 512));
 
     const WaferGeometry geom;
     const CoreCoord failed = placement.weightCores[3];
@@ -133,7 +133,7 @@ TEST(Integration, RemapThenKvDropConsistent)
     // The absorbed KV core leaves the manager's pool too.
     kv.dropCore(result->absorbedKvCore);
     // Whatever remains must still admit and grow sequences.
-    EXPECT_TRUE(kv.admit(2, 256).ok);
+    EXPECT_TRUE(kv.admit(2, 256));
     EXPECT_TRUE(kv.grow(2).ok);
 }
 

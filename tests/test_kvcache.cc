@@ -14,6 +14,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -68,9 +69,7 @@ TEST(KvManager, CapacityAccounting)
 TEST(KvManager, AdmitAllocatesPerHead)
 {
     BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
-    const KvResult r = mgr.admit(1, 100); // 100 tokens -> 1 block/head
-    EXPECT_TRUE(r.ok);
-    EXPECT_TRUE(r.evicted.empty());
+    EXPECT_TRUE(mgr.admit(1, 100)); // 100 tokens -> 1 block/head
     EXPECT_TRUE(mgr.resident(1));
     // 4 heads x 1 block (K) + 4 x 1 (V) = 8 blocks.
     EXPECT_EQ(mgr.usedBlocks(), 8u);
@@ -80,14 +79,14 @@ TEST(KvManager, MultiBlockPrefill)
 {
     BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
     // 300 tokens -> ceil(300/128) = 3 blocks per head per side.
-    ASSERT_TRUE(mgr.admit(7, 300).ok);
+    ASSERT_TRUE(mgr.admit(7, 300));
     EXPECT_EQ(mgr.usedBlocks(), 4u * 3 * 2);
 }
 
 TEST(KvManager, HeadsOnDistinctCores)
 {
     BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
-    ASSERT_TRUE(mgr.admit(1, 64).ok);
+    ASSERT_TRUE(mgr.admit(1, 64));
     std::set<std::uint32_t> score_cores, context_cores;
     for (std::uint32_t h = 0; h < 4; ++h) {
         const HeadPlacement hp = mgr.headPlacement(1, h);
@@ -104,8 +103,8 @@ TEST(KvManager, RingAdvancesBetweenSequences)
     // 8 score cores, 4 heads: sequence 2 should start where sequence
     // 1 ended (compute/write separation of Section 4.4.3).
     BlockKvManager mgr(kvModel(), pool(8), pool(8, 4, 8, 1));
-    ASSERT_TRUE(mgr.admit(1, 64).ok);
-    ASSERT_TRUE(mgr.admit(2, 64).ok);
+    ASSERT_TRUE(mgr.admit(1, 64));
+    ASSERT_TRUE(mgr.admit(2, 64));
     std::set<std::uint32_t> first, second;
     for (std::uint32_t h = 0; h < 4; ++h) {
         first.insert(mgr.headPlacement(1, h).scoreCore);
@@ -119,7 +118,7 @@ TEST(KvManager, RingAdvancesBetweenSequences)
 TEST(KvManager, GrowWithinBlockIsFree)
 {
     BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
-    ASSERT_TRUE(mgr.admit(1, 64).ok); // 64 of 128 rows used
+    ASSERT_TRUE(mgr.admit(1, 64)); // 64 of 128 rows used
     const auto before = mgr.usedBlocks();
     EXPECT_TRUE(mgr.grow(1).ok); // token 65 fits the same block
     EXPECT_EQ(mgr.usedBlocks(), before);
@@ -131,8 +130,8 @@ TEST(KvManager, GrowRoomAndGrowFastMatchGrowLoop)
     // block accounting, same room left afterwards.
     BlockKvManager a(kvModel(), pool(4), pool(4, 4, 8, 1));
     BlockKvManager b(kvModel(), pool(4), pool(4, 4, 8, 1));
-    ASSERT_TRUE(a.admit(1, 64).ok);
-    ASSERT_TRUE(b.admit(1, 64).ok);
+    ASSERT_TRUE(a.admit(1, 64));
+    ASSERT_TRUE(b.admit(1, 64));
     EXPECT_EQ(a.growRoom(1), 64u); // 64 of 128 rows used
 
     for (int i = 0; i < 40; ++i)
@@ -154,7 +153,7 @@ TEST(KvManager, GrowRoomAndGrowFastMatchGrowLoop)
 TEST(KvManager, GrowAcrossBlockBoundaryAllocates)
 {
     BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
-    ASSERT_TRUE(mgr.admit(1, 128).ok); // exactly one full block
+    ASSERT_TRUE(mgr.admit(1, 128)); // exactly one full block
     const auto before = mgr.usedBlocks();
     EXPECT_TRUE(mgr.grow(1).ok); // token 129 -> new block per head
     EXPECT_EQ(mgr.usedBlocks(), before + 4u * 2);
@@ -163,8 +162,8 @@ TEST(KvManager, GrowAcrossBlockBoundaryAllocates)
 TEST(KvManager, ReleaseReturnsBlocks)
 {
     BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
-    ASSERT_TRUE(mgr.admit(1, 200).ok);
-    ASSERT_TRUE(mgr.admit(2, 200).ok);
+    ASSERT_TRUE(mgr.admit(1, 200));
+    ASSERT_TRUE(mgr.admit(2, 200));
     const auto used = mgr.usedBlocks();
     mgr.release(1);
     EXPECT_LT(mgr.usedBlocks(), used);
@@ -173,32 +172,15 @@ TEST(KvManager, ReleaseReturnsBlocks)
     EXPECT_FALSE(mgr.resident(1));
 }
 
-TEST(KvManager, AdmitEvictsMostRecentFirst)
+TEST(KvManager, AdmitNeverEvicts)
 {
     // Tiny pool: 4 score cores x 1 xbar x 2 blocks; 4 heads ->
     // each sequence takes 1 block per head per side = whole row.
     BlockKvManager mgr(kvModel(), pool(4, 1, 2), pool(4, 1, 2, 1),
                        128, 0.0);
-    ASSERT_TRUE(mgr.admit(1, 64).ok);
-    ASSERT_TRUE(mgr.admit(2, 64).ok);
-    // Pool now full (2 blocks per core used by seq 1+2).
-    const KvResult r = mgr.admit(3, 64);
-    EXPECT_TRUE(r.ok);
-    ASSERT_EQ(r.evicted.size(), 1u);
-    EXPECT_EQ(r.evicted[0], 2u); // most recently scheduled
-    EXPECT_TRUE(mgr.resident(1));
-    EXPECT_FALSE(mgr.resident(2));
-    EXPECT_TRUE(mgr.resident(3));
-    EXPECT_EQ(mgr.evictionCount(), 1u);
-}
-
-TEST(KvManager, AdmitNoEvictSuspends)
-{
-    BlockKvManager mgr(kvModel(), pool(4, 1, 2), pool(4, 1, 2, 1),
-                       128, 0.0);
-    ASSERT_TRUE(mgr.admitNoEvict(1, 64));
-    ASSERT_TRUE(mgr.admitNoEvict(2, 64));
-    EXPECT_FALSE(mgr.admitNoEvict(3, 64));
+    ASSERT_TRUE(mgr.admit(1, 64));
+    ASSERT_TRUE(mgr.admit(2, 64));
+    EXPECT_FALSE(mgr.admit(3, 64));
     // Nobody was evicted.
     EXPECT_TRUE(mgr.resident(1));
     EXPECT_TRUE(mgr.resident(2));
@@ -209,14 +191,15 @@ TEST(KvManager, GrowEvictsOthersNeverSelf)
 {
     BlockKvManager mgr(kvModel(), pool(4, 1, 2), pool(4, 1, 2, 1),
                        128, 0.0);
-    ASSERT_TRUE(mgr.admit(1, 128).ok); // full block each head
-    ASSERT_TRUE(mgr.admit(2, 128).ok);
+    ASSERT_TRUE(mgr.admit(1, 128)); // full block each head
+    ASSERT_TRUE(mgr.admit(2, 128));
     // Growing 1 needs fresh blocks; pool is full; 2 is the MRU.
     const KvResult r = mgr.grow(1);
     EXPECT_TRUE(r.ok);
-    ASSERT_EQ(r.evicted.size(), 1u);
-    EXPECT_EQ(r.evicted[0], 2u);
+    EXPECT_EQ(r.evicted, std::vector<std::uint32_t>{2});
     EXPECT_TRUE(mgr.resident(1));
+    EXPECT_FALSE(mgr.resident(2));
+    EXPECT_EQ(mgr.evictionCount(), 1u);
 }
 
 TEST(KvManager, GrowFailsWhenAlone)
@@ -224,10 +207,11 @@ TEST(KvManager, GrowFailsWhenAlone)
     // One core, one crossbar, one block per side: sequence 1 fills it.
     BlockKvManager mgr(kvModel(), pool(4, 1, 1), pool(4, 1, 1, 1),
                        128, 0.0);
-    ASSERT_TRUE(mgr.admit(1, 128).ok);
+    ASSERT_TRUE(mgr.admit(1, 128));
     const KvResult r = mgr.grow(1);
     EXPECT_FALSE(r.ok);
     EXPECT_TRUE(r.evicted.empty());
+    EXPECT_TRUE(mgr.resident(1)); // the caller decides what to do
 }
 
 TEST(KvManager, VSpillCountsWhenHomeXbarFull)
@@ -235,7 +219,7 @@ TEST(KvManager, VSpillCountsWhenHomeXbarFull)
     // Context cores have 2 crossbars x 2 blocks. A sequence growing
     // past 2 blocks/head must spill V to the second crossbar.
     BlockKvManager mgr(kvModel(), pool(4, 4, 8), pool(4, 2, 2, 1));
-    ASSERT_TRUE(mgr.admit(1, 256).ok); // 2 V blocks -> home xbar full
+    ASSERT_TRUE(mgr.admit(1, 256)); // 2 V blocks -> home xbar full
     EXPECT_EQ(mgr.vSpills(), 0u);
     ASSERT_TRUE(mgr.grow(1).ok); // 257th token: V spills
     EXPECT_GT(mgr.vSpills(), 0u);
@@ -252,9 +236,9 @@ TEST(KvManager, VSpillClosedForm)
         // keeps 1 home and spills 2 per head.
         BlockKvManager mgr(kvModel(), pool(4), pool(4, 2, 4, 1), 128,
                            0.0);
-        ASSERT_TRUE(mgr.admit(1, 384).ok);
+        ASSERT_TRUE(mgr.admit(1, 384));
         EXPECT_EQ(mgr.vSpills(), 0u);
-        ASSERT_TRUE(mgr.admit(2, 384).ok);
+        ASSERT_TRUE(mgr.admit(2, 384));
         EXPECT_EQ(mgr.vSpills(), 4u * 2);
         mgr.checkInvariants();
     }
@@ -263,8 +247,8 @@ TEST(KvManager, VSpillClosedForm)
         // per head, but the first is exempt.
         BlockKvManager mgr(kvModel(), pool(4), pool(4, 2, 2, 1), 128,
                            0.0);
-        ASSERT_TRUE(mgr.admit(1, 256).ok);
-        ASSERT_TRUE(mgr.admit(2, 256).ok);
+        ASSERT_TRUE(mgr.admit(1, 256));
+        ASSERT_TRUE(mgr.admit(2, 256));
         EXPECT_EQ(mgr.vSpills(), 4u * 1);
         mgr.checkInvariants();
     }
@@ -273,7 +257,7 @@ TEST(KvManager, VSpillClosedForm)
         // spills one block per head.
         BlockKvManager mgr(kvModel(), pool(4), pool(4, 2, 2, 1), 128,
                            0.0);
-        ASSERT_TRUE(mgr.admit(1, 256).ok);
+        ASSERT_TRUE(mgr.admit(1, 256));
         ASSERT_TRUE(mgr.grow(1).ok);
         EXPECT_EQ(mgr.vSpills(), 4u * 1);
         mgr.checkInvariants();
@@ -287,23 +271,23 @@ TEST(KvManager, ThresholdReservesSpace)
     // raw space exists.
     BlockKvManager strict(kvModel(), pool(4, 1, 4), pool(4, 1, 4, 1),
                           128, 0.25);
-    ASSERT_TRUE(strict.admit(1, 256).ok); // 2 of 4 blocks per core
-    EXPECT_FALSE(strict.admitNoEvict(2, 256));
+    ASSERT_TRUE(strict.admit(1, 256)); // 2 of 4 blocks per core
+    EXPECT_FALSE(strict.admit(2, 256));
     // Growth of the resident sequence still works.
     EXPECT_TRUE(strict.grow(1).ok);
 
     // With threshold 0 the same admission succeeds.
     BlockKvManager loose(kvModel(), pool(4, 1, 4), pool(4, 1, 4, 1),
                          128, 0.0);
-    ASSERT_TRUE(loose.admit(1, 256).ok);
-    EXPECT_TRUE(loose.admitNoEvict(2, 256));
+    ASSERT_TRUE(loose.admit(1, 256));
+    EXPECT_TRUE(loose.admit(2, 256));
 }
 
 TEST(KvManager, DropCoreReleasesVictims)
 {
     BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
-    ASSERT_TRUE(mgr.admit(1, 64).ok);
-    ASSERT_TRUE(mgr.admit(2, 64).ok);
+    ASSERT_TRUE(mgr.admit(1, 64));
+    ASSERT_TRUE(mgr.admit(2, 64));
     const auto total_before = mgr.totalBlocks();
     // Drop the score core of sequence 1's head 0.
     const auto hp = mgr.headPlacement(1, 0);
@@ -314,77 +298,61 @@ TEST(KvManager, DropCoreReleasesVictims)
         EXPECT_FALSE(mgr.resident(id));
     EXPECT_LT(mgr.totalBlocks(), total_before);
     // Remaining sequences are intact and the pool still admits.
-    EXPECT_TRUE(mgr.admit(10, 64).ok);
+    EXPECT_TRUE(mgr.admit(10, 64));
 }
 
 TEST(KvManager, UtilizationTracksLoad)
 {
     BlockKvManager mgr(kvModel(), pool(4), pool(4, 4, 8, 1));
-    ASSERT_TRUE(mgr.admit(1, 512).ok);
+    ASSERT_TRUE(mgr.admit(1, 512));
     const double u1 = mgr.utilization();
-    ASSERT_TRUE(mgr.admit(2, 512).ok);
+    ASSERT_TRUE(mgr.admit(2, 512));
     EXPECT_GT(mgr.utilization(), u1);
     mgr.release(1);
     mgr.release(2);
     EXPECT_DOUBLE_EQ(mgr.utilization(), 0.0);
 }
 
-TEST(KvHandle, EquivalentToIdApi)
+TEST(KvManager, ReadmittedKeyReusesItsSlot)
 {
-    // Two managers, one driven by seq ids, one by handles, through
-    // the same op sequence: accounting must match at every step.
-    BlockKvManager by_id(kvModel(), pool(6), pool(6, 4, 8, 1));
-    BlockKvManager by_handle(kvModel(), pool(6), pool(6, 4, 8, 1));
-
-    ASSERT_TRUE(by_id.admitNoEvict(1, 100));
-    const KvHandle h1 = by_handle.admitNoEvictHandle(1, 100);
-    ASSERT_TRUE(h1.valid());
-    ASSERT_TRUE(by_id.admitNoEvict(2, 300));
-    const KvHandle h2 = by_handle.admitNoEvictHandle(2, 300);
-    ASSERT_TRUE(h2.valid());
-    EXPECT_EQ(by_id.usedBlocks(), by_handle.usedBlocks());
-    EXPECT_EQ(by_id.growRoom(1), by_handle.growRoom(h1));
-    EXPECT_EQ(by_id.growRoom(2), by_handle.growRoom(h2));
-
-    for (int i = 0; i < 60; ++i) {
-        ASSERT_TRUE(by_id.grow(1).ok);
-        ASSERT_TRUE(by_handle.grow(h1).ok);
-    }
-    by_id.growFast(2, by_id.growRoom(2));
-    by_handle.growFast(h2, by_handle.growRoom(h2));
-    EXPECT_EQ(by_id.usedBlocks(), by_handle.usedBlocks());
-    EXPECT_EQ(by_id.growRoom(1), by_handle.growRoom(h1));
-    EXPECT_EQ(by_id.growRoom(2), by_handle.growRoom(h2));
-
-    // handleOf resolves to the same slot the admission returned.
-    EXPECT_EQ(by_handle.growRoom(by_handle.handleOf(1)),
-              by_handle.growRoom(h1));
-
-    by_id.release(1);
-    by_handle.release(h1);
-    EXPECT_EQ(by_id.usedBlocks(), by_handle.usedBlocks());
-    EXPECT_FALSE(by_handle.resident(1));
-    EXPECT_TRUE(by_handle.resident(2));
-    by_id.release(2);
-    by_handle.release(h2);
-    EXPECT_EQ(by_handle.usedBlocks(), 0u);
+    // A released key keeps its slot; admitting it again allocates
+    // exactly what a fresh key would.
+    BlockKvManager mgr(kvModel(), pool(6), pool(6, 4, 8, 1));
+    ASSERT_TRUE(mgr.admit(3, 300)); // 3 blocks per head per side
+    EXPECT_EQ(mgr.usedBlocks(), 4u * 3 * 2);
+    mgr.release(3);
+    EXPECT_EQ(mgr.usedBlocks(), 0u);
+    EXPECT_FALSE(mgr.resident(3));
+    ASSERT_TRUE(mgr.admit(3, 64)); // 1 block per head per side
+    EXPECT_EQ(mgr.usedBlocks(), 4u * 1 * 2);
+    EXPECT_EQ(mgr.growRoom(3), 64u);
+    EXPECT_EQ(mgr.numResident(), 1u);
+    mgr.checkInvariants();
+    mgr.release(3);
+    EXPECT_EQ(mgr.usedBlocks(), 0u);
+    EXPECT_EQ(mgr.numResident(), 0u);
 }
 
-TEST(KvHandle, SlotReuseAfterRelease)
+TEST(KvManager, NonResidentKeyIsCheckedError)
 {
-    // Released slots recycle; a fresh admission gets a live handle
-    // and the pool accounting stays exact.
+    // Every per-sequence call names a resident key; anything else is
+    // a caller bug, reported with the key.
     BlockKvManager mgr(kvModel(), pool(6), pool(6, 4, 8, 1));
-    const KvHandle a = mgr.admitNoEvictHandle(1, 64);
-    ASSERT_TRUE(a.valid());
-    mgr.release(a);
-    EXPECT_EQ(mgr.usedBlocks(), 0u);
-    const KvHandle b = mgr.admitNoEvictHandle(2, 64);
-    ASSERT_TRUE(b.valid());
-    EXPECT_TRUE(mgr.resident(2));
-    EXPECT_EQ(mgr.growRoom(b), 64u);
-    mgr.release(b);
-    EXPECT_EQ(mgr.numResident(), 0u);
+    ASSERT_TRUE(mgr.admit(2, 64));
+    mgr.release(2);
+    for (const std::uint32_t key : {2u, 5u, 1000u}) {
+        SCOPED_TRACE(key);
+        const std::string msg =
+            "sequence " + std::to_string(key) + " is not resident";
+        EXPECT_DEATH({ mgr.grow(key); }, msg);
+        EXPECT_DEATH({ mgr.growRoom(key); }, msg);
+        EXPECT_DEATH({ mgr.growFast(key, 0); }, msg);
+        EXPECT_DEATH({ mgr.release(key); }, msg);
+        EXPECT_DEATH({ mgr.headPlacement(key, 0); }, msg);
+    }
+    ASSERT_TRUE(mgr.admit(4, 64));
+    EXPECT_DEATH({ mgr.admit(4, 64); }, "admit: sequence 4 already "
+                                        "resident");
 }
 
 TEST(KvManager, MruOrderTracksReleases)
@@ -392,44 +360,45 @@ TEST(KvManager, MruOrderTracksReleases)
     // The intrusive MRU list must keep admission order even as
     // residents leave: after releasing the most recent sequence, the
     // next eviction victim is the previous tail.
-    BlockKvManager mgr(kvModel(), pool(4, 1, 3), pool(4, 1, 3, 1),
+    BlockKvManager mgr(kvModel(), pool(4, 1, 4), pool(4, 1, 4, 1),
                        128, 0.0);
-    ASSERT_TRUE(mgr.admit(1, 64).ok);
-    ASSERT_TRUE(mgr.admit(2, 64).ok);
-    ASSERT_TRUE(mgr.admit(3, 64).ok);
-    mgr.release(3); // tail leaves voluntarily
-    // Pool: 1 block free per core. Admitting a 3-block sequence
-    // forces evictions: victim order must be 2 (new tail), then 1.
-    const KvResult r = mgr.admit(9, 300);
-    EXPECT_TRUE(r.ok);
-    ASSERT_EQ(r.evicted.size(), 2u);
-    EXPECT_EQ(r.evicted[0], 2u);
-    EXPECT_EQ(r.evicted[1], 1u);
+    ASSERT_TRUE(mgr.admit(0, 128)); // its newest block is full
+    ASSERT_TRUE(mgr.admit(1, 64));
+    ASSERT_TRUE(mgr.admit(2, 64));
+    ASSERT_TRUE(mgr.admit(3, 64)); // every core is full
+    mgr.release(3); // tail leaves voluntarily: 1 block free per core
+    KvResult r = mgr.grow(0);
+    ASSERT_TRUE(r.ok);
+    EXPECT_TRUE(r.evicted.empty());
+    // Each further block of sequence 0 evicts one resident: 2 (the
+    // new tail), then 1.
+    for (const std::uint32_t victim : {2u, 1u}) {
+        mgr.growFast(0, mgr.growRoom(0));
+        r = mgr.grow(0);
+        EXPECT_TRUE(r.ok);
+        EXPECT_EQ(r.evicted, std::vector<std::uint32_t>{victim});
+    }
+    EXPECT_EQ(mgr.numResident(), 1u);
 }
 
-TEST(KvManager, DropCoreInvalidatesHandles)
+TEST(KvManager, DropCoreSparesOtherResidents)
 {
     // Mid-run pool shrink (PR 9): a resident whose KV lived on the
-    // dropped core is released, and its handle goes stale - using it
-    // afterwards is a checked error, not silent corruption. Handles
-    // of surviving residents stay live.
+    // dropped core is released - a later call on its key is a checked
+    // error - and surviving residents are untouched.
     BlockKvManager mgr(kvModel(), pool(8), pool(8, 4, 8, 1));
-    const KvHandle victim = mgr.admitNoEvictHandle(1, 64);
-    const KvHandle survivor = mgr.admitNoEvictHandle(2, 64);
-    ASSERT_TRUE(victim.valid() && survivor.valid());
+    ASSERT_TRUE(mgr.admit(1, 64));
+    ASSERT_TRUE(mgr.admit(2, 64));
     // 8 cores, 4 heads: seq 1 occupies score cores 0-3, seq 2 cores
     // 4-7, so dropping seq 1's head-0 core only evicts seq 1.
     const auto hp = mgr.headPlacement(1, 0);
     const auto lost = mgr.dropCore(mgr.scoreCoord(hp.scoreCore));
-    ASSERT_EQ(lost.size(), 1u);
-    EXPECT_EQ(lost[0], 1u);
+    EXPECT_EQ(lost, std::vector<std::uint32_t>{1});
     EXPECT_TRUE(mgr.resident(2));
-    EXPECT_EQ(mgr.growRoom(survivor), 64u);
-    EXPECT_DEATH({ mgr.growRoom(victim); },
-                 "stale or invalid KvHandle");
-    EXPECT_DEATH({ mgr.grow(victim); }, "stale or invalid KvHandle");
-    EXPECT_DEATH({ mgr.release(victim); },
-                 "stale or invalid KvHandle");
+    EXPECT_EQ(mgr.growRoom(2), 64u);
+    EXPECT_DEATH({ mgr.growRoom(1); }, "sequence 1 is not resident");
+    EXPECT_DEATH({ mgr.grow(1); }, "sequence 1 is not resident");
+    EXPECT_DEATH({ mgr.release(1); }, "sequence 1 is not resident");
 }
 
 TEST(KvManager, AdoptCoreGrowsCapacity)
@@ -441,10 +410,10 @@ TEST(KvManager, AdoptCoreGrowsCapacity)
                        128, 0.0);
     // Score side: 4 cores x 1 xbar x 2 blocks. One 128-token seq
     // takes 1 block per head on each of the 4 cores.
-    ASSERT_TRUE(mgr.admit(1, 128).ok);
-    ASSERT_TRUE(mgr.admit(2, 128).ok);
+    ASSERT_TRUE(mgr.admit(1, 128));
+    ASSERT_TRUE(mgr.admit(2, 128));
     const auto total_before = mgr.totalBlocks();
-    // Score ring is now full: a third admission would evict. Graft
+    // Score ring is now full: a third admission would fail. Graft
     // one core per head (head placement probes at most one head per
     // ring pass onto a given core, so a single graft cannot host a
     // whole sequence while the rest of the ring is full).
@@ -455,10 +424,8 @@ TEST(KvManager, AdoptCoreGrowsCapacity)
         EXPECT_EQ(mgr.scoreCoord(idx), (CoreCoord{0, 100 + i}));
     }
     EXPECT_EQ(mgr.totalBlocks(), total_before + 4u * 4u * 8u);
-    // The grafted cores absorb the next admission without eviction.
-    const KvResult r = mgr.admit(3, 128);
-    EXPECT_TRUE(r.ok);
-    EXPECT_TRUE(r.evicted.empty());
+    // The grafted cores absorb the next admission.
+    EXPECT_TRUE(mgr.admit(3, 128));
     EXPECT_TRUE(mgr.resident(1) && mgr.resident(2));
 }
 
@@ -467,7 +434,7 @@ TEST(KvManager, AdoptCoreReAdoptsFencedCoord)
     // Drop then re-adopt the same coordinate: the fenced entry stays
     // inert and the fresh entry carries the capacity.
     BlockKvManager mgr(kvModel(), pool(8), pool(8, 4, 8, 1));
-    ASSERT_TRUE(mgr.admit(1, 64).ok);
+    ASSERT_TRUE(mgr.admit(1, 64));
     const CoreCoord coord =
         mgr.scoreCoord(mgr.headPlacement(1, 0).scoreCore);
     const auto total_before = mgr.totalBlocks();
@@ -476,7 +443,7 @@ TEST(KvManager, AdoptCoreReAdoptsFencedCoord)
     mgr.adoptCore({coord, 4, 8}, true);
     EXPECT_EQ(mgr.totalBlocks(), total_before);
     // Pool still serves admissions with the re-grafted core present.
-    EXPECT_TRUE(mgr.admit(2, 64).ok);
+    EXPECT_TRUE(mgr.admit(2, 64));
 }
 
 TEST(KvManager, AdoptCoreRejectsLiveDuplicate)
@@ -503,12 +470,12 @@ TEST(KvManager, FailedAdmissionLeavesPoolUntouched)
     };
     BlockKvManager plain = make();
     BlockKvManager probed = make();
-    std::uint64_t id = 0;
+    std::uint32_t id = 0;
     std::uint64_t failures = 0;
     auto admit_both = [&](std::uint64_t tokens) {
-        const bool ok = probed.admitNoEvict(id, tokens);
+        const bool ok = probed.admit(id, tokens);
         if (ok) {
-            EXPECT_TRUE(plain.admitNoEvict(id, tokens));
+            EXPECT_TRUE(plain.admit(id, tokens));
         }
         ++id;
         return ok;
@@ -526,9 +493,9 @@ TEST(KvManager, FailedAdmissionLeavesPoolUntouched)
             }
             probed.checkInvariants();
         }
-        const std::uint64_t this_id = id++;
-        const bool ok = plain.admitNoEvict(this_id, tokens);
-        ASSERT_EQ(probed.admitNoEvict(this_id, tokens), ok);
+        const std::uint32_t this_id = id++;
+        const bool ok = plain.admit(this_id, tokens);
+        ASSERT_EQ(probed.admit(this_id, tokens), ok);
         if (ok) {
             for (std::uint32_t h = 0; h < 4; ++h) {
                 EXPECT_EQ(probed.headPlacement(this_id, h).scoreCore,
@@ -550,41 +517,41 @@ TEST(KvManager, CapacityEpochSkipsOnlyDoomedProbes)
     // two one-block sequences fill the pool.
     BlockKvManager mgr(kvModel(), pool(4, 1, 2), pool(4, 1, 2, 1), 128,
                        0.0);
-    ASSERT_TRUE(mgr.admitNoEvict(1, 64));
-    ASSERT_TRUE(mgr.admitNoEvict(2, 128));
+    ASSERT_TRUE(mgr.admit(1, 64));
+    ASSERT_TRUE(mgr.admit(2, 128));
     const auto epoch = mgr.capacityEpoch();
 
-    EXPECT_FALSE(mgr.admitNoEvict(3, 64));
+    EXPECT_FALSE(mgr.admit(3, 64));
     EXPECT_EQ(mgr.admissionProbes(), 3u);
     EXPECT_EQ(mgr.probeFailures(), 1u);
     // Same epoch, same or larger demand: answered without a walk.
-    EXPECT_FALSE(mgr.admitNoEvict(3, 64));
-    EXPECT_FALSE(mgr.admitNoEvict(4, 300));
+    EXPECT_FALSE(mgr.admit(3, 64));
+    EXPECT_FALSE(mgr.admit(4, 300));
     EXPECT_EQ(mgr.probesSkipped(), 2u);
     EXPECT_EQ(mgr.admissionProbes(), 3u);
     // In-block growth takes nothing from the pool: the epoch stays.
     ASSERT_TRUE(mgr.grow(1).ok);
     EXPECT_EQ(mgr.capacityEpoch(), epoch);
-    EXPECT_FALSE(mgr.admitNoEvict(3, 64));
+    EXPECT_FALSE(mgr.admit(3, 64));
     EXPECT_EQ(mgr.probesSkipped(), 3u);
 
     // A release may make room: the next attempt walks again.
     mgr.release(2);
     EXPECT_GT(mgr.capacityEpoch(), epoch);
-    EXPECT_TRUE(mgr.admitNoEvict(3, 64));
+    EXPECT_TRUE(mgr.admit(3, 64));
     EXPECT_EQ(mgr.admissionProbes(), 4u);
     EXPECT_EQ(mgr.admissionProbes(),
               mgr.admissionCount() + mgr.probeFailures());
 
     // adoptCore bumps the epoch too.
-    EXPECT_FALSE(mgr.admitNoEvict(5, 64));
+    EXPECT_FALSE(mgr.admit(5, 64));
     const auto before = mgr.capacityEpoch();
     for (std::uint32_t i = 0; i < 4; ++i)
         mgr.adoptCore({{0, 50 + i}, 1, 2}, true);
     for (std::uint32_t i = 0; i < 4; ++i)
         mgr.adoptCore({{1, 50 + i}, 1, 2}, false);
     EXPECT_GT(mgr.capacityEpoch(), before);
-    EXPECT_TRUE(mgr.admitNoEvict(5, 64));
+    EXPECT_TRUE(mgr.admit(5, 64));
     mgr.checkInvariants();
 }
 
@@ -614,29 +581,29 @@ class RefPool
     std::uint64_t admissions = 0;
     std::uint64_t vSpills = 0;
 
-    bool resident(std::uint64_t id) const { return find(id) != nullptr; }
+    bool resident(std::uint32_t id) const { return find(id) != nullptr; }
 
-    std::vector<std::uint64_t> residents() const
+    std::vector<std::uint32_t> residents() const
     {
-        std::vector<std::uint64_t> ids;
+        std::vector<std::uint32_t> ids;
         for (const Seq &s : seqs_)
             ids.push_back(s.id);
         std::sort(ids.begin(), ids.end());
         return ids;
     }
 
-    HeadPlacement placement(std::uint64_t id, std::uint32_t h) const
+    HeadPlacement placement(std::uint32_t id, std::uint32_t h) const
     {
         const Seq &s = *find(id);
         return {s.k[h].core, s.v[h].core};
     }
 
-    std::uint64_t room(std::uint64_t id) const
+    std::uint64_t room(std::uint32_t id) const
     {
         return kTokensPerBlock - find(id)->fill;
     }
 
-    bool admitNoEvict(std::uint64_t id, std::uint64_t tokens)
+    bool admit(std::uint32_t id, std::uint64_t tokens)
     {
         const std::uint32_t need =
             tokens == 0 ? 1 : static_cast<std::uint32_t>(
@@ -668,23 +635,9 @@ class RefPool
         return true;
     }
 
-    std::pair<bool, std::vector<std::uint64_t>>
-    admit(std::uint64_t id, std::uint64_t tokens)
+    std::pair<bool, std::vector<std::uint32_t>> grow(std::uint32_t id)
     {
-        std::vector<std::uint64_t> evicted;
-        while (!admitNoEvict(id, tokens)) {
-            if (seqs_.empty())
-                return {false, evicted};
-            evicted.push_back(seqs_.back().id);
-            release(seqs_.back().id);
-            ++evictions;
-        }
-        return {true, evicted};
-    }
-
-    std::pair<bool, std::vector<std::uint64_t>> grow(std::uint64_t id)
-    {
-        std::vector<std::uint64_t> evicted;
+        std::vector<std::uint32_t> evicted;
         if (find(id)->fill < kTokensPerBlock) {
             ++find(id)->fill;
             return {true, evicted};
@@ -736,12 +689,12 @@ class RefPool
         return {true, evicted};
     }
 
-    void growFast(std::uint64_t id, std::uint64_t n)
+    void growFast(std::uint32_t id, std::uint64_t n)
     {
         find(id)->fill += static_cast<std::uint32_t>(n);
     }
 
-    void release(std::uint64_t id)
+    void release(std::uint32_t id)
     {
         const auto it =
             std::find_if(seqs_.begin(), seqs_.end(),
@@ -753,9 +706,9 @@ class RefPool
         seqs_.erase(it);
     }
 
-    std::vector<std::uint64_t> dropCore(CoreCoord coord)
+    std::vector<std::uint32_t> dropCore(CoreCoord coord)
     {
-        std::vector<std::uint64_t> lost;
+        std::vector<std::uint32_t> lost;
         for (const Seq &s : seqs_) {
             bool hit = false;
             for (const Head &h : s.k)
@@ -809,7 +762,7 @@ class RefPool
     };
     struct Seq
     {
-        std::uint64_t id = 0;
+        std::uint32_t id = 0;
         std::uint32_t blocks = 0;
         std::uint32_t fill = 0;
         std::vector<Head> k, v;
@@ -821,7 +774,7 @@ class RefPool
     std::uint32_t scoreCursor_ = 0, contextCursor_ = 0;
     std::vector<Seq> seqs_; ///< admission order: back is the MRU
 
-    const Seq *find(std::uint64_t id) const
+    const Seq *find(std::uint32_t id) const
     {
         for (const Seq &s : seqs_) {
             if (s.id == id)
@@ -829,7 +782,7 @@ class RefPool
         }
         return nullptr;
     }
-    Seq *find(std::uint64_t id)
+    Seq *find(std::uint32_t id)
     {
         return const_cast<Seq *>(std::as_const(*this).find(id));
     }
@@ -935,36 +888,31 @@ TEST_P(KvFuzzTest, MatchesReferencePoolStepByStep)
 
     for (int step = 0; step < 400; ++step) {
         SCOPED_TRACE("step " + std::to_string(step));
-        const std::vector<std::uint64_t> ids = ref.residents();
+        const std::vector<std::uint32_t> ids = ref.residents();
         const auto any_resident = [&] {
             return ids[rng.uniformInt(0, ids.size() - 1)];
         };
+        const auto draw_key = [&] {
+            return static_cast<std::uint32_t>(rng.uniformInt(0, 39));
+        };
         const std::uint64_t op = rng.uniformInt(0, 99);
-        if (op < 30 || ids.empty()) {
-            // Admission without eviction; sometimes the exact retry
-            // of the last failure (the capacity-epoch skip).
-            std::uint64_t id = rng.uniformInt(0, 39);
+        if (op < 35 || ids.empty()) {
+            // Admission (never evicts); sometimes the exact retry of
+            // the last failure (the capacity-epoch skip). Keys come
+            // back after release, so slots are reused.
+            std::uint32_t id = draw_key();
             while (ref.resident(id))
-                id = rng.uniformInt(0, 39);
+                id = draw_key();
             const std::uint64_t tokens =
                 op < 10 && last_failed_tokens ? last_failed_tokens
                                               : rng.uniformInt(0, 600);
-            const bool ok = ref.admitNoEvict(id, tokens);
-            ASSERT_EQ(mgr.admitNoEvictHandle(id, tokens).valid(), ok);
+            const bool ok = ref.admit(id, tokens);
+            ASSERT_EQ(mgr.admit(id, tokens), ok);
             last_failed_tokens = ok ? 0 : tokens;
-        } else if (op < 40) {
-            std::uint64_t id = rng.uniformInt(0, 39);
-            while (ref.resident(id))
-                id = rng.uniformInt(0, 39);
-            const std::uint64_t tokens = rng.uniformInt(0, 400);
-            const auto [ok, evicted] = ref.admit(id, tokens);
-            const KvResult got = mgr.admit(id, tokens);
-            ASSERT_EQ(got.ok, ok);
-            ASSERT_EQ(got.evicted, evicted);
         } else if (op < 70) {
-            const std::uint64_t id = any_resident();
+            const std::uint32_t id = any_resident();
             const auto [ok, evicted] = ref.grow(id);
-            const KvResult got = mgr.grow(mgr.handleOf(id));
+            const KvResult got = mgr.grow(id);
             ASSERT_EQ(got.ok, ok);
             ASSERT_EQ(got.evicted, evicted);
             if (!ok) { // the engine's evict-self path
@@ -972,15 +920,15 @@ TEST_P(KvFuzzTest, MatchesReferencePoolStepByStep)
                 mgr.release(id);
             }
         } else if (op < 80) {
-            const std::uint64_t id = any_resident();
+            const std::uint32_t id = any_resident();
             ASSERT_EQ(mgr.growRoom(id), ref.room(id));
             const std::uint64_t n = rng.uniformInt(0, ref.room(id));
             ref.growFast(id, n);
-            mgr.growFast(mgr.handleOf(id), n);
+            mgr.growFast(id, n);
         } else if (op < 92) {
-            const std::uint64_t id = any_resident();
+            const std::uint32_t id = any_resident();
             ref.release(id);
-            mgr.release(mgr.handleOf(id));
+            mgr.release(id);
         } else if (op < 97) {
             const bool in_score = rng.bernoulli(0.5);
             const auto c = static_cast<std::uint32_t>(
@@ -1004,7 +952,7 @@ TEST_P(KvFuzzTest, MatchesReferencePoolStepByStep)
         ASSERT_EQ(mgr.vSpills(), ref.vSpills);
         ASSERT_EQ(mgr.admissionProbes(),
                   mgr.admissionCount() + mgr.probeFailures());
-        const std::vector<std::uint64_t> now = ref.residents();
+        const std::vector<std::uint32_t> now = ref.residents();
         ASSERT_EQ(mgr.numResident(), now.size());
         for (const auto id : now) {
             ASSERT_TRUE(mgr.resident(id));
@@ -1032,7 +980,7 @@ TEST_P(KvRoundTripTest, NoLeakedBlocks)
 {
     BlockKvManager mgr(kvModel(), pool(6), pool(6, 4, 8, 1));
     const std::uint64_t tokens = GetParam();
-    ASSERT_TRUE(mgr.admit(1, tokens).ok);
+    ASSERT_TRUE(mgr.admit(1, tokens));
     for (int i = 0; i < 50; ++i)
         ASSERT_TRUE(mgr.grow(1).ok);
     mgr.release(1);

@@ -458,7 +458,7 @@ TEST(Pipeline, EventOrderGolden)
 {
     // Pins the engine's event order itself, not just agreement
     // between its two decode paths: a tie-break change (simultaneous
-    // events popped out of (ready, seq, generation) order) moves the
+    // events popped out of (ready, slot, generation) order) moves the
     // latency samples and the makespan, and fails here even though
     // every cohort-on == cohort-off oracle still agrees. Uniform
     // stage times make equal ready times common; the tight pool
@@ -584,7 +584,7 @@ TEST(Pipeline, EventOrderGolden)
                                      thrash_opts, 4, thrash_w));
 
     // Dyadic stage times keep every sum exact, so the two lanes' fronts
-    // often tie on ready time and only the (seq, generation) tie-break
+    // often tie on ready time and only the (slot, generation) tie-break
     // orders them: a run that stopped at the decode front by ready
     // time alone fails here.
     timing = uniformTiming(0x1p-20, 0.0);
@@ -593,6 +593,58 @@ TEST(Pipeline, EventOrderGolden)
                                   0xa3b94280a109d564};
     expectGolden(thrash_ties, run(AttentionKind::Causal, thrash_opts, 4,
                                   thrash_w));
+}
+
+TEST(Pipeline, RequestIdsAreLabelsOnly)
+{
+    // The engine and its KV pool key every sequence by its request
+    // position; ids are labels, checked only for uniqueness. So
+    // relabelling the workload with decreasing ids moves no event:
+    // neither a lane tie-break (dyadic stage times make ready times
+    // tie often) nor the order a storm's dropped core hands back its
+    // victims. The setup is EventOrderGolden's thrash_ties case.
+    DayTraceParams day;
+    day.requests = 256;
+    day.maxLen = 512;
+    day.seed = 23;
+    const Workload w = DayTrace(day).wholeDay();
+    Workload relabelled = w;
+    for (std::size_t i = 0; i < relabelled.requests.size(); ++i)
+        relabelled.requests[i].id = 1000000 - i;
+
+    const ModelConfig cfg = pipeModel(AttentionKind::Causal);
+    const StageTiming timing = uniformTiming(0x1p-20, 0.0);
+    auto pool = [](std::uint32_t base) {
+        std::vector<KvCoreInfo> infos;
+        for (std::uint32_t i = 0; i < 4; ++i)
+            infos.push_back({{base, i}, 4, 8});
+        return infos;
+    };
+    std::vector<KvPoolEvent> drops(3);
+    drops[0].time = 0.1;
+    drops[0].dropCores.push_back({0, 3});
+    drops[1].time = 0.16;
+    drops[1].dropCores.push_back({1, 3});
+    drops[2].time = 0.24;
+    drops[2].dropCores.push_back({0, 2});
+    drops[2].adopts.push_back({{{7, 0}, 4, 8}, true});
+
+    for (const bool storm : {false, true}) {
+        SCOPED_TRACE(storm ? "storm" : "no storm");
+        PipelineOptions opts;
+        opts.attentionParallelism = 16.0;
+        if (storm)
+            opts.stormSchedule = &drops;
+        PipelineStats out[2];
+        for (const bool relabel : {false, true}) {
+            BlockKvManager kv(cfg, pool(0), pool(1));
+            out[relabel ? 1 : 0] = runPipeline(
+                    relabel ? relabelled : w, cfg, timing, kv, opts);
+        }
+        EXPECT_EQ(out[0], out[1]);
+        EXPECT_GT(out[0].evictions, 0u);
+        EXPECT_EQ(out[0].stormEvictions > 0, storm);
+    }
 }
 
 TEST(Pipeline, PromptRunsCountEveryAdmissionProbe)
@@ -622,10 +674,10 @@ TEST(Pipeline, PromptRunsCountEveryAdmissionProbe)
 
 TEST(Pipeline, DuplicateRequestIdDies)
 {
-    // Request ids key the engine's eviction bookkeeping, so they must
-    // be unique within a workload. A duplicate is a caller error and
-    // is reported up front, naming both requests - not later, deep
-    // in the KV manager, when the two copies happen to be resident.
+    // Request ids are labels (the engine keys sequences by request
+    // position), but they must be unique within a workload. A
+    // duplicate is a caller error and is reported up front, naming
+    // both requests.
     const ModelConfig cfg = pipeModel();
     Workload w = fixedWorkload(16, 16, 4);
     w.requests[3].id = 1;
