@@ -7,8 +7,9 @@
  *
  * The harness doubles as the serving-scale perf record for the
  * SIMULATOR itself: a >= 64-way concurrent decode-heavy run is
- * executed once through the per-event slow path and once through the
- * cohort decode fast path; the two must agree bit for bit, and the
+ * executed once through the per-event slow path (the lane loop) and
+ * once with decode tokens streamed in runs; the two must agree bit for
+ * bit, and the
  * events/sec of both land in BENCH_fig13_throughput.json so the
  * fast-path speedup is tracked run over run.
  */
@@ -91,12 +92,12 @@ main(int argc, char **argv)
     // --- Serving fast-path record (PR 2) ---
     // 384 decode-heavy chat-like sequences (16-token prompts, 112
     // output tokens) resident at once on the llama-13B deployment.
-    // The pool admits the whole cohort at t=0 and decode stays in
-    // steady state (no thrashing - the operating point a production
-    // admission controller targets), which is exactly the regime the
-    // cohort fast path accelerates. The slow-path run pops every
-    // decode token from the engine's decode lane and grows its KV
-    // per token (cohortFastPath off); both runs must produce
+    // The pool admits all 384 at t=0 and decode stays in steady state
+    // (no thrashing - the operating point a production admission
+    // controller targets), so nearly every token is a decode token
+    // that decode runs stream in place. The slow-path run pops every
+    // decode token from the engine's decode lane as its own event
+    // (cohortFastPath off); both runs must produce
     // bit-identical PipelineStats. Best-of-3 timing on each side
     // keeps the record stable on noisy shared runners.
     const ModelConfig serve_model = llama13b();
@@ -104,13 +105,13 @@ main(int argc, char **argv)
     Workload serving = fixedWorkload(16, 112, 384);
     serving.name = "decode-heavy-384";
 
-    auto engine_run = [&](bool cohort, double &best_wall) {
+    auto engine_run = [&](bool runs, double &best_wall) {
         PipelineStats stats;
         best_wall = 1e300;
         for (int rep = 0; rep < 3; ++rep) {
             BlockKvManager kv = serve_sys.makeKvManager();
             PipelineOptions popts = serve_sys.servingOptions();
-            popts.cohortFastPath = cohort;
+            popts.cohortFastPath = runs;
             const WallTimer timer;
             const PipelineStats rep_stats =
                 runPipeline(serving, serve_model,
@@ -128,9 +129,9 @@ main(int argc, char **argv)
     const PipelineStats slow_stats = engine_run(false, slow_wall);
     const PipelineStats fast_stats = engine_run(true, fast_wall);
     ouroAssert(slow_stats == fast_stats,
-               "fig13: cohort fast path diverged from slow path");
+               "fig13: decode runs diverged from the slow path");
     ouroAssert(fast_stats.peakConcurrency >= 64.0,
-               "fig13: serving cohort below 64 concurrent streams");
+               "fig13: serving run below 64 concurrent streams");
     ouroAssert(fast_stats.evictions == 0 &&
                fast_stats.skippedRequests == 0,
                "fig13: serving run must be thrash-free");
@@ -141,7 +142,7 @@ main(int argc, char **argv)
                  "streams, bit-identical stats):\n"
               << "  slow path: "
               << formatDouble(events / slow_wall, 0)
-              << " events/s   cohort: "
+              << " events/s   runs: "
               << formatDouble(events / fast_wall, 0)
               << " events/s   speedup: "
               << formatDouble(slow_wall / fast_wall, 2) << "x\n";
@@ -172,7 +173,7 @@ main(int argc, char **argv)
         .percentiles("serving_ttft_seconds", fast_stats.ttftSamples)
         .percentiles("serving_inter_token_seconds",
                      fast_stats.interTokenSamples)
-        .text("determinism", "cohort == slow path (asserted)")
+        .text("determinism", "decode runs == slow path (asserted)")
         .write();
     return 0;
 }

@@ -9,8 +9,9 @@
  * handling and dry-pool KV borrowing, storm-schedule resolution on
  * the LLaMA-13B system, day-trace window
  * materialization, the sampled-window simulator, one KV-thrashing
- * pipeline run, and the RNG. These guard the simulator's own
- * performance (the figure harnesses run millions of these calls).
+ * and one all-resident pipeline run, and the RNG. These guard the
+ * simulator's own performance (the figure harnesses run millions of
+ * these calls).
  */
 
 #include <benchmark/benchmark.h>
@@ -728,6 +729,41 @@ BM_RunPipelineThrash(benchmark::State &state)
     state.counters["evictions"] = static_cast<double>(evictions);
 }
 BENCHMARK(BM_RunPipelineThrash);
+
+void
+BM_RunPipelineDecode(benchmark::State &state)
+{
+    // One runPipeline shaped like a decode-steady batch: 512 short
+    // wikiText2Like requests (max_len 128, one KV block per head) on
+    // the LLaMA-13B system's pool and serving options. The whole batch
+    // is resident at once and every sequence fits one KV block per
+    // head, so admission probing does no work and no decode token meets
+    // a block boundary; short decode runs alternate with prompt runs
+    // (about four prompt tokens to each decode token). Arg(0) is the lane loop
+    // (cohortFastPath off, the oracle), Arg(1) streams decode tokens in
+    // runs. Items are pipeline tokens.
+    const auto sys = OuroborosSystem::build(llama13b(), OuroborosParams{});
+    if (!sys) {
+        state.SkipWithError("LLaMA-13B does not fit the wafer");
+        return;
+    }
+    const Workload w = wikiText2Like(512, 128, 41);
+    PipelineOptions opts = sys->servingOptions();
+    opts.cohortFastPath = state.range(0) != 0;
+    std::int64_t tokens = 0;
+    double peak = 0.0;
+    for (auto _ : state) {
+        BlockKvManager kv = sys->makeKvManager();
+        const PipelineStats stats =
+            runPipeline(w, sys->model(), sys->stageTiming(), kv, opts);
+        benchmark::DoNotOptimize(stats.makespanSeconds);
+        tokens += static_cast<std::int64_t>(stats.tokensProcessed);
+        peak = stats.peakConcurrency;
+    }
+    state.SetItemsProcessed(tokens);
+    state.counters["peak_concurrency"] = peak;
+}
+BENCHMARK(BM_RunPipelineDecode)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -15,9 +15,9 @@
  *    options) is bit-identical: the whole FleetResult, stats,
  *    mirrored pool events and resolution counters - the
  *    determinism contract;
- *  - the storm run with the cohort fast path OFF is bit-identical to
- *    the run with it ON (the engine's storm bail-out rule composes
- *    with the existing bit-identity oracle);
+ *  - the storm run with decode runs OFF (cohortFastPath false) is
+ *    bit-identical to the run with them ON (a run stops before a due
+ *    storm event, so runs compose with the bit-identity oracle);
  *  - goodput recovers: after the schedule drains, some throughput
  *    bin (before the drain tail) reaches >= 90% of the pre-storm
  *    rate.
@@ -106,7 +106,7 @@ main(int argc, char **argv)
                "storm_serving: cohort below 64 concurrent streams");
 
     // --- Oracle (a): zero failures == the plain path, bit for bit,
-    // cohort fast path on AND off. ---
+    // decode runs on AND off. ---
     FleetOptions zopts;
     zopts.numWafers = 1;
     zopts.stormWafer = 0;
@@ -142,14 +142,13 @@ main(int argc, char **argv)
     ouroAssert(runFleetServing(sys, cohort, sopts) == storm,
                "storm_serving: storm replay diverged");
 
-    // --- Oracle (c): the storm run is bit-identical with the cohort
-    // fast path disabled (the bail-out rule composes with the
-    // existing fast-path contract). ---
+    // --- Oracle (c): the storm run is bit-identical with decode runs
+    // disabled (runs stop before a due storm event). ---
     FleetOptions slow_opts = sopts;
     slow_opts.cohortFastPath = false;
     ouroAssert(runFleetServing(sys, cohort, slow_opts).fleet == stats,
-               "storm_serving: storm run diverged between cohort "
-               "and slow paths");
+               "storm_serving: storm run diverged between decode "
+               "runs and the slow path");
 
     ouroAssert(stats.stormEvictions > 0,
                "storm_serving: storm never evicted a resident");
@@ -225,8 +224,8 @@ main(int argc, char **argv)
         .percentiles("storm_inter_token_seconds",
                      stats.interTokenSamples)
         .text("determinism",
-              "zero-failure == plain path; replay bitwise; cohort == "
-              "slow path (all asserted)")
+              "zero-failure == plain path; replay bitwise; decode "
+              "runs == slow path (all asserted)")
         .write();
     return 0;
 }

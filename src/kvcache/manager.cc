@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/logging.hh"
 
@@ -97,21 +96,6 @@ BlockKvManager::releaseAlloc(std::vector<CoreState> &ring,
     // Freed space may clear the full mark.
     if (core.free > core.fullBelow)
         core.markedFull = false;
-}
-
-BlockKvManager::SequenceState &
-BlockKvManager::residentSlot(std::uint32_t key)
-{
-    return const_cast<SequenceState &>(
-            std::as_const(*this).residentSlot(key));
-}
-
-const BlockKvManager::SequenceState &
-BlockKvManager::residentSlot(std::uint32_t key) const
-{
-    ouroAssert(resident(key), "BlockKvManager: sequence ", key,
-               " is not resident");
-    return slots_[key];
 }
 
 void
@@ -267,22 +251,6 @@ BlockKvManager::evictMru(std::vector<std::uint32_t> &evicted,
     evicted.push_back(victim);
     ++evictions_;
     return true;
-}
-
-std::uint64_t
-BlockKvManager::growRoom(std::uint32_t key) const
-{
-    return tokensPerBlock_ - residentSlot(key).lastBlockFill;
-}
-
-void
-BlockKvManager::growFast(std::uint32_t key, std::uint64_t n)
-{
-    SequenceState &seq = residentSlot(key);
-    ouroAssert(n <= tokensPerBlock_ - seq.lastBlockFill,
-               "growFast: batch exceeds in-block room");
-    seq.lastBlockFill += static_cast<std::uint32_t>(n);
-    seq.tokens += n;
 }
 
 bool

@@ -59,8 +59,10 @@
 #define OURO_KVCACHE_MANAGER_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "hw/geometry.hh"
 #include "hw/params.hh"
@@ -154,7 +156,9 @@ class BlockKvManager
      * Tokens appendable to resident @p key through the in-block fast
      * path alone (no block allocation, hence no eviction): the room
      * left in the newest K/V block, the same for every head. The
-     * pipeline engine uses this to batch unconstrained decode steps.
+     * pipeline engine's decode runs stream a token only while this
+     * is nonzero. Inline, as is growFast(): a decode run calls both
+     * once per token.
      */
     std::uint64_t growRoom(std::uint32_t key) const;
 
@@ -388,6 +392,37 @@ class BlockKvManager
     void releaseAlloc(std::vector<CoreState> &ring,
                       const HeadAlloc &alloc, std::uint32_t blocks);
 };
+
+inline const BlockKvManager::SequenceState &
+BlockKvManager::residentSlot(std::uint32_t key) const
+{
+    ouroAssert(resident(key), "BlockKvManager: sequence ", key,
+               " is not resident");
+    return slots_[key];
+}
+
+inline BlockKvManager::SequenceState &
+BlockKvManager::residentSlot(std::uint32_t key)
+{
+    return const_cast<SequenceState &>(
+            std::as_const(*this).residentSlot(key));
+}
+
+inline std::uint64_t
+BlockKvManager::growRoom(std::uint32_t key) const
+{
+    return tokensPerBlock_ - residentSlot(key).lastBlockFill;
+}
+
+inline void
+BlockKvManager::growFast(std::uint32_t key, std::uint64_t n)
+{
+    SequenceState &seq = residentSlot(key);
+    ouroAssert(n <= tokensPerBlock_ - seq.lastBlockFill,
+               "growFast: batch exceeds in-block room");
+    seq.lastBlockFill += static_cast<std::uint32_t>(n);
+    seq.tokens += n;
+}
 
 } // namespace ouro
 

@@ -1,9 +1,11 @@
 #include "engine.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,7 +56,8 @@ struct LaneEntry
 
     /** Strict total order: ready, then slot, then generation. The slot
      *  tie-break pins the pop order of simultaneous events, which is
-     *  what lets the cohort fast path replay it exactly. */
+     *  what lets a token run stop exactly where the lane loop would
+     *  switch lanes. */
     bool operator<(const LaneEntry &o) const
     {
         return std::tie(ready, slot, generation) <
@@ -104,33 +107,6 @@ struct Lane
     }
 };
 
-/** One cohort member in the insertion-sorted decode ring. The hot
- *  per-token state is copied OUT of the ActiveSeq at ring build and
- *  written back lazily (completion, eviction, or cohort exit), so
- *  the token loop touches only this flat slot - never the resident
- *  table. */
-struct RingMember
-{
-    double ready;             ///< this member's next event time
-    std::uint64_t generation; ///< residency stamp at ring build
-    ActiveSeq *as;            ///< stable: the table never reallocates
-    std::uint64_t allowance;  ///< in-block tokens before a slow grow
-    std::uint64_t consumed;   ///< deferred tokens for one growFast
-    double attnFree;          ///< ring-local copy of as->attnFree
-    std::uint64_t position;   ///< prefillLen + decoded
-    std::uint64_t decodeRemaining;
-};
-
-/** Ring order: ready, then slot. The members live in one table in
- *  slot order, so their addresses order them as their slots do. */
-bool
-ringBefore(const RingMember &a, const RingMember &b)
-{
-    if (a.ready != b.ready)
-        return a.ready < b.ready;
-    return a.as < b.as;
-}
-
 /** One server per stage kind (the representative block's tandem
  *  queue) plus the run's work aggregates. */
 struct StageClocks
@@ -165,8 +141,8 @@ walkStages(StageClocks &c, double cursor, double &attn_free,
     }
 }
 
-/** THE stage walk of every item on every path (lane loop, prompt
- *  run, cohort ring), so their op order cannot drift apart. Blocks
+/** THE stage walk of every item on every path (lane loop and token
+ *  runs), so their op order cannot drift apart. Blocks
  *  2..N add latency (@p tail_blocks x one block), not contention.
  *  @p attn_free is wherever the caller keeps the sequence's attention
  *  clock. Returns the item's completion time. */
@@ -299,6 +275,12 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             const StageTiming &timing, BlockKvManager &kv,
             const PipelineOptions &opts)
 {
+    if (!std::isfinite(opts.throughputBinSeconds) ||
+        opts.throughputBinSeconds < 0.0) {
+        fatal("runPipeline: PipelineOptions::throughputBinSeconds = ",
+              opts.throughputBinSeconds,
+              " (must be finite and >= 0; 0 disables binning)");
+    }
     PipelineStats stats;
 
     const auto blocks = static_cast<double>(model.numBlocks);
@@ -360,10 +342,6 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     StageClocks clocks;
     const double tail_blocks = blocks - 1.0;
 
-    /** Resident sequences still streaming prefill tokens; the cohort
-     *  fast path is legal only when this is zero. */
-    std::size_t prefill_count = 0;
-
     auto admission_tokens = [&](const Pending &p) -> std::uint64_t {
         return opts.staticKvAllocation ? opts.maxContext
                                        : p.prefillLen;
@@ -389,8 +367,6 @@ runPipeline(const Workload &workload, const ModelConfig &model,
                              .nextReady = now, .generation = p.generation,
                              .live = true};
             ++residents;
-            if (p.prefillLen > 0)
-                ++prefill_count;
             prefill_lane.push({now, p.slot, p.generation});
             queue.pop_front();
         }
@@ -430,18 +406,17 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             } else {
                 stats.evictions += 1;
             }
-            if (seq.prefillEntered < seq.prefillLen)
-                --prefill_count;
             seq.live = false;
             --residents;
             admissions_suspended = true;
         }
     };
 
-    // Serving-latency samples, pushed when a request COMPLETES (both
-    // decode paths - per-event and cohort ring - process completions
-    // in the same deterministic event order, so the sample vectors
-    // are part of their bit-identity contract).
+    // Serving-latency samples, pushed when a request COMPLETES. Only
+    // the lane loop completes requests (a run stops before a last
+    // decode token), in the deterministic event order, so the sample
+    // vectors are part of the runs-on == runs-off bit-identity
+    // contract.
     auto record_completion = [&](double first_done, double last_done,
                                  std::uint64_t decoded) {
         if (decoded == 0)
@@ -455,8 +430,9 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     };
 
     // A decode token left the pipeline at `completion`: count it and,
-    // when binning is on, histogram it (both decode paths call this,
-    // so the curve shares their bit-identity contract).
+    // when binning is on, histogram it (the lane loop and decode runs
+    // both call this, so the curve shares their bit-identity
+    // contract).
     const double bin_w = opts.throughputBinSeconds;
     auto note_output = [&](double completion) {
         stats.outputTokens += 1;
@@ -471,8 +447,8 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 
     // --- Failure-storm schedule (PR 9) ---
     // Null/empty leaves every code path below bit-identical to a
-    // plain run: storm_pending() is constant-false, so the cohort
-    // ring gains no bail-out and no event ever applies.
+    // plain run: storm_pending() is constant-false, so no token run
+    // stops for a storm and no event ever applies.
     const std::vector<KvPoolEvent> *storm =
         (opts.stormSchedule && !opts.stormSchedule->empty())
             ? opts.stormSchedule
@@ -501,184 +477,31 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 #endif
     };
 
-    // Cohort decode fast path: with every resident sequence in steady
-    // decode and nothing waiting to be admitted, the lanes' pop order
-    // is a pure (ready, slot) merge of autoregressive chains. Replay
-    // it in an insertion-sorted ring: no lane traffic, no stale
-    // entries to skip, and per-sequence KV growth batched into one
-    // growFast per in-block run. Block-boundary allocations happen
-    // in ring order, so results stay bit-identical to the slow path;
-    // the ring is abandoned the moment anything contends (eviction,
-    // admission).
-    auto cohort_pass = [&]() {
-        const bool static_kv = opts.staticKvAllocation;
-        auto slot_of = [&](const RingMember &m) {
-            return static_cast<std::uint32_t>(m.as - table.data());
-        };
-
-        // Gather the one live lane entry of every resident sequence,
-        // copying the hot per-token state into the flat ring slots.
-        std::vector<RingMember> ring;
-        ring.reserve(residents);
-        for (Lane *lane : {&prefill_lane, &decode_lane}) {
-            for (std::size_t k = 0; k < lane->count; ++k) {
-                const LaneEntry &entry = lane->at(k);
-                if (ActiveSeq *as = live_entry(entry)) {
-                    ring.push_back({entry.ready, entry.generation, as,
-                                    0, 0, as->attnFree,
-                                    as->prefillLen + as->decoded,
-                                    as->decodeRemaining});
-                }
-            }
-            lane->count = 0;
-        }
-        ouroAssert(ring.size() == residents,
-                   "cohort: live lane entries != resident sequences");
-        std::sort(ring.begin(), ring.end(), ringBefore);
-        for (auto &m : ring) {
-            m.allowance = static_kv ? m.decodeRemaining
-                                    : kv.growRoom(slot_of(m));
-        }
-
-        // Write a member's ring-local progress back to its ActiveSeq
-        // (needed whenever slow-path machinery may look at it).
-        auto sync_member = [&](const RingMember &m) {
-            ActiveSeq &seq = *m.as;
-            seq.decoded = m.position - seq.prefillLen;
-            seq.decodeRemaining = m.decodeRemaining;
-            seq.nextReady = m.ready;
-            seq.attnFree = m.attnFree;
-        };
-
-        // Circular buffer over `ring`: members [head, head+count).
-        const std::size_t cap = ring.size();
-        std::size_t head = 0;
-        std::size_t count = ring.size();
-        auto at = [&](std::size_t k) -> RingMember & {
-            return ring[(head + k) % cap];
-        };
-
-        bool bail = false;
-        while (!bail && count > 0) {
-            RingMember m = at(0);
-            head = (head + 1) % cap;
-            --count;
-
-            bool contended = false;
-            if (!static_kv) {
-                if (m.allowance == 0) {
-                    // Block boundary: flush the deferred in-block
-                    // growth, then allocate exactly as the slow path
-                    // would for this token. Eviction bookkeeping
-                    // reads ActiveSeq progress, so sync everyone
-                    // before a grow that may evict.
-                    const std::uint32_t slot = slot_of(m);
-                    if (m.consumed > 0) {
-                        kv.growFast(slot, m.consumed);
-                        m.consumed = 0;
-                    }
-                    sync_member(m);
-                    for (std::size_t k = 0; k < count; ++k)
-                        sync_member(at(k));
-                    const KvResult grown = kv.grow(slot);
-                    if (!grown.evicted.empty()) {
-                        evict(grown.evicted, EvictCause::Capacity);
-                        contended = true; // queue is non-empty now
-                    }
-                    if (!grown.ok) {
-                        // Pool too small even after evicting everyone
-                        // else: evict self (slow-path semantics). A
-                        // grow never evicts the grower, so it is
-                        // still resident.
-                        evict({slot}, EvictCause::Capacity);
-                        kv.release(slot);
-                        pump_admissions(clocks.makespan);
-                        bail = true;
-                        break; // member dropped, not reinserted
-                    }
-                    m.allowance = kv.growRoom(slot);
-                } else {
-                    --m.allowance;
-                    ++m.consumed;
-                }
-            }
-
-            // Decode step on ring-local state: same builder and the
-            // SAME advanceItem as the lane loop (bit-identity by
-            // construction), only the attention clock lives in the
-            // ring slot instead of the ActiveSeq.
-            const ItemTiming item =
-                freshTokenItem(timing, m.position + 1);
-            const double entry = std::max(m.ready, clocks.free[0]);
-            const double completion = advanceItem(
-                    clocks, tail_blocks, m.ready, m.attnFree, item);
-
-            if (m.position == m.as->prefillLen)
-                m.as->firstTokenDone = completion; // first decode
-            m.position += 1;
-            m.decodeRemaining -= 1;
-            note_output(completion);
-            m.ready = completion; // autoregressive gating
-
-            if (m.decodeRemaining == 0) {
-                record_completion(m.as->firstTokenDone, completion,
-                                  m.position - m.as->prefillLen);
-                const std::uint32_t slot = slot_of(m);
-                if (!static_kv && m.consumed > 0)
-                    kv.growFast(slot, m.consumed);
-                complete(slot, entry);
-                if (contended)
-                    bail = true;
-                continue; // member dropped
-            }
-
-            // Reinsert at the sorted position. Autoregressive
-            // completions almost always land at the back, so scan
-            // from the tail; the freed front slot absorbs the shift.
-            std::size_t j = count;
-            while (j > 0 && ringBefore(m, at(j - 1))) {
-                at(j) = at(j - 1);
-                --j;
-            }
-            at(j) = m;
-            ++count;
-            if (contended)
-                bail = true; // evictions re-queued work: fall back
-        }
-
-        // Survivors sync back and return to the decode lane with their
-        // deferred KV growth committed. Evicted members are skipped:
-        // either no longer live, or re-admitted under a NEW generation
-        // (pump_admissions pushed their fresh lane entry, so re-pushing
-        // this stale membership would duplicate them).
-        for (std::size_t k = 0; k < count; ++k) {
-            const RingMember &m = at(k);
-            if (!m.as->live || m.as->generation != m.generation)
-                continue;
-            sync_member(m);
-            if (!static_kv && m.consumed > 0)
-                kv.growFast(slot_of(m), m.consumed);
-            decode_lane.push({m.ready, slot_of(m), m.generation});
-        }
-    };
-
-    // Token-grained prompt runs (Section 4.2.1 streams a sequence's
-    // prompt tokens back to back): while the prefill lane's front is
-    // the next event, stream its non-final prompt tokens with the lane
-    // cursor and the stage clocks in locals. A run stops before the
-    // decode front, a due storm event, a stale entry or a final prompt
-    // token; the lane loop takes those. A run touches neither the
-    // pool, the queue nor the suspension flag, so whether
+    // Token runs (Section 4.2.1 streams each sequence's tokens back to
+    // back): while a lane's front is the next event, stream it in
+    // place with the lane cursor and the stage clocks in locals. The
+    // prefill lane streams non-final prompt tokens, the decode lane
+    // decode tokens; either way the successor re-enters the same lane.
+    // The lane is a compile-time tag (std::true_type for decode), so
+    // each lane's token loop carries no per-token lane branch.
+    // A run stops before the other lane's front (in full lane order), a
+    // due storm event, a stale entry, a final prompt token, a last
+    // decode token or a decode token with no room left in its newest
+    // KV block; the lane loop takes those. In-block growth is
+    // growFast, which leaves the capacity epoch alone, and a run
+    // touches neither the queue nor the suspension flag, so whether
     // pump_admissions() is idle is decided once: it is when the queue
     // is empty, admissions are suspended, or the capacity epoch
     // answers the queue head (the run then counts each token's skipped
     // probe). Otherwise the run is one token and one pump, as in the
     // lane loop. Returns whether a token was processed.
-    auto prompt_run = [&]() -> bool {
+    auto token_run = [&](auto decode_tag) -> bool {
         constexpr double kNever = std::numeric_limits<double>::infinity();
-        const LaneEntry decode_front = decode_lane.count > 0
-                                           ? decode_lane.at(0)
-                                           : LaneEntry{kNever, 0, 0};
+        constexpr bool decode = decltype(decode_tag)::value;
+        Lane &lane = decode ? decode_lane : prefill_lane;
+        Lane &other = decode ? prefill_lane : decode_lane;
+        const LaneEntry other_front =
+            other.count > 0 ? other.at(0) : LaneEntry{kNever, 0, 0};
         const double storm_due =
             storm_pending() ? (*storm)[storm_next].time : kNever;
         const bool suspended = admissions_suspended && residents > 0;
@@ -686,40 +509,63 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             !queue.empty() && !suspended &&
             kv.admitSkips(admission_tokens(queue.front()));
         const bool pump_idle = queue.empty() || suspended || skips;
+        const bool grows = decode && !opts.staticKvAllocation;
 
         // Each token pops the front and inserts its successor, so the
         // count never changes and the buffer never grows.
-        LaneEntry *const buf = prefill_lane.buf.data();
-        const std::size_t mask = prefill_lane.buf.size() - 1;
-        const std::size_t count = prefill_lane.count;
-        std::size_t head = prefill_lane.head;
+        LaneEntry *const buf = lane.buf.data();
+        const std::size_t mask = lane.buf.size() - 1;
+        const std::size_t count = lane.count;
+        std::size_t head = lane.head;
         StageClocks clk = clocks;
         std::uint64_t ran = 0;
         double entry = 0.0;
         for (;;) {
             const LaneEntry top = buf[head];
-            if (decode_front < top || storm_due <= top.ready)
+            if (other_front < top || storm_due <= top.ready)
                 break;
             ActiveSeq *const seq = live_entry(top);
-            if (!seq || seq->prefillEntered + 1 >= seq->prefillLen)
+            if (!seq)
                 break;
-            // Causal: the token's own attention. With a block mask the
-            // attention is deferred to the final token (Fig. 5c).
-            const ItemTiming item =
-                pure_tgp ? freshTokenItem(
-                                   timing,
-                                   attendedContext(model.attention,
-                                                   seq->prefillEntered,
-                                                   seq->prefillLen))
-                         : blocked_deferred;
+            ItemTiming item;
+            if constexpr (decode) {
+                if (seq->decodeRemaining == 1 ||
+                    (grows && kv.growRoom(top.slot) == 0))
+                    break;
+                if (grows)
+                    kv.growFast(top.slot, 1);
+                item = freshTokenItem(timing,
+                                      seq->prefillLen + seq->decoded + 1);
+            } else {
+                if (seq->prefillEntered + 1 >= seq->prefillLen)
+                    break;
+                // Causal: the token's own attention. With a block mask
+                // the attention is deferred to the final token (Fig. 5c).
+                item = pure_tgp ? freshTokenItem(
+                                          timing,
+                                          attendedContext(
+                                                  model.attention,
+                                                  seq->prefillEntered,
+                                                  seq->prefillLen))
+                                : blocked_deferred;
+            }
             entry = std::max(seq->nextReady, clk.free[0]);
-            advanceItem(clk, tail_blocks, seq->nextReady, seq->attnFree,
-                        item);
-            seq->prefillEntered += 1;
-            seq->nextReady = entry; // the next prompt token streams
+            const double completion = advanceItem(
+                    clk, tail_blocks, seq->nextReady, seq->attnFree, item);
+            if constexpr (decode) {
+                if (seq->decoded == 0)
+                    seq->firstTokenDone = completion;
+                seq->decoded += 1;
+                seq->decodeRemaining -= 1;
+                note_output(completion);
+                seq->nextReady = completion; // autoregressive gating
+            } else {
+                seq->prefillEntered += 1;
+                seq->nextReady = entry; // the next prompt token streams
+            }
             seq->generation += 1;
             head = (head + 1) & mask;
-            const LaneEntry next{entry, top.slot, seq->generation};
+            const LaneEntry next{seq->nextReady, top.slot, seq->generation};
             std::size_t j = count - 1;
             for (; j > 0 && next < buf[(head + j - 1) & mask]; --j)
                 buf[(head + j) & mask] = buf[(head + j - 1) & mask];
@@ -727,15 +573,15 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 #ifndef NDEBUG
             ouroAssert(j == 0 || !(next < buf[(head + j - 1) & mask]),
                        "lane: entry ordered before its predecessor");
-            ouroAssert(top < decode_front && top.ready < storm_due,
-                       "prompt run: processed an entry at or after "
-                       "the decode front or a due storm event");
+            ouroAssert(top < other_front && top.ready < storm_due,
+                       "token run: processed an entry at or after the "
+                       "other lane's front or a due storm event");
 #endif
             ++ran;
             if (!pump_idle)
                 break;
         }
-        prefill_lane.head = head;
+        lane.head = head;
         clocks = clk;
         if (skips)
             kv.countSkippedProbes(ran);
@@ -775,23 +621,15 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             continue;
         }
 
-        // Cohort fast path entry: every resident sequence decoding
-        // (a lone stream is a cohort of one) and nobody waiting for
-        // admission. O(1) eligibility thanks to the running
-        // prefill_count. A pending storm event bails out BEFORE
-        // entry: the ring advances members past the event time with
-        // no event check in its token loop.
-        if (opts.cohortFastPath && prefill_count == 0 &&
-            queue.empty() && residents > 0 && !storm_pending()) {
-            cohort_pass();
-            continue;
-        }
-
-        if (token_grained && &first_lane() == &prefill_lane &&
-            prompt_run())
+        // Runs stream prompt tokens under token-grained pipelining and
+        // decode tokens unless cohortFastPath picks the lane loop.
+        Lane &lane = first_lane();
+        if (&lane == &decode_lane
+                ? opts.cohortFastPath && token_run(std::true_type{})
+                : token_grained && token_run(std::false_type{}))
             continue;
 
-        const LaneEntry top = first_lane().pop();
+        const LaneEntry top = lane.pop();
         ActiveSeq *const live = live_entry(top);
         if (!live)
             continue; // stale: its residency was evicted
@@ -853,7 +691,6 @@ runPipeline(const Workload &workload, const ModelConfig &model,
         // of the pipeline.
         if (is_prefill) {
             seq.prefillEntered = seq.prefillLen;
-            --prefill_count;
             seq.nextReady = completion;
             if (seq.decodeRemaining == 0) {
                 complete(top.slot, entry);

@@ -128,14 +128,14 @@ struct PipelineStats
 
     /**
      * Per-completed-request serving latencies (seconds), pushed in
-     * completion-processing order - identical on the cohort fast
-     * path and the lane loop (part of their bit-identity
-     * contract). TTFT is the completion time of the request's first
-     * decode token in its final (completing) residency, measured
-     * from run start (queueing delay included); the inter-token
-     * sample is the request's mean decode-token spacing (recorded
-     * only for requests with >= 2 decode tokens). Evicted
-     * residencies contribute nothing until the request completes.
+     * completion-processing order - identical with decode runs on
+     * and off (part of their bit-identity contract). TTFT is the
+     * completion time of the request's first decode token in its
+     * final (completing) residency, measured from run start
+     * (queueing delay included); the inter-token sample is the
+     * request's mean decode-token spacing (recorded only for
+     * requests with >= 2 decode tokens). Evicted residencies
+     * contribute nothing until the request completes.
      */
     std::vector<double> ttftSamples;
     std::vector<double> interTokenSamples;
@@ -227,34 +227,32 @@ struct PipelineOptions
     double attentionParallelism = 1.0;
 
     /**
-     * Cohort decode fast path (PR 2): when every resident sequence
-     * (one or more) is in steady decode and the admission queue is
-     * empty, the engine's deterministic event order - (ready,
-     * request position, generation) across its prefill and decode
-     * lanes - is replayed in an insertion-sorted ring: no lane pushes
-     * or pops, no stale entries to skip, KV growth batched through
-     * growFast. Results are bit-identical to the lane loop (tests
-     * assert this); off, every decode token is popped from the
-     * decode lane as its own event - disable only to measure that
-     * path or to bisect.
+     * Decode runs: while the decode lane's front is the next event
+     * in the engine's (ready, request position, generation) order,
+     * its decode tokens stream in place, as prompt tokens do, up to
+     * the prefill lane's front, a due storm event, a last decode
+     * token or a KV block boundary. Results are bit-identical to the
+     * lane loop (tests assert this); off, every decode token is
+     * popped from the decode lane as its own event - the reference
+     * for those tests, and a way to measure that path or to bisect.
+     * (The name predates decode runs; it selected the cohort decode
+     * ring they replaced.)
      */
     bool cohortFastPath = true;
 
     /**
      * Failure-storm schedule (PR 9), sorted by nondecreasing time;
-     * null or empty leaves the engine BIT-IDENTICAL to today. An
-     * event applies once its time is <= the earlier lane front.
-     * While any event is still pending the engine stays on the lane
-     * loop (the cohort ring is not entered): the ring can jump the
-     * run clock past a pending event, which would let tokens decode
-     * against KV the storm already destroyed. Once the schedule
-     * drains, the ring resumes - that resumption is the measured
-     * recovery.
+     * null or empty leaves the engine BIT-IDENTICAL to a run without
+     * one. An event applies once its time is <= the earlier lane
+     * front. Token runs, prompt and decode, continue while an event
+     * is pending but stop before any front due at or after it, so no
+     * token decodes against KV the storm already destroyed.
      */
     const std::vector<KvPoolEvent> *stormSchedule = nullptr;
 
     /** Width of the outputTokenBins histogram; 0 disables binning
-     *  (no other stat is affected either way). */
+     *  (no other stat is affected either way). NaN, infinite or
+     *  negative widths are fatal. */
     double throughputBinSeconds = 0.0;
 
     bool operator==(const PipelineOptions &) const = default;

@@ -129,11 +129,13 @@ struct FleetOptions
     /** Options for the rebuilt-per-run recovery service. */
     RecoveryServiceOptions recovery;
 
-    /** Forwarded to PipelineOptions::cohortFastPath. */
+    /** Forwarded to PipelineOptions::cohortFastPath (decode runs;
+     *  false sends every decode token through the lane loop). */
     bool cohortFastPath = true;
 
     /** Forwarded to PipelineOptions::throughputBinSeconds on EVERY
-     *  wafer (one width fleet-wide - mergeConcurrent asserts it). */
+     *  wafer (one width fleet-wide - mergeConcurrent asserts it);
+     *  runPipeline rejects NaN, infinite and negative widths. */
     double throughputBinSeconds = 0.0;
 
     /** Forwarded to PipelineOptions::attentionParallelism; the

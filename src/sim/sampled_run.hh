@@ -16,7 +16,7 @@
  *      (systematic sampling with a counter-seeded offset - the same
  *      selection on every run and thread count);
  *   3. event-steps the measured windows through the existing
- *      PipelineEngine (cohort fast path untouched), fanning chains
+ *      PipelineEngine (decode runs untouched), fanning chains
  *      out over parallelFor with per-index result slots, so the
  *      parallel run is bit-identical to the serial one (the PR 1
  *      sweep contract);

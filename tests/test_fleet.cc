@@ -137,7 +137,7 @@ TEST(FleetServing, SingleWaferCollapsesToPlainServing)
 {
     // N=1 collapse oracle: the whole fleet layer must vanish - one
     // wafer is bit-identical to a direct runPipeline over the
-    // system's pool and serving options, cohort ring on AND off, and
+    // system's pool and serving options, decode runs on AND off, and
     // with or without an armed zero-failure storm on the wafer (a
     // zero-failure storm run is the plain serving path).
     const ModelConfig model = llama13b();

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <ios>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -247,9 +248,10 @@ TEST(Pipeline, DeterministicAcrossRuns)
     EXPECT_EQ(a, b);
 }
 
-/** Run a workload with the cohort fast path force-disabled and
- *  enabled; every PipelineStats field must agree exactly, latency
- *  sample ORDER included. Returns the cohort-path stats. */
+/** Run a workload with decode runs force-disabled (every decode
+ *  token through the lane loop) and enabled; every PipelineStats
+ *  field must agree exactly, latency sample ORDER included. Returns
+ *  the decode-run stats. */
 PipelineStats
 expectCohortBitIdentical(const ModelConfig &cfg, const Workload &w,
                          const StageTiming &timing,
@@ -276,8 +278,8 @@ expectCohortBitIdentical(const ModelConfig &cfg, const Workload &w,
 TEST(CohortFastPath, BitIdenticalDecodeHeavy)
 {
     // The flagship regime: many concurrent sequences in steady
-    // decode, crossing KV block boundaries (decode > 128) inside
-    // the ring.
+    // decode, crossing KV block boundaries (decode > 128), where
+    // runs stop and the lane loop grows.
     const ModelConfig cfg = pipeModel();
     expectCohortBitIdentical(cfg, fixedWorkload(16, 300, 24),
                              uniformTiming(), bigPool(64, 0),
@@ -287,7 +289,7 @@ TEST(CohortFastPath, BitIdenticalDecodeHeavy)
 TEST(CohortFastPath, BitIdenticalMixedLengths)
 {
     // Variable lengths stagger block boundaries and completions, so
-    // the ring is entered and exited many times mid-run.
+    // decode runs start and stop many times mid-run.
     const ModelConfig cfg = pipeModel();
     expectCohortBitIdentical(cfg, wikiText2Like(48, 512, 3),
                              uniformTiming(), bigPool(64, 0),
@@ -296,9 +298,9 @@ TEST(CohortFastPath, BitIdenticalMixedLengths)
 
 TEST(CohortFastPath, BitIdenticalUnderEvictions)
 {
-    // Tight pool: growth collides, sequences are evicted from inside
-    // the cohort, re-queued and re-admitted. The fast path must bail
-    // out and replay the slow path exactly.
+    // Tight pool: growth collides, sequences are evicted mid-decode,
+    // re-queued and re-admitted, leaving stale entries that stop
+    // runs. Runs must replay the lane loop exactly.
     const ModelConfig cfg = pipeModel();
     const Workload w = fixedWorkload(512, 1024, 16);
 
@@ -336,8 +338,8 @@ TEST(CohortFastPath, BitIdenticalSequenceGrained)
 
 TEST(CohortFastPath, BitIdenticalSingleLongDecode)
 {
-    // A cohort of one: a lone long decode in a big pool crosses KV
-    // block boundaries every tokens_per_block steps inside the ring.
+    // A lone long decode in a big pool crosses a KV block boundary
+    // every tokens_per_block steps, stopping each run there.
     const ModelConfig cfg = pipeModel();
     const PipelineStats stats = expectCohortBitIdentical(
             cfg, fixedWorkload(32, 5000, 1), uniformTiming(),
@@ -350,9 +352,9 @@ TEST(CohortFastPath, BitIdenticalSingleLongDecode)
 TEST(CohortFastPath, BitIdenticalLoneSequenceOutgrowsPool)
 {
     // A lone sequence outgrows a tiny pool: its block-boundary grow
-    // fails with nobody else to evict, so it evicts itself (the
-    // ring's failed-grow branch at a cohort of one), and its grown
-    // re-prefill no longer fits, so it is skipped.
+    // fails with nobody else to evict, so it evicts itself (the lane
+    // loop's failed-grow branch, reached from a decode run's stop),
+    // and its grown re-prefill no longer fits, so it is skipped.
     const ModelConfig cfg = pipeModel();
     std::vector<KvCoreInfo> tiny_score, tiny_context;
     for (std::uint32_t i = 0; i < 4; ++i) {
@@ -457,10 +459,10 @@ expectGolden(const OrderGolden &want, const PipelineStats &got)
 TEST(Pipeline, EventOrderGolden)
 {
     // Pins the engine's event order itself, not just agreement
-    // between its two decode paths: a tie-break change (simultaneous
-    // events popped out of (ready, slot, generation) order) moves the
-    // latency samples and the makespan, and fails here even though
-    // every cohort-on == cohort-off oracle still agrees. Uniform
+    // between decode runs and the lane loop: a tie-break change
+    // (simultaneous events popped out of (ready, slot, generation)
+    // order) moves the latency samples and the makespan, and fails
+    // here even though every runs-on == runs-off oracle still agrees. Uniform
     // stage times make equal ready times common; the tight pool
     // (4 crossbars x 8 blocks per core) evicts, so stale entries and
     // re-admissions are exercised.
@@ -685,6 +687,29 @@ TEST(Pipeline, DuplicateRequestIdDies)
     EXPECT_EXIT({ runPipeline(w, cfg, uniformTiming(), kv); },
                 ::testing::ExitedWithCode(1),
                 "requests\\[3\\]\\.id = 1 duplicates requests\\[1\\]");
+}
+
+TEST(Pipeline, BadThroughputBinWidthDies)
+{
+    // The histogram width must be finite and >= 0 (0 turns binning
+    // off). Anything else is a caller error reported up front, naming
+    // the field and the value, rather than NaN aborting inside the
+    // binning, -1 silently turning it off, or inf stamping an
+    // infinite width. The fleet forwards its width here unchanged.
+    const ModelConfig cfg = pipeModel();
+    const Workload w = fixedWorkload(16, 16, 4);
+    auto run = [&](double width) {
+        auto kv = bigKv(cfg);
+        PipelineOptions opts;
+        opts.throughputBinSeconds = width;
+        runPipeline(w, cfg, uniformTiming(), kv, opts);
+    };
+    EXPECT_DEATH(run(std::numeric_limits<double>::quiet_NaN()),
+                 "PipelineOptions::throughputBinSeconds = nan");
+    EXPECT_DEATH(run(std::numeric_limits<double>::infinity()),
+                 "PipelineOptions::throughputBinSeconds = inf");
+    EXPECT_DEATH(run(-1.0),
+                 "PipelineOptions::throughputBinSeconds = -1");
 }
 
 TEST(WorkloadGen, FixedWorkloadShape)

@@ -148,7 +148,7 @@ TEST(StormEngine, NullAndEmptyScheduleBitIdentical)
 {
     // The zero-failure oracle at the engine level: a null schedule,
     // an empty schedule, and the pre-PR-9 default must all produce
-    // bit-identical stats - with the cohort fast path on and off.
+    // bit-identical stats - with decode runs on and off.
     const ModelConfig cfg = pipeModel();
     const Workload w = fixedWorkload(64, 48, 40);
     const std::vector<KvPoolEvent> empty_schedule;
@@ -236,8 +236,8 @@ TEST(StormEngine, AdoptGrowsPoolMidRun)
 
 TEST(StormEngine, CohortAndSlowPathAgreeUnderStorm)
 {
-    // The storm path itself must keep the fast-path bit-identity
-    // contract: same schedule, cohort on vs off, identical stats.
+    // The storm path itself must keep the decode-run bit-identity
+    // contract: same schedule, runs on vs off, identical stats.
     const ModelConfig cfg = pipeModel();
     const Workload w = fixedWorkload(32, 64, 48);
     auto kv_plain = bigKv(cfg);
