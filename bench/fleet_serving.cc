@@ -80,9 +80,8 @@ main(int argc, char **argv)
     const double serial_wall = serial_timer.seconds();
 
     const WallTimer parallel_timer;
-    const FleetResult fleet = runFleetServing(sys, trace, 0.0,
-                                              trace.daySeconds(),
-                                              fopts);
+    const FleetResult fleet = runFleetServing(
+            sys, trace.window(0.0, trace.daySeconds()), fopts);
     const double parallel_wall = parallel_timer.seconds();
     ouroAssert(serial == fleet,
                "fleet_serving: parallel fleet diverged from serial");

@@ -289,8 +289,6 @@ RecoveryService::handleCoreFailure(CoreCoord failed)
     // path. The marks wait for the caller's flushRepricing().
     if (!out.remap.moves.empty())
         markDirtyEdges(reg.replica, reg.block);
-    if (observer_)
-        observer_(failed, out);
     return out;
 }
 

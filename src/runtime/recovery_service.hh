@@ -3,10 +3,10 @@
  * Wafer-level fault-recovery service (paper Section 4.3.3 scaled to
  * whole-wafer failure storms).
  *
- * Before this subsystem existed, recovery was a per-placement affair:
- * every caller built its own RecoveryIndex, owned its own mesh/defect
- * state, and a block whose KV pool ran dry simply failed. The
- * RecoveryService makes the fault domain first-class: it owns
+ * A RecoveryService is the whole mutable fault state of one wafer;
+ * OuroborosSystem::makeRecoveryService() builds one over the
+ * system's immutable mapping and defect map, and the caller owns it
+ * (the system keeps none). It owns
  *
  *  - one mutable BlockPlacement per (replica, block) region, copied
  *    from the WaferMapping at construction (the mapping itself stays
@@ -23,7 +23,9 @@
  * handleCoreFailure(core) is the single entry point: it routes the
  * failure to the owning region's index, runs the replacement-chain
  * recovery there, and marks the affected inter-block activation
- * flows of that chain dirty. The marks accumulate across a whole
+ * flows of that chain dirty. The returned FailureOutcome is all a
+ * caller learns of the failure: resolveStormSchedule
+ * (sim/storm_run.hh) mirrors it into the serving KV pool. The marks accumulate across a whole
  * failure storm and flushRepricing() prices each distinct edge exactly
  * once (through the cached mesh) when a caller wants the figure; a
  * caller that wants per-failure prices flushes after every failure.
@@ -56,7 +58,6 @@
 #define OURO_RUNTIME_RECOVERY_SERVICE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -211,24 +212,6 @@ class RecoveryService
 
     const RecoveryServiceOptions &options() const { return opts_; }
 
-    /**
-     * Serving callback surface (PR 9): the observer fires at the end
-     * of every SUCCESSFUL handleCoreFailure, after the service's own
-     * state (placements, ownership, borrows, dirty edges) is fully
-     * updated, with the failed core and the outcome. A serving layer
-     * hooks this to mirror placement changes into the live KV pool
-     * (drop the dead/absorbed KV cores, adopt the borrowed ones).
-     * Failures the service rejects (unowned core, exhausted chain)
-     * never fire it. Null disables (the default - pure pre-PR-9
-     * behaviour).
-     */
-    using FailureObserver =
-        std::function<void(CoreCoord, const FailureOutcome &)>;
-    void setFailureObserver(FailureObserver observer)
-    {
-        observer_ = std::move(observer);
-    }
-
   private:
     /** One replica-chain region's mutable recovery state. */
     struct Region
@@ -316,8 +299,6 @@ class RecoveryService
     std::uint64_t recoveries_ = 0;
     std::uint64_t borrowCount_ = 0;
     std::uint64_t repricedEdges_ = 0;
-
-    FailureObserver observer_;
 };
 
 } // namespace ouro

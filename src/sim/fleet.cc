@@ -41,26 +41,15 @@ fleetDispatch(const Workload &workload,
     std::vector<std::uint32_t> assignment;
     assignment.reserve(workload.requests.size());
     for (const Request &r : workload.requests) {
-        const std::int64_t pin =
-            config.affinity ? config.affinity(r) : -1;
+        // Strict < keeps the lowest-index tie-break: a later wafer
+        // replaces the incumbent only when strictly less loaded.
         std::uint32_t best = 0;
-        if (pin >= 0) {
-            ouroAssert(static_cast<std::uint64_t>(pin) <
-                               config.numWafers,
-                       "fleetDispatch: affinity hook returned wafer ",
-                       pin, " of ", config.numWafers);
-            best = static_cast<std::uint32_t>(pin);
-        } else {
-            // Strict < keeps the lowest-index tie-break: a later
-            // wafer replaces the incumbent only when strictly less
-            // loaded.
-            double best_key = key(0);
-            for (std::uint32_t w = 1; w < config.numWafers; ++w) {
-                const double k = key(w);
-                if (k < best_key) {
-                    best_key = k;
-                    best = w;
-                }
+        double best_key = key(0);
+        for (std::uint32_t w = 1; w < config.numWafers; ++w) {
+            const double k = key(w);
+            if (k < best_key) {
+                best_key = k;
+                best = w;
             }
         }
         assignment.push_back(best);
@@ -168,7 +157,6 @@ runFleetServing(const OuroborosSystem &sys, const Workload &workload,
     // wafer's weight is derated by the resolved net pool loss.
     FleetDispatchConfig dispatch;
     dispatch.numWafers = opts.numWafers;
-    dispatch.affinity = opts.affinity;
     dispatch.capacityWeight.assign(opts.numWafers, 1.0);
     if (!result.events.empty()) {
         dispatch.capacityWeight[opts.stormWafer] =
@@ -230,13 +218,6 @@ runFleetServing(const OuroborosSystem &sys, const Workload &workload,
         result.kvProbesSkipped += skips;
     }
     return result;
-}
-
-FleetResult
-runFleetServing(const OuroborosSystem &sys, const DayTrace &trace,
-                double t0, double t1, const FleetOptions &opts)
-{
-    return runFleetServing(sys, trace.window(t0, t1), opts);
 }
 
 } // namespace ouro

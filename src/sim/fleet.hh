@@ -1,9 +1,10 @@
 /**
  * @file
- * Fleet-scale serving (PR 10): a deterministic cluster front-end
- * over N wafers. "Millions of users" means many wafers behind a
- * router, not one PipelineEngine - this layer promotes the
- * multi-wafer story from a static cost sweep to served traffic.
+ * Fleet-scale serving: a deterministic cluster front-end over N
+ * wafers. "Millions of users" means many wafers behind a router, not
+ * one PipelineEngine - this layer promotes the multi-wafer story
+ * from a static cost sweep to served traffic. It serves a Workload;
+ * a day-trace window is served as trace.window(t0, t1).
  *
  * TWO-PHASE ROUTER PURITY CONTRACT. A fleet run is split into two
  * strictly ordered phases so the request->wafer assignment is a pure
@@ -13,14 +14,12 @@
  *    through a seed-free policy - weighted join-least-outstanding-
  *    work over per-wafer committed-work counters (sum of assigned
  *    requests' total tokens, divided by the wafer's capacity
- *    weight), lowest-wafer-index tie-break. An optional
- *    locality/affinity hook (replica-chain locality) may pin a
- *    request to a wafer; pinned work still charges the counters.
- *    Nothing in this phase reads simulation results.
+ *    weight), lowest-wafer-index tie-break. Nothing in this phase
+ *    reads simulation results.
  *
  *  - Phase 2 (simulation): the N per-wafer PipelineEngine instances
  *    run independently through parallelFor with PER-WAFER RESULT
- *    SLOTS (the PR 1 sweep contract extended to serving), so the
+ *    SLOTS (the design-space sweep's contract), so the
  *    fleet run is bit-identical parallel vs serial, and invariant
  *    under ANY completed-wafer reordering of the simulation phase
  *    (tests permute the serial visit order to prove it).
@@ -32,7 +31,7 @@
  * oracle (bench_fleet_serving asserts it on every run). A storm run
  * is the one-wafer fleet with stormWafer = 0.
  *
- * STORM INTEGRATION (PR 9 machinery, per wafer): one wafer may take
+ * STORM INTEGRATION (per wafer): one wafer may take
  * a FailureInjector schedule mid-run. The schedule is resolved FIRST
  * (resolveStormSchedule - pure in the seed), the storm wafer's
  * dispatch weight is derated by the resolved net KV-pool loss (so
@@ -51,23 +50,16 @@
 #define OURO_SIM_FLEET_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "pipeline/engine.hh"
 #include "sim/storm_run.hh"
 #include "sim/system.hh"
-#include "workload/trace.hh"
 
 namespace ouro
 {
 
-/**
- * Inputs of the pure dispatch function. Determinism contract: the
- * affinity hook, when set, must itself be a pure function of the
- * request (no captured mutable state), or the router's purity
- * guarantee is void.
- */
+/** Inputs of the pure dispatch function. */
 struct FleetDispatchConfig
 {
     std::uint32_t numWafers = 1;
@@ -79,14 +71,6 @@ struct FleetDispatchConfig
      * how the router accounts for a storm-degraded KV pool.
      */
     std::vector<double> capacityWeight;
-
-    /**
-     * Locality/affinity hook (replica-chain locality): return the
-     * wafer index to pin this request to, or a negative value to
-     * fall through to the load policy. Pinned requests still update
-     * the committed-work counters.
-     */
-    std::function<std::int64_t(const Request &)> affinity;
 };
 
 /**
@@ -115,9 +99,6 @@ struct FleetOptions
      *  deployment (model, mapping, pools, timing) with the system's
      *  servingOptions(), overridden only by the fields below. */
     std::uint32_t numWafers = 4;
-
-    /** Optional locality/affinity hook (see FleetDispatchConfig). */
-    std::function<std::int64_t(const Request &)> affinity;
 
     /** Wafer taking the failure storm (kNoStormWafer = none). */
     std::uint32_t stormWafer = kNoStormWafer;
@@ -205,12 +186,6 @@ struct FleetResult
 FleetResult runFleetServing(const OuroborosSystem &sys,
                             const Workload &workload,
                             const FleetOptions &opts);
-
-/** Convenience: materialize window [t0, t1) of @p trace (bit-
- *  identical to slicing a whole-day generation) and serve it. */
-FleetResult runFleetServing(const OuroborosSystem &sys,
-                            const DayTrace &trace, double t0,
-                            double t1, const FleetOptions &opts);
 
 } // namespace ouro
 

@@ -1,5 +1,6 @@
 #include "storm_run.hh"
 
+#include <algorithm>
 #include <unordered_set>
 
 namespace ouro
@@ -44,10 +45,6 @@ resolveStormSchedule(const OuroborosSystem &sys,
     const FailureInjector injector(injector_params);
     if (injector.numFailures() > 0) {
         RecoveryService service = sys.makeRecoveryService(0, recovery);
-        service.setFailureObserver(
-                [&](CoreCoord, const FailureOutcome &out) {
-                    result.borrows += out.borrows.size();
-                });
         const WaferGeometry geom = sys.mapping(0).geometry();
         const std::uint64_t block = service.firstBlock();
 
@@ -86,13 +83,14 @@ resolveStormSchedule(const OuroborosSystem &sys,
                 continue;
             }
             ++result.failuresHandled;
+            result.borrows += outcome->borrows.size();
 
             // Mirror the region's KV delta into a pool event. Lost
             // KV-duty cores (the failed KV core, a replacement
             // chain's absorbed KV core) shrink the pool; the failed
-            // core itself is always dropped too - a dead weight core
-            // takes its spare KV crossbars with it (dropCore is a
-            // no-op for coordinates the pool never held). Gained
+            // core itself is always dropped too, once - a dead weight
+            // core takes its spare KV crossbars with it (dropCore is
+            // a no-op for coordinates the pool never held). Gained
             // cores (cross-block borrows) are adopted with the
             // dedicated-KV-core shape and the duty they kept across
             // the graft.
@@ -106,7 +104,9 @@ resolveStormSchedule(const OuroborosSystem &sys,
             for (const CoreCoord &c : coordsMinus(
                          context_before, after.contextCores, geom))
                 ev.dropCores.push_back(c);
-            ev.dropCores.push_back(victim);
+            if (std::find(ev.dropCores.begin(), ev.dropCores.end(),
+                          victim) == ev.dropCores.end())
+                ev.dropCores.push_back(victim);
 
             const CoreParams &core = sys.params().core;
             for (const CoreCoord &c : coordsMinus(

@@ -54,7 +54,7 @@ struct ResolvedStorm
     std::uint64_t failuresInjected = 0; ///< schedule entries resolved
     std::uint64_t failuresHandled = 0;  ///< service recoveries
     std::uint64_t failuresSkipped = 0;  ///< empty pool / unrecoverable
-    std::uint64_t kvCoresLost = 0;      ///< dropCore events issued
+    std::uint64_t kvCoresLost = 0;      ///< pool cores dropped (once per event)
     std::uint64_t kvCoresAdopted = 0;   ///< adoptCore events issued
     std::uint64_t borrows = 0;          ///< cross-block KV borrows
 

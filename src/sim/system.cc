@@ -69,7 +69,6 @@ OuroborosSystem::build(const ModelConfig &model,
         sys.defectMaps_.push_back(std::move(defects));
         first += count;
     }
-    sys.services_.slots.resize(sys.wafers_.size());
     ouroAssert(first == model.numBlocks,
                "OuroborosSystem: block split mismatch");
 
@@ -148,13 +147,6 @@ OuroborosSystem::defectMap(std::uint32_t wafer) const
     return &defectMaps_[wafer];
 }
 
-std::uint64_t
-OuroborosSystem::chainKvCores(std::uint32_t replica,
-                              std::uint32_t wafer) const
-{
-    return mapping(wafer).chainKvCores(replica);
-}
-
 RecoveryService
 OuroborosSystem::makeRecoveryService(
         std::uint32_t wafer, const RecoveryServiceOptions &opts) const
@@ -162,25 +154,6 @@ OuroborosSystem::makeRecoveryService(
     return RecoveryService(mapping(wafer), params_.noc,
                            params_.core.sramBytes(),
                            defectMap(wafer), opts);
-}
-
-RecoveryService &
-OuroborosSystem::recovery(std::uint32_t wafer)
-{
-    ouroAssert(wafer < services_.slots.size(),
-               "recovery: bad wafer index");
-    if (!services_.slots[wafer]) {
-        services_.slots[wafer] = std::make_unique<RecoveryService>(
-                makeRecoveryService(wafer));
-    }
-    return *services_.slots[wafer];
-}
-
-std::optional<FailureOutcome>
-OuroborosSystem::handleCoreFailure(CoreCoord failed,
-                                   std::uint32_t wafer)
-{
-    return recovery(wafer).handleCoreFailure(failed);
 }
 
 const WaferMapping &

@@ -21,7 +21,6 @@
 #define OURO_SIM_SYSTEM_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -118,28 +117,14 @@ class OuroborosSystem
      *  chain's weights, KV and embedding reservation included. */
     std::uint64_t activeCores() const { return activeCores_; }
 
-    /** Dedicated KV cores of one replica chain on wafer @p w - the
-     *  per-fault-domain capacity the recovery service draws on. */
-    std::uint64_t chainKvCores(std::uint32_t replica,
-                               std::uint32_t wafer = 0) const;
-
     /**
-     * The wafer-level recovery service of wafer @p w, created
-     * lazily over the wafer's mapping and retained defect map. This
-     * is THE runtime failure entry point: core failures go through
-     * the service (per-chain RecoveryIndex routing, cross-block KV
-     * borrowing, inter-block re-pricing), not through ad-hoc
-     * per-placement calls.
+     * A fresh recovery service over wafer @p w's mapping and defect
+     * map: the runtime failure entry point (per-chain RecoveryIndex
+     * routing, cross-block KV borrowing, inter-block re-pricing).
+     * The system itself holds no mutable fault state, so every
+     * caller owns the service it drives and two services never share
+     * failures.
      */
-    RecoveryService &recovery(std::uint32_t wafer = 0);
-
-    /** Delegate a core failure to wafer @p w's recovery service. */
-    std::optional<FailureOutcome>
-    handleCoreFailure(CoreCoord failed, std::uint32_t wafer = 0);
-
-    /** Build a standalone service over wafer @p w (recovery() builds
-     *  its slot here with the default options; callers that want
-     *  their own options or a private service call it directly). */
     RecoveryService
     makeRecoveryService(std::uint32_t wafer = 0,
                         const RecoveryServiceOptions &opts = {}) const;
@@ -174,33 +159,6 @@ class OuroborosSystem
     std::vector<WaferMapping> wafers_;
     /** Aligned with wafers_. */
     std::vector<DefectMap> defectMaps_;
-    /**
-     * Lazily built recovery services, aligned with wafers_. A
-     * service is MUTABLE fault state, not a pure cache, so a copied
-     * system must never alias the original's services: copying this
-     * wrapper resets the slots (they rebuild lazily from the copied
-     * mapping + defect map on the next recovery() call).
-     */
-    struct ServiceCache
-    {
-        std::vector<std::unique_ptr<RecoveryService>> slots;
-
-        ServiceCache() = default;
-        ServiceCache(const ServiceCache &other)
-            : slots(other.slots.size())
-        {
-        }
-        ServiceCache &operator=(const ServiceCache &other)
-        {
-            const std::size_t n = other.slots.size();
-            slots.clear();
-            slots.resize(n);
-            return *this;
-        }
-        ServiceCache(ServiceCache &&) = default;
-        ServiceCache &operator=(ServiceCache &&) = default;
-    };
-    ServiceCache services_;
     StageTiming timing_;
     PlacementDistances dist_;
     std::uint64_t defects_ = 0;

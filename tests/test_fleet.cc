@@ -1,11 +1,11 @@
 /**
  * @file
- * PR 10 fleet-serving tests: the dispatch policy as a pure function
- * (least-outstanding reference semantics, tie-breaks, weights,
- * affinity pins), the two-phase router purity contract (result
- * invariant under any serial visit order AND parallel == serial),
- * the N=1 collapse oracle, and storm integration (zero-failure
- * bit-identity, weight derating, replay determinism).
+ * Fleet-serving tests: the dispatch policy as a pure function
+ * (least-outstanding reference semantics, tie-breaks, weights), the
+ * two-phase router purity contract (result invariant under any
+ * serial visit order AND parallel == serial), the N=1 collapse
+ * oracle, and storm integration (zero-failure bit-identity, weight
+ * derating, replay determinism).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "sim/fleet.hh"
 #include "sim/system.hh"
 #include "workload/requests.hh"
-#include "workload/trace.hh"
 
 #include "fixtures.hh"
 
@@ -68,29 +67,6 @@ TEST(FleetDispatch, CapacityWeightShiftsLoad)
     const auto on0 = std::count(a.begin(), a.end(), 0u);
     EXPECT_GT(on0, 80);
     EXPECT_LT(on0, 120); // ~1/3 of 300 at weight ratio 1:2
-}
-
-TEST(FleetDispatch, AffinityPinsAndStillChargesCounters)
-{
-    FleetDispatchConfig cfg;
-    cfg.numWafers = 3;
-    cfg.affinity = [](const Request &r) {
-        return r.id % 4 == 0 ? std::int64_t{2} : std::int64_t{-1};
-    };
-    const Workload w = fixedWorkload(64, 64, 120);
-    const auto a = fleetDispatch(w, cfg);
-    std::vector<std::uint64_t> count(3, 0);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (i % 4 == 0) {
-            EXPECT_EQ(a[i], 2u) << "request " << i;
-        }
-        ++count[a[i]];
-    }
-    // Pinned work charges wafer 2's counter, so the load policy
-    // steers free requests away: wafer 2 ends with its pinned 30
-    // plus at most a catch-up share, not 30 + a third of the rest.
-    EXPECT_EQ(count[2], 40u); // 120/3: pins charged -> totals even out
-    EXPECT_EQ(count[0] + count[1], 80u);
 }
 
 TEST(FleetServing, ParallelEqualsSerialUnderAnyVisitOrder)
@@ -262,26 +238,6 @@ TEST(FleetServing, BadOptionsDieNamingTheField)
     ASSERT_TRUE(static_sys.has_value());
     EXPECT_DEATH(runFleetServing(*static_sys, w, FleetOptions{}),
                  "OuroborosOptions::dynamicKv = false");
-}
-
-TEST(FleetServing, DayTraceWindowOverloadMatchesWorkload)
-{
-    const ModelConfig model = llama13b();
-    const auto sys = OuroborosSystem::build(model, {}, fastOpts());
-    ASSERT_TRUE(sys.has_value());
-    DayTraceParams params;
-    params.requests = 80;
-    params.maxLen = 256;
-    params.seed = 3;
-    const DayTrace trace(params);
-
-    FleetOptions opts;
-    opts.numWafers = 2;
-    const FleetResult via_trace = runFleetServing(
-            *sys, trace, 0.0, trace.daySeconds(), opts);
-    const FleetResult via_workload = runFleetServing(
-            *sys, trace.window(0.0, trace.daySeconds()), opts);
-    EXPECT_EQ(via_trace, via_workload);
 }
 
 TEST(FleetServing, ZeroFailureStormEqualsNoStormFleet)

@@ -5,7 +5,7 @@
  * sequences, across replicas and defect maps, index and scan modes),
  * deterministic cross-block KV borrowing, replica-chain fault-domain
  * isolation, inter-block flow re-pricing (link failures included),
- * and the OuroborosSystem delegation of the failure entry point.
+ * and services built from an OuroborosSystem.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -632,18 +633,17 @@ TEST(RecoveryService, PriceEdgesRejectsEdgesOffTheChain)
                  "not on this wafer");
 }
 
-TEST(RecoveryService, SystemDelegatesFailureEntryPoint)
+TEST(RecoveryService, SystemChainAccountingMatchesMapping)
 {
     OuroborosOptions opts;
     opts.smartMapping = false;
     auto sys = OuroborosSystem::build(llama13b(), {}, opts);
     ASSERT_TRUE(sys.has_value());
 
-    // Per-chain accounting is exposed at system level and consistent
-    // with the mapping's totals.
+    // Per-chain accounting is consistent with the mapping's totals.
     std::uint64_t chain_kv = 0;
     for (std::uint32_t r = 0; r < sys->replicas(); ++r)
-        chain_kv += sys->chainKvCores(r);
+        chain_kv += sys->mapping().chainKvCores(r);
     EXPECT_EQ(chain_kv, sys->mapping().totalKvCores());
 
     std::uint64_t active = 0;
@@ -652,35 +652,28 @@ TEST(RecoveryService, SystemDelegatesFailureEntryPoint)
     for (std::uint32_t r = 0; r < sys->replicas(); ++r)
         active += sys->mapping().chainActiveCores(r);
     EXPECT_EQ(sys->activeCores(), active);
-
-    // The failure entry point goes through the lazily-built service.
-    const CoreCoord failed =
-        sys->mapping().placement(0).weightCores[0];
-    const auto out = sys->handleCoreFailure(failed);
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(out->block, 0u);
-    EXPECT_EQ(out->replica, 0u);
-    EXPECT_EQ(sys->recovery().recoveries(), 1u);
-    // The service (and its defect/failed-link state) persists across
-    // calls: the same core is dead on re-failure.
-    EXPECT_FALSE(sys->handleCoreFailure(failed).has_value());
 }
 
 TEST(RecoveryService, SystemServiceMatchesStandaloneOnDefectiveWafer)
 {
-    // recovery() moves a service built by makeRecoveryService() into
-    // its slot; the moved service must still route over its own copy
-    // of the defect map. Drive it and a standalone service through
-    // the same failures: recoveries, per-failure re-pricing and the
-    // full chain price must agree bit for bit.
+    // A service built by makeRecoveryService() and then moved into a
+    // container slot must still route over its own copy of the
+    // defect map. Drive it and a standalone service through the same
+    // failures: recoveries, per-failure re-pricing and the full
+    // chain price must agree bit for bit.
     OuroborosOptions opts;
     opts.smartMapping = false;
     auto sys = OuroborosSystem::build(llama13b(), {}, opts);
     ASSERT_TRUE(sys.has_value());
     ASSERT_NE(sys->defectMap(), nullptr);
 
+    RecoveryService built = sys->makeRecoveryService();
+    std::vector<RecoveryService> slots;
+    slots.push_back(std::move(built));
+    // The second push regrows the vector, moving slot 0 again.
+    slots.push_back(sys->makeRecoveryService());
+    RecoveryService &owned = slots.front();
     RecoveryService standalone = sys->makeRecoveryService();
-    RecoveryService &owned = sys->recovery();
     Rng rng(17);
     std::uint64_t moves = 0;
     std::uint64_t edges = 0;
@@ -695,7 +688,7 @@ TEST(RecoveryService, SystemServiceMatchesStandaloneOnDefectiveWafer)
             continue;
         const CoreCoord failed = p.weightCores[static_cast<std::size_t>(
                 rng.uniformInt(0, p.weightCores.size() - 1))];
-        const auto got = sys->handleCoreFailure(failed);
+        const auto got = owned.handleCoreFailure(failed);
         const auto want = standalone.handleCoreFailure(failed);
         ASSERT_EQ(got.has_value(), want.has_value()) << "failure " << k;
         if (!got)
@@ -712,6 +705,8 @@ TEST(RecoveryService, SystemServiceMatchesStandaloneOnDefectiveWafer)
     }
     EXPECT_GT(moves, 0u);
     EXPECT_GT(edges, 0u);
+    // The untouched slot shares none of the failures.
+    EXPECT_EQ(slots.back().recoveries(), 0u);
     for (std::uint32_t rep = 0; rep < sys->replicas(); ++rep) {
         EXPECT_EQ(owned.chainInterBlockSeconds(rep),
                   standalone.chainInterBlockSeconds(rep));
@@ -728,8 +723,8 @@ TEST(RecoveryService, FailLinkDetoursCachedRouteAndRepricing)
     opts.smartMapping = false;
     auto sys = OuroborosSystem::build(llama13b(), {}, opts);
     ASSERT_TRUE(sys.has_value());
+    RecoveryService svc = sys->makeRecoveryService();
     RecoveryService intact = sys->makeRecoveryService();
-    RecoveryService &svc = sys->recovery();
 
     // The same weight failure on both services (same placements
     // after), marking the block's own edge block -> block + 1.

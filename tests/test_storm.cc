@@ -356,5 +356,48 @@ TEST(StormRun, ReplayIsBitwiseDeterministic)
     EXPECT_EQ(first.fleet.outputTokens, w.totalOutputTokens());
 }
 
+TEST(StormRun, KvOnlyStormDropsEachVictimOnce)
+{
+    // A KV-core failure shrinks the pool by exactly its victim: the
+    // resolved event lists the core once and the storm counts one
+    // lost core per handled failure. Mixed-duty storms list every
+    // coordinate of an event once too.
+    const auto sys = OuroborosSystem::build(llama13b(), {}, fastOpts());
+    ASSERT_TRUE(sys.has_value());
+    const auto no_repeats = [](const KvPoolEvent &ev) {
+        for (std::size_t i = 0; i < ev.dropCores.size(); ++i) {
+            for (std::size_t j = i + 1; j < ev.dropCores.size(); ++j) {
+                if (ev.dropCores[i] == ev.dropCores[j])
+                    return false;
+            }
+        }
+        return true;
+    };
+
+    FailureInjectorParams kv_only;
+    kv_only.failures = 16;
+    kv_only.weightFailureFraction = 0.0;
+    const ResolvedStorm storm = resolveStormSchedule(*sys, kv_only);
+    EXPECT_GT(storm.failuresHandled, 0u);
+    EXPECT_EQ(storm.kvCoresLost, storm.failuresHandled);
+    for (const KvPoolEvent &ev : storm.events) {
+        EXPECT_EQ(ev.dropCores.size(), 1u);
+        EXPECT_TRUE(no_repeats(ev));
+    }
+
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        FailureInjectorParams mixed;
+        mixed.failures = 16;
+        mixed.seed = seed;
+        const ResolvedStorm m = resolveStormSchedule(*sys, mixed);
+        std::uint64_t listed = 0;
+        for (const KvPoolEvent &ev : m.events) {
+            EXPECT_TRUE(no_repeats(ev)) << "seed " << seed;
+            listed += ev.dropCores.size();
+        }
+        EXPECT_EQ(m.kvCoresLost, listed) << "seed " << seed;
+    }
+}
+
 } // namespace
 } // namespace ouro
