@@ -54,7 +54,9 @@ BlockKvManager::blocksFor(std::uint64_t tokens) const
             ceilDiv(tokens, tokensPerBlock_));
 }
 
-void
+// allocBlocks() and releaseAlloc() are inline: admission, growth and
+// release call them once per head.
+inline void
 BlockKvManager::allocBlocks(CoreState &core, HeadAlloc &alloc,
                             std::uint32_t held, std::uint32_t blocks,
                             bool is_v)
@@ -81,7 +83,7 @@ BlockKvManager::allocBlocks(CoreState &core, HeadAlloc &alloc,
     vSpills_ += spilled - (spilled > 0 && home == 0 && held == 0);
 }
 
-void
+inline void
 BlockKvManager::releaseAlloc(std::vector<CoreState> &ring,
                              const HeadAlloc &alloc,
                              std::uint32_t blocks)
@@ -140,16 +142,22 @@ BlockKvManager::ringFits(const std::vector<CoreState> &ring,
     // for the rest of the walk; and a core able to take a head is
     // never pushed below the full mark by the heads before it
     // (need + reserve > threshold * capacity). So this count is
-    // exactly what placeHeads() places.
+    // exactly what placeHeads() places. The walk keeps the core
+    // index and the visit count (the lap) instead of dividing.
     std::uint32_t placed = 0;
+    std::uint32_t at = cursor;
+    std::uint64_t taken = 0;
     for (std::uint32_t p = 0; placed < heads && p < 2 * n + heads;
          ++p) {
-        const CoreState &core = ring[(cursor + p) % n];
-        const std::uint64_t taken = p / n;
+        const CoreState &core = ring[at];
         if (!core.markedFull &&
             core.free >= (taken + 1) * need + core.reserve) {
             ++placed;
         }
+        if (++at == n)
+            at = 0;
+        if (at == cursor)
+            ++taken;
     }
     return placed == heads;
 }
@@ -161,26 +169,31 @@ BlockKvManager::placeHeads(std::vector<CoreState> &ring,
                            bool is_v)
 {
     const auto n = static_cast<std::uint32_t>(ring.size());
-    std::uint32_t probe = cursor;
+    std::uint32_t at = cursor;
+    std::size_t probes = 0;
+    auto step = [&] {
+        if (++at == n)
+            at = 0;
+        ++probes;
+    };
     for (HeadAlloc &alloc : allocs) {
         // Admission requires the post-allocation residue to stay
         // above the threshold reserve - small (spare-crossbar) cores
         // therefore only take sequences they can also grow (Section
         // 4.4.4's anti-thrashing rule).
-        while (ring[probe % n].markedFull ||
-               ring[probe % n].free < need + ring[probe % n].reserve) {
-            ++probe;
-            ouroAssert(probe - cursor < 2 * n + allocs.size(),
+        while (ring[at].markedFull ||
+               ring[at].free < need + ring[at].reserve) {
+            step();
+            ouroAssert(probes < 2 * n + allocs.size(),
                        "placeHeads: walk placed fewer heads than "
                        "ringFits counted");
         }
-        CoreState &core = ring[probe % n];
-        alloc.core = probe % n;
+        alloc.core = at;
         alloc.homeBlocks = 0;
-        allocBlocks(core, alloc, 0, need, is_v);
-        ++probe;
+        allocBlocks(ring[at], alloc, 0, need, is_v);
+        step();
     }
-    cursor = probe % n;
+    cursor = at;
 }
 
 bool

@@ -10,13 +10,18 @@
  * masks require the whole prefix for prefix tokens but behave causally
  * afterwards. attentionReadyPosition() encodes exactly this rule and
  * is the single source of truth for both pipeline engines.
+ *
+ * The rule is header-inline: the engine prices every prompt token
+ * with attendedContext(), so the switch must not hide behind a call.
  */
 
 #ifndef OURO_MODEL_MASKS_HH
 #define OURO_MODEL_MASKS_HH
 
+#include <algorithm>
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "model/llm.hh"
 
 namespace ouro
@@ -34,20 +39,46 @@ namespace ouro
  * @return the 0-based position that must have completed QKV
  *         generation; always >= token_pos.
  */
-std::uint64_t attentionReadyPosition(AttentionKind kind,
-                                     std::uint64_t token_pos,
-                                     std::uint64_t prefill_len);
+inline std::uint64_t
+attentionReadyPosition(AttentionKind kind, std::uint64_t token_pos,
+                       std::uint64_t prefill_len)
+{
+    ouroAssert(prefill_len > 0, "attentionReadyPosition: empty prefill");
+    const std::uint64_t last_prefill = prefill_len - 1;
+    switch (kind) {
+      case AttentionKind::Causal:
+        return token_pos;
+      case AttentionKind::Bidirectional:
+        // Every prompt token sees the whole prompt. Generated tokens
+        // (token_pos >= prefill_len) do not arise for encoder-only
+        // models, but behave causally if they do.
+        return std::max(token_pos, last_prefill);
+      case AttentionKind::Prefix:
+        // Prefix tokens see the whole prefix bidirectionally; the
+        // generated continuation is causal.
+        return token_pos < prefill_len ? last_prefill : token_pos;
+    }
+    panic("attentionReadyPosition: bad kind");
+}
 
 /**
  * Number of positions token @p token_pos attends over (the effective
- * context that sizes score/context work).
+ * context that sizes score/context work): positions are attended
+ * inclusively up to the ready position.
  */
-std::uint64_t attendedContext(AttentionKind kind,
-                              std::uint64_t token_pos,
-                              std::uint64_t prefill_len);
+inline std::uint64_t
+attendedContext(AttentionKind kind, std::uint64_t token_pos,
+                std::uint64_t prefill_len)
+{
+    return attentionReadyPosition(kind, token_pos, prefill_len) + 1;
+}
 
 /** True if the mask admits pure (stall-free) token-grained pipelining. */
-bool masksAllowPureTgp(AttentionKind kind);
+inline bool
+masksAllowPureTgp(AttentionKind kind)
+{
+    return kind == AttentionKind::Causal;
+}
 
 } // namespace ouro
 

@@ -303,6 +303,11 @@ runPipeline(const Workload &workload, const ModelConfig &model,
     std::vector<std::pair<std::uint64_t, std::uint32_t>> by_id;
     for (std::uint32_t i = 0; i < n; ++i) {
         const Request &r = workload.requests[i];
+        if (r.prefillLen == 0 && r.decodeLen == 0) {
+            fatal("runPipeline: Workload::requests[", i, "] (id ",
+                  r.id, ") has prefillLen = 0 and decodeLen = 0 (a "
+                  "request needs at least one token)");
+        }
         queue.push_back({i, r.prefillLen, r.decodeLen, 0});
         by_id.emplace_back(r.id, i);
     }
@@ -477,31 +482,37 @@ runPipeline(const Workload &workload, const ModelConfig &model,
 #endif
     };
 
+    // Which lanes stream in runs, indexed like a run's lane cursors (0
+    // prefill, 1 decode): prompt tokens under token-grained pipelining,
+    // decode tokens unless cohortFastPath picks the lane loop.
+    const bool runs_on[2] = {token_grained, opts.cohortFastPath};
+
     // Token runs (Section 4.2.1 streams each sequence's tokens back to
     // back): while a lane's front is the next event, stream it in
-    // place with the lane cursor and the stage clocks in locals. The
+    // place, with both lane cursors, the stage clocks, the due storm
+    // time and the idle-pump decision in locals for the whole run. The
     // prefill lane streams non-final prompt tokens, the decode lane
-    // decode tokens; either way the successor re-enters the same lane.
-    // The lane is a compile-time tag (std::true_type for decode), so
-    // each lane's token loop carries no per-token lane branch.
-    // A run stops before the other lane's front (in full lane order), a
-    // due storm event, a stale entry, a final prompt token, a last
-    // decode token or a decode token with no room left in its newest
-    // KV block; the lane loop takes those. In-block growth is
-    // growFast, which leaves the capacity epoch alone, and a run
-    // touches neither the queue nor the suspension flag, so whether
-    // pump_admissions() is idle is decided once: it is when the queue
-    // is empty, admissions are suspended, or the capacity epoch
-    // answers the queue head (the run then counts each token's skipped
-    // probe). Otherwise the run is one token and one pump, as in the
-    // lane loop. Returns whether a token was processed.
-    auto token_run = [&](auto decode_tag) -> bool {
+    // decode tokens; either way the successor re-enters the same lane,
+    // so the other lane's front holds still while one lane streams.
+    // Each lane's inner loop takes a compile-time tag (std::true_type
+    // for decode), so it carries no per-token lane branch. When it
+    // reaches the other lane's front (in full lane order), the run
+    // switches to that lane if runs_on says it streams, and compares
+    // against the new front of the lane it left. It returns to the lane
+    // loop only at a due storm event, a stale entry, a token the lane
+    // loop keeps (a final prompt token, a last decode token, a decode
+    // token with no room left in its newest KV block), the front of a
+    // lane whose runs are off, or after the one token of the pump case.
+    // In-block growth is growFast, which leaves the capacity epoch
+    // alone, and a run touches neither the queue nor the suspension
+    // flag, so whether pump_admissions() is idle is decided once per
+    // run: it is when the queue is empty, admissions are suspended, or
+    // the capacity epoch answers the queue head (the run then counts
+    // each token's skipped probe). Otherwise the run is one token and
+    // one pump, as in the lane loop. Returns whether a token was
+    // processed.
+    auto token_run = [&](bool decode_first) -> bool {
         constexpr double kNever = std::numeric_limits<double>::infinity();
-        constexpr bool decode = decltype(decode_tag)::value;
-        Lane &lane = decode ? decode_lane : prefill_lane;
-        Lane &other = decode ? prefill_lane : decode_lane;
-        const LaneEntry other_front =
-            other.count > 0 ? other.at(0) : LaneEntry{kNever, 0, 0};
         const double storm_due =
             storm_pending() ? (*storm)[storm_next].time : kNever;
         const bool suspended = admissions_suspended && residents > 0;
@@ -509,85 +520,149 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             !queue.empty() && !suspended &&
             kv.admitSkips(admission_tokens(queue.front()));
         const bool pump_idle = queue.empty() || suspended || skips;
-        const bool grows = decode && !opts.staticKvAllocation;
+        const bool grows = !opts.staticKvAllocation;
 
-        // Each token pops the front and inserts its successor, so the
-        // count never changes and the buffer never grows.
-        LaneEntry *const buf = lane.buf.data();
-        const std::size_t mask = lane.buf.size() - 1;
-        const std::size_t count = lane.count;
-        std::size_t head = lane.head;
+        // Each token pops its lane's front and inserts its successor
+        // in the same lane, so neither count changes and neither buffer
+        // grows. Index 0 is the prefill lane, 1 the decode lane.
+        struct Cursor
+        {
+            LaneEntry *buf;
+            std::size_t mask;
+            std::size_t count;
+            std::size_t head;
+
+            LaneEntry front() const
+            {
+                return count > 0 ? buf[head] : LaneEntry{kNever, 0, 0};
+            }
+        };
+        Cursor cur[2] = {
+            {prefill_lane.buf.data(), prefill_lane.buf.size() - 1,
+             prefill_lane.count, prefill_lane.head},
+            {decode_lane.buf.data(), decode_lane.buf.size() - 1,
+             decode_lane.count, decode_lane.head}};
         StageClocks clk = clocks;
-        std::uint64_t ran = 0;
+        std::uint64_t ran[2] = {0, 0};
         double entry = 0.0;
-        for (;;) {
-            const LaneEntry top = buf[head];
-            if (other_front < top || storm_due <= top.ready)
-                break;
-            ActiveSeq *const seq = live_entry(top);
-            if (!seq)
-                break;
-            ItemTiming item;
-            if constexpr (decode) {
-                if (seq->decodeRemaining == 1 ||
-                    (grows && kv.growRoom(top.slot) == 0))
-                    break;
-                if (grows)
-                    kv.growFast(top.slot, 1);
-                item = freshTokenItem(timing,
-                                      seq->prefillLen + seq->decoded + 1);
-            } else {
-                if (seq->prefillEntered + 1 >= seq->prefillLen)
-                    break;
-                // Causal: the token's own attention. With a block mask
-                // the attention is deferred to the final token (Fig. 5c).
-                item = pure_tgp ? freshTokenItem(
-                                          timing,
-                                          attendedContext(
-                                                  model.attention,
-                                                  seq->prefillEntered,
-                                                  seq->prefillLen))
-                                : blocked_deferred;
-            }
-            entry = std::max(seq->nextReady, clk.free[0]);
-            const double completion = advanceItem(
-                    clk, tail_blocks, seq->nextReady, seq->attnFree, item);
-            if constexpr (decode) {
-                if (seq->decoded == 0)
-                    seq->firstTokenDone = completion;
-                seq->decoded += 1;
-                seq->decodeRemaining -= 1;
-                note_output(completion);
-                seq->nextReady = completion; // autoregressive gating
-            } else {
-                seq->prefillEntered += 1;
-                seq->nextReady = entry; // the next prompt token streams
-            }
-            seq->generation += 1;
-            head = (head + 1) & mask;
-            const LaneEntry next{seq->nextReady, top.slot, seq->generation};
-            std::size_t j = count - 1;
-            for (; j > 0 && next < buf[(head + j - 1) & mask]; --j)
-                buf[(head + j) & mask] = buf[(head + j - 1) & mask];
-            buf[(head + j) & mask] = next;
+
+        // Streams one lane; returns true iff it stopped at the other
+        // lane's front.
+        auto stream = [&](auto decode_tag) -> bool {
+            constexpr bool decode = decltype(decode_tag)::value;
+            Cursor &c = cur[decode];
+            const LaneEntry other_front = cur[!decode].front();
+            for (;;) {
+                const LaneEntry top = c.buf[c.head];
+                if (other_front < top)
+                    return true;
+                if (storm_due <= top.ready)
+                    return false;
+                ActiveSeq *const seq = live_entry(top);
+                if (!seq)
+                    return false;
+                ItemTiming item;
+                if constexpr (decode) {
+                    if (seq->decodeRemaining == 1 ||
+                        (grows && kv.growRoom(top.slot) == 0))
+                        return false;
+                    if (grows)
+                        kv.growFast(top.slot, 1);
+                    item = freshTokenItem(
+                            timing, seq->prefillLen + seq->decoded + 1);
+                } else {
+                    if (seq->prefillEntered + 1 >= seq->prefillLen)
+                        return false;
+                    // Causal: the token's own attention. With a block
+                    // mask the attention is deferred to the final token
+                    // (Fig. 5c).
+                    item = pure_tgp
+                                   ? freshTokenItem(
+                                             timing,
+                                             attendedContext(
+                                                     model.attention,
+                                                     seq->prefillEntered,
+                                                     seq->prefillLen))
+                                   : blocked_deferred;
+                }
+                entry = std::max(seq->nextReady, clk.free[0]);
+                const double completion =
+                        advanceItem(clk, tail_blocks, seq->nextReady,
+                                    seq->attnFree, item);
+                if constexpr (decode) {
+                    if (seq->decoded == 0)
+                        seq->firstTokenDone = completion;
+                    seq->decoded += 1;
+                    seq->decodeRemaining -= 1;
+                    note_output(completion);
+                    seq->nextReady = completion; // autoregressive gating
+                } else {
+                    seq->prefillEntered += 1;
+                    seq->nextReady = entry; // the next prompt token streams
+                }
+                seq->generation += 1;
+                c.head = (c.head + 1) & c.mask;
+                const LaneEntry next{seq->nextReady, top.slot,
+                                     seq->generation};
+                std::size_t j = c.count - 1;
+                for (; j > 0 && next < c.buf[(c.head + j - 1) & c.mask];
+                     --j)
+                    c.buf[(c.head + j) & c.mask] =
+                            c.buf[(c.head + j - 1) & c.mask];
+                c.buf[(c.head + j) & c.mask] = next;
 #ifndef NDEBUG
-            ouroAssert(j == 0 || !(next < buf[(head + j - 1) & mask]),
-                       "lane: entry ordered before its predecessor");
-            ouroAssert(top < other_front && top.ready < storm_due,
-                       "token run: processed an entry at or after the "
-                       "other lane's front or a due storm event");
+                ouroAssert(j == 0 ||
+                                   !(next < c.buf[(c.head + j - 1) &
+                                                  c.mask]),
+                           "lane: entry ordered before its predecessor");
+                ouroAssert(top < other_front && top.ready < storm_due,
+                           "token run: processed an entry at or after "
+                           "the other lane's front or a due storm "
+                           "event");
 #endif
-            ++ran;
-            if (!pump_idle)
+                ++ran[decode];
+                if (!pump_idle)
+                    return false;
+            }
+        };
+
+        // The lane switch stays out here, so neither inner loop pays
+        // a per-token lane branch.
+        bool decode = decode_first;
+        std::uint64_t switches = 0;
+        bool at_other_front = false;
+        for (std::uint64_t before = 0;; before = ran[0] + ran[1]) {
+            if (!(decode ? stream(std::true_type{})
+                         : stream(std::false_type{})))
                 break;
+            // A lane is entered only while its front comes first, so
+            // it streams at least one token before it can stop at the
+            // other lane's front: runs never ping-pong in place.
+            ouroAssert(ran[0] + ran[1] > before,
+                       "token run: lane switch without progress");
+            decode = !decode;
+            if (!runs_on[decode]) {
+                at_other_front = true;
+                break;
+            }
+            ++switches;
         }
-        lane.head = head;
+        prefill_lane.head = cur[0].head;
+        decode_lane.head = cur[1].head;
         clocks = clk;
+        const std::uint64_t tokens = ran[0] + ran[1];
         if (skips)
-            kv.countSkippedProbes(ran);
-        else if (ran > 0 && !pump_idle)
+            kv.countSkippedProbes(tokens);
+        else if (tokens > 0 && !pump_idle)
             pump_admissions(entry);
-        return ran > 0;
+        if (EngineCounters *const n = opts.counters) {
+            n->runEntries += 1;
+            n->laneSwitches += switches;
+            n->promptRunTokens += ran[0];
+            n->decodeRunTokens += ran[1];
+            n->otherFrontReturns += at_other_front;
+        }
+        return tokens > 0;
     };
 
     pump_admissions(0.0);
@@ -621,15 +696,14 @@ runPipeline(const Workload &workload, const ModelConfig &model,
             continue;
         }
 
-        // Runs stream prompt tokens under token-grained pipelining and
-        // decode tokens unless cohortFastPath picks the lane loop.
         Lane &lane = first_lane();
-        if (&lane == &decode_lane
-                ? opts.cohortFastPath && token_run(std::true_type{})
-                : token_grained && token_run(std::false_type{}))
+        const bool decode_first = &lane == &decode_lane;
+        if (runs_on[decode_first] && token_run(decode_first))
             continue;
 
         const LaneEntry top = lane.pop();
+        if (opts.counters)
+            opts.counters->lanePops += 1;
         ActiveSeq *const live = live_entry(top);
         if (!live)
             continue; // stale: its residency was evicted

@@ -204,6 +204,28 @@ struct PipelineStats
     PipelineStats &mergeConcurrent(const PipelineStats &other);
 };
 
+/**
+ * Which path carried each token (opt-in via PipelineOptions::counters):
+ * token runs or the lane loop. Counts are exact and repeat exactly. A
+ * run adds its counts once when it returns, the lane loop once per pop,
+ * and neither ever touches PipelineStats, so a run with counters is
+ * bit-identical to one without.
+ */
+struct EngineCounters
+{
+    std::uint64_t runEntries = 0;      ///< token runs started
+    std::uint64_t laneSwitches = 0;    ///< a run moved to the other lane
+    std::uint64_t promptRunTokens = 0; ///< prompt tokens streamed by runs
+    std::uint64_t decodeRunTokens = 0; ///< decode tokens streamed by runs
+    /** Runs that returned at the other lane's front because that
+     *  lane's runs are off (0 with both lanes' runs on). */
+    std::uint64_t otherFrontReturns = 0;
+    /** Entries the lane loop popped, stale ones included. */
+    std::uint64_t lanePops = 0;
+
+    bool operator==(const EngineCounters &) const = default;
+};
+
 /** Engine options. */
 struct PipelineOptions
 {
@@ -230,13 +252,14 @@ struct PipelineOptions
      * Decode runs: while the decode lane's front is the next event
      * in the engine's (ready, request position, generation) order,
      * its decode tokens stream in place, as prompt tokens do, up to
-     * the prefill lane's front, a due storm event, a last decode
-     * token or a KV block boundary. Results are bit-identical to the
-     * lane loop (tests assert this); off, every decode token is
-     * popped from the decode lane as its own event - the reference
-     * for those tests, and a way to measure that path or to bisect.
-     * (The name predates decode runs; it selected the cohort decode
-     * ring they replaced.)
+     * a due storm event, a last decode token or a KV block boundary.
+     * At the prefill lane's front a token-grained run carries on in
+     * the prefill lane. Results are bit-identical to the lane loop
+     * (tests assert this); off, every decode token is popped from
+     * the decode lane as its own event - the reference for those
+     * tests, and a way to measure that path or to bisect. (The name
+     * predates decode runs; it selected the cohort decode ring they
+     * replaced.)
      */
     bool cohortFastPath = true;
 
@@ -255,6 +278,10 @@ struct PipelineOptions
      *  negative widths are fatal. */
     double throughputBinSeconds = 0.0;
 
+    /** Where to count which path carried each token; null (the
+     *  default) counts nothing. Counting never changes the stats. */
+    EngineCounters *counters = nullptr;
+
     bool operator==(const PipelineOptions &) const = default;
 };
 
@@ -262,7 +289,8 @@ struct PipelineOptions
  * Run @p workload through the pipeline of @p model with stage times
  * @p timing, using @p kv as the representative-block KV manager (all
  * N blocks see identical KV load, so one manager stands for all).
- * Request ids must be unique within @p workload (fatal otherwise).
+ * Request ids must be unique within @p workload, and every request
+ * needs at least one prompt or decode token (fatal otherwise).
  */
 PipelineStats runPipeline(const Workload &workload,
                           const ModelConfig &model,

@@ -712,6 +712,140 @@ TEST(Pipeline, BadThroughputBinWidthDies)
                  "PipelineOptions::throughputBinSeconds = -1");
 }
 
+TEST(Pipeline, EmptyRequestDies)
+{
+    // A request with neither prompt nor decode tokens has nothing to
+    // serve. The lane loop would take it for a decode token and wrap
+    // its remaining-decode count, making up output tokens, so it is a
+    // caller error reported up front, naming the request and its id.
+    const ModelConfig cfg = pipeModel();
+    Workload w = fixedWorkload(16, 16, 4);
+    w.requests[2] = {7, 0, 0};
+    auto kv = bigKv(cfg);
+    EXPECT_DEATH(runPipeline(w, cfg, uniformTiming(), kv),
+                 "Workload::requests\\[2\\] \\(id 7\\) has prefillLen "
+                 "= 0 and decodeLen = 0");
+}
+
+/** EventOrderGolden's prompt-heavy thrash workload. */
+Workload
+thrashWorkload()
+{
+    DayTraceParams day;
+    day.requests = 256;
+    day.maxLen = 512;
+    day.seed = 23;
+    return DayTrace(day).wholeDay();
+}
+
+/** A KV ring of 4 cores of 4 crossbars x 8 blocks, tight enough to
+ *  evict (EventOrderGolden's thrash pool). */
+std::vector<KvCoreInfo>
+tightPool(std::uint32_t base)
+{
+    std::vector<KvCoreInfo> infos;
+    for (std::uint32_t i = 0; i < 4; ++i)
+        infos.push_back({{base, i}, 4, 8});
+    return infos;
+}
+
+/** Runs @p w with EngineCounters and checks that counting changed no
+ *  stat against an uncounted run; returns the counts. */
+EngineCounters
+countedRun(const ModelConfig &cfg, const Workload &w,
+           const StageTiming &timing, PipelineOptions opts,
+           const std::vector<KvCoreInfo> &score,
+           const std::vector<KvCoreInfo> &context)
+{
+    BlockKvManager kv_plain(cfg, score, context);
+    const PipelineStats plain = runPipeline(w, cfg, timing, kv_plain,
+                                            opts);
+    EngineCounters counters;
+    opts.counters = &counters;
+    BlockKvManager kv_counted(cfg, score, context);
+    const PipelineStats counted = runPipeline(w, cfg, timing, kv_counted,
+                                              opts);
+    EXPECT_EQ(plain, counted);
+    EXPECT_EQ(kv_plain.admissionProbes(), kv_counted.admissionProbes());
+    EXPECT_EQ(kv_plain.probesSkipped(), kv_counted.probesSkipped());
+    // Every item goes through a run (one token each) or a lane-loop
+    // pop (which may also drop a stale entry).
+    EXPECT_LE(counters.promptRunTokens + counters.decodeRunTokens,
+              counted.itemsProcessed);
+    EXPECT_GE(counters.promptRunTokens + counters.decodeRunTokens +
+                      counters.lanePops,
+              counted.itemsProcessed);
+    return counters;
+}
+
+TEST(EngineCounters, DecodeRunsOffStreamNoDecodeToken)
+{
+    // Runs replay the lane loop bit for bit, so no stats oracle can
+    // tell a prompt run that switched into the decode lane although
+    // cohortFastPath is off. The counters can: every decode token
+    // must then be a lane-loop pop.
+    const ModelConfig cfg = pipeModel();
+    const Workload w = wikiText2Like(48, 512, 3);
+    PipelineOptions opts;
+    opts.cohortFastPath = false;
+    const EngineCounters c = countedRun(cfg, w, uniformTiming(), opts,
+                                        bigPool(64, 0), bigPool(64, 1));
+    EXPECT_EQ(c.decodeRunTokens, 0u);
+    EXPECT_GT(c.promptRunTokens, 0u);
+    EXPECT_EQ(c.laneSwitches, 0u);
+    EXPECT_GT(c.otherFrontReturns, 0u);
+    EXPECT_GE(c.lanePops, w.totalOutputTokens());
+}
+
+TEST(EngineCounters, SequenceGrainedStreamsNoPromptToken)
+{
+    // Under SGP a whole prefill is one lane-loop item, so a decode run
+    // must never switch into the prefill lane. The tight pool keeps
+    // admitting mid-run, so decode runs do meet prefill fronts.
+    const ModelConfig cfg = pipeModel();
+    PipelineOptions opts;
+    opts.kind = PipelineKind::SequenceGrained;
+    opts.attentionParallelism = 16.0;
+    const EngineCounters c = countedRun(cfg, thrashWorkload(),
+                                        uniformTiming(), opts,
+                                        tightPool(0), tightPool(1));
+    EXPECT_EQ(c.promptRunTokens, 0u);
+    EXPECT_GT(c.decodeRunTokens, 0u);
+    EXPECT_EQ(c.laneSwitches, 0u);
+    EXPECT_GT(c.otherFrontReturns, 0u);
+}
+
+TEST(EngineCounters, RunsCrossLanesAndCountsRepeat)
+{
+    // With both lanes' runs on, a run that reaches the other lane's
+    // front carries on there, so no run returns for that reason. The
+    // thrash case adds evictions, stale entries and storm events.
+    const Workload thrash_w = thrashWorkload();
+    std::vector<KvPoolEvent> drops(2);
+    drops[0].time = 0.1;
+    drops[0].dropCores.push_back({0, 3});
+    drops[1].time = 0.2;
+    drops[1].adopts.push_back({{{7, 0}, 4, 8}, true});
+    for (const bool storm : {false, true}) {
+        SCOPED_TRACE(storm ? "storm" : "no storm");
+        const ModelConfig cfg = pipeModel();
+        PipelineOptions opts;
+        opts.attentionParallelism = 16.0;
+        if (storm)
+            opts.stormSchedule = &drops;
+        const StageTiming timing = uniformTiming(0x1p-20, 0.0);
+        const EngineCounters a = countedRun(cfg, thrash_w, timing, opts,
+                                            tightPool(0), tightPool(1));
+        const EngineCounters b = countedRun(cfg, thrash_w, timing, opts,
+                                            tightPool(0), tightPool(1));
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(a.otherFrontReturns, 0u);
+        EXPECT_GT(a.laneSwitches, 0u);
+        EXPECT_GT(a.promptRunTokens, 0u);
+        EXPECT_GT(a.decodeRunTokens, 0u);
+    }
+}
+
 TEST(WorkloadGen, FixedWorkloadShape)
 {
     const Workload w = fixedWorkload(128, 2048, 1000);
