@@ -374,9 +374,12 @@ BM_MidRunPoolShrink(benchmark::State &state)
     // placements for the dead coordinate, construct a fresh manager
     // over the surviving cores and re-admit every survivor - the
     // cost a serving engine would pay without mid-run pool mutation.
-    const bool fast = state.range(0) == 1;
+    // Arg(2) drops a core that holds no heads (a grafted, still
+    // empty one): dropCore fences it without scanning a slot.
+    const bool fast = state.range(0) >= 1;
+    const bool empty_core = state.range(0) == 2;
     const ModelConfig cfg = llama13b();
-    const CoreCoord dead{0, 0};
+    const CoreCoord dead = empty_core ? CoreCoord{2, 0} : CoreCoord{0, 0};
     auto make_pools = [] {
         std::pair<std::vector<KvCoreInfo>, std::vector<KvCoreInfo>>
                 p;
@@ -395,6 +398,8 @@ BM_MidRunPoolShrink(benchmark::State &state)
         BlockKvManager mgr(cfg, score, context);
         for (std::uint32_t key = 0; key < kResidents; ++key)
             mgr.admit(key, 256);
+        if (empty_core)
+            mgr.adoptCore({dead, 32, 8}, true);
         state.ResumeTiming();
         if (fast) {
             benchmark::DoNotOptimize(mgr.dropCore(dead));
@@ -428,7 +433,7 @@ BM_MidRunPoolShrink(benchmark::State &state)
     }
     state.SetItemsProcessed(shrinks);
 }
-BENCHMARK(BM_MidRunPoolShrink)->Arg(0)->Arg(1);
+BENCHMARK(BM_MidRunPoolShrink)->Arg(0)->Arg(1)->Arg(2);
 
 /** Shared fixture for the wafer-level recovery-service kernels: a
  *  small wafer keeps per-iteration service rebuilds cheap while the

@@ -8,6 +8,18 @@
 namespace ouro
 {
 
+namespace
+{
+
+/** All of a core's blocks. */
+std::uint32_t
+capacityOf(const KvCoreInfo &info)
+{
+    return info.crossbars * info.blocksPerCrossbar;
+}
+
+} // namespace
+
 BlockKvManager::BlockKvManager(const ModelConfig &model,
                                std::vector<KvCoreInfo> score_cores,
                                std::vector<KvCoreInfo> context_cores,
@@ -18,6 +30,7 @@ BlockKvManager::BlockKvManager(const ModelConfig &model,
 {
     ouroAssert(!score_cores.empty() && !context_cores.empty(),
                "BlockKvManager: empty KV core pool");
+    ouroAssert(model.numKvHeads > 0, "BlockKvManager: no KV heads");
     ouroAssert(tokens_per_block > 0, "BlockKvManager: zero block size");
     ouroAssert(threshold >= 0.0 && threshold < 1.0,
                "BlockKvManager: threshold out of [0,1)");
@@ -26,6 +39,8 @@ BlockKvManager::BlockKvManager(const ModelConfig &model,
     for (const auto &info : context_cores)
         context_.push_back(makeCore(info));
     headsOnCore_.assign(std::max(score_.size(), context_.size()), 0);
+    scorePicks_.assign(static_cast<std::size_t>(model.numKvHeads), 0);
+    contextPicks_.assign(scorePicks_.size(), 0);
 }
 
 BlockKvManager::CoreState
@@ -33,15 +48,11 @@ BlockKvManager::makeCore(const KvCoreInfo &info)
 {
     CoreState state;
     state.info = info;
-    state.free = info.crossbars * info.blocksPerCrossbar;
+    state.free = capacityOf(info);
     state.homeFree = info.crossbars > 0 ? info.blocksPerCrossbar : 0;
-    const double capacity = static_cast<double>(info.crossbars) *
-                            info.blocksPerCrossbar;
-    state.fullBelow = threshold_ * capacity;
-    state.reserve =
-        static_cast<std::uint32_t>(std::ceil(state.fullBelow));
-    totalBlocks_ += static_cast<std::uint64_t>(info.crossbars) *
-                    info.blocksPerCrossbar;
+    state.reserve = static_cast<std::uint32_t>(std::ceil(
+            threshold_ * static_cast<double>(capacityOf(info))));
+    totalBlocks_ += capacityOf(info);
     return state;
 }
 
@@ -65,9 +76,6 @@ BlockKvManager::allocBlocks(CoreState &core, HeadAlloc &alloc,
                " blocks wanted, ", core.free, " free");
     core.free -= blocks;
     usedBlocks_ += blocks;
-    // The anti-thrashing rule: below the threshold the core is full.
-    if (static_cast<double>(core.free) < core.fullBelow)
-        core.markedFull = true;
     // K grows along output channels: any crossbar works, and no later
     // decision reads which one it took.
     if (!is_v)
@@ -91,13 +99,8 @@ BlockKvManager::releaseAlloc(std::vector<CoreState> &ring,
     CoreState &core = ring[alloc.core];
     core.free += blocks;
     core.homeFree += alloc.homeBlocks;
-    ouroAssert(core.free <= core.info.crossbars *
-                                    core.info.blocksPerCrossbar,
+    ouroAssert(core.free <= capacityOf(core.info),
                "releaseAlloc: double free");
-    usedBlocks_ -= blocks;
-    // Freed space may clear the full mark.
-    if (core.free > core.fullBelow)
-        core.markedFull = false;
 }
 
 void
@@ -131,29 +134,28 @@ BlockKvManager::unlinkMru(std::uint32_t key)
 
 bool
 BlockKvManager::ringFits(const std::vector<CoreState> &ring,
-                         std::uint32_t cursor, std::uint32_t need) const
+                         std::uint32_t cursor, std::uint32_t need,
+                         std::vector<std::uint32_t> &picks) const
 {
-    const auto heads = static_cast<std::uint32_t>(model_.numKvHeads);
+    const auto heads = static_cast<std::uint32_t>(picks.size());
     const auto n = static_cast<std::uint32_t>(ring.size());
     // Probe p of the walk visits core (cursor + p) % n for the
-    // (p / n)-th time. A core takes a head on a visit iff it is not
-    // marked full and keeps need + reserve free blocks after the heads
-    // it took on its earlier visits. Once a core refuses, it refuses
-    // for the rest of the walk; and a core able to take a head is
-    // never pushed below the full mark by the heads before it
-    // (need + reserve > threshold * capacity). So this count is
-    // exactly what placeHeads() places. The walk keeps the core
-    // index and the visit count (the lap) instead of dividing.
+    // (p / n)-th time. A core takes a head on a visit iff it keeps
+    // need + reserve free blocks after the heads it took on its
+    // earlier visits - the post-allocation residue stays at the
+    // threshold reserve, so small (spare-crossbar) cores only take
+    // sequences they can also grow (Section 4.4.4's anti-thrashing
+    // rule). Once a core refuses, it refuses for the rest of the
+    // walk, so the visit count (the lap) is the heads it took. The
+    // walk keeps the core index and the lap instead of dividing.
     std::uint32_t placed = 0;
     std::uint32_t at = cursor;
     std::uint64_t taken = 0;
     for (std::uint32_t p = 0; placed < heads && p < 2 * n + heads;
          ++p) {
         const CoreState &core = ring[at];
-        if (!core.markedFull &&
-            core.free >= (taken + 1) * need + core.reserve) {
-            ++placed;
-        }
+        if (core.free >= (taken + 1) * need + core.reserve)
+            picks[placed++] = at;
         if (++at == n)
             at = 0;
         if (at == cursor)
@@ -165,35 +167,18 @@ BlockKvManager::ringFits(const std::vector<CoreState> &ring,
 void
 BlockKvManager::placeHeads(std::vector<CoreState> &ring,
                            std::vector<HeadAlloc> &allocs,
+                           const std::vector<std::uint32_t> &picks,
                            std::uint32_t &cursor, std::uint32_t need,
                            bool is_v)
 {
-    const auto n = static_cast<std::uint32_t>(ring.size());
-    std::uint32_t at = cursor;
-    std::size_t probes = 0;
-    auto step = [&] {
-        if (++at == n)
-            at = 0;
-        ++probes;
-    };
-    for (HeadAlloc &alloc : allocs) {
-        // Admission requires the post-allocation residue to stay
-        // above the threshold reserve - small (spare-crossbar) cores
-        // therefore only take sequences they can also grow (Section
-        // 4.4.4's anti-thrashing rule).
-        while (ring[at].markedFull ||
-               ring[at].free < need + ring[at].reserve) {
-            step();
-            ouroAssert(probes < 2 * n + allocs.size(),
-                       "placeHeads: walk placed fewer heads than "
-                       "ringFits counted");
-        }
-        alloc.core = at;
+    for (std::size_t h = 0; h < allocs.size(); ++h) {
+        HeadAlloc &alloc = allocs[h];
+        alloc.core = picks[h];
         alloc.homeBlocks = 0;
-        allocBlocks(ring[at], alloc, 0, need, is_v);
-        step();
+        allocBlocks(ring[alloc.core], alloc, 0, need, is_v);
     }
-    cursor = at;
+    const std::uint32_t next = picks.back() + 1;
+    cursor = next == ring.size() ? 0 : next;
 }
 
 bool
@@ -216,8 +201,8 @@ BlockKvManager::admit(std::uint32_t key, std::uint64_t initial_tokens)
     }
     const std::uint32_t need = blocksFor(initial_tokens);
     ++probes_;
-    if (!ringFits(score_, scoreCursor_, need) ||
-        !ringFits(context_, contextCursor_, need)) {
+    if (!ringFits(score_, scoreCursor_, need, scorePicks_) ||
+        !ringFits(context_, contextCursor_, need, contextPicks_)) {
         ++probeFailures_;
         if (epoch_ != failedEpoch_ || need < failedNeed_) {
             failedEpoch_ = epoch_;
@@ -240,8 +225,9 @@ BlockKvManager::admit(std::uint32_t key, std::uint64_t initial_tokens)
                 : initial_tokens -
                       (static_cast<std::uint64_t>(need) - 1) *
                           tokensPerBlock_);
-    placeHeads(score_, seq.k, scoreCursor_, need, false);
-    placeHeads(context_, seq.v, contextCursor_, need, true);
+    placeHeads(score_, seq.k, scorePicks_, scoreCursor_, need, false);
+    placeHeads(context_, seq.v, contextPicks_, contextCursor_, need,
+               true);
     seq.live = true;
     linkMru(key);
     ++residents_;
@@ -330,6 +316,9 @@ BlockKvManager::releaseSlot(std::uint32_t key)
         releaseAlloc(score_, alloc, seq.blocksPerHead);
     for (const auto &alloc : seq.v)
         releaseAlloc(context_, alloc, seq.blocksPerHead);
+    usedBlocks_ -= static_cast<std::uint64_t>(seq.k.size() +
+                                              seq.v.size()) *
+                   seq.blocksPerHead;
     unlinkMru(key);
     // The head storage stays with the slot for the key's next
     // residency.
@@ -375,40 +364,59 @@ BlockKvManager::utilization() const
 std::vector<std::uint32_t>
 BlockKvManager::dropCore(CoreCoord coord)
 {
+    // The coordinate's unfenced entry in each ring (at most one:
+    // adoptCore() refuses a live duplicate; a fenced entry holds no
+    // head and is already empty), or kNilSlot.
+    auto live_index = [&](const std::vector<CoreState> &ring) {
+        for (std::uint32_t r = 0; r < ring.size(); ++r) {
+            if (!ring[r].fenced && ring[r].info.coord == coord)
+                return r;
+        }
+        return kNilSlot;
+    };
+    const std::uint32_t score_at = live_index(score_);
+    const std::uint32_t context_at = live_index(context_);
+    // Every head holds at least one block, so by block conservation a
+    // core with every block free holds none.
+    auto holds_heads = [](const std::vector<CoreState> &ring,
+                          std::uint32_t at) {
+        return at != kNilSlot &&
+               ring[at].free < capacityOf(ring[at].info);
+    };
     // Every resident with a head on the core, released in one pass
     // over the slots, hence in ascending key order. Release first
     // (their blocks return to the free counts), THEN fence the core
     // so no future allocation lands on it.
-    auto on_core = [&](const std::vector<CoreState> &ring,
-                       const std::vector<HeadAlloc> &heads) {
-        return std::any_of(heads.begin(), heads.end(),
-                           [&](const HeadAlloc &alloc) {
-                               return ring[alloc.core].info.coord ==
-                                      coord;
-                           });
-    };
     std::vector<std::uint32_t> lost;
-    for (std::uint32_t key = 0; key < slots_.size(); ++key) {
-        const SequenceState &seq = slots_[key];
-        if (seq.live &&
-            (on_core(score_, seq.k) || on_core(context_, seq.v))) {
-            releaseSlot(key);
-            lost.push_back(key);
+    if (holds_heads(score_, score_at) ||
+        holds_heads(context_, context_at)) {
+        auto on_core = [](const std::vector<HeadAlloc> &heads,
+                          std::uint32_t at) {
+            return std::any_of(heads.begin(), heads.end(),
+                               [at](const HeadAlloc &alloc) {
+                                   return alloc.core == at;
+                               });
+        };
+        for (std::uint32_t key = 0; key < slots_.size(); ++key) {
+            const SequenceState &seq = slots_[key];
+            if (seq.live && (on_core(seq.k, score_at) ||
+                             on_core(seq.v, context_at))) {
+                releaseSlot(key);
+                lost.push_back(key);
+            }
         }
     }
-    auto fence = [&](std::vector<CoreState> &ring) {
-        for (auto &core : ring) {
-            if (!(core.info.coord == coord))
-                continue;
-            totalBlocks_ -= core.free;
-            core.free = 0;
-            core.homeFree = 0;
-            core.markedFull = true;
-            core.fenced = true;
-        }
+    auto fence = [&](std::vector<CoreState> &ring, std::uint32_t at) {
+        if (at == kNilSlot)
+            return;
+        CoreState &core = ring[at];
+        totalBlocks_ -= core.free;
+        core.free = 0;
+        core.homeFree = 0;
+        core.fenced = true;
     };
-    fence(score_);
-    fence(context_);
+    fence(score_, score_at);
+    fence(context_, context_at);
     return lost;
 }
 
@@ -499,14 +507,12 @@ BlockKvManager::checkInvariants() const
             used += held.all[r];
             if (core.fenced) {
                 ouroAssert(core.free == 0 && core.homeFree == 0 &&
-                                   held.all[r] == 0 && core.markedFull,
+                                   held.all[r] == 0,
                            "checkInvariants: fenced core ", r,
                            " holds blocks or takes heads");
                 continue;
             }
-            const std::uint64_t capacity =
-                static_cast<std::uint64_t>(core.info.crossbars) *
-                core.info.blocksPerCrossbar;
+            const std::uint64_t capacity = capacityOf(core.info);
             total += capacity;
             // Block conservation on the core and on its home crossbar.
             ouroAssert(core.free + held.all[r] == capacity &&

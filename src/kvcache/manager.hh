@@ -19,10 +19,13 @@
  *  - a logical block (128 rows x 1024 bits) holds 128 tokens of one
  *    head (head_dim <= 128), matching "the head dimensions of
  *    prevalent models";
- *  - when the free space of the ring's current core falls below a
- *    threshold the core is marked full, reserving the residue for
- *    decode-phase growth of already-resident sequences (the
- *    anti-thrashing rule of Section 4.4.4).
+ *  - a core below a threshold of free space is full for admissions,
+ *    reserving the residue for decode-phase growth of
+ *    already-resident sequences (the anti-thrashing rule of Section
+ *    4.4.4): an admission takes a core only if it leaves the reserve,
+ *    ceil(threshold * capacity) blocks, free. That test alone is the
+ *    full mark - a core below threshold * capacity free blocks can
+ *    never pass it - so no mark is stored.
  *
  * Eviction (Section 4.4.4): when a resident's growth finds no room,
  * the MOST RECENTLY admitted other resident is evicted and must be
@@ -45,8 +48,9 @@
  * alone. Which crossbar holds a K block feeds no later decision (the
  * score ring shares no core state with the context ring), so it is
  * not tracked, and allocation and release are O(1) per head. An
- * admission first decides feasibility with a counting pass that
- * mutates nothing, and only then allocates, so a failed admission
+ * admission walks each ring once: the walk mutates nothing and
+ * records the core it picks for every head, and only when both rings
+ * fit are exactly those picks allocated, so a failed admission
  * leaves the pool untouched. A failure is also remembered against the
  * capacity epoch (see capacityEpoch()): retrying an admission that
  * needs at least as many blocks before the epoch moves is answered in
@@ -222,7 +226,9 @@ class BlockKvManager
 
     /**
      * V-spill count: V growth that could not stay in its preferred
-     * crossbar and pays the extra partial-sum hop (Section 4.4.3).
+     * crossbar, where Section 4.4.3 charges an extra partial-sum hop.
+     * The spill is counted, not charged: no stage timing reads it
+     * (ROADMAP item M decides whether it should).
      * Counts committed allocations only.
      */
     std::uint64_t vSpills() const { return vSpills_; }
@@ -243,7 +249,9 @@ class BlockKvManager
      *  residents on the core are released (a later call on their keys
      *  is a checked error until they are admitted again), the core's
      *  free blocks leave totalBlocks(), and the fenced entry never
-     *  takes another allocation. */
+     *  takes another allocation. The core is found by ring index (its
+     *  one unfenced entry per ring), and a core with every block free
+     *  holds no head, so dropping it scans no slot. */
     std::vector<std::uint32_t> dropCore(CoreCoord coord);
 
     /**
@@ -270,11 +278,9 @@ class BlockKvManager
         std::uint32_t homeFree = 0;
         /** Admission residue: ceil(threshold * capacity) blocks. */
         std::uint32_t reserve = 0;
-        /** threshold * capacity: below this many free blocks the
-         *  core is marked full (the anti-thrashing rule). */
-        double fullBelow = 0.0;
-        bool markedFull = false;
-        bool fenced = false; ///< dropCore()d: never allocates again
+        /** dropCore()d: never allocates again (free stays 0, so the
+         *  admission test refuses it). */
+        bool fenced = false;
     };
 
     static constexpr std::uint32_t kNilSlot = 0xffffffffu;
@@ -341,6 +347,10 @@ class BlockKvManager
     /** Scratch per ring index, all zero between calls: heads of one
      *  sequence per core (see fitsOneMoreBlock()). */
     std::vector<std::uint32_t> headsOnCore_;
+    /** Scratch per head: the ring indices the admission walk picked
+     *  on each ring (see ringFits()). */
+    std::vector<std::uint32_t> scorePicks_;
+    std::vector<std::uint32_t> contextPicks_;
 
     /** The slot of resident @p key; a checked error otherwise. */
     SequenceState &residentSlot(std::uint32_t key);
@@ -365,14 +375,19 @@ class BlockKvManager
     void unlinkMru(std::uint32_t key);
 
     /** Whether the ring walk from @p cursor places every head at
-     *  @p need blocks each; reads the ring only. */
+     *  @p need blocks each; reads the ring only and records the ring
+     *  index of each head's core, in walk order, in @p picks (one
+     *  entry per head). */
     bool ringFits(const std::vector<CoreState> &ring,
-                  std::uint32_t cursor, std::uint32_t need) const;
+                  std::uint32_t cursor, std::uint32_t need,
+                  std::vector<std::uint32_t> &picks) const;
 
-    /** The same walk, allocating: one HeadAlloc per head, in walk
-     *  order. Only called once ringFits() said yes. */
+    /** Allocate @p need blocks on each core ringFits() picked, one
+     *  HeadAlloc per head, and move @p cursor past the last pick.
+     *  Only called once ringFits() said yes on both rings. */
     void placeHeads(std::vector<CoreState> &ring,
                     std::vector<HeadAlloc> &allocs,
+                    const std::vector<std::uint32_t> &picks,
                     std::uint32_t &cursor, std::uint32_t need,
                     bool is_v);
 
@@ -382,13 +397,14 @@ class BlockKvManager
                           const std::vector<HeadAlloc> &allocs);
 
     /** Allocate @p blocks more on a ring core to a head that holds
-     *  @p held, and apply the full mark; kind selects K/V policy. The
-     *  core must hold at least @p blocks free blocks. */
+     *  @p held; kind selects K/V policy. The core must hold at least
+     *  @p blocks free blocks. */
     void allocBlocks(CoreState &core, HeadAlloc &alloc,
                      std::uint32_t held, std::uint32_t blocks,
                      bool is_v);
 
-    /** Return a head's @p blocks to its ring core. */
+    /** Return a head's @p blocks to its ring core; the caller
+     *  updates usedBlocks_. */
     void releaseAlloc(std::vector<CoreState> &ring,
                       const HeadAlloc &alloc, std::uint32_t blocks);
 };

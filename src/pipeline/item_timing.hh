@@ -15,7 +15,9 @@
 #define OURO_PIPELINE_ITEM_TIMING_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "model/masks.hh"
 #include "pipeline/timing.hh"
@@ -31,25 +33,30 @@ struct ItemTiming
     std::uint64_t context = 0;
     std::uint64_t tokens = 1;
 
+    /** total = 0.0 + stage[0] + ... + stage[5], in that order,
+     *  unrolled at compile time so the item stays in registers. */
     void finalize()
     {
-        total = 0.0;
-        for (const double t : stage)
-            total += t;
+        total = [this]<std::size_t... S>(std::index_sequence<S...>) {
+            return (0.0 + ... + stage[S]);
+        }(std::make_index_sequence<kStagesPerBlock>{});
     }
 };
 
 /** One token, pure token-grained (causal path).
- *  Header-inline: the engine builds one per token, so the six fused
- *  multiply-adds must not hide behind a call. */
+ *  Header-inline and unrolled at compile time, as the engine's stage
+ *  walk is: the engine builds one per token, so the six fused
+ *  multiply-adds must not hide behind a call or a runtime loop. */
 inline ItemTiming
 freshTokenItem(const StageTiming &timing, std::uint64_t ctx)
 {
     ItemTiming item;
     item.context = ctx;
-    for (unsigned s = 0; s < kStagesPerBlock; ++s)
-        item.stage[s] =
-            timing.tokenTime(static_cast<StageKind>(s), ctx);
+    [&]<std::size_t... S>(std::index_sequence<S...>) {
+        ((item.stage[S] =
+                  timing.tokenTime(static_cast<StageKind>(S), ctx)),
+         ...);
+    }(std::make_index_sequence<kStagesPerBlock>{});
     item.finalize();
     return item;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.hh"
@@ -71,22 +70,33 @@ double
 stormCapacityFraction(const OuroborosSystem &sys,
                       const std::vector<KvPoolEvent> &events)
 {
+    // One mark per wafer core: in the pool or not, and the count of
+    // marked cores.
     const WaferGeometry geom = sys.mapping(0).geometry();
-    std::unordered_set<std::uint64_t> pool;
+    std::vector<std::uint8_t> in_pool(geom.numCores(), 0);
+    std::uint64_t size = 0;
+    auto insert = [&](CoreCoord c) {
+        std::uint8_t &mark = in_pool[geom.coreIndex(c)];
+        size += !mark;
+        mark = 1;
+    };
     for (const KvCoreInfo &info : sys.scorePool())
-        pool.insert(geom.coreIndex(info.coord));
+        insert(info.coord);
     for (const KvCoreInfo &info : sys.contextPool())
-        pool.insert(geom.coreIndex(info.coord));
-    const double initial = static_cast<double>(pool.size());
+        insert(info.coord);
+    const double initial = static_cast<double>(size);
     if (initial == 0.0)
         return 1.0;
     for (const KvPoolEvent &ev : events) {
-        for (const CoreCoord &c : ev.dropCores)
-            pool.erase(geom.coreIndex(c));
+        for (const CoreCoord &c : ev.dropCores) {
+            std::uint8_t &mark = in_pool[geom.coreIndex(c)];
+            size -= mark;
+            mark = 0;
+        }
         for (const KvPoolEvent::Adopt &a : ev.adopts)
-            pool.insert(geom.coreIndex(a.info.coord));
+            insert(a.info.coord);
     }
-    return static_cast<double>(pool.size()) / initial;
+    return static_cast<double>(size) / initial;
 }
 
 /** Bad configurations are user errors: fatal(), naming the field

@@ -1,7 +1,6 @@
 #include "storm_run.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace ouro
 {
@@ -9,21 +8,23 @@ namespace ouro
 namespace
 {
 
-/** Coordinates in @p a but not in @p b (order of @p a preserved). */
+/** Coordinates in @p a but not in @p b (order of @p a preserved).
+ *  @p marked holds one zero per wafer core (geom.coreIndex()); the
+ *  call marks @p b's cores in it and leaves it zeroed again. */
 std::vector<CoreCoord>
 coordsMinus(const std::vector<CoreCoord> &a,
             const std::vector<CoreCoord> &b,
-            const WaferGeometry &geom)
+            const WaferGeometry &geom, std::vector<std::uint8_t> &marked)
 {
-    std::unordered_set<std::uint64_t> in_b;
-    in_b.reserve(b.size());
     for (const CoreCoord &c : b)
-        in_b.insert(geom.coreIndex(c));
+        marked[geom.coreIndex(c)] = 1;
     std::vector<CoreCoord> out;
     for (const CoreCoord &c : a) {
-        if (in_b.count(geom.coreIndex(c)) == 0)
+        if (!marked[geom.coreIndex(c)])
             out.push_back(c);
     }
+    for (const CoreCoord &c : b)
+        marked[geom.coreIndex(c)] = 0;
     return out;
 }
 
@@ -47,6 +48,11 @@ resolveStormSchedule(const OuroborosSystem &sys,
         RecoveryService service = sys.makeRecoveryService(0, recovery);
         const WaferGeometry geom = sys.mapping(0).geometry();
         const std::uint64_t block = service.firstBlock();
+        std::vector<std::uint8_t> marked(geom.numCores(), 0);
+        auto minus = [&](const std::vector<CoreCoord> &a,
+                         const std::vector<CoreCoord> &b) {
+            return coordsMinus(a, b, geom, marked);
+        };
 
         for (std::uint64_t k = 0; k < injector.numFailures(); ++k) {
             // Victim selection against the CURRENT placement: the
@@ -98,26 +104,26 @@ resolveStormSchedule(const OuroborosSystem &sys,
                 service.placement(block, 0);
             KvPoolEvent ev;
             ev.time = injector.failureTime(k);
-            for (const CoreCoord &c : coordsMinus(
-                         score_before, after.scoreCores, geom))
+            for (const CoreCoord &c :
+                 minus(score_before, after.scoreCores))
                 ev.dropCores.push_back(c);
-            for (const CoreCoord &c : coordsMinus(
-                         context_before, after.contextCores, geom))
+            for (const CoreCoord &c :
+                 minus(context_before, after.contextCores))
                 ev.dropCores.push_back(c);
             if (std::find(ev.dropCores.begin(), ev.dropCores.end(),
                           victim) == ev.dropCores.end())
                 ev.dropCores.push_back(victim);
 
             const CoreParams &core = sys.params().core;
-            for (const CoreCoord &c : coordsMinus(
-                         after.scoreCores, score_before, geom)) {
+            for (const CoreCoord &c :
+                 minus(after.scoreCores, score_before)) {
                 ev.adopts.push_back(
                         {{c, core.numCrossbars,
                           core.crossbar.logicalBlocks},
                          true});
             }
-            for (const CoreCoord &c : coordsMinus(
-                         after.contextCores, context_before, geom)) {
+            for (const CoreCoord &c :
+                 minus(after.contextCores, context_before)) {
                 ev.adopts.push_back(
                         {{c, core.numCrossbars,
                           core.crossbar.logicalBlocks},

@@ -401,6 +401,109 @@ TEST(KvManager, DropCoreSparesOtherResidents)
     EXPECT_DEATH({ mgr.release(1); }, "sequence 1 is not resident");
 }
 
+TEST(KvManager, DropCoreOfAnEmptyCoreReleasesNothing)
+{
+    // 8 cores, 4 heads: seq 1 sits on score and context cores 0-3, so
+    // cores 4-7 hold no head. Dropping one fences it - its blocks
+    // leave the pool and no later admission lands on it - but
+    // releases nothing, so the capacity epoch stays.
+    BlockKvManager mgr(kvModel(), pool(8), pool(8, 4, 8, 1));
+    ASSERT_TRUE(mgr.admit(1, 64));
+    for (const CoreCoord coord : {CoreCoord{0, 6}, CoreCoord{1, 5}}) {
+        const auto epoch = mgr.capacityEpoch();
+        const auto total = mgr.totalBlocks();
+        const auto used = mgr.usedBlocks();
+        EXPECT_TRUE(mgr.dropCore(coord).empty());
+        EXPECT_EQ(mgr.capacityEpoch(), epoch);
+        EXPECT_EQ(mgr.totalBlocks(), total - 4u * 8u);
+        EXPECT_EQ(mgr.usedBlocks(), used);
+        EXPECT_TRUE(mgr.resident(1));
+        mgr.checkInvariants();
+    }
+    // A coordinate the pool never held changes nothing.
+    const auto total = mgr.totalBlocks();
+    EXPECT_TRUE(mgr.dropCore({7, 7}).empty());
+    EXPECT_EQ(mgr.totalBlocks(), total);
+    // Fenced: the next admissions walk past score core 6 and context
+    // core 5.
+    for (std::uint32_t key = 2; key < 6; ++key) {
+        ASSERT_TRUE(mgr.admit(key, 64));
+        for (std::uint32_t h = 0; h < 4; ++h) {
+            EXPECT_NE(mgr.headPlacement(key, h).scoreCore, 6u);
+            EXPECT_NE(mgr.headPlacement(key, h).contextCore, 5u);
+        }
+    }
+    mgr.checkInvariants();
+}
+
+TEST(KvManager, DropCoreFindsTheReAdoptedEntry)
+{
+    // Drop a coordinate, re-adopt it (a new ring index behind the
+    // fenced one), let admissions reach the new entry, then drop the
+    // coordinate again: exactly the residents on the new entry are
+    // lost, and the new entry is fenced too.
+    BlockKvManager mgr(kvModel(), pool(8), pool(8, 4, 8, 1));
+    ASSERT_TRUE(mgr.admit(1, 64));
+    ASSERT_TRUE(mgr.admit(2, 64));
+    const CoreCoord coord =
+        mgr.scoreCoord(mgr.headPlacement(1, 0).scoreCore);
+    ASSERT_EQ(mgr.dropCore(coord), std::vector<std::uint32_t>{1});
+    const std::uint32_t fresh = mgr.adoptCore({coord, 4, 8}, true);
+    EXPECT_EQ(fresh, 8u);
+    std::vector<std::uint32_t> on_fresh;
+    for (std::uint32_t key = 3; key < 7; ++key) {
+        ASSERT_TRUE(mgr.admit(key, 64));
+        for (std::uint32_t h = 0; h < 4; ++h) {
+            if (mgr.headPlacement(key, h).scoreCore == fresh) {
+                on_fresh.push_back(key);
+                break;
+            }
+        }
+    }
+    ASSERT_FALSE(on_fresh.empty());
+    const auto residents = mgr.numResident();
+    const auto total = mgr.totalBlocks();
+    EXPECT_EQ(mgr.dropCore(coord), on_fresh);
+    EXPECT_EQ(mgr.numResident(), residents - on_fresh.size());
+    EXPECT_EQ(mgr.totalBlocks(), total - 4u * 8u);
+    mgr.checkInvariants();
+    // Both entries of the coordinate are fenced: a third drop finds
+    // no live entry and changes nothing.
+    const auto epoch = mgr.capacityEpoch();
+    EXPECT_TRUE(mgr.dropCore(coord).empty());
+    EXPECT_EQ(mgr.totalBlocks(), total - 4u * 8u);
+    EXPECT_EQ(mgr.capacityEpoch(), epoch);
+}
+
+TEST(KvManager, CoreBelowReserveRefusesUntilReleasesLiftIt)
+{
+    // 4 cores x 1 crossbar x 8 blocks per ring, threshold 0.25: a
+    // reserve of 2 blocks. Each sequence puts one head on every core,
+    // so every core sees the same counts. Growth may take a core below
+    // its reserve (the paper's full mark); admissions then wait until
+    // releases lift its free blocks to need + reserve.
+    BlockKvManager mgr(kvModel(), pool(4, 1, 8), pool(4, 1, 8, 1), 128,
+                       0.25);
+    ASSERT_TRUE(mgr.admit(1, 128)); // 1 block: 7 free
+    ASSERT_TRUE(mgr.admit(2, 128)); // 1 block: 6 free
+    ASSERT_TRUE(mgr.admit(3, 256)); // 2 blocks: 4 free
+    for (int b = 0; b < 3; ++b) {
+        mgr.growFast(3, mgr.growRoom(3));
+        const KvResult grown = mgr.grow(3);
+        ASSERT_TRUE(grown.ok);
+        EXPECT_TRUE(grown.evicted.empty());
+    }
+    // 1 free block per core, below the reserve of 2.
+    EXPECT_EQ(mgr.usedBlocks(), 2u * 4u * 7u);
+    EXPECT_FALSE(mgr.admit(4, 64));
+    mgr.release(1); // 2 free: still short of need 1 + reserve 2
+    EXPECT_FALSE(mgr.admit(4, 64));
+    mgr.release(2); // 3 free: need + reserve
+    EXPECT_TRUE(mgr.admit(4, 64));
+    EXPECT_EQ(mgr.usedBlocks(), 2u * 4u * 6u);
+    mgr.checkInvariants();
+}
+
 TEST(KvManager, AdoptCoreGrowsCapacity)
 {
     // adoptCore grafts an empty core behind the ring cursor: the
@@ -462,8 +565,7 @@ TEST(KvManager, FailedAdmissionLeavesPoolUntouched)
     // Two managers see the same admissions; `probed` also takes
     // admissions that fail - some at K, some only at V (its context
     // ring is smaller). If a failed trial left anything behind (a
-    // cursor, a full mark, a crossbar count), later placements would
-    // diverge.
+    // cursor, a block count), later placements would diverge.
     auto make = [] {
         return BlockKvManager(kvModel(), pool(6, 2, 4),
                               pool(5, 2, 4, 1), 128, 0.25);

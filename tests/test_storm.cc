@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "pipeline/engine.hh"
 #include "sim/failure_injector.hh"
@@ -354,6 +356,121 @@ TEST(StormRun, ReplayIsBitwiseDeterministic)
     EXPECT_FALSE(first.events.empty());
     // All admitted work still completes through the storm.
     EXPECT_EQ(first.fleet.outputTokens, w.totalOutputTokens());
+}
+
+/** Coordinates in @p a but not in @p b, through a hash set: the
+ *  plain form of the resolver's per-core mark diff. */
+std::vector<CoreCoord>
+hashSetMinus(const std::vector<CoreCoord> &a,
+             const std::vector<CoreCoord> &b, const WaferGeometry &geom)
+{
+    std::unordered_set<std::uint64_t> in_b;
+    for (const CoreCoord &c : b)
+        in_b.insert(geom.coreIndex(c));
+    std::vector<CoreCoord> out;
+    for (const CoreCoord &c : a) {
+        if (in_b.count(geom.coreIndex(c)) == 0)
+            out.push_back(c);
+    }
+    return out;
+}
+
+/** resolveStormSchedule written out on hashSetMinus: the same victim
+ *  picks and event mirroring, as the oracle of the resolver's
+ *  hash-free diff. */
+ResolvedStorm
+hashSetResolve(const OuroborosSystem &sys,
+               const FailureInjectorParams &params)
+{
+    ResolvedStorm result;
+    const FailureInjector injector(params);
+    if (injector.numFailures() == 0)
+        return result;
+    RecoveryService service = sys.makeRecoveryService(0);
+    const WaferGeometry geom = sys.mapping(0).geometry();
+    const std::uint64_t block = service.firstBlock();
+    const CoreParams &core = sys.params().core;
+    for (std::uint64_t k = 0; k < injector.numFailures(); ++k) {
+        const BlockPlacement before = service.placement(block, 0);
+        std::vector<CoreCoord> candidates;
+        if (injector.weightDuty(k)) {
+            candidates = before.weightCores;
+        } else {
+            candidates = before.scoreCores;
+            candidates.insert(candidates.end(),
+                              before.contextCores.begin(),
+                              before.contextCores.end());
+        }
+        if (candidates.empty()) {
+            ++result.failuresSkipped;
+            continue;
+        }
+        const CoreCoord victim =
+            candidates[injector.pick(k, candidates.size())];
+        ++result.failuresInjected;
+        const auto outcome = service.handleCoreFailure(victim);
+        if (!outcome) {
+            ++result.failuresSkipped;
+            continue;
+        }
+        ++result.failuresHandled;
+        result.borrows += outcome->borrows.size();
+        const BlockPlacement &after = service.placement(block, 0);
+        KvPoolEvent ev;
+        ev.time = injector.failureTime(k);
+        for (const CoreCoord &c :
+             hashSetMinus(before.scoreCores, after.scoreCores, geom))
+            ev.dropCores.push_back(c);
+        for (const CoreCoord &c : hashSetMinus(
+                     before.contextCores, after.contextCores, geom))
+            ev.dropCores.push_back(c);
+        if (std::find(ev.dropCores.begin(), ev.dropCores.end(),
+                      victim) == ev.dropCores.end())
+            ev.dropCores.push_back(victim);
+        for (const CoreCoord &c :
+             hashSetMinus(after.scoreCores, before.scoreCores, geom))
+            ev.adopts.push_back(
+                    {{c, core.numCrossbars, core.crossbar.logicalBlocks},
+                     true});
+        for (const CoreCoord &c : hashSetMinus(
+                     after.contextCores, before.contextCores, geom))
+            ev.adopts.push_back(
+                    {{c, core.numCrossbars, core.crossbar.logicalBlocks},
+                     false});
+        result.kvCoresLost += ev.dropCores.size();
+        result.kvCoresAdopted += ev.adopts.size();
+        result.events.push_back(std::move(ev));
+    }
+    return result;
+}
+
+TEST(StormRun, ResolvedEventsMatchHashSetDiff)
+{
+    // The resolver diffs placements through one per-core mark vector
+    // that every diff leaves zeroed; a hash-set diff of the same
+    // placements must give the same ResolvedStorm, events and
+    // counters, over KV-only, mixed and weight-only storms.
+    const auto sys = OuroborosSystem::build(llama13b(), {}, fastOpts());
+    ASSERT_TRUE(sys.has_value());
+    std::uint64_t drops = 0;
+    std::uint64_t handled = 0;
+    for (const double weight_fraction : {0.0, 0.25, 1.0}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            FailureInjectorParams params;
+            params.failures = 16;
+            params.seed = seed;
+            params.weightFailureFraction = weight_fraction;
+            const ResolvedStorm got = resolveStormSchedule(*sys, params);
+            EXPECT_EQ(got, hashSetResolve(*sys, params))
+                    << "seed " << seed << ", weight fraction "
+                    << weight_fraction;
+            drops += got.kvCoresLost;
+            handled += got.failuresHandled;
+        }
+    }
+    // The diff found lost cores beyond the victims themselves (the KV
+    // cores that weight failures' replacement chains absorbed).
+    EXPECT_GT(drops, handled);
 }
 
 TEST(StormRun, KvOnlyStormDropsEachVictimOnce)
