@@ -6,8 +6,8 @@
  * per-link loads), KV admission/growth, the MIQP objective /
  * moveDelta / swapDelta on both the sparse flow-graph engine and the
  * dense reference, the wafer-level recovery service's failure
- * handling and dry-pool KV borrowing, storm-schedule resolution on
- * the LLaMA-13B system, day-trace window
+ * handling and dry-pool KV borrowing, the LLaMA-13B system build,
+ * storm-schedule resolution on the LLaMA-13B system, day-trace window
  * materialization, the sampled-window simulator, one KV-thrashing
  * and one all-resident pipeline run, and the RNG. These guard the
  * simulator's own performance (the figure harnesses run millions of
@@ -551,6 +551,25 @@ BM_StormReprice(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kFailures);
 }
 BENCHMARK(BM_StormReprice);
+
+void
+BM_SystemBuild(benchmark::State &state)
+{
+    // What every harness and perfbench's setup_s pay per system: one
+    // default LLaMA-13B OuroborosSystem::build (block 0's annealed
+    // mapping, the congruent translations of the other regions, the
+    // routed inter-block flows and the stage timing).
+    for (auto _ : state) {
+        const auto sys =
+            OuroborosSystem::build(llama13b(), OuroborosParams{});
+        if (!sys) {
+            state.SkipWithError("LLaMA-13B does not fit the wafer");
+            return;
+        }
+        benchmark::DoNotOptimize(sys->activeCores());
+    }
+}
+BENCHMARK(BM_SystemBuild)->Unit(benchmark::kMicrosecond);
 
 void
 BM_ResolveStormSchedule(benchmark::State &state)

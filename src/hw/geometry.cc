@@ -19,14 +19,6 @@ WaferGeometry::WaferGeometry(std::uint32_t die_rows,
                cores_per_die_col > 0, "WaferGeometry: zero extent");
 }
 
-std::uint64_t
-WaferGeometry::coreIndex(CoreCoord c) const
-{
-    ouroAssert(contains(c), "coreIndex: coordinate off wafer (",
-               c.row, ",", c.col, ")");
-    return static_cast<std::uint64_t>(c.row) * cols() + c.col;
-}
-
 CoreCoord
 WaferGeometry::coreAt(std::uint64_t index) const
 {
@@ -34,27 +26,6 @@ WaferGeometry::coreAt(std::uint64_t index) const
                " out of range");
     return {static_cast<std::uint32_t>(index / cols()),
             static_cast<std::uint32_t>(index % cols())};
-}
-
-DieCoord
-WaferGeometry::dieOf(CoreCoord c) const
-{
-    ouroAssert(contains(c), "dieOf: coordinate off wafer");
-    return {c.row / coresPerDieRow_, c.col / coresPerDieCol_};
-}
-
-bool
-WaferGeometry::sameDie(CoreCoord a, CoreCoord b) const
-{
-    return dieOf(a) == dieOf(b);
-}
-
-std::uint32_t
-WaferGeometry::manhattan(CoreCoord a, CoreCoord b) const
-{
-    const auto dr = a.row > b.row ? a.row - b.row : b.row - a.row;
-    const auto dc = a.col > b.col ? a.col - b.col : b.col - a.col;
-    return dr + dc;
 }
 
 std::uint32_t
@@ -65,12 +36,6 @@ WaferGeometry::dieCrossings(CoreCoord a, CoreCoord b) const
     const auto dr = da.row > db.row ? da.row - db.row : db.row - da.row;
     const auto dc = da.col > db.col ? da.col - db.col : db.col - da.col;
     return dr + dc;
-}
-
-bool
-WaferGeometry::contains(CoreCoord c) const
-{
-    return c.row < rows() && c.col < cols();
 }
 
 std::vector<CoreCoord>

@@ -9,6 +9,11 @@
  * locality questions the mapper and NoC need: Manhattan distance,
  * same-die tests, die membership, and S-shaped (boustrophedon)
  * die-order enumeration for the pipeline's producer-consumer flow.
+ *
+ * The per-coordinate queries (coreIndex, contains, dieOf, sameDie,
+ * manhattan) are header-inline: the mapper prices every flow, the NoC
+ * every route hop and storm resolution every core lookup through
+ * them, so they must not hide behind a call.
  */
 
 #ifndef OURO_HW_GEOMETRY_HH
@@ -16,6 +21,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "common/logging.hh"
 
 namespace ouro
 {
@@ -72,16 +79,33 @@ class WaferGeometry
     }
 
     /** Flatten / unflatten core coordinates. */
-    std::uint64_t coreIndex(CoreCoord c) const;
+    std::uint64_t coreIndex(CoreCoord c) const
+    {
+        ouroAssert(contains(c), "coreIndex: coordinate off wafer (",
+                   c.row, ",", c.col, ")");
+        return static_cast<std::uint64_t>(c.row) * cols() + c.col;
+    }
     CoreCoord coreAt(std::uint64_t index) const;
 
     /** Die containing a core. */
-    DieCoord dieOf(CoreCoord c) const;
+    DieCoord dieOf(CoreCoord c) const
+    {
+        ouroAssert(contains(c), "dieOf: coordinate off wafer");
+        return {c.row / coresPerDieRow_, c.col / coresPerDieCol_};
+    }
 
-    bool sameDie(CoreCoord a, CoreCoord b) const;
+    bool sameDie(CoreCoord a, CoreCoord b) const
+    {
+        return dieOf(a) == dieOf(b);
+    }
 
     /** Manhattan hop distance on the global core mesh. */
-    std::uint32_t manhattan(CoreCoord a, CoreCoord b) const;
+    std::uint32_t manhattan(CoreCoord a, CoreCoord b) const
+    {
+        const auto dr = a.row > b.row ? a.row - b.row : b.row - a.row;
+        const auto dc = a.col > b.col ? a.col - b.col : b.col - a.col;
+        return dr + dc;
+    }
 
     /**
      * Number of die boundaries an XY route from @p a to @p b crosses
@@ -90,7 +114,10 @@ class WaferGeometry
     std::uint32_t dieCrossings(CoreCoord a, CoreCoord b) const;
 
     /** Validity check for a coordinate. */
-    bool contains(CoreCoord c) const;
+    bool contains(CoreCoord c) const
+    {
+        return c.row < rows() && c.col < cols();
+    }
 
     /**
      * Cores of the wafer in S-shaped (boustrophedon) order: dies are

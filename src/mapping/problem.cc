@@ -105,8 +105,7 @@ MappingProblem::MappingProblem(const ModelConfig &model,
                                const WaferGeometry &geom,
                                std::vector<CoreCoord> candidate_cores,
                                double cost_inter,
-                               const DefectMap *defects,
-                               bool precompute_distance_table)
+                               const DefectMap *defects)
     : layers_(tileBlockLayers(model, core_params)),
       candidates_(std::move(candidate_cores)), geom_(geom),
       costInter_(cost_inter), defects_(defects)
@@ -125,23 +124,19 @@ MappingProblem::MappingProblem(const ModelConfig &model,
                " usable cores but the block needs ", tiles_.size());
 
     buildFlowGraph();
-    if (precompute_distance_table)
-        buildDistanceTable();
+    buildSlots();
 }
 
 MappingProblem
 MappingProblem::congruentTranslate(
-        std::vector<CoreCoord> candidate_cores,
-        bool precompute_distance_table) const
+        std::vector<CoreCoord> candidate_cores) const
 {
     ouroAssert(candidate_cores.size() == candidates_.size(),
                "congruentTranslate: region of ",
                candidate_cores.size(), " cores is not congruent to ",
                candidates_.size());
-    // Field-wise clone instead of a copy construction: the template
-    // may hold the O(C^2) distance/penalty tables (the annealed
-    // region 0 does), and copying megabytes of table only to drop
-    // them per translated region would defeat the fast path.
+    // Field-wise clone instead of a copy construction: the template's
+    // candidates and slots are replaced, so copying them is waste.
     MappingProblem translated;
     translated.layers_ = layers_;
     translated.tiles_ = tiles_;
@@ -157,8 +152,7 @@ MappingProblem::congruentTranslate(
     // regions share by definition - so the immutable CSR is shared
     // behind its shared_ptr, making the translate O(1) in flow size.
     translated.flow_ = flow_;
-    if (precompute_distance_table)
-        translated.buildDistanceTable();
+    translated.buildSlots();
     return translated;
 }
 
@@ -260,22 +254,14 @@ MappingProblem::buildFlowGraph()
 }
 
 void
-MappingProblem::buildDistanceTable()
+MappingProblem::buildSlots()
 {
-    const std::size_t c = candidates_.size();
-    if (c > kMaxTableCandidates)
-        return; // too large for C^2 doubles: price on the fly
-    distTable_.resize(c * c);
-    penTable_.resize(c * c);
-    for (std::size_t a = 0; a < c; ++a) {
-        for (std::size_t b = 0; b < c; ++b) {
-            distTable_[a * c + b] =
-                geom_.manhattan(candidates_[a], candidates_[b]);
-            penTable_[a * c + b] =
-                penalty(candidates_[a], candidates_[b]);
-        }
+    slots_.clear();
+    slots_.reserve(candidates_.size());
+    for (const CoreCoord c : candidates_) {
+        const DieCoord die = geom_.dieOf(c);
+        slots_.push_back({c, die.row * geom_.dieCols() + die.col});
     }
-    hasTable_ = true;
 }
 
 bool

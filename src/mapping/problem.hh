@@ -23,24 +23,23 @@
  * (Eq. 3) - our tiling makes #Core(l) = I(l) * O(l) by construction.
  *
  * Sparse cost engine: almost all tile pairs exchange zero bytes, so
- * the problem precomputes, once, (a) per-tile adjacency lists of the
+ * the problem precomputes, once, per-tile adjacency lists of the
  * nonzero-flow partners in ascending partner order with their directed
- * byte volumes, and (b) a candidate x candidate Manhattan-distance and
- * die-penalty table. assignmentCost / moveDelta / swapDelta /
- * partialCost run over those lists. Because a zero-flow pair
- * contributes exactly +0.0 to the dense Eq. 1 sums and the nonzero
- * terms are visited in the same (ascending) order with the same
- * ((dist * bytes) * penalty) association, the sparse results are
- * BIT-IDENTICAL to the retained dense reference
- * (assignmentCostDense / moveDeltaDense / swapDeltaDense) - tests and
- * the fig18 harness assert this.
+ * byte volumes. assignmentCost / moveDelta / swapDelta / partialCost
+ * run over those lists and price each flow from a per-candidate slot
+ * array (the core coordinate and its die's flat index, built in O(C)):
+ * Manhattan distance of the two coordinates, times CostInter when the
+ * die indices differ. Because a zero-flow pair contributes exactly
+ * +0.0 to the dense Eq. 1 sums and the nonzero terms are visited in
+ * the same (ascending) order with the same ((dist * bytes) * penalty)
+ * association, the sparse results are BIT-IDENTICAL to the retained
+ * dense reference (assignmentCostDense / moveDeltaDense /
+ * swapDeltaDense), which prices through the geometry directly - tests
+ * and the fig18 harness assert this.
  *
  * The sparse engine is the only cost engine: the annealer, the
  * branch-and-bound ExactMapper and the wafer build all price through
- * it, and the dense references exist only to check it. The table and
- * on-the-fly slot lookups compute the same values, so table residency
- * (the precompute flag, the kMaxTableCandidates cutoff) never changes
- * a result.
+ * it, and the dense references exist only to check it.
  */
 
 #ifndef OURO_MAPPING_PROBLEM_HH
@@ -106,32 +105,18 @@ class MappingProblem
 {
   public:
     /**
-     * Largest region (in candidate cores) for which the O(C^2) slot
-     * tables are materialised; larger regions price on the fly, which
-     * computes the exact same values (test-pinned above the cutoff).
-     */
-    static constexpr std::size_t kMaxTableCandidates = 1024;
-
-    /**
      * Build the problem for one transformer block of @p model on cores
      * with @p core_params capacity, to be placed on the region
      * @p candidate_cores (ordered; defective cores excluded by the
-     * caller or flagged via @p defects).
-     *
-     * @p precompute_distance_table controls whether the candidate x
-     * candidate distance/penalty table is materialised (skipped for
-     * throwaway problems that evaluate the cost only once, e.g. the
-     * replicated-region instances of WaferMapping, and for regions
-     * above kMaxTableCandidates); results are bit-identical either
-     * way.
+     * caller or flagged via @p defects). O(T^2) in tiles for the flow
+     * graph, O(C) in candidates for the slot array.
      */
     MappingProblem(const ModelConfig &model,
                    const CoreParams &core_params,
                    const WaferGeometry &geom,
                    std::vector<CoreCoord> candidate_cores,
                    double cost_inter = 2.0,
-                   const DefectMap *defects = nullptr,
-                   bool precompute_distance_table = true);
+                   const DefectMap *defects = nullptr);
 
     /**
      * Clone this problem onto a *congruent* candidate region: same
@@ -147,15 +132,9 @@ class MappingProblem
      * distances/penalties come from the same geometry arithmetic
      * (tests and fig18_mapping assert this against the retained
      * per-block rebuild oracle).
-     *
-     * @p precompute_distance_table defaults to off because translated
-     * regions (WaferMapping's replicated blocks) evaluate the
-     * objective once; when on, the kMaxTableCandidates cutoff applies
-     * as in the constructor.
      */
     MappingProblem
-    congruentTranslate(std::vector<CoreCoord> candidate_cores,
-                       bool precompute_distance_table = false) const;
+    congruentTranslate(std::vector<CoreCoord> candidate_cores) const;
 
     const std::vector<LayerSpec> &layers() const { return layers_; }
     const std::vector<Tile> &tiles() const { return tiles_; }
@@ -256,9 +235,6 @@ class MappingProblem
         return flow_ == other.flow_;
     }
 
-    /** True when the candidate x candidate slot tables are resident. */
-    bool hasDistanceTable() const { return hasTable_; }
-
     /** Verify constraints (Eq. 2/3): a legal one-to-one placement. */
     bool feasible(const std::vector<std::uint32_t> &assignment) const;
 
@@ -297,35 +273,27 @@ class MappingProblem
     };
     std::shared_ptr<const FlowCsr> flow_;
 
-    // Candidate x candidate Manhattan distance and die penalty,
-    // row-major (only when the region is small enough to afford C^2
-    // doubles; otherwise recomputed from the geometry on the fly,
-    // which yields the exact same values).
-    std::vector<double> distTable_;
-    std::vector<double> penTable_;
-    bool hasTable_ = false;
+    // One entry per candidate: its coordinate and its die's flat index
+    // (die row * dieCols + die col), so pricing a slot pair needs no
+    // division. Built in O(C) for every region, translations included.
+    struct Slot
+    {
+        CoreCoord core;
+        std::uint32_t die;
+    };
+    std::vector<Slot> slots_;
 
     void buildFlowGraph();
-    /** Materialise the slot tables unless the region exceeds
-     *  kMaxTableCandidates. */
-    void buildDistanceTable();
+    void buildSlots();
 
     double slotDist(std::uint32_t a, std::uint32_t b) const
     {
-        if (hasTable_)
-            return distTable_[static_cast<std::size_t>(a) *
-                                      candidates_.size() +
-                              b];
-        return geom_.manhattan(candidates_[a], candidates_[b]);
+        return geom_.manhattan(slots_[a].core, slots_[b].core);
     }
 
     double slotPen(std::uint32_t a, std::uint32_t b) const
     {
-        if (hasTable_)
-            return penTable_[static_cast<std::size_t>(a) *
-                                     candidates_.size() +
-                             b];
-        return penalty(candidates_[a], candidates_[b]);
+        return slots_[a].die == slots_[b].die ? 1.0 : costInter_;
     }
 
     double penalty(CoreCoord a, CoreCoord b) const;

@@ -229,11 +229,9 @@ WaferMapping::build(const ModelConfig &model,
     const GreedyMapper greedy;
 
     // Block 0's problem is the template every congruent region is
-    // translated from; the candidate distance/penalty table only pays
-    // off for the annealed region (thousands of incremental
-    // evaluations) - replicated regions and the constructive mappers
-    // evaluate the objective once, so they skip the O(C^2) precompute
-    // (the sparse engine's on-the-fly path is bit-identical).
+    // translated from. The retained per-region rebuild oracle
+    // (congruentReuse = false) constructs every region in full and
+    // never reads the template.
     std::optional<MappingProblem> template_problem;
 
     mapping.placements_.reserve(num_regions);
@@ -242,29 +240,17 @@ WaferMapping::build(const ModelConfig &model,
         std::vector<CoreCoord> region_cores(
                 order.begin() + lo, order.begin() + lo + per_region);
 
-        const bool anneals =
-            region == 0 && opts.mapper == MapperKind::Annealing;
-        std::optional<MappingProblem> rebuilt;
+        std::optional<MappingProblem> translated;
         if (region == 0 || !opts.congruentReuse) {
-            // Full construction: block 0 (the template) or the
-            // retained per-region rebuild oracle.
-            rebuilt.emplace(model, core_params, geom,
-                            std::move(region_cores), opts.costInter,
-                            nullptr, anneals);
+            template_problem.emplace(model, core_params, geom,
+                                     std::move(region_cores),
+                                     opts.costInter);
+        } else {
+            translated.emplace(template_problem->congruentTranslate(
+                    std::move(region_cores)));
         }
-        const MappingProblem problem =
-            rebuilt ? std::move(*rebuilt)
-                    : template_problem->congruentTranslate(
-                              std::move(region_cores));
-        if (region == 0 && opts.congruentReuse) {
-            // Store the template as a self-translate: same layers,
-            // tiles and flow CSR, but WITHOUT region 0's (possibly
-            // materialised) O(C^2) distance table, which the
-            // translated regions never use. The oracle path never
-            // reads the template, so it skips the copy.
-            template_problem.emplace(problem.congruentTranslate(
-                    std::vector<CoreCoord>(problem.candidates())));
-        }
+        const MappingProblem &problem =
+            translated ? *translated : *template_problem;
         const auto &cores = problem.candidates();
 
         Assignment assignment;

@@ -67,9 +67,11 @@ enum class PipelineKind
  * the representative block's pool via BlockKvManager::dropCore -
  * residents whose KV lived there are storm-evicted and re-enter the
  * wait queue with their full re-prefill as real pipeline work - and
- * `adopts` are grafted in via adoptCore (KV capacity borrowed from
- * adjacent blocks by the recovery service). Schedules must be sorted
- * by nondecreasing time (asserted).
+ * `adopts` are grafted in via adoptCore (KV cores the region gained;
+ * resolveStormSchedule emits none with the current RecoveryService,
+ * whose cross-block borrow is absorbed by the same failure's
+ * replacement chain). Schedules must be sorted by nondecreasing time
+ * (asserted).
  */
 struct KvPoolEvent
 {

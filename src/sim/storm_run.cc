@@ -97,9 +97,10 @@ resolveStormSchedule(const OuroborosSystem &sys,
             // core itself is always dropped too, once - a dead weight
             // core takes its spare KV crossbars with it (dropCore is
             // a no-op for coordinates the pool never held). Gained
-            // cores (cross-block borrows) are adopted with the
-            // dedicated-KV-core shape and the duty they kept across
-            // the graft.
+            // cores would be adopted with the dedicated-KV-core shape
+            // and the duty they kept across the graft. None arise
+            // with the current RecoveryService: a cross-block borrow
+            // is absorbed by the same failure's replacement chain.
             const BlockPlacement &after =
                 service.placement(block, 0);
             KvPoolEvent ev;

@@ -8,8 +8,12 @@
  * placement change is mirrored into a pool event on the run clock:
  * lost KV cores (the failed core, a replacement chain's absorbed KV
  * core) become dropCore()s, whose residents are storm-evicted and
- * re-prefilled under the Section 4.4.4 admission backpressure;
- * gained cores (cross-block borrows) become adoptCore()s.
+ * re-prefilled under the Section 4.4.4 admission backpressure.
+ * A core the region holds after the failure but not before would
+ * become an adoptCore(). None arises with the current
+ * RecoveryService, which borrows a core only into a region whose KV
+ * pools are both empty, for a weight-core failure whose replacement
+ * chain then absorbs it.
  *
  * Serving through a storm is a fleet run (sim/fleet.hh): one wafer,
  * stormWafer = 0, the schedule in FleetOptions::injector. The fleet

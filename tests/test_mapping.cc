@@ -574,46 +574,94 @@ TEST(SparseEngine, BitIdenticalUnderDefectMaps)
     }
 }
 
-TEST(SparseEngine, TableAndOnTheFlyPathsBitIdentical)
+TEST(SparseEngine, SlotPricingMatchesDenseReferences)
 {
-    // The slot tables only cache what the on-the-fly path computes.
-    // Two problems price on the fly: one built without the table, and
-    // one whose region exceeds kMaxTableCandidates, which skips the
-    // table although asked to build it. The large region starts with
-    // the small one, so assignments into the first 96 slots mean the
-    // same cores on all three problems.
+    // The sparse engine prices slot pairs from the per-candidate slot
+    // array; the dense references price through the geometry. Both
+    // must agree bit for bit on a one-die region and on one of 1100
+    // candidates spanning several dies, where CostInter applies.
     const WaferGeometry geom;
-    const auto region = regionOf(geom, 96);
-    MappingProblem with_table(tinyModel(), CoreParams{}, geom, region,
-                              2.0, nullptr, true);
-    MappingProblem without_table(tinyModel(), CoreParams{}, geom,
-                                 region, 2.0, nullptr, false);
-    static_assert(MappingProblem::kMaxTableCandidates < 1100);
-    MappingProblem above_cutoff(tinyModel(), CoreParams{}, geom,
-                                regionOf(geom, 1100), 2.0, nullptr,
-                                true);
-    ASSERT_TRUE(with_table.hasDistanceTable());
-    ASSERT_FALSE(without_table.hasDistanceTable());
-    ASSERT_FALSE(above_cutoff.hasDistanceTable());
-    Rng rng(29);
-    const std::size_t n = with_table.tiles().size();
-    for (int round = 0; round < 30; ++round) {
-        const Assignment a = randomAssignment(with_table, rng);
-        const auto t =
-            static_cast<std::size_t>(rng.uniformInt(0, n - 1));
-        const auto slot = static_cast<std::uint32_t>(
-                rng.uniformInt(0, region.size() - 1));
-        auto t2 = static_cast<std::size_t>(rng.uniformInt(0, n - 2));
-        if (t2 >= t)
-            ++t2;
-        for (const MappingProblem *fly :
-             {&without_table, &above_cutoff}) {
-            EXPECT_EQ(with_table.assignmentCost(a),
-                      fly->assignmentCost(a));
-            EXPECT_EQ(with_table.moveDelta(a, t, slot),
-                      fly->moveDelta(a, t, slot));
-            EXPECT_EQ(with_table.swapDelta(a, t, t2),
-                      fly->swapDelta(a, t, t2));
+    for (const std::uint32_t size : {96u, 1100u}) {
+        const MappingProblem problem(tinyModel(), CoreParams{}, geom,
+                                     regionOf(geom, size));
+        Rng rng(29 + size);
+        const std::size_t n = problem.tiles().size();
+        for (int round = 0; round < 30; ++round) {
+            const Assignment a = randomAssignment(problem, rng);
+            const auto t =
+                static_cast<std::size_t>(rng.uniformInt(0, n - 1));
+            const auto slot = static_cast<std::uint32_t>(
+                    rng.uniformInt(0, size - 1));
+            auto t2 =
+                static_cast<std::size_t>(rng.uniformInt(0, n - 2));
+            if (t2 >= t)
+                ++t2;
+            EXPECT_EQ(problem.assignmentCost(a),
+                      problem.assignmentCostDense(a));
+            EXPECT_EQ(problem.moveDelta(a, t, slot),
+                      problem.moveDeltaDense(a, t, slot));
+            EXPECT_EQ(problem.swapDelta(a, t, t2),
+                      problem.swapDeltaDense(a, t, t2));
+        }
+    }
+}
+
+TEST(SparseEngine, SlotPairsPriceManhattanTimesDiePenalty)
+{
+    // Every tile on slot i except tile b on slot j: the only flows
+    // with nonzero distance are b's, so assignmentCost is the slot
+    // pair's distance x penalty times b's flow bytes. Checked for
+    // every slot pair of regions spanning several dies, including a
+    // non-square die grid of non-square dies, where a die index with
+    // the wrong stride or a dropped coordinate term mis-prices pairs.
+    struct Case
+    {
+        WaferGeometry geom;
+        std::vector<CoreCoord> region;
+    };
+    const WaferGeometry paper;
+    std::vector<CoreCoord> spread; // 4 x 3 dies of the paper wafer
+    for (std::uint32_t r = 0; r < 4 * 13; r += 3) {
+        for (std::uint32_t c = 0; c < 3 * 17; c += 4)
+            spread.push_back({r, c});
+    }
+    const WaferGeometry odd(2, 3, 5, 7); // 2 x 3 dies of 5 x 7 cores
+    const std::vector<Case> cases = {{paper, spread},
+                                     {odd, odd.sShapedOrder()}};
+    for (const Case &cs : cases) {
+        const double cost_inter = 3.0;
+        const MappingProblem problem(tinyModel(), CoreParams{},
+                                     cs.geom, cs.region, cost_inter);
+        const std::size_t n = problem.tiles().size();
+        const std::size_t b = n / 2;
+        ASSERT_GT(problem.flowDegree(b), 0u);
+        double bytes = 0.0;
+        for (std::size_t p = 0; p < n; ++p) {
+            if (p != b)
+                bytes += static_cast<double>(
+                        problem.flowBetween(std::min(p, b),
+                                            std::max(p, b)));
+        }
+        std::set<std::uint32_t> dies;
+        for (const CoreCoord c : cs.region) {
+            const DieCoord d = cs.geom.dieOf(c);
+            dies.insert(d.row * cs.geom.dieCols() + d.col);
+        }
+        ASSERT_GE(dies.size(), 6u);
+        const auto slots =
+            static_cast<std::uint32_t>(cs.region.size());
+        for (std::uint32_t i = 0; i < slots; ++i) {
+            for (std::uint32_t j = 0; j < slots; ++j) {
+                Assignment a(n, i);
+                a[b] = j;
+                const CoreCoord ci = cs.region[i];
+                const CoreCoord cj = cs.region[j];
+                const double pen =
+                    cs.geom.sameDie(ci, cj) ? 1.0 : cost_inter;
+                ASSERT_EQ(problem.assignmentCost(a),
+                          cs.geom.manhattan(ci, cj) * bytes * pen)
+                    << "slots " << i << ", " << j;
+            }
         }
     }
 }
@@ -701,13 +749,12 @@ TEST(Congruence, TranslateBitIdenticalToFreshProblem)
     const MappingProblem fresh_a(tinyModel(), CoreParams{}, geom,
                                  region_a);
     const MappingProblem fresh_b(tinyModel(), CoreParams{}, geom,
-                                 region_b, 2.0, nullptr, false);
+                                 region_b);
     const MappingProblem translated =
         fresh_a.congruentTranslate(region_b);
 
     ASSERT_EQ(translated.candidates(), fresh_b.candidates());
     ASSERT_EQ(translated.flowEdges(), fresh_b.flowEdges());
-    EXPECT_FALSE(translated.hasDistanceTable());
 
     Rng rng(23);
     const std::size_t n = translated.tiles().size();
