@@ -92,10 +92,10 @@ aliveCores(const BlockPlacement &p)
 /**
  * Re-price the wafer's steady-state inter-block activation traffic
  * over the (post-recovery) placements on one sweep point's mesh -
- * the long-haul flows a defect sweep re-evaluates per point. Uses
- * the same accumulateInterBlockFlows definition WaferMapping::build
- * prices, so the bench can never drift from the product flow model.
- * Returns the bottleneck-link time.
+ * the long-haul flows a defect sweep re-evaluates per point. Loads
+ * the forEachInterBlockFlow flows WaferMapping::build prices (through
+ * accumulateInterBlockFlows), so the bench can never drift from the
+ * product flow model. Returns the bottleneck-link time.
  */
 double
 interBlockTraffic(const std::vector<BlockPlacement> &blocks,

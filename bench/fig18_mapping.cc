@@ -16,6 +16,13 @@
  * BENCH_fig18_mapping.json records both engines' cost-evaluations/sec
  * with cost_engine_speedup, and both build times with
  * wafer_build_speedup.
+ *
+ * sparse_evals_per_sec is the sparse engine's own throughput, the
+ * number that tracks the engine run over run. cost_engine_speedup
+ * divides it by the dense reference's rate, so it also moves when only
+ * the reference moves. Likewise both wafer-build times include the
+ * shared inter-block volume pricing, so wafer_build_speedup moves when
+ * that shared cost does.
  */
 
 #include "bench_util.hh"

@@ -6,7 +6,8 @@
  * per-link loads), KV admission/growth, the MIQP objective /
  * moveDelta / swapDelta on both the sparse flow-graph engine and the
  * dense reference, the wafer-level recovery service's failure
- * handling and dry-pool KV borrowing, the LLaMA-13B system build,
+ * handling and dry-pool KV borrowing, the LLaMA-13B system build and
+ * its inter-block volume pricing (accumulator vs volume walk),
  * storm-schedule resolution on the LLaMA-13B system, day-trace window
  * materialization, the sampled-window simulator, one KV-thrashing
  * and one all-resident pipeline run, and the RNG. These guard the
@@ -570,6 +571,59 @@ BM_SystemBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SystemBuild)->Unit(benchmark::kMicrosecond);
+
+void
+BM_InterBlockVolume(benchmark::State &state)
+{
+    // The routed inter-block volume of the default LLaMA-13B mapping
+    // (39 block edges x 24 flows) on a fresh mesh, as
+    // WaferMapping::build prices it: Arg(0) loads the flows onto a
+    // TrafficAccumulator (the oracle), Arg(1) sums them with
+    // MeshNoc::addRouteVolume. Both report the same byte_hops.
+    const auto sys = OuroborosSystem::build(llama13b(), OuroborosParams{});
+    if (!sys) {
+        state.SkipWithError("LLaMA-13B does not fit the wafer");
+        return;
+    }
+    const WaferMapping &mapping = sys->mapping();
+    NocParams params;
+    params.interDiePenalty = WaferMappingOptions{}.costInter;
+    const bool volume_walk = state.range(0) != 0;
+    double byte_hops = 0.0;
+    std::int64_t flows = 0;
+    for (auto _ : state) {
+        const MeshNoc noc(mapping.geometry(), params, sys->defectMap());
+        std::optional<TrafficAccumulator> traffic;
+        if (!volume_walk)
+            traffic.emplace(noc);
+        double volume = 0.0;
+        flows = 0;
+        for (std::uint64_t b = 0; b + 1 < mapping.numBlocks(); ++b) {
+            forEachInterBlockFlow(
+                    mapping.layerSpecs(), mapping.tilesPerBlock(),
+                    mapping.placement(b).weightCores,
+                    mapping.placement(b + 1).weightCores,
+                    [&](CoreCoord src, CoreCoord dst, Bytes bytes) {
+                        ++flows;
+                        if (volume_walk)
+                            return noc.addRouteVolume(src, dst, bytes,
+                                                      volume);
+                        traffic->addFlow(src, dst, bytes);
+                        return true;
+                    });
+        }
+        byte_hops =
+            volume_walk ? volume : traffic->totalEffectiveByteHops();
+        benchmark::DoNotOptimize(byte_hops);
+    }
+    state.SetItemsProcessed(state.iterations() * flows);
+    state.counters["flows"] = static_cast<double>(flows);
+    state.counters["byte_hops"] = byte_hops;
+}
+BENCHMARK(BM_InterBlockVolume)
+        ->Arg(0)
+        ->Arg(1)
+        ->Unit(benchmark::kMicrosecond);
 
 void
 BM_ResolveStormSchedule(benchmark::State &state)

@@ -240,7 +240,7 @@ class MappingProblem
 
     /** Overlap in channels between [lo1,hi1) and [lo2,hi2) - the
      *  byte factor of every activation flow (intra-region AND the
-     *  inter-block flows of accumulateInterBlockFlows). */
+     *  inter-block flows of forEachInterBlockFlow). */
     static std::uint64_t overlap(std::uint64_t lo1, std::uint64_t hi1,
                                  std::uint64_t lo2,
                                  std::uint64_t hi2);

@@ -114,35 +114,17 @@ accumulateInterBlockFlows(const std::vector<LayerSpec> &specs,
                           const MeshNoc &noc,
                           TrafficAccumulator &traffic)
 {
-    ouroAssert(cur.size() == tiles_per_block &&
-                       nxt.size() == tiles_per_block,
-               "accumulateInterBlockFlows: placement/tiling mismatch");
-    const LayerSpec &first = specs.front();
-    const LayerSpec &last = specs.back();
-    const std::uint32_t last_offset =
-        tiles_per_block - last.numTiles();
-    for (std::uint32_t o = 0; o < last.outSplits; ++o) {
-        const CoreCoord src =
-            cur[last_offset + o * last.inSplits + last.inSplits - 1];
-        for (std::uint32_t i = 0; i < first.inSplits; ++i) {
-            const Bytes bytes = MappingProblem::overlap(
-                    last.outPartLo(o), last.outPartHi(o),
-                    first.inPartLo(i), first.inPartHi(i));
-            if (bytes == 0)
-                continue;
-            for (std::uint32_t o2 = 0; o2 < first.outSplits; ++o2) {
-                const CoreCoord dst = nxt[o2 * first.inSplits + i];
-                // An endpoint fenced in by defects has no route; let
-                // the caller decide (addFlow would abort). One cache
-                // lookup serves both the check and the accumulation.
+    return forEachInterBlockFlow(
+            specs, tiles_per_block, cur, nxt,
+            [&](CoreCoord src, CoreCoord dst, Bytes bytes) {
+                // One cache lookup serves both the routability check
+                // and the accumulation (addFlow would abort).
                 const PricedRoute &route = noc.pricedRoute(src, dst);
                 if (route.path.empty())
                     return false;
                 traffic.addFlow(route, bytes);
-            }
-        }
-    }
-    return true;
+                return true;
+            });
 }
 
 std::optional<WaferMapping>
@@ -308,30 +290,33 @@ WaferMapping::build(const ModelConfig &model,
         mapping.placements_.push_back(std::move(placement));
     }
 
-    // Inter-block activation flow: routed over the actual mesh
-    // (cached routes, defect detours included) and aggregated on
-    // per-link loads; the die-crossing hops carry the CostInter
-    // weight, matching the Fig. 18 volume metric. An unroutable
-    // flow (endpoint fenced in by defects) makes the wafer unusable
-    // under this defect map, so the build fails like any other
-    // infeasibility.
+    // Inter-block activation flow: the routed effective byte-hop
+    // volume over the actual mesh (defect detours included), with
+    // die-crossing hops carrying the CostInter weight, matching the
+    // Fig. 18 volume metric. An unroutable flow (endpoint fenced in
+    // by defects) makes the wafer unusable under this defect map, so
+    // the build fails like any other infeasibility.
     NocParams noc_params;
     noc_params.interDiePenalty = opts.costInter;
     const MeshNoc noc(geom, noc_params, defects);
-    TrafficAccumulator traffic(noc);
+    double volume = 0.0;
+    const auto add_volume = [&](CoreCoord src, CoreCoord dst,
+                                Bytes bytes) {
+        return noc.addRouteVolume(src, dst, bytes, volume);
+    };
     for (std::uint32_t rep = 0; rep < replicas; ++rep) {
         for (std::uint64_t b = 0; b + 1 < num_blocks; ++b) {
-            if (!accumulateInterBlockFlows(
+            if (!forEachInterBlockFlow(
                         mapping.specs_, mapping.tilesPerBlock_,
                         mapping.placements_[rep * num_blocks + b]
                                 .weightCores,
                         mapping.placements_[rep * num_blocks + b + 1]
                                 .weightCores,
-                        noc, traffic))
+                        add_volume))
                 return std::nullopt;
         }
     }
-    mapping.interBlockByteHops_ = traffic.totalEffectiveByteHops();
+    mapping.interBlockByteHops_ = volume;
     mapping.totalByteHops_ += mapping.interBlockByteHops_;
 
     return mapping;

@@ -21,11 +21,11 @@
  * the bit-identity oracle.
  *
  * Inter-block activation flows (last reducer of block b -> first
- * layer of block b+1) are routed over the actual mesh (cached
- * MeshNoc routes, defect detours included) and aggregated with
- * TrafficAccumulator; the total is kept separately in
- * interBlockByteHops() so per-region mapping costs stay comparable
- * across builds.
+ * layer of block b+1, enumerated by forEachInterBlockFlow) are
+ * priced as a routed volume with MeshNoc::addRouteVolume (XY routes
+ * walked in place, defect detours from the route cache); the total
+ * is kept separately in interBlockByteHops() so per-region mapping
+ * costs stay comparable across builds.
  *
  * Data-parallel replicas (opts.replicas > 1) are laid out for real:
  * every replica gets its own congruent region chain (replica r,
@@ -49,6 +49,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/logging.hh"
 #include "hw/geometry.hh"
 #include "hw/params.hh"
 #include "hw/yield.hh"
@@ -248,19 +249,61 @@ std::uint64_t embeddingCoreCount(const ModelConfig &model,
                                  const CoreParams &core_params);
 
 /**
- * Accumulate the inter-block activation flows between two
- * consecutive blocks' weight placements onto @p traffic: the last
- * layer's reducer tiles of @p cur forward their output slices to
- * every first-layer tile of @p nxt whose input range overlaps -
- * the same flows the intra-region objective prices across adjacent
- * layers. Both placements must be in the canonical (layer, o, i)
- * tile order of @p specs. This is THE definition of inter-block
- * traffic: WaferMapping::build prices it into interBlockByteHops()
- * and the fault-tolerance harness re-prices it per sweep point, so
- * they can never drift apart.
+ * Enumerate the inter-block activation flows between two consecutive
+ * blocks' weight placements: the last layer's reducer tiles of
+ * @p cur forward their output slices to every first-layer tile of
+ * @p nxt whose input range overlaps - the same flows the
+ * intra-region objective prices across adjacent layers. Both
+ * placements must be in the canonical (layer, o, i) tile order of
+ * @p specs. This is THE definition of inter-block traffic:
+ * WaferMapping::build and RecoveryService price its volume with
+ * MeshNoc::addRouteVolume, and accumulateInterBlockFlows() loads it
+ * onto links, so no two consumers can drift apart.
  *
- * Returns false (with @p traffic partially accumulated) when a flow
- * is unroutable on @p noc's mesh - an endpoint fenced in by defects.
+ * Calls fn(src, dst, bytes) once per flow with bytes > 0, in a fixed
+ * order (reducer o, then input slice i, then first-layer output
+ * split o2). fn returns false to stop the walk (an unroutable flow);
+ * the return value is false iff fn stopped it.
+ */
+template <typename Fn>
+bool
+forEachInterBlockFlow(const std::vector<LayerSpec> &specs,
+                      std::uint32_t tiles_per_block,
+                      const std::vector<CoreCoord> &cur,
+                      const std::vector<CoreCoord> &nxt, Fn &&fn)
+{
+    ouroAssert(cur.size() == tiles_per_block &&
+                       nxt.size() == tiles_per_block,
+               "forEachInterBlockFlow: placement/tiling mismatch");
+    const LayerSpec &first = specs.front();
+    const LayerSpec &last = specs.back();
+    const std::uint32_t last_offset =
+        tiles_per_block - last.numTiles();
+    for (std::uint32_t o = 0; o < last.outSplits; ++o) {
+        const CoreCoord src =
+            cur[last_offset + o * last.inSplits + last.inSplits - 1];
+        for (std::uint32_t i = 0; i < first.inSplits; ++i) {
+            const Bytes bytes = MappingProblem::overlap(
+                    last.outPartLo(o), last.outPartHi(o),
+                    first.inPartLo(i), first.inPartHi(i));
+            if (bytes == 0)
+                continue;
+            for (std::uint32_t o2 = 0; o2 < first.outSplits; ++o2) {
+                if (!fn(src, nxt[o2 * first.inSplits + i], bytes))
+                    return false;
+            }
+        }
+    }
+    return true;
+}
+
+/**
+ * Load the inter-block flows of forEachInterBlockFlow() onto
+ * @p traffic's links (routed on @p noc's mesh), for consumers of
+ * per-link loads such as the bottleneck time; a volume alone is
+ * cheaper through MeshNoc::addRouteVolume. Returns false (with
+ * @p traffic partially accumulated) when a flow is unroutable - an
+ * endpoint fenced in by defects.
  */
 bool accumulateInterBlockFlows(const std::vector<LayerSpec> &specs,
                                std::uint32_t tiles_per_block,

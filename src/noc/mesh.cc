@@ -1,7 +1,6 @@
 #include "mesh.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/logging.hh"
 
@@ -31,6 +30,10 @@ MeshNoc::invalidateRoutes() const
 bool
 MeshNoc::linkFailed(CoreCoord from, LinkDir dir) const
 {
+    // Every routing step asks; a mesh without failed links must not
+    // pay a hash for the answer.
+    if (failedLinks_.empty())
+        return false;
     return failedLinks_.count({geom_.coreIndex(from), dir}) > 0;
 }
 
@@ -64,10 +67,11 @@ MeshNoc::stepAllowed(CoreCoord from, CoreCoord to) const
     return true;
 }
 
-std::vector<CoreCoord>
-MeshNoc::routeDimOrder(CoreCoord src, CoreCoord dst, bool x_first) const
+template <typename Hop>
+bool
+MeshNoc::walkDimOrder(CoreCoord src, CoreCoord dst, bool x_first,
+                      Hop &&hop) const
 {
-    std::vector<CoreCoord> path{src};
     CoreCoord cur = src;
     auto advance = [&](bool horizontal) -> bool {
         while (horizontal ? cur.col != dst.col : cur.row != dst.row) {
@@ -82,14 +86,24 @@ MeshNoc::routeDimOrder(CoreCoord src, CoreCoord dst, bool x_first) const
             const bool is_dst = next == dst;
             if (!stepAllowed(cur, next) || (!is_dst && blocked(next)))
                 return false;
+            hop(cur, next);
             cur = next;
-            path.push_back(cur);
         }
         return true;
     };
     const bool ok = x_first ? (advance(true) && advance(false))
                             : (advance(false) && advance(true));
-    if (!ok || !(cur == dst))
+    return ok && cur == dst;
+}
+
+std::vector<CoreCoord>
+MeshNoc::routeDimOrder(CoreCoord src, CoreCoord dst, bool x_first) const
+{
+    std::vector<CoreCoord> path{src};
+    const bool ok = walkDimOrder(
+            src, dst, x_first,
+            [&](CoreCoord, CoreCoord to) { path.push_back(to); });
+    if (!ok)
         return {};
     return path;
 }
@@ -97,19 +111,31 @@ MeshNoc::routeDimOrder(CoreCoord src, CoreCoord dst, bool x_first) const
 std::vector<CoreCoord>
 MeshNoc::routeBfs(CoreCoord src, CoreCoord dst) const
 {
-    // Fallback breadth-first search for heavily faulted regions.
-    const std::uint64_t n = geom_.numCores();
-    std::vector<std::int64_t> prev(n, -1);
-    std::deque<CoreCoord> queue{src};
-    prev[geom_.coreIndex(src)] =
-        static_cast<std::int64_t>(geom_.coreIndex(src));
-    while (!queue.empty()) {
-        const CoreCoord cur = queue.front();
-        queue.pop_front();
+    // Fallback breadth-first search for heavily faulted regions, over
+    // the mesh's reused scratch (see bfsStamp_).
+    if (bfsStamp_.empty()) {
+        bfsStamp_.assign(geom_.numCores(), 0);
+        bfsPrev_.assign(geom_.numCores(), 0);
+        bfsQueue_.reserve(geom_.numCores());
+    }
+    if (++bfsGen_ == 0) {
+        // The stamp counter wrapped: forget every older search.
+        std::fill(bfsStamp_.begin(), bfsStamp_.end(), 0);
+        bfsGen_ = 1;
+    }
+    const std::uint32_t gen = bfsGen_;
+    const std::uint64_t src_idx = geom_.coreIndex(src);
+    bfsStamp_[src_idx] = gen;
+    bfsPrev_[src_idx] = src_idx;
+    bfsQueue_.clear();
+    bfsQueue_.push_back(src);
+    // Every core is enqueued at most once, so the queue is a flat
+    // array read from a moving head.
+    for (std::size_t head = 0; head < bfsQueue_.size(); ++head) {
+        const CoreCoord cur = bfsQueue_[head];
         if (cur == dst)
             break;
-        const std::int64_t cur_idx =
-            static_cast<std::int64_t>(geom_.coreIndex(cur));
+        const std::uint64_t cur_idx = geom_.coreIndex(cur);
         const CoreCoord neighbours[4] = {
             {cur.row > 0 ? cur.row - 1 : cur.row, cur.col},
             {cur.row + 1, cur.col},
@@ -124,21 +150,20 @@ MeshNoc::routeBfs(CoreCoord src, CoreCoord dst) const
             if (!(next == dst) && blocked(next))
                 continue;
             const auto next_idx = geom_.coreIndex(next);
-            if (prev[next_idx] >= 0)
+            if (bfsStamp_[next_idx] == gen)
                 continue;
-            prev[next_idx] = cur_idx;
-            queue.push_back(next);
+            bfsStamp_[next_idx] = gen;
+            bfsPrev_[next_idx] = cur_idx;
+            bfsQueue_.push_back(next);
         }
     }
-    const auto dst_idx = geom_.coreIndex(dst);
-    if (prev[dst_idx] < 0)
+    if (bfsStamp_[geom_.coreIndex(dst)] != gen)
         return {};
     std::vector<CoreCoord> path;
     CoreCoord cur = dst;
     while (!(cur == src)) {
         path.push_back(cur);
-        cur = geom_.coreAt(
-                static_cast<std::uint64_t>(prev[geom_.coreIndex(cur)]));
+        cur = geom_.coreAt(bfsPrev_[geom_.coreIndex(cur)]);
     }
     path.push_back(src);
     std::reverse(path.begin(), path.end());
@@ -213,6 +238,37 @@ MeshNoc::pricedRoute(CoreCoord src, CoreCoord dst) const
     fresh.path = routeUncached(src, dst);
     fresh.meta = buildMeta(fresh.path);
     return routeCache_.emplace(key, std::move(fresh)).first->second;
+}
+
+bool
+MeshNoc::addRouteVolume(CoreCoord src, CoreCoord dst, Bytes bytes,
+                        double &sum) const
+{
+    ouroAssert(geom_.contains(src) && geom_.contains(dst),
+               "addRouteVolume: endpoint off wafer");
+    const double b = static_cast<double>(bytes);
+    // The two per-hop terms, with addFlow()'s exact expressions.
+    const double eff[2] = {b, b * params_.interDiePenalty};
+    // XY first, as routeUncached() tries it: a cleared XY walk IS the
+    // route, so it is priced in place. The trial sum is committed
+    // only when the walk reaches dst, keeping the flow's hops one
+    // contiguous run of additions onto the running sum.
+    double trial = sum;
+    const bool xy = walkDimOrder(
+            src, dst, true, [&](CoreCoord from, CoreCoord to) {
+                trial += eff[!geom_.sameDie(from, to)];
+            });
+    if (xy) {
+        sum = trial;
+        return true;
+    }
+    // Detoured (YX or BFS) or unroutable: the cached route decides.
+    const PricedRoute &route = pricedRoute(src, dst);
+    if (route.path.empty())
+        return false;
+    for (const std::uint64_t packed : route.meta.slots)
+        sum += eff[packed & 1];
+    return true;
 }
 
 const std::vector<CoreCoord> &

@@ -10,9 +10,16 @@
  * eight virtual channels make the XY/YX mix deadlock-free, so the
  * model only needs to produce correct hop/energy counts.
  *
- * Two levels of fidelity are offered:
+ * Three levels of fidelity are offered:
  *  - transferCost(): latency + energy of one isolated transfer
  *    (hop count x router latency + serialisation).
+ *  - addRouteVolume(): the effective byte-hop volume of a flow (each
+ *    hop's bytes, die-crossing hops inflated by the inter-die
+ *    penalty) added to a running sum - the Fig. 18 metric, walked in
+ *    place along the XY route without allocating; only detoured
+ *    flows touch the route cache. Bit-identical to
+ *    TrafficAccumulator::totalEffectiveByteHops() over the same
+ *    flows (the differential tests pin it).
  *  - TrafficAccumulator: aggregates many concurrent flows onto links
  *    and reports the bottleneck-link time, which is what bounds a
  *    pipeline interval in steady state.
@@ -128,10 +135,12 @@ struct PricedRoute
  * immutable RouteMeta pricing summary, so repeat pricing never
  * re-walks the path - and failLink() (or an explicit
  * invalidateRoutes() after mutating the external DefectMap) flushes
- * the cache (route and summary together, always). The cache mutates
- * under const, so a MeshNoc instance must not be shared across threads
- * without external synchronisation (per-index sweep state, the PR 1
- * parallel contract, already guarantees this everywhere in-tree).
+ * the cache (route and summary together, always). addRouteVolume()
+ * consults the cache only for flows whose XY route is blocked. The
+ * cache (and routeBfs()'s scratch) mutates under const, so a MeshNoc
+ * instance must not be shared across threads without external
+ * synchronisation (per-index sweep state, the parallel runtime's
+ * contract, already guarantees this everywhere in-tree).
  */
 class MeshNoc
 {
@@ -213,6 +222,21 @@ class MeshNoc
     double transferEnergy(CoreCoord src, CoreCoord dst,
                           Bytes bytes) const;
 
+    /**
+     * Add the effective byte-hop volume of a @p bytes flow from
+     * @p src to @p dst to @p sum: per hop, @p bytes, or @p bytes x
+     * interDiePenalty on a die-crossing hop, added one hop at a time
+     * in path order - the same additions, in the same order, as
+     * TrafficAccumulator::addFlow() makes to totalEffectiveByteHops(),
+     * so a flow list summed here is bit-identical to the
+     * accumulator's total. An XY route is walked in place (no cache
+     * entry, no allocation); a detoured flow is priced from its
+     * cached route. Returns false, leaving @p sum untouched, when the
+     * flow is unroutable.
+     */
+    bool addRouteVolume(CoreCoord src, CoreCoord dst, Bytes bytes,
+                        double &sum) const;
+
     /** Direction of the single mesh step from @p from to @p to. */
     static LinkDir stepDir(CoreCoord from, CoreCoord to);
 
@@ -234,8 +258,25 @@ class MeshNoc
     mutable std::uint64_t walkPriced_ = 0;
     friend class TrafficAccumulator; // bumps the pricing counters
 
+    /** routeBfs() scratch, sized numCores on the first search and
+     *  reused: a core is visited in the current search iff its stamp
+     *  equals bfsGen_, so no search clears or reallocates it. Mutable
+     *  under the route cache's thread-compatibility rule. */
+    mutable std::vector<std::uint32_t> bfsStamp_;
+    mutable std::vector<std::uint64_t> bfsPrev_;
+    mutable std::vector<CoreCoord> bfsQueue_;
+    mutable std::uint32_t bfsGen_ = 0;
+
     bool blocked(CoreCoord c) const;
     bool stepAllowed(CoreCoord from, CoreCoord to) const;
+
+    /** THE dimension-ordered stepping rule: walk src -> dst X-first
+     *  (or Y-first), calling hop(from, to) per step; false as soon as
+     *  a step is blocked. routeDimOrder() and addRouteVolume() both
+     *  walk through it. */
+    template <typename Hop>
+    bool walkDimOrder(CoreCoord src, CoreCoord dst, bool x_first,
+                      Hop &&hop) const;
 
     /** Build the pricing summary of @p path (mesh.cc keeps its
      *  arithmetic expression-identical to the retained walks). */

@@ -21,8 +21,7 @@ RecoveryService::RecoveryService(
       defects_(defects ? std::make_unique<const DefectMap>(*defects)
                        : nullptr),
       noc_(std::make_unique<MeshNoc>(geom_, noc_params,
-                                     defects_.get())),
-      traffic_(*noc_)
+                                     defects_.get()))
 {
     regions_.reserve(static_cast<std::size_t>(numReplicas_) *
                      numBlocks_);
@@ -179,32 +178,6 @@ RecoveryService::borrowKvCore(Region &dry, CoreCoord near,
     return false;
 }
 
-bool
-RecoveryService::priceEdge(std::uint32_t replica,
-                           std::uint64_t from_block) const
-{
-    // Flow from_block -> from_block + 1 of this chain.
-    ouroAssert(from_block + 1 < firstBlock_ + numBlocks_,
-               "RecoveryService: edge (", replica, ", ", from_block,
-               ") has no successor block");
-    const auto &cur = region(from_block, replica).placement.weightCores;
-    const auto &nxt =
-        region(from_block + 1, replica).placement.weightCores;
-    return accumulateInterBlockFlows(specs_, tilesPerBlock_, cur,
-                                     nxt, *noc_, traffic_);
-}
-
-bool
-RecoveryService::accumulateChainFlows(std::uint32_t replica) const
-{
-    for (std::uint64_t b = firstBlock_;
-         b + 1 < firstBlock_ + numBlocks_; ++b) {
-        if (!priceEdge(replica, b))
-            return false;
-    }
-    return true;
-}
-
 void
 RecoveryService::markDirtyEdges(std::uint32_t replica,
                                 std::uint64_t block)
@@ -221,13 +194,26 @@ RecoveryService::priceEdges(
 {
     RepriceResult out;
     out.edges = edges.size();
-    // One continuous accumulation over all edges, so any two runs
-    // over the same edge list and state are bit-identical.
-    traffic_.clear();
-    for (const auto &[replica, from_block] : edges)
+    // One continuous volume sum over all edges, so any two runs over
+    // the same edge list and state are bit-identical.
+    const auto add_volume = [&](CoreCoord src, CoreCoord dst,
+                                Bytes bytes) {
+        return noc_->addRouteVolume(src, dst, bytes,
+                                    out.interBlockByteHops);
+    };
+    for (const auto &[replica, from_block] : edges) {
+        // Flow from_block -> from_block + 1 of this chain.
+        ouroAssert(from_block + 1 < firstBlock_ + numBlocks_,
+                   "RecoveryService: edge (", replica, ", ",
+                   from_block, ") has no successor block");
         out.flowsRoutable =
-            priceEdge(replica, from_block) && out.flowsRoutable;
-    out.interBlockByteHops = traffic_.totalEffectiveByteHops();
+            forEachInterBlockFlow(
+                    specs_, tilesPerBlock_,
+                    placement(from_block, replica).weightCores,
+                    placement(from_block + 1, replica).weightCores,
+                    add_volume) &&
+            out.flowsRoutable;
+    }
     return out;
 }
 
@@ -304,10 +290,19 @@ RecoveryService::chainInterBlockSeconds(std::uint32_t replica) const
     ouroAssert(replica < numReplicas_,
                "chainInterBlockSeconds: replica ", replica, " of ",
                numReplicas_, " not on this wafer");
-    traffic_.clear();
-    if (!accumulateChainFlows(replica))
-        return std::nullopt;
-    return traffic_.bottleneckSeconds();
+    // The per-link loads live only as long as this call: the service
+    // keeps no accumulator.
+    TrafficAccumulator traffic(*noc_);
+    for (std::uint64_t b = firstBlock_;
+         b + 1 < firstBlock_ + numBlocks_; ++b) {
+        if (!accumulateInterBlockFlows(
+                    specs_, tilesPerBlock_,
+                    placement(b, replica).weightCores,
+                    placement(b + 1, replica).weightCores, *noc_,
+                    traffic))
+            return std::nullopt;
+    }
+    return traffic.bottleneckSeconds();
 }
 
 } // namespace ouro

@@ -95,8 +95,8 @@ using InterBlockEdge = std::pair<std::uint32_t, std::uint64_t>;
 struct RepriceResult
 {
     /** Effective byte-hops over all edges priced in this run (one
-     *  continuous accumulation in edge order; die crossings weighted
-     *  by the inter-die penalty). */
+     *  continuous MeshNoc::addRouteVolume sum in edge order; die
+     *  crossings weighted by the inter-die penalty). */
     double interBlockByteHops = 0.0;
 
     /** Distinct edges priced. */
@@ -244,16 +244,6 @@ class RecoveryService
     std::optional<std::pair<CoreCoord, bool>>
     pickDonorCore(Region &donor, CoreCoord near);
 
-    /** Accumulate all of chain @p replica's inter-block flows onto
-     *  traffic_. False = unroutable. */
-    bool accumulateChainFlows(std::uint32_t replica) const;
-
-    /** Accumulate edge {replica, from_block} onto traffic_. False =
-     *  unroutable. Panics when from_block has no successor in the
-     *  chain or the region is not on this wafer. */
-    bool priceEdge(std::uint32_t replica,
-                   std::uint64_t from_block) const;
-
     /** Mark the inter-block edges block @p block feeds (predecessor
      *  flow in, own flow out) dirty for the next flushRepricing(). */
     void markDirtyEdges(std::uint32_t replica, std::uint64_t block);
@@ -270,8 +260,8 @@ class RecoveryService
     /** The service owns its fault state: the defect map copy and
      *  the mesh overlaying it. Both live on the heap so a moved
      *  service (makeRecoveryService() returns by value) keeps the
-     *  mesh's DefectMap pointer and the accumulator's MeshNoc
-     *  reference valid; noc_ must be constructed after defects_. */
+     *  mesh's DefectMap pointer valid; noc_ must be constructed after
+     *  defects_. */
     std::unique_ptr<const DefectMap> defects_;
     std::unique_ptr<MeshNoc> noc_;
 
@@ -285,11 +275,6 @@ class RecoveryService
      *  are unowned, borrowed cores re-homed). */
     static constexpr std::uint32_t kUnowned = ~std::uint32_t{0};
     std::vector<std::uint32_t> owner_;
-
-    /** Reused pricing accumulator (clear() is O(touched), so one
-     *  instance serves a whole failure storm without reallocating
-     *  the per-link arrays). */
-    mutable TrafficAccumulator traffic_;
 
     /** Inter-block edges awaiting re-pricing. std::set: ascending
      *  iteration gives flushRepricing() a deterministic edge order,

@@ -18,6 +18,7 @@
 #include "mapping/remap.hh"
 #include "mapping/wafer_mapping.hh"
 #include "model/llm.hh"
+#include "noc/mesh.hh"
 
 namespace ouro
 {
@@ -1099,6 +1100,57 @@ TEST(WaferMappingTest, InterBlockFlowsRoutedSeparately)
         region_costs += mapping->placement(b).mappingCost;
     EXPECT_DOUBLE_EQ(mapping->totalByteHops(),
                      region_costs + mapping->interBlockByteHops());
+}
+
+TEST(WaferMappingTest, InterBlockVolumeMatchesAccumulatorOracle)
+{
+    // interBlockByteHops() is the routed volume walk over the flow
+    // enumerator; it must equal, bit for bit, the same flows loaded
+    // onto a TrafficAccumulator on a fresh mesh - defective wafers
+    // (detours), multi-block replica chains and an inexact CostInter.
+    ModelConfig model = tinyModel();
+    model.numBlocks = 4;
+    const WaferGeometry geom(3, 3, 8, 8);
+    for (const std::uint64_t seed : {0ull, 2ull, 7ull}) {
+        DefectMap defects(geom);
+        Rng rng(seed);
+        for (std::uint64_t i = 0; seed != 0 && i < geom.numCores(); ++i) {
+            if (rng.bernoulli(0.05))
+                defects.inject(geom.coreAt(i));
+        }
+        for (const std::uint32_t replicas : {1u, 2u}) {
+            for (const double cost_inter : {2.0, 1.37}) {
+                WaferMappingOptions opts;
+                opts.mapper = MapperKind::Greedy;
+                opts.replicas = replicas;
+                opts.costInter = cost_inter;
+                const auto mapping = WaferMapping::build(
+                        model, CoreParams{}, geom, &defects, 0,
+                        model.numBlocks, opts);
+                ASSERT_TRUE(mapping.has_value());
+                NocParams params;
+                params.interDiePenalty = cost_inter;
+                const MeshNoc noc(geom, params, &defects);
+                TrafficAccumulator traffic(noc);
+                for (std::uint32_t rep = 0; rep < replicas; ++rep) {
+                    for (std::uint64_t b = 0; b + 1 < model.numBlocks;
+                         ++b) {
+                        ASSERT_TRUE(accumulateInterBlockFlows(
+                                mapping->layerSpecs(),
+                                mapping->tilesPerBlock(),
+                                mapping->placement(b, rep).weightCores,
+                                mapping->placement(b + 1, rep)
+                                        .weightCores,
+                                noc, traffic));
+                    }
+                }
+                EXPECT_EQ(mapping->interBlockByteHops(),
+                          traffic.totalEffectiveByteHops())
+                    << "seed " << seed << " replicas " << replicas
+                    << " costInter " << cost_inter;
+            }
+        }
+    }
 }
 
 TEST(Remap, RouteAwareMatchesCleanMeshPricing)

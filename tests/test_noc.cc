@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the network-on-wafer: XY routing, fault detours,
- * transfer pricing, route caching and metadata, and traffic
- * accumulation/bottleneck analysis.
+ * transfer pricing, route caching and metadata, traffic
+ * accumulation/bottleneck analysis, and the route-volume walk against
+ * the accumulator.
  */
 
 #include <gtest/gtest.h>
@@ -527,6 +528,109 @@ TEST(RouteMeta, AddFlowMetaMatchesWalkFuzz)
     EXPECT_EQ(meta_noc.walkPricedCalls(), 0u);
     EXPECT_GT(walk_noc.walkPricedCalls(), 0u);
     EXPECT_EQ(walk_noc.metaPricedCalls(), 0u);
+}
+
+/** Random core of @p geom. */
+CoreCoord
+randomCore(const WaferGeometry &geom, Rng &rng)
+{
+    return {static_cast<std::uint32_t>(rng.uniformInt(0, geom.rows() - 1)),
+            static_cast<std::uint32_t>(
+                    rng.uniformInt(0, geom.cols() - 1))};
+}
+
+TEST(RouteVolume, MatchesAccumulatorFuzz)
+{
+    // addRouteVolume's running sum must be BIT-identical to
+    // TrafficAccumulator::totalEffectiveByteHops() over the same flow
+    // list: small multi-die wafers, defect densities 0 / 0.05 / 0.2,
+    // failed links, unroutable flows. Flows carry up to 2^44 bytes
+    // and one penalty is inexact in binary, so the sums round: adding
+    // any flow's hops in another grouping or order changes bits.
+    const WaferGeometry geoms[] = {{2, 2, 6, 6}, {3, 2, 5, 7}};
+    std::uint64_t flows = 0;
+    std::uint64_t unroutable = 0;
+    std::uint64_t detoured = 0;
+    for (const WaferGeometry &geom : geoms) {
+        for (const double penalty : {2.0, 1.37}) {
+            NocParams params;
+            params.interDiePenalty = penalty;
+            for (const double density : {0.0, 0.05, 0.2}) {
+                for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+                    Rng rng(seed);
+                    DefectMap defects(geom);
+                    for (std::uint64_t i = 0; i < geom.numCores(); ++i) {
+                        if (rng.bernoulli(density))
+                            defects.inject(geom.coreAt(i));
+                    }
+                    MeshNoc oracle_noc(geom, params, &defects);
+                    MeshNoc volume_noc(geom, params, &defects);
+                    // Odd seeds also fail links (routes detour).
+                    for (int l = 0; l < (seed % 2 ? 4 : 0); ++l) {
+                        const CoreCoord from = randomCore(geom, rng);
+                        const auto dir =
+                            static_cast<LinkDir>(rng.uniformInt(0, 3));
+                        oracle_noc.failLink(from, dir);
+                        volume_noc.failLink(from, dir);
+                    }
+                    TrafficAccumulator traffic(oracle_noc);
+                    double sum = 0.0;
+                    for (int f = 0; f < 60; ++f) {
+                        const CoreCoord src = randomCore(geom, rng);
+                        const CoreCoord dst = randomCore(geom, rng);
+                        const Bytes bytes =
+                            1 + rng.uniformInt(0, Bytes{1} << 44);
+                        const PricedRoute &route =
+                            oracle_noc.pricedRoute(src, dst);
+                        const bool routable = !route.path.empty();
+                        const std::uint64_t misses =
+                            volume_noc.routeCacheMisses();
+                        EXPECT_EQ(volume_noc.addRouteVolume(
+                                          src, dst, bytes, sum),
+                                  routable);
+                        if (routable)
+                            traffic.addFlow(route, bytes);
+                        ++flows;
+                        unroutable += !routable;
+                        detoured += volume_noc.routeCacheMisses() >
+                                    misses;
+                    }
+                    EXPECT_EQ(sum, traffic.totalEffectiveByteHops())
+                        << "geom " << geom.rows() << "x" << geom.cols()
+                        << " penalty " << penalty << " density "
+                        << density << " seed " << seed;
+                }
+            }
+        }
+    }
+    // Every path of the walk ran: in-place XY, cached detours and
+    // unroutable flows.
+    EXPECT_GT(unroutable, 0u);
+    EXPECT_GT(detoured, unroutable);
+    EXPECT_LT(detoured, flows / 2);
+}
+
+TEST(RouteVolume, UnroutableFlowLeavesSumUntouched)
+{
+    // A core fenced in by defects on all four sides: flows into it
+    // fail and add nothing; self-flows and flows elsewhere still
+    // price.
+    const WaferGeometry geom(2, 2, 6, 6);
+    DefectMap defects(geom);
+    for (const CoreCoord c : {CoreCoord{4, 5}, CoreCoord{6, 5},
+                              CoreCoord{5, 4}, CoreCoord{5, 6}})
+        defects.inject(c);
+    const MeshNoc noc(geom, NocParams{}, &defects);
+    double sum = 0.0;
+    EXPECT_TRUE(noc.addRouteVolume({0, 0}, {0, 3}, 100, sum));
+    EXPECT_EQ(sum, 300.0);
+    EXPECT_FALSE(noc.addRouteVolume({0, 0}, {5, 5}, 100, sum));
+    EXPECT_EQ(sum, 300.0);
+    EXPECT_TRUE(noc.addRouteVolume({5, 5}, {5, 5}, 100, sum));
+    EXPECT_EQ(sum, 300.0);
+    // (0,5) -> (0,6) crosses the die boundary: one hop at 2x.
+    EXPECT_TRUE(noc.addRouteVolume({0, 5}, {0, 6}, 100, sum));
+    EXPECT_EQ(sum, 500.0);
 }
 
 } // namespace

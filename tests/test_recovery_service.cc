@@ -437,38 +437,133 @@ TEST(RecoveryService, DeadAndForeignCoresReturnNullopt)
     EXPECT_FALSE(service.handleCoreFailure(failed).has_value());
 }
 
+/** The accumulator oracle of priceEdges(): @p edges' flows loaded
+ *  with accumulateInterBlockFlows onto a fresh mesh carrying the
+ *  same defects and failed links as @p service's. Returns the total
+ *  effective byte-hops and whether every flow routed. */
+std::pair<double, bool>
+oracleEdgeVolume(const RecoveryService &service,
+                 const std::vector<LayerSpec> &specs,
+                 std::uint32_t tiles_per_block, const DefectMap *defects,
+                 const std::vector<std::pair<CoreCoord, LinkDir>> &links,
+                 const std::vector<InterBlockEdge> &edges)
+{
+    const WaferGeometry &geom = service.noc().geometry();
+    MeshNoc noc(geom, service.noc().params(), defects);
+    for (const auto &[from, dir] : links)
+        noc.failLink(from, dir);
+    TrafficAccumulator traffic(noc);
+    bool routable = true;
+    for (const auto &[rep, block] : edges) {
+        routable = accumulateInterBlockFlows(
+                           specs, tiles_per_block,
+                           service.placement(block, rep).weightCores,
+                           service.placement(block + 1, rep)
+                                   .weightCores,
+                           noc, traffic) &&
+                   routable;
+    }
+    return {traffic.totalEffectiveByteHops(), routable};
+}
+
 TEST(RecoveryService, RepricesAffectedInterBlockFlows)
 {
+    // Every flushed figure is the routed volume of the product flow
+    // definition over the post-recovery placements, BIT-identical to
+    // the accumulator oracle on a fresh mesh with the same fault
+    // state: clean and defective wafers, two replica chains, a
+    // failure sequence with a link failing midway. The inter-die
+    // penalty is inexact in binary, so the sums round and any
+    // regrouping of a flow's hops shows.
     const WaferGeometry geom(3, 3, 8, 8);
     const ModelConfig model = tinyModel();
-    const WaferMapping mapping =
-        buildMapping(geom, model, 1, nullptr);
-    RecoveryService service(mapping, NocParams{},
-                            CoreParams{}.sramBytes(), nullptr);
+    const Bytes tile_bytes = CoreParams{}.sramBytes();
+    NocParams noc_params;
+    noc_params.interDiePenalty = 1.37;
+    for (const std::uint64_t defect_seed : {0ull, 5ull}) {
+        std::optional<DefectMap> defects;
+        if (defect_seed != 0) {
+            Rng rng(defect_seed);
+            defects.emplace(geom, YieldParams{}, rng);
+        }
+        const DefectMap *dmap = defects ? &*defects : nullptr;
+        const WaferMapping mapping = buildMapping(geom, model, 2, dmap);
+        const auto &specs = mapping.layerSpecs();
+        const std::uint32_t tiles = mapping.tilesPerBlock();
+        RecoveryService service(mapping, noc_params, tile_bytes, dmap);
+        std::vector<std::pair<CoreCoord, LinkDir>> links;
 
-    const auto out = service.handleCoreFailure(
-            service.placement(0).weightCores[0]);
-    ASSERT_TRUE(out.has_value());
-    ASSERT_FALSE(out->remap.moves.empty());
-    const RepriceResult priced = service.flushRepricing();
-    EXPECT_TRUE(priced.flowsRoutable);
-    EXPECT_EQ(priced.edges, 1u); // block 0 -> 1, the chain's only edge
-    EXPECT_GT(priced.interBlockByteHops, 0.0);
+        // Block 0's first weight failure moves tiles and dirties the
+        // chain's only edge, block 0 -> 1.
+        const auto first = service.handleCoreFailure(
+                service.placement(0).weightCores[0]);
+        ASSERT_TRUE(first.has_value());
+        ASSERT_FALSE(first->remap.moves.empty());
+        ASSERT_EQ(service.dirtyEdges(),
+                  (std::vector<InterBlockEdge>{{0, 0}}));
+        const RepriceResult priced = service.flushRepricing();
+        EXPECT_TRUE(priced.flowsRoutable);
+        EXPECT_EQ(priced.edges, 1u);
+        EXPECT_GT(priced.interBlockByteHops, 0.0);
+        EXPECT_EQ(priced.interBlockByteHops,
+                  oracleEdgeVolume(service, specs, tiles, dmap, links,
+                                   {{0, 0}})
+                          .first);
 
-    // The flushed figure is exactly the product flow definition
-    // re-accumulated over the post-recovery placements.
-    TrafficAccumulator traffic(service.noc());
-    ASSERT_TRUE(accumulateInterBlockFlows(
-            mapping.layerSpecs(), mapping.tilesPerBlock(),
-            service.placement(0).weightCores,
-            service.placement(1).weightCores, service.noc(),
-            traffic));
-    EXPECT_EQ(priced.interBlockByteHops,
-              traffic.totalEffectiveByteHops());
+        Rng rng(41 + defect_seed);
+        std::uint64_t repriced = 0;
+        for (int k = 0; k < 12; ++k) {
+            if (k == 6) {
+                // Fail the first hop of chain 1's first inter-block
+                // flow, so later pricing detours around it.
+                CoreCoord src, dst;
+                forEachInterBlockFlow(
+                        specs, tiles, service.placement(0, 1).weightCores,
+                        service.placement(1, 1).weightCores,
+                        [&](CoreCoord s, CoreCoord d, Bytes) {
+                            src = s;
+                            dst = d;
+                            return false;
+                        });
+                const auto &path = service.noc().routeCached(src, dst);
+                ASSERT_GE(path.size(), 2u);
+                links.emplace_back(path[0],
+                                   MeshNoc::stepDir(path[0], path[1]));
+                service.failLink(links.back().first,
+                                 links.back().second);
+            }
+            const auto rep = static_cast<std::uint32_t>(
+                    rng.uniformInt(0, 1));
+            const std::uint64_t block =
+                rng.uniformInt(0, model.numBlocks - 1);
+            const auto &weights = service.placement(block, rep).weightCores;
+            service.handleCoreFailure(weights[rng.uniformInt(
+                    0, weights.size() - 1)]);
+            const auto edges = service.dirtyEdges();
+            const RepriceResult flushed = service.flushRepricing();
+            const auto [want, routable] = oracleEdgeVolume(
+                    service, specs, tiles, dmap, links, edges);
+            EXPECT_EQ(flushed.edges, edges.size()) << "failure " << k;
+            EXPECT_EQ(flushed.flowsRoutable, routable)
+                << "failure " << k;
+            EXPECT_EQ(flushed.interBlockByteHops, want)
+                << "failure " << k;
+            repriced += flushed.edges;
+        }
+        EXPECT_GT(repriced, 4u);
 
-    const auto seconds = service.chainInterBlockSeconds(0);
-    ASSERT_TRUE(seconds.has_value());
-    EXPECT_GT(*seconds, 0.0);
+        // Both chains at once, in one continuous sum.
+        const std::vector<InterBlockEdge> all{{0, 0}, {1, 0}};
+        const RepriceResult whole = service.priceEdges(all);
+        const auto [want, routable] =
+            oracleEdgeVolume(service, specs, tiles, dmap, links, all);
+        EXPECT_EQ(whole.flowsRoutable, routable);
+        EXPECT_EQ(whole.interBlockByteHops, want);
+
+        const auto seconds = service.chainInterBlockSeconds(0);
+        ASSERT_TRUE(seconds.has_value());
+        EXPECT_GT(*seconds, 0.0);
+    }
 }
 
 /** The edges a weight move in (replica, block) marks dirty: the
@@ -738,7 +833,7 @@ TEST(RecoveryService, FailLinkDetoursCachedRouteAndRepricing)
               dirty.end());
     ASSERT_EQ(dirty, intact.dirtyEdges());
 
-    // One flow of that edge (accumulateInterBlockFlows): the first
+    // One flow of that edge (forEachInterBlockFlow): the first
     // output part of the block's last layer to the first input part
     // of the next block's first layer.
     const auto &specs = sys->mapping().layerSpecs();
