@@ -27,7 +27,7 @@
  * eager_reprice_edges and deferred_reprice_speedup names for the
  * per-failure edge visits and the one-flush speedup). BENCH_fault_tolerance.json records storm recoveries/sec, the
  * borrow rate, reprice_edges_per_storm, deferred_reprice_speedup and
- * route_meta_hit_rate.
+ * route_cache_hit_rate.
  *
  * The RecoveryIndex is additionally benchmarked on a wafer-sized
  * region (also against its scan oracle, also bit-identical): a
@@ -46,6 +46,7 @@
 #include "mapping/remap.hh"
 #include "mapping/wafer_mapping.hh"
 #include "noc/mesh.hh"
+#include "oracles/traffic.hh"
 #include "runtime/recovery_service.hh"
 
 using namespace ouro;
@@ -93,9 +94,9 @@ aliveCores(const BlockPlacement &p)
  * Re-price the wafer's steady-state inter-block activation traffic
  * over the (post-recovery) placements on one sweep point's mesh -
  * the long-haul flows a defect sweep re-evaluates per point. Loads
- * the forEachInterBlockFlow flows WaferMapping::build prices (through
- * accumulateInterBlockFlows), so the bench can never drift from the
- * product flow model. Returns the bottleneck-link time.
+ * the forEachInterBlockFlow flows WaferMapping::build prices onto the
+ * per-link TrafficAccumulator oracle, so the bench can never drift
+ * from the product flow model. Returns the bottleneck-link time.
  */
 double
 interBlockTraffic(const std::vector<BlockPlacement> &blocks,
@@ -106,7 +107,7 @@ interBlockTraffic(const std::vector<BlockPlacement> &blocks,
     for (std::size_t b = 0; b + 1 < blocks.size(); ++b) {
         const bool routable = accumulateInterBlockFlows(
                 specs, tiles_per_block, blocks[b].weightCores,
-                blocks[b + 1].weightCores, noc, traffic);
+                blocks[b + 1].weightCores, traffic);
         ouroAssert(routable, "fault_tolerance: sweep defect map "
                              "fenced an inter-block flow");
     }
@@ -319,9 +320,9 @@ struct StormResult
     double oneFlushSeconds = 0.0;
     std::uint64_t perFailureRepricedEdges = 0;
     std::uint64_t oneFlushRepricedEdges = 0;
-    /** Pricing lookups that found an already-built RouteMeta on the
-     *  one-flush replay's mesh (route-cache hits over all lookups). */
-    double routeMetaHitRate = 0.0;
+    /** Route-cache hits over all route-cache lookups on the
+     *  one-flush replay's mesh. */
+    double routeCacheHitRate = 0.0;
 };
 
 /**
@@ -497,7 +498,7 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
     const MeshNoc &bnoc = batched.noc();
     const std::uint64_t lookups =
         bnoc.routeCacheHits() + bnoc.routeCacheMisses();
-    out.routeMetaHitRate =
+    out.routeCacheHitRate =
         lookups > 0 ? static_cast<double>(bnoc.routeCacheHits()) /
                               static_cast<double>(lookups)
                     : 0.0;
@@ -602,8 +603,8 @@ main(int argc, char **argv)
               << " ms (" << storm.oneFlushRepricedEdges
               << " distinct edges) - "
               << formatDouble(reprice_speedup, 2)
-              << "x, totals bit-identical; route-meta hit rate "
-              << formatDouble(storm.routeMetaHitRate * 100.0, 1)
+              << "x, totals bit-identical; route-cache hit rate "
+              << formatDouble(storm.routeCacheHitRate * 100.0, 1)
               << "%.\n";
 
     BenchReport("fault_tolerance")
@@ -628,7 +629,7 @@ main(int argc, char **argv)
                 storm.oneFlushRepricedEdges)
         .metric("eager_reprice_edges", storm.perFailureRepricedEdges)
         .metric("deferred_reprice_speedup", reprice_speedup)
-        .metric("route_meta_hit_rate", storm.routeMetaHitRate)
+        .metric("route_cache_hit_rate", storm.routeCacheHitRate)
         .write();
     return 0;
 }

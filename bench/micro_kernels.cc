@@ -1,16 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
- * NoC routing (clean, faulted and cached), route pricing (RouteMeta
- * summary vs the retained path walk), traffic accumulation (flat
- * per-link loads), KV admission/growth, the MIQP objective /
- * moveDelta / swapDelta on both the sparse flow-graph engine and the
- * dense reference, the wafer-level recovery service's failure
- * handling and dry-pool KV borrowing, the LLaMA-13B system build and
- * its inter-block volume pricing (accumulator vs volume walk),
- * storm-schedule resolution on the LLaMA-13B system, day-trace window
- * materialization, the sampled-window simulator, one KV-thrashing
- * and one all-resident pipeline run, and the RNG. These guard the
+ * NoC routing (clean, faulted and cached), KV admission/growth, the
+ * MIQP objective / moveDelta / swapDelta on both the sparse
+ * flow-graph engine and the dense reference, the wafer-level
+ * recovery service's failure handling and dry-pool KV borrowing, the
+ * LLaMA-13B system build and its inter-block volume pricing (per-link
+ * oracle vs volume walk), storm-schedule resolution on the LLaMA-13B
+ * system, day-trace window materialization, the sampled-window
+ * simulator, one KV-thrashing and one all-resident pipeline run, and
+ * the RNG. These guard the
  * simulator's own performance (the figure harnesses run millions of
  * these calls).
  */
@@ -27,6 +26,7 @@
 #include "mapping/wafer_mapping.hh"
 #include "model/llm.hh"
 #include "noc/mesh.hh"
+#include "oracles/traffic.hh"
 #include "pipeline/engine.hh"
 #include "runtime/recovery_service.hh"
 #include "sim/fleet.hh"
@@ -52,14 +52,17 @@ BENCHMARK(BM_RngNext);
 void
 BM_MeshRouteClean(benchmark::State &state)
 {
+    // One route computation on a clean wafer (an XY route of
+    // 2 x Arg hops, its latency summary and its cache entry): the
+    // cache is flushed every iteration, so every lookup misses, as
+    // the first transferSeconds of a (src, dst) pair does.
     const WaferGeometry geom;
     const MeshNoc noc(geom, NocParams{});
+    const CoreCoord dst{static_cast<std::uint32_t>(state.range(0)),
+                        static_cast<std::uint32_t>(state.range(0))};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-                noc.route({0, 0},
-                          {static_cast<std::uint32_t>(state.range(0)),
-                           static_cast<std::uint32_t>(
-                                   state.range(0))}));
+        noc.invalidateRoutes();
+        benchmark::DoNotOptimize(&noc.routeCached({0, 0}, dst));
     }
 }
 BENCHMARK(BM_MeshRouteClean)->Arg(8)->Arg(32)->Arg(100);
@@ -67,14 +70,17 @@ BENCHMARK(BM_MeshRouteClean)->Arg(8)->Arg(32)->Arg(100);
 void
 BM_MeshRouteFaulted(benchmark::State &state)
 {
+    // The same cache miss on a wafer with a random yield-model
+    // defect map, where the route detours around defective cores.
     const WaferGeometry geom;
-    DefectMap defects(geom);
     Rng rng(3);
     const YieldParams yield;
     const DefectMap random_defects(geom, yield, rng);
     const MeshNoc noc(geom, NocParams{}, &random_defects);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(noc.route({0, 0}, {100, 100}));
+    for (auto _ : state) {
+        noc.invalidateRoutes();
+        benchmark::DoNotOptimize(&noc.routeCached({0, 0}, {100, 100}));
+    }
 }
 BENCHMARK(BM_MeshRouteFaulted);
 
@@ -82,78 +88,14 @@ void
 BM_MeshRouteCached(benchmark::State &state)
 {
     // Repeated (src, dst) lookups hit the route cache after the first
-    // computation - the TrafficAccumulator / transferCost hot path.
+    // computation - what transferSeconds and a detoured
+    // addRouteVolume pay on every later call.
     const WaferGeometry geom;
     const MeshNoc noc(geom, NocParams{});
     for (auto _ : state)
         benchmark::DoNotOptimize(noc.routeCached({0, 0}, {100, 100}));
 }
 BENCHMARK(BM_MeshRouteCached);
-
-void
-BM_TrafficAccumulate(benchmark::State &state)
-{
-    const WaferGeometry geom;
-    const MeshNoc noc(geom, NocParams{});
-    for (auto _ : state) {
-        TrafficAccumulator traffic(noc);
-        for (std::uint32_t i = 0; i < 64; ++i)
-            traffic.addFlow({i, 0}, {i, 16}, 4096);
-        benchmark::DoNotOptimize(traffic.bottleneckSeconds());
-    }
-}
-BENCHMARK(BM_TrafficAccumulate);
-
-void
-BM_TrafficAccumulateReused(benchmark::State &state)
-{
-    // Steady-state accumulation: one accumulator cleared per round,
-    // flat per-link loads + cached routes on the hot path.
-    const WaferGeometry geom;
-    const MeshNoc noc(geom, NocParams{});
-    TrafficAccumulator traffic(noc);
-    for (auto _ : state) {
-        traffic.clear();
-        for (std::uint32_t i = 0; i < 64; ++i)
-            traffic.addFlow({i, 0}, {i, 16}, 4096);
-        benchmark::DoNotOptimize(traffic.bottleneckSeconds());
-    }
-}
-BENCHMARK(BM_TrafficAccumulateReused);
-
-void
-BM_TransferCostPriced(benchmark::State &state)
-{
-    // Pricing a cached route: Arg(0) walks the path per call (the
-    // retained oracle), Arg(1) prices from the RouteMeta summary.
-    // Both are bit-identical (tests pin it); this measures the win.
-    const WaferGeometry geom;
-    MeshNoc noc(geom, NocParams{});
-    noc.setPriceFromMeta(state.range(0) != 0);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-                noc.transferCost({0, 0}, {100, 100}, 4096));
-    }
-}
-BENCHMARK(BM_TransferCostPriced)->Arg(0)->Arg(1);
-
-void
-BM_AddFlowPriced(benchmark::State &state)
-{
-    // Steady-state accumulation with Arg(0) the per-hop path walk
-    // and Arg(1) the streamed precomputed slot list.
-    const WaferGeometry geom;
-    MeshNoc noc(geom, NocParams{});
-    noc.setPriceFromMeta(state.range(0) != 0);
-    TrafficAccumulator traffic(noc);
-    for (auto _ : state) {
-        traffic.clear();
-        for (std::uint32_t i = 0; i < 64; ++i)
-            traffic.addFlow({i, 0}, {i, 16}, 4096);
-        benchmark::DoNotOptimize(traffic.bottleneckSeconds());
-    }
-}
-BENCHMARK(BM_AddFlowPriced)->Arg(0)->Arg(1);
 
 /** Shared fixture for the MIQP cost-engine benchmarks. */
 struct MiqpFixture
@@ -252,29 +194,6 @@ BM_SwapDeltaDense(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SwapDeltaDense);
-
-void
-BM_AddFlowBlocked(benchmark::State &state)
-{
-    // Long-route accumulation: Arg(0) per-hop path walk (oracle),
-    // Arg(1) the blocked slot-list stream with hoisted per-route
-    // constants. 200-hop routes make the inner loop, not the route
-    // lookup, the measured cost.
-    const WaferGeometry geom;
-    MeshNoc noc(geom, NocParams{});
-    noc.setPriceFromMeta(state.range(0) != 0);
-    TrafficAccumulator traffic(noc);
-    std::int64_t hops = 0;
-    for (auto _ : state) {
-        traffic.clear();
-        for (std::uint32_t i = 0; i < 8; ++i)
-            traffic.addFlow({i, 0}, {100 + i, 100}, 4096);
-        benchmark::DoNotOptimize(traffic.bottleneckSeconds());
-        hops += 8 * 200;
-    }
-    state.SetItemsProcessed(hops);
-}
-BENCHMARK(BM_AddFlowBlocked)->Arg(0)->Arg(1);
 
 void
 BM_KvAdmitRelease(benchmark::State &state)
@@ -577,8 +496,8 @@ BM_InterBlockVolume(benchmark::State &state)
 {
     // The routed inter-block volume of the default LLaMA-13B mapping
     // (39 block edges x 24 flows) on a fresh mesh, as
-    // WaferMapping::build prices it: Arg(0) loads the flows onto a
-    // TrafficAccumulator (the oracle), Arg(1) sums them with
+    // WaferMapping::build prices it: Arg(0) loads the flows onto the
+    // per-link TrafficAccumulator oracle, Arg(1) sums them with
     // MeshNoc::addRouteVolume. Both report the same byte_hops.
     const auto sys = OuroborosSystem::build(llama13b(), OuroborosParams{});
     if (!sys) {
@@ -605,11 +524,10 @@ BM_InterBlockVolume(benchmark::State &state)
                     mapping.placement(b + 1).weightCores,
                     [&](CoreCoord src, CoreCoord dst, Bytes bytes) {
                         ++flows;
-                        if (volume_walk)
-                            return noc.addRouteVolume(src, dst, bytes,
-                                                      volume);
-                        traffic->addFlow(src, dst, bytes);
-                        return true;
+                        return volume_walk
+                                ? noc.addRouteVolume(src, dst, bytes,
+                                                     volume)
+                                : traffic->addFlow(src, dst, bytes);
                     });
         }
         byte_hops =

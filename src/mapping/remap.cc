@@ -428,10 +428,8 @@ recoverCoreFailure(BlockPlacement &placement, CoreCoord failed,
         return std::nullopt;
 
     // Route-aware pricing: each move follows the mesh's actual
-    // (cached) route, detouring around defects and failed links -
-    // priced from the route's metadata summary (transferSeconds
-    // skips both the path walk and the unused energy term; the
-    // result is bit-identical to transferCost().seconds).
+    // (cached) route, detouring around defects and failed links,
+    // priced from the route's latency summary.
     double worst = 0.0;
     for (const auto &[from, to] : result->moves) {
         worst = std::max(worst,

@@ -106,27 +106,6 @@ WaferMapping::chainActiveCores(std::uint32_t replica) const
     return n;
 }
 
-bool
-accumulateInterBlockFlows(const std::vector<LayerSpec> &specs,
-                          std::uint32_t tiles_per_block,
-                          const std::vector<CoreCoord> &cur,
-                          const std::vector<CoreCoord> &nxt,
-                          const MeshNoc &noc,
-                          TrafficAccumulator &traffic)
-{
-    return forEachInterBlockFlow(
-            specs, tiles_per_block, cur, nxt,
-            [&](CoreCoord src, CoreCoord dst, Bytes bytes) {
-                // One cache lookup serves both the routability check
-                // and the accumulation (addFlow would abort).
-                const PricedRoute &route = noc.pricedRoute(src, dst);
-                if (route.path.empty())
-                    return false;
-                traffic.addFlow(route, bytes);
-                return true;
-            });
-}
-
 std::optional<WaferMapping>
 WaferMapping::build(const ModelConfig &model,
                     const CoreParams &core_params,

@@ -60,9 +60,6 @@
 namespace ouro
 {
 
-class MeshNoc;             // noc/mesh.hh
-class TrafficAccumulator;  // noc/mesh.hh
-
 /** Which placement algorithm fills each block's region. */
 enum class MapperKind
 {
@@ -257,8 +254,8 @@ std::uint64_t embeddingCoreCount(const ModelConfig &model,
  * placements must be in the canonical (layer, o, i) tile order of
  * @p specs. This is THE definition of inter-block traffic:
  * WaferMapping::build and RecoveryService price its volume with
- * MeshNoc::addRouteVolume, and accumulateInterBlockFlows() loads it
- * onto links, so no two consumers can drift apart.
+ * MeshNoc::addRouteVolume, and the test oracles load it onto links
+ * (oracles/traffic.hh), so no two consumers can drift apart.
  *
  * Calls fn(src, dst, bytes) once per flow with bytes > 0, in a fixed
  * order (reducer o, then input slice i, then first-layer output
@@ -296,21 +293,6 @@ forEachInterBlockFlow(const std::vector<LayerSpec> &specs,
     }
     return true;
 }
-
-/**
- * Load the inter-block flows of forEachInterBlockFlow() onto
- * @p traffic's links (routed on @p noc's mesh), for consumers of
- * per-link loads such as the bottleneck time; a volume alone is
- * cheaper through MeshNoc::addRouteVolume. Returns false (with
- * @p traffic partially accumulated) when a flow is unroutable - an
- * endpoint fenced in by defects.
- */
-bool accumulateInterBlockFlows(const std::vector<LayerSpec> &specs,
-                               std::uint32_t tiles_per_block,
-                               const std::vector<CoreCoord> &cur,
-                               const std::vector<CoreCoord> &nxt,
-                               const MeshNoc &noc,
-                               TrafficAccumulator &traffic);
 
 } // namespace ouro
 

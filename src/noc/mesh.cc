@@ -1,16 +1,35 @@
 #include "mesh.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
 namespace ouro
 {
 
+namespace
+{
+
+/** A NocParams field every price divides by or scales with: a
+ *  non-finite or non-positive value is a configuration error. */
+void
+requirePositive(const char *field, double value)
+{
+    if (!(std::isfinite(value) && value > 0.0))
+        fatal("MeshNoc: NocParams::", field, " = ", value,
+              " (must be finite and > 0)");
+}
+
+} // namespace
+
 MeshNoc::MeshNoc(const WaferGeometry &geom, const NocParams &params,
                  const DefectMap *defects)
     : geom_(geom), params_(params), defects_(defects)
 {
+    requirePositive("linkBitsPerCycle", params.linkBitsPerCycle);
+    requirePositive("clockHz", params.clockHz);
+    requirePositive("interDiePenalty", params.interDiePenalty);
 }
 
 void
@@ -189,37 +208,24 @@ MeshNoc::routeUncached(CoreCoord src, CoreCoord dst) const
 RouteMeta
 MeshNoc::buildMeta(const std::vector<CoreCoord> &path) const
 {
-    // NOTE: every expression here must stay identical to the walk
-    // code (transferCost / addFlow oracle paths) - the summaries are
-    // the walks' results cached, and the bit-identity contract
-    // depends on computing them with the same arithmetic.
     RouteMeta meta;
     if (path.size() < 2)
         return meta; // self-route or unroutable: nothing to price
-    meta.hops = static_cast<std::uint32_t>(path.size() - 1);
-    meta.slots.reserve(path.size() - 1);
-    for (std::size_t i = 1; i < path.size(); ++i) {
-        const CoreCoord from = path[i - 1];
-        const CoreCoord to = path[i];
-        const bool crossing = !geom_.sameDie(from, to);
-        if (crossing)
-            ++meta.dieCrossings;
-        const std::uint64_t slot =
-            geom_.coreIndex(from) * 4 +
-            static_cast<unsigned>(stepDir(from, to));
-        meta.slots.push_back(slot << 1 |
-                             static_cast<std::uint64_t>(crossing));
-    }
-    meta.headSeconds = static_cast<double>(meta.hops) *
+    // Head latency: router pipeline per hop. Serialisation: payload
+    // over the narrowest traversed link (die crossings are slower by
+    // the CostInter factor).
+    meta.headSeconds = static_cast<double>(path.size() - 1) *
             static_cast<double>(params_.routerLatency) /
             params_.clockHz;
+    const bool crosses_die =
+        std::adjacent_find(path.begin(), path.end(),
+                           [&](CoreCoord from, CoreCoord to) {
+                               return !geom_.sameDie(from, to);
+                           }) != path.end();
     const double slowest_factor =
-        meta.dieCrossings > 0 ? params_.interDiePenalty : 1.0;
+        crosses_die ? params_.interDiePenalty : 1.0;
     meta.serialBitsPerSecond =
         params_.linkBitsPerCycle * params_.clockHz / slowest_factor;
-    meta.energyPerBit =
-        params_.hopEnergyPerBit * meta.hops +
-        params_.dieCrossingEnergyPerBit * meta.dieCrossings;
     return meta;
 }
 
@@ -247,7 +253,7 @@ MeshNoc::addRouteVolume(CoreCoord src, CoreCoord dst, Bytes bytes,
     ouroAssert(geom_.contains(src) && geom_.contains(dst),
                "addRouteVolume: endpoint off wafer");
     const double b = static_cast<double>(bytes);
-    // The two per-hop terms, with addFlow()'s exact expressions.
+    // The two per-hop terms: a die-crossing hop carries b x penalty.
     const double eff[2] = {b, b * params_.interDiePenalty};
     // XY first, as routeUncached() tries it: a cleared XY walk IS the
     // route, so it is priced in place. The trial sum is committed
@@ -262,12 +268,13 @@ MeshNoc::addRouteVolume(CoreCoord src, CoreCoord dst, Bytes bytes,
         sum = trial;
         return true;
     }
-    // Detoured (YX or BFS) or unroutable: the cached route decides.
-    const PricedRoute &route = pricedRoute(src, dst);
-    if (route.path.empty())
+    // Detoured (YX or BFS) or unroutable: the cached route decides,
+    // and its hops are priced with the XY walk's rule, in path order.
+    const std::vector<CoreCoord> &path = routeCached(src, dst);
+    if (path.empty())
         return false;
-    for (const std::uint64_t packed : route.meta.slots)
-        sum += eff[packed & 1];
+    for (std::size_t i = 1; i < path.size(); ++i)
+        sum += eff[!geom_.sameDie(path[i - 1], path[i])];
     return true;
 }
 
@@ -277,194 +284,19 @@ MeshNoc::routeCached(CoreCoord src, CoreCoord dst) const
     return pricedRoute(src, dst).path;
 }
 
-std::vector<CoreCoord>
-MeshNoc::route(CoreCoord src, CoreCoord dst) const
-{
-    return routeCached(src, dst);
-}
-
-TransferCost
-MeshNoc::transferCost(CoreCoord src, CoreCoord dst, Bytes bytes) const
-{
-    TransferCost cost;
-    if (src == dst)
-        return cost;
-    const PricedRoute &route = pricedRoute(src, dst);
-    const auto &path = route.path;
-    ouroAssert(!path.empty(), "transferCost: unroutable (",
-               src.row, ",", src.col, ") -> (", dst.row, ",", dst.col,
-               ")");
-    if (priceFromMeta_) {
-        // Fast path: the summary already holds the walk's hop/
-        // crossing counts and pricing coefficients - a handful of
-        // multiplies, no O(hops) walk. Bit-identical to the oracle
-        // below because buildMeta() uses the identical expressions.
-        ++metaPriced_;
-        const RouteMeta &meta = route.meta;
-        cost.hops = meta.hops;
-        cost.dieCrossings = meta.dieCrossings;
-        const double bits = static_cast<double>(bytes) * 8.0;
-        cost.seconds = meta.headSeconds +
-                       bits / meta.serialBitsPerSecond;
-        cost.energyJ = bits * meta.energyPerBit;
-        return cost;
-    }
-    // Retained walk oracle (setPriceFromMeta(false)).
-    ++walkPriced_;
-    cost.hops = static_cast<std::uint32_t>(path.size() - 1);
-    for (std::size_t i = 1; i < path.size(); ++i) {
-        if (!geom_.sameDie(path[i - 1], path[i]))
-            ++cost.dieCrossings;
-    }
-    const double bits = static_cast<double>(bytes) * 8.0;
-    // Head latency: router pipeline per hop. Serialisation: payload
-    // over the narrowest traversed link (die crossings are slower by
-    // the CostInter factor).
-    const double head_s = static_cast<double>(cost.hops) *
-            static_cast<double>(params_.routerLatency) / params_.clockHz;
-    const double slowest_factor =
-        cost.dieCrossings > 0 ? params_.interDiePenalty : 1.0;
-    const double serial_s =
-        bits / (params_.linkBitsPerCycle * params_.clockHz /
-                slowest_factor);
-    cost.seconds = head_s + serial_s;
-    cost.energyJ = bits * (params_.hopEnergyPerBit * cost.hops +
-                           params_.dieCrossingEnergyPerBit *
-                           cost.dieCrossings);
-    return cost;
-}
-
 double
 MeshNoc::transferSeconds(CoreCoord src, CoreCoord dst,
                          Bytes bytes) const
 {
     if (src == dst)
         return 0.0;
-    if (priceFromMeta_) {
-        const PricedRoute &route = pricedRoute(src, dst);
-        ouroAssert(!route.path.empty(), "transferSeconds: unroutable (",
-                   src.row, ",", src.col, ") -> (", dst.row, ",",
-                   dst.col, ")");
-        ++metaPriced_;
-        return route.meta.headSeconds +
-               static_cast<double>(bytes) * 8.0 /
-                       route.meta.serialBitsPerSecond;
-    }
-    return transferCost(src, dst, bytes).seconds;
-}
-
-double
-MeshNoc::transferEnergy(CoreCoord src, CoreCoord dst, Bytes bytes) const
-{
-    return transferCost(src, dst, bytes).energyJ;
-}
-
-TrafficAccumulator::TrafficAccumulator(const MeshNoc &noc)
-    : noc_(noc), linkBytes_(noc.geometry().numCores() * 4, 0.0)
-{
-}
-
-void
-TrafficAccumulator::addFlow(CoreCoord src, CoreCoord dst, Bytes bytes)
-{
-    if (src == dst || bytes == 0)
-        return;
-    addFlow(noc_.pricedRoute(src, dst), bytes);
-}
-
-void
-TrafficAccumulator::addFlow(const PricedRoute &route, Bytes bytes)
-{
-    if (bytes == 0 || route.path.size() == 1)
-        return; // self-flow: nothing traverses a link
-    ouroAssert(!route.path.empty(), "addFlow: unroutable flow");
-    const auto &params = noc_.params();
-    const double b = static_cast<double>(bytes);
-    if (noc_.priceFromMeta_) {
-        // Fast path: stream the precomputed (slot, crossing) list in
-        // one blocked run with the per-route constants hoisted out of
-        // the loop - no sameDie/coreIndex/stepDir and no per-hop
-        // re-derivation of the two possible effective loads and hop
-        // energies. The hoist changes no bits: b * 8.0 is exact
-        // (power-of-two scale), hopE + 0.0 == hopE bitwise and
-        // fl(b * 1.0) == b, so eff[c]/energy[c] equal the walk's
-        // per-hop expressions value for value, and the per-slot
-        // accumulation below runs the walk's ops in the walk's order.
-        ++noc_.metaPriced_;
-        const double b8 = b * 8.0;
-        const double eff[2] = {b, b * params.interDiePenalty};
-        const double energy[2] = {
-            b8 * params.hopEnergyPerBit,
-            b8 * (params.hopEnergyPerBit +
-                  params.dieCrossingEnergyPerBit)};
-        const std::uint64_t *packed = route.meta.slots.data();
-        const std::size_t hops = route.meta.slots.size();
-        for (std::size_t i = 0; i < hops; ++i) {
-            const std::size_t c =
-                static_cast<std::size_t>(packed[i] & 1);
-            const double effective = eff[c];
-            double &bucket = linkBytes_[packed[i] >> 1];
-            if (bucket == 0.0)
-                touched_.push_back(packed[i] >> 1);
-            bucket += effective;
-            effectiveByteHops_ += effective;
-            maxLinkBytes_ = std::max(maxLinkBytes_, bucket);
-            energyJ_ += energy[c];
-            byteHops_ += b;
-        }
-        return;
-    }
-    // Retained walk oracle (setPriceFromMeta(false)).
-    ++noc_.walkPriced_;
-    const auto &path = route.path;
-    const auto &geom = noc_.geometry();
-    for (std::size_t i = 1; i < path.size(); ++i) {
-        const CoreCoord from = path[i - 1];
-        const CoreCoord to = path[i];
-        // Die-crossing links carry an inflated effective load to model
-        // their reduced bandwidth.
-        const bool crossing = !geom.sameDie(from, to);
-        const double effective =
-            b * (crossing ? params.interDiePenalty : 1.0);
-        const std::uint64_t slot =
-            geom.coreIndex(from) * 4 +
-            static_cast<unsigned>(MeshNoc::stepDir(from, to));
-        double &bucket = linkBytes_[slot];
-        if (bucket == 0.0)
-            touched_.push_back(slot);
-        bucket += effective;
-        effectiveByteHops_ += effective;
-        maxLinkBytes_ = std::max(maxLinkBytes_, bucket);
-        energyJ_ += b * 8.0 *
-                (params.hopEnergyPerBit +
-                 (crossing ? params.dieCrossingEnergyPerBit : 0.0));
-        byteHops_ += b;
-    }
-}
-
-double
-TrafficAccumulator::linkLoad(CoreCoord from, LinkDir dir) const
-{
-    return linkBytes_[noc_.geometry().coreIndex(from) * 4 +
-                      static_cast<unsigned>(dir)];
-}
-
-double
-TrafficAccumulator::bottleneckSeconds() const
-{
-    return maxLinkBytes_ / noc_.params().linkBytesPerSecond();
-}
-
-void
-TrafficAccumulator::clear()
-{
-    for (const std::uint64_t slot : touched_)
-        linkBytes_[slot] = 0.0;
-    touched_.clear();
-    maxLinkBytes_ = 0.0;
-    energyJ_ = 0.0;
-    byteHops_ = 0.0;
-    effectiveByteHops_ = 0.0;
+    const PricedRoute &route = pricedRoute(src, dst);
+    ouroAssert(!route.path.empty(), "transferSeconds: unroutable (",
+               src.row, ",", src.col, ") -> (", dst.row, ",", dst.col,
+               ")");
+    return route.meta.headSeconds +
+           static_cast<double>(bytes) * 8.0 /
+                   route.meta.serialBitsPerSecond;
 }
 
 } // namespace ouro

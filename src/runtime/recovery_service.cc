@@ -284,25 +284,4 @@ RecoveryService::failLink(CoreCoord from, LinkDir dir)
     noc_->failLink(from, dir);
 }
 
-std::optional<double>
-RecoveryService::chainInterBlockSeconds(std::uint32_t replica) const
-{
-    ouroAssert(replica < numReplicas_,
-               "chainInterBlockSeconds: replica ", replica, " of ",
-               numReplicas_, " not on this wafer");
-    // The per-link loads live only as long as this call: the service
-    // keeps no accumulator.
-    TrafficAccumulator traffic(*noc_);
-    for (std::uint64_t b = firstBlock_;
-         b + 1 < firstBlock_ + numBlocks_; ++b) {
-        if (!accumulateInterBlockFlows(
-                    specs_, tilesPerBlock_,
-                    placement(b, replica).weightCores,
-                    placement(b + 1, replica).weightCores, *noc_,
-                    traffic))
-            return std::nullopt;
-    }
-    return traffic.bottleneckSeconds();
-}
-
 } // namespace ouro

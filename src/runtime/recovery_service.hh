@@ -174,15 +174,6 @@ class RecoveryService
     std::uint64_t chainKvCores(std::uint32_t replica) const;
 
     /**
-     * Re-price chain @p replica's full inter-block activation
-     * traffic over the current placements and fault state; returns
-     * the bottleneck-link time (the steady-state pipeline bound).
-     * std::nullopt when a flow is unroutable.
-     */
-    std::optional<double>
-    chainInterBlockSeconds(std::uint32_t replica) const;
-
-    /**
      * Price every currently-dirty inter-block edge exactly once (in
      * ascending (replica, block) order) and clear the dirty set.
      * Call it after each failure for per-failure prices, or once at

@@ -37,12 +37,12 @@ TEST(Integration, PlacementsAreRoutable)
     const MeshNoc noc(geom, NocParams{});
     const auto &placement = sys->mapping(0).placement(0);
     for (std::size_t i = 1; i < placement.weightCores.size(); ++i) {
-        const auto path = noc.route(placement.weightCores[i - 1],
+        const auto path = noc.routeCached(placement.weightCores[i - 1],
                                     placement.weightCores[i]);
         EXPECT_FALSE(path.empty());
     }
     ASSERT_FALSE(placement.scoreCores.empty());
-    const auto path = noc.route(placement.weightCores.front(),
+    const auto path = noc.routeCached(placement.weightCores.front(),
                                 placement.scoreCores.front());
     EXPECT_FALSE(path.empty());
 }

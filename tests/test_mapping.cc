@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "hw/yield.hh"
@@ -19,6 +20,7 @@
 #include "mapping/wafer_mapping.hh"
 #include "model/llm.hh"
 #include "noc/mesh.hh"
+#include "oracles/traffic.hh"
 
 namespace ouro
 {
@@ -1106,7 +1108,7 @@ TEST(WaferMappingTest, InterBlockVolumeMatchesAccumulatorOracle)
 {
     // interBlockByteHops() is the routed volume walk over the flow
     // enumerator; it must equal, bit for bit, the same flows loaded
-    // onto a TrafficAccumulator on a fresh mesh - defective wafers
+    // onto the TrafficAccumulator oracle on a fresh mesh - defective wafers
     // (detours), multi-block replica chains and an inexact CostInter.
     ModelConfig model = tinyModel();
     model.numBlocks = 4;
@@ -1141,7 +1143,7 @@ TEST(WaferMappingTest, InterBlockVolumeMatchesAccumulatorOracle)
                                 mapping->placement(b, rep).weightCores,
                                 mapping->placement(b + 1, rep)
                                         .weightCores,
-                                noc, traffic));
+                                traffic));
                     }
                 }
                 EXPECT_EQ(mapping->interBlockByteHops(),
@@ -1150,6 +1152,33 @@ TEST(WaferMappingTest, InterBlockVolumeMatchesAccumulatorOracle)
                     << " costInter " << cost_inter;
             }
         }
+    }
+}
+
+TEST(WaferMappingTest, BadCostInterDiesNamingTheField)
+{
+    // costInter is the inter-die penalty of the routed inter-block
+    // volume, so the build's mesh refuses a non-finite or
+    // non-positive value, naming the field and the value, instead of
+    // recording an inf or NaN volume. The death checks run this test
+    // alone in a fresh process.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ModelConfig model = tinyModel();
+    model.numBlocks = 2;
+    const WaferGeometry geom(3, 3, 8, 8);
+    for (const double bad : {0.0, -2.0,
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        WaferMappingOptions opts;
+        opts.mapper = MapperKind::Greedy;
+        opts.costInter = bad;
+        EXPECT_DEATH(
+                {
+                    WaferMapping::build(model, CoreParams{}, geom,
+                                        nullptr, 0, model.numBlocks,
+                                        opts);
+                },
+                "NocParams::interDiePenalty = ");
     }
 }
 

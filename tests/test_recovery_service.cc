@@ -22,6 +22,7 @@
 #include "mapping/wafer_mapping.hh"
 #include "model/llm.hh"
 #include "noc/mesh.hh"
+#include "oracles/traffic.hh"
 #include "runtime/recovery_service.hh"
 #include "sim/system.hh"
 
@@ -437,7 +438,7 @@ TEST(RecoveryService, DeadAndForeignCoresReturnNullopt)
     EXPECT_FALSE(service.handleCoreFailure(failed).has_value());
 }
 
-/** The accumulator oracle of priceEdges(): @p edges' flows loaded
+/** The per-link oracle of priceEdges(): @p edges' flows loaded
  *  with accumulateInterBlockFlows onto a fresh mesh carrying the
  *  same defects and failed links as @p service's. Returns the total
  *  effective byte-hops and whether every flow routed. */
@@ -460,7 +461,7 @@ oracleEdgeVolume(const RecoveryService &service,
                            service.placement(block, rep).weightCores,
                            service.placement(block + 1, rep)
                                    .weightCores,
-                           noc, traffic) &&
+                           traffic) &&
                    routable;
     }
     return {traffic.totalEffectiveByteHops(), routable};
@@ -560,7 +561,8 @@ TEST(RecoveryService, RepricesAffectedInterBlockFlows)
         EXPECT_EQ(whole.flowsRoutable, routable);
         EXPECT_EQ(whole.interBlockByteHops, want);
 
-        const auto seconds = service.chainInterBlockSeconds(0);
+        const auto seconds =
+            chainInterBlockSeconds(service, specs, tiles, 0);
         ASSERT_TRUE(seconds.has_value());
         EXPECT_GT(*seconds, 0.0);
     }
@@ -802,9 +804,13 @@ TEST(RecoveryService, SystemServiceMatchesStandaloneOnDefectiveWafer)
     EXPECT_GT(edges, 0u);
     // The untouched slot shares none of the failures.
     EXPECT_EQ(slots.back().recoveries(), 0u);
+    const WaferMapping &mapping = sys->mapping();
     for (std::uint32_t rep = 0; rep < sys->replicas(); ++rep) {
-        EXPECT_EQ(owned.chainInterBlockSeconds(rep),
-                  standalone.chainInterBlockSeconds(rep));
+        EXPECT_EQ(chainInterBlockSeconds(owned, mapping.layerSpecs(),
+                                         mapping.tilesPerBlock(), rep),
+                  chainInterBlockSeconds(standalone,
+                                         mapping.layerSpecs(),
+                                         mapping.tilesPerBlock(), rep));
     }
 }
 
