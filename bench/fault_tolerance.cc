@@ -11,28 +11,27 @@
  * with per-point meshes and result slots (the PR 1 sweep contract),
  * and the parallel sweep is asserted bit-identical to the serial loop
  * on every run: every RemapResult (moves, absorbed cores, latency
- * bits) and every post-recovery traffic price.
+ * bits) and every post-recovery inter-block price - the bottleneck
+ * time and the effective byte-hop volume. The volume differs between
+ * points (asserted), so the comparison can see a recovery or a
+ * detour that went astray; the bottleneck link alone reads the same
+ * at every point.
  *
  * Storm section: a replicated mapping's replica-0/1 chains take a
  * whole-wafer failure sequence through RecoveryService - KV pools
  * drained dry, weight failures forcing deterministic cross-block KV
- * borrows. The service is asserted bit-identical to the retained
- * per-placement recoverCoreFailure oracle for the whole no-borrow
- * prefix, and the index-mode service is asserted bit-identical to
- * the scan-mode service across the ENTIRE storm, borrows included.
- * The recorded schedule is then replayed through two services that
- * differ only in when they call flushRepricing(): after every failure
- * or once at quiescence; recoveries and re-priced totals are asserted
- * bit-identical on every run (the JSON keeps the historical
- * eager_reprice_edges and deferred_reprice_speedup names for the
- * per-failure edge visits and the one-flush speedup). BENCH_fault_tolerance.json records storm recoveries/sec, the
- * borrow rate, reprice_edges_per_storm, deferred_reprice_speedup and
+ * borrows. The service is asserted bit-identical to direct
+ * per-placement recoverCoreFailure calls over mirror placements for
+ * the whole no-borrow prefix. The recorded schedule is then replayed
+ * through two services that differ only in when they call
+ * flushRepricing(): after every failure or once at quiescence;
+ * recoveries and re-priced totals are asserted bit-identical on every
+ * run (the JSON keeps the historical eager_reprice_edges and
+ * deferred_reprice_speedup names for the per-failure edge visits and
+ * the one-flush speedup). BENCH_fault_tolerance.json records the
+ * sweep volume range, storm recoveries/sec, the borrow rate,
+ * reprice_edges_per_storm, deferred_reprice_speedup and
  * route_cache_hit_rate.
- *
- * The RecoveryIndex is additionally benchmarked on a wafer-sized
- * region (also against its scan oracle, also bit-identical): a
- * per-block region is only a few hundred cores, where the flat scan
- * is already cheap.
  *
  * Pass a count as argv[1] to scale the per-sweep-point failure
  * injections (default 100).
@@ -90,15 +89,24 @@ aliveCores(const BlockPlacement &p)
            p.contextCores.size();
 }
 
+/** One sweep point's post-recovery inter-block price. */
+struct InterBlockPrice
+{
+    /** Bottleneck-link time. */
+    double bottleneck = 0.0;
+    /** Effective byte-hop volume (die crossings weighted). */
+    double volume = 0.0;
+};
+
 /**
  * Re-price the wafer's steady-state inter-block activation traffic
  * over the (post-recovery) placements on one sweep point's mesh -
  * the long-haul flows a defect sweep re-evaluates per point. Loads
  * the forEachInterBlockFlow flows WaferMapping::build prices onto the
  * per-link TrafficAccumulator oracle, so the bench can never drift
- * from the product flow model. Returns the bottleneck-link time.
+ * from the product flow model.
  */
-double
+InterBlockPrice
 interBlockTraffic(const std::vector<BlockPlacement> &blocks,
                   const std::vector<LayerSpec> &specs,
                   std::uint32_t tiles_per_block, const MeshNoc &noc)
@@ -111,7 +119,8 @@ interBlockTraffic(const std::vector<BlockPlacement> &blocks,
         ouroAssert(routable, "fault_tolerance: sweep defect map "
                              "fenced an inter-block flow");
     }
-    return traffic.bottleneckSeconds();
+    return {traffic.bottleneckSeconds(),
+            traffic.totalEffectiveByteHops()};
 }
 
 /** One sweep point's full result (per-index slot of the parallel
@@ -120,8 +129,8 @@ struct PointResult
 {
     std::uint64_t recoveries = 0;
     std::vector<RemapResult> results;
-    /** Post-recovery bottleneck time of this point. */
-    double bottleneck = 0.0;
+    /** Post-recovery inter-block price of this point. */
+    InterBlockPrice traffic;
 };
 
 struct PathResult
@@ -188,9 +197,8 @@ runPoint(std::size_t point, const WaferMapping &mapping,
     // With the failures absorbed, re-price the wafer's inter-block
     // traffic under this point's defect map - the long-haul route
     // workload a sweep repeats per point.
-    out.bottleneck = interBlockTraffic(state.blocks,
-                                       mapping.layerSpecs(),
-                                       mapping.tilesPerBlock(), noc);
+    out.traffic = interBlockTraffic(state.blocks, mapping.layerSpecs(),
+                                    mapping.tilesPerBlock(), noc);
     return out;
 }
 
@@ -233,76 +241,11 @@ assertSweepsIdentical(const PathResult &a, const PathResult &b,
                        ": recovery diverged at point ", i,
                        " failure ", k);
         }
-        ouroAssert(pa.bottleneck == pb.bottleneck,
+        ouroAssert(pa.traffic.bottleneck == pb.traffic.bottleneck &&
+                           pa.traffic.volume == pb.traffic.volume,
                    "fault_tolerance: ", what,
                    ": traffic re-pricing diverged at point ", i);
     }
-}
-
-/**
- * Large-region scaling showdown: one placement spanning the whole
- * wafer (the regime the spatial index exists for - per-block regions
- * are only a few hundred cores, where a flat scan is already cheap).
- * Runs the same failure schedule through the index and the scan,
- * asserts bit-identity, and returns (scan seconds, index seconds).
- */
-std::pair<double, double>
-largeRegionShowdown(const WaferGeometry &geom, std::size_t failures)
-{
-    const auto order = geom.sShapedOrder();
-    constexpr std::size_t kWeights = 2000;
-    BlockPlacement scan_p;
-    scan_p.weightCores.assign(order.begin(), order.begin() + kWeights);
-    bool to_score = true;
-    for (std::size_t i = kWeights; i < order.size(); ++i) {
-        (to_score ? scan_p.scoreCores : scan_p.contextCores)
-            .push_back(order[i]);
-        to_score = !to_score;
-    }
-    BlockPlacement idx_p = scan_p;
-
-    const Bytes tile_bytes = CoreParams{}.sramBytes();
-    const NocParams params;
-    std::vector<CoreCoord> schedule;
-    Rng rng(4242);
-    for (std::size_t k = 0; k < failures; ++k) {
-        schedule.push_back(scan_p.weightCores[static_cast<std::size_t>(
-                rng.uniformInt(0, kWeights - 1))]);
-    }
-    // The schedule may fail an already-recovered (dead) coordinate
-    // again; both paths then return nullopt identically.
-
-    const WallTimer scan_timer;
-    std::vector<std::optional<RemapResult>> scan_results;
-    for (const CoreCoord failed : schedule) {
-        scan_results.push_back(recoverCoreFailure(
-                scan_p, failed, geom, params, tile_bytes));
-    }
-    const double scan_s = scan_timer.seconds();
-
-    const WallTimer index_timer;
-    RecoveryIndex index(idx_p); // amortised over the whole schedule
-    std::vector<std::optional<RemapResult>> idx_results;
-    for (const CoreCoord failed : schedule) {
-        idx_results.push_back(recoverCoreFailure(
-                idx_p, failed, geom, params, tile_bytes, &index));
-    }
-    const double index_s = index_timer.seconds();
-
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const auto &a = scan_results[i];
-        const auto &b = idx_results[i];
-        ouroAssert(a.has_value() == b.has_value() &&
-                           (!a || sameResult(*a, *b)),
-                   "fault_tolerance: spatial index diverged from the "
-                   "scan oracle at failure ", i);
-    }
-    ouroAssert(scan_p.weightCores == idx_p.weightCores &&
-                       scan_p.scoreCores == idx_p.scoreCores &&
-                       scan_p.contextCores == idx_p.contextCores,
-               "fault_tolerance: placements diverged after the "
-               "large-region schedule");
-    return {scan_s, index_s};
 }
 
 /** What the failure storm measures and asserts. */
@@ -331,12 +274,9 @@ struct StormResult
  * failing block 0's weight cores so every further recovery must
  * borrow KV capacity from adjacent blocks.
  *
- * Asserts, on every run:
- *  - the per-placement recoverCoreFailure oracle (mirror state, cold
- *    mesh, flat scans) reproduces the service bit for bit across the
- *    whole no-borrow prefix of the storm;
- *  - a scan-mode service reproduces the index-mode service bit for
- *    bit across the ENTIRE storm, borrows included.
+ * Asserts, on every run, that direct per-placement
+ * recoverCoreFailure calls (mirror state, cold mesh) reproduce the
+ * service bit for bit across the whole no-borrow prefix of the storm.
  */
 StormResult
 runStorm(const WaferGeometry &geom, std::size_t weight_failures)
@@ -352,16 +292,12 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
                "fault_tolerance: storm mapping failed");
     const Bytes tile_bytes = CoreParams{}.sramBytes();
 
-    RecoveryService indexed(*mapping, NocParams{}, tile_bytes,
+    RecoveryService service(*mapping, NocParams{}, tile_bytes,
                             nullptr);
-    RecoveryServiceOptions scan_opts;
-    scan_opts.useSpatialIndex = false;
-    RecoveryService scanned(*mapping, NocParams{}, tile_bytes,
-                            nullptr, scan_opts);
 
-    // Mirror oracle state: raw per-placement recoveries, cold mesh,
-    // flat scans. It can follow the service exactly until the first
-    // borrow (the oracle has no cross-block capacity to draw on).
+    // Mirror oracle state: raw per-placement recoveries on a cold
+    // mesh. It can follow the service exactly until the first borrow
+    // (the oracle has no cross-block capacity to draw on).
     const MeshNoc cold(geom, NocParams{});
     std::vector<BlockPlacement> mirror;
     for (std::uint32_t rep = 0; rep < mapping->numReplicas(); ++rep) {
@@ -371,17 +307,17 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
 
     // The schedule: per replica, every KV core of block 0 (drain),
     // then weight_failures failures cycling block 0's tiles (each
-    // one borrows). Coordinates are resolved against the indexed
-    // service's state as the storm progresses and recorded, so the
-    // scan service and the oracle replay the identical sequence.
+    // one borrows). Coordinates are resolved against the service's
+    // state as the storm progresses and recorded, so the oracle and
+    // the re-pricing replays see the identical sequence.
     StormResult out;
     std::vector<CoreCoord> schedule;
     std::uint64_t oracle_matched = 0;
     bool oracle_live = true;
     const WallTimer timer;
     for (std::uint32_t rep = 0; rep < mapping->numReplicas(); ++rep) {
-        const auto score = indexed.placement(0, rep).scoreCores;
-        const auto context = indexed.placement(0, rep).contextCores;
+        const auto score = service.placement(0, rep).scoreCores;
+        const auto context = service.placement(0, rep).contextCores;
         std::vector<CoreCoord> coords;
         for (const auto *pool : {&score, &context})
             coords.insert(coords.end(), pool->begin(), pool->end());
@@ -392,10 +328,10 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
         for (std::size_t k = 0; k < drain + weight_failures; ++k) {
             const CoreCoord failed =
                 k < drain ? coords[k]
-                          : indexed.placement(0, rep).weightCores
+                          : service.placement(0, rep).weightCores
                                     [k % mapping->tilesPerBlock()];
             schedule.push_back(failed);
-            const auto got = indexed.handleCoreFailure(failed);
+            const auto got = service.handleCoreFailure(failed);
             ouroAssert(got.has_value(),
                        "fault_tolerance: storm recovery failed at ",
                        schedule.size() - 1);
@@ -423,30 +359,6 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
                "fault_tolerance: storm never triggered a KV borrow");
     ouroAssert(oracle_matched > 0,
                "fault_tolerance: storm never exercised the oracle");
-
-    // Scan-mode service: replay the identical schedule; outcomes
-    // must match bit for bit across the whole storm, borrows
-    // included.
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const auto got = scanned.handleCoreFailure(schedule[i]);
-        ouroAssert(got.has_value(),
-                   "fault_tolerance: scan-mode storm failed at ", i);
-    }
-    ouroAssert(scanned.recoveries() == indexed.recoveries() &&
-                       scanned.borrowCount() == indexed.borrowCount(),
-               "fault_tolerance: scan-mode service diverged from the "
-               "index mode");
-    for (std::uint32_t rep = 0; rep < mapping->numReplicas(); ++rep) {
-        for (std::uint64_t b = 0; b < mapping->numBlocks(); ++b) {
-            const auto &a = indexed.placement(b, rep);
-            const auto &s = scanned.placement(b, rep);
-            ouroAssert(a.weightCores == s.weightCores &&
-                               a.scoreCores == s.scoreCores &&
-                               a.contextCores == s.contextCores,
-                       "fault_tolerance: storm placements diverged "
-                       "between index and scan modes");
-        }
-    }
 
     // Re-pricing replay: the recorded schedule through a service
     // that flushes after every failure and one that flushes once at
@@ -535,6 +447,17 @@ main(int argc, char **argv)
         runSweep(*mapping, geom, injections, true);
     assertSweepsIdentical(serial, parallel,
                           "parallel sweep vs serial");
+    // The volume comparison can only catch a divergence if the
+    // points' volumes differ at all.
+    double volume_min = serial.points.front().traffic.volume;
+    double volume_max = volume_min;
+    for (const PointResult &p : serial.points) {
+        volume_min = std::min(volume_min, p.traffic.volume);
+        volume_max = std::max(volume_max, p.traffic.volume);
+    }
+    ouroAssert(volume_min < volume_max,
+               "fault_tolerance: every sweep point priced the same "
+               "inter-block volume - the sweep comparison is blind");
 
     const double serial_rate =
         static_cast<double>(serial.recoveries()) / serial.seconds;
@@ -556,25 +479,13 @@ main(int argc, char **argv)
     table_out.print(std::cout);
     std::cout << "\nParallel sweep bit-identical to serial ("
               << formatDouble(parallel_speedup, 2) << "x, "
-              << defaultThreadCount() << " threads).\n";
-
-    // Where the spatial index earns its keep: a wafer-sized region
-    // (bit-identity asserted inside).
-    const auto [scan_s, index_s] =
-        largeRegionShowdown(geom, 4 * injections);
-    const double index_speedup = scan_s / index_s;
-    std::cout << "\nLarge-region recovery ("
-              << geom.numCores() << "-core region, "
-              << 4 * injections
-              << " failures, bit-identical chains):\n  full scans:    "
-              << formatDouble(scan_s * 1e3, 1)
-              << " ms\n  spatial index: "
-              << formatDouble(index_s * 1e3, 1)
-              << " ms\n  speedup:       "
-              << formatDouble(index_speedup, 1) << "x\n";
+              << defaultThreadCount()
+              << " threads); post-recovery inter-block volume "
+              << formatDouble(volume_min, 0) << " .. "
+              << formatDouble(volume_max, 0) << " byte-hops.\n";
 
     // Failure storm through the wafer-level RecoveryService (oracle
-    // prefix + index-vs-scan bit-identity asserted inside).
+    // prefix bit-identity asserted inside).
     const StormResult storm = runStorm(geom, injections / 2 + 1);
     const double storm_rate =
         static_cast<double>(storm.recoveries) / storm.seconds;
@@ -590,8 +501,7 @@ main(int argc, char **argv)
               << "%)\n  recoveries/sec: "
               << formatDouble(storm_rate, 0)
               << "; service bit-identical to the per-placement "
-                 "oracle until the first borrow,\n  index and scan "
-                 "modes bit-identical across the whole storm.\n";
+                 "oracle until the first borrow.\n";
 
     const double reprice_speedup =
         storm.perFailureSeconds / storm.oneFlushSeconds;
@@ -617,9 +527,8 @@ main(int argc, char **argv)
                 std::uint64_t{kSweepPoints} * injections)
         .metric("sweep_parallel_seconds", parallel.seconds)
         .metric("sweep_parallel_speedup", parallel_speedup)
-        .metric("large_region_scan_seconds", scan_s)
-        .metric("large_region_index_seconds", index_s)
-        .metric("spatial_index_speedup", index_speedup)
+        .metric("sweep_volume_min", volume_min)
+        .metric("sweep_volume_max", volume_max)
         .metric("storm_failures", storm.failures)
         .metric("storm_recoveries", storm.recoveries)
         .metric("storm_borrows", storm.borrows)

@@ -358,7 +358,7 @@ BENCHMARK(BM_MidRunPoolShrink)->Arg(0)->Arg(1)->Arg(2);
 /** Shared fixture for the wafer-level recovery-service kernels: a
  *  small wafer keeps per-iteration service rebuilds cheap while the
  *  handled failures still exercise the full path (ownership lookup,
- *  index chain construction, inter-block re-pricing). */
+ *  chain construction, inter-block re-pricing). */
 struct RecoveryFixture
 {
     WaferGeometry geom{2, 2, 8, 8};
@@ -390,7 +390,7 @@ void
 BM_RecoveryServiceFailure(benchmark::State &state)
 {
     // The service's hot path: handleCoreFailure on a weight core -
-    // ownership lookup, index-backed chain construction, placement
+    // ownership lookup, replacement-chain construction, placement
     // mutation, inter-block flow re-pricing over the cached mesh.
     const RecoveryFixture fix;
     const Bytes tile_bytes = CoreParams{}.sramBytes();
@@ -415,8 +415,8 @@ void
 BM_KvBorrow(benchmark::State &state)
 {
     // The dry-pool path: every failure finds block 0's KV pool
-    // empty, borrows the nearest adjacent-block KV core (index
-    // rebuild included) and completes the chain into it.
+    // empty, borrows the nearest adjacent-block KV core and
+    // completes the chain into it.
     const RecoveryFixture fix;
     const Bytes tile_bytes = CoreParams{}.sramBytes();
     constexpr int kBorrows = 8;
@@ -548,10 +548,9 @@ BM_ResolveStormSchedule(benchmark::State &state)
 {
     // What runFleetServing pays before a storm wafer serves: one
     // resolveStormSchedule of a 16-failure schedule on the LLaMA-13B
-    // system, recovery-service construction included. Regions build
-    // their recovery index on first use, so the 40 blocks a storm of
-    // the representative block never touches cost only their
-    // placement copies.
+    // system, recovery-service construction included. The 40 blocks
+    // a storm of the representative block never touches cost only
+    // their placement copies.
     const auto sys = OuroborosSystem::build(llama13b(), OuroborosParams{});
     if (!sys) {
         state.SkipWithError("LLaMA-13B does not fit the wafer");

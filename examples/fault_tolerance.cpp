@@ -76,10 +76,10 @@ main()
     Table chain_table({"failed core", "kind", "block", "chain length",
                        "moved MB", "latency [us]"});
     const Bytes tile_bytes = CoreParams{}.sramBytes();
-    // The service owns the whole fault path: one recovery index per
-    // replica-chain region, the mesh with its route cache, and the
-    // defect map - every chain shift is priced over its actual
-    // (cached) detour route, bit-identical to the scan oracle.
+    // The service owns the whole fault path: one mutable placement
+    // per replica-chain region, the mesh with its route cache, and
+    // the defect map - every chain shift is priced over its actual
+    // (cached) detour route.
     RecoveryService service(*mapping, NocParams{}, tile_bytes,
                             &defects);
 

@@ -19,7 +19,6 @@
 #define OURO_MAPPING_REMAP_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -51,96 +50,8 @@ struct RemapResult
     std::uint32_t chainLength = 0;
 };
 
-/**
- * Row-bucketed spatial index over one placement's cores, making the
- * chain construction of recoverCoreFailure sub-linear in region
- * size: nearest-KV lookup expands column windows around the failure
- * row by row, and corridor-chain collection touches only the rows of
- * the failed-to-KV bounding box, instead of the full weight/KV-core
- * scans.
- *
- * Results are PINNED IDENTICAL to the scan implementation (which
- * recoverCoreFailure retains when no index is passed - it is the
- * oracle tests compare against):
- *  - nearest-KV ties resolve by the scan's visit order (score pool
- *    before context pool, lower index first). Each KV core carries
- *    its construction-time sequence number; recoveries only ever
- *    *remove* pool entries, so relative order - and therefore the
- *    tie-break - is preserved.
- *  - corridor candidates are re-sorted into ascending tile order
- *    (the scan's collection order) before the shared chain sort, so
- *    both paths feed the identical sequence to the identical sort
- *    call.
- *
- * The index mirrors every mutation recoverCoreFailure applies, so
- * one index serves a whole failure sequence. Mutating the placement
- * behind the index's back desynchronises it - rebuild it instead.
- */
-class RecoveryIndex
-{
-  public:
-    explicit RecoveryIndex(const BlockPlacement &placement);
-
-    /** A KV core plus its scan-order rank. */
-    struct KvHit
-    {
-        CoreCoord core;
-        std::uint32_t seq;
-    };
-
-    /** Nearest KV core to @p from (scan-order tie-break), or
-     *  std::nullopt when the pools are empty. */
-    std::optional<KvHit> nearestKv(CoreCoord from) const;
-
-    /**
-     * Weight tiles inside the @p failed -> @p kv bounding box whose
-     * distance to @p kv is strictly below @p failed_dist (the
-     * corridor-chain members), as (tile index, distance-to-KV) in
-     * ascending tile order. @p failed itself is excluded.
-     */
-    std::vector<std::pair<std::size_t, std::uint32_t>>
-    corridorTiles(CoreCoord failed, CoreCoord kv,
-                  std::uint32_t failed_dist) const;
-
-    /** Tile index stored on @p c, if any. */
-    std::optional<std::size_t> weightTileAt(CoreCoord c) const;
-
-    /** True when @p c is one of the placement's KV cores. */
-    bool kvAt(CoreCoord c) const;
-
-    /** Mirror a tile relocation @p from -> @p to. */
-    void moveWeight(std::size_t tile, CoreCoord from, CoreCoord to);
-
-    /** Mirror a KV-pool removal (failure or chain absorption). */
-    void removeKv(CoreCoord c);
-
-    std::size_t weightCount() const { return weightCount_; }
-    std::size_t kvCount() const { return kvCount_; }
-
-  private:
-    /** (col, payload) entries of one row, ascending by col. */
-    struct Entry
-    {
-        std::uint32_t col;
-        std::uint32_t payload;
-    };
-    using Rows = std::map<std::uint32_t, std::vector<Entry>>;
-
-    /** payload = tile index. */
-    Rows weightRows_;
-    /** payload = scan-order sequence number (score pool first). */
-    Rows kvRows_;
-    std::size_t weightCount_ = 0;
-    std::size_t kvCount_ = 0;
-
-    static void insertEntry(Rows &rows, CoreCoord c,
-                            std::uint32_t payload);
-    static bool eraseEntry(Rows &rows, CoreCoord c);
-    static const Entry *findEntry(const Rows &rows, CoreCoord c);
-};
-
-/** Result of the oracle nearest-KV scan: the core plus which pool
- *  (duty) it came from. */
+/** Result of the nearest-KV scan: the core plus which pool (duty)
+ *  it came from. */
 struct NearestKvScan
 {
     CoreCoord core;
@@ -148,13 +59,12 @@ struct NearestKvScan
 };
 
 /**
- * THE oracle nearest-KV scan over @p placement's dedicated pools:
- * score pool before context pool, lower index first, strict
- * improvement only. This visit order is the tie-break
- * RecoveryIndex::nearestKv reproduces bit for bit and the recovery
- * service's cross-block borrowing must match - every nearest-KV
- * consumer goes through this one definition so they can never
- * drift. std::nullopt when both pools are empty.
+ * THE nearest-KV rule over @p placement's dedicated pools: score
+ * pool before context pool, lower index first, strict improvement
+ * only. The replacement chain's absorbing core and the recovery
+ * service's cross-block donor pick both go through this one
+ * definition, so their tie-breaks can never drift. std::nullopt when
+ * both pools are empty.
  */
 std::optional<NearestKvScan>
 nearestKvScan(const BlockPlacement &placement, CoreCoord from,
@@ -173,28 +83,14 @@ bool removePoolCoord(std::vector<CoreCoord> &pool, CoreCoord target);
  * Returns std::nullopt when the core is not part of this placement
  * or no KV core remains to absorb the chain.
  *
- * @p index, when given, must have been built from @p placement (and
- * kept through every prior recovery); the chain is then constructed
- * through the spatial index - bit-identical results, sub-linear
- * lookups - and the index is updated to mirror the placement
- * mutation. Null keeps the full-scan path (the oracle).
+ * Each move is priced over the mesh's actual (cached) route, so
+ * shifts detour around fabrication defects and previously failed
+ * links; all moves run in parallel, so the latency is the slowest
+ * one.
  */
 std::optional<RemapResult>
 recoverCoreFailure(BlockPlacement &placement, CoreCoord failed,
-                   const WaferGeometry &geom, const NocParams &noc,
-                   Bytes tile_bytes, RecoveryIndex *index = nullptr);
-
-/**
- * Route-aware variant: identical chain construction, but each move is
- * priced over the mesh's actual (cached) route, so shifts detour
- * around fabrication defects and previously failed links instead of
- * assuming the clean-mesh Manhattan path. On a clean mesh this is
- * equivalent to the NocParams overload.
- */
-std::optional<RemapResult>
-recoverCoreFailure(BlockPlacement &placement, CoreCoord failed,
-                   const MeshNoc &noc, Bytes tile_bytes,
-                   RecoveryIndex *index = nullptr);
+                   const MeshNoc &noc, Bytes tile_bytes);
 
 } // namespace ouro
 

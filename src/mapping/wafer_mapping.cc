@@ -1,6 +1,7 @@
 #include "wafer_mapping.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "noc/mesh.hh"
@@ -114,6 +115,11 @@ WaferMapping::build(const ModelConfig &model,
                     const WaferMappingOptions &opts)
 {
     ouroAssert(num_blocks > 0, "WaferMapping::build: no blocks");
+    // costInter weights every die crossing the mappers price, so a
+    // bad value is refused before any mapper runs.
+    if (!(std::isfinite(opts.costInter) && opts.costInter > 0.0))
+        fatal("WaferMapping::build: WaferMappingOptions::costInter = ",
+              opts.costInter, " (must be finite and > 0)");
 
     WaferMapping mapping(geom);
     mapping.firstBlock_ = first_block;

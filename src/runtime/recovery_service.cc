@@ -1,8 +1,5 @@
 #include "recovery_service.hh"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/logging.hh"
 
 namespace ouro
@@ -69,16 +66,6 @@ RecoveryService::region(std::uint64_t block,
                                                        replica);
 }
 
-RecoveryIndex *
-RecoveryService::indexOf(Region &reg)
-{
-    if (!opts_.useSpatialIndex)
-        return nullptr;
-    if (!reg.index)
-        reg.index.emplace(reg.placement);
-    return &*reg.index;
-}
-
 const BlockPlacement &
 RecoveryService::placement(std::uint64_t block,
                            std::uint32_t replica) const
@@ -99,29 +86,6 @@ RecoveryService::chainKvCores(std::uint32_t replica) const
     return n;
 }
 
-std::optional<std::pair<CoreCoord, bool>>
-RecoveryService::pickDonorCore(Region &donor, CoreCoord near)
-{
-    const RecoveryIndex *index = indexOf(donor);
-    if (!index) {
-        // The retained scan oracle (shared with recoverCoreFailure's
-        // no-index path, so both service modes lend the identical
-        // core).
-        const auto hit = nearestKvScan(donor.placement, near, geom_);
-        if (!hit)
-            return std::nullopt;
-        return std::make_pair(hit->core, hit->scoreDuty);
-    }
-    const auto hit = index->nearestKv(near);
-    if (!hit)
-        return std::nullopt;
-    const auto &score = donor.placement.scoreCores;
-    const bool score_duty =
-        std::find(score.begin(), score.end(), hit->core) !=
-        score.end();
-    return std::make_pair(hit->core, score_duty);
-}
-
 bool
 RecoveryService::borrowKvCore(Region &dry, CoreCoord near,
                               std::vector<KvBorrow> &borrows)
@@ -140,7 +104,11 @@ RecoveryService::borrowKvCore(Region &dry, CoreCoord near,
             if (donor_block >= firstBlock_ + numBlocks_)
                 continue;
             Region &donor = region(donor_block, dry.replica);
-            const auto lent = pickDonorCore(donor, near);
+            // The donor lends its nearest KV core to the failure,
+            // under the same tie-break the chain's absorbing core
+            // uses.
+            const auto lent =
+                nearestKvScan(donor.placement, near, geom_);
             if (!lent)
                 continue; // this donor is dry too
             const auto [core, score_duty] = *lent;
@@ -152,18 +120,10 @@ RecoveryService::borrowKvCore(Region &dry, CoreCoord near,
             ouroAssert(removed, "RecoveryService: donor pool lost "
                                 "core (", core.row, ",", core.col,
                        ")");
-            if (donor.index)
-                donor.index->removeKv(core);
 
             (score_duty ? dry.placement.scoreCores
                         : dry.placement.contextCores)
                     .push_back(core);
-            // The dry region's placement gained a core its index was
-            // not built over. Drop the index: its next use rebuilds
-            // it, re-deriving scan-order sequence numbers from the
-            // post-graft pools, so it stays bit-identical to the scan
-            // oracle from here on.
-            dry.index.reset();
             owner_[geom_.coreIndex(core)] = dry_slot;
 
             ++borrowCount_;
@@ -259,8 +219,8 @@ RecoveryService::handleCoreFailure(CoreCoord failed)
             return std::nullopt; // whole chain exhausted
     }
 
-    const auto result = recoverCoreFailure(
-            reg.placement, failed, *noc_, tileBytes_, indexOf(reg));
+    const auto result =
+        recoverCoreFailure(reg.placement, failed, *noc_, tileBytes_);
     if (!result)
         return std::nullopt;
     out.remap = *result;

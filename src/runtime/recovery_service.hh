@@ -11,47 +11,42 @@
  *  - one mutable BlockPlacement per (replica, block) region, copied
  *    from the WaferMapping at construction (the mapping itself stays
  *    immutable),
- *  - one RecoveryIndex per region, built on the region's first
- *    failure or donor pick (the spatial fast path; the flat scan
- *    oracle is retained behind
- *    RecoveryServiceOptions::useSpatialIndex = false),
  *  - the MeshNoc (with its route cache) carrying the wafer's defect
  *    map and failed-link state (failLink() is delegated here),
  *  - a core -> region ownership map covering every weight and KV
  *    core of every chain.
  *
  * handleCoreFailure(core) is the single entry point: it routes the
- * failure to the owning region's index, runs the replacement-chain
- * recovery there, and marks the affected inter-block activation
- * flows of that chain dirty. The returned FailureOutcome is all a
- * caller learns of the failure: resolveStormSchedule
- * (sim/storm_run.hh) mirrors it into the serving KV pool. The marks accumulate across a whole
- * failure storm and flushRepricing() prices each distinct edge exactly
- * once (through the cached mesh) when a caller wants the figure; a
- * caller that wants per-failure prices flushes after every failure.
- * Storm re-pricing therefore costs O(distinct dirty edges), not
- * O(failures x adjacent edges). When a weight-core
- * failure finds the block's KV pool dry, the service borrows a KV
- * core from an adjacent block of the SAME replica chain before
- * retrying - chains never lend across replicas, preserving the
- * fault-domain isolation the replicated-embedding layout establishes.
+ * failure to the owning region, runs the replacement-chain recovery
+ * (recoverCoreFailure) on its placement, and marks the affected
+ * inter-block activation flows of that chain dirty. The returned
+ * FailureOutcome is all a caller learns of the failure:
+ * resolveStormSchedule (sim/storm_run.hh) mirrors it into the serving
+ * KV pool. The marks accumulate across a whole failure storm and
+ * flushRepricing() prices each distinct edge exactly once (through
+ * the cached mesh) when a caller wants the figure; a caller that
+ * wants per-failure prices flushes after every failure. Storm
+ * re-pricing therefore costs O(distinct dirty edges), not
+ * O(failures x adjacent edges). When a weight-core failure finds the
+ * block's KV pool dry, the service borrows a KV core from an adjacent
+ * block of the SAME replica chain before retrying - chains never lend
+ * across replicas, preserving the fault-domain isolation the
+ * replicated-embedding layout establishes.
  *
  * Borrowing is deterministic: donor blocks are visited in
  * nearest-block order (distance 1, 2, ... from the dry block; the
  * lower-numbered block first on ties), the donor's lent core is its
- * nearest KV core to the failed core (the same scan-order tie-break
- * recoverCoreFailure uses), and the core keeps its score/context duty
- * in the borrower's pool. The graft drops the borrower's index (a
- * placement gained a core the index was not built over), and its next
- * use rebuilds it - the sanctioned resync - so index and scan stay
- * bit-identical afterwards too.
+ * nearest KV core to the failed core (nearestKvScan, the tie-break
+ * recoverCoreFailure's absorbing core uses too), and the core keeps
+ * its score/context duty in the borrower's pool.
  *
  * Bit-identity contract: as long as borrowing never triggers, the
- * service's RemapResults are BIT-IDENTICAL to driving the retained
- * per-placement recoverCoreFailure oracle over mirror state - with or
- * without the spatial index - for whole failure sequences across
- * replicas and defect maps. Tests fuzz this and bench_fault_tolerance
- * asserts it on every run.
+ * service's RemapResults are BIT-IDENTICAL to driving
+ * recoverCoreFailure directly over mirror placements on a separate
+ * mesh, for whole failure sequences across replicas and defect maps:
+ * the service adds routing, ownership and borrowing, never a second
+ * chain rule. Tests fuzz this and bench_fault_tolerance asserts it on
+ * every run.
  */
 
 #ifndef OURO_RUNTIME_RECOVERY_SERVICE_HH
@@ -76,11 +71,6 @@ namespace ouro
 
 struct RecoveryServiceOptions
 {
-    /** false runs every chain construction on the retained flat-scan
-     *  oracle instead of the per-region RecoveryIndex; results are
-     *  bit-identical either way (asserted by tests and the bench). */
-    bool useSpatialIndex = true;
-
     /** false restores the pre-service behaviour: a weight-core
      *  failure in a block whose KV pool is dry fails (nullopt)
      *  instead of borrowing from adjacent blocks. */
@@ -210,16 +200,7 @@ class RecoveryService
         std::uint32_t replica = 0;
         std::uint64_t block = 0; ///< absolute block id
         BlockPlacement placement;
-        /** Built by indexOf() on first use; never engaged when
-         *  !opts_.useSpatialIndex. Every placement mutation of an
-         *  indexed region goes through it, except a graft, which drops
-         *  it instead. */
-        std::optional<RecoveryIndex> index;
     };
-
-    /** The region's index (built on first use), or null in scan
-     *  mode. */
-    RecoveryIndex *indexOf(Region &reg);
 
     Region &region(std::uint64_t block, std::uint32_t replica);
     const Region &region(std::uint64_t block,
@@ -229,11 +210,6 @@ class RecoveryService
      *  @p dry's chain; returns false when the whole chain is dry. */
     bool borrowKvCore(Region &dry, CoreCoord near,
                       std::vector<KvBorrow> &borrows);
-
-    /** Donor's lent core: nearest KV core to @p near with the
-     *  scan-order tie-break (index and scan agree bit for bit). */
-    std::optional<std::pair<CoreCoord, bool>>
-    pickDonorCore(Region &donor, CoreCoord near);
 
     /** Mark the inter-block edges block @p block feeds (predecessor
      *  flow in, own flow out) dirty for the next flushRepricing(). */

@@ -119,7 +119,7 @@ class OuroborosSystem
 
     /**
      * A fresh recovery service over wafer @p w's mapping and defect
-     * map: the runtime failure entry point (per-chain RecoveryIndex
+     * map: the runtime failure entry point (per-region failure
      * routing, cross-block KV borrowing, inter-block re-pricing).
      * The system itself holds no mutable fault state, so every
      * caller owns the service it drives and two services never share

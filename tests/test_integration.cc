@@ -124,10 +124,9 @@ TEST(Integration, RemapThenKvDropConsistent)
     BlockKvManager kv(model, sys->scorePool(), sys->contextPool());
     ASSERT_TRUE(kv.admit(1, 512));
 
-    const WaferGeometry geom;
+    const MeshNoc noc(WaferGeometry{}, NocParams{});
     const CoreCoord failed = placement.weightCores[3];
-    const auto result = recoverCoreFailure(placement, failed, geom,
-                                           NocParams{},
+    const auto result = recoverCoreFailure(placement, failed, noc,
                                            CoreParams{}.sramBytes());
     ASSERT_TRUE(result.has_value());
     // The absorbed KV core leaves the manager's pool too.

@@ -1157,11 +1157,11 @@ TEST(WaferMappingTest, InterBlockVolumeMatchesAccumulatorOracle)
 
 TEST(WaferMappingTest, BadCostInterDiesNamingTheField)
 {
-    // costInter is the inter-die penalty of the routed inter-block
-    // volume, so the build's mesh refuses a non-finite or
-    // non-positive value, naming the field and the value, instead of
-    // recording an inf or NaN volume. The death checks run this test
-    // alone in a fresh process.
+    // costInter weights every die crossing the mappers and the routed
+    // inter-block volume price, so build refuses a non-finite or
+    // non-positive value up front, naming the option and the value,
+    // instead of mapping on it. The death checks run this test alone
+    // in a fresh process.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ModelConfig model = tinyModel();
     model.numBlocks = 2;
@@ -1178,29 +1178,37 @@ TEST(WaferMappingTest, BadCostInterDiesNamingTheField)
                                         nullptr, 0, model.numBlocks,
                                         opts);
                 },
-                "NocParams::interDiePenalty = ");
+                "WaferMappingOptions::costInter = ");
     }
 }
 
-TEST(Remap, RouteAwareMatchesCleanMeshPricing)
+TEST(Remap, CleanMeshLatencyMatchesClosedForm)
 {
-    // On a defect-free mesh the route-aware overload walks the same
-    // Manhattan paths as the NocParams formula.
-    BlockPlacement a;
-    a.weightCores = {{0, 0}, {0, 1}, {0, 2}};
-    a.scoreCores = {{0, 3}};
-    BlockPlacement b = a;
-    const WaferGeometry geom;
+    // On a defect-free mesh every move follows its XY route, so the
+    // parallel-shift latency is the slowest move's router head plus
+    // the tile's serialisation over one intra-die link.
+    BlockPlacement placement;
+    placement.weightCores = {{0, 0}, {1, 3}};
+    placement.scoreCores = {{2, 4}};
     const NocParams params;
-    const MeshNoc mesh(geom, params);
-    const auto via_params =
-        recoverCoreFailure(a, {0, 0}, geom, params, 4 * MiB);
-    const auto via_mesh = recoverCoreFailure(b, {0, 0}, mesh, 4 * MiB);
-    ASSERT_TRUE(via_params && via_mesh);
-    EXPECT_EQ(via_params->moves, via_mesh->moves);
-    EXPECT_DOUBLE_EQ(via_params->latencySeconds,
-                     via_mesh->latencySeconds);
-    EXPECT_EQ(a.weightCores, b.weightCores);
+    const MeshNoc mesh(WaferGeometry{}, params);
+    const Bytes bytes = 4 * MiB;
+    const auto result =
+        recoverCoreFailure(placement, {0, 0}, mesh, bytes);
+    ASSERT_TRUE(result.has_value());
+    // (1,3) is inside the (0,0)->(2,4) box and closer to the KV
+    // core, so it joins the chain: a 2-hop and a 4-hop move, all
+    // inside die (0,0).
+    const std::vector<std::pair<CoreCoord, CoreCoord>> want_moves = {
+        {{1, 3}, {2, 4}}, {{0, 0}, {1, 3}}};
+    EXPECT_EQ(result->moves, want_moves);
+    const double link_rate = params.linkBitsPerCycle * params.clockHz;
+    const double slowest_hops = 4.0;
+    const double want =
+        slowest_hops * static_cast<double>(params.routerLatency) /
+                params.clockHz +
+        static_cast<double>(bytes) * 8.0 / link_rate;
+    EXPECT_DOUBLE_EQ(result->latencySeconds, want);
 }
 
 TEST(Remap, RouteAwarePricesDetours)
@@ -1231,9 +1239,9 @@ TEST(Remap, KvCoreFailureDropsFromPool)
     placement.weightCores = {{0, 0}, {0, 1}};
     placement.scoreCores = {{1, 0}, {1, 1}};
     placement.contextCores = {{2, 0}};
-    const WaferGeometry geom;
-    const auto result = recoverCoreFailure(placement, {1, 1}, geom,
-                                           NocParams{}, 4 * MiB);
+    const MeshNoc mesh(WaferGeometry{}, NocParams{});
+    const auto result =
+        recoverCoreFailure(placement, {1, 1}, mesh, 4 * MiB);
     ASSERT_TRUE(result.has_value());
     EXPECT_TRUE(result->moves.empty());
     EXPECT_EQ(placement.scoreCores.size(), 1u);
@@ -1246,8 +1254,9 @@ TEST(Remap, WeightFailureShiftsChainIntoKv)
     placement.scoreCores = {{0, 3}};
     placement.contextCores = {{5, 5}};
     const WaferGeometry geom;
-    const auto result = recoverCoreFailure(placement, {0, 0}, geom,
-                                           NocParams{}, 4 * MiB);
+    const MeshNoc mesh(geom, NocParams{});
+    const auto result =
+        recoverCoreFailure(placement, {0, 0}, mesh, 4 * MiB);
     ASSERT_TRUE(result.has_value());
     // The nearest KV core (0,3) absorbs; chain (0,1),(0,2) shifts.
     EXPECT_EQ(result->absorbedKvCore, (CoreCoord{0, 3}));
@@ -1265,14 +1274,62 @@ TEST(Remap, WeightFailureShiftsChainIntoKv)
     EXPECT_EQ(placement.contextCores.size(), 1u);
 }
 
+TEST(Remap, CorridorExcludesCoresOutsideTheBox)
+{
+    // (1,3) is closer to the KV core (0,4) than the failed core is,
+    // but lies outside the (0,0)->(0,4) bounding box: the failed
+    // tile goes straight to the KV core.
+    BlockPlacement placement;
+    placement.weightCores = {{0, 0}, {1, 3}};
+    placement.scoreCores = {{0, 4}};
+    const MeshNoc mesh(WaferGeometry{}, NocParams{});
+    const auto result =
+        recoverCoreFailure(placement, {0, 0}, mesh, 4 * MiB);
+    ASSERT_TRUE(result.has_value());
+    const std::vector<std::pair<CoreCoord, CoreCoord>> want_moves = {
+        {{0, 0}, {0, 4}}};
+    EXPECT_EQ(result->moves, want_moves);
+    EXPECT_EQ(result->chainLength, 2u);
+    EXPECT_EQ(placement.weightCores[1], (CoreCoord{1, 3}));
+}
+
+TEST(Remap, NearestKvTiesResolveByVisitOrder)
+{
+    // Equal distances resolve to the first core visited: score pool
+    // before context pool, lower index first.
+    const WaferGeometry geom;
+    BlockPlacement placement;
+    placement.scoreCores = {{2, 2}, {0, 2}};
+    placement.contextCores = {{2, 0}};
+    const auto hit = nearestKvScan(placement, {0, 0}, geom);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->core, (CoreCoord{0, 2}));
+    EXPECT_TRUE(hit->scoreDuty);
+
+    placement.scoreCores = {{2, 2}};
+    placement.contextCores = {{2, 0}, {0, 2}};
+    const auto ctx = nearestKvScan(placement, {0, 0}, geom);
+    ASSERT_TRUE(ctx.has_value());
+    EXPECT_EQ(ctx->core, (CoreCoord{2, 0}));
+    EXPECT_FALSE(ctx->scoreDuty);
+
+    // The replacement chain absorbs into that same core.
+    placement.weightCores = {{0, 0}};
+    const MeshNoc mesh(geom, NocParams{});
+    const auto result =
+        recoverCoreFailure(placement, {0, 0}, mesh, 4 * MiB);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->absorbedKvCore, (CoreCoord{2, 0}));
+}
+
 TEST(Remap, LatencySubMillisecond)
 {
     BlockPlacement placement;
     placement.weightCores = {{0, 0}, {0, 1}, {0, 2}, {1, 2}};
     placement.scoreCores = {{1, 3}};
-    const WaferGeometry geom;
-    const auto result = recoverCoreFailure(placement, {0, 0}, geom,
-                                           NocParams{}, 4 * MiB);
+    const MeshNoc mesh(WaferGeometry{}, NocParams{});
+    const auto result =
+        recoverCoreFailure(placement, {0, 0}, mesh, 4 * MiB);
     ASSERT_TRUE(result.has_value());
     EXPECT_LT(result->latencySeconds, 1e-3); // the paper's sub-ms claim
     EXPECT_GT(result->latencySeconds, 0.0);
@@ -1283,9 +1340,8 @@ TEST(Remap, UnknownCoreReturnsNullopt)
     BlockPlacement placement;
     placement.weightCores = {{0, 0}};
     placement.scoreCores = {{0, 1}};
-    const WaferGeometry geom;
-    EXPECT_FALSE(recoverCoreFailure(placement, {9, 9}, geom,
-                                    NocParams{}, 4 * MiB)
+    const MeshNoc mesh(WaferGeometry{}, NocParams{});
+    EXPECT_FALSE(recoverCoreFailure(placement, {9, 9}, mesh, 4 * MiB)
                          .has_value());
 }
 
@@ -1293,9 +1349,8 @@ TEST(Remap, NoKvCoreLeftReturnsNullopt)
 {
     BlockPlacement placement;
     placement.weightCores = {{0, 0}, {0, 1}};
-    const WaferGeometry geom;
-    EXPECT_FALSE(recoverCoreFailure(placement, {0, 0}, geom,
-                                    NocParams{}, 4 * MiB)
+    const MeshNoc mesh(WaferGeometry{}, NocParams{});
+    EXPECT_FALSE(recoverCoreFailure(placement, {0, 0}, mesh, 4 * MiB)
                          .has_value());
 }
 
@@ -1313,9 +1368,10 @@ TEST_P(RemapPropertyTest, PreservesTilesAndUniqueness)
     placement.scoreCores = {{1, 0}, {1, 3}};
     placement.contextCores = {{1, 5}};
     const WaferGeometry geom;
+    const MeshNoc mesh(geom, NocParams{});
     const CoreCoord failed{0, static_cast<std::uint32_t>(which)};
-    const auto result = recoverCoreFailure(placement, failed, geom,
-                                           NocParams{}, 4 * MiB);
+    const auto result =
+        recoverCoreFailure(placement, failed, mesh, 4 * MiB);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(placement.weightCores.size(), 6u);
     std::set<std::uint64_t> unique;
@@ -1350,105 +1406,109 @@ randomPlacement(Rng &rng, std::uint32_t window, std::size_t weights,
     return placement;
 }
 
-TEST(RecoveryIndexTest, MatchesScanOnRandomizedPlacements)
+TEST(Remap, RandomFailureSequencesKeepInvariants)
 {
-    // The spatial index must reproduce the oracle scan exactly -
-    // moves, absorbed core, latency bits - across whole random
-    // failure sequences, with the index carried through every
-    // mutation.
+    // Whole random failure sequences through recoverCoreFailure, on a
+    // clean mesh and on one whose defects (on cores the placement
+    // leaves free, as a mapper would) force detours. After every
+    // recovery the placement must still be a valid one with exactly
+    // the recovery's effect applied.
     const WaferGeometry geom;
-    const NocParams params;
-    for (int trial = 0; trial < 6; ++trial) {
-        Rng rng(500 + trial);
-        BlockPlacement scan_p =
-            randomPlacement(rng, 20, 60, 20, 20);
-        BlockPlacement idx_p = scan_p;
-        RecoveryIndex index(idx_p);
+    constexpr std::uint32_t kWindow = 20;
+    for (const bool with_defects : {false, true}) {
+        for (int trial = 0; trial < 6; ++trial) {
+            Rng rng(500 + trial);
+            BlockPlacement p = randomPlacement(rng, kWindow, 60, 20, 20);
+            DefectMap defects(geom);
+            if (with_defects) {
+                std::set<std::uint64_t> used;
+                for (const auto *pool :
+                     {&p.weightCores, &p.scoreCores, &p.contextCores}) {
+                    for (const CoreCoord c : *pool)
+                        used.insert(geom.coreIndex(c));
+                }
+                for (int d = 0; d < 10;) {
+                    const CoreCoord c{
+                        static_cast<std::uint32_t>(
+                                rng.uniformInt(0, kWindow - 1)),
+                        static_cast<std::uint32_t>(
+                                rng.uniformInt(0, kWindow - 1))};
+                    if (used.insert(geom.coreIndex(c)).second) {
+                        defects.inject(c);
+                        ++d;
+                    }
+                }
+            }
+            const MeshNoc noc(geom, NocParams{},
+                              with_defects ? &defects : nullptr);
 
-        for (int round = 0; round < 15; ++round) {
-            std::vector<CoreCoord> alive;
-            alive.insert(alive.end(), scan_p.weightCores.begin(),
-                         scan_p.weightCores.end());
-            alive.insert(alive.end(), scan_p.scoreCores.begin(),
-                         scan_p.scoreCores.end());
-            alive.insert(alive.end(), scan_p.contextCores.begin(),
-                         scan_p.contextCores.end());
-            const CoreCoord failed =
-                alive[rng.uniformInt(0, alive.size() - 1)];
+            for (int round = 0; round < 15; ++round) {
+                SCOPED_TRACE(::testing::Message()
+                             << "defects " << with_defects << " seed "
+                             << 500 + trial << " round " << round);
+                std::vector<CoreCoord> alive = p.weightCores;
+                alive.insert(alive.end(), p.scoreCores.begin(),
+                             p.scoreCores.end());
+                alive.insert(alive.end(), p.contextCores.begin(),
+                             p.contextCores.end());
+                const CoreCoord failed =
+                    alive[rng.uniformInt(0, alive.size() - 1)];
+                const BlockPlacement before = p;
+                const bool weight_failure =
+                    std::find(before.weightCores.begin(),
+                              before.weightCores.end(),
+                              failed) != before.weightCores.end();
 
-            const auto scan = recoverCoreFailure(
-                    scan_p, failed, geom, params, 4 * MiB);
-            const auto fast = recoverCoreFailure(
-                    idx_p, failed, geom, params, 4 * MiB, &index);
-            ASSERT_EQ(scan.has_value(), fast.has_value());
-            if (!scan)
-                break; // no KV core left to absorb
-            EXPECT_EQ(scan->moves, fast->moves);
-            EXPECT_EQ(scan->absorbedKvCore, fast->absorbedKvCore);
-            EXPECT_EQ(scan->chainLength, fast->chainLength);
-            EXPECT_EQ(scan->movedBytes, fast->movedBytes);
-            // Same moves, same pricing: the latency must match to
-            // the last bit, not just approximately.
-            EXPECT_EQ(scan->latencySeconds, fast->latencySeconds);
-            ASSERT_EQ(scan_p.weightCores, idx_p.weightCores);
-            ASSERT_EQ(scan_p.scoreCores, idx_p.scoreCores);
-            ASSERT_EQ(scan_p.contextCores, idx_p.contextCores);
+                const auto result =
+                    recoverCoreFailure(p, failed, noc, 4 * MiB);
+                if (!result)
+                    break; // no KV core left to absorb
+
+                ASSERT_EQ(p.weightCores.size(),
+                          before.weightCores.size());
+                std::set<std::uint64_t> weights;
+                for (const CoreCoord c : p.weightCores) {
+                    EXPECT_FALSE(c == failed);
+                    weights.insert(geom.coreIndex(c));
+                }
+                EXPECT_EQ(weights.size(), p.weightCores.size());
+                std::set<std::uint64_t> all = weights;
+                for (const auto *pool : {&p.scoreCores, &p.contextCores}) {
+                    for (const CoreCoord c : *pool)
+                        all.insert(geom.coreIndex(c));
+                }
+                EXPECT_EQ(all.size(), p.weightCores.size() +
+                                              p.scoreCores.size() +
+                                              p.contextCores.size())
+                    << "pools overlap";
+                EXPECT_EQ(p.scoreCores.size() + p.contextCores.size() + 1,
+                          before.scoreCores.size() +
+                                  before.contextCores.size());
+
+                if (!weight_failure) {
+                    EXPECT_TRUE(result->moves.empty());
+                    EXPECT_EQ(result->chainLength, 1u);
+                    EXPECT_EQ(result->absorbedKvCore, failed);
+                    EXPECT_EQ(p.weightCores, before.weightCores);
+                    continue;
+                }
+                EXPECT_EQ(result->chainLength, result->moves.size() + 1);
+                EXPECT_EQ(result->movedBytes,
+                          4 * MiB * result->moves.size());
+                EXPECT_GT(result->latencySeconds, 0.0);
+                EXPECT_TRUE(weights.count(
+                        geom.coreIndex(result->absorbedKvCore)));
+                for (const auto &[from, to] : result->moves) {
+                    const auto t = static_cast<std::size_t>(
+                            std::find(before.weightCores.begin(),
+                                      before.weightCores.end(), from) -
+                            before.weightCores.begin());
+                    ASSERT_LT(t, before.weightCores.size());
+                    EXPECT_EQ(p.weightCores[t], to);
+                }
+            }
         }
     }
-}
-
-TEST(RecoveryIndexTest, MatchesScanOnRouteAwareOverload)
-{
-    // Same pinning through the MeshNoc overload, with defects forcing
-    // detour pricing.
-    const WaferGeometry geom;
-    DefectMap defects(geom);
-    Rng rng(911);
-    for (int d = 0; d < 10; ++d) {
-        defects.inject({static_cast<std::uint32_t>(
-                                rng.uniformInt(0, 19)),
-                        static_cast<std::uint32_t>(
-                                rng.uniformInt(0, 19))});
-    }
-    const MeshNoc noc(geom, NocParams{}, &defects);
-    BlockPlacement scan_p = randomPlacement(rng, 16, 40, 12, 12);
-    BlockPlacement idx_p = scan_p;
-    RecoveryIndex index(idx_p);
-    for (int round = 0; round < 10; ++round) {
-        const CoreCoord failed = scan_p.weightCores[
-                rng.uniformInt(0, scan_p.weightCores.size() - 1)];
-        const auto scan =
-            recoverCoreFailure(scan_p, failed, noc, 4 * MiB);
-        const auto fast = recoverCoreFailure(idx_p, failed, noc,
-                                             4 * MiB, &index);
-        ASSERT_EQ(scan.has_value(), fast.has_value());
-        if (!scan)
-            break;
-        EXPECT_EQ(scan->moves, fast->moves);
-        EXPECT_EQ(scan->latencySeconds, fast->latencySeconds);
-        ASSERT_EQ(scan_p.weightCores, idx_p.weightCores);
-        ASSERT_EQ(scan_p.scoreCores, idx_p.scoreCores);
-        ASSERT_EQ(scan_p.contextCores, idx_p.contextCores);
-    }
-}
-
-TEST(RecoveryIndexTest, UnknownCoreLeavesIndexUntouched)
-{
-    BlockPlacement placement;
-    placement.weightCores = {{0, 0}, {0, 1}};
-    placement.scoreCores = {{1, 0}};
-    RecoveryIndex index(placement);
-    const WaferGeometry geom;
-    EXPECT_FALSE(recoverCoreFailure(placement, {9, 9}, geom,
-                                    NocParams{}, 4 * MiB, &index)
-                         .has_value());
-    EXPECT_EQ(index.weightCount(), 2u);
-    EXPECT_EQ(index.kvCount(), 1u);
-    // And a real recovery still works through the same index.
-    const auto result = recoverCoreFailure(
-            placement, {0, 0}, geom, NocParams{}, 4 * MiB, &index);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(index.kvCount(), 0u);
 }
 
 } // namespace

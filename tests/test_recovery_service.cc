@@ -1,8 +1,8 @@
 /**
  * @file
- * Wafer-level RecoveryService tests: bit-identity against the
- * retained per-placement recoverCoreFailure oracle (whole failure
- * sequences, across replicas and defect maps, index and scan modes),
+ * Wafer-level RecoveryService tests: bit-identity against direct
+ * per-placement recoverCoreFailure calls over mirror placements
+ * (whole failure sequences, across replicas and defect maps),
  * deterministic cross-block KV borrowing, replica-chain fault-domain
  * isolation, inter-block flow re-pricing (link failures included),
  * and services built from an OuroborosSystem.
@@ -104,10 +104,10 @@ samePlacement(const BlockPlacement &a, const BlockPlacement &b)
 TEST(RecoveryService, MatchesPerPlacementOracleFuzz)
 {
     // Whole failure sequences across replicas and defect maps: the
-    // service (index or scan mode, borrowing off so the oracle can
-    // express every outcome) must reproduce the retained
-    // per-placement recoverCoreFailure oracle bit for bit - results
-    // AND final placements.
+    // service (borrowing off so the oracle can express every
+    // outcome) must reproduce direct per-placement recoverCoreFailure
+    // calls over mirror placements bit for bit - results AND final
+    // placements.
     const WaferGeometry geom(3, 3, 8, 8);
     const ModelConfig model = tinyModel();
     const Bytes tile_bytes = CoreParams{}.sramBytes();
@@ -121,120 +121,56 @@ TEST(RecoveryService, MatchesPerPlacementOracleFuzz)
         const WaferMapping mapping =
             buildMapping(geom, model, 2, dmap);
 
-        for (const bool use_index : {true, false}) {
-            RecoveryServiceOptions sopts;
-            sopts.useSpatialIndex = use_index;
-            sopts.allowKvBorrow = false;
-            RecoveryService service(mapping, NocParams{}, tile_bytes,
-                                    dmap, sopts);
+        RecoveryServiceOptions sopts;
+        sopts.allowKvBorrow = false;
+        RecoveryService service(mapping, NocParams{}, tile_bytes, dmap,
+                                sopts);
 
-            // Mirror oracle: raw per-placement recoveries on a
-            // separate mesh over the same defect map.
-            const MeshNoc cold(geom, NocParams{}, dmap);
-            std::vector<BlockPlacement> mirror;
-            for (std::uint32_t rep = 0; rep < 2; ++rep) {
-                for (std::uint64_t b = 0; b < model.numBlocks; ++b)
-                    mirror.push_back(mapping.placement(b, rep));
-            }
-
-            Rng rng(91 + defect_seed);
-            for (int k = 0; k < 150; ++k) {
-                const std::size_t r = static_cast<std::size_t>(
-                        rng.uniformInt(0, mirror.size() - 1));
-                const std::size_t alive = aliveCores(mirror[r]);
-                if (alive == 0)
-                    continue;
-                const CoreCoord failed = resolveFailure(
-                        mirror[r],
-                        static_cast<std::size_t>(
-                                rng.uniformInt(0, alive - 1)));
-                const auto got = service.handleCoreFailure(failed);
-                const auto want = recoverCoreFailure(
-                        mirror[r], failed, cold, tile_bytes);
-                ASSERT_EQ(got.has_value(), want.has_value())
-                    << "failure " << k;
-                if (!got)
-                    continue;
-                EXPECT_TRUE(sameResult(got->remap, *want))
-                    << "failure " << k;
-                EXPECT_TRUE(got->borrows.empty());
-                EXPECT_EQ(got->replica, r / model.numBlocks);
-                EXPECT_EQ(got->block, r % model.numBlocks);
-            }
-            for (std::uint32_t rep = 0; rep < 2; ++rep) {
-                for (std::uint64_t b = 0; b < model.numBlocks; ++b) {
-                    EXPECT_TRUE(samePlacement(
-                            service.placement(b, rep),
-                            mirror[rep * model.numBlocks + b]));
-                }
-            }
-            EXPECT_EQ(service.chainKvCores(0) +
-                              service.chainKvCores(1),
-                      [&] {
-                          std::uint64_t n = 0;
-                          for (const auto &p : mirror)
-                              n += p.scoreCores.size() +
-                                   p.contextCores.size();
-                          return n;
-                      }());
+        // Mirror oracle: raw per-placement recoveries on a separate
+        // mesh over the same defect map.
+        const MeshNoc cold(geom, NocParams{}, dmap);
+        std::vector<BlockPlacement> mirror;
+        for (std::uint32_t rep = 0; rep < 2; ++rep) {
+            for (std::uint64_t b = 0; b < model.numBlocks; ++b)
+                mirror.push_back(mapping.placement(b, rep));
         }
+
+        Rng rng(91 + defect_seed);
+        for (int k = 0; k < 150; ++k) {
+            const std::size_t r = static_cast<std::size_t>(
+                    rng.uniformInt(0, mirror.size() - 1));
+            const std::size_t alive = aliveCores(mirror[r]);
+            if (alive == 0)
+                continue;
+            const CoreCoord failed = resolveFailure(
+                    mirror[r], static_cast<std::size_t>(
+                                       rng.uniformInt(0, alive - 1)));
+            const auto got = service.handleCoreFailure(failed);
+            const auto want =
+                recoverCoreFailure(mirror[r], failed, cold, tile_bytes);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "failure " << k;
+            if (!got)
+                continue;
+            EXPECT_TRUE(sameResult(got->remap, *want))
+                << "failure " << k;
+            EXPECT_TRUE(got->borrows.empty());
+            EXPECT_EQ(got->replica, r / model.numBlocks);
+            EXPECT_EQ(got->block, r % model.numBlocks);
+        }
+        for (std::uint32_t rep = 0; rep < 2; ++rep) {
+            for (std::uint64_t b = 0; b < model.numBlocks; ++b) {
+                EXPECT_TRUE(
+                        samePlacement(service.placement(b, rep),
+                                      mirror[rep * model.numBlocks + b]));
+            }
+        }
+        std::uint64_t mirror_kv = 0;
+        for (const auto &p : mirror)
+            mirror_kv += p.scoreCores.size() + p.contextCores.size();
+        EXPECT_EQ(service.chainKvCores(0) + service.chainKvCores(1),
+                  mirror_kv);
     }
-}
-
-TEST(RecoveryService, IndexAndScanModesIdenticalWithBorrowing)
-{
-    // Once pools run dry the oracle cannot follow, but the index and
-    // scan service modes must still agree bit for bit - on outcomes,
-    // borrow records and final placements.
-    const WaferGeometry geom(2, 2, 6, 6);
-    const ModelConfig model = tinyModel();
-    const WaferMapping mapping =
-        buildMapping(geom, model, 1, nullptr);
-    const Bytes tile_bytes = CoreParams{}.sramBytes();
-
-    RecoveryServiceOptions with_index;
-    RecoveryServiceOptions with_scan;
-    with_scan.useSpatialIndex = false;
-    RecoveryService a(mapping, NocParams{}, tile_bytes, nullptr,
-                      with_index);
-    RecoveryService b(mapping, NocParams{}, tile_bytes, nullptr,
-                      with_scan);
-
-    // Drive enough failures to drain pools and force borrows; the
-    // schedule is resolved against service a's state (b tracks it
-    // while identical, which is the assertion).
-    Rng rng(17);
-    std::uint64_t handled = 0;
-    for (int k = 0; k < 200; ++k) {
-        const std::uint64_t block = rng.uniformInt(0, 1);
-        const auto &p = a.placement(block);
-        const std::size_t alive = aliveCores(p);
-        if (alive == 0)
-            continue;
-        const CoreCoord failed = resolveFailure(
-                p, static_cast<std::size_t>(
-                           rng.uniformInt(0, alive - 1)));
-        const auto ra = a.handleCoreFailure(failed);
-        const auto rb = b.handleCoreFailure(failed);
-        ASSERT_EQ(ra.has_value(), rb.has_value()) << "failure " << k;
-        if (!ra)
-            continue;
-        ++handled;
-        EXPECT_TRUE(sameResult(ra->remap, rb->remap));
-        EXPECT_EQ(ra->borrows, rb->borrows);
-        const RepriceResult pa = a.flushRepricing();
-        const RepriceResult pb = b.flushRepricing();
-        EXPECT_EQ(pa.interBlockByteHops, pb.interBlockByteHops);
-        EXPECT_EQ(pa.edges, pb.edges);
-        EXPECT_EQ(pa.flowsRoutable, pb.flowsRoutable);
-    }
-    EXPECT_GT(handled, 0u);
-    EXPECT_GT(a.borrowCount(), 0u)
-        << "schedule never triggered a borrow - grow it";
-    EXPECT_EQ(a.borrowCount(), b.borrowCount());
-    EXPECT_EQ(a.recoveries(), b.recoveries());
-    for (std::uint64_t blk = 0; blk < model.numBlocks; ++blk)
-        EXPECT_TRUE(samePlacement(a.placement(blk), b.placement(blk)));
 }
 
 /** Drain every dedicated KV core of one block through the service. */
