@@ -485,8 +485,12 @@ main(int argc, char **argv)
               << formatDouble(volume_max, 0) << " byte-hops.\n";
 
     // Failure storm through the wafer-level RecoveryService (oracle
-    // prefix bit-identity asserted inside).
-    const StormResult storm = runStorm(geom, injections / 2 + 1);
+    // prefix bit-identity asserted inside). At least two weight
+    // failures per chain: a single one marks each dirty edge once, so
+    // the one flush would have nothing to deduplicate and the storm's
+    // batching check could not hold.
+    const StormResult storm =
+        runStorm(geom, std::max<std::size_t>(2, injections / 2 + 1));
     const double storm_rate =
         static_cast<double>(storm.recoveries) / storm.seconds;
     const double borrow_rate =

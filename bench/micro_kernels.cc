@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * NoC routing (clean, faulted and cached), KV admission/growth, the
  * MIQP objective / moveDelta / swapDelta on both the sparse
- * flow-graph engine and the dense reference, the wafer-level
- * recovery service's failure handling and dry-pool KV borrowing, the
+ * flow-graph engine and the dense reference (oracles/mapping.hh), the
+ * wafer-level recovery service's failure handling and dry-pool KV
+ * borrowing, the
  * LLaMA-13B system build and its inter-block volume pricing (per-link
  * oracle vs volume walk), storm-schedule resolution on the LLaMA-13B
  * system, day-trace window materialization, the sampled-window
@@ -26,6 +27,7 @@
 #include "mapping/wafer_mapping.hh"
 #include "model/llm.hh"
 #include "noc/mesh.hh"
+#include "oracles/mapping.hh"
 #include "oracles/traffic.hh"
 #include "pipeline/engine.hh"
 #include "runtime/recovery_service.hh"
@@ -134,7 +136,7 @@ BM_MiqpObjectiveDense(benchmark::State &state)
     const MiqpFixture fx;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-                fx.problem.assignmentCostDense(fx.assignment));
+                assignmentCostDense(fx.problem, fx.assignment));
     }
 }
 BENCHMARK(BM_MiqpObjectiveDense);
@@ -160,8 +162,8 @@ BM_MoveDeltaDense(benchmark::State &state)
     std::size_t t = 0;
     for (auto _ : state) {
         t = (t + 1) % fx.problem.tiles().size();
-        benchmark::DoNotOptimize(fx.problem.moveDeltaDense(
-                fx.assignment, t,
+        benchmark::DoNotOptimize(moveDeltaDense(
+                fx.problem, fx.assignment, t,
                 static_cast<std::uint32_t>(fx.region.size() - 1)));
     }
 }
@@ -190,7 +192,7 @@ BM_SwapDeltaDense(benchmark::State &state)
     for (auto _ : state) {
         t = (t + 1) % (n - 1);
         benchmark::DoNotOptimize(
-                fx.problem.swapDeltaDense(fx.assignment, t, t + 1));
+                swapDeltaDense(fx.problem, fx.assignment, t, t + 1));
     }
 }
 BENCHMARK(BM_SwapDeltaDense);

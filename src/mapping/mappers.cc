@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -100,19 +99,6 @@ AnnealingMapper::annealOnce(const MappingProblem &problem,
 
     Rng rng(seed);
 
-    // Engine selection: the sparse flow-graph engine is the default;
-    // the dense reference is bit-identical (asserted by tests and
-    // fig18), so the trajectory below is engine-invariant.
-    const bool dense = opts_.useDenseEngine;
-    const auto move_delta = [&](std::size_t t, std::uint32_t s) {
-        return dense ? problem.moveDeltaDense(current, t, s)
-                     : problem.moveDelta(current, t, s);
-    };
-    const auto swap_delta = [&](std::size_t t1, std::size_t t2) {
-        return dense ? problem.swapDeltaDense(current, t1, t2)
-                     : problem.swapDelta(current, t1, t2);
-    };
-
     // Calibrate the starting temperature from a random-move sample
     // so acceptance starts near 80%.
     double sum_abs = 0.0;
@@ -123,7 +109,7 @@ AnnealingMapper::annealOnce(const MappingProblem &problem,
         if (s == current[t])
             continue;
         if (occupant[s] < 0)
-            sum_abs += std::abs(move_delta(t, s));
+            sum_abs += std::abs(problem.moveDelta(current, t, s));
     }
     double temperature = std::max(1.0, sum_abs / probes);
 
@@ -141,7 +127,7 @@ AnnealingMapper::annealOnce(const MappingProblem &problem,
         const std::int64_t other = occupant[slot];
         if (other < 0) {
             // Relocate t1 to a free slot.
-            const double delta = move_delta(t1, slot);
+            const double delta = problem.moveDelta(current, t1, slot);
             if (delta <= 0.0 ||
                 rng.uniform() < std::exp(-delta / temperature)) {
                 occupant[current[t1]] = -1;
@@ -154,7 +140,7 @@ AnnealingMapper::annealOnce(const MappingProblem &problem,
             const auto t2 = static_cast<std::size_t>(other);
             const std::uint32_t s1 = current[t1];
             const std::uint32_t s2 = slot;
-            const double delta = swap_delta(t1, t2);
+            const double delta = problem.swapDelta(current, t1, t2);
             if (delta <= 0.0 ||
                 rng.uniform() < std::exp(-delta / temperature)) {
                 std::swap(current[t1], current[t2]);
@@ -178,53 +164,6 @@ AnnealingMapper::annealOnce(const MappingProblem &problem,
     // floating error, and restarts are compared on this value.
     const double exact_cost = problem.assignmentCost(best);
     return {std::move(best), exact_cost};
-}
-
-ExactMapper::ExactMapper(std::uint32_t max_tiles)
-    : maxTiles_(max_tiles)
-{
-}
-
-Assignment
-ExactMapper::solve(const MappingProblem &problem) const
-{
-    const auto &tiles = problem.tiles();
-    ouroAssert(tiles.size() <= maxTiles_,
-               "ExactMapper: instance too large (", tiles.size(),
-               " tiles)");
-    const auto slots = usableSlots(problem);
-
-    Assignment current(tiles.size(), 0);
-    Assignment best;
-    double best_cost = std::numeric_limits<double>::infinity();
-    std::vector<bool> used(problem.candidates().size(), false);
-
-    // Depth-first branch and bound with partial-cost pruning (all
-    // pair costs are non-negative, so the partial sum lower-bounds).
-    auto recurse = [&](auto &&self, std::size_t t,
-                       double partial) -> void {
-        if (partial >= best_cost)
-            return;
-        if (t == tiles.size()) {
-            best_cost = partial;
-            best = current;
-            return;
-        }
-        for (const auto slot : slots) {
-            if (used[slot])
-                continue;
-            // Sparse partial cost over tile t's already-placed flow
-            // partners (bit-identical to the dense b < t scan).
-            const double add = problem.partialCost(current, t, slot);
-            used[slot] = true;
-            current[t] = slot;
-            self(self, t + 1, partial + add);
-            used[slot] = false;
-        }
-    };
-    recurse(recurse, 0, 0.0);
-    ouroAssert(!best.empty(), "ExactMapper: no feasible assignment");
-    return best;
 }
 
 Assignment

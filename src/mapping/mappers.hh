@@ -6,12 +6,12 @@
  * The paper models placement as MIQP and solves it offline ("several
  * hours" on a Xeon, Section 6.7). Without a commercial solver we keep
  * the exact objective/constraints and swap the search:
- *   - ExactMapper: branch-and-bound over all feasible assignments for
- *     small instances (tests verify the heuristics against it);
  *   - GreedyMapper: layer-ordered walk of the S-shaped core order -
  *     fast, locality-aware construction;
  *   - AnnealingMapper: simulated annealing (swap/relocate moves with
- *     incremental cost deltas) seeded with the greedy solution.
+ *     incremental cost deltas) seeded with the greedy solution;
+ *     tests check it against the exhaustive ExactMapper of
+ *     oracles/mapping.hh on small instances.
  * Baselines:
  *   - SummaMapper: Cerebras-style SUMMA grids each layer across the
  *     whole region independently (good intra-layer grids, poor
@@ -63,15 +63,6 @@ class AnnealingMapper
          * run (including 1) - the PR 1 sweep contract.
          */
         std::uint32_t restarts = 1;
-
-        /**
-         * Evaluate moves with the retained dense O(T) reference
-         * engine instead of the sparse flow-graph engine. The two
-         * are bit-identical (tests and fig18 assert it), so the
-         * annealing trajectory does not depend on this flag - it
-         * exists so harnesses can time and cross-check the engines.
-         */
-        bool useDenseEngine = false;
     };
 
     AnnealingMapper() : AnnealingMapper(Options{}) {}
@@ -86,19 +77,6 @@ class AnnealingMapper
                std::uint64_t seed) const;
 
     Options opts_;
-};
-
-/** Exhaustive branch-and-bound; only for small instances (<= ~10). */
-class ExactMapper
-{
-  public:
-    /** @param max_tiles refuse larger instances (cost explodes). */
-    explicit ExactMapper(std::uint32_t max_tiles = 10);
-
-    Assignment solve(const MappingProblem &problem) const;
-
-  private:
-    std::uint32_t maxTiles_;
 };
 
 /** Cerebras-default SUMMA-style layer-independent grid placement. */

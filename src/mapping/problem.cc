@@ -50,12 +50,6 @@ LayerSpec::outPartHi(std::uint32_t o) const
 }
 
 Bytes
-LayerSpec::outputVolume(std::uint32_t o) const
-{
-    return outPartHi(o) - outPartLo(o); // 1 byte per activation
-}
-
-Bytes
 LayerSpec::reductionVolume(std::uint32_t o) const
 {
     return 4 * (outPartHi(o) - outPartLo(o)); // 32-bit partial sums
@@ -167,8 +161,9 @@ MappingProblem::flowBetween(std::size_t a, std::size_t b) const
     const LayerSpec &lb = layers_[tb.layer];
     Bytes bytes = 0;
 
-    // Mirrors pairCost()'s flow terms exactly; at most one fires for
-    // any pair, so summing them is safe.
+    // The flow terms of Eq. 1 (oracles/mapping.cc prices the same
+    // terms pair by pair); at most one fires for any pair, so summing
+    // them is safe.
     if (ta.layer + 1 == tb.layer && ta.inSplit == la.inSplits - 1) {
         bytes += overlap(
                 la.outPartLo(ta.outSplit), la.outPartHi(ta.outSplit),
@@ -192,9 +187,8 @@ MappingProblem::flowBetween(std::size_t a, std::size_t b) const
         if (ta.outSplit != tb.outSplit &&
             ta.inSplit == layer.inSplits - 1 &&
             tb.inSplit == layer.inSplits - 1) {
-            // Directed: prices the FIRST tile's slice (pairCost takes
-            // a.outSplit), so F(a->b) and F(b->a) can differ when the
-            // last split part is smaller.
+            // Directed: prices the FIRST tile's slice, so F(a->b) and
+            // F(b->a) can differ when the last split part is smaller.
             bytes += layer.gatherVolume(ta.outSplit);
         }
     }
@@ -271,12 +265,6 @@ MappingProblem::candidateUsable(std::size_t r) const
     return !defects_ || !defects_->defective(candidates_[r]);
 }
 
-double
-MappingProblem::penalty(CoreCoord a, CoreCoord b) const
-{
-    return geom_.sameDie(a, b) ? 1.0 : costInter_;
-}
-
 std::uint64_t
 MappingProblem::overlap(std::uint64_t lo1, std::uint64_t hi1,
                         std::uint64_t lo2, std::uint64_t hi2)
@@ -284,61 +272,6 @@ MappingProblem::overlap(std::uint64_t lo1, std::uint64_t hi1,
     const std::uint64_t lo = std::max(lo1, lo2);
     const std::uint64_t hi = std::min(hi1, hi2);
     return hi > lo ? hi - lo : 0;
-}
-
-double
-MappingProblem::pairCost(const Tile &a, CoreCoord ca, const Tile &b,
-                         CoreCoord cb) const
-{
-    const double dist = geom_.manhattan(ca, cb);
-    if (dist == 0.0)
-        return 0.0;
-    const double pen = penalty(ca, cb);
-    double cost = 0.0;
-
-    const LayerSpec &la = layers_[a.layer];
-    const LayerSpec &lb = layers_[b.layer];
-
-    // Inter-layer activation flow: a's output part overlaps b's input
-    // part in channel space. Only the final input split of a (the
-    // reducer, which owns the complete output slice) forwards
-    // activations.
-    if (a.layer + 1 == b.layer && a.inSplit == la.inSplits - 1) {
-        const std::uint64_t bytes = overlap(
-                la.outPartLo(a.outSplit), la.outPartHi(a.outSplit),
-                lb.inPartLo(b.inSplit), lb.inPartHi(b.inSplit));
-        cost += dist * static_cast<double>(bytes) * pen;
-    }
-    if (b.layer + 1 == a.layer && b.inSplit == lb.inSplits - 1) {
-        const std::uint64_t bytes = overlap(
-                lb.outPartLo(b.outSplit), lb.outPartHi(b.outSplit),
-                la.inPartLo(a.inSplit), la.inPartHi(a.inSplit));
-        cost += dist * static_cast<double>(bytes) * pen;
-    }
-
-    if (a.layer == b.layer) {
-        const LayerSpec &layer = la;
-        // Intra-layer reduction: non-final input splits stream 32-bit
-        // partial sums to the final split of the same output part.
-        if (a.outSplit == b.outSplit) {
-            const bool a_sends = a.inSplit != layer.inSplits - 1 &&
-                                 b.inSplit == layer.inSplits - 1;
-            const bool b_sends = b.inSplit != layer.inSplits - 1 &&
-                                 a.inSplit == layer.inSplits - 1;
-            if (a_sends || b_sends) {
-                cost += dist * static_cast<double>(
-                        layer.reductionVolume(a.outSplit)) * pen;
-            }
-        }
-        // Gather between reducer tiles of different output parts.
-        if (a.outSplit != b.outSplit &&
-            a.inSplit == layer.inSplits - 1 &&
-            b.inSplit == layer.inSplits - 1) {
-            cost += dist * static_cast<double>(
-                    layer.gatherVolume(a.outSplit)) * pen;
-        }
-    }
-    return cost;
 }
 
 double
@@ -365,23 +298,6 @@ MappingProblem::assignmentCost(
 }
 
 double
-MappingProblem::assignmentCostDense(
-        const std::vector<std::uint32_t> &assignment) const
-{
-    ouroAssert(assignment.size() == tiles_.size(),
-               "assignmentCostDense: wrong assignment size");
-    double total = 0.0;
-    for (std::size_t a = 0; a < tiles_.size(); ++a) {
-        const CoreCoord ca = candidates_[assignment[a]];
-        for (std::size_t b = a + 1; b < tiles_.size(); ++b) {
-            total += pairCost(tiles_[a], ca, tiles_[b],
-                              candidates_[assignment[b]]);
-        }
-    }
-    return total;
-}
-
-double
 MappingProblem::moveDelta(const std::vector<std::uint32_t> &assignment,
                           std::size_t t, std::uint32_t new_slot) const
 {
@@ -397,25 +313,6 @@ MappingProblem::moveDelta(const std::vector<std::uint32_t> &assignment,
                          slotPen(new_slot, sb) -
                  slotDist(old_slot, sb) * bytes[k] *
                          slotPen(old_slot, sb);
-    }
-    return delta;
-}
-
-double
-MappingProblem::moveDeltaDense(
-        const std::vector<std::uint32_t> &assignment, std::size_t t,
-        std::uint32_t new_slot) const
-{
-    ouroAssert(t < tiles_.size(), "moveDeltaDense: bad tile index");
-    const CoreCoord old_core = candidates_[assignment[t]];
-    const CoreCoord new_core = candidates_[new_slot];
-    double delta = 0.0;
-    for (std::size_t b = 0; b < tiles_.size(); ++b) {
-        if (b == t)
-            continue;
-        const CoreCoord cb = candidates_[assignment[b]];
-        delta += pairCost(tiles_[t], new_core, tiles_[b], cb) -
-                 pairCost(tiles_[t], old_core, tiles_[b], cb);
     }
     return delta;
 }
@@ -480,65 +377,6 @@ MappingProblem::swapDelta(const std::vector<std::uint32_t> &assignment,
         }
     }
     return delta;
-}
-
-double
-MappingProblem::swapDeltaDense(
-        const std::vector<std::uint32_t> &assignment, std::size_t t1,
-        std::size_t t2) const
-{
-    // Replica of the annealer's historical inline swap loop.
-    ouroAssert(t1 < tiles_.size() && t2 < tiles_.size() && t1 != t2,
-               "swapDeltaDense: bad tile pair");
-    const CoreCoord c1 = candidates_[assignment[t1]];
-    const CoreCoord c2 = candidates_[assignment[t2]];
-    double delta = 0.0;
-    for (std::size_t b = 0; b < tiles_.size(); ++b) {
-        if (b == t1 || b == t2)
-            continue;
-        const CoreCoord cb = candidates_[assignment[b]];
-        delta += pairCost(tiles_[t1], c2, tiles_[b], cb)
-               - pairCost(tiles_[t1], c1, tiles_[b], cb)
-               + pairCost(tiles_[t2], c1, tiles_[b], cb)
-               - pairCost(tiles_[t2], c2, tiles_[b], cb);
-    }
-    delta += pairCost(tiles_[t1], c2, tiles_[t2], c1) -
-             pairCost(tiles_[t1], c1, tiles_[t2], c2);
-    return delta;
-}
-
-double
-MappingProblem::partialCost(
-        const std::vector<std::uint32_t> &assignment, std::size_t t,
-        std::uint32_t slot) const
-{
-    ouroAssert(t < tiles_.size(), "partialCost: bad tile index");
-    // Partners below t in ascending order: the dense reference scans
-    // b = 0..t-1 with tile t as pairCost's first argument.
-    double add = 0.0;
-    const std::uint32_t *partner = flow_->partner.data();
-    const double *bytes = flow_->bytes.data();
-    for (std::uint32_t k = flow_->offsets[t]; k < flow_->upper[t];
-         ++k) {
-        const std::uint32_t sb = assignment[partner[k]];
-        add += slotDist(slot, sb) * bytes[k] * slotPen(slot, sb);
-    }
-    return add;
-}
-
-double
-MappingProblem::partialCostDense(
-        const std::vector<std::uint32_t> &assignment, std::size_t t,
-        std::uint32_t slot) const
-{
-    ouroAssert(t < tiles_.size(), "partialCostDense: bad tile index");
-    const CoreCoord ct = candidates_[slot];
-    double add = 0.0;
-    for (std::size_t b = 0; b < t; ++b) {
-        add += pairCost(tiles_[t], ct, tiles_[b],
-                        candidates_[assignment[b]]);
-    }
-    return add;
 }
 
 bool

@@ -25,21 +25,19 @@
  * Sparse cost engine: almost all tile pairs exchange zero bytes, so
  * the problem precomputes, once, per-tile adjacency lists of the
  * nonzero-flow partners in ascending partner order with their directed
- * byte volumes. assignmentCost / moveDelta / swapDelta / partialCost
- * run over those lists and price each flow from a per-candidate slot
- * array (the core coordinate and its die's flat index, built in O(C)):
- * Manhattan distance of the two coordinates, times CostInter when the
- * die indices differ. Because a zero-flow pair contributes exactly
- * +0.0 to the dense Eq. 1 sums and the nonzero terms are visited in
- * the same (ascending) order with the same ((dist * bytes) * penalty)
- * association, the sparse results are BIT-IDENTICAL to the retained
- * dense reference (assignmentCostDense / moveDeltaDense /
- * swapDeltaDense), which prices through the geometry directly - tests
- * and the fig18 harness assert this.
+ * byte volumes. assignmentCost / moveDelta / swapDelta run over those
+ * lists and price each flow from a per-candidate slot array (the core
+ * coordinate and its die's flat index, built in O(C)): Manhattan
+ * distance of the two coordinates, times CostInter when the die
+ * indices differ. Because a zero-flow pair contributes exactly +0.0 to
+ * the dense Eq. 1 sums and the nonzero terms are visited in the same
+ * (ascending) order with the same ((dist * bytes) * penalty)
+ * association, the sparse results are BIT-IDENTICAL to the dense
+ * reference in oracles/mapping.hh, which prices through the geometry
+ * directly - tests and the fig18 harness assert this.
  *
- * The sparse engine is the only cost engine: the annealer, the
- * branch-and-bound ExactMapper and the wafer build all price through
- * it, and the dense references exist only to check it.
+ * The sparse engine is the only cost engine: the annealer and the
+ * wafer build price through it.
  */
 
 #ifndef OURO_MAPPING_PROBLEM_HH
@@ -75,9 +73,6 @@ struct LayerSpec
     std::uint64_t inPartHi(std::uint32_t i) const;   // exclusive
     std::uint64_t outPartLo(std::uint32_t o) const;
     std::uint64_t outPartHi(std::uint32_t o) const;  // exclusive
-
-    /** Activation bytes produced per token by output part o (8-bit). */
-    Bytes outputVolume(std::uint32_t o) const;
 
     /** Partial-sum bytes per token sent by a non-final input split
      *  of output part o (32-bit partials). */
@@ -156,64 +151,30 @@ class MappingProblem
 
     /**
      * Quadratic cost (Eq. 1) of a full assignment: assignment[t] is an
-     * index into candidates() for tile t. Sparse engine; bit-identical
-     * to assignmentCostDense().
+     * index into candidates() for tile t.
      */
     double assignmentCost(
-            const std::vector<std::uint32_t> &assignment) const;
-
-    /** Dense O(T^2) reference implementation of assignmentCost(). */
-    double assignmentCostDense(
             const std::vector<std::uint32_t> &assignment) const;
 
     /**
      * Cost delta of moving tile @p t from its current core to
      * candidate @p new_slot (other tiles unchanged). Used by the
-     * annealer's incremental evaluation. Sparse engine; bit-identical
-     * to moveDeltaDense().
+     * annealer's incremental evaluation.
      */
     double moveDelta(const std::vector<std::uint32_t> &assignment,
                      std::size_t t, std::uint32_t new_slot) const;
 
-    /** Dense O(T) reference implementation of moveDelta(). */
-    double moveDeltaDense(const std::vector<std::uint32_t> &assignment,
-                          std::size_t t, std::uint32_t new_slot) const;
-
     /**
      * Cost delta of swapping the cores of tiles @p t1 and @p t2.
      * Sparse engine over the merged adjacency of the two tiles, in
-     * ascending partner order; bit-identical to swapDeltaDense()
-     * (which replicates the annealer's historical inline O(T) loop,
-     * including its always-zero (t1,t2) correction term).
+     * ascending partner order.
      */
     double swapDelta(const std::vector<std::uint32_t> &assignment,
                      std::size_t t1, std::size_t t2) const;
 
-    /** Dense O(T) reference implementation of swapDelta(). */
-    double swapDeltaDense(const std::vector<std::uint32_t> &assignment,
-                          std::size_t t1, std::size_t t2) const;
-
     /**
-     * Cost added by placing tile @p t on candidate @p slot given that
-     * tiles 0..t-1 are already placed per @p assignment (tiles >= t
-     * ignored): the branch-and-bound partial cost of ExactMapper.
-     * Sparse engine; bit-identical to partialCostDense().
-     */
-    double partialCost(const std::vector<std::uint32_t> &assignment,
-                       std::size_t t, std::uint32_t slot) const;
-
-    /** Dense O(t) reference implementation of partialCost(). */
-    double partialCostDense(
-            const std::vector<std::uint32_t> &assignment, std::size_t t,
-            std::uint32_t slot) const;
-
-    /** Pairwise cost between two placed tiles (the Q entries). */
-    double pairCost(const Tile &a, CoreCoord ca, const Tile &b,
-                    CoreCoord cb) const;
-
-    /**
-     * Directed flow volume F(a -> b): the byte factor pairCost(a, ..,
-     * b, ..) multiplies by distance and penalty. Symmetric in
+     * Directed flow volume F(a -> b): the byte factor the Eq. 1 term
+     * of tiles a and b multiplies by distance and penalty. Symmetric in
      * *sparsity* (F(a->b) != 0 iff F(b->a) != 0) but not always in
      * value: the gather term prices the first tile's slice.
      */
@@ -295,8 +256,6 @@ class MappingProblem
     {
         return slots_[a].die == slots_[b].die ? 1.0 : costInter_;
     }
-
-    double penalty(CoreCoord a, CoreCoord b) const;
 };
 
 /**

@@ -9,22 +9,6 @@
 namespace ouro
 {
 
-const char *
-mapperKindName(MapperKind kind)
-{
-    switch (kind) {
-      case MapperKind::Greedy:
-        return "greedy";
-      case MapperKind::Annealing:
-        return "annealing";
-      case MapperKind::Summa:
-        return "summa";
-      case MapperKind::WaferLlm:
-        return "waferllm";
-    }
-    panic("mapperKindName: bad kind");
-}
-
 std::uint64_t
 embeddingCoreCount(const ModelConfig &model,
                    const CoreParams &core_params)
@@ -75,8 +59,7 @@ WaferMapping::embeddingCores(std::uint32_t replica) const
 {
     ouroAssert(replica < numReplicas_, "embeddingCores: replica ",
                replica, " of ", numReplicas_, " not on this wafer");
-    return sharedEmbedding_ ? embeddingChains_.front()
-                            : embeddingChains_[replica];
+    return embeddingChains_[replica];
 }
 
 std::uint64_t
@@ -97,8 +80,7 @@ WaferMapping::chainActiveCores(std::uint32_t replica) const
 {
     ouroAssert(replica < numReplicas_, "chainActiveCores: replica ",
                replica, " of ", numReplicas_, " not on this wafer");
-    std::uint64_t n =
-        sharedEmbedding_ ? 0 : embeddingChains_[replica].size();
+    std::uint64_t n = embeddingChains_[replica].size();
     for (std::uint64_t b = 0; b < numBlocks_; ++b) {
         const auto &p = placements_[replica * numBlocks_ + b];
         n += p.weightCores.size() + p.scoreCores.size() +
@@ -137,21 +119,15 @@ WaferMapping::build(const ModelConfig &model,
     }
 
     // Reserve the embedding/LM-head cores only on the wafer hosting
-    // block 0 (the pipeline entry). Under the default replicated-
-    // embedding layout EVERY replica chain carries its own
-    // reservation at the head of its core span; the legacy shared
-    // reservation (one prefix read by all chains) is kept behind
-    // opts.sharedEmbedding as the compatibility oracle. The two
-    // layouts are bit-identical at replicas == 1.
+    // block 0 (the pipeline entry). EVERY replica chain carries its
+    // own reservation at the head of its core span.
     std::uint64_t reserved = 0;
     if (first_block == 0)
         reserved = embeddingCoreCount(model, core_params);
 
     const std::uint32_t replicas = std::max(1u, opts.replicas);
     mapping.numReplicas_ = replicas;
-    mapping.sharedEmbedding_ = opts.sharedEmbedding;
-    const std::uint64_t reserved_total =
-        opts.sharedEmbedding ? reserved : reserved * replicas;
+    const std::uint64_t reserved_total = reserved * replicas;
     if (order.size() <= reserved_total)
         return std::nullopt;
     const std::uint64_t num_regions = num_blocks * replicas;
@@ -161,24 +137,15 @@ WaferMapping::build(const ModelConfig &model,
         return std::nullopt; // weights alone do not fit
 
     // A chain's span: its embedding reservation followed by its
-    // blocks' regions. Under the shared layout the single
-    // reservation leads the whole order instead.
+    // blocks' regions.
     const std::uint64_t chain_span =
         reserved + num_blocks * per_region;
-    if (opts.sharedEmbedding) {
+    for (std::uint32_t r = 0; r < replicas; ++r) {
+        const std::uint64_t lo = r * chain_span;
         mapping.embeddingChains_.emplace_back(
-                order.begin(), order.begin() + reserved);
-    } else {
-        for (std::uint32_t r = 0; r < replicas; ++r) {
-            const std::uint64_t lo = r * chain_span;
-            mapping.embeddingChains_.emplace_back(
-                    order.begin() + lo,
-                    order.begin() + lo + reserved);
-        }
+                order.begin() + lo, order.begin() + lo + reserved);
     }
     const auto region_start = [&](std::uint64_t region) {
-        if (opts.sharedEmbedding)
-            return reserved + region * per_region;
         const std::uint64_t rep = region / num_blocks;
         const std::uint64_t block = region % num_blocks;
         return rep * chain_span + reserved + block * per_region;

@@ -32,14 +32,10 @@
  * block b at region index r * num_blocks + b), so capacity and KV
  * accounting reflect the cores the replicas actually occupy.
  *
- * Replica chains are independent fault domains: by default each
- * chain carries its OWN embedding/LM-head reservation at the head of
- * its core span, so no chain shares any core with another and a
- * failure storm inside one chain can never touch its siblings. The
- * legacy layout - one reservation shared by every chain - is
- * retained behind WaferMappingOptions::sharedEmbedding = true as the
- * compatibility oracle; with replicas == 1 the two layouts are
- * bit-identical.
+ * Replica chains are independent fault domains: each chain carries
+ * its OWN embedding/LM-head reservation at the head of its core span,
+ * so no chain shares any core with another and a failure storm inside
+ * one chain can never touch its siblings.
  */
 
 #ifndef OURO_MAPPING_WAFER_MAPPING_HH
@@ -68,8 +64,6 @@ enum class MapperKind
     Summa,     ///< Cerebras-default baseline (Fig. 18)
     WaferLlm,  ///< WaferLLM baseline (Fig. 18)
 };
-
-const char *mapperKindName(MapperKind kind);
 
 /** Placement of one transformer block. */
 struct BlockPlacement
@@ -100,21 +94,10 @@ struct WaferMappingOptions
     /**
      * Data-parallel replicas of the whole pipeline sharing the wafer
      * (small models leave most cores idle otherwise). Every replica
-     * is laid out on its own congruent region chain.
+     * is laid out on its own congruent region chain, led by its own
+     * embedding/LM-head reservation.
      */
     std::uint32_t replicas = 1;
-
-    /**
-     * true reproduces the legacy layout bit-identically: ONE
-     * embedding/LM-head reservation at the head of the usable-core
-     * order, shared by every replica chain. false (the default)
-     * reserves one embedding region per replica chain - each chain's
-     * reservation leads its own contiguous core span - so chains are
-     * fully independent fault domains (disjoint cores, including the
-     * embedding tables). With replicas == 1 both layouts produce the
-     * same cores bit for bit.
-     */
-    bool sharedEmbedding = false;
 
     /**
      * Reuse block 0's MappingProblem for congruent regions via
@@ -165,21 +148,16 @@ class WaferMapping
     std::uint32_t tilesPerBlock() const { return tilesPerBlock_; }
 
     /** Cores reserved for embedding / LM-head tables (replica 0's
-     *  reservation; the shared one under sharedEmbedding). */
+     *  reservation). */
     const std::vector<CoreCoord> &embeddingCores() const
     {
         return embeddingChains_.front();
     }
 
-    /** Embedding reservation read by replica @p replica. Under the
-     *  shared layout every replica reads the one shared reservation;
-     *  otherwise each chain owns a disjoint reservation. */
+    /** Embedding reservation of replica @p replica: each chain owns
+     *  a disjoint one. */
     const std::vector<CoreCoord> &
     embeddingCores(std::uint32_t replica) const;
-
-    /** True when all replica chains share one embedding
-     *  reservation (the legacy layout). */
-    bool sharedEmbedding() const { return sharedEmbedding_; }
 
     /** Total dedicated KV cores across all placed blocks and
      *  replicas. */
@@ -190,8 +168,7 @@ class WaferMapping
     std::uint64_t chainKvCores(std::uint32_t replica) const;
 
     /** Cores one replica chain occupies: weights + KV across its
-     *  blocks, plus its embedding reservation when the chain owns
-     *  one (the shared reservation is attributed to no chain). */
+     *  blocks, plus its embedding reservation. */
     std::uint64_t chainActiveCores(std::uint32_t replica) const;
 
     /**
@@ -224,10 +201,9 @@ class WaferMapping
     /** Replica-major: placements_[rep * numBlocks_ + (block -
      *  firstBlock_)]; replica 0 leads so legacy indexing holds. */
     std::vector<BlockPlacement> placements_;
-    /** One entry per chain (one total under sharedEmbedding_); all
-     *  entries empty when this wafer does not host block 0. */
+    /** One entry per chain; all entries empty when this wafer does
+     *  not host block 0. */
     std::vector<std::vector<CoreCoord>> embeddingChains_;
-    bool sharedEmbedding_ = false;
     double totalByteHops_ = 0.0;
     double interBlockByteHops_ = 0.0;
 };

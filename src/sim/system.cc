@@ -124,13 +124,9 @@ OuroborosSystem::build(const ModelConfig &model,
     }
 
     // Active cores for leakage: all mapped cores across wafers,
-    // accounted per replica chain (each chain's weights, KV and -
-    // under the replicated-embedding layout - its own embedding
-    // reservation burn leakage; a shared reservation is counted
-    // once).
+    // accounted per replica chain (each chain's weights, KV and its
+    // own embedding reservation burn leakage).
     for (const auto &wafer : sys.wafers_) {
-        if (wafer.sharedEmbedding())
-            sys.activeCores_ += wafer.embeddingCores().size();
         for (std::uint32_t rep = 0; rep < wafer.numReplicas();
              ++rep) {
             sys.activeCores_ += wafer.chainActiveCores(rep);

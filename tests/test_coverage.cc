@@ -30,14 +30,6 @@ TEST(WaferHelpers, EmbeddingCoreCount)
     EXPECT_LT(n, 90u);
 }
 
-TEST(WaferHelpers, MapperKindNames)
-{
-    EXPECT_STREQ(mapperKindName(MapperKind::Greedy), "greedy");
-    EXPECT_STREQ(mapperKindName(MapperKind::Annealing), "annealing");
-    EXPECT_STREQ(mapperKindName(MapperKind::Summa), "summa");
-    EXPECT_STREQ(mapperKindName(MapperKind::WaferLlm), "waferllm");
-}
-
 TEST(WaferHelpers, ReplicasShrinkRegions)
 {
     const WaferGeometry geom;

@@ -20,6 +20,7 @@
 #include "mapping/wafer_mapping.hh"
 #include "model/llm.hh"
 #include "noc/mesh.hh"
+#include "oracles/mapping.hh"
 #include "oracles/traffic.hh"
 
 namespace ouro
@@ -104,8 +105,9 @@ TEST(Tiling, ReductionIsFourTimesOutput)
     spec.outDim = 4096;
     spec.inSplits = 2;
     spec.outSplits = 1;
-    EXPECT_EQ(spec.reductionVolume(0), 4 * spec.outputVolume(0));
-    EXPECT_EQ(spec.gatherVolume(0), spec.outputVolume(0));
+    const Bytes output = spec.outPartHi(0) - spec.outPartLo(0);
+    EXPECT_EQ(spec.reductionVolume(0), 4 * output);
+    EXPECT_EQ(spec.gatherVolume(0), output);
 }
 
 TEST(Problem, FeasibilityChecks)
@@ -481,7 +483,7 @@ TEST(SparseEngine, AssignmentCostBitIdenticalFuzz)
         // EXPECT_EQ on doubles is exact: the sparse engine must be
         // bit-identical to the dense reference, not merely close.
         EXPECT_EQ(problem.assignmentCost(a),
-                  problem.assignmentCostDense(a));
+                  assignmentCostDense(problem, a));
     }
 }
 
@@ -499,7 +501,7 @@ TEST(SparseEngine, MoveDeltaBitIdenticalFuzz)
         const auto slot = static_cast<std::uint32_t>(
                 rng.uniformInt(0, problem.candidates().size() - 1));
         EXPECT_EQ(problem.moveDelta(a, t, slot),
-                  problem.moveDeltaDense(a, t, slot));
+                  moveDeltaDense(problem, a, t, slot));
     }
 }
 
@@ -518,7 +520,7 @@ TEST(SparseEngine, SwapDeltaBitIdenticalAndMatchesRecompute)
         if (t2 >= t1)
             ++t2;
         const double sparse = problem.swapDelta(a, t1, t2);
-        EXPECT_EQ(sparse, problem.swapDeltaDense(a, t1, t2));
+        EXPECT_EQ(sparse, swapDeltaDense(problem, a, t1, t2));
 
         // And the delta agrees with a full recompute (to rounding).
         const double before = problem.assignmentCost(a);
@@ -529,21 +531,24 @@ TEST(SparseEngine, SwapDeltaBitIdenticalAndMatchesRecompute)
     }
 }
 
-TEST(SparseEngine, PartialCostBitIdenticalFuzz)
+TEST(SparseEngine, PartialCostsSumToAssignmentCost)
 {
+    // ExactMapper's branch-and-bound prices a leaf as the sum of the
+    // partial costs of its tiles in placement order, so that sum must
+    // be the Eq. 1 objective. tinyModel's splits are uniform (every
+    // pair term is symmetric) and every term is an integer (hops x
+    // bytes x CostInter 2.0), so the two sums agree exactly in any
+    // order.
     const WaferGeometry geom;
     MappingProblem problem(tinyModel(), CoreParams{}, geom,
                            regionOf(geom, 96));
     Rng rng(19);
-    const std::size_t n = problem.tiles().size();
-    for (int round = 0; round < 100; ++round) {
+    for (int round = 0; round < 50; ++round) {
         const Assignment a = randomAssignment(problem, rng);
-        const auto t = static_cast<std::size_t>(
-                rng.uniformInt(0, n - 1));
-        const auto slot = static_cast<std::uint32_t>(
-                rng.uniformInt(0, problem.candidates().size() - 1));
-        EXPECT_EQ(problem.partialCost(a, t, slot),
-                  problem.partialCostDense(a, t, slot));
+        double sum = 0.0;
+        for (std::size_t t = 0; t < a.size(); ++t)
+            sum += partialCostDense(problem, a, t, a[t]);
+        EXPECT_EQ(sum, problem.assignmentCost(a));
     }
 }
 
@@ -565,14 +570,14 @@ TEST(SparseEngine, BitIdenticalUnderDefectMaps)
         for (int k = 0; k < 20; ++k) {
             const Assignment a = randomAssignment(problem, rng);
             EXPECT_EQ(problem.assignmentCost(a),
-                      problem.assignmentCostDense(a));
+                      assignmentCostDense(problem, a));
             const auto t = static_cast<std::size_t>(
                     rng.uniformInt(0, problem.tiles().size() - 1));
             const auto slot = static_cast<std::uint32_t>(
                     rng.uniformInt(0,
                                    problem.candidates().size() - 1));
             EXPECT_EQ(problem.moveDelta(a, t, slot),
-                      problem.moveDeltaDense(a, t, slot));
+                      moveDeltaDense(problem, a, t, slot));
         }
     }
 }
@@ -600,11 +605,11 @@ TEST(SparseEngine, SlotPricingMatchesDenseReferences)
             if (t2 >= t)
                 ++t2;
             EXPECT_EQ(problem.assignmentCost(a),
-                      problem.assignmentCostDense(a));
+                      assignmentCostDense(problem, a));
             EXPECT_EQ(problem.moveDelta(a, t, slot),
-                      problem.moveDeltaDense(a, t, slot));
+                      moveDeltaDense(problem, a, t, slot));
             EXPECT_EQ(problem.swapDelta(a, t, t2),
-                      problem.swapDeltaDense(a, t, t2));
+                      swapDeltaDense(problem, a, t, t2));
         }
     }
 }
@@ -694,48 +699,15 @@ TEST(SparseEngine, NonUniformSplitGatherIsDirected)
     for (int round = 0; round < 50; ++round) {
         const Assignment a = randomAssignment(problem, rng);
         EXPECT_EQ(problem.assignmentCost(a),
-                  problem.assignmentCostDense(a));
+                  assignmentCostDense(problem, a));
         const auto t1 = static_cast<std::size_t>(
                 rng.uniformInt(0, n - 1));
         auto t2 = static_cast<std::size_t>(rng.uniformInt(0, n - 2));
         if (t2 >= t1)
             ++t2;
         EXPECT_EQ(problem.swapDelta(a, t1, t2),
-                  problem.swapDeltaDense(a, t1, t2));
+                  swapDeltaDense(problem, a, t1, t2));
     }
-}
-
-TEST(SparseEngine, AnnealingTrajectoryEngineInvariant)
-{
-    // The whole point of the dense reference: the annealer must walk
-    // the exact same trajectory on either engine.
-    const WaferGeometry geom;
-    MappingProblem problem(tinyModel(), CoreParams{}, geom,
-                           regionOf(geom, 64));
-    AnnealingMapper::Options sparse_opts;
-    sparse_opts.iterations = 5000;
-    sparse_opts.seed = 77;
-    AnnealingMapper::Options dense_opts = sparse_opts;
-    dense_opts.useDenseEngine = true;
-    const Assignment sparse =
-        AnnealingMapper(sparse_opts).solve(problem);
-    const Assignment dense = AnnealingMapper(dense_opts).solve(problem);
-    EXPECT_EQ(sparse, dense);
-}
-
-TEST(SparseEngine, MultiRestartPickEngineInvariant)
-{
-    const WaferGeometry geom;
-    MappingProblem problem(tinyModel(), CoreParams{}, geom,
-                           regionOf(geom, 64));
-    AnnealingMapper::Options opts;
-    opts.iterations = 3000;
-    opts.seed = 5;
-    opts.restarts = 3;
-    AnnealingMapper::Options dense_opts = opts;
-    dense_opts.useDenseEngine = true;
-    EXPECT_EQ(AnnealingMapper(opts).solve(problem),
-              AnnealingMapper(dense_opts).solve(problem));
 }
 
 TEST(Congruence, TranslateBitIdenticalToFreshProblem)
@@ -766,7 +738,7 @@ TEST(Congruence, TranslateBitIdenticalToFreshProblem)
         EXPECT_EQ(translated.assignmentCost(a),
                   fresh_b.assignmentCost(a));
         EXPECT_EQ(translated.assignmentCost(a),
-                  fresh_b.assignmentCostDense(a));
+                  assignmentCostDense(fresh_b, a));
         const auto t = static_cast<std::size_t>(
                 rng.uniformInt(0, n - 1));
         const auto slot = static_cast<std::uint32_t>(
@@ -918,54 +890,54 @@ TEST(WaferMappingTest, ReplicasAreLaidOut)
     }
 }
 
-TEST(WaferMappingTest, SharedEmbeddingReproducesLegacyLayout)
+TEST(WaferMappingTest, DefaultLayoutSlicesPinned)
 {
-    // sharedEmbedding = true is the compatibility oracle: ONE
-    // reservation at the head of the usable-core order, regions
-    // packed right behind it - exactly the pre-refactor layout.
+    // Chain r's reservation leads its span at r * chain_span, and its
+    // block b occupies the slice at r * chain_span + reserved + b *
+    // per_region. With one replica that is the single-chain layout:
+    // one reservation heading the usable-core order, regions packed
+    // right behind it.
     const WaferGeometry geom;
     const ModelConfig model = tinyModel();
-    WaferMappingOptions opts;
-    opts.mapper = MapperKind::Greedy;
-    opts.replicas = 2;
-    opts.sharedEmbedding = true;
-    const auto mapping = WaferMapping::build(
-            model, CoreParams{}, geom, nullptr, 0, model.numBlocks,
-            opts);
-    ASSERT_TRUE(mapping.has_value());
-    EXPECT_TRUE(mapping->sharedEmbedding());
-
     const auto order = geom.sShapedOrder();
     const std::uint64_t reserved =
         embeddingCoreCount(model, CoreParams{});
-    const std::uint64_t per_region = regionSize(
-            model.numBlocks * 2, geom.numCores(), reserved);
-
-    // The single reservation is the order's prefix, and every
-    // replica reads the same one.
-    ASSERT_EQ(mapping->embeddingCores().size(), reserved);
-    for (std::uint64_t i = 0; i < reserved; ++i)
-        EXPECT_EQ(mapping->embeddingCores()[i], order[i]);
-    EXPECT_EQ(mapping->embeddingCores(0), mapping->embeddingCores(1));
-
-    // Region r * num_blocks + b occupies the legacy slice
-    // [reserved + region * per_region, ...): its weight + KV cores
-    // are exactly that slice's set.
-    for (std::uint32_t rep = 0; rep < 2; ++rep) {
-        for (std::uint64_t b = 0; b < model.numBlocks; ++b) {
-            const std::uint64_t region = rep * model.numBlocks + b;
-            const std::uint64_t lo = reserved + region * per_region;
-            std::set<std::uint64_t> expect;
-            for (std::uint64_t i = lo; i < lo + per_region; ++i)
-                expect.insert(geom.coreIndex(order[i]));
-            std::set<std::uint64_t> got;
-            const auto &p = mapping->placement(b, rep);
-            for (const auto *pool :
-                 {&p.weightCores, &p.scoreCores, &p.contextCores}) {
-                for (const auto &c : *pool)
-                    got.insert(geom.coreIndex(c));
+    for (const std::uint32_t replicas : {1u, 2u}) {
+        WaferMappingOptions opts;
+        opts.mapper = MapperKind::Greedy;
+        opts.replicas = replicas;
+        const auto mapping = WaferMapping::build(
+                model, CoreParams{}, geom, nullptr, 0,
+                model.numBlocks, opts);
+        ASSERT_TRUE(mapping.has_value());
+        const std::uint64_t per_region =
+            regionSize(model.numBlocks * replicas, geom.numCores(),
+                       reserved * replicas);
+        const std::uint64_t chain_span =
+            reserved + model.numBlocks * per_region;
+        for (std::uint32_t rep = 0; rep < replicas; ++rep) {
+            const auto &emb = mapping->embeddingCores(rep);
+            ASSERT_EQ(emb.size(), reserved);
+            for (std::uint64_t i = 0; i < reserved; ++i)
+                EXPECT_EQ(emb[i], order[rep * chain_span + i]);
+            for (std::uint64_t b = 0; b < model.numBlocks; ++b) {
+                const std::uint64_t lo =
+                    rep * chain_span + reserved + b * per_region;
+                std::set<std::uint64_t> expect;
+                for (std::uint64_t i = lo; i < lo + per_region; ++i)
+                    expect.insert(geom.coreIndex(order[i]));
+                std::set<std::uint64_t> got;
+                const auto &p = mapping->placement(b, rep);
+                for (const auto *pool :
+                     {&p.weightCores, &p.scoreCores,
+                      &p.contextCores}) {
+                    for (const auto &c : *pool)
+                        got.insert(geom.coreIndex(c));
+                }
+                EXPECT_EQ(got, expect)
+                    << "replicas " << replicas << ", chain " << rep
+                    << ", block " << b;
             }
-            EXPECT_EQ(got, expect) << "region " << region;
         }
     }
 }
@@ -984,7 +956,6 @@ TEST(WaferMappingTest, PerChainEmbeddingMakesChainsDisjoint)
             model, CoreParams{}, geom, nullptr, 0, model.numBlocks,
             opts);
     ASSERT_TRUE(mapping.has_value());
-    EXPECT_FALSE(mapping->sharedEmbedding());
 
     const std::uint64_t reserved =
         embeddingCoreCount(model, CoreParams{});
@@ -1016,36 +987,6 @@ TEST(WaferMappingTest, PerChainEmbeddingMakesChainsDisjoint)
                 << "chains " << a << " and " << b << " share cores";
         }
     }
-}
-
-TEST(WaferMappingTest, EmbeddingLayoutsIdenticalAtOneReplica)
-{
-    // With a single chain the shared and per-chain layouts are the
-    // same layout - bit-identical placements, reservations and
-    // costs.
-    const WaferGeometry geom;
-    const ModelConfig model = tinyModel();
-    WaferMappingOptions opts;
-    opts.mapper = MapperKind::Greedy;
-    opts.sharedEmbedding = false;
-    const auto per_chain = WaferMapping::build(
-            model, CoreParams{}, geom, nullptr, 0, model.numBlocks,
-            opts);
-    opts.sharedEmbedding = true;
-    const auto shared = WaferMapping::build(
-            model, CoreParams{}, geom, nullptr, 0, model.numBlocks,
-            opts);
-    ASSERT_TRUE(per_chain && shared);
-    EXPECT_EQ(per_chain->embeddingCores(), shared->embeddingCores());
-    for (std::uint64_t b = 0; b < model.numBlocks; ++b) {
-        const auto &p = per_chain->placement(b);
-        const auto &s = shared->placement(b);
-        EXPECT_EQ(p.weightCores, s.weightCores);
-        EXPECT_EQ(p.scoreCores, s.scoreCores);
-        EXPECT_EQ(p.contextCores, s.contextCores);
-        EXPECT_EQ(p.mappingCost, s.mappingCost);
-    }
-    EXPECT_EQ(per_chain->totalByteHops(), shared->totalByteHops());
 }
 
 TEST(Congruence, TranslateSharesFlowCsr)

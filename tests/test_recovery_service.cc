@@ -680,8 +680,6 @@ TEST(RecoveryService, SystemChainAccountingMatchesMapping)
     EXPECT_EQ(chain_kv, sys->mapping().totalKvCores());
 
     std::uint64_t active = 0;
-    if (sys->mapping().sharedEmbedding())
-        active += sys->mapping().embeddingCores().size();
     for (std::uint32_t r = 0; r < sys->replicas(); ++r)
         active += sys->mapping().chainActiveCores(r);
     EXPECT_EQ(sys->activeCores(), active);
