@@ -165,17 +165,21 @@ waferBuildShowdown()
 }
 
 /**
- * Sparse-vs-dense cost-engine showdown on a LLaMA-13B block region.
- * Asserts bit-identity (checksum) and returns (dense rate, sparse
- * rate) in cost-evaluations/sec.
+ * Sparse-vs-dense cost-engine showdown on a LLaMA-13B block region of
+ * the default build's size. Asserts bit-identity (checksum) and
+ * returns (dense rate, sparse rate) in cost-evaluations/sec.
  */
 std::pair<EngineRate, EngineRate>
 costEngineShowdown()
 {
     const WaferGeometry geom;
     const auto order = geom.sShapedOrder();
+    // The first 345 cores of the S-shaped order: a die holds 221, so
+    // the region spans two dies and the checksum prices CostInter.
     const std::vector<CoreCoord> region(order.begin(),
-                                        order.begin() + 192);
+                                        order.begin() + 345);
+    ouroAssert(!geom.sameDie(region.front(), region.back()),
+               "fig18: the showdown region must span dies");
     const MappingProblem problem(llama13b(), CoreParams{}, geom,
                                  region);
     const Assignment assignment = GreedyMapper{}.solve(problem);
@@ -186,15 +190,26 @@ costEngineShowdown()
                "fig18: sparse assignmentCost diverged from the dense "
                "reference");
 
-    // Deterministic eval schedule (odd words swap, even words move).
+    // The schedule runs on the tiles spread evenly over the region:
+    // greedy packs them into the first slots, all on die 0, where no
+    // swap would ever price CostInter.
     const std::size_t tiles = problem.tiles().size();
+    Assignment spread(tiles);
+    for (std::size_t t = 0; t < tiles; ++t)
+        spread[t] = static_cast<std::uint32_t>(t * region.size() / tiles);
+    ouroAssert(problem.assignmentCost(spread) ==
+                       assignmentCostDense(problem, spread),
+               "fig18: sparse assignmentCost diverged from the dense "
+               "reference on the spread assignment");
+
+    // Deterministic eval schedule (odd words swap, even words move).
     Rng rng(2026);
     std::vector<std::uint64_t> schedule(40000);
     for (auto &word : schedule)
         word = rng.next();
 
     const auto dense = runEvalSchedule(
-            assignment, schedule, tiles, region.size(),
+            spread, schedule, tiles, region.size(),
             [&](const Assignment &a, std::size_t t,
                 std::uint32_t s) {
                 return moveDeltaDense(problem, a, t, s);
@@ -203,7 +218,7 @@ costEngineShowdown()
                 return swapDeltaDense(problem, a, t1, t2);
             });
     const auto sparse = runEvalSchedule(
-            assignment, schedule, tiles, region.size(),
+            spread, schedule, tiles, region.size(),
             [&](const Assignment &a, std::size_t t,
                 std::uint32_t s) { return problem.moveDelta(a, t, s); },
             [&](const Assignment &a, std::size_t t1, std::size_t t2) {

@@ -6,8 +6,9 @@
  * flow-graph engine and the dense reference (oracles/mapping.hh), the
  * wafer-level recovery service's failure handling and dry-pool KV
  * borrowing, the
- * LLaMA-13B system build and its inter-block volume pricing (per-link
- * oracle vs volume walk), storm-schedule resolution on the LLaMA-13B
+ * LLaMA-13B system build, its inter-block volume pricing (per-link
+ * oracle vs volume walk) and the one breadth-first route it needs,
+ * storm-schedule resolution on the LLaMA-13B
  * system, day-trace window materialization, the sampled-window
  * simulator, one KV-thrashing and one all-resident pipeline run, and
  * the RNG. These guard the
@@ -544,6 +545,63 @@ BENCHMARK(BM_InterBlockVolume)
         ->Arg(0)
         ->Arg(1)
         ->Unit(benchmark::kMicrosecond);
+
+/** Direction changes along @p path. A dimension-ordered (XY or YX)
+ *  route turns at most once, so a route that turns twice or more is
+ *  the breadth-first search's. */
+std::size_t
+turns(const std::vector<CoreCoord> &path)
+{
+    std::size_t n = 0;
+    for (std::size_t i = 2; i < path.size(); ++i) {
+        n += MeshNoc::stepDir(path[i - 2], path[i - 1]) !=
+             MeshNoc::stepDir(path[i - 1], path[i]);
+    }
+    return n;
+}
+
+void
+BM_RouteBfs(benchmark::State &state)
+{
+    // The first breadth-first search on a fresh mesh, its scratch
+    // set-up included: the inter-block flow of the default LLaMA-13B
+    // build that neither XY nor YX clears, routed on a new MeshNoc
+    // per iteration, as each WaferMapping::build routes it.
+    const auto sys = OuroborosSystem::build(llama13b(), OuroborosParams{});
+    if (!sys) {
+        state.SkipWithError("LLaMA-13B does not fit the wafer");
+        return;
+    }
+    const WaferMapping &mapping = sys->mapping();
+    NocParams params;
+    params.interDiePenalty = WaferMappingOptions{}.costInter;
+    const MeshNoc probe(mapping.geometry(), params, sys->defectMap());
+    std::optional<std::pair<CoreCoord, CoreCoord>> flow;
+    for (std::uint64_t b = 0; !flow && b + 1 < mapping.numBlocks(); ++b) {
+        forEachInterBlockFlow(
+                mapping.layerSpecs(), mapping.tilesPerBlock(),
+                mapping.placement(b).weightCores,
+                mapping.placement(b + 1).weightCores,
+                [&](CoreCoord src, CoreCoord dst, Bytes) {
+                    if (turns(probe.routeCached(src, dst)) >= 2)
+                        flow.emplace(src, dst);
+                    return !flow;
+                });
+    }
+    if (!flow) {
+        state.SkipWithError("no inter-block flow needs the search");
+        return;
+    }
+    std::size_t hops = 0;
+    for (auto _ : state) {
+        const MeshNoc noc(mapping.geometry(), params, sys->defectMap());
+        const auto &path = noc.routeCached(flow->first, flow->second);
+        hops = path.size() - 1;
+        benchmark::DoNotOptimize(path.data());
+    }
+    state.counters["hops"] = static_cast<double>(hops);
+}
+BENCHMARK(BM_RouteBfs)->Unit(benchmark::kMicrosecond);
 
 void
 BM_ResolveStormSchedule(benchmark::State &state)

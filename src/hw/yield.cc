@@ -40,19 +40,6 @@ DefectMap::DefectMap(const WaferGeometry &geom, const YieldParams &params,
     }
 }
 
-bool
-DefectMap::defective(CoreCoord c) const
-{
-    return flags_[geom_.coreIndex(c)];
-}
-
-bool
-DefectMap::defective(std::uint64_t index) const
-{
-    ouroAssert(index < flags_.size(), "defective: index out of range");
-    return flags_[index];
-}
-
 void
 DefectMap::inject(CoreCoord c)
 {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "hw/geometry.hh"
 #include "hw/params.hh"
@@ -42,8 +43,17 @@ class DefectMap
     DefectMap(const WaferGeometry &geom, const YieldParams &params,
               Rng &rng);
 
-    bool defective(CoreCoord c) const;
-    bool defective(std::uint64_t index) const;
+    /** Header-inline: the NoC router asks once per route hop. */
+    bool defective(CoreCoord c) const
+    {
+        return flags_[geom_.coreIndex(c)];
+    }
+    bool defective(std::uint64_t index) const
+    {
+        ouroAssert(index < flags_.size(),
+                   "defective: index out of range");
+        return flags_[index];
+    }
 
     /** Force a specific core defective (fault-injection tests). */
     void inject(CoreCoord c);

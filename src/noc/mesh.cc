@@ -56,12 +56,6 @@ MeshNoc::linkFailed(CoreCoord from, LinkDir dir) const
     return failedLinks_.count({geom_.coreIndex(from), dir}) > 0;
 }
 
-bool
-MeshNoc::blocked(CoreCoord c) const
-{
-    return defects_ && defects_->defective(c);
-}
-
 LinkDir
 MeshNoc::stepDir(CoreCoord from, CoreCoord to)
 {
@@ -76,43 +70,53 @@ MeshNoc::stepDir(CoreCoord from, CoreCoord to)
     panic("stepDir: cores not adjacent");
 }
 
-bool
-MeshNoc::stepAllowed(CoreCoord from, CoreCoord to) const
-{
-    if (!geom_.contains(to))
-        return false;
-    if (linkFailed(from, stepDir(from, to)))
-        return false;
-    return true;
-}
-
 template <typename Hop>
 bool
 MeshNoc::walkDimOrder(CoreCoord src, CoreCoord dst, bool x_first,
                       Hop &&hop) const
 {
+    const bool check_links = !failedLinks_.empty();
+    const std::uint64_t dst_idx = geom_.coreIndex(dst);
+    std::uint64_t idx = geom_.coreIndex(src);
     CoreCoord cur = src;
-    auto advance = [&](bool horizontal) -> bool {
-        while (horizontal ? cur.col != dst.col : cur.row != dst.row) {
-            CoreCoord next = cur;
-            if (horizontal)
-                next.col += dst.col > cur.col ? 1 : -1;
-            else
-                next.row += dst.row > cur.row ? 1 : -1;
+    for (const bool horizontal : {x_first, !x_first}) {
+        // One leg: cur is fixed but for the coordinate that steps.
+        std::uint32_t pos = horizontal ? cur.col : cur.row;
+        const std::uint32_t end = horizontal ? dst.col : dst.row;
+        const bool up = end > pos;
+        const std::uint32_t extent = horizontal
+                ? geom_.coresPerDieCol()
+                : geom_.coresPerDieRow();
+        const std::uint64_t stride = horizontal ? 1 : geom_.cols();
+        const std::uint64_t step = up ? stride : 0 - stride;
+        const LinkDir dir = horizontal
+                ? (up ? LinkDir::East : LinkDir::West)
+                : (up ? LinkDir::South : LinkDir::North);
+        // Hops left before the one that leaves the current die: a
+        // unit step crosses a die edge exactly when its larger
+        // coordinate is a multiple of the die extent.
+        const std::uint32_t local = pos % extent;
+        std::uint32_t to_edge = up ? extent - 1 - local : local;
+        for (std::uint32_t hops = up ? end - pos : pos - end; hops > 0;
+             --hops) {
+            if (check_links && failedLinks_.count({idx, dir}) > 0)
+                return false;
+            const bool crosses = to_edge == 0;
+            to_edge = crosses ? extent - 1 : to_edge - 1;
+            idx += step;
+            pos += up ? 1 : -1;
             // Intermediate hops may not pass through defective cores;
             // the destination itself is allowed (KV-recompute case is
             // handled by higher layers).
-            const bool is_dst = next == dst;
-            if (!stepAllowed(cur, next) || (!is_dst && blocked(next)))
+            if (idx != dst_idx && defects_ && defects_->defective(idx))
                 return false;
-            hop(cur, next);
-            cur = next;
+            hop(horizontal ? CoreCoord{cur.row, pos}
+                           : CoreCoord{pos, cur.col},
+                crosses);
         }
-        return true;
-    };
-    const bool ok = x_first ? (advance(true) && advance(false))
-                            : (advance(false) && advance(true));
-    return ok && cur == dst;
+        (horizontal ? cur.col : cur.row) = end;
+    }
+    return true;
 }
 
 std::vector<CoreCoord>
@@ -121,7 +125,7 @@ MeshNoc::routeDimOrder(CoreCoord src, CoreCoord dst, bool x_first) const
     std::vector<CoreCoord> path{src};
     const bool ok = walkDimOrder(
             src, dst, x_first,
-            [&](CoreCoord, CoreCoord to) { path.push_back(to); });
+            [&](CoreCoord to, bool) { path.push_back(to); });
     if (!ok)
         return {};
     return path;
@@ -130,60 +134,66 @@ MeshNoc::routeDimOrder(CoreCoord src, CoreCoord dst, bool x_first) const
 std::vector<CoreCoord>
 MeshNoc::routeBfs(CoreCoord src, CoreCoord dst) const
 {
-    // Fallback breadth-first search for heavily faulted regions, over
-    // the mesh's reused scratch (see bfsStamp_).
-    if (bfsStamp_.empty()) {
-        bfsStamp_.assign(geom_.numCores(), 0);
-        bfsPrev_.assign(geom_.numCores(), 0);
-        bfsQueue_.reserve(geom_.numCores());
-    }
-    if (++bfsGen_ == 0) {
-        // The stamp counter wrapped: forget every older search.
-        std::fill(bfsStamp_.begin(), bfsStamp_.end(), 0);
-        bfsGen_ = 1;
-    }
-    const std::uint32_t gen = bfsGen_;
-    const std::uint64_t src_idx = geom_.coreIndex(src);
-    bfsStamp_[src_idx] = gen;
-    bfsPrev_[src_idx] = src_idx;
-    bfsQueue_.clear();
-    bfsQueue_.push_back(src);
-    // Every core is enqueued at most once, so the queue is a flat
-    // array read from a moving head.
-    for (std::size_t head = 0; head < bfsQueue_.size(); ++head) {
-        const CoreCoord cur = bfsQueue_[head];
-        if (cur == dst)
-            break;
-        const std::uint64_t cur_idx = geom_.coreIndex(cur);
-        const CoreCoord neighbours[4] = {
-            {cur.row > 0 ? cur.row - 1 : cur.row, cur.col},
-            {cur.row + 1, cur.col},
-            {cur.row, cur.col + 1},
-            {cur.row, cur.col > 0 ? cur.col - 1 : cur.col},
+    // Fallback breadth-first search for heavily faulted regions. A
+    // visited core is a bit; its predecessor is the queue position it
+    // was reached from, so the search touches no per-core array
+    // beyond the bitset, and the queue grows with the cores visited.
+    struct Visit
+    {
+        CoreCoord core;
+        std::uint32_t prev;
+    };
+    const std::uint64_t cols = geom_.cols();
+    const std::uint64_t dst_idx = geom_.coreIndex(dst);
+    std::vector<bool> seen(geom_.numCores(), false);
+    std::vector<Visit> queue{{src, 0}};
+    seen[geom_.coreIndex(src)] = true;
+    const bool check_links = !failedLinks_.empty();
+    std::size_t found = 0;
+    for (std::size_t head = 0; head < queue.size() && found == 0;
+         ++head) {
+        const CoreCoord cur = queue[head].core;
+        const std::uint64_t cur_idx = cur.row * cols + cur.col;
+        // Neighbours in N, S, E, W order; the order is the tie-break
+        // between equally short paths.
+        const struct
+        {
+            bool exists;
+            std::uint64_t idx;
+            CoreCoord core;
+            LinkDir dir;
+        } neighbours[4] = {
+            {cur.row > 0, cur_idx - cols, {cur.row - 1, cur.col},
+             LinkDir::North},
+            {cur.row + 1 < geom_.rows(), cur_idx + cols,
+             {cur.row + 1, cur.col}, LinkDir::South},
+            {cur.col + 1 < cols, cur_idx + 1, {cur.row, cur.col + 1},
+             LinkDir::East},
+            {cur.col > 0, cur_idx - 1, {cur.row, cur.col - 1},
+             LinkDir::West},
         };
-        for (const CoreCoord &next : neighbours) {
-            if (next == cur || !geom_.contains(next))
+        for (const auto &next : neighbours) {
+            if (!next.exists || seen[next.idx])
                 continue;
-            if (!stepAllowed(cur, next))
+            if (check_links && failedLinks_.count({cur_idx, next.dir}) > 0)
                 continue;
-            if (!(next == dst) && blocked(next))
+            const bool is_dst = next.idx == dst_idx;
+            if (!is_dst && defects_ && defects_->defective(next.idx))
                 continue;
-            const auto next_idx = geom_.coreIndex(next);
-            if (bfsStamp_[next_idx] == gen)
-                continue;
-            bfsStamp_[next_idx] = gen;
-            bfsPrev_[next_idx] = cur_idx;
-            bfsQueue_.push_back(next);
+            seen[next.idx] = true;
+            queue.push_back({next.core, static_cast<std::uint32_t>(head)});
+            // dst's predecessor is fixed on discovery: stop here.
+            if (is_dst) {
+                found = queue.size() - 1;
+                break;
+            }
         }
     }
-    if (bfsStamp_[geom_.coreIndex(dst)] != gen)
+    if (found == 0)
         return {};
     std::vector<CoreCoord> path;
-    CoreCoord cur = dst;
-    while (!(cur == src)) {
-        path.push_back(cur);
-        cur = geom_.coreAt(bfsPrev_[geom_.coreIndex(cur)]);
-    }
+    for (std::size_t at = found; at != 0; at = queue[at].prev)
+        path.push_back(queue[at].core);
     path.push_back(src);
     std::reverse(path.begin(), path.end());
     return path;
@@ -255,21 +265,23 @@ MeshNoc::addRouteVolume(CoreCoord src, CoreCoord dst, Bytes bytes,
     const double b = static_cast<double>(bytes);
     // The two per-hop terms: a die-crossing hop carries b x penalty.
     const double eff[2] = {b, b * params_.interDiePenalty};
-    // XY first, as routeUncached() tries it: a cleared XY walk IS the
+    // XY, then YX, in routeUncached()'s order: a cleared walk IS the
     // route, so it is priced in place. The trial sum is committed
     // only when the walk reaches dst, keeping the flow's hops one
     // contiguous run of additions onto the running sum.
-    double trial = sum;
-    const bool xy = walkDimOrder(
-            src, dst, true, [&](CoreCoord from, CoreCoord to) {
-                trial += eff[!geom_.sameDie(from, to)];
-            });
-    if (xy) {
-        sum = trial;
-        return true;
+    for (const bool x_first : {true, false}) {
+        double trial = sum;
+        if (walkDimOrder(src, dst, x_first,
+                         [&](CoreCoord, bool crosses) {
+                             trial += eff[crosses];
+                         })) {
+            sum = trial;
+            return true;
+        }
     }
-    // Detoured (YX or BFS) or unroutable: the cached route decides,
-    // and its hops are priced with the XY walk's rule, in path order.
+    // Neither dimension order clears: the cached breadth-first route
+    // decides, and its hops are priced with the same rule, in path
+    // order.
     const std::vector<CoreCoord> &path = routeCached(src, dst);
     if (path.empty())
         return false;

@@ -14,10 +14,10 @@
  * router would take:
  *  - addRouteVolume(): the effective byte-hop volume of a flow (each
  *    hop's bytes, die-crossing hops inflated by the inter-die
- *    penalty) added to a running sum - the Fig. 18 metric. An XY
- *    route is walked in place without allocating; only detoured
- *    flows touch the route cache. The mapping build and storm
- *    re-pricing use it.
+ *    penalty) added to a running sum - the Fig. 18 metric. XY, then
+ *    YX, is walked in place without allocating; only flows that
+ *    need the breadth-first search touch the route cache. The
+ *    mapping build and storm re-pricing use it.
  *  - transferSeconds(): latency of one isolated transfer (hop count
  *    x router latency + serialisation over the slowest link) - what
  *    a replacement-chain move costs after a failure.
@@ -106,11 +106,11 @@ struct PricedRoute
  * path; failLink() (or an explicit invalidateRoutes() after mutating
  * the external DefectMap) flushes the cache (route and summary
  * together, always). addRouteVolume() consults the cache only for
- * flows whose XY route is blocked. The cache (and routeBfs()'s
- * scratch) mutates under const, so a MeshNoc instance must not be
- * shared across threads without external synchronisation (per-index
- * sweep state, the parallel runtime's contract, already guarantees
- * this everywhere in-tree).
+ * flows that neither dimension order clears. The cache mutates under
+ * const, so a MeshNoc instance must not be shared across threads
+ * without external synchronisation (per-index sweep state, the
+ * parallel runtime's contract, already guarantees this everywhere
+ * in-tree).
  */
 class MeshNoc
 {
@@ -171,10 +171,10 @@ class MeshNoc
      * @p src to @p dst to @p sum: per hop, @p bytes, or @p bytes x
      * interDiePenalty on a die-crossing hop, added one hop at a time
      * in path order, so a flow list summed here equals a per-hop walk
-     * of the same routes bit for bit. An XY route is walked in place
-     * (no cache entry, no allocation); a detoured flow walks its
-     * cached route with the same hop rule. Returns false, leaving
-     * @p sum untouched, when the flow is unroutable.
+     * of the same routes bit for bit. XY, then YX, is walked in place
+     * (no cache entry, no allocation); a flow neither clears walks its
+     * cached breadth-first route with the same hop rule. Returns
+     * false, leaving @p sum untouched, when the flow is unroutable.
      */
     bool addRouteVolume(CoreCoord src, CoreCoord dst, Bytes bytes,
                         double &sum) const;
@@ -195,22 +195,14 @@ class MeshNoc
     mutable std::uint64_t cacheHits_ = 0;
     mutable std::uint64_t cacheMisses_ = 0;
 
-    /** routeBfs() scratch, sized numCores on the first search and
-     *  reused: a core is visited in the current search iff its stamp
-     *  equals bfsGen_, so no search clears or reallocates it. Mutable
-     *  under the route cache's thread-compatibility rule. */
-    mutable std::vector<std::uint32_t> bfsStamp_;
-    mutable std::vector<std::uint64_t> bfsPrev_;
-    mutable std::vector<CoreCoord> bfsQueue_;
-    mutable std::uint32_t bfsGen_ = 0;
-
-    bool blocked(CoreCoord c) const;
-    bool stepAllowed(CoreCoord from, CoreCoord to) const;
-
     /** THE dimension-ordered stepping rule: walk src -> dst X-first
-     *  (or Y-first), calling hop(from, to) per step; false as soon as
-     *  a step is blocked. routeDimOrder() and addRouteVolume() both
-     *  walk through it. */
+     *  (or Y-first), calling hop(to, crosses) per step, where
+     *  crosses says the step leaves a die; false as soon as a step is
+     *  blocked. Each leg is one loop over the core index, finding die
+     *  crossings by counting down to the die edge (no division per
+     *  hop). Both endpoints must be on the wafer; a monotone walk
+     *  between them then never leaves it. routeDimOrder() and
+     *  addRouteVolume() both walk through it. */
     template <typename Hop>
     bool walkDimOrder(CoreCoord src, CoreCoord dst, bool x_first,
                       Hop &&hop) const;

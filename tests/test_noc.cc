@@ -2,14 +2,17 @@
  * @file
  * Unit tests for the network-on-wafer: XY routing, fault detours,
  * route caching, transfer latency against a per-hop walk, parameter
- * validation, the per-link traffic oracle, and the route-volume walk
- * against that oracle.
+ * validation, the per-link traffic oracle, the route-volume walk
+ * against that oracle and against the cached path, and the
+ * breadth-first search against a plain reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <limits>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -485,6 +488,212 @@ TEST(RouteVolume, MatchesAccumulatorFuzz)
     EXPECT_GT(unroutable, 0u);
     EXPECT_GT(detoured, unroutable);
     EXPECT_LT(detoured, flows / 2);
+}
+
+/** Direction changes along @p path. A dimension-ordered (XY or YX)
+ *  route turns at most once, so a route that turns twice or more is
+ *  the breadth-first search's. */
+std::size_t
+turns(const std::vector<CoreCoord> &path)
+{
+    std::size_t n = 0;
+    for (std::size_t i = 2; i < path.size(); ++i) {
+        n += MeshNoc::stepDir(path[i - 2], path[i - 1]) !=
+             MeshNoc::stepDir(path[i - 1], path[i]);
+    }
+    return n;
+}
+
+/** A random defect map, each core defective with probability
+ *  @p density (denser than the Murphy model, so routes detour). */
+DefectMap
+randomDefects(const WaferGeometry &geom, double density, Rng &rng)
+{
+    DefectMap defects(geom);
+    for (std::uint64_t i = 0; i < geom.numCores(); ++i) {
+        if (rng.bernoulli(density))
+            defects.inject(geom.coreAt(i));
+    }
+    return defects;
+}
+
+TEST(RouteVolume, InPlaceWalkMatchesCachedPathFuzz)
+{
+    // Per flow, addRouteVolume's in-place XY-then-YX walk (with its
+    // countdown to the die edge) must add exactly what a per-hop
+    // sameDie walk of routeCached's path adds, bit for bit: flows in
+    // all four quadrant directions on defective multi-die meshes,
+    // with and without failed links, XY-clear, YX-only and
+    // search-routed. Only flows that neither dimension order clears
+    // may touch the route cache.
+    const WaferGeometry geom(3, 3, 5, 7);
+    NocParams params;
+    params.interDiePenalty = 1.37;
+    std::uint64_t kinds[2][3] = {}; // [failed links][xy, yx, search]
+    std::uint64_t quadrants[2][2] = {};
+    std::uint64_t unroutable = 0;
+    for (const bool fail_links : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+            Rng rng(seed * 7 + fail_links);
+            const DefectMap defects = randomDefects(geom, 0.12, rng);
+            MeshNoc walk_noc(geom, params, &defects);
+            MeshNoc path_noc(geom, params, &defects);
+            for (int l = 0; l < (fail_links ? 12 : 0); ++l) {
+                const CoreCoord from = randomCore(geom, rng);
+                const auto dir =
+                    static_cast<LinkDir>(rng.uniformInt(0, 3));
+                walk_noc.failLink(from, dir);
+                path_noc.failLink(from, dir);
+            }
+            double running = 0.0;
+            for (int f = 0; f < 200; ++f) {
+                const CoreCoord src = randomCore(geom, rng);
+                const CoreCoord dst = randomCore(geom, rng);
+                const Bytes bytes = 1 + rng.uniformInt(0, Bytes{1} << 44);
+                const std::uint64_t lookups = walk_noc.routeCacheHits() +
+                        walk_noc.routeCacheMisses();
+                double walked = running;
+                const bool routed =
+                    walk_noc.addRouteVolume(src, dst, bytes, walked);
+                const auto &path = path_noc.routeCached(src, dst);
+                ASSERT_EQ(routed, !path.empty());
+                const double b = static_cast<double>(bytes);
+                for (std::size_t i = 1; i < path.size(); ++i) {
+                    running += geom.sameDie(path[i - 1], path[i])
+                            ? b
+                            : b * params.interDiePenalty;
+                }
+                ASSERT_EQ(walked, running)
+                    << "seed " << seed << " flow " << f << " ("
+                    << src.row << "," << src.col << ") -> (" << dst.row
+                    << "," << dst.col << ")";
+                const bool searched =
+                    path.empty() || turns(path) >= 2;
+                EXPECT_EQ(walk_noc.routeCacheHits() +
+                                  walk_noc.routeCacheMisses() - lookups,
+                          searched ? 1u : 0u);
+                if (path.empty()) {
+                    ++unroutable;
+                    continue;
+                }
+                const bool yx = turns(path) == 1 &&
+                        (MeshNoc::stepDir(path[0], path[1]) ==
+                                 LinkDir::North ||
+                         MeshNoc::stepDir(path[0], path[1]) ==
+                                 LinkDir::South);
+                ++kinds[fail_links][searched ? 2 : (yx ? 1 : 0)];
+                ++quadrants[dst.row >= src.row][dst.col >= src.col];
+            }
+        }
+    }
+    for (const auto &by_kind : kinds) {
+        for (const std::uint64_t n : by_kind)
+            EXPECT_GT(n, 10u);
+    }
+    for (const auto &row : quadrants) {
+        for (const std::uint64_t n : row)
+            EXPECT_GT(n, 100u);
+    }
+    EXPECT_GT(unroutable, 0u);
+}
+
+/** The route of routeUncached()'s contract, written plainly: XY, then
+ *  YX, then a breadth-first search visiting N, S, E, W, stopping when
+ *  it dequeues @p dst. Intermediate cores may not be defective, and
+ *  no step may take a failed link. */
+std::vector<CoreCoord>
+referenceRoute(const MeshNoc &noc, const DefectMap &defects,
+               CoreCoord src, CoreCoord dst)
+{
+    const WaferGeometry &geom = noc.geometry();
+    const auto allowed = [&](CoreCoord from, CoreCoord to) {
+        return geom.contains(to) &&
+               !noc.linkFailed(from, MeshNoc::stepDir(from, to)) &&
+               (to == dst || !defects.defective(to));
+    };
+    if (src == dst)
+        return {src};
+    for (const bool x_first : {true, false}) {
+        std::vector<CoreCoord> path{src};
+        CoreCoord cur = src;
+        bool ok = true;
+        for (int leg = 0; leg < 2 && ok; ++leg) {
+            const bool horizontal = (leg == 0) == x_first;
+            while (ok && (horizontal ? cur.col != dst.col
+                                     : cur.row != dst.row)) {
+                CoreCoord next = cur;
+                if (horizontal)
+                    next.col = dst.col > cur.col ? cur.col + 1 : cur.col - 1;
+                else
+                    next.row = dst.row > cur.row ? cur.row + 1 : cur.row - 1;
+                ok = allowed(cur, next);
+                cur = next;
+                path.push_back(cur);
+            }
+        }
+        if (ok)
+            return path;
+    }
+    std::map<std::pair<std::uint32_t, std::uint32_t>, CoreCoord> prev;
+    std::deque<CoreCoord> queue{src};
+    prev[{src.row, src.col}] = src;
+    while (!queue.empty()) {
+        const CoreCoord cur = queue.front();
+        queue.pop_front();
+        if (cur == dst)
+            break;
+        std::vector<CoreCoord> neighbours;
+        if (cur.row > 0)
+            neighbours.push_back({cur.row - 1, cur.col});
+        neighbours.push_back({cur.row + 1, cur.col});
+        neighbours.push_back({cur.row, cur.col + 1});
+        if (cur.col > 0)
+            neighbours.push_back({cur.row, cur.col - 1});
+        for (const CoreCoord next : neighbours) {
+            if (!allowed(cur, next) || prev.count({next.row, next.col}))
+                continue;
+            prev[{next.row, next.col}] = cur;
+            queue.push_back(next);
+        }
+    }
+    if (!prev.count({dst.row, dst.col}))
+        return {};
+    std::vector<CoreCoord> path{dst};
+    while (!(path.back() == src))
+        path.push_back(prev.at({path.back().row, path.back().col}));
+    std::reverse(path.begin(), path.end());
+    return path;
+}
+
+TEST(RouteBfs, MatchesPlainReferenceOnSeededDefectMaps)
+{
+    // On 20 seeded defect maps (odd seeds also fail links), every
+    // route equals the plain reference router's, so the search keeps
+    // its N, S, E, W tie-break between equally short paths.
+    const WaferGeometry geom(2, 3, 6, 5);
+    std::uint64_t searched = 0;
+    std::uint64_t unroutable = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed + 1000);
+        const DefectMap defects = randomDefects(geom, 0.25, rng);
+        MeshNoc noc(geom, NocParams{}, &defects);
+        for (int l = 0; l < (seed % 2 ? 6 : 0); ++l) {
+            noc.failLink(randomCore(geom, rng),
+                         static_cast<LinkDir>(rng.uniformInt(0, 3)));
+        }
+        for (int f = 0; f < 150; ++f) {
+            const CoreCoord src = randomCore(geom, rng);
+            const CoreCoord dst = randomCore(geom, rng);
+            const auto want = referenceRoute(noc, defects, src, dst);
+            EXPECT_EQ(noc.routeCached(src, dst), want)
+                << "seed " << seed << " (" << src.row << "," << src.col
+                << ") -> (" << dst.row << "," << dst.col << ")";
+            searched += turns(want) >= 2;
+            unroutable += want.empty();
+        }
+    }
+    EXPECT_GT(searched, 200u);
+    EXPECT_GT(unroutable, 0u);
 }
 
 TEST(RouteVolume, UnroutableFlowLeavesSumUntouched)
