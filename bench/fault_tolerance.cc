@@ -23,14 +23,13 @@
  * borrows. The service is asserted bit-identical to direct
  * per-placement recoverCoreFailure calls over mirror placements for
  * the whole no-borrow prefix. The recorded schedule is then replayed
- * through two services that differ only in when they call
- * flushRepricing(): after every failure or once at quiescence;
- * recoveries and re-priced totals are asserted bit-identical on every
- * run (the JSON keeps the historical eager_reprice_edges and
- * deferred_reprice_speedup names for the per-failure edge visits and
- * the one-flush speedup). BENCH_fault_tolerance.json records the
- * sweep volume range, storm recoveries/sec, the borrow rate,
- * reprice_edges_per_storm, deferred_reprice_speedup and
+ * through a fresh service (recoveries asserted bit-identical); the
+ * inter-block edges its weight moves touched are sorted, deduped and
+ * priced once with priceEdges(), and that total is asserted
+ * bit-identical on every run to the per-link TrafficAccumulator
+ * oracle over the same edges on a fresh mesh.
+ * BENCH_fault_tolerance.json records the sweep volume range, storm
+ * recoveries/sec, the borrow rate, storm_reprice_volume and
  * route_cache_hit_rate.
  *
  * Pass a count as argv[1] to scale the per-sweep-point failure
@@ -256,15 +255,11 @@ struct StormResult
     std::uint64_t recoveries = 0;
     std::uint64_t borrows = 0;
 
-    /** Re-pricing replay over the recorded schedule: a flush after
-     *  every failure against one flush at quiescence; totals
-     *  asserted bit-identical on every run. */
-    double perFailureSeconds = 0.0;
-    double oneFlushSeconds = 0.0;
-    std::uint64_t perFailureRepricedEdges = 0;
-    std::uint64_t oneFlushRepricedEdges = 0;
+    /** Effective byte-hops of the storm's distinct touched edges,
+     *  priced once on the replay's service (oracle-checked). */
+    double repriceVolume = 0.0;
     /** Route-cache hits over all route-cache lookups on the
-     *  one-flush replay's mesh. */
+     *  replay's mesh. */
     double routeCacheHitRate = 0.0;
 };
 
@@ -276,7 +271,8 @@ struct StormResult
  *
  * Asserts, on every run, that direct per-placement
  * recoverCoreFailure calls (mirror state, cold mesh) reproduce the
- * service bit for bit across the whole no-borrow prefix of the storm.
+ * service bit for bit across the whole no-borrow prefix of the storm,
+ * and that the replay's storm price matches the per-link oracle.
  */
 StormResult
 runStorm(const WaferGeometry &geom, std::size_t weight_failures)
@@ -309,9 +305,10 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
     // then weight_failures failures cycling block 0's tiles (each
     // one borrows). Coordinates are resolved against the service's
     // state as the storm progresses and recorded, so the oracle and
-    // the re-pricing replays see the identical sequence.
+    // the re-pricing replay see the identical sequence.
     StormResult out;
     std::vector<CoreCoord> schedule;
+    std::vector<RemapResult> remaps;
     std::uint64_t oracle_matched = 0;
     bool oracle_live = true;
     const WallTimer timer;
@@ -335,6 +332,7 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
             ouroAssert(got.has_value(),
                        "fault_tolerance: storm recovery failed at ",
                        schedule.size() - 1);
+            remaps.push_back(got->remap);
             ++out.failures;
             ++out.recoveries;
             out.borrows += got->borrows.size();
@@ -360,58 +358,48 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
     ouroAssert(oracle_matched > 0,
                "fault_tolerance: storm never exercised the oracle");
 
-    // Re-pricing replay: the recorded schedule through a service
-    // that flushes after every failure and one that flushes once at
-    // quiescence. Recoveries must be bit-identical throughout, and the
-    // one flush must price its distinct dirty edges to the exact total
-    // the per-failure service computes over the same edge list.
-    RecoveryService per_failure(*mapping, NocParams{}, tile_bytes,
-                                nullptr);
-    RecoveryService batched(*mapping, NocParams{}, tile_bytes,
-                            nullptr);
-
-    const WallTimer per_failure_timer;
-    std::vector<RemapResult> per_failure_remaps;
-    per_failure_remaps.reserve(schedule.size());
+    // Re-pricing replay: the recorded schedule through a fresh
+    // service. Recoveries must be bit-identical, and one priceEdges()
+    // over the sorted, deduped touched edges must price them to the
+    // exact total of the per-link oracle on a fresh mesh.
+    RecoveryService replay(*mapping, NocParams{}, tile_bytes, nullptr);
+    std::vector<InterBlockEdge> touched;
     for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const auto got = per_failure.handleCoreFailure(schedule[i]);
-        ouroAssert(got.has_value(),
-                   "fault_tolerance: per-failure replay failed at ", i);
-        per_failure.flushRepricing();
-        per_failure_remaps.push_back(got->remap);
+        const auto got = replay.handleCoreFailure(schedule[i]);
+        ouroAssert(got.has_value() && sameResult(got->remap, remaps[i]),
+                   "fault_tolerance: re-pricing replay diverged at ", i);
+        const auto edges = replay.touchedEdges(*got);
+        touched.insert(touched.end(), edges.begin(), edges.end());
     }
-    out.perFailureSeconds = per_failure_timer.seconds();
-    out.perFailureRepricedEdges = per_failure.repricedEdges();
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()),
+                  touched.end());
+    const RepriceResult priced = replay.priceEdges(touched);
 
-    const WallTimer batched_timer;
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const auto got = batched.handleCoreFailure(schedule[i]);
-        ouroAssert(got.has_value() &&
-                           sameResult(got->remap,
-                                      per_failure_remaps[i]),
-                   "fault_tolerance: one-flush replay diverged at ",
-                   i);
+    const MeshNoc fresh(geom, NocParams{});
+    TrafficAccumulator traffic(fresh);
+    bool routable = true;
+    for (const auto &[rep, block] : touched) {
+        routable = accumulateInterBlockFlows(
+                           mapping->layerSpecs(),
+                           mapping->tilesPerBlock(),
+                           replay.placement(block, rep).weightCores,
+                           replay.placement(block + 1, rep).weightCores,
+                           traffic) &&
+                   routable;
     }
-    const auto dirty = batched.dirtyEdges();
-    const RepriceResult flush = batched.flushRepricing();
-    out.oneFlushSeconds = batched_timer.seconds();
-    out.oneFlushRepricedEdges = flush.edges;
+    ouroAssert(!touched.empty() && priced.flowsRoutable && routable &&
+                       priced.interBlockByteHops ==
+                               traffic.totalEffectiveByteHops(),
+               "fault_tolerance: storm re-pricing diverged from the "
+               "per-link oracle over the same touched edges");
+    out.repriceVolume = priced.interBlockByteHops;
 
-    const RepriceResult want = per_failure.priceEdges(dirty);
-    ouroAssert(flush.interBlockByteHops == want.interBlockByteHops &&
-                       flush.flowsRoutable == want.flowsRoutable &&
-                       flush.edges == dirty.size(),
-               "fault_tolerance: one flush diverged from the "
-               "per-failure re-pricing of the same dirty edges");
-    ouroAssert(out.oneFlushRepricedEdges < out.perFailureRepricedEdges,
-               "fault_tolerance: storm deduplicated nothing - the "
-               "one flush has no batching win to measure");
-
-    const MeshNoc &bnoc = batched.noc();
+    const MeshNoc &rnoc = replay.noc();
     const std::uint64_t lookups =
-        bnoc.routeCacheHits() + bnoc.routeCacheMisses();
+        rnoc.routeCacheHits() + rnoc.routeCacheMisses();
     out.routeCacheHitRate =
-        lookups > 0 ? static_cast<double>(bnoc.routeCacheHits()) /
+        lookups > 0 ? static_cast<double>(rnoc.routeCacheHits()) /
                               static_cast<double>(lookups)
                     : 0.0;
     return out;
@@ -486,9 +474,8 @@ main(int argc, char **argv)
 
     // Failure storm through the wafer-level RecoveryService (oracle
     // prefix bit-identity asserted inside). At least two weight
-    // failures per chain: a single one marks each dirty edge once, so
-    // the one flush would have nothing to deduplicate and the storm's
-    // batching check could not hold.
+    // failures per chain, so the touched edges repeat and the dedup
+    // before the one pricing call has duplicates to remove.
     const StormResult storm =
         runStorm(geom, std::max<std::size_t>(2, injections / 2 + 1));
     const double storm_rate =
@@ -507,17 +494,11 @@ main(int argc, char **argv)
               << "; service bit-identical to the per-placement "
                  "oracle until the first borrow.\n";
 
-    const double reprice_speedup =
-        storm.perFailureSeconds / storm.oneFlushSeconds;
-    std::cout << "  re-pricing replay: flush per failure "
-              << formatDouble(storm.perFailureSeconds * 1e3, 1)
-              << " ms (" << storm.perFailureRepricedEdges
-              << " edge visits) vs one flush "
-              << formatDouble(storm.oneFlushSeconds * 1e3, 1)
-              << " ms (" << storm.oneFlushRepricedEdges
-              << " distinct edges) - "
-              << formatDouble(reprice_speedup, 2)
-              << "x, totals bit-identical; route-cache hit rate "
+    std::cout << "  re-pricing replay: the storm's distinct touched "
+                 "edges priced once at "
+              << formatDouble(storm.repriceVolume, 0)
+              << " effective byte-hops, bit-identical to the "
+                 "per-link oracle; route-cache hit rate "
               << formatDouble(storm.routeCacheHitRate * 100.0, 1)
               << "%.\n";
 
@@ -538,10 +519,7 @@ main(int argc, char **argv)
         .metric("storm_borrows", storm.borrows)
         .metric("borrow_rate", borrow_rate)
         .metric("storm_recoveries_per_sec", storm_rate)
-        .metric("reprice_edges_per_storm",
-                storm.oneFlushRepricedEdges)
-        .metric("eager_reprice_edges", storm.perFailureRepricedEdges)
-        .metric("deferred_reprice_speedup", reprice_speedup)
+        .metric("storm_reprice_volume", storm.repriceVolume)
         .metric("route_cache_hit_rate", storm.routeCacheHitRate)
         .write();
     return 0;

@@ -451,7 +451,7 @@ void
 BM_StormReprice(benchmark::State &state)
 {
     // A weight-core failure storm across both blocks, then one
-    // flushRepricing() that prices each distinct dirty edge once.
+    // priceEdges() over the sorted, deduped touched edges.
     const RecoveryFixture fix;
     const Bytes tile_bytes = CoreParams{}.sramBytes();
     constexpr int kFailures = 16;
@@ -460,16 +460,25 @@ BM_StormReprice(benchmark::State &state)
         RecoveryService service(*fix.mapping, NocParams{},
                                 tile_bytes, nullptr);
         const std::uint32_t tiles = fix.mapping->tilesPerBlock();
+        std::vector<InterBlockEdge> touched;
         state.ResumeTiming();
         for (int k = 0; k < kFailures; ++k) {
             const std::uint64_t block =
                 static_cast<std::uint64_t>(k) % 2;
-            benchmark::DoNotOptimize(service.handleCoreFailure(
+            const auto got = service.handleCoreFailure(
                     service.placement(block).weightCores[
                             static_cast<std::size_t>(k / 2) %
-                            tiles]));
+                            tiles]);
+            if (got) {
+                const auto edges = service.touchedEdges(*got);
+                touched.insert(touched.end(), edges.begin(),
+                               edges.end());
+            }
         }
-        benchmark::DoNotOptimize(service.flushRepricing());
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()),
+                      touched.end());
+        benchmark::DoNotOptimize(service.priceEdges(touched));
     }
     state.SetItemsProcessed(state.iterations() * kFailures);
 }

@@ -16,7 +16,9 @@
  * the adjacent block instead of failing.
  */
 
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -82,6 +84,13 @@ main()
     // (cached) detour route.
     RecoveryService service(*mapping, NocParams{}, tile_bytes,
                             &defects);
+    // The inter-block edges every handled failure's weight moves
+    // touched, priced once at the end.
+    std::vector<InterBlockEdge> touched;
+    const auto touch = [&](const FailureOutcome &outcome) {
+        const auto edges = service.touchedEdges(outcome);
+        touched.insert(touched.end(), edges.begin(), edges.end());
+    };
 
     // Fail three weight cores and one KV core of block 0 in turn.
     for (int k = 0; k < 3; ++k) {
@@ -90,6 +99,7 @@ main()
                     k * 7)];
         const auto result = service.handleCoreFailure(failed);
         ouroAssert(result.has_value(), "recovery failed");
+        touch(*result);
         chain_table.row()
             .cell("(" + std::to_string(failed.row) + "," +
                   std::to_string(failed.col) + ")")
@@ -108,6 +118,7 @@ main()
             service.placement(0).scoreCores.front();
         const auto result = service.handleCoreFailure(failed);
         ouroAssert(result.has_value(), "KV recovery failed");
+        touch(*result);
         chain_table.row()
             .cell("(" + std::to_string(failed.row) + "," +
                   std::to_string(failed.col) + ")")
@@ -138,14 +149,16 @@ main()
         const CoreCoord kv = p.scoreCores.empty()
                                  ? p.contextCores.front()
                                  : p.scoreCores.front();
-        ouroAssert(service.handleCoreFailure(kv).has_value(),
-                   "KV drain failed");
+        const auto drop = service.handleCoreFailure(kv);
+        ouroAssert(drop.has_value(), "KV drain failed");
+        touch(*drop);
         ++drained;
     }
     const CoreCoord dry_failure = service.placement(0).weightCores[1];
     const auto borrowed = service.handleCoreFailure(dry_failure);
     ouroAssert(borrowed.has_value() && !borrowed->borrows.empty(),
                "dry-pool recovery did not borrow");
+    touch(*borrowed);
     const KvBorrow &loan = borrowed->borrows.front();
     std::cout << "\nKV borrow: drained block 0's remaining "
               << drained << " KV cores, then failed weight core ("
@@ -161,11 +174,14 @@ main()
               << " (" << service.borrowCount()
               << " cross-block borrows).\n";
 
-    // The weight moves marked block 0's inter-block flows dirty; one
-    // flush prices each distinct dirty edge once.
-    const RepriceResult reprice = service.flushRepricing();
-    std::cout << "Re-priced " << reprice.edges
-              << " dirty inter-block edge(s) in one flush: "
+    // Block 0's weight moves touched its inter-block flows; one
+    // pricing call over the distinct touched edges re-prices them.
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()),
+                  touched.end());
+    const RepriceResult reprice = service.priceEdges(touched);
+    std::cout << "Re-priced " << touched.size()
+              << " touched inter-block edge(s) in one call: "
               << formatDouble(reprice.interBlockByteHops / 1e6, 1)
               << " M effective byte-hops.\n";
     return 0;

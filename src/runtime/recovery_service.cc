@@ -73,19 +73,6 @@ RecoveryService::placement(std::uint64_t block,
     return region(block, replica).placement;
 }
 
-std::uint64_t
-RecoveryService::chainKvCores(std::uint32_t replica) const
-{
-    ouroAssert(replica < numReplicas_, "chainKvCores: replica ",
-               replica, " of ", numReplicas_, " not on this wafer");
-    std::uint64_t n = 0;
-    for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-        const auto &p = regions_[replica * numBlocks_ + b].placement;
-        n += p.scoreCores.size() + p.contextCores.size();
-    }
-    return n;
-}
-
 bool
 RecoveryService::borrowKvCore(Region &dry, CoreCoord near,
                               std::vector<KvBorrow> &borrows)
@@ -138,14 +125,18 @@ RecoveryService::borrowKvCore(Region &dry, CoreCoord near,
     return false;
 }
 
-void
-RecoveryService::markDirtyEdges(std::uint32_t replica,
-                                std::uint64_t block)
+std::vector<InterBlockEdge>
+RecoveryService::touchedEdges(const FailureOutcome &outcome) const
 {
-    if (block > firstBlock_)
-        dirty_.emplace(replica, block - 1);
-    if (block + 1 < firstBlock_ + numBlocks_)
-        dirty_.emplace(replica, block);
+    // A KV drop leaves every flow endpoint in place.
+    std::vector<InterBlockEdge> edges;
+    if (outcome.remap.moves.empty())
+        return edges;
+    if (outcome.block > firstBlock_)
+        edges.emplace_back(outcome.replica, outcome.block - 1);
+    if (outcome.block + 1 < firstBlock_ + numBlocks_)
+        edges.emplace_back(outcome.replica, outcome.block);
+    return edges;
 }
 
 RepriceResult
@@ -153,7 +144,6 @@ RecoveryService::priceEdges(
         const std::vector<InterBlockEdge> &edges) const
 {
     RepriceResult out;
-    out.edges = edges.size();
     // One continuous volume sum over all edges, so any two runs over
     // the same edge list and state are bit-identical.
     const auto add_volume = [&](CoreCoord src, CoreCoord dst,
@@ -175,26 +165,6 @@ RecoveryService::priceEdges(
             out.flowsRoutable;
     }
     return out;
-}
-
-RepriceResult
-RecoveryService::flushRepricing()
-{
-    // std::set iterates ascending: within one failure the
-    // predecessor edge comes first, and the order is deterministic
-    // across a storm.
-    const std::vector<InterBlockEdge> edges(dirty_.begin(),
-                                            dirty_.end());
-    dirty_.clear();
-    const RepriceResult out = priceEdges(edges);
-    repricedEdges_ += out.edges;
-    return out;
-}
-
-std::vector<InterBlockEdge>
-RecoveryService::dirtyEdges() const
-{
-    return {dirty_.begin(), dirty_.end()};
 }
 
 std::optional<FailureOutcome>
@@ -226,15 +196,6 @@ RecoveryService::handleCoreFailure(CoreCoord failed)
     out.remap = *result;
     owner_[key] = kUnowned; // the failed core is dead
     ++recoveries_;
-
-    // Mark the inter-block activation flows this region feeds (its
-    // predecessor's flow in, its own flow out) dirty - but only when
-    // weight tiles actually moved. A KV drop (no moves) leaves every
-    // flow endpoint in place, and failure storms are dominated by KV
-    // drops, so skipping the unchanged re-pricing is the storm hot
-    // path. The marks wait for the caller's flushRepricing().
-    if (!out.remap.moves.empty())
-        markDirtyEdges(reg.replica, reg.block);
     return out;
 }
 

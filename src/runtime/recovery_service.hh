@@ -17,21 +17,20 @@
  *    core of every chain.
  *
  * handleCoreFailure(core) is the single entry point: it routes the
- * failure to the owning region, runs the replacement-chain recovery
- * (recoverCoreFailure) on its placement, and marks the affected
- * inter-block activation flows of that chain dirty. The returned
+ * failure to the owning region and runs the replacement-chain
+ * recovery (recoverCoreFailure) on its placement. The returned
  * FailureOutcome is all a caller learns of the failure:
  * resolveStormSchedule (sim/storm_run.hh) mirrors it into the serving
- * KV pool. The marks accumulate across a whole failure storm and
- * flushRepricing() prices each distinct edge exactly once (through
- * the cached mesh) when a caller wants the figure; a caller that
- * wants per-failure prices flushes after every failure. Storm
- * re-pricing therefore costs O(distinct dirty edges), not
- * O(failures x adjacent edges). When a weight-core failure finds the
- * block's KV pool dry, the service borrows a KV core from an adjacent
- * block of the SAME replica chain before retrying - chains never lend
- * across replicas, preserving the fault-domain isolation the
- * replicated-embedding layout establishes.
+ * KV pool. The service keeps no re-pricing ledger: a caller that
+ * wants the price of what moved asks touchedEdges(outcome) for the
+ * inter-block activation flows a weight move touched and prices them
+ * with priceEdges() (through the cached mesh); a caller that wants a
+ * whole storm's price sorts and dedups the touched edges itself.
+ * When a weight-core failure finds the block's KV pool dry, the
+ * service borrows a KV core from an adjacent block of the SAME
+ * replica chain before retrying - chains never lend across replicas,
+ * preserving the fault-domain isolation the replicated-embedding
+ * layout establishes.
  *
  * Borrowing is deterministic: donor blocks are visited in
  * nearest-block order (distance 1, 2, ... from the dry block; the
@@ -55,7 +54,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -81,16 +79,13 @@ struct RecoveryServiceOptions
  *  {replica, b} is chain replica's flow block b -> b + 1. */
 using InterBlockEdge = std::pair<std::uint32_t, std::uint64_t>;
 
-/** What one flushRepricing() (or priceEdges()) run priced. */
+/** What one priceEdges() run priced. */
 struct RepriceResult
 {
     /** Effective byte-hops over all edges priced in this run (one
      *  continuous MeshNoc::addRouteVolume sum in edge order; die
      *  crossings weighted by the inter-die penalty). */
     double interBlockByteHops = 0.0;
-
-    /** Distinct edges priced. */
-    std::uint64_t edges = 0;
 
     /** False when any priced flow became unroutable. */
     bool flowsRoutable = true;
@@ -135,17 +130,15 @@ class RecoveryService
 
     /**
      * Handle the failure of @p failed: route it to the owning
-     * region, recover (borrowing KV capacity from adjacent blocks of
-     * the same chain if the pool is dry), and mark the affected
-     * inter-block flows dirty (only when weight tiles moved: the
-     * predecessor edge and the block's own edge). Returns
+     * region and recover there, borrowing KV capacity from adjacent
+     * blocks of the same chain if the pool is dry. Returns
      * std::nullopt when the core is not (or no longer) owned by any
      * region, or when recovery is impossible (the whole chain's KV
      * capacity is exhausted).
      */
     std::optional<FailureOutcome> handleCoreFailure(CoreCoord failed);
 
-    /** Mark a link failed; subsequent routes (and re-pricings)
+    /** Mark a link failed; subsequent routes (and priceEdges())
      *  detour. Delegates to the owned mesh. */
     void failLink(CoreCoord from, LinkDir dir);
 
@@ -160,38 +153,24 @@ class RecoveryService
     const BlockPlacement &placement(std::uint64_t block,
                                     std::uint32_t replica = 0) const;
 
-    /** Dedicated KV cores currently left in one chain. */
-    std::uint64_t chainKvCores(std::uint32_t replica) const;
-
-    /**
-     * Price every currently-dirty inter-block edge exactly once (in
-     * ascending (replica, block) order) and clear the dirty set.
-     * Call it after each failure for per-failure prices, or once at
-     * storm quiescence. No-op result when the dirty set is empty.
-     */
-    RepriceResult flushRepricing();
+    /** The inter-block edges @p outcome's weight moves touched, in
+     *  ascending order: the predecessor flow in and the block's own
+     *  flow out, clipped to the chain. A KV drop (no moves) touches
+     *  none. */
+    std::vector<InterBlockEdge>
+    touchedEdges(const FailureOutcome &outcome) const;
 
     /** Price exactly @p edges (in the given order) over the current
-     *  placements and fault state, without touching the dirty set
-     *  (the comparator for bit-identity tests and benches). Every
-     *  edge's tail block must have a successor in its chain. */
+     *  placements and fault state, in one continuous volume sum.
+     *  Every edge's tail block must have a successor in its chain. */
     RepriceResult
     priceEdges(const std::vector<InterBlockEdge> &edges) const;
-
-    /** Edges currently awaiting flushRepricing(), in ascending
-     *  order. */
-    std::vector<InterBlockEdge> dirtyEdges() const;
-
-    /** Total edges priced by flushRepricing() so far. */
-    std::uint64_t repricedEdges() const { return repricedEdges_; }
 
     /** Failures successfully handled (weight chains + KV drops). */
     std::uint64_t recoveries() const { return recoveries_; }
 
     /** KV cores borrowed across blocks so far. */
     std::uint64_t borrowCount() const { return borrowCount_; }
-
-    const RecoveryServiceOptions &options() const { return opts_; }
 
   private:
     /** One replica-chain region's mutable recovery state. */
@@ -210,10 +189,6 @@ class RecoveryService
      *  @p dry's chain; returns false when the whole chain is dry. */
     bool borrowKvCore(Region &dry, CoreCoord near,
                       std::vector<KvBorrow> &borrows);
-
-    /** Mark the inter-block edges block @p block feeds (predecessor
-     *  flow in, own flow out) dirty for the next flushRepricing(). */
-    void markDirtyEdges(std::uint32_t replica, std::uint64_t block);
 
     WaferGeometry geom_;
     std::vector<LayerSpec> specs_;
@@ -243,14 +218,8 @@ class RecoveryService
     static constexpr std::uint32_t kUnowned = ~std::uint32_t{0};
     std::vector<std::uint32_t> owner_;
 
-    /** Inter-block edges awaiting re-pricing. std::set: ascending
-     *  iteration gives flushRepricing() a deterministic edge order,
-     *  and duplicate marks across a storm coalesce for free. */
-    std::set<InterBlockEdge> dirty_;
-
     std::uint64_t recoveries_ = 0;
     std::uint64_t borrowCount_ = 0;
-    std::uint64_t repricedEdges_ = 0;
 };
 
 } // namespace ouro

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -101,6 +100,19 @@ samePlacement(const BlockPlacement &a, const BlockPlacement &b)
            a.contextCores == b.contextCores;
 }
 
+/** Dedicated KV cores currently left in one chain of @p service. */
+std::uint64_t
+chainKvCores(const RecoveryService &service, std::uint32_t replica)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t b = 0; b < service.numBlocks(); ++b) {
+        const auto &p =
+            service.placement(service.firstBlock() + b, replica);
+        n += p.scoreCores.size() + p.contextCores.size();
+    }
+    return n;
+}
+
 TEST(RecoveryService, MatchesPerPlacementOracleFuzz)
 {
     // Whole failure sequences across replicas and defect maps: the
@@ -168,7 +180,7 @@ TEST(RecoveryService, MatchesPerPlacementOracleFuzz)
         std::uint64_t mirror_kv = 0;
         for (const auto &p : mirror)
             mirror_kv += p.scoreCores.size() + p.contextCores.size();
-        EXPECT_EQ(service.chainKvCores(0) + service.chainKvCores(1),
+        EXPECT_EQ(chainKvCores(service, 0) + chainKvCores(service, 1),
                   mirror_kv);
     }
 }
@@ -293,17 +305,17 @@ TEST(RecoveryService, ChainsNeverLendAcrossReplicas)
     std::vector<BlockPlacement> chain1_before;
     for (std::uint64_t b = 0; b < model.numBlocks; ++b)
         chain1_before.push_back(service.placement(b, 1));
-    const std::uint64_t chain1_kv = service.chainKvCores(1);
+    const std::uint64_t chain1_kv = chainKvCores(service, 1);
     ASSERT_GT(chain1_kv, 0u);
 
     for (std::uint64_t b = 0; b < model.numBlocks; ++b)
         drainPool(service, b, 0);
-    EXPECT_EQ(service.chainKvCores(0), 0u);
+    EXPECT_EQ(chainKvCores(service, 0), 0u);
 
     const CoreCoord failed = service.placement(0, 0).weightCores[0];
     EXPECT_FALSE(service.handleCoreFailure(failed).has_value());
 
-    EXPECT_EQ(service.chainKvCores(1), chain1_kv);
+    EXPECT_EQ(chainKvCores(service, 1), chain1_kv);
     for (std::uint64_t b = 0; b < model.numBlocks; ++b) {
         EXPECT_TRUE(samePlacement(service.placement(b, 1),
                                   chain1_before[b]));
@@ -405,7 +417,7 @@ oracleEdgeVolume(const RecoveryService &service,
 
 TEST(RecoveryService, RepricesAffectedInterBlockFlows)
 {
-    // Every flushed figure is the routed volume of the product flow
+    // Every priced figure is the routed volume of the product flow
     // definition over the post-recovery placements, BIT-identical to
     // the accumulator oracle on a fresh mesh with the same fault
     // state: clean and defective wafers, two replica chains, a
@@ -430,17 +442,16 @@ TEST(RecoveryService, RepricesAffectedInterBlockFlows)
         RecoveryService service(mapping, noc_params, tile_bytes, dmap);
         std::vector<std::pair<CoreCoord, LinkDir>> links;
 
-        // Block 0's first weight failure moves tiles and dirties the
+        // Block 0's first weight failure moves tiles and touches the
         // chain's only edge, block 0 -> 1.
         const auto first = service.handleCoreFailure(
                 service.placement(0).weightCores[0]);
         ASSERT_TRUE(first.has_value());
         ASSERT_FALSE(first->remap.moves.empty());
-        ASSERT_EQ(service.dirtyEdges(),
-                  (std::vector<InterBlockEdge>{{0, 0}}));
-        const RepriceResult priced = service.flushRepricing();
+        const auto first_edges = service.touchedEdges(*first);
+        ASSERT_EQ(first_edges, (std::vector<InterBlockEdge>{{0, 0}}));
+        const RepriceResult priced = service.priceEdges(first_edges);
         EXPECT_TRUE(priced.flowsRoutable);
-        EXPECT_EQ(priced.edges, 1u);
         EXPECT_GT(priced.interBlockByteHops, 0.0);
         EXPECT_EQ(priced.interBlockByteHops,
                   oracleEdgeVolume(service, specs, tiles, dmap, links,
@@ -474,18 +485,18 @@ TEST(RecoveryService, RepricesAffectedInterBlockFlows)
             const std::uint64_t block =
                 rng.uniformInt(0, model.numBlocks - 1);
             const auto &weights = service.placement(block, rep).weightCores;
-            service.handleCoreFailure(weights[rng.uniformInt(
-                    0, weights.size() - 1)]);
-            const auto edges = service.dirtyEdges();
-            const RepriceResult flushed = service.flushRepricing();
+            const auto got = service.handleCoreFailure(
+                    weights[rng.uniformInt(0, weights.size() - 1)]);
+            const auto edges = got ? service.touchedEdges(*got)
+                                   : std::vector<InterBlockEdge>{};
+            const RepriceResult priced_k = service.priceEdges(edges);
             const auto [want, routable] = oracleEdgeVolume(
                     service, specs, tiles, dmap, links, edges);
-            EXPECT_EQ(flushed.edges, edges.size()) << "failure " << k;
-            EXPECT_EQ(flushed.flowsRoutable, routable)
+            EXPECT_EQ(priced_k.flowsRoutable, routable)
                 << "failure " << k;
-            EXPECT_EQ(flushed.interBlockByteHops, want)
+            EXPECT_EQ(priced_k.interBlockByteHops, want)
                 << "failure " << k;
-            repriced += flushed.edges;
+            repriced += edges.size();
         }
         EXPECT_GT(repriced, 4u);
 
@@ -504,37 +515,27 @@ TEST(RecoveryService, RepricesAffectedInterBlockFlows)
     }
 }
 
-/** The edges a weight move in (replica, block) marks dirty: the
- *  predecessor flow in and the block's own flow out. */
-std::set<InterBlockEdge>
+/** The edges a weight move in (replica, block) touches: the
+ *  predecessor flow in and the block's own flow out, ascending. */
+std::vector<InterBlockEdge>
 movedBlockEdges(const RecoveryService &service, std::uint32_t replica,
                 std::uint64_t block)
 {
-    std::set<InterBlockEdge> edges;
+    std::vector<InterBlockEdge> edges;
     if (block > service.firstBlock())
-        edges.emplace(replica, block - 1);
+        edges.emplace_back(replica, block - 1);
     if (block + 1 < service.firstBlock() + service.numBlocks())
-        edges.emplace(replica, block);
+        edges.emplace_back(replica, block);
     return edges;
 }
 
-std::set<InterBlockEdge>
-dirtySet(const RecoveryService &service)
+TEST(RecoveryService, TouchedEdgesPriceLikeOracleFuzz)
 {
-    const auto edges = service.dirtyEdges();
-    return {edges.begin(), edges.end()};
-}
-
-TEST(RecoveryService, FlushPerFailureMatchesOneFlushFuzz)
-{
-    // Whole failure sequences through two services that differ only
-    // in when they call flushRepricing(): after every failure, or
-    // once at quiescence. Recoveries and borrows must be
-    // bit-identical throughout (re-pricing never feeds back into
-    // recovery), every failure must mark exactly the edges its
-    // weight moves touch, and the one flush must price exactly the
-    // distinct dirty edges - bit-identical to the per-failure service
-    // pricing the same edge list.
+    // Whole failure sequences across replicas and defect maps: every
+    // handled failure must report exactly the edges its weight moves
+    // touch (none for a KV drop), and one priceEdges() over the
+    // sorted, deduped union of a storm's touched edges must equal the
+    // per-link oracle on a fresh mesh bit for bit.
     const WaferGeometry geom(3, 3, 8, 8);
     const ModelConfig model = tinyModel();
     const Bytes tile_bytes = CoreParams{}.sramBytes();
@@ -547,95 +548,55 @@ TEST(RecoveryService, FlushPerFailureMatchesOneFlushFuzz)
         const DefectMap *dmap = defects ? &*defects : nullptr;
         const WaferMapping mapping =
             buildMapping(geom, model, 2, dmap);
-
-        RecoveryService per_failure(mapping, NocParams{}, tile_bytes,
-                                    dmap);
-        RecoveryService batched(mapping, NocParams{}, tile_bytes,
-                                dmap);
+        RecoveryService service(mapping, NocParams{}, tile_bytes, dmap);
 
         Rng rng(131 + defect_seed);
-        std::uint64_t per_failure_edge_visits = 0;
+        std::vector<InterBlockEdge> touched;
         std::uint64_t handled = 0;
         std::uint64_t kv_drops = 0;
         for (int k = 0; k < 150; ++k) {
             const std::uint32_t rep = rng.uniformInt(0, 1);
             const std::uint64_t block =
                 rng.uniformInt(0, model.numBlocks - 1);
-            const auto &p = batched.placement(block, rep);
+            const auto &p = service.placement(block, rep);
             const std::size_t alive = aliveCores(p);
             if (alive == 0)
                 continue;
             const CoreCoord failed = resolveFailure(
                     p, static_cast<std::size_t>(
                                rng.uniformInt(0, alive - 1)));
-            const auto batched_before = dirtySet(batched);
-            const auto ba = batched.handleCoreFailure(failed);
-            const auto pf = per_failure.handleCoreFailure(failed);
-            ASSERT_EQ(ba.has_value(), pf.has_value())
-                << "failure " << k;
-            if (!ba)
+            const auto got = service.handleCoreFailure(failed);
+            if (!got)
                 continue;
             ++handled;
-            EXPECT_TRUE(sameResult(ba->remap, pf->remap));
-            EXPECT_EQ(ba->borrows, pf->borrows);
 
-            // A KV drop moves no weight tile and marks nothing; a
-            // weight move marks exactly its predecessor and own
+            // A KV drop moves no weight tile and touches nothing; a
+            // weight move touches exactly its predecessor and own
             // edges.
-            std::set<InterBlockEdge> marked;
-            if (pf->remap.moves.empty())
+            std::vector<InterBlockEdge> want;
+            if (got->remap.moves.empty())
                 ++kv_drops;
             else
-                marked = movedBlockEdges(per_failure, pf->replica,
-                                         pf->block);
-            EXPECT_EQ(dirtySet(per_failure), marked) << "failure " << k;
-            auto batched_want = batched_before;
-            batched_want.insert(marked.begin(), marked.end());
-            EXPECT_EQ(dirtySet(batched), batched_want)
-                << "failure " << k;
-
-            const RepriceResult r = per_failure.flushRepricing();
-            EXPECT_EQ(r.edges, marked.size());
-            EXPECT_TRUE(per_failure.dirtyEdges().empty());
-            per_failure_edge_visits += r.edges;
+                want = movedBlockEdges(service, got->replica,
+                                       got->block);
+            const auto edges = service.touchedEdges(*got);
+            EXPECT_EQ(edges, want) << "failure " << k;
+            touched.insert(touched.end(), edges.begin(), edges.end());
         }
         ASSERT_GT(handled, 0u);
         EXPECT_GT(kv_drops, 0u);
         EXPECT_LT(kv_drops, handled);
-        EXPECT_EQ(batched.repricedEdges(), 0u);
-        EXPECT_EQ(per_failure.repricedEdges(), per_failure_edge_visits);
 
-        // Quiescence: one flush prices the distinct dirty edges,
-        // bit-identical to the per-failure service pricing that edge
-        // list over its (identical) placements and mesh.
-        const auto dirty = batched.dirtyEdges();
-        ASSERT_FALSE(dirty.empty());
-        // Storms revisit chains, so deduplication must have won.
-        EXPECT_LT(dirty.size(), per_failure_edge_visits);
-        const RepriceResult flush = batched.flushRepricing();
-        const RepriceResult want = per_failure.priceEdges(dirty);
-        EXPECT_EQ(flush.interBlockByteHops, want.interBlockByteHops);
-        EXPECT_EQ(flush.flowsRoutable, want.flowsRoutable);
-        EXPECT_EQ(flush.edges, dirty.size());
-        EXPECT_EQ(batched.repricedEdges(), flush.edges);
-
-        // The dirty set drained: nothing left, a second flush is a
-        // no-op.
-        EXPECT_TRUE(batched.dirtyEdges().empty());
-        const RepriceResult again = batched.flushRepricing();
-        EXPECT_EQ(again.edges, 0u);
-        EXPECT_EQ(again.interBlockByteHops, 0.0);
-
-        // Final placements identical across calling patterns.
-        for (std::uint32_t rep = 0; rep < 2; ++rep) {
-            for (std::uint64_t b = 0; b < model.numBlocks; ++b) {
-                EXPECT_TRUE(
-                        samePlacement(batched.placement(b, rep),
-                                      per_failure.placement(b, rep)));
-            }
-        }
-        EXPECT_EQ(batched.recoveries(), per_failure.recoveries());
-        EXPECT_EQ(batched.borrowCount(), per_failure.borrowCount());
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()),
+                      touched.end());
+        ASSERT_FALSE(touched.empty());
+        const RepriceResult priced = service.priceEdges(touched);
+        const auto [want, routable] = oracleEdgeVolume(
+                service, mapping.layerSpecs(), mapping.tilesPerBlock(),
+                dmap, {}, touched);
+        EXPECT_EQ(priced.interBlockByteHops, want);
+        EXPECT_EQ(priced.flowsRoutable, routable);
     }
 }
 
@@ -653,7 +614,7 @@ TEST(RecoveryService, PriceEdgesRejectsEdgesOffTheChain)
 
     const RecoveryService single(buildMapping(geom, model, 1, nullptr),
                                  NocParams{}, tile_bytes, nullptr);
-    EXPECT_EQ(single.priceEdges({{0, last - 1}}).edges, 1u);
+    EXPECT_TRUE(single.priceEdges({{0, last - 1}}).flowsRoutable);
     EXPECT_DEATH({ single.priceEdges({{0, last}}); },
                  "has no successor block");
 
@@ -727,12 +688,14 @@ TEST(RecoveryService, SystemServiceMatchesStandaloneOnDefectiveWafer)
         EXPECT_TRUE(sameResult(got->remap, want->remap));
         moves += got->remap.moves.size();
 
-        const RepriceResult a = owned.flushRepricing();
-        const RepriceResult b = standalone.flushRepricing();
+        const auto got_edges = owned.touchedEdges(*got);
+        const auto want_edges = standalone.touchedEdges(*want);
+        const RepriceResult a = owned.priceEdges(got_edges);
+        const RepriceResult b = standalone.priceEdges(want_edges);
         EXPECT_EQ(a.interBlockByteHops, b.interBlockByteHops);
         EXPECT_EQ(a.flowsRoutable, b.flowsRoutable);
-        EXPECT_EQ(a.edges, b.edges);
-        edges += a.edges;
+        EXPECT_EQ(got_edges, want_edges);
+        edges += got_edges.size();
     }
     EXPECT_GT(moves, 0u);
     EXPECT_GT(edges, 0u);
@@ -752,8 +715,8 @@ TEST(RecoveryService, FailLinkDetoursCachedRouteAndRepricing)
 {
     // failLink() on a system's service: a cached inter-block route
     // through the failed link detours around it, and re-pricing a
-    // weight failure's dirty edges over the detour costs no fewer
-    // byte-hops than the same flush on an intact mesh.
+    // weight failure's touched edges over the detour costs no fewer
+    // byte-hops than pricing them on an intact mesh.
     OuroborosOptions opts;
     opts.smartMapping = false;
     auto sys = OuroborosSystem::build(llama13b(), {}, opts);
@@ -762,16 +725,18 @@ TEST(RecoveryService, FailLinkDetoursCachedRouteAndRepricing)
     RecoveryService intact = sys->makeRecoveryService();
 
     // The same weight failure on both services (same placements
-    // after), marking the block's own edge block -> block + 1.
+    // after), touching the block's own edge block -> block + 1.
     const std::uint64_t block = svc.firstBlock();
     const CoreCoord failed = svc.placement(block).weightCores.front();
-    ASSERT_TRUE(svc.handleCoreFailure(failed).has_value());
-    ASSERT_TRUE(intact.handleCoreFailure(failed).has_value());
-    const auto dirty = svc.dirtyEdges();
-    ASSERT_NE(std::find(dirty.begin(), dirty.end(),
+    const auto got = svc.handleCoreFailure(failed);
+    const auto want = intact.handleCoreFailure(failed);
+    ASSERT_TRUE(got.has_value());
+    ASSERT_TRUE(want.has_value());
+    const auto touched = svc.touchedEdges(*got);
+    ASSERT_NE(std::find(touched.begin(), touched.end(),
                         InterBlockEdge{0, block}),
-              dirty.end());
-    ASSERT_EQ(dirty, intact.dirtyEdges());
+              touched.end());
+    ASSERT_EQ(touched, intact.touchedEdges(*want));
 
     // One flow of that edge (forEachInterBlockFlow): the first
     // output part of the block's last layer to the first input part
@@ -799,9 +764,8 @@ TEST(RecoveryService, FailLinkDetoursCachedRouteAndRepricing)
         EXPECT_FALSE(after[k] == before[0] && after[k + 1] == before[1])
                 << "hop " << k << " crosses the failed link";
 
-    const RepriceResult detoured = svc.flushRepricing();
-    const RepriceResult clean = intact.flushRepricing();
-    EXPECT_EQ(detoured.edges, clean.edges);
+    const RepriceResult detoured = svc.priceEdges(touched);
+    const RepriceResult clean = intact.priceEdges(touched);
     EXPECT_TRUE(detoured.flowsRoutable);
     EXPECT_TRUE(clean.flowsRoutable);
     EXPECT_GE(detoured.interBlockByteHops, clean.interBlockByteHops);
