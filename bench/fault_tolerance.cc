@@ -29,8 +29,7 @@
  * bit-identical on every run to the per-link TrafficAccumulator
  * oracle over the same edges on a fresh mesh.
  * BENCH_fault_tolerance.json records the sweep volume range, storm
- * recoveries/sec, the borrow rate, storm_reprice_volume and
- * route_cache_hit_rate.
+ * recoveries/sec, the borrow rate and storm_reprice_volume.
  *
  * Pass a count as argv[1] to scale the per-sweep-point failure
  * injections (default 100).
@@ -258,9 +257,6 @@ struct StormResult
     /** Effective byte-hops of the storm's distinct touched edges,
      *  priced once on the replay's service (oracle-checked). */
     double repriceVolume = 0.0;
-    /** Route-cache hits over all route-cache lookups on the
-     *  replay's mesh. */
-    double routeCacheHitRate = 0.0;
 };
 
 /**
@@ -394,14 +390,6 @@ runStorm(const WaferGeometry &geom, std::size_t weight_failures)
                "fault_tolerance: storm re-pricing diverged from the "
                "per-link oracle over the same touched edges");
     out.repriceVolume = priced.interBlockByteHops;
-
-    const MeshNoc &rnoc = replay.noc();
-    const std::uint64_t lookups =
-        rnoc.routeCacheHits() + rnoc.routeCacheMisses();
-    out.routeCacheHitRate =
-        lookups > 0 ? static_cast<double>(rnoc.routeCacheHits()) /
-                              static_cast<double>(lookups)
-                    : 0.0;
     return out;
 }
 
@@ -498,9 +486,7 @@ main(int argc, char **argv)
                  "edges priced once at "
               << formatDouble(storm.repriceVolume, 0)
               << " effective byte-hops, bit-identical to the "
-                 "per-link oracle; route-cache hit rate "
-              << formatDouble(storm.routeCacheHitRate * 100.0, 1)
-              << "%.\n";
+                 "per-link oracle.\n";
 
     BenchReport("fault_tolerance")
         .metric("wall_seconds", serial.seconds)
@@ -520,7 +506,6 @@ main(int argc, char **argv)
         .metric("borrow_rate", borrow_rate)
         .metric("storm_recoveries_per_sec", storm_rate)
         .metric("storm_reprice_volume", storm.repriceVolume)
-        .metric("route_cache_hit_rate", storm.routeCacheHitRate)
         .write();
     return 0;
 }

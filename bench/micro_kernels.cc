@@ -56,9 +56,10 @@ void
 BM_MeshRouteClean(benchmark::State &state)
 {
     // One route computation on a clean wafer (an XY route of
-    // 2 x Arg hops, its latency summary and its cache entry): the
-    // cache is flushed every iteration, so every lookup misses, as
-    // the first transferSeconds of a (src, dst) pair does.
+    // 2 x Arg hops and its cache entry): the cache is flushed every
+    // iteration, so every lookup misses. Production pricing walks a
+    // clean route in place and never pays this; the oracles and the
+    // first lookup of a searched flow do.
     const WaferGeometry geom;
     const MeshNoc noc(geom, NocParams{});
     const CoreCoord dst{static_cast<std::uint32_t>(state.range(0)),
@@ -91,8 +92,8 @@ void
 BM_MeshRouteCached(benchmark::State &state)
 {
     // Repeated (src, dst) lookups hit the route cache after the first
-    // computation - what transferSeconds and a detoured
-    // addRouteVolume pay on every later call.
+    // computation - what a searched flow's transferSeconds or
+    // addRouteVolume pays on every later call.
     const WaferGeometry geom;
     const MeshNoc noc(geom, NocParams{});
     for (auto _ : state)

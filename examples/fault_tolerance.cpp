@@ -10,10 +10,10 @@
  * mapper routes around them.
  *
  * Failures are driven through the wafer-level RecoveryService - the
- * single runtime entry point that owns the recovery indices, the
- * mesh with its route cache and the defect state - including a
- * drained-pool scenario where the service borrows KV capacity from
- * the adjacent block instead of failing.
+ * single runtime entry point that owns the placements, the mesh and
+ * the defect state - including a drained-pool scenario where the
+ * service borrows KV capacity from the adjacent block instead of
+ * failing.
  */
 
 #include <algorithm>
@@ -26,7 +26,6 @@
 #include "hw/yield.hh"
 #include "mapping/wafer_mapping.hh"
 #include "model/llm.hh"
-#include "noc/mesh.hh"
 #include "runtime/recovery_service.hh"
 
 int
@@ -79,9 +78,8 @@ main()
                        "moved MB", "latency [us]"});
     const Bytes tile_bytes = CoreParams{}.sramBytes();
     // The service owns the whole fault path: one mutable placement
-    // per replica-chain region, the mesh with its route cache, and
-    // the defect map - every chain shift is priced over its actual
-    // (cached) detour route.
+    // per replica-chain region, the mesh and the defect map - every
+    // chain shift is priced over its actual detour route.
     RecoveryService service(*mapping, NocParams{}, tile_bytes,
                             &defects);
     // The inter-block edges every handled failure's weight moves
@@ -132,10 +130,7 @@ main()
     chain_table.print(std::cout);
     std::cout << "\nAll weight-core recoveries completed within "
                  "sub-millisecond latency; KV-core\nfailures cost "
-                 "only the resident sequences' recompute.\n"
-              << "Route cache: " << service.noc().routeCacheHits()
-              << " hits, " << service.noc().routeCacheMisses()
-              << " misses (routes computed around the defects).\n";
+                 "only the resident sequences' recompute.\n";
 
     // --- Cross-block KV borrowing ---
     // Drain block 0's dedicated KV pool dry, then fail one more

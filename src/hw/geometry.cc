@@ -28,16 +28,6 @@ WaferGeometry::coreAt(std::uint64_t index) const
             static_cast<std::uint32_t>(index % cols())};
 }
 
-std::uint32_t
-WaferGeometry::dieCrossings(CoreCoord a, CoreCoord b) const
-{
-    const DieCoord da = dieOf(a);
-    const DieCoord db = dieOf(b);
-    const auto dr = da.row > db.row ? da.row - db.row : db.row - da.row;
-    const auto dc = da.col > db.col ? da.col - db.col : db.col - da.col;
-    return dr + dc;
-}
-
 std::vector<CoreCoord>
 WaferGeometry::sShapedOrder() const
 {

@@ -107,12 +107,6 @@ class WaferGeometry
         return dr + dc;
     }
 
-    /**
-     * Number of die boundaries an XY route from @p a to @p b crosses
-     * (each crossing pays the inter-die penalty, Section 4.3.1).
-     */
-    std::uint32_t dieCrossings(CoreCoord a, CoreCoord b) const;
-
     /** Validity check for a coordinate. */
     bool contains(CoreCoord c) const
     {

@@ -134,9 +134,9 @@ recoverCoreFailure(BlockPlacement &placement, CoreCoord failed,
         static_cast<Bytes>(result.moves.size());
 
     // All shifts run in parallel: latency = slowest single move, each
-    // following the mesh's actual (cached) route - detouring around
-    // defects and failed links - priced from the route's latency
-    // summary.
+    // priced over the mesh's actual route - detouring around defects
+    // and failed links - from its hop count and whether it crosses a
+    // die edge.
     for (const auto &[from, to] : result.moves) {
         result.latencySeconds =
             std::max(result.latencySeconds,

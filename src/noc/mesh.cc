@@ -215,32 +215,8 @@ MeshNoc::routeUncached(CoreCoord src, CoreCoord dst) const
     return path;
 }
 
-RouteMeta
-MeshNoc::buildMeta(const std::vector<CoreCoord> &path) const
-{
-    RouteMeta meta;
-    if (path.size() < 2)
-        return meta; // self-route or unroutable: nothing to price
-    // Head latency: router pipeline per hop. Serialisation: payload
-    // over the narrowest traversed link (die crossings are slower by
-    // the CostInter factor).
-    meta.headSeconds = static_cast<double>(path.size() - 1) *
-            static_cast<double>(params_.routerLatency) /
-            params_.clockHz;
-    const bool crosses_die =
-        std::adjacent_find(path.begin(), path.end(),
-                           [&](CoreCoord from, CoreCoord to) {
-                               return !geom_.sameDie(from, to);
-                           }) != path.end();
-    const double slowest_factor =
-        crosses_die ? params_.interDiePenalty : 1.0;
-    meta.serialBitsPerSecond =
-        params_.linkBitsPerCycle * params_.clockHz / slowest_factor;
-    return meta;
-}
-
-const PricedRoute &
-MeshNoc::pricedRoute(CoreCoord src, CoreCoord dst) const
+const std::vector<CoreCoord> &
+MeshNoc::routeCached(CoreCoord src, CoreCoord dst) const
 {
     const std::uint64_t key =
         geom_.coreIndex(src) * geom_.numCores() + geom_.coreIndex(dst);
@@ -250,50 +226,52 @@ MeshNoc::pricedRoute(CoreCoord src, CoreCoord dst) const
         return it->second;
     }
     ++cacheMisses_;
-    PricedRoute fresh;
-    fresh.path = routeUncached(src, dst);
-    fresh.meta = buildMeta(fresh.path);
-    return routeCache_.emplace(key, std::move(fresh)).first->second;
+    return routeCache_.emplace(key, routeUncached(src, dst))
+            .first->second;
+}
+
+template <typename State, typename Hop>
+bool
+MeshNoc::walkRoute(CoreCoord src, CoreCoord dst, State &state,
+                   Hop &&hop) const
+{
+    ouroAssert(geom_.contains(src) && geom_.contains(dst),
+               "route walk: endpoint off wafer");
+    // XY, then YX, in routeUncached()'s order: a cleared walk IS the
+    // route, so it is walked in place. The trial state is committed only when the walk reaches
+    // dst, keeping a volume flow's hops one contiguous run of
+    // additions onto the running sum.
+    for (const bool x_first : {true, false}) {
+        State trial = state;
+        if (walkDimOrder(src, dst, x_first,
+                         [&](CoreCoord, bool crosses) {
+                             hop(trial, crosses);
+                         })) {
+            state = trial;
+            return true;
+        }
+    }
+    // Neither dimension order clears: the cached breadth-first route
+    // decides, and its hops are walked with the same rule, in path
+    // order.
+    const std::vector<CoreCoord> &path = routeCached(src, dst);
+    if (path.empty())
+        return false;
+    for (std::size_t i = 1; i < path.size(); ++i)
+        hop(state, !geom_.sameDie(path[i - 1], path[i]));
+    return true;
 }
 
 bool
 MeshNoc::addRouteVolume(CoreCoord src, CoreCoord dst, Bytes bytes,
                         double &sum) const
 {
-    ouroAssert(geom_.contains(src) && geom_.contains(dst),
-               "addRouteVolume: endpoint off wafer");
     const double b = static_cast<double>(bytes);
     // The two per-hop terms: a die-crossing hop carries b x penalty.
     const double eff[2] = {b, b * params_.interDiePenalty};
-    // XY, then YX, in routeUncached()'s order: a cleared walk IS the
-    // route, so it is priced in place. The trial sum is committed
-    // only when the walk reaches dst, keeping the flow's hops one
-    // contiguous run of additions onto the running sum.
-    for (const bool x_first : {true, false}) {
-        double trial = sum;
-        if (walkDimOrder(src, dst, x_first,
-                         [&](CoreCoord, bool crosses) {
-                             trial += eff[crosses];
-                         })) {
-            sum = trial;
-            return true;
-        }
-    }
-    // Neither dimension order clears: the cached breadth-first route
-    // decides, and its hops are priced with the same rule, in path
-    // order.
-    const std::vector<CoreCoord> &path = routeCached(src, dst);
-    if (path.empty())
-        return false;
-    for (std::size_t i = 1; i < path.size(); ++i)
-        sum += eff[!geom_.sameDie(path[i - 1], path[i])];
-    return true;
-}
-
-const std::vector<CoreCoord> &
-MeshNoc::routeCached(CoreCoord src, CoreCoord dst) const
-{
-    return pricedRoute(src, dst).path;
+    return walkRoute(src, dst, sum, [&](double &trial, bool crosses) {
+        trial += eff[crosses];
+    });
 }
 
 double
@@ -302,13 +280,27 @@ MeshNoc::transferSeconds(CoreCoord src, CoreCoord dst,
 {
     if (src == dst)
         return 0.0;
-    const PricedRoute &route = pricedRoute(src, dst);
-    ouroAssert(!route.path.empty(), "transferSeconds: unroutable (",
-               src.row, ",", src.col, ") -> (", dst.row, ",", dst.col,
-               ")");
-    return route.meta.headSeconds +
+    struct Walk
+    {
+        std::uint64_t hops = 0;
+        bool crosses = false;
+    } walk;
+    const bool routed =
+        walkRoute(src, dst, walk, [](Walk &trial, bool crosses) {
+            ++trial.hops;
+            trial.crosses |= crosses;
+        });
+    ouroAssert(routed, "transferSeconds: unroutable (", src.row, ",",
+               src.col, ") -> (", dst.row, ",", dst.col, ")");
+    // Head latency: router pipeline per hop. Serialisation: payload
+    // over the narrowest traversed link (die crossings are slower by
+    // the CostInter factor).
+    return static_cast<double>(walk.hops) *
+                   static_cast<double>(params_.routerLatency) /
+                   params_.clockHz +
            static_cast<double>(bytes) * 8.0 /
-                   route.meta.serialBitsPerSecond;
+                   (params_.linkBitsPerCycle * params_.clockHz /
+                    (walk.crosses ? params_.interDiePenalty : 1.0));
 }
 
 } // namespace ouro

@@ -11,12 +11,11 @@
  * model only needs to produce correct routes.
  *
  * The simulator prices the mesh two ways, each walking the route the
- * router would take:
+ * router would take - XY, then YX, in place without allocating; only
+ * flows that need the breadth-first search touch the route cache:
  *  - addRouteVolume(): the effective byte-hop volume of a flow (each
  *    hop's bytes, die-crossing hops inflated by the inter-die
- *    penalty) added to a running sum - the Fig. 18 metric. XY, then
- *    YX, is walked in place without allocating; only flows that
- *    need the breadth-first search touch the route cache. The
+ *    penalty) added to a running sum - the Fig. 18 metric. The
  *    mapping build and storm re-pricing use it.
  *  - transferSeconds(): latency of one isolated transfer (hop count
  *    x router latency + serialisation over the slowest link) - what
@@ -70,47 +69,18 @@ struct LinkIdHash
 };
 
 /**
- * Immutable per-route latency summary, computed ONCE when a route is
- * first cached, so pricing a cached route is two floating-point
- * operations instead of an O(hops) walk. Each coefficient keeps the
- * exact arithmetic expression of pricing the path hop by hop, so
- * transferSeconds() is BIT-IDENTICAL to that walk (the tests pin it).
- */
-struct RouteMeta
-{
-    /** hops * routerLatency / clockHz (the per-transfer head
-     *  latency; byte-count independent). */
-    double headSeconds = 0.0;
-
-    /** linkBitsPerCycle * clockHz / slowest_factor: the payload
-     *  serialisation denominator (slowest traversed link). */
-    double serialBitsPerSecond = 0.0;
-};
-
-/** A memoized route and its pricing summary. The two live and die
- *  together: every cache fill builds both, every invalidation drops
- *  both (the metadata immutability rule). */
-struct PricedRoute
-{
-    std::vector<CoreCoord> path;
-    RouteMeta meta;
-};
-
-/**
  * The wafer mesh. Holds the defect map (defective cores cannot be
  * routed *through*) and a set of failed links (interconnect failures,
  * Section 4.3.3), both of which routes detour around.
  *
- * Routes are memoised per (src, dst) pair together with an immutable
- * RouteMeta latency summary, so repeat pricing never re-walks the
- * path; failLink() (or an explicit invalidateRoutes() after mutating
- * the external DefectMap) flushes the cache (route and summary
- * together, always). addRouteVolume() consults the cache only for
- * flows that neither dimension order clears. The cache mutates under
- * const, so a MeshNoc instance must not be shared across threads
- * without external synchronisation (per-index sweep state, the
- * parallel runtime's contract, already guarantees this everywhere
- * in-tree).
+ * Routes are memoised per (src, dst) pair; failLink() (or an
+ * explicit invalidateRoutes() after mutating the external DefectMap)
+ * flushes the cache. Both prices consult it only for flows that
+ * neither dimension order clears, so outside the oracles it holds
+ * searched routes only. The cache mutates under const, so a MeshNoc
+ * instance must not be shared across threads without external
+ * synchronisation (per-index sweep state, the parallel runtime's
+ * contract, already guarantees this everywhere in-tree).
  */
 class MeshNoc
 {
@@ -142,10 +112,6 @@ class MeshNoc
     const std::vector<CoreCoord> &routeCached(CoreCoord src,
                                               CoreCoord dst) const;
 
-    /** The cached route together with its RouteMeta summary (same
-     *  memoization and stability rules as routeCached()). */
-    const PricedRoute &pricedRoute(CoreCoord src, CoreCoord dst) const;
-
     /**
      * Drop all cached routes. failLink() calls this automatically;
      * call it manually after mutating the DefectMap the mesh was
@@ -159,10 +125,12 @@ class MeshNoc
     std::uint64_t routeCacheMisses() const { return cacheMisses_; }
     std::size_t routeCacheSize() const { return routeCache_.size(); }
 
-    /** Latency of an isolated @p bytes transfer over the cached
-     *  route: head latency plus serialisation over the slowest
-     *  traversed link (die crossings are slower by the inter-die
-     *  penalty). */
+    /** Latency of an isolated @p bytes transfer over the route:
+     *  head latency (hops x router latency) plus serialisation over
+     *  the slowest traversed link (die crossings are slower by the
+     *  inter-die penalty). The route is walked like
+     *  addRouteVolume()'s; an unroutable flow is an assertion
+     *  failure. */
     double transferSeconds(CoreCoord src, CoreCoord dst,
                            Bytes bytes) const;
 
@@ -188,9 +156,9 @@ class MeshNoc
     const DefectMap *defects_;
     std::unordered_set<LinkId, LinkIdHash> failedLinks_;
 
-    /** (src index * numCores + dst index) -> route + latency
-     *  summary. Mutable: filled lazily from const routing calls. */
-    mutable std::unordered_map<std::uint64_t, PricedRoute>
+    /** (src index * numCores + dst index) -> route. Mutable: filled
+     *  lazily from const routing calls. */
+    mutable std::unordered_map<std::uint64_t, std::vector<CoreCoord>>
             routeCache_;
     mutable std::uint64_t cacheHits_ = 0;
     mutable std::uint64_t cacheMisses_ = 0;
@@ -202,13 +170,21 @@ class MeshNoc
      *  crossings by counting down to the die edge (no division per
      *  hop). Both endpoints must be on the wafer; a monotone walk
      *  between them then never leaves it. routeDimOrder() and
-     *  addRouteVolume() both walk through it. */
+     *  walkRoute() both walk through it. */
     template <typename Hop>
     bool walkDimOrder(CoreCoord src, CoreCoord dst, bool x_first,
                       Hop &&hop) const;
 
-    /** Build the latency summary of @p path. */
-    RouteMeta buildMeta(const std::vector<CoreCoord> &path) const;
+    /** THE route walk both prices share: XY, then YX, in place
+     *  (routeUncached()'s order), calling hop(trial, crosses) per
+     *  step on a copy of @p state that is committed only when the
+     *  walk reaches dst; a flow neither order clears walks its cached
+     *  breadth-first path onto @p state, with crosses =
+     *  !sameDie(from, to). False, leaving @p state untouched, when
+     *  the flow is unroutable. */
+    template <typename State, typename Hop>
+    bool walkRoute(CoreCoord src, CoreCoord dst, State &state,
+                   Hop &&hop) const;
 
     /** Single-path router behind routeUncached(); may fail (empty). */
     std::vector<CoreCoord> routeDimOrder(CoreCoord src, CoreCoord dst,

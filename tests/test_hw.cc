@@ -57,14 +57,6 @@ TEST(Geometry, ManhattanDistance)
     EXPECT_EQ(geom.manhattan({3, 4}, {0, 0}), 7u);
 }
 
-TEST(Geometry, DieCrossings)
-{
-    const WaferGeometry geom;
-    EXPECT_EQ(geom.dieCrossings({0, 0}, {12, 16}), 0u);
-    EXPECT_EQ(geom.dieCrossings({0, 0}, {13, 0}), 1u);
-    EXPECT_EQ(geom.dieCrossings({0, 0}, {116, 118}), 14u);
-}
-
 TEST(Geometry, SShapedOrderVisitsAllExactlyOnce)
 {
     const WaferGeometry geom(2, 2, 3, 3);

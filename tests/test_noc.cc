@@ -51,6 +51,20 @@ walkSeconds(const MeshNoc &noc, const std::vector<CoreCoord> &path,
                    (params.linkBitsPerCycle * params.clockHz / factor);
 }
 
+/** Direction changes along @p path. A dimension-ordered (XY or YX)
+ *  route turns at most once, so a route that turns twice or more is
+ *  the breadth-first search's. */
+std::size_t
+turns(const std::vector<CoreCoord> &path)
+{
+    std::size_t n = 0;
+    for (std::size_t i = 2; i < path.size(); ++i) {
+        n += MeshNoc::stepDir(path[i - 2], path[i - 1]) !=
+             MeshNoc::stepDir(path[i - 1], path[i]);
+    }
+    return n;
+}
+
 TEST(Mesh, RouteStraightLine)
 {
     const WaferGeometry geom;
@@ -331,31 +345,13 @@ TEST(Traffic, FlatLoadsMatchHashMapReference)
     EXPECT_DOUBLE_EQ(traffic.bottleneckBytes(), ref_max);
 }
 
-TEST(RouteMeta, SummaryMatchesPathDerivation)
+TEST(TransferSeconds, InPlaceWalkMatchesCachedPathFuzz)
 {
-    // The cached RouteMeta must agree with a by-hand derivation from
-    // the path it summarises.
-    const WaferGeometry geom;
-    const NocParams params;
-    const MeshNoc noc(geom, params);
-    const auto &priced = noc.pricedRoute({10, 0}, {14, 9});
-    ASSERT_GE(priced.path.size(), 2u);
-    const double hops = static_cast<double>(priced.path.size() - 1);
-    EXPECT_DOUBLE_EQ(priced.meta.headSeconds,
-                     hops * static_cast<double>(params.routerLatency) /
-                             params.clockHz);
-    // Rows 12|13 are a die boundary: the route crosses it.
-    EXPECT_DOUBLE_EQ(priced.meta.serialBitsPerSecond,
-                     params.linkBitsPerCycle * params.clockHz /
-                             params.interDiePenalty);
-}
-
-TEST(RouteMeta, TransferSecondsMatchesWalkFuzz)
-{
-    // transferSeconds prices from the cached summary; it must be
-    // BIT-identical to walking the cached route hop by hop: clean
-    // routes, defect detours and failed-link detours, at an exact
-    // and an inexact inter-die penalty.
+    // transferSeconds walks XY, then YX, in place; it must be
+    // BIT-identical to pricing an independent mesh's cached route hop
+    // by hop: clean routes, defect detours and failed-link detours,
+    // at an exact and an inexact inter-die penalty. Only flows that
+    // neither dimension order clears may touch the route cache.
     const WaferGeometry geom;
     DefectMap defects(geom);
     Rng seed_rng(311);
@@ -379,13 +375,17 @@ TEST(RouteMeta, TransferSecondsMatchesWalkFuzz)
 
     std::uint64_t crossing = 0;
     std::uint64_t detoured = 0;
+    std::uint64_t searched = 0;
     for (const double penalty : {2.0, 1.37}) {
         NocParams params;
         params.interDiePenalty = penalty;
         for (const auto &sc : scenarios) {
             MeshNoc noc(geom, params, sc.defects);
-            if (sc.fail_link)
+            MeshNoc path_noc(geom, params, sc.defects);
+            if (sc.fail_link) {
                 noc.failLink({12, 20}, LinkDir::East);
+                path_noc.failLink({12, 20}, LinkDir::East);
+            }
             Rng rng(313);
             for (int f = 0; f < 400; ++f) {
                 const CoreCoord src{
@@ -395,10 +395,18 @@ TEST(RouteMeta, TransferSecondsMatchesWalkFuzz)
                     static_cast<std::uint32_t>(rng.uniformInt(0, 40)),
                     static_cast<std::uint32_t>(rng.uniformInt(0, 40))};
                 const Bytes bytes = 1 + rng.uniformInt(0, 1 * MiB);
+                const std::uint64_t lookups =
+                    noc.routeCacheHits() + noc.routeCacheMisses();
                 const double got = noc.transferSeconds(src, dst, bytes);
-                const auto &path = noc.routeCached(src, dst);
+                const auto &path = path_noc.routeCached(src, dst);
                 EXPECT_EQ(got, walkSeconds(noc, path, bytes))
                     << sc.name << " penalty " << penalty;
+                const bool bfs = turns(path) >= 2;
+                EXPECT_EQ(noc.routeCacheHits() + noc.routeCacheMisses() -
+                                  lookups,
+                          bfs ? 1u : 0u)
+                    << sc.name << " penalty " << penalty;
+                searched += bfs;
                 crossing += std::adjacent_find(
                                     path.begin(), path.end(),
                                     [&](CoreCoord a, CoreCoord b) {
@@ -408,9 +416,11 @@ TEST(RouteMeta, TransferSecondsMatchesWalkFuzz)
             }
         }
     }
-    // Both serialisation factors and the detours were exercised.
+    // Both serialisation factors, the detours and the searched
+    // routes were exercised.
     EXPECT_GT(crossing, 0u);
     EXPECT_GT(detoured, 0u);
+    EXPECT_GT(searched, 0u);
 }
 
 /** Random core of @p geom. */
@@ -488,20 +498,6 @@ TEST(RouteVolume, MatchesAccumulatorFuzz)
     EXPECT_GT(unroutable, 0u);
     EXPECT_GT(detoured, unroutable);
     EXPECT_LT(detoured, flows / 2);
-}
-
-/** Direction changes along @p path. A dimension-ordered (XY or YX)
- *  route turns at most once, so a route that turns twice or more is
- *  the breadth-first search's. */
-std::size_t
-turns(const std::vector<CoreCoord> &path)
-{
-    std::size_t n = 0;
-    for (std::size_t i = 2; i < path.size(); ++i) {
-        n += MeshNoc::stepDir(path[i - 2], path[i - 1]) !=
-             MeshNoc::stepDir(path[i - 1], path[i]);
-    }
-    return n;
 }
 
 /** A random defect map, each core defective with probability
